@@ -25,6 +25,7 @@ from .routh import (
     inner_product,
     jacobi_complex_eval,
     ode_residual,
+    real_root_count,
     real_roots,
     routh_hypergeometric_eval,
     routh_polynomial,

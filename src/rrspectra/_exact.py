@@ -23,10 +23,6 @@ def to_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-def cnum(re, im=0) -> CNum:
-    return (to_fraction(re), to_fraction(im))
-
-
 def c_add(a: CNum, b: CNum) -> CNum:
     return (a[0] + b[0], a[1] + b[1])
 
@@ -38,14 +34,6 @@ def c_mul(a: CNum, b: CNum) -> CNum:
 def c_scale(a: CNum, s) -> CNum:
     s = Fraction(s)
     return (a[0] * s, a[1] * s)
-
-
-def c_conj(a: CNum) -> CNum:
-    return (a[0], -a[1])
-
-
-def c_is_zero(a: CNum) -> bool:
-    return a[0] == 0 and a[1] == 0
 
 
 def rising(a: CNum, n: int) -> CNum:
@@ -116,9 +104,3 @@ def rp_scale(p: list[Fraction], s) -> list[Fraction]:
 
 def rp_diff(p: list[Fraction]) -> list[Fraction]:
     return [p[i] * i for i in range(1, len(p))]
-
-
-def rp_strip(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p = p[:-1]
-    return p

@@ -310,7 +310,7 @@ def cmd_identities(config: RunConfig, out_dir: str, tol: float) -> int:
         + list(quartic_res.values()),
         default=0.0,
     )
-    passed = poly_ok and worst < max(tol, 1e-9)
+    passed = bool(poly_ok and worst < max(tol, 1e-9))
     payload["passed"] = passed
     ipath = os.path.join(out_dir, "identities.json")
     _dump_json(ipath, payload)

@@ -18,7 +18,7 @@ import numpy as np
 from . import geometry
 from .errors import NodeDetected, PreconditionViolated
 from .geometry import PotentialSpec, VariableMap
-from .routh import real_roots
+from .routh import real_root_count
 from .spectral import AehSolution, BoundState, EtaSolution, enumerate_bound_spectrum
 
 
@@ -69,7 +69,7 @@ def log_second_derivative(tp, phi: EtaSolution, eta):
 def partner_potential(spec: PotentialSpec, ff: FactorizationFunction, vmap: VariableMap) -> PartnerPotentialGrid:
     """V_hat = V - 2 (ln ff)'' on the map grid; requires a sign-definite ff."""
     poly = ff.phi.poly
-    if poly.degree >= 1 and real_roots(poly):
+    if poly.degree >= 1 and real_root_count(poly):
         raise NodeDetected("factorization polynomial has real zeros")
     etas = vmap.eta_grid
     samples = ff.phi(etas)

@@ -271,29 +271,27 @@ def count_sign_changes(f, xs, zero_tol: float = 1e-12) -> int:
     sub-tolerance samples are reported as :class:`AmbiguousZero`.  Each
     crossing between definite samples is located by local bisection, which
     confirms the bracket does not hide a sub-tolerance plateau.
+
+    ``f`` is called once on the whole sample array when it accepts one and
+    returns one value per sample; otherwise it is called per sample.
     """
     xs = np.asarray(xs, dtype=float)
-    vals = np.asarray([f(x) for x in xs], dtype=float)
+    try:
+        vals = np.asarray(f(xs), dtype=float)
+    except (TypeError, ValueError):
+        vals = None
+    if vals is None or vals.shape != xs.shape:
+        vals = np.asarray([f(x) for x in xs], dtype=float)
     tiny = np.abs(vals) <= zero_tol
-    run = 0
-    for t in tiny:
-        run = run + 1 if t else 0
-        if run >= 2:
-            raise AmbiguousZero("|f| <= %g over an interval of samples" % zero_tol)
+    if np.any(tiny[1:] & tiny[:-1]):
+        raise AmbiguousZero("|f| <= %g over an interval of samples" % zero_tol)
 
-    changes = 0
-    last_sign = 0.0
-    last_x = None
-    for x, v in zip(xs, vals):
-        if abs(v) <= zero_tol:
-            continue
-        s = 1.0 if v > 0 else -1.0
-        if last_sign != 0.0 and s != last_sign:
-            _locate_crossing(f, last_x, x, zero_tol)
-            changes += 1
-        last_sign = s
-        last_x = x
-    return changes
+    definite = np.flatnonzero(~tiny)
+    positive = vals[definite] > 0
+    flips = np.flatnonzero(positive[1:] != positive[:-1])
+    for i in flips:
+        _locate_crossing(f, xs[definite[i]], xs[definite[i + 1]], zero_tol)
+    return len(flips)
 
 
 def _locate_crossing(f, a: float, b: float, zero_tol: float) -> float:

@@ -24,6 +24,7 @@ Two empirically pinned facts about the family are exposed and tested here:
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -416,25 +417,203 @@ def inner_product(n: int, m: int, w) -> float:
     return adaptive_quadrature(integrand, -np.inf, np.inf, tol=1e-10)
 
 
-def real_roots(p) -> list[float]:
-    """All real roots of ``p`` with multiplicity, ascending.
+# ---------------------------------------------------------------------------
+# exact real roots
+# ---------------------------------------------------------------------------
+#
+# Polynomials are scaled once to primitive integer coefficient lists
+# (ascending).  Each square-free factor gets a Sturm chain built by primitive
+# pseudo-remainders; sign variations are taken at rationals num/den by
+# homogeneous Horner, so every sign is exact.
 
-    Root *count* is exact (rational root isolation on the exact
-    coefficients); locations are refined well below 1e-12.
+def _primitive(p: list) -> list:
+    g = math.gcd(*p)
+    return p if g == 1 else [c // g for c in p]
+
+
+def _integer_poly(coeffs) -> list:
+    """Primitive integer coefficients, a positive multiple of the rational ``coeffs``."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return _primitive([c.numerator * (den // c.denominator) for c in coeffs])
+
+
+def _prem(a: list, b: list) -> list:
+    """Remainder of ``a`` modulo ``b``, times a positive constant."""
+    r = list(a)
+    db = len(b) - 1
+    lb, sb = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    while len(r) > db:
+        q = sb * r[-1]
+        shift = len(r) - 1 - db
+        r = [lb * c for c in r]
+        for i, c in enumerate(b):
+            r[i + shift] -= q * c
+        while r and r[-1] == 0:
+            r.pop()
+    return r
+
+
+def _sturm_chain(f: list) -> list:
+    """f, f', then negated remainders, each scaled by a positive constant."""
+    chain = [f, _primitive(ex.rp_diff(f))]
+    while True:
+        r = _prem(chain[-2], chain[-1])
+        if not r:
+            return chain
+        chain.append(_primitive([-c for c in r]))
+
+
+def _exact_quotient(a: list, b: list) -> list:
+    """a / b over the rationals, for b dividing a."""
+    a = [Fraction(c) for c in a]
+    q = [Fraction(0)] * (len(a) - len(b) + 1)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = a[k + len(b) - 1] / b[-1]
+        for j, c in enumerate(b):
+            a[k + j] -= q[k] * c
+    return q
+
+
+def _square_free_chains(f: list) -> list:
+    """Sturm chains of square-free factors whose roots, pooled, are the roots
+    of ``f`` with multiplicity.
+
+    With g = gcd(f, f'), the distinct roots of f are the roots of f/g, and g
+    holds every repeated root once fewer times; recurse on g.
     """
-    import sympy
+    chain = _sturm_chain(f)
+    g = chain[-1]  # gcd(f, f') up to a constant
+    if len(g) == 1:
+        return [chain]
+    return [_sturm_chain(_integer_poly(_exact_quotient(f, g)))] + _square_free_chains(g)
 
+
+def _hom(p: list, num: int, den: int) -> int:
+    """den^deg(p) * p(num/den) for den > 0: an integer with the sign of p."""
+    acc = p[-1]
+    scale = 1
+    for i in range(len(p) - 2, -1, -1):
+        scale *= den
+        acc = acc * num + p[i] * scale
+    return acc
+
+
+def _variations(signs) -> int:
+    v = 0
+    last = 0
+    for s in signs:
+        if s:
+            if last and (s > 0) != (last > 0):
+                v += 1
+            last = s
+    return v
+
+
+def _variations_at(chain: list, x: Fraction) -> int:
+    return _variations(_hom(q, x.numerator, x.denominator) for q in chain)
+
+
+def _variations_at_infinity(chain: list, side: int) -> int:
+    return _variations(q[-1] * side ** (len(q) - 1) for q in chain)
+
+
+def _float_key(x: float) -> int:
+    """Integer key, monotone in x, with adjacent doubles one apart."""
+    bits = struct.unpack("<q", struct.pack("<d", x))[0]
+    return bits if bits >= 0 else -(bits & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _key_float(k: int) -> float:
+    x = struct.unpack("<d", struct.pack("<q", abs(k)))[0]
+    return x if k >= 0 else -x
+
+
+def _rounded_root(f: list, lo: Fraction, hi: Fraction) -> float:
+    """The double nearest the single root of square-free ``f`` in (lo, hi].
+
+    Binary search over the doubles between round(lo) and round(hi) for the
+    least d whose upper rounding boundary, the exact midpoint of d and its
+    successor, lies at or above the root (ties to the even mantissa), with
+    each side decided by the exact sign of f at that midpoint.
+    """
+    s_hi = _hom(f, hi.numerator, hi.denominator)
+    if s_hi == 0:
+        return float(hi)
+    s_hi = s_hi > 0
+    lo_n, lo_d = lo.numerator, lo.denominator
+    k_lo, k_hi = _float_key(float(lo)), _float_key(float(hi))
+    while k_lo < k_hi:
+        k = (k_lo + k_hi) // 2
+        n1, d1 = _key_float(k).as_integer_ratio()
+        n2, d2 = _key_float(k + 1).as_integer_ratio()
+        den = max(d1, d2)
+        num = n1 * (den // d1) + n2 * (den // d2)
+        den *= 2
+        if num * lo_d <= lo_n * den:
+            # reachable only as a tie; lo may be another root, and this one is above it
+            root_below = False
+        else:
+            s = _hom(f, num, den)
+            root_below = k % 2 == 0 if s == 0 else (s > 0) == s_hi
+        if root_below:
+            k_hi = k
+        else:
+            k_lo = k + 1
+    return _key_float(k_lo)
+
+
+def _isolated_roots(chain: list) -> list:
+    """Correctly rounded roots of the square-free ``chain[0]``.
+
+    Bisects (-2^k, 2^k], a power-of-two Cauchy bound, with the Sturm count
+    V(a) - V(b) of roots in (a, b], until each interval holds one root.
+    """
+    f = chain[0]
+    # |root| < 1 + max|c_i| / |c_n| <= 1 + ceil(...) <= 2^k
+    ratio = -(-max(abs(c) for c in f[:-1]) // abs(f[-1]))
+    bound = Fraction(1 << ratio.bit_length())
+    out = []
+    stack = [(-bound, bound, _variations_at(chain, -bound), _variations_at(chain, bound))]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        count = v_lo - v_hi
+        if count == 1:
+            out.append(_rounded_root(f, lo, hi))
+        elif count > 1:
+            mid = (lo + hi) / 2
+            v_mid = _variations_at(chain, mid)
+            stack.append((lo, mid, v_lo, v_mid))
+            stack.append((mid, hi, v_mid, v_hi))
+    return out
+
+
+def _root_chains(p) -> list:
     if isinstance(p, RouthPolynomial):
         p = p.poly
     if not isinstance(p, RealPolynomial):
         p = RealPolynomial.from_coeffs(p)
     if p.is_zero:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
-    if p.degree == 0:
-        return []
-    x = sympy.Symbol("x")
-    poly = sympy.Poly([sympy.Rational(c) for c in reversed(p.coeffs)], x)
-    return [float(r.evalf(25)) for r in poly.real_roots(multiple=True)]
+    return _square_free_chains(_integer_poly(p.coeffs)) if p.degree > 0 else []
+
+
+def real_roots(p) -> list[float]:
+    """All real roots of ``p`` with multiplicity, ascending.
+
+    Roots are isolated exactly (Sturm chains on integer coefficients) and
+    each location is the correctly rounded double of the exact root.
+    """
+    return sorted(r for chain in _root_chains(p) for r in _isolated_roots(chain))
+
+
+def real_root_count(p) -> int:
+    """Number of real roots of ``p`` with multiplicity, decided exactly.
+
+    Sturm sign variations at -inf and +inf, read from leading coefficients;
+    no root is located.
+    """
+    return sum(_variations_at_infinity(chain, -1) - _variations_at_infinity(chain, 1)
+               for chain in _root_chains(p))
 
 
 def discriminant_order2(alpha) -> DiscriminantOrder2:
@@ -455,8 +634,3 @@ def discriminant_order2(alpha) -> DiscriminantOrder2:
     ai = float(a.im)
     tabulated = -0.25 * (ar + 3.0) * ((ar + 2.0) ** 2 - 0.5 * (3.0 * ar + 4.0) * ai ** 2)
     return DiscriminantOrder2(value=value, tabulated=tabulated)
-
-
-def squared_norm(n: int, w) -> float:
-    """Self inner product of the n-th family member under weight ``w``."""
-    return inner_product(n, n, w)

@@ -44,7 +44,14 @@ from .errors import (
     PreconditionViolated,
 )
 from .geometry import PotentialSpec, TangentPolySpec, VariableMap
-from .routh import ComplexIndex, RealPolynomial, RouthPolynomial, real_roots, routh_polynomial
+from .routh import (
+    ComplexIndex,
+    RealPolynomial,
+    RouthPolynomial,
+    real_root_count,
+    real_roots,
+    routh_polynomial,
+)
 
 RESIDUAL_GATE = 1e-9
 THRESHOLD_ENERGY = 1e-10
@@ -152,7 +159,7 @@ class BoundState:
 
     @property
     def nodes(self) -> int:
-        return len(real_roots(self.poly.poly))
+        return real_root_count(self.poly.poly)
 
 
 @dataclass(frozen=True)
@@ -162,10 +169,14 @@ class AehSolution:
     energy: float
     lam: complex
     poly: RouthPolynomial
-    nodeless: bool
+    root_count: int  # real roots of the polynomial factor, with multiplicity
     phi: EtaSolution
     psi: np.ndarray | None = None
     x_grid: np.ndarray | None = None
+
+    @property
+    def nodeless(self) -> bool:
+        return self.root_count == 0
 
 
 @dataclass(frozen=True)
@@ -236,7 +247,7 @@ def _quartic_coeffs(spec: PotentialSpec, m: int) -> list:
 def quartic_residual_scale(spec: PotentialSpec, m: int, lam_r: float) -> float:
     coeffs = [float(c) for c in _quartic_coeffs(spec, m)]
     val = np.polynomial.polynomial.polyval(lam_r, np.array(coeffs))
-    return abs(val) / max(1.0, abs(lam_r) ** 4)
+    return float(abs(val) / max(1.0, abs(lam_r) ** 4))
 
 
 def quartic_lambda_roots(spec: PotentialSpec, m: int) -> QuarticRoots:
@@ -428,7 +439,7 @@ def assemble_eigenfunction(spec: PotentialSpec, n: int, vmap: VariableMap) -> Bo
     light = spectrum.states[n]
     if not (light.lam.real > n + 0.5):
         raise PreconditionViolated("admissibility lambda_R > n + 1/2 violated")
-    n_roots = len(real_roots(light.poly.poly))
+    n_roots = light.nodes
     if n_roots != n:
         raise ConventionUnresolved(
             "state %d polynomial has %d real roots" % (n, n_roots)
@@ -472,7 +483,7 @@ def aeh_solution(spec: PotentialSpec, kind: str, m: int, vmap: VariableMap | Non
     res = rcsle_residual(spec, energy, phi, np.linspace(-8.0, 8.0, 33))
     if res >= RESIDUAL_GATE:
         raise ConventionUnresolved("aeh %s,%d residual %g above gate" % (kind, m, res))
-    nodeless = len(real_roots(rp.poly)) == 0 if rp.poly.degree >= 1 else True
+    root_count = real_root_count(rp.poly) if rp.poly.degree >= 1 else 0
     psi = None
     x_grid = None
     if vmap is not None:
@@ -481,7 +492,7 @@ def aeh_solution(spec: PotentialSpec, kind: str, m: int, vmap: VariableMap | Non
         x_grid = vmap.x_grid
     return AehSolution(
         kind=kind, m=m, energy=energy, lam=lam, poly=rp,
-        nodeless=nodeless, phi=phi, psi=psi, x_grid=x_grid,
+        root_count=root_count, phi=phi, psi=psi, x_grid=x_grid,
     )
 
 
@@ -596,18 +607,16 @@ def _scan_cell(a_g: float, b_g: float, m: int) -> ScanCell:
         sol = aeh_solution(spec, "d", m)
     except NoSuchRoot:
         return ScanCell(a_g, b_g, None, None, None, None)
-    root_count = len(real_roots(sol.poly.poly)) if sol.poly.poly.degree >= 1 else 0
-    empirical = root_count == 0
     etas = np.linspace(-40.0, 40.0, 1601)
     changes = oracle.count_sign_changes(lambda e: sol.phi(e), etas)
-    consistent = changes == root_count
+    consistent = changes == sol.root_count
     disc_pred = None
     if m == 2:
         disc_pred = discriminant_order2(sol.poly.index).value < 0.0
     thresh = bool(b_g ** 2 < nodeless_threshold_b2(a_g)) if m == 2 else None
     return ScanCell(
         a=a_g, b=b_g,
-        empirical_nodeless=empirical,
+        empirical_nodeless=sol.nodeless,
         threshold_prediction=thresh,
         discriminant_prediction=disc_pred,
         consistent=consistent,

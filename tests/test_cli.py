@@ -203,6 +203,16 @@ class TestIdentitiesCommand:
         assert payload["passed"]
         assert all(v < 1e-10 for v in payload["stevenson_max_dev"].values())
 
+    def test_milson_with_quartic_worst_residual(self, tmp_path):
+        # the worst residual here is a quartic one; its pass flag must serialize
+        cfg = write_config(tmp_path, {"potential": {"milson": {
+            "h0_re": 4.649385948785598, "h0_im": 1.6067793586662167,
+            "kappa_plus": 2.570091264090443}}})
+        out = tmp_path / "out"
+        assert main(["identities", "--config", cfg, "--out", str(out)]) == 0
+        payload = json.loads((out / "identities.json").read_text())
+        assert payload["passed"] is True
+
 
 class TestConfigErrors:
     def test_missing_file(self, tmp_path):

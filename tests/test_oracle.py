@@ -113,6 +113,20 @@ class TestSignChanges:
     def test_grazing_not_counted(self):
         assert count_sign_changes(lambda x: x * x, np.linspace(-1, 1, 41)) == 0
 
+    @pytest.mark.parametrize("make", [
+        lambda gspec, gmap: assemble_eigenfunction(gspec, 2, gmap).phi,
+        lambda gspec, gmap: (lambda x: (x - 1.0) * (x + 2.5) * (x - 3.25)),
+        lambda gspec, gmap: np.cos,
+    ])
+    def test_array_and_scalar_callables_agree(self, gspec, gmap, make):
+        f = make(gspec, gmap)
+        xs = np.linspace(-12, 12, 501)
+
+        def scalar_only(x):
+            return f(float(x))  # float() rejects arrays, forcing per-sample calls
+
+        assert count_sign_changes(f, xs) == count_sign_changes(scalar_only, xs)
+
     def test_ambiguous_zero_interval(self):
         def flat(x):
             return 0.0 if 2.0 < x < 4.0 else 1.0

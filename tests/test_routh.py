@@ -17,6 +17,7 @@ from rrspectra.routh import (
     jacobi_complex_eval,
     ode_residual,
     pinned_weight_index,
+    real_root_count,
     real_roots,
     routh_hypergeometric_eval,
     routh_polynomial,
@@ -275,6 +276,110 @@ class TestRealRoots:
         # (x-1)^2 * (x+2)
         r = real_roots(RealPolynomial.from_coeffs([2, -3, 0, 1]))
         assert_allclose(r, [-2.0, 1.0, 1.0], rtol=1e-10)
+
+
+def _poly_from_roots(roots, lead=1):
+    """Ascending coefficients of lead * prod(x - r)."""
+    p = [Fraction(lead)]
+    for r in roots:
+        r = Fraction(r)
+        p = [(p[i - 1] if i else 0) - r * (p[i] if i < len(p) else 0) for i in range(len(p) + 1)]
+    return p
+
+
+def _root_corpus():
+    """Seeded polynomials of every kind the package isolates roots of."""
+    from rrspectra.geometry import PotentialSpec, TangentPolySpec
+    from rrspectra.spectral import _quartic_coeffs, aeh_solution, gendenshtein_params
+
+    rng = np.random.default_rng(31)
+    out = []
+    for a in (1.2, 2.0, 2.7, 3.9, 4.5):
+        for b in (0.0, 0.6, 1.7):
+            spec = gendenshtein_params(a, b)
+            out.extend(_quartic_coeffs(spec, m) for m in range(6))
+    for _ in range(6):
+        h0 = complex(rng.uniform(3, 10), rng.uniform(0, 4))
+        spec = PotentialSpec(h0=h0, tp=TangentPolySpec(a=1.0, kappa_plus=float(rng.uniform(0.5, 3))))
+        out.extend(_quartic_coeffs(spec, m) for m in range(6))
+    # type-d Routh factors on a sub-grid of the 16x16 acceptance scan domain
+    avals, bvals = np.linspace(2, 4, 16), np.linspace(0, 4, 16)
+    for m in (2, 4):
+        for a in avals[::5]:
+            for b in bvals[::5]:
+                out.append(aeh_solution(gendenshtein_params(float(a), float(b)), "d", m).poly.poly.coeffs)
+    for _ in range(80):
+        deg = int(rng.integers(1, 9))
+        cs = [Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 20))) for _ in range(deg + 1)]
+        out.append(cs[:-1] + [cs[-1] or Fraction(1)])
+    for _ in range(30):
+        deg = int(rng.integers(1, 8))
+        out.append(list(rng.normal(size=deg + 1) * 10.0 ** rng.uniform(-3, 3, size=deg + 1)))
+    for _ in range(30):
+        roots = []
+        for _ in range(int(rng.integers(1, 4))):
+            r = Fraction(int(rng.integers(-20, 21)), int(rng.integers(1, 9)))
+            roots += [r] * int(rng.integers(1, 4))
+        p = _poly_from_roots(roots, lead=int(rng.integers(1, 5)))
+        if rng.random() < 0.5:  # times a squared quadratic, real roots irrational
+            q = RealPolynomial.from_coeffs([int(rng.integers(-5, 0)), int(rng.integers(-3, 4)), 1])
+            p = list((RealPolynomial.from_coeffs(p) * q * q).coeffs)
+        out.append(p)
+    return [RealPolynomial.from_coeffs(c) for c in out]
+
+
+class TestExactIsolation:
+    def test_matches_sympy_bit_for_bit(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x")
+        for p in _root_corpus():
+            poly = sympy.Poly([sympy.Rational(c) for c in reversed(p.coeffs)], x)
+            expected = [float(r.evalf(25)) for r in poly.real_roots(multiple=True)]
+            assert real_roots(p) == expected, p.coeffs
+            assert real_root_count(p) == len(expected)
+
+    @pytest.mark.parametrize("roots", [
+        [-1, 0, 1],                                            # x^3 - x: every root on a split point
+        [Fraction(1, 2), Fraction(1, 2), -3],                  # (x - 1/2)^2 (x + 3)
+        [0, Fraction(1, 3)],                                   # root 1/3 next to the open end at 0
+        [0, Fraction(1, 2 ** 60)],
+        [Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10 ** 30)],  # closer than one ulp
+        [Fraction(2 ** 53 + 1, 2 ** 53)],                      # halfway between doubles: ties to even
+        [Fraction(2 ** 53 + 3, 2 ** 53)],                      # ... and a tie that rounds up
+        # the first root splits (1, 1 + 2^-52] exactly on a tie; the second,
+        # just above it on that open end, must round up
+        [Fraction(2 ** 53 + 1, 2 ** 53), Fraction(2 ** 60 + 2 ** 7 + 1, 2 ** 60)],
+    ])
+    def test_rational_roots_correctly_rounded(self, roots):
+        p = _poly_from_roots(roots)
+        expected = sorted(float(Fraction(r)) for r in roots)
+        assert real_roots(p) == expected
+        assert real_root_count(p) == len(roots)
+
+    def test_square_roots_correctly_rounded(self, rng):
+        # math.sqrt is correctly rounded, so it is an independent reference
+        for c in rng.integers(2, 10 ** 6, size=40):
+            c = int(c)
+            if math.isqrt(c) ** 2 == c:
+                continue
+            assert real_roots([-c, 0, 1]) == [-math.sqrt(c), math.sqrt(c)]
+            assert real_roots([-c, 0, 4]) == [-math.sqrt(c) / 2, math.sqrt(c) / 2]
+
+    def test_zero_and_constant_polynomials(self):
+        with pytest.raises(ZeroPolynomial):
+            real_root_count([])
+        with pytest.raises(ZeroPolynomial):
+            real_roots([0, 0])
+        assert real_roots([Fraction(-7, 3)]) == []
+        assert real_root_count([5]) == 0
+
+    def test_counts_match_locations(self, rng):
+        for _ in range(40):
+            roots = [Fraction(int(rng.integers(-30, 31)), int(rng.integers(1, 7)))
+                     for _ in range(int(rng.integers(1, 7)))]
+            extra = [int(rng.integers(1, 9)), 0, 1]  # x^2 + k: no real roots
+            p = RealPolynomial.from_coeffs(_poly_from_roots(roots)) * RealPolynomial.from_coeffs(extra)
+            assert real_root_count(p) == len(real_roots(p)) == len(roots)
 
 
 class TestDiscriminant:
