@@ -1,8 +1,10 @@
 """Closed-form quantization of the Milson and Gendenshtein potential family,
 with Romanovski-Routh polynomial machinery, Darboux partners, and an
-independent Numerov verification oracle."""
+independent finite-difference verification oracle."""
 
-from ._kernels import BACKEND as KERNEL_BACKEND
+# The oracle's eigenvalue backend: LAPACK Sturm bisection through scipy.
+KERNEL_BACKEND = "lapack"
+
 from .geometry import (
     PotentialSpec,
     TangentPolySpec,
@@ -15,7 +17,7 @@ from .geometry import (
     stevenson_xi,
     tangent_eval,
 )
-from .oracle import EigenEstimate, Grid1D, adaptive_quadrature, count_sign_changes, numerov_spectrum
+from .oracle import EigenEstimate, Grid1D, adaptive_quadrature, count_sign_changes, lowest_levels
 from .routh import (
     ComplexIndex,
     RealPolynomial,

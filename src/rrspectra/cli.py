@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spectra",
         description="Closed-form spectra of Milson/Gendenshtein potentials, "
-        "verified against a Numerov oracle (units: hbar = 2m = 1).",
+        "verified against a finite-difference oracle (units: hbar = 2m = 1).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("spectrum", "verify", "scan-nodeless", "partner", "identities"):

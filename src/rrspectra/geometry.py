@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
 
 from .errors import OutOfGrid, StepFailure
 
@@ -76,7 +75,7 @@ class TangentPolySpec:
         return 2.0 * self.a * (1.0 + self.kappa_plus)
 
     def to_json_dict(self) -> dict:
-        return {"a": self.a, "kappa_plus": self.kappa_plus}
+        return {"a": self.a, "kappa_plus": self.kappa_plus, "c_im": self.c_im}
 
 
 def tangent_eval(tp: TangentPolySpec, eta):
@@ -148,7 +147,9 @@ class PotentialSpec:
         tp = d["tp"]
         return cls(
             h0=complex(d["h0"][0], d["h0"][1]),
-            tp=TangentPolySpec(a=tp.get("a", 1.0), kappa_plus=tp["kappa_plus"]),
+            tp=TangentPolySpec(
+                a=tp.get("a", 1.0), kappa_plus=tp["kappa_plus"], c_im=tp.get("c_im", 0.0)
+            ),
         )
 
 
@@ -196,6 +197,8 @@ class VariableMap:
         self.x_max = float(x_max)
         self.n_points = int(n_points)
 
+        from scipy.integrate import solve_ivp
+
         a, kap = tp.a, tp.kappa_plus
         sol = solve_ivp(
             lambda _x, y: [(1.0 + y[0] ** 2) / math.sqrt(a * (y[0] ** 2 + kap))],
@@ -223,6 +226,8 @@ class VariableMap:
         return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
 
     def x_of_eta(self, eta):
+        from scipy.integrate import quad
+
         def one(e):
             if e == 0.0:
                 return 0.0

@@ -1,5 +1,5 @@
-"""Brute-force verification tools: a Numerov bound-state eigensolver,
-adaptive quadrature, and exact-ish sign-change counting.
+"""Brute-force verification tools: a finite-difference bound-state
+eigensolver, adaptive quadrature, and exact-ish sign-change counting.
 
 Nothing in this module knows about the analytic machinery it is used to
 check; it sees only sampled potentials and callables.  Units are hbar = 2m = 1
@@ -12,9 +12,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
-from . import _kernels
 from .errors import AmbiguousZero, InsufficientDecay, NotConverged
 
 
@@ -46,99 +44,44 @@ class Grid1D:
 
 @dataclass(frozen=True)
 class EigenEstimate:
+    """One oracle level.  ``nodes`` is its index, which is the node count of
+    its eigenfunction; ``error`` is the gap between the one-step and two-step
+    Richardson values.  It estimates truncation only, not the roundoff of
+    order 1e-16 / h^2 that dominates on very fine grids."""
+
     energy: float
     nodes: int
-    bracket_width: float
+    error: float
 
 
 # ---------------------------------------------------------------------------
-# Numerov shooting
+# finite-difference eigensolver
 # ---------------------------------------------------------------------------
 
-class _Shooter:
-    """One potential, reusable sweep buffers, bidirectional matching."""
+def _dirichlet_levels(v: np.ndarray, dx: float, count: int) -> np.ndarray:
+    """Lowest ``count`` eigenvalues of the 3-point Hamiltonian with psi = 0 at
+    both ends of the samples ``v``, by Sturm bisection (LAPACK stebz)."""
+    from scipy.linalg import eigh_tridiagonal
 
-    def __init__(self, v: np.ndarray, dx: float):
-        self.v = np.asarray(v, dtype=float)
-        self.dx = dx
-        self.n = len(v)
-        self._buf_l = np.empty(self.n)
-        self._buf_r = np.empty(self.n)
-
-    def _t(self, e: float) -> np.ndarray:
-        return (self.dx * self.dx / 12.0) * (self.v - e)
-
-    def nodes(self, e: float) -> int:
-        """Node count of the solution regular at the left end."""
-        t = self._t(e)
-        return _kernels.sweep(t, 0.0, 1e-8, self._buf_l)
-
-    def match_index(self, e: float) -> int:
-        """Grid index of the classical turning point nearest x = 0."""
-        below = self.v - e < 0.0
-        flips = np.nonzero(below[:-1] != below[1:])[0]
-        mid = (self.n - 1) // 2
-        if len(flips) == 0:
-            return mid
-        idx = flips[np.argmin(np.abs(flips - mid))]
-        return int(min(max(idx, 2), self.n - 3))
-
-    def mismatch(self, e: float, im: int) -> float:
-        """Numerov-consistent matching defect at index ``im``.
-
-        Left and right solutions are normalized to 1 at the matching point and
-        plugged into the three-term recurrence there; the residue vanishes at
-        an eigenvalue of the truncated problem.
-        """
-        t = self._t(e)
-        _kernels.sweep(t[: im + 2], 0.0, 1e-8, self._buf_l)
-        tr = t[im - 1 :][::-1].copy()
-        _kernels.sweep(tr, 0.0, 1e-8, self._buf_r)
-        nr = len(tr)
-        psi_l_m = self._buf_l[im]
-        psi_r_m = self._buf_r[nr - 2]
-        if psi_l_m == 0.0 or psi_r_m == 0.0:
-            return math.inf
-        lm1 = self._buf_l[im - 1] / psi_l_m
-        rp1 = self._buf_r[nr - 3] / psi_r_m
-        return (1.0 - t[im + 1]) * rp1 + (1.0 - t[im - 1]) * lm1 - (2.0 + 10.0 * t[im])
-
-    def wavefunction(self, e: float) -> np.ndarray:
-        """Matched, max-normalized eigenfunction at (approximate) energy ``e``."""
-        t = self._t(e)
-        im = self.match_index(e)
-        _kernels.sweep(t[: im + 2], 0.0, 1e-8, self._buf_l)
-        tr = t[im - 1 :][::-1].copy()
-        _kernels.sweep(tr, 0.0, 1e-8, self._buf_r)
-        nr = len(tr)
-        left = self._buf_l[: im + 1].copy()
-        right = self._buf_r[:nr][::-1].copy()
-        scale = left[im] / right[1]
-        psi = np.concatenate([left, scale * right[2:]])
-        m = np.max(np.abs(psi))
-        return psi / m if m > 0 else psi
+    inv_h2 = 1.0 / (dx * dx)
+    diag = 2.0 * inv_h2 + v[1:-1]
+    off = np.full(len(diag) - 1, -inv_h2)
+    return eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, count - 1))
 
 
-def numerov_spectrum(
-    potential: Grid1D,
-    count: int,
-    tol: float = 1e-8,
-    *,
-    require_decay: bool = True,
-    seeds=None,
-    max_iter: int = 240,
-) -> list[EigenEstimate]:
+def lowest_levels(potential: Grid1D, count: int, *, require_decay: bool = True) -> list[EigenEstimate]:
     """Lowest ``count`` eigenvalues of -psi'' + V psi = e psi on the grid.
 
-    Bidirectional Numerov integration with node-count bracketing and bisection
-    on the matching defect at the turning point nearest x = 0.  By default the
-    potential must decay at both grid ends (|V| < 1e-2) and only negative
-    energies are searched; ``require_decay=False`` lifts both restrictions
-    (hard-wall box semantics), which the harmonic-oscillator calibration uses.
+    The 3-point finite-difference Hamiltonian with Dirichlet ends is solved on
+    the grid and on its 2:1 and 4:1 subsamples, and two Richardson steps
+    cancel the h^2 and h^4 error terms: (64 E_h - 20 E_2h + E_4h) / 45.  So
+    that all three grids share both end points, up to 3 end samples are
+    dropped first to make n - 1 a multiple of 4.
 
-    ``seeds`` optionally provides starting energy brackets; every seed is
-    still verified against the node counter, so a wrong seed cannot bias the
-    result beyond costing time.
+    By default the potential must decay at both grid ends (|V| < 1e-2) and only
+    negative energies are returned; ``require_decay=False`` lifts both
+    restrictions (hard-wall box semantics), which the harmonic-oscillator
+    calibration uses.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -149,86 +92,24 @@ def numerov_spectrum(
         raise InsufficientDecay(
             "potential ends at (%.3g, %.3g); need |V| < 1e-2" % (v[0], v[-1])
         )
-    shooter = _Shooter(v, potential.dx)
-    e_floor = float(np.min(v))
+    extra = (len(v) - 1) % 4
+    v = v[extra // 2 : len(v) - (extra - extra // 2)]
+    count = min(count, (len(v) - 1) // 4 - 1)  # interior size of the 4h grid
     e_ceiling = -1e-14 if require_decay else float(min(v[0], v[-1]))
-    if e_ceiling <= e_floor:
+    dx = potential.dx
+    e_h = _dirichlet_levels(v, dx, count)
+    kept = int(np.count_nonzero(e_h < e_ceiling))
+    if kept == 0:
         return []
-
-    n_cache: dict[float, int] = {}
-
-    def nodes(e: float) -> int:
-        if e not in n_cache:
-            n_cache[e] = shooter.nodes(e)
-        return n_cache[e]
-
-    available = nodes(e_ceiling)
-    results: list[EigenEstimate] = []
-    lo_prev = e_floor
-    for k in range(min(count, available)):
-        lo, hi = None, None
-        if seeds is not None and k < len(seeds):
-            guess = float(seeds[k])
-            width = max(abs(guess) * 0.05, 10 * tol)
-            a, b = guess - width, guess + width
-            a, b = max(a, e_floor), min(b, e_ceiling)
-            if nodes(a) <= k < nodes(b):
-                lo, hi = a, b
-        if lo is None:
-            lo, hi = lo_prev, e_ceiling
-            if not (nodes(lo) <= k < nodes(hi)):
-                lo, hi = e_floor, e_ceiling
-        it = 0
-        while nodes(hi) > k + 1 or nodes(lo) < k:
-            mid = 0.5 * (lo + hi)
-            if nodes(mid) <= k:
-                lo = mid
-            else:
-                hi = mid
-            it += 1
-            if it > max_iter:
-                raise NotConverged("node bracketing stalled at level %d" % k)
-        # now nodes(lo) == k, nodes(hi) == k+1: exactly one eigenvalue inside
-        coarse = max(tol * 64.0, abs(0.5 * (lo + hi)) * 1e-7)
-        while hi - lo > coarse and it < max_iter:
-            mid = 0.5 * (lo + hi)
-            if nodes(mid) <= k:
-                lo = mid
-            else:
-                hi = mid
-            it += 1
-        im = shooter.match_index(0.5 * (lo + hi))
-        g_lo = shooter.mismatch(lo, im)
-        g_hi = shooter.mismatch(hi, im)
-        if math.isfinite(g_lo) and math.isfinite(g_hi) and g_lo * g_hi < 0:
-            while hi - lo > tol and it < max_iter:
-                mid = 0.5 * (lo + hi)
-                g_mid = shooter.mismatch(mid, im)
-                if not math.isfinite(g_mid):
-                    break
-                if g_mid * g_lo <= 0:
-                    hi = mid
-                else:
-                    lo, g_lo = mid, g_mid
-                it += 1
-        while hi - lo > tol and it < max_iter:
-            mid = 0.5 * (lo + hi)
-            if nodes(mid) <= k:
-                lo = mid
-            else:
-                hi = mid
-            it += 1
-        if hi - lo > tol:
-            raise NotConverged("bisection for level %d stopped at width %g" % (k, hi - lo))
-        results.append(EigenEstimate(energy=0.5 * (lo + hi), nodes=k, bracket_width=hi - lo))
-        lo_prev = hi
-    return results
-
-
-def numerov_wavefunction(potential: Grid1D, energy: float) -> np.ndarray:
-    """Matched eigenfunction samples for an already-located eigenvalue."""
-    shooter = _Shooter(np.asarray(potential.values, dtype=float), potential.dx)
-    return shooter.wavefunction(energy)
+    e_h = e_h[:kept]
+    e_2h = _dirichlet_levels(v[::2], 2.0 * dx, kept)
+    e_4h = _dirichlet_levels(v[::4], 4.0 * dx, kept)
+    one_step = (4.0 * e_h - e_2h) / 3.0
+    two_step = (64.0 * e_h - 20.0 * e_2h + e_4h) / 45.0
+    return [
+        EigenEstimate(energy=float(e), nodes=k, error=float(abs(e - e1)))
+        for k, (e, e1) in enumerate(zip(two_step, one_step))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +122,8 @@ def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-10) -> float:
     Infinite limits are mapped to a finite interval by the tangent
     substitution x = tan(t) before handing off to adaptive Gauss-Kronrod.
     """
+    from scipy.integrate import quad
+
     if math.isinf(a) or math.isinf(b):
         ta = math.atan(a) if not math.isinf(a) else math.copysign(math.pi / 2, a)
         tb = math.atan(b) if not math.isinf(b) else math.copysign(math.pi / 2, b)

@@ -114,12 +114,6 @@ class RealPolynomial:
             return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
         return np.polynomial.polynomial.polyval(x, self.as_floats())
 
-    def eval_exact(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def derivative(self) -> "RealPolynomial":
         return RealPolynomial.from_coeffs(ex.rp_diff(list(self.coeffs)))
 

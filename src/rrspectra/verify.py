@@ -1,7 +1,7 @@
 """Cross-checks between the closed-form machinery and the numeric oracle.
 
 Shared by the command-line front end and the acceptance suite.  Oracle grids
-are always built from scratch (coarse energy scan, no analytic seeding) so
+are always built from the sampled potential alone (no analytic seeding), so
 the comparison stays independent of the result it checks.
 """
 
@@ -57,7 +57,7 @@ class VerifyReport:
 
     @property
     def passed(self) -> bool:
-        return all(
+        return len(self.levels) == len(self.spectrum.states) and all(
             lv.rel_delta <= self.tol and lv.nodes_analytic == lv.nodes_numeric
             for lv in self.levels
         )
@@ -84,13 +84,12 @@ class VerifyReport:
 
 
 def verify_spectrum(spec: PotentialSpec, tol: float = 1e-3, x_max=None, n=None) -> VerifyReport:
-    """Analytic levels against the Numerov oracle, level by level."""
+    """Analytic levels against the finite-difference oracle, level by level."""
     spectrum = enumerate_bound_spectrum(spec)
     if not spectrum.states:
         return VerifyReport(levels=(), tol=tol, spectrum=spectrum)
     _vmap, grid = oracle_grid_for(spec, spectrum.energies, x_max=x_max, n=n)
-    oracle_tol = max(min(1e-8, tol * 1e-3), 1e-12)
-    estimates = oracle.numerov_spectrum(grid, count=len(spectrum.states), tol=oracle_tol)
+    estimates = oracle.lowest_levels(grid, count=len(spectrum.states))
     levels = []
     for state, est in zip(spectrum.states, estimates):
         rel = abs(state.energy - est.energy) / abs(est.energy)
@@ -132,14 +131,14 @@ class PartnerReport:
 
 
 def verify_partner_levels(partner_grid, expected, tol: float = 1e-3) -> PartnerReport:
-    """Numerov spectrum of a partner potential against an expected level list."""
+    """Oracle spectrum of a partner potential against an expected level list."""
     grid = Grid1D(
         x_min=float(partner_grid.x[0]),
         x_max=float(partner_grid.x[-1]),
         n=len(partner_grid.x),
         values=np.asarray(partner_grid.v_partner, dtype=float),
     )
-    estimates = oracle.numerov_spectrum(grid, count=len(expected), tol=1e-8)
+    estimates = oracle.lowest_levels(grid, count=len(expected))
     numeric = tuple(e.energy for e in estimates)
     deltas = tuple(
         abs(e - v) / abs(e) for e, v in zip(expected, numeric)

@@ -1,9 +1,13 @@
 """End-to-end command tests: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import rrspectra
 from rrspectra.cli import main
 
 
@@ -83,6 +87,17 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg, "--out", str(out), "--tol", "1e-13"]) == 1
         payload = json.loads((out / "verify.json").read_text())
         assert not payload["passed"]
+
+    def test_missing_level_fails(self, tmp_path):
+        # the x_max = 7 box is too small for the shallow level at -0.01
+        cfg = write_config(
+            tmp_path,
+            {"potential": {"gendenshtein": {"a": 2.1, "b": 0.0}}, "grid": {"x_max": 7.0, "n": 2049}},
+        )
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        payload = json.loads((out / "verify.json").read_text())
+        assert not payload["passed"] and len(payload["levels"]) == 2
 
 
 class TestScanCommand:
@@ -239,3 +254,14 @@ class TestConfigErrors:
         assert record["pinned_convention"]["shift"] == 1
         assert record["command"] == "spectrum"
         assert record["inputs_digest"]
+
+
+def test_startup_does_not_import_scipy():
+    # scipy is imported only by the functions that integrate or solve
+    code = (
+        "import sys, rrspectra.cli; rrspectra.spectral.pinned_convention(); "
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))"
+    )
+    src = os.path.dirname(os.path.dirname(rrspectra.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path})

@@ -59,6 +59,10 @@ class TestPotentialSpec:
         again = PotentialSpec.from_json_dict(milson_spec.to_json_dict())
         assert again.h0 == milson_spec.h0
         assert again.tp.kappa_plus == milson_spec.tp.kappa_plus
+        skewed = PotentialSpec(h0=milson_spec.h0, tp=TangentPolySpec(a=1.0, kappa_plus=2.0, c_im=0.3))
+        assert PotentialSpec.from_json_dict(skewed.to_json_dict()) == skewed
+        legacy = {"h0": [7.75, 3.0], "tp": {"a": 1.0, "kappa_plus": 2.0}}
+        assert PotentialSpec.from_json_dict(legacy).tp.c_im == 0.0
 
 
 class TestBoseInvariant:

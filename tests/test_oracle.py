@@ -1,4 +1,4 @@
-"""Oracle tests: calibration, cross-checks, grid consistency, backend parity."""
+"""Oracle tests: calibration, cross-checks, grid consistency, error estimates."""
 
 import math
 
@@ -6,17 +6,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rrspectra import _kernels
-from rrspectra._kernels import numerov_py
 from rrspectra.errors import AmbiguousZero, InsufficientDecay
 from rrspectra.oracle import (
     Grid1D,
     adaptive_quadrature,
     count_sign_changes,
-    numerov_spectrum,
+    lowest_levels,
 )
 from rrspectra.spectral import assemble_eigenfunction, gendenshtein_params
-from rrspectra.verify import oracle_grid_for
+from rrspectra.verify import oracle_grid_for, verify_spectrum
 
 
 def harmonic_grid(n=8192):
@@ -25,54 +23,58 @@ def harmonic_grid(n=8192):
 
 
 class TestNumerov:
+    """``lowest_levels``; the class keeps the name of the shooting oracle it replaced."""
+
     def test_harmonic_calibration(self):
-        est = numerov_spectrum(harmonic_grid(), 6, tol=1e-9, require_decay=False)
+        est = lowest_levels(harmonic_grid(), 6, require_decay=False)
         assert_allclose([e.energy for e in est], [2 * n + 1 for n in range(6)], atol=1e-6)
 
     def test_node_monotonicity(self):
-        est = numerov_spectrum(harmonic_grid(), 6, tol=1e-9, require_decay=False)
+        est = lowest_levels(harmonic_grid(), 6, require_decay=False)
         assert [e.nodes for e in est] == list(range(6))
+
+    @pytest.mark.parametrize("n", [2049, 2048, 2047])
+    def test_error_bounds_true_error(self, n):
+        # n = 2049 keeps every sample, 2048 drops one and 2047 (3 mod 4) two;
+        # one Richardson step would miss the 1e-9 bound by about 50x
+        est = lowest_levels(harmonic_grid(n), 6, require_decay=False)
+        assert_allclose([e.energy for e in est], [2 * k + 1 for k in range(6)], atol=1e-9, rtol=0)
+        for k, e in enumerate(est):
+            assert abs(e.energy - (2 * k + 1)) <= e.error < 1e-7
 
     def test_gendenshtein_cross_check(self, gspec):
         _vmap, grid = oracle_grid_for(gspec, [-6.25, -2.25, -0.25])
-        est = numerov_spectrum(grid, 3, tol=1e-8)
+        est = lowest_levels(grid, 3)
         for e, expected in zip(est, (-6.25, -2.25, -0.25)):
             assert abs(e.energy - expected) / abs(expected) < 1e-4
-
-    def test_bracket_width_below_tolerance(self):
-        est = numerov_spectrum(harmonic_grid(4096), 2, tol=1e-7, require_decay=False)
-        assert all(e.bracket_width <= 1e-7 for e in est)
 
     def test_grid_halving_consistency(self, gspec):
         _m1, g1 = oracle_grid_for(gspec, [-6.25, -0.25], n=4096)
         _m2, g2 = oracle_grid_for(gspec, [-6.25, -0.25], n=8192)
-        e1 = numerov_spectrum(g1, 3, tol=1e-8)
-        e2 = numerov_spectrum(g2, 3, tol=1e-8)
+        e1 = lowest_levels(g1, 3)
+        e2 = lowest_levels(g2, 3)
         for a, b in zip(e1, e2):
             assert abs(a.energy - b.energy) < 1e-7
 
     def test_insufficient_decay_rejected(self):
         with pytest.raises(InsufficientDecay):
-            numerov_spectrum(harmonic_grid(), 2, tol=1e-8)
-
-    def test_seeded_matches_coarse_scan(self, gspec):
-        _vmap, grid = oracle_grid_for(gspec, [-6.25, -2.25, -0.25])
-        unseeded = numerov_spectrum(grid, 3, tol=1e-9)
-        seeded = numerov_spectrum(grid, 3, tol=1e-9, seeds=[-6.25, -2.25, -0.25])
-        for a, b in zip(unseeded, seeded):
-            assert abs(a.energy - b.energy) < 1e-8
-
-    def test_wrong_seed_still_converges(self, gspec):
-        _vmap, grid = oracle_grid_for(gspec, [-6.25, -2.25, -0.25])
-        est = numerov_spectrum(grid, 3, tol=1e-8, seeds=[-9.0, -1.0, -0.6])
-        assert_allclose([e.energy for e in est], [-6.25, -2.25, -0.25], rtol=1e-5)
+            lowest_levels(harmonic_grid(), 2)
 
     def test_fewer_states_than_requested(self):
         spec = gendenshtein_params(0.8, 0.0)  # single level at -0.64
         _vmap, grid = oracle_grid_for(spec, [-0.64])
-        est = numerov_spectrum(grid, 5, tol=1e-8)
+        est = lowest_levels(grid, 5)
         assert len(est) == 1
         assert abs(est[0].energy + 0.64) < 1e-4
+
+
+class TestVerifyReport:
+    def test_missing_level_fails(self):
+        # the x_max = 7 box is too small for the shallow level at -0.01
+        rep = verify_spectrum(gendenshtein_params(2.1, 0.0), x_max=7.0, n=2049)
+        assert len(rep.spectrum.states) == 3 and len(rep.levels) == 2
+        assert all(lv.rel_delta <= rep.tol for lv in rep.levels)
+        assert not rep.passed
 
 
 class TestQuadrature:
@@ -133,18 +135,3 @@ class TestSignChanges:
 
         with pytest.raises(AmbiguousZero):
             count_sign_changes(flat, np.linspace(0, 6, 61))
-
-
-class TestKernelBackends:
-    def test_fallback_matches_active_backend(self):
-        rng = np.random.default_rng(7)
-        t = rng.normal(size=512) * 1e-4
-        out_a = np.empty(512)
-        out_b = np.empty(512)
-        nodes_a = _kernels.sweep(t, 0.0, 1e-8, out_a)
-        nodes_b = numerov_py.sweep(t, 0.0, 1e-8, out_b)
-        assert nodes_a == nodes_b
-        assert_allclose(out_a, out_b, rtol=1e-15, atol=0)
-
-    def test_backend_reported(self):
-        assert _kernels.BACKEND in ("compiled", "python")
