@@ -243,21 +243,17 @@ def cmd_partner(config: RunConfig, out_dir: str, tol: float) -> int:
     kind, m = config.partner_params()
     spectrum = spectral.enumerate_bound_spectrum(config.spec)
     parent = list(spectrum.energies)
-    vmap = _default_map(config)
     if kind == "d":
-        seed = spectral.aeh_solution(config.spec, "d", m, vmap)
+        seed = spectral.aeh_solution(config.spec, "d", m)
         expected = sorted(parent + [seed.energy])
     else:
         if m != 0:
             raise ConfigError("type-c partner supports only m=0 (ground-state erasure)")
-        seed = spectral.assemble_eigenfunction(config.spec, 0, vmap)
+        seed = spectral.assemble_eigenfunction(config.spec, 0, _default_map(config))
         expected = parent[1:]
     ff = darboux.FactorizationFunction.from_solution(seed)
-    x_max = config.x_max
-    if x_max is None:
-        _m, grid = verify.oracle_grid_for(config.spec, expected or parent)
-        x_max = grid.x_max
-    wide = VariableMap(config.spec.tp, x_max, config.n or max(8192, int(2 * x_max / 0.012) | 1))
+    x_max, n = verify.oracle_box(config.spec, expected or parent, config.x_max, config.n)
+    wide = VariableMap(config.spec.tp, x_max, n)
     partner_grid = darboux.partner_potential(config.spec, ff, wide)
     cpath = os.path.join(out_dir, "partner.csv")
     darboux.write_partner_csv(partner_grid, cpath)

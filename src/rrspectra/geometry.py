@@ -176,14 +176,53 @@ def bose_invariant_eval(spec: PotentialSpec, epsilon: float, eta):
 # the Liouville map
 # ---------------------------------------------------------------------------
 
+def liouville_x(tp: TangentPolySpec, eta):
+    """Closed-form x(eta) = integral_0^eta sqrt(T(u))/(1+u^2) du, symmetric T.
+
+    With T = a(u^2 + kappa), r = sqrt(eta^2 + kappa) and s = sqrt|kappa - 1|,
+
+        x = sqrt(a) [asinh(eta/sqrt(kappa)) + s atan(s eta/r)]     (kappa >= 1)
+
+    For kappa < 1 the second term is -s atanh(s eta/r), which cancels most
+    of the first when kappa is small.  The same value is summed instead from
+    three terms of one sign (eta >= 0; the map is odd):
+
+        x = sqrt(a) [log1p((1-s) eta/(r + s eta)) + (1-s) log((r + s eta)/sqrt(kappa))
+                     + (s/2) log1p(eta^2)]
+
+    ``r`` comes from ``hypot``, so huge |eta| does not overflow.
+    """
+    if not tp.is_symmetric:
+        raise ValueError("closed-form map requires a symmetric tangent polynomial")
+    eta = np.asarray(eta, dtype=float)
+    kap = tp.kappa_plus
+    rk = math.sqrt(kap)
+    s = math.sqrt(abs(kap - 1.0))
+    if kap >= 1.0:
+        out = np.arcsinh(eta / rk) + s * np.arctan(s * eta / np.hypot(eta, rk))
+    else:
+        e = np.abs(eta)
+        r = np.hypot(e, rk)
+        one_minus_s = kap / (1.0 + s)
+        # each log1p argument is rewritten to avoid cancellation and overflow
+        out = np.copysign(
+            np.log1p(one_minus_s * e / (r + s * e))
+            + one_minus_s * np.log1p(e * (e / (r + rk) + s) / rk)  # log((r + s e)/sqrt(kappa))
+            + s * np.log1p(e * (e / (1.0 + np.hypot(1.0, e)))),  # log1p(e^2)/2
+            eta,
+        )
+    out = math.sqrt(tp.a) * out
+    return float(out) if out.ndim == 0 else out
+
+
 class VariableMap:
     """The monotone bijection x <-> eta generated by eta' = (1+eta^2)/sqrt(T).
 
-    Anchored at eta(0) = 0.  The forward map comes from adaptive high-order
-    ODE integration (dense output); the inverse is computed independently by
-    quadrature of x(eta) = integral sqrt(T)/(1+u^2) du, which is what the
-    round-trip test leans on.  Only symmetric tangent polynomials are
-    supported, so the map is odd.
+    Anchored at eta(0) = 0.  x(eta) is the closed form :func:`liouville_x`
+    and eta(x) its Newton inverse; the grid table ``eta_grid`` must come out
+    strictly increasing.  Only symmetric tangent polynomials are supported,
+    so the map is odd.  The tests check both directions against an
+    independent ODE solve and quadrature.
     """
 
     def __init__(self, tp: TangentPolySpec, x_max: float, n_points: int):
@@ -196,55 +235,46 @@ class VariableMap:
         self.tp = tp
         self.x_max = float(x_max)
         self.n_points = int(n_points)
-
-        from scipy.integrate import solve_ivp
-
-        a, kap = tp.a, tp.kappa_plus
-        sol = solve_ivp(
-            lambda _x, y: [(1.0 + y[0] ** 2) / math.sqrt(a * (y[0] ** 2 + kap))],
-            (0.0, self.x_max),
-            [0.0],
-            method="DOP853",
-            rtol=1e-13,
-            atol=1e-14,
-            dense_output=True,
-        )
-        if not sol.success:
-            raise StepFailure("variable-map integration failed: %s" % sol.message)
-        self._sol = sol.sol
         self.x_grid = np.linspace(-self.x_max, self.x_max, self.n_points)
         self.eta_grid = self.eta_of_x(self.x_grid)
         if np.any(np.diff(self.eta_grid) <= 0):
             raise StepFailure("variable map table is not strictly increasing")
 
     def eta_of_x(self, x):
+        """Inverse of :func:`liouville_x` by Newton's method in s = asinh eta.
+
+        The slope dx/ds = sqrt(a (eta^2+kappa)/(eta^2+1)) runs monotonically
+        from sqrt(a kappa) at s = 0 to sqrt(a) at infinity, so x(s) is concave
+        on s > 0 for kappa > 1 and convex for kappa < 1.  Starting from
+        s = x / (sqrt(a) max(1, sqrt(kappa))), which never overshoots the
+        root, the iterates approach it monotonically (for kappa < 1 after the
+        first step).  The iteration stops once every step is below 1e-14
+        relative to s, after one polishing step, and raises
+        :class:`StepFailure` if that does not happen or eta overflows.
+        """
         xs = np.asarray(x, dtype=float)
         if np.any(np.abs(xs) > self.x_max * (1.0 + 1e-12)):
             raise OutOfGrid("|x| exceeds the map range %.6g" % self.x_max)
-        flat = np.atleast_1d(xs)
-        vals = np.sign(flat) * self._sol(np.abs(flat))[0]
-        return float(vals[0]) if xs.ndim == 0 else vals.reshape(xs.shape)
+        ra, rk = math.sqrt(self.tp.a), math.sqrt(self.tp.kappa_plus)
+        s = xs / (ra * max(1.0, rk))
+        done = False
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(60):
+                eta = np.sinh(s)
+                step = (liouville_x(self.tp, eta) - xs) * np.hypot(eta, 1.0) / (ra * np.hypot(eta, rk))
+                s = s - step
+                if done:
+                    break
+                done = bool(np.all(np.abs(step) <= 1e-14 * np.abs(s)))
+            else:
+                raise StepFailure("variable-map inversion did not converge")
+            eta = np.sinh(s)
+        if not np.all(np.isfinite(eta)):
+            raise StepFailure("variable-map inversion gave a non-finite eta")
+        return float(eta) if eta.ndim == 0 else eta
 
     def x_of_eta(self, eta):
-        from scipy.integrate import quad
-
-        def one(e):
-            if e == 0.0:
-                return 0.0
-            val, _err = quad(
-                lambda u: math.sqrt(tangent_eval(self.tp, u)) / (1.0 + u * u),
-                0.0,
-                abs(e),
-                epsabs=1e-13,
-                epsrel=1e-13,
-                limit=200,
-            )
-            return math.copysign(val, e)
-
-        es = np.asarray(eta, dtype=float)
-        if es.ndim == 0:
-            return one(float(es))
-        return np.array([one(float(e)) for e in es.ravel()]).reshape(es.shape)
+        return liouville_x(self.tp, eta)
 
     def deriv(self, eta):
         """Closed-form eta'(eta) = (1+eta^2)/sqrt(T(eta))."""
@@ -304,8 +334,7 @@ def choose_x_max(spec: PotentialSpec, threshold: float = 1e-3, margin: float = 1
         eta *= 1.25
     else:
         raise StepFailure("potential does not decay below %g" % threshold)
-    probe = VariableMap(spec.tp, 1.0, 64)  # only used for its quadrature inverse
-    x_at = max(abs(probe.x_of_eta(eta)), abs(probe.x_of_eta(-eta)))
+    x_at = liouville_x(spec.tp, eta)  # the map is odd
     return float(math.ceil((x_at + margin) * 4.0) / 4.0)
 
 

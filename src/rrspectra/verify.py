@@ -18,11 +18,12 @@ from .oracle import Grid1D
 from .spectral import Spectrum, enumerate_bound_spectrum
 
 
-def oracle_grid_for(spec: PotentialSpec, energies=None, x_max=None, n=None) -> tuple:
-    """A (VariableMap, Grid1D) pair sized for eigenvalue extraction.
+def oracle_box(spec: PotentialSpec, energies=None, x_max=None, n=None) -> tuple:
+    """Half-width and point count (x_max, n) of an oracle grid; given values are kept.
 
     The half-width covers both the potential decay scale and the slowest
     bound-state tail exp(-kappa |x|) with kappa from the shallowest level.
+    The point count keeps the spacing at 0.012 or finer, odd, and at least 8192.
     """
     if x_max is None:
         x_decay = geometry.choose_x_max(spec, threshold=1e-3)
@@ -33,6 +34,12 @@ def oracle_grid_for(spec: PotentialSpec, energies=None, x_max=None, n=None) -> t
             x_max = min(60.0, max(12.0, 3.0 * x_decay))
     if n is None:
         n = max(8192, int(2 * x_max / 0.012) | 1)
+    return x_max, n
+
+
+def oracle_grid_for(spec: PotentialSpec, energies=None, x_max=None, n=None) -> tuple:
+    """A (VariableMap, Grid1D) pair sized by :func:`oracle_box` for eigenvalue extraction."""
+    x_max, n = oracle_box(spec, energies, x_max, n)
     vmap = VariableMap(spec.tp, x_max, max(int(n), 1024))
     values = geometry.potential_of_eta(spec, vmap.eta_grid)
     grid = Grid1D(x_min=-x_max, x_max=x_max, n=len(values), values=values)

@@ -18,6 +18,7 @@ def write_config(tmp_path, payload, name="cfg.json"):
 
 
 GEN = {"potential": {"gendenshtein": {"a": 2.5, "b": 0.5}}}
+MILSON = {"potential": {"milson": {"h0_re": 7.75, "h0_im": 3.0, "kappa_plus": 2.0}}}
 
 
 class TestSpectrumCommand:
@@ -32,10 +33,7 @@ class TestSpectrumCommand:
         assert header == "x,psi_0,psi_1,psi_2"
 
     def test_milson_states_from_quartic(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            {"potential": {"milson": {"h0_re": 7.75, "h0_im": 3.0, "kappa_plus": 2.0}}},
-        )
+        cfg = write_config(tmp_path, MILSON)
         out = tmp_path / "out"
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
         payload = json.loads((out / "spectrum.json").read_text())
@@ -49,6 +47,22 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
         payload = json.loads((out / "spectrum.json").read_text())
         assert payload["states"] == []
+
+    @pytest.mark.parametrize("a_g", [2.02, 3.004])
+    def test_near_threshold_gendenshtein(self, tmp_path, a_g):
+        cfg = write_config(tmp_path, {"potential": {"gendenshtein": {"a": a_g, "b": 0.0}}})
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+        payload = json.loads((out / "spectrum.json").read_text())
+        energies = [s["energy"] for s in payload["states"]]
+        assert energies == pytest.approx([-((a_g - n) ** 2) for n in range(int(a_g) + 1)], rel=1e-12)
+
+    def test_near_threshold_milson(self, tmp_path):
+        cfg = write_config(tmp_path, {"potential": {"milson": {
+            "h0_re": 5.3528, "h0_im": 0.6011, "kappa_plus": 1.6258}}})
+        out = tmp_path / "out"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+        assert len(json.loads((out / "spectrum.json").read_text())["states"]) == 3
 
     def test_determinism(self, tmp_path):
         cfg = write_config(tmp_path, GEN)
@@ -68,10 +82,7 @@ class TestVerifyCommand:
         assert payload["passed"] and len(payload["levels"]) == 3
 
     def test_milson_battery(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            {"potential": {"milson": {"h0_re": 7.75, "h0_im": 3.0, "kappa_plus": 2.0}}},
-        )
+        cfg = write_config(tmp_path, MILSON)
         out = tmp_path / "out"
         assert main(["verify", "--config", cfg, "--out", str(out), "--tol", "1e-3"]) == 0
 
@@ -256,11 +267,20 @@ class TestConfigErrors:
         assert record["inputs_digest"]
 
 
-def test_startup_does_not_import_scipy():
-    # scipy is imported only by the functions that integrate or solve
+def test_startup_does_not_import_scipy(tmp_path):
+    # spectrum and identities are closed form end to end, so they never load
+    # scipy; verify loads only scipy.linalg for the oracle
+    gen = write_config(tmp_path, GEN, "gen.json")
+    mil = write_config(tmp_path, MILSON, "mil.json")
+    calls = [[cmd, "--config", cfg, "--out", str(tmp_path / ("%s-%d" % (cmd, i)))]
+             for cmd in ("spectrum", "identities") for i, cfg in enumerate((gen, mil))]
     code = (
-        "import sys, rrspectra.cli; rrspectra.spectral.pinned_convention(); "
-        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))"
+        "import sys; from rrspectra.cli import main\n"
+        "for argv in %r: assert main(argv) == 0, argv\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "assert main(['verify', '--config', %r, '--out', %r]) == 0\n"
+        "assert 'scipy.linalg' in sys.modules and 'scipy.integrate' not in sys.modules"
+        % (calls, gen, str(tmp_path / "verify"))
     )
     src = os.path.dirname(os.path.dirname(rrspectra.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

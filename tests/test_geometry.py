@@ -1,5 +1,7 @@
 """Geometry tests: tangent polynomials, Bose invariant, the map, Schwarzian, potential."""
 
+import math
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -113,6 +115,33 @@ class TestVariableMap:
     def test_monotone_table(self):
         vm = build_variable_map(TangentPolySpec(1.0, 2.0), 12.0, 512)
         assert np.all(np.diff(vm.eta_grid) > 0)
+
+    @pytest.mark.parametrize("a", [1.0, 2.0])
+    @pytest.mark.parametrize("kappa", [0.01, 0.55, 1.0, 2.7, 30.0])
+    def test_matches_independent_solve(self, a, kappa):
+        # eta(x) from a DOP853 solve of eta' = (1+eta^2)/sqrt(T), x(eta) by quadrature
+        from scipy.integrate import quad, solve_ivp
+
+        tp = TangentPolySpec(a, kappa)
+        vm = build_variable_map(tp, 12.0, 1025)
+        sol = solve_ivp(
+            lambda _x, y: [(1.0 + y[0] ** 2) / math.sqrt(a * (y[0] ** 2 + kappa))],
+            (0.0, 12.0), [0.0], method="DOP853", rtol=1e-13, atol=1e-14, dense_output=True,
+        )
+        half = vm.x_grid[512:]
+        ref = sol.sol(half)[0]
+        assert np.max(np.abs(vm.eta_grid[512:] - ref) / np.maximum(1.0, ref)) < 1e-11
+        for eta in (0.3, 1.0, 4.0, 50.0, 3e3):
+            val, _err = quad(lambda u: math.sqrt(a * (u * u + kappa)) / (1.0 + u * u), 0.0, eta,
+                             epsabs=1e-13, epsrel=1e-13, limit=200)
+            assert abs(vm.x_of_eta(eta) - val) < 1e-11 * max(1.0, val)
+            assert vm.x_of_eta(-eta) == -vm.x_of_eta(eta)
+
+    @pytest.mark.parametrize("kappa", [0.55, 1.0, 2.7])
+    def test_huge_eta_stays_finite(self, kappa):
+        vm = build_variable_map(TangentPolySpec(1.0, kappa), 5.0, 128)
+        x = vm.x_of_eta(1e200)
+        assert math.isfinite(x) and x > vm.x_of_eta(1e100) > 0
 
     def test_out_of_grid(self):
         vm = build_variable_map(TangentPolySpec(1.0, 1.0), 5.0, 128)

@@ -10,6 +10,7 @@ from rrspectra.errors import (
     BranchUndefined,
     DegenerateParameter,
     NoSuchRoot,
+    NotConverged,
     PreconditionViolated,
 )
 from rrspectra.geometry import PotentialSpec, TangentPolySpec
@@ -172,6 +173,37 @@ class TestEigenfunctions:
     def test_missing_level(self, gspec, gmap):
         with pytest.raises(NoSuchRoot):
             assemble_eigenfunction(gspec, 7, gmap)
+
+
+class TestNormalization:
+    """Closed-form (Cauchy beta) normalization against brute-force quadrature."""
+
+    CORPUS = [
+        gendenshtein_params(2.5, 0.5),
+        gendenshtein_params(3.3, 1.2),
+        gendenshtein_params(9.7, 3.0),
+        gendenshtein_params(12.3, 0.0),
+        PotentialSpec(h0=complex(7.75, 3.0), tp=TangentPolySpec(a=1.0, kappa_plus=0.52)),
+        PotentialSpec(h0=complex(7.75, 3.0), tp=TangentPolySpec(a=1.0, kappa_plus=2.9)),
+    ]
+
+    @pytest.mark.parametrize("spec", CORPUS, ids=lambda s: "h0=%g%+gi,kappa=%g" % (
+        s.h0.real, s.h0.imag, s.tp.kappa_plus))
+    def test_matches_quadrature(self, spec):
+        tp = spec.tp
+        checked = 0
+        for st in enumerate_bound_spectrum(spec).states:
+            phi = st.phi
+            try:
+                norm2 = adaptive_quadrature(
+                    lambda e: phi(e) ** 2 * tp.a * (e * e + tp.kappa_plus) / (1 + e * e) ** 2,
+                    -np.inf, np.inf, tol=1e-10,
+                )
+            except NotConverged:
+                continue
+            assert abs(norm2 - 1.0) < 1e-9, (st.n, norm2)
+            checked += 1
+        assert checked >= 3
 
 
 class TestResidualOracle:
