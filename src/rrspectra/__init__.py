@@ -2,8 +2,9 @@
 with Romanovski-Routh polynomial machinery, Darboux partners, and an
 independent finite-difference verification oracle."""
 
-# The oracle's eigenvalue backend: LAPACK Sturm bisection through scipy.
-KERNEL_BACKEND = "lapack"
+# The oracle's eigenvalue backend: a numpy sine-basis Rayleigh-Ritz solve
+# certified by Sturm counts.
+KERNEL_BACKEND = "numpy"
 
 from .geometry import (
     PotentialSpec,

@@ -249,7 +249,7 @@ def cmd_partner(config: RunConfig, out_dir: str, tol: float) -> int:
     else:
         if m != 0:
             raise ConfigError("type-c partner supports only m=0 (ground-state erasure)")
-        seed = spectral.assemble_eigenfunction(config.spec, 0, _default_map(config))
+        seed = spectral.bound_state(config.spec, 0)
         expected = parent[1:]
     ff = darboux.FactorizationFunction.from_solution(seed)
     x_max, n = verify.oracle_box(config.spec, expected or parent, config.x_max, config.n)

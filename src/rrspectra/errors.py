@@ -57,6 +57,10 @@ class InsufficientDecay(SpectraError):
     """The sampled potential does not decay at the grid ends."""
 
 
+class NonFiniteSamples(SpectraError):
+    """A sampled potential holds NaN or infinite values."""
+
+
 class AmbiguousZero(SpectraError):
     """A sampled function is numerically zero over an interval."""
 

@@ -54,7 +54,7 @@ from .routh import (
     routh_polynomial,
 )
 
-RESIDUAL_GATE = 1e-9
+RESIDUAL_GATE = 1e-9  # tested as `not res < RESIDUAL_GATE`, so a NaN residual fails
 THRESHOLD_ENERGY = 1e-10
 
 
@@ -331,13 +331,13 @@ def pinned_convention() -> dict:
         if best is None or res < best[0]:
             best = (res, sign, conj, shift)
     res, sign, conj, shift = best
-    if res >= RESIDUAL_GATE:
+    if not res < RESIDUAL_GATE:
         raise ConventionUnresolved("best candidate residual %g above gate" % res)
     lam_d = _lambda_from_root(spec, min(qr.d_roots))
     eps_d = -(1.5 - lam_d.real) ** 2 / spec.tp.a
     _rp, phi_d = _build_phi(lam_d, 1, sign, conj, shift)
     res_d = rcsle_residual(spec, eps_d, phi_d, samples)
-    if res_d >= RESIDUAL_GATE:
+    if not res_d < RESIDUAL_GATE:
         raise ConventionUnresolved("pinned convention fails the type-d probe: %g" % res_d)
     _PIN = {
         "sign": sign,
@@ -483,7 +483,7 @@ def enumerate_bound_spectrum(spec: PotentialSpec) -> Spectrum:
         rp, phi = _pinned_phi(lam, n)
         phi = _normalize_phi(spec, phi)
         res = rcsle_residual(spec, energy, phi, np.linspace(-8.0, 8.0, 33))
-        if res >= RESIDUAL_GATE:
+        if not res < RESIDUAL_GATE:
             raise ConventionUnresolved("state n=%d residual %g above gate" % (n, res))
         states.append(BoundState(n=n, energy=energy, lam=lam, poly=rp, phi=phi))
         n += 1
@@ -496,8 +496,10 @@ def enumerate_bound_spectrum(spec: PotentialSpec) -> Spectrum:
     )
 
 
-def assemble_eigenfunction(spec: PotentialSpec, n: int, vmap: VariableMap) -> BoundState:
-    """Fully sampled n-th bound state, psi = (eta')^(-1/2) Phi(eta(x))."""
+def bound_state(spec: PotentialSpec, n: int) -> BoundState:
+    """The n-th bound state in closed form, after the admissibility check
+    lambda_R > n + 1/2 and the check that its polynomial has exactly n real
+    roots."""
     spectrum = enumerate_bound_spectrum(spec)
     if n >= len(spectrum.states):
         raise NoSuchRoot("no bound state with index %d" % n)
@@ -509,6 +511,12 @@ def assemble_eigenfunction(spec: PotentialSpec, n: int, vmap: VariableMap) -> Bo
         raise ConventionUnresolved(
             "state %d polynomial has %d real roots" % (n, n_roots)
         )
+    return light
+
+
+def assemble_eigenfunction(spec: PotentialSpec, n: int, vmap: VariableMap) -> BoundState:
+    """Fully sampled n-th bound state, psi = (eta')^(-1/2) Phi(eta(x))."""
+    light = bound_state(spec, n)
     etas = vmap.eta_grid
     psi = light.phi(etas) / np.sqrt(vmap.deriv(etas))
     return BoundState(
@@ -546,7 +554,7 @@ def aeh_solution(spec: PotentialSpec, kind: str, m: int, vmap: VariableMap | Non
     lam = _lambda_from_root(spec, lam_r)
     rp, phi = _pinned_phi(lam, m)
     res = rcsle_residual(spec, energy, phi, np.linspace(-8.0, 8.0, 33))
-    if res >= RESIDUAL_GATE:
+    if not res < RESIDUAL_GATE:
         raise ConventionUnresolved("aeh %s,%d residual %g above gate" % (kind, m, res))
     root_count = real_root_count(rp.poly) if rp.poly.degree >= 1 else 0
     psi = None

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, oracle
+from .errors import ConfigError, NonFiniteSamples
 from .geometry import PotentialSpec, VariableMap
 from .oracle import Grid1D
 from .spectral import Spectrum, enumerate_bound_spectrum
@@ -91,12 +92,21 @@ class VerifyReport:
 
 
 def verify_spectrum(spec: PotentialSpec, tol: float = 1e-3, x_max=None, n=None) -> VerifyReport:
-    """Analytic levels against the finite-difference oracle, level by level."""
+    """Analytic levels against the finite-difference oracle, level by level.
+
+    A potential that cannot be sampled on the grid (NaN or infinite values)
+    is a :class:`ConfigError` when the caller chose the grid (``x_max`` or
+    ``n``) and a :class:`NonFiniteSamples` numeric failure otherwise."""
     spectrum = enumerate_bound_spectrum(spec)
     if not spectrum.states:
         return VerifyReport(levels=(), tol=tol, spectrum=spectrum)
     _vmap, grid = oracle_grid_for(spec, spectrum.energies, x_max=x_max, n=n)
-    estimates = oracle.lowest_levels(grid, count=len(spectrum.states))
+    try:
+        estimates = oracle.lowest_levels(grid, count=len(spectrum.states))
+    except NonFiniteSamples as exc:
+        if x_max is None and n is None:
+            raise
+        raise ConfigError("grid x_max=%g, n=%d: %s" % (grid.x_max, grid.n, exc)) from exc
     levels = []
     for state, est in zip(spectrum.states, estimates):
         rel = abs(state.energy - est.energy) / abs(est.energy)

@@ -5,9 +5,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import rrspectra
+from rrspectra import cli
 from rrspectra.cli import main
 
 
@@ -110,6 +112,14 @@ class TestVerifyCommand:
         payload = json.loads((out / "verify.json").read_text())
         assert not payload["passed"] and len(payload["levels"]) == 2
 
+    def test_unrepresentable_user_grid_is_config_error(self, tmp_path, capsys):
+        # past |x| ~ 355 the sampled potential overflows to NaN; the oracle
+        # rejects the samples before any solve
+        cfg = write_config(tmp_path, {**GEN, "grid": {"x_max": 400.0}})
+        with np.errstate(all="ignore"):
+            assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "NaN or infinite" in capsys.readouterr().err
+
 
 class TestScanCommand:
     def test_small_scan(self, tmp_path):
@@ -211,6 +221,24 @@ class TestPartnerCommand:
         payload = json.loads((out / "partner_verify.json").read_text())
         assert [lv["expected"] for lv in payload["levels"]] == pytest.approx([-0.25])
 
+    def test_erasure_builds_no_default_map(self, tmp_path, monkeypatch):
+        def no_map(config):
+            raise AssertionError("type-c partner needs no eigenfunction map")
+
+        monkeypatch.setattr(cli, "_default_map", no_map)
+        self.test_erasure(tmp_path)
+
+    def test_nan_residual_seed_is_numeric_failure(self, tmp_path, capsys):
+        # the order-8 type-d gauge overflows, so the seed's residual is NaN;
+        # the gate must reject it rather than pass a partner with rel_delta 2e3
+        cfg = write_config(tmp_path, {
+            "potential": {"milson": {"h0_re": 0.5, "h0_im": 7.5, "kappa_plus": 0.05}},
+            "partner": {"kind": "d", "m": 8},
+        })
+        with np.errstate(all="ignore"):
+            assert main(["partner", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        assert "ConventionUnresolved" in capsys.readouterr().err
+
     def test_noded_seed_fails_cleanly(self, tmp_path):
         # odd-order type-d polynomials always carry a real zero
         cfg = write_config(
@@ -268,19 +296,24 @@ class TestConfigErrors:
 
 
 def test_startup_does_not_import_scipy(tmp_path):
-    # spectrum and identities are closed form end to end, so they never load
-    # scipy; verify loads only scipy.linalg for the oracle
+    # spectrum and identities are closed form end to end, and the oracle behind
+    # verify and partner is numpy only, so no command loads any scipy module
     gen = write_config(tmp_path, GEN, "gen.json")
     mil = write_config(tmp_path, MILSON, "mil.json")
+    partners = [
+        write_config(tmp_path, {"potential": {"gendenshtein": {"a": 1.5, "b": 0.4}},
+                                "partner": {"kind": kind, "m": 0}}, "partner-%s.json" % kind)
+        for kind in ("c", "d")
+    ]
     calls = [[cmd, "--config", cfg, "--out", str(tmp_path / ("%s-%d" % (cmd, i)))]
-             for cmd in ("spectrum", "identities") for i, cfg in enumerate((gen, mil))]
+             for cmd in ("spectrum", "identities", "verify") for i, cfg in enumerate((gen, mil))]
+    calls += [["partner", "--config", cfg, "--out", str(tmp_path / ("partner-%d" % i))]
+              for i, cfg in enumerate(partners)]
     code = (
         "import sys; from rrspectra.cli import main\n"
         "for argv in %r: assert main(argv) == 0, argv\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
-        "assert main(['verify', '--config', %r, '--out', %r]) == 0\n"
-        "assert 'scipy.linalg' in sys.modules and 'scipy.integrate' not in sys.modules"
-        % (calls, gen, str(tmp_path / "verify"))
+        % (calls,)
     )
     src = os.path.dirname(os.path.dirname(rrspectra.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))

@@ -1,12 +1,16 @@
 """Oracle tests: calibration, cross-checks, grid consistency, error estimates."""
 
+import functools
 import math
+import sys
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rrspectra.errors import AmbiguousZero, InsufficientDecay
+from rrspectra import darboux, oracle, spectral
+from rrspectra.errors import AmbiguousZero, InsufficientDecay, NonFiniteSamples
+from rrspectra.geometry import PotentialSpec, TangentPolySpec, VariableMap
 from rrspectra.oracle import (
     Grid1D,
     adaptive_quadrature,
@@ -14,7 +18,7 @@ from rrspectra.oracle import (
     lowest_levels,
 )
 from rrspectra.spectral import assemble_eigenfunction, gendenshtein_params
-from rrspectra.verify import oracle_grid_for, verify_spectrum
+from rrspectra.verify import oracle_box, oracle_grid_for, verify_spectrum
 
 
 def harmonic_grid(n=8192):
@@ -66,6 +70,124 @@ class TestNumerov:
         est = lowest_levels(grid, 5)
         assert len(est) == 1
         assert abs(est[0].energy + 0.64) < 1e-4
+
+
+def lapack_levels(v, dx, count):
+    """The independent reference: LAPACK Sturm bisection on the same matrix."""
+    eigh_tridiagonal = pytest.importorskip("scipy.linalg").eigh_tridiagonal
+    inv_h2 = 1.0 / (dx * dx)
+    diag = 2.0 * inv_h2 + v[1:-1]
+    off = np.full(len(diag) - 1, -inv_h2)
+    return eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, count - 1))
+
+
+def milson(h0, kappa):
+    return PotentialSpec(h0=h0, tp=TangentPolySpec(a=1.0, kappa_plus=kappa))
+
+
+def oracle_samples(spec):
+    spectrum = spectral.enumerate_bound_spectrum(spec)
+    _vmap, grid = oracle_grid_for(spec, spectrum.energies)
+    return grid.values, grid.dx, len(spectrum.states)
+
+
+def partner_samples(spec):
+    """The type-d m=0 partner of ``spec`` on its oracle grid, as ``partner`` builds it."""
+    seed = spectral.aeh_solution(spec, "d", 0)
+    expected = sorted(spectral.enumerate_bound_spectrum(spec).energies + [seed.energy])
+    x_max, n = oracle_box(spec, expected)
+    ff = darboux.FactorizationFunction.from_solution(seed)
+    grid = darboux.partner_potential(spec, ff, VariableMap(spec.tp, x_max, n))
+    return grid.v_partner, float(grid.x[1] - grid.x[0]), len(expected)
+
+
+def harmonic_samples(n):
+    grid = harmonic_grid(n)
+    return grid.values, grid.dx, 6
+
+
+RITZ_CASES = {
+    "harmonic-2047": lambda: harmonic_samples(2047),
+    "harmonic-2048": lambda: harmonic_samples(2048),
+    "harmonic-2049": lambda: harmonic_samples(2049),
+    "gendenshtein-2.5-0.5": lambda: oracle_samples(gendenshtein_params(2.5, 0.5)),
+    "gendenshtein-2.05-0": lambda: oracle_samples(gendenshtein_params(2.05, 0.0)),
+    # kappa = 0.05 gives a well about 0.1 wide that the sine basis cannot
+    # resolve, so its levels are finished by Sturm bisection
+    "milson-kappa-0.05": lambda: oracle_samples(milson(complex(7.75, 3.0), 0.05)),
+    "milson-kappa-20": lambda: oracle_samples(milson(complex(7.75, 3.0), 20.0)),
+    "partner-7104": lambda: partner_samples(milson(complex(6.8592, 2.3552), 0.6319)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def ritz_case(name):
+    return RITZ_CASES[name]()
+
+
+def h_norm(v, dx):
+    return 4.0 / (dx * dx) + np.max(np.abs(v[1:-1]))
+
+
+def agreement_tol(v, dx, ref):
+    return np.maximum(1e-10 * np.abs(ref), 8.0 * sys.float_info.epsilon * h_norm(v, dx))
+
+
+class TestSineRitz:
+    """``_dirichlet_levels`` against LAPACK on the h, 2h and 4h grids."""
+
+    @pytest.mark.parametrize("step", [1, 2, 4])
+    @pytest.mark.parametrize("name", sorted(RITZ_CASES))
+    def test_matches_lapack(self, name, step):
+        v, dx, count = ritz_case(name)
+        v, dx = v[::step], step * dx
+        levels, bounds = oracle._dirichlet_levels(v, dx, count)
+        ref = lapack_levels(v, dx, count)
+        assert np.all(np.abs(levels - ref) <= agreement_tol(v, dx, ref))
+        # the certificate covers the gap, up to the reference's own roundoff
+        assert np.all(np.abs(levels - ref) <= bounds + 2.0 * sys.float_info.epsilon * h_norm(v, dx))
+
+    def test_error_adds_propagated_certificate(self):
+        grid = harmonic_grid(2049)
+        est = lowest_levels(grid, 6, require_decay=False)
+        (e1, d1), (e2, d2), (e4, d4) = (
+            oracle._dirichlet_levels(grid.values[::s], s * grid.dx, 6) for s in (1, 2, 4)
+        )
+        truncation = np.abs((64 * e1 - 20 * e2 + e4) / 45 - (4 * e1 - e2) / 3)
+        cert = (64 * d1 + 20 * d2 + d4) / 45
+        assert_allclose([e.error for e in est], truncation + cert, rtol=1e-12)
+        assert np.all(cert > 0)
+
+    def test_bisection_finishes_a_small_basis(self, monkeypatch):
+        # an 8-mode basis certifies nothing, so every level is found by the
+        # gallop and bisection below its Ritz value
+        monkeypatch.setattr(oracle, "_BASIS_CEILING", 8)
+        v, dx, count = ritz_case("gendenshtein-2.5-0.5")
+        levels, _bounds = oracle._dirichlet_levels(v, dx, count)
+        ref = lapack_levels(v, dx, count)
+        assert np.all(np.abs(levels - ref) <= agreement_tol(v, dx, ref))
+
+    def test_one_count_per_certified_level(self, monkeypatch):
+        calls = []
+        counter = oracle._sturm_count
+        monkeypatch.setattr(oracle, "_sturm_count", lambda *a: calls.append(a) or counter(*a))
+        v, dx, count = ritz_case("gendenshtein-2.5-0.5")
+        oracle._dirichlet_levels(v, dx, count)
+        assert len(calls) == count
+
+    def test_sturm_count(self):
+        v, dx, count = ritz_case("harmonic-2049")
+        ref = lapack_levels(v, dx, count)
+        for k in range(count):
+            assert oracle._sturm_count(v, dx, ref[k] - 1e-6) == k
+            assert oracle._sturm_count(v, dx, ref[k] + 1e-6) == k + 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        values = np.linspace(-10, 10, 1025) ** 2
+        values[700] = bad
+        with pytest.raises(NonFiniteSamples):
+            lowest_levels(Grid1D(-10.0, 10.0, 1025, values), 2, require_decay=False)
 
 
 class TestVerifyReport:
