@@ -11,9 +11,7 @@ from .geometry import (
     TangentPolySpec,
     VariableMap,
     bose_invariant_eval,
-    build_variable_map,
     choose_x_max,
-    potential_eval,
     schwarzian_eval,
     stevenson_xi,
     tangent_eval,

@@ -28,7 +28,7 @@ import sys
 import numpy as np
 
 from . import darboux, geometry, spectral, verify
-from .errors import ConfigError, SpectraError
+from .errors import ConfigError, NonFiniteSamples, SpectraError
 from .geometry import PotentialSpec, TangentPolySpec, VariableMap
 
 
@@ -151,6 +151,16 @@ def _report_record(command: str, config: RunConfig, outputs, passed: bool) -> di
     }
 
 
+def _require_finite(config: RunConfig, what: str, values) -> None:
+    """NaN or infinite samples: a config error for a user grid, else numeric."""
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        msg = "%d of %d %s samples are NaN or infinite" % (bad, np.size(values), what)
+        if config.x_max is None and config.n is None:
+            raise NonFiniteSamples(msg)
+        raise ConfigError("grid x_max=%s, n=%s: %s" % (config.x_max, config.n, msg))
+
+
 def _default_map(config: RunConfig) -> VariableMap:
     x_max = config.x_max or geometry.choose_x_max(config.spec)
     n = config.n or 4096
@@ -163,15 +173,18 @@ def _default_map(config: RunConfig) -> VariableMap:
 
 def cmd_spectrum(config: RunConfig, out_dir: str) -> int:
     spectrum = spectral.enumerate_bound_spectrum(config.spec)
-    spath = os.path.join(out_dir, "spectrum.json")
-    _dump_json(spath, spectrum.to_json_dict())
-    outputs = [spath]
+    states = []
     if spectrum.states:
         vmap = _default_map(config)
         states = [
             spectral.assemble_eigenfunction(config.spec, s.n, vmap)
             for s in spectrum.states
         ]
+        _require_finite(config, "eigenfunction", [s.psi for s in states])
+    spath = os.path.join(out_dir, "spectrum.json")
+    _dump_json(spath, spectrum.to_json_dict())
+    outputs = [spath]
+    if states:
         cpath = os.path.join(out_dir, "eigenfunctions.csv")
         header = "x," + ",".join("psi_%d" % s.n for s in states)
         lines = [header]
@@ -255,6 +268,7 @@ def cmd_partner(config: RunConfig, out_dir: str, tol: float) -> int:
     x_max, n = verify.oracle_box(config.spec, expected or parent, config.x_max, config.n)
     wide = VariableMap(config.spec.tp, x_max, n)
     partner_grid = darboux.partner_potential(config.spec, ff, wide)
+    _require_finite(config, "potential", [partner_grid.v_parent, partner_grid.v_partner])
     cpath = os.path.join(out_dir, "partner.csv")
     darboux.write_partner_csv(partner_grid, cpath)
     outputs = [cpath]

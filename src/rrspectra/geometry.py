@@ -131,14 +131,6 @@ class PotentialSpec:
     def is_symmetric(self) -> bool:
         return self.h0.imag == 0.0 and self.tp.is_symmetric
 
-    def well_strengths(self) -> tuple:
-        """Depth/asymmetry strengths (V1, V2) of the equivalent hyperbolic well,
-        normalized by 4a V1 = -4 Re(h0) - 3 and 4a V2 = Im(h0)."""
-        return (
-            (-4.0 * self.h0.real - 3.0) / (4.0 * self.tp.a),
-            self.h0.imag / (4.0 * self.tp.a),
-        )
-
     def to_json_dict(self) -> dict:
         return {"h0": [self.h0.real, self.h0.imag], "tp": self.tp.to_json_dict()}
 
@@ -283,10 +275,6 @@ class VariableMap:
         return float(out) if out.ndim == 0 else out
 
 
-def build_variable_map(tp: TangentPolySpec, x_max: float, n_points: int = 4096) -> VariableMap:
-    return VariableMap(tp, x_max, n_points)
-
-
 # ---------------------------------------------------------------------------
 # Schwarzian and the potential
 # ---------------------------------------------------------------------------
@@ -318,11 +306,6 @@ def potential_of_eta(spec: PotentialSpec, eta):
     return float(out) if out.ndim == 0 else out
 
 
-def potential_eval(spec: PotentialSpec, vmap: VariableMap, x):
-    """V(x) at a point (or array) inside the map's grid."""
-    return potential_of_eta(spec, vmap.eta_of_x(x))
-
-
 def choose_x_max(spec: PotentialSpec, threshold: float = 1e-3, margin: float = 1.0) -> float:
     """Smallest grid half-width with |V| below ``threshold`` at the ends."""
     eta = 1.0
@@ -341,12 +324,3 @@ def choose_x_max(spec: PotentialSpec, threshold: float = 1e-3, margin: float = 1
 def stevenson_xi(eta) -> complex:
     """The linear-fraction variable 2/(1 + i*eta); maps the real line onto |xi-1|=1."""
     return 2.0 / (1j * np.asarray(eta, dtype=float) + 1.0)
-
-
-def write_potential_csv(spec: PotentialSpec, vmap: VariableMap, path) -> None:
-    """Dump the sampled potential as CSV with header ``x,eta,V``."""
-    vs = potential_of_eta(spec, vmap.eta_grid)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,eta,V\n")
-        for x, e, v in zip(vmap.x_grid, vmap.eta_grid, vs):
-            fh.write("%.12g,%.12g,%.12g\n" % (x, e, v))

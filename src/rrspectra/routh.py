@@ -9,8 +9,10 @@ polynomial of order ``m`` and complex index ``alpha`` is then
     R_m^(alpha)(eta) = (-i)^m * P_m^(alpha*, alpha)(i * eta)
 
 whose coefficients are real for *every* complex ``alpha``.  Construction is
-carried out in exact Gaussian-rational arithmetic, so realness, degree
-degeneracy and ODE residuals are decided by identity; floats appear only in
+exact: the Jacobi sum is evaluated in integers over one common denominator,
+so realness, degree degeneracy and ODE residuals are decided by identity.
+Real roots are isolated by integer Sturm chains and correctly rounded by an
+exact search started from a float estimate.  Floats otherwise appear only in
 evaluation and quadrature.
 
 Two empirically pinned facts about the family are exposed and tested here:
@@ -28,7 +30,7 @@ import struct
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
@@ -70,10 +72,6 @@ class ComplexIndex:
     @property
     def as_complex(self) -> complex:
         return complex(self.re) + 1j * complex(self.im)
-
-    @property
-    def as_cnum(self) -> CNum:
-        return (self.re, self.im)
 
     def __repr__(self):
         return "ComplexIndex(%s, %s)" % (self.re, self.im)
@@ -188,6 +186,28 @@ class DiscriminantOrder2:
 # construction
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _binomial_basis(m: int) -> tuple:
+    """Integer coefficients (ascending) of C(m,k) (y-1)^k (y+1)^(m-k), k = 0..m."""
+    out = []
+    for k in range(m + 1):
+        p = [comb(m, k)]
+        for r in [-1] * k + [1] * (m - k):  # times (y + r)
+            p = [u + r * v for u, v in zip([0] + p, p + [0])]
+        out.append(p)
+    return tuple(out)
+
+
+def _rising_tails(index: ComplexIndex, d: int, m: int) -> list:
+    """d^(m-k) (index+k)_{m-k} for k = 0..m, as Gaussian-integer pairs."""
+    re, im = int(index.re * d), int(index.im * d)
+    out = [(1, 0)] * (m + 1)
+    for i in range(m - 1, -1, -1):
+        (pr, pi), fr = out[i + 1], re + i * d
+        out[i] = (pr * fr - pi * im, pr * im + pi * fr)
+    return out
+
+
 @lru_cache(maxsize=4096)
 def _jacobi_coeffs_cached(m: int, beta: ComplexIndex, alpha: ComplexIndex) -> tuple:
     """Coefficients (ascending, CNum) of the complex-index Jacobi polynomial.
@@ -199,20 +219,24 @@ def _jacobi_coeffs_cached(m: int, beta: ComplexIndex, alpha: ComplexIndex) -> tu
         2^-m * sum_k (beta+k)_{m-k} (alpha+m-k)_k / (k! (m-k)!)
                      * (y-1)^k (y+1)^{m-k}
 
-    with rising-factorial Pochhammers, evaluated exactly.
+    with rising-factorial Pochhammers, evaluated exactly in integers.  With d
+    the common denominator of the four index parts, each Pochhammer product
+    is a Gaussian integer over d^m, and 1/(k! (m-k)!) = C(m,k)/m!.  The
+    integer sum is divided once by 2^m m! d^m; Fractions are canonical, so
+    these are the same rationals a term-by-term evaluation gives.
     """
-    b = beta.as_cnum
-    a = alpha.as_cnum
-    total: list[CNum] = []
-    for k in range(m + 1):
-        coef = ex.c_mul(
-            ex.rising((b[0] + k, b[1]), m - k),
-            ex.rising((a[0] + m - k, a[1]), k),
-        )
-        coef = ex.c_scale(coef, Fraction(1, factorial(k) * factorial(m - k)))
-        term = ex.p_mul(ex.p_linear_power(-1, 1, k), ex.p_linear_power(1, 1, m - k))
-        total = ex.p_add(total, ex.p_scale(term, coef))
-    return tuple(ex.p_scale(total, (Fraction(1, 2 ** m), Fraction(0))))
+    d = math.lcm(beta.re.denominator, beta.im.denominator,
+                 alpha.re.denominator, alpha.im.denominator)
+    sb, sa = _rising_tails(beta, d, m), _rising_tails(alpha, d, m)
+    re, im = [0] * (m + 1), [0] * (m + 1)
+    for k, basis in enumerate(_binomial_basis(m)):
+        (br, bi), (ar, ai) = sb[k], sa[m - k]
+        pr, pi = br * ar - bi * ai, br * ai + bi * ar
+        for j, c in enumerate(basis):
+            re[j] += c * pr
+            im[j] += c * pi
+    den = 2 ** m * factorial(m) * d ** m
+    return tuple((Fraction(r, den), Fraction(i, den)) for r, i in zip(re, im))
 
 
 def jacobi_complex_coeffs(m: int, beta, alpha) -> list[CNum]:
@@ -231,22 +255,18 @@ def jacobi_complex_eval(m: int, beta, alpha, y) -> complex:
     return acc
 
 
-_I_POWERS = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)),
-             (Fraction(-1), Fraction(0)), (Fraction(0), Fraction(-1)))
-
-
 @lru_cache(maxsize=4096)
 def _routh_cached(m: int, alpha: ComplexIndex) -> RouthPolynomial:
     coeffs = _jacobi_coeffs_cached(m, alpha.conjugate(), alpha)
     real_coeffs = []
-    for j, c in enumerate(coeffs):
-        w = _I_POWERS[(j - m) % 4]  # (-i)^m * i^j
-        cj = ex.c_mul(w, c)
-        if cj[1] != 0:
+    for j, (re, im) in enumerate(coeffs):
+        # times (-i)^m * i^j = i^(j-m): a quarter turn is a swap and a sign change
+        re, im = ((re, im), (-im, re), (-re, -im), (im, -re))[(j - m) % 4]
+        if im != 0:
             raise ImaginaryResidue(
-                "coefficient of eta^%d has imaginary part %s" % (j, cj[1])
+                "coefficient of eta^%d has imaginary part %s" % (j, im)
             )
-        real_coeffs.append(cj[0])
+        real_coeffs.append(re)
     return RouthPolynomial(
         order=m,
         index=alpha,
@@ -522,22 +542,59 @@ def _key_float(k: int) -> float:
     return x if k >= 0 else -x
 
 
+def _root_guess(f: list, lo: Fraction, hi: Fraction, s_hi: bool) -> float:
+    """Float estimate of the root of ``f`` in (lo, hi], above which f has sign
+    ``s_hi``: Newton steps on f / |lead| that bisect the float-sign bracket
+    when they would leave it.  NaN when the data do not fit in doubles."""
+    try:
+        c = [x / abs(f[-1]) for x in reversed(f)]
+        a, b = float(lo), float(hi)
+    except OverflowError:
+        return math.nan
+    x = 0.5 * a + 0.5 * b
+    for _ in range(40):
+        v = dv = 0.0
+        for ci in c:
+            v, dv = v * x + ci, dv * x + v
+        if (v > 0.0) == s_hi:
+            b = x
+        else:
+            a = x
+        step = x - v / dv if dv else math.nan
+        if step != x and not a < step < b:
+            step = 0.5 * a + 0.5 * b
+        if step == x:
+            break
+        x = step
+    return x
+
+
 def _rounded_root(f: list, lo: Fraction, hi: Fraction) -> float:
     """The double nearest the single root of square-free ``f`` in (lo, hi].
 
-    Binary search over the doubles between round(lo) and round(hi) for the
-    least d whose upper rounding boundary, the exact midpoint of d and its
-    successor, lies at or above the root (ties to the even mantissa), with
-    each side decided by the exact sign of f at that midpoint.
+    Searches the doubles between round(lo) and round(hi) for the least d
+    whose upper rounding boundary, the exact midpoint of d and its successor,
+    lies at or above the root (ties to the even mantissa), with each side
+    decided by the exact sign of f at that midpoint.  That predicate is
+    monotone in d, so where the search starts sets only how many midpoints
+    it tests, never the result.  It starts from :func:`_root_guess`; a guess
+    outside [round(lo), round(hi)) leaves plain bisection.
     """
     s_hi = _hom(f, hi.numerator, hi.denominator)
     if s_hi == 0:
         return float(hi)
     s_hi = s_hi > 0
     lo_n, lo_d = lo.numerator, lo.denominator
+    # Every probe k lies in [k_lo, k_hi), and the answer stays in [k_lo, k_hi].
+    # Probes gallop out from the guess with doubling steps; once one would
+    # leave the interval, the root is bracketed and the search bisects.
     k_lo, k_hi = _float_key(float(lo)), _float_key(float(hi))
+    guess = _root_guess(f, lo, hi, s_hi)
+    k = _float_key(guess) if math.isfinite(guess) else k_hi
+    step = 1
     while k_lo < k_hi:
-        k = (k_lo + k_hi) // 2
+        if not k_lo <= k < k_hi:
+            k, step = (k_lo + k_hi) // 2, 1 << 64
         n1, d1 = _key_float(k).as_integer_ratio()
         n2, d2 = _key_float(k + 1).as_integer_ratio()
         den = max(d1, d2)
@@ -550,9 +607,10 @@ def _rounded_root(f: list, lo: Fraction, hi: Fraction) -> float:
             s = _hom(f, num, den)
             root_below = k % 2 == 0 if s == 0 else (s > 0) == s_hi
         if root_below:
-            k_hi = k
+            k_hi, k = k, k - step
         else:
-            k_lo = k + 1
+            k_lo, k = k + 1, k + step
+        step *= 2
     return _key_float(k_lo)
 
 
@@ -608,6 +666,25 @@ def real_root_count(p) -> int:
     """
     return sum(_variations_at_infinity(chain, -1) - _variations_at_infinity(chain, 1)
                for chain in _root_chains(p))
+
+
+def theorem_root_count(m: int, alpha) -> int | None:
+    """Real roots of the canonical R_m^(alpha), with multiplicity, by theorem:
+    m mod 2 when m + 2 Re(alpha) - 1 > 0, else None (no claim).
+
+    Proof.  R solves (1+eta^2) R'' + 2(aR eta - aI) R' = lam R with
+    lam = m(m + 2aR - 1) > 0 for m >= 1 (see :func:`ode_residual`).  At a
+    real critical point eta0, R''(eta0) = lam R(eta0) / (1 + eta0^2), so |R|
+    has a strict local minimum wherever R' = 0 and R != 0.  Between two
+    consecutive real roots |R| would need a positive local maximum, so there
+    is at most one distinct real root.  It is simple, since R = R' = 0 at a
+    point would make R vanish identically (the equation is regular), while
+    the leading coefficient is proportional to (m + 2aR - 1)_m > 0.  Nonreal
+    roots pair up, so the count has the parity of m.
+    """
+    if m < 0:
+        raise ValueError("order must be nonnegative")
+    return m % 2 if m + 2 * ComplexIndex.of(alpha).re - 1 > 0 else None
 
 
 def discriminant_order2(alpha) -> DiscriminantOrder2:

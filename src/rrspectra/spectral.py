@@ -130,11 +130,6 @@ class EtaSolution:
         )
         return float(out) if out.ndim == 0 else out
 
-    def log_deriv1(self, eta):
-        """Phi'/Phi, safe only where the polynomial factor has no zeros."""
-        pv = np.polynomial.polynomial.polyval
-        return self._u(eta) + pv(eta, self._c1) / pv(eta, self._c0)
-
     def log_parts(self, eta):
         """(Phi'/Phi, Phi''/Phi) as a pair, for Darboux chain rules."""
         pv = np.polynomial.polynomial.polyval
@@ -664,7 +659,7 @@ class ScanCell:
     empirical_nodeless: bool | None
     threshold_prediction: bool | None
     discriminant_prediction: bool | None
-    consistent: bool | None  # exact root count vs sign-change count
+    consistent: bool | None  # exact root count vs sign-change count vs theorem
 
 
 def nodeless_threshold_b2(a_g: float) -> float:
@@ -673,7 +668,7 @@ def nodeless_threshold_b2(a_g: float) -> float:
 
 
 def _scan_cell(a_g: float, b_g: float, m: int) -> ScanCell:
-    from .routh import discriminant_order2
+    from .routh import discriminant_order2, theorem_root_count
 
     spec = gendenshtein_params(a_g, b_g)
     try:
@@ -682,7 +677,8 @@ def _scan_cell(a_g: float, b_g: float, m: int) -> ScanCell:
         return ScanCell(a_g, b_g, None, None, None, None)
     etas = np.linspace(-40.0, 40.0, 1601)
     changes = oracle.count_sign_changes(lambda e: sol.phi(e), etas)
-    consistent = changes == sol.root_count
+    theorem = theorem_root_count(m, sol.poly.index)
+    consistent = changes == sol.root_count and theorem in (None, sol.root_count)
     disc_pred = None
     if m == 2:
         disc_pred = discriminant_order2(sol.poly.index).value < 0.0
@@ -700,8 +696,9 @@ def nodeless_scan(a_range, b_range, m: int, na: int = 16, nb: int = 16, workers:
     """Three-way nodelessness map over a (a, b) parameter grid at fixed order.
 
     Per cell: the exact root count of the type-d polynomial factor (with a
-    sign-change cross-check of the assembled solution), the quoted asymmetry
-    threshold, and the canonical discriminant sign.  Disagreements are
+    sign-change cross-check of the assembled solution and, where it applies,
+    :func:`routh.theorem_root_count`), the quoted asymmetry threshold, and
+    the canonical discriminant sign.  Disagreements are
     reported, not resolved.
     """
     if m < 2 or m % 2:

@@ -66,6 +66,31 @@ class TestSpectrumCommand:
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
         assert len(json.loads((out / "spectrum.json").read_text())["states"]) == 3
 
+    def test_unrepresentable_user_grid_is_config_error(self, tmp_path, capsys):
+        # past |x| ~ 355 eta = sinh x overflows and psi samples turn NaN;
+        # nothing may be written, spectrum.json included
+        cfg = write_config(tmp_path, {**GEN, "grid": {"x_max": 400.0}})
+        out = tmp_path / "o"
+        with np.errstate(all="ignore"):
+            assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+        assert "NaN or infinite" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    def test_non_finite_default_grid_is_numeric_failure(self, tmp_path, monkeypatch, capsys):
+        real = cli.spectral.assemble_eigenfunction
+
+        def overflowing(spec, n, vmap):
+            state = real(spec, n, vmap)
+            state.psi[-1] = np.nan
+            return state
+
+        monkeypatch.setattr(cli.spectral, "assemble_eigenfunction", overflowing)
+        cfg = write_config(tmp_path, GEN)
+        out = tmp_path / "o"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 3
+        assert "NonFiniteSamples" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     def test_determinism(self, tmp_path):
         cfg = write_config(tmp_path, GEN)
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -238,6 +263,17 @@ class TestPartnerCommand:
         with np.errstate(all="ignore"):
             assert main(["partner", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
         assert "ConventionUnresolved" in capsys.readouterr().err
+
+    def test_unrepresentable_user_grid_is_config_error(self, tmp_path, capsys):
+        # the partner potential overflows to NaN past |x| ~ 355; it used to be
+        # written to partner.csv before the oracle exited 3
+        cfg = write_config(tmp_path, {**GEN, "grid": {"x_max": 400.0},
+                                      "partner": {"kind": "d", "m": 0}})
+        out = tmp_path / "o"
+        with np.errstate(all="ignore"):
+            assert main(["partner", "--config", cfg, "--out", str(out)]) == 2
+        assert "NaN or infinite" in capsys.readouterr().err
+        assert os.listdir(out) == []
 
     def test_noded_seed_fails_cleanly(self, tmp_path):
         # odd-order type-d polynomials always carry a real zero

@@ -10,10 +10,10 @@ from rrspectra.errors import OutOfGrid
 from rrspectra.geometry import (
     PotentialSpec,
     TangentPolySpec,
+    VariableMap,
     bose_invariant_eval,
-    build_variable_map,
     choose_x_max,
-    potential_eval,
+    potential_of_eta,
     schwarzian_eval,
     stevenson_xi,
     tangent_eval,
@@ -96,24 +96,24 @@ class TestBoseInvariant:
 
 class TestVariableMap:
     def test_kappa_one_is_sinh(self):
-        vm = build_variable_map(TangentPolySpec(1.0, 1.0), 6.0, 512)
+        vm = VariableMap(TangentPolySpec(1.0, 1.0), 6.0, 512)
         xs = np.linspace(-6, 6, 121)
         assert np.max(np.abs(vm.eta_of_x(xs) - np.sinh(xs))) < 1e-9
 
     def test_anchor_and_oddness(self):
-        vm = build_variable_map(TangentPolySpec(1.0, 2.0), 8.0, 256)
+        vm = VariableMap(TangentPolySpec(1.0, 2.0), 8.0, 256)
         assert vm.eta_of_x(0.0) == 0.0
         xs = np.linspace(0.1, 8.0, 40)
         assert np.max(np.abs(vm.eta_of_x(-xs) + vm.eta_of_x(xs))) < 1e-10
 
     def test_round_trip_inversion(self):
-        vm = build_variable_map(TangentPolySpec(2.0, 3.0), 10.0, 256)
+        vm = VariableMap(TangentPolySpec(2.0, 3.0), 10.0, 256)
         sub = vm.x_grid[::16]
         back = np.array([vm.x_of_eta(e) for e in vm.eta_of_x(sub)])
         assert np.max(np.abs(back - sub)) < 1e-10
 
     def test_monotone_table(self):
-        vm = build_variable_map(TangentPolySpec(1.0, 2.0), 12.0, 512)
+        vm = VariableMap(TangentPolySpec(1.0, 2.0), 12.0, 512)
         assert np.all(np.diff(vm.eta_grid) > 0)
 
     @pytest.mark.parametrize("a", [1.0, 2.0])
@@ -123,7 +123,7 @@ class TestVariableMap:
         from scipy.integrate import quad, solve_ivp
 
         tp = TangentPolySpec(a, kappa)
-        vm = build_variable_map(tp, 12.0, 1025)
+        vm = VariableMap(tp, 12.0, 1025)
         sol = solve_ivp(
             lambda _x, y: [(1.0 + y[0] ** 2) / math.sqrt(a * (y[0] ** 2 + kappa))],
             (0.0, 12.0), [0.0], method="DOP853", rtol=1e-13, atol=1e-14, dense_output=True,
@@ -139,20 +139,20 @@ class TestVariableMap:
 
     @pytest.mark.parametrize("kappa", [0.55, 1.0, 2.7])
     def test_huge_eta_stays_finite(self, kappa):
-        vm = build_variable_map(TangentPolySpec(1.0, kappa), 5.0, 128)
+        vm = VariableMap(TangentPolySpec(1.0, kappa), 5.0, 128)
         x = vm.x_of_eta(1e200)
         assert math.isfinite(x) and x > vm.x_of_eta(1e100) > 0
 
     def test_out_of_grid(self):
-        vm = build_variable_map(TangentPolySpec(1.0, 1.0), 5.0, 128)
+        vm = VariableMap(TangentPolySpec(1.0, 1.0), 5.0, 128)
         with pytest.raises(OutOfGrid):
             vm.eta_of_x(5.5)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
-            build_variable_map(TangentPolySpec(1.0, 1.0), 5.0, 32)
+            VariableMap(TangentPolySpec(1.0, 1.0), 5.0, 32)
         with pytest.raises(ValueError):
-            build_variable_map(TangentPolySpec(1.0, 1.0), -1.0, 128)
+            VariableMap(TangentPolySpec(1.0, 1.0), -1.0, 128)
 
 
 class TestSchwarzian:
@@ -167,7 +167,7 @@ class TestSchwarzian:
     def test_against_finite_difference_definition(self):
         # {eta,x} = (eta''/eta')' - (eta''/eta')^2/2, via the numeric map
         tp = TangentPolySpec(1.0, 2.0)
-        vm = build_variable_map(tp, 8.0, 1024)
+        vm = VariableMap(tp, 8.0, 1024)
         h = 1e-3
 
         def schwarzian_fd(x):
@@ -191,34 +191,26 @@ class TestPotential:
         expected = (b_g ** 2 - a_g * (a_g + 1)) / np.cosh(xs) ** 2 + (
             2 * a_g + 1
         ) * b_g * np.sinh(xs) / np.cosh(xs) ** 2
-        assert np.max(np.abs(potential_eval(gspec, gmap, xs) - expected)) < 1e-9
+        v = potential_of_eta(gspec, gmap.eta_of_x(xs))
+        assert np.max(np.abs(v - expected)) < 1e-9
 
     def test_symmetric_is_even(self):
         spec = PotentialSpec(h0=8.0, tp=TangentPolySpec(1.0, 2.0))
-        vm = build_variable_map(spec.tp, 10.0, 512)
+        vm = VariableMap(spec.tp, 10.0, 512)
         xs = np.linspace(0.0, 10.0, 64)
-        assert np.max(np.abs(potential_eval(spec, vm, xs) - potential_eval(spec, vm, -xs))) < 1e-10
+        v_pos = potential_of_eta(spec, vm.eta_of_x(xs))
+        v_neg = potential_of_eta(spec, vm.eta_of_x(-xs))
+        assert np.max(np.abs(v_pos - v_neg)) < 1e-10
 
     def test_decay_at_chosen_x_max(self, milson_spec):
         x_max = choose_x_max(milson_spec, threshold=1e-3)
-        vm = build_variable_map(milson_spec.tp, x_max, 256)
-        assert abs(potential_eval(milson_spec, vm, x_max)) < 1e-3
-        assert abs(potential_eval(milson_spec, vm, -x_max)) < 1e-3
+        vm = VariableMap(milson_spec.tp, x_max, 256)
+        assert abs(potential_of_eta(milson_spec, vm.eta_of_x(x_max))) < 1e-3
+        assert abs(potential_of_eta(milson_spec, vm.eta_of_x(-x_max))) < 1e-3
 
     def test_out_of_grid_error(self, gspec, gmap):
         with pytest.raises(OutOfGrid):
-            potential_eval(gspec, gmap, gmap.x_max + 1.0)
-
-
-class TestPotentialDump:
-    def test_csv_header_and_rows(self, gspec, gmap, tmp_path):
-        from rrspectra.geometry import write_potential_csv
-
-        path = tmp_path / "potential.csv"
-        write_potential_csv(gspec, gmap, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "x,eta,V"
-        assert len(lines) == gmap.n_points + 1
+            potential_of_eta(gspec, gmap.eta_of_x(gmap.x_max + 1.0))
 
 
 class TestStevensonXi:

@@ -22,6 +22,7 @@ from rrspectra.routh import (
     routh_hypergeometric_eval,
     routh_polynomial,
     routh_rodrigues,
+    theorem_root_count,
     weight_eval,
 )
 
@@ -328,6 +329,21 @@ def _root_corpus():
     return [RealPolynomial.from_coeffs(c) for c in out]
 
 
+# exact rational roots on and around rounding ties, and on split points
+_ROUNDING_CASES = [
+    [-1, 0, 1],                                            # x^3 - x: every root on a split point
+    [Fraction(1, 2), Fraction(1, 2), -3],                  # (x - 1/2)^2 (x + 3)
+    [0, Fraction(1, 3)],                                   # root 1/3 next to the open end at 0
+    [0, Fraction(1, 2 ** 60)],
+    [Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10 ** 30)],  # closer than one ulp
+    [Fraction(2 ** 53 + 1, 2 ** 53)],                      # halfway between doubles: ties to even
+    [Fraction(2 ** 53 + 3, 2 ** 53)],                      # ... and a tie that rounds up
+    # the first root splits (1, 1 + 2^-52] exactly on a tie; the second,
+    # just above it on that open end, must round up
+    [Fraction(2 ** 53 + 1, 2 ** 53), Fraction(2 ** 60 + 2 ** 7 + 1, 2 ** 60)],
+]
+
+
 class TestExactIsolation:
     def test_matches_sympy_bit_for_bit(self):
         sympy = pytest.importorskip("sympy")
@@ -338,18 +354,7 @@ class TestExactIsolation:
             assert real_roots(p) == expected, p.coeffs
             assert real_root_count(p) == len(expected)
 
-    @pytest.mark.parametrize("roots", [
-        [-1, 0, 1],                                            # x^3 - x: every root on a split point
-        [Fraction(1, 2), Fraction(1, 2), -3],                  # (x - 1/2)^2 (x + 3)
-        [0, Fraction(1, 3)],                                   # root 1/3 next to the open end at 0
-        [0, Fraction(1, 2 ** 60)],
-        [Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10 ** 30)],  # closer than one ulp
-        [Fraction(2 ** 53 + 1, 2 ** 53)],                      # halfway between doubles: ties to even
-        [Fraction(2 ** 53 + 3, 2 ** 53)],                      # ... and a tie that rounds up
-        # the first root splits (1, 1 + 2^-52] exactly on a tie; the second,
-        # just above it on that open end, must round up
-        [Fraction(2 ** 53 + 1, 2 ** 53), Fraction(2 ** 60 + 2 ** 7 + 1, 2 ** 60)],
-    ])
+    @pytest.mark.parametrize("roots", _ROUNDING_CASES)
     def test_rational_roots_correctly_rounded(self, roots):
         p = _poly_from_roots(roots)
         expected = sorted(float(Fraction(r)) for r in roots)
@@ -380,6 +385,113 @@ class TestExactIsolation:
             extra = [int(rng.integers(1, 9)), 0, 1]  # x^2 + k: no real roots
             p = RealPolynomial.from_coeffs(_poly_from_roots(roots)) * RealPolynomial.from_coeffs(extra)
             assert real_root_count(p) == len(real_roots(p)) == len(roots)
+
+
+def _guess_modes():
+    """Replacement float guesses: outside the interval, on its ends, a few
+    doubles off the true root on either side, and NaN."""
+    from rrspectra import routh
+
+    true = routh._root_guess
+
+    def off_by(n):
+        def guess(f, lo, hi, s_hi):
+            x = true(f, lo, hi, s_hi)
+            for _ in range(abs(n)):
+                x = math.nextafter(x, math.copysign(math.inf, n))
+            return x
+        return guess
+
+    return {
+        "far_left": lambda f, lo, hi, s_hi: -1e300,
+        "far_right": lambda f, lo, hi, s_hi: 1e300,
+        "nan": lambda f, lo, hi, s_hi: math.nan,
+        "lo": lambda f, lo, hi, s_hi: float(lo),
+        "hi": lambda f, lo, hi, s_hi: float(hi),
+        "5_below": off_by(-5),
+        "1000_above": off_by(1000),
+    }
+
+
+class TestRootGuess:
+    """The float guess sets where the exact search starts, never its result."""
+
+    @pytest.mark.parametrize("mode", sorted(_guess_modes()))
+    def test_any_guess_gives_the_same_roots(self, monkeypatch, mode):
+        from rrspectra import routh
+
+        corpus = _root_corpus()
+        # pinned to sympy, bit for bit, by test_matches_sympy_bit_for_bit
+        expected = [real_roots(p) for p in corpus]
+        monkeypatch.setattr(routh, "_root_guess", _guess_modes()[mode])
+        assert [real_roots(p) for p in corpus] == expected
+        for roots in _ROUNDING_CASES:
+            assert real_roots(_poly_from_roots(roots)) == sorted(float(Fraction(r)) for r in roots)
+
+    def test_guess_lands_next_to_the_root(self, monkeypatch):
+        # on quartics and Routh factors the exact search should need only a
+        # few midpoints: the guess is within two doubles of the answer
+        from rrspectra import routh
+        from rrspectra.spectral import _quartic_coeffs, aeh_solution, gendenshtein_params
+
+        polys = []
+        for a in (1.2, 2.7, 4.5):
+            for b in (0.0, 1.7):
+                spec = gendenshtein_params(a, b)
+                polys += [RealPolynomial.from_coeffs(_quartic_coeffs(spec, m)) for m in range(4)]
+                polys += [aeh_solution(spec, "d", m).poly.poly for m in (1, 3)]
+        polys += [(-1) * p for p in polys]  # either sign of leading coefficient
+        rounded, gaps = routh._rounded_root, []
+
+        def recording(f, lo, hi):
+            out = rounded(f, lo, hi)
+            s_hi = routh._hom(f, hi.numerator, hi.denominator)
+            if s_hi:
+                guess = routh._root_guess(f, lo, hi, s_hi > 0)
+                gaps.append(abs(routh._float_key(guess) - routh._float_key(out)))
+            return out
+
+        monkeypatch.setattr(routh, "_rounded_root", recording)
+        for p in polys:
+            real_roots(p)
+        assert len(gaps) > 20 and max(gaps) <= 2
+
+
+class TestTheoremRootCount:
+    def test_matches_exact_count_on_both_sides(self, rng):
+        decided = abstained = 0
+        for m in range(9):
+            for _ in range(12):
+                # 2 aR within 3 of the boundary 1 - m, on either side
+                two_ar = Fraction(1 - m) + Fraction(int(rng.integers(-36, 37)), 12)
+                a = ComplexIndex(two_ar / 2, Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 9))))
+                claim = theorem_root_count(m, a)
+                if m + 2 * a.re - 1 > 0:
+                    assert claim == m % 2 == real_root_count(routh_polynomial(m, a))
+                    decided += 1
+                else:
+                    assert claim is None
+                    abstained += 1
+        assert decided > 30 and abstained > 30
+
+    def test_abstains_where_roots_exceed_parity(self):
+        # bound-state-like index: m nodes, so m mod 2 would be wrong
+        assert real_root_count(routh_polynomial(2, -3)) == 2
+        assert theorem_root_count(2, -3) is None
+        for m in range(1, 9):  # on the boundary itself the degree drops
+            assert theorem_root_count(m, ComplexIndex(Fraction(1 - m, 2), Fraction(1))) is None
+
+    def test_type_d_seeds_are_decided(self):
+        from rrspectra.geometry import PotentialSpec, TangentPolySpec
+        from rrspectra.spectral import aeh_solution, gendenshtein_params
+
+        specs = [gendenshtein_params(a, b) for a in (1.2, 2.5, 4.1) for b in (0.0, 0.5, 3.0)]
+        specs += [PotentialSpec(h0=complex(7.75, 3.0), tp=TangentPolySpec(a=1.0, kappa_plus=k))
+                  for k in (0.5, 2.0)]
+        for spec in specs:
+            for m in range(1, 6):
+                sol = aeh_solution(spec, "d", m)
+                assert theorem_root_count(m, sol.poly.index) == sol.root_count == m % 2
 
 
 class TestDiscriminant:

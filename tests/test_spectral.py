@@ -282,12 +282,6 @@ class TestNamedPotentials:
             lam_c, _ = closed_form_lambda_kappa1(spec)
             assert_allclose(lam_c, a_g + 0.5, rtol=1e-12)
 
-    def test_well_strengths(self):
-        spec = gendenshtein_params(2.5, 0.5)
-        v1, v2 = spec.well_strengths()
-        assert_allclose(4 * v1, -4 * spec.h0.real - 3, rtol=1e-14)
-        assert_allclose(4 * v2, spec.h0.imag, rtol=1e-14)
-
 
 class TestSigmaRho:
     def test_zero_energy_values(self):
