@@ -187,11 +187,9 @@ def cmd_spectrum(config: RunConfig, out_dir: str) -> int:
     if states:
         cpath = os.path.join(out_dir, "eigenfunctions.csv")
         header = "x," + ",".join("psi_%d" % s.n for s in states)
-        lines = [header]
-        for i, x in enumerate(vmap.x_grid):
-            row = [("%.12g" % x)] + ["%.12g" % s.psi[i] for s in states]
-            lines.append(",".join(row))
-        _atomic_write(cpath, "\n".join(lines) + "\n")
+        fmt = ",".join(["%.12g"] * (len(states) + 1)) + "\n"
+        columns = [vmap.x_grid.tolist()] + [s.psi.tolist() for s in states]
+        _atomic_write(cpath, "".join([header + "\n"] + [fmt % row for row in zip(*columns)]))
         outputs.append(cpath)
     _dump_json(os.path.join(out_dir, "report.json"),
                _report_record("spectrum", config, outputs, True))

@@ -11,7 +11,7 @@ appear only in tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +22,10 @@ from .routh import real_root_count
 from .spectral import AehSolution, BoundState, EtaSolution, enumerate_bound_spectrum
 
 
-@dataclass(frozen=True)
-class FactorizationFunction:
+_NODED = "factorization polynomial has real zeros"
+
+
+class FactorizationFunction(NamedTuple):
     """A closed-form solution used as a Darboux seed."""
 
     phi: EtaSolution
@@ -32,13 +34,21 @@ class FactorizationFunction:
 
     @classmethod
     def from_solution(cls, sol) -> "FactorizationFunction":
-        if not isinstance(sol, (AehSolution, BoundState)):
+        """The seed ``sol``, rejected with :class:`NodeDetected` when its
+        polynomial has real zeros (by its exact root count), before any grid
+        is built for it."""
+        if isinstance(sol, AehSolution):
+            nodes = sol.root_count
+        elif isinstance(sol, BoundState):
+            nodes = sol.nodes
+        else:
             raise TypeError("expected an AehSolution or BoundState")
+        if nodes:
+            raise NodeDetected(_NODED)
         return cls(phi=sol.phi, energy=sol.energy, source=sol)
 
 
-@dataclass(frozen=True)
-class PartnerPotentialGrid:
+class PartnerPotentialGrid(NamedTuple):
     x: np.ndarray
     v_parent: np.ndarray
     v_partner: np.ndarray
@@ -70,7 +80,7 @@ def partner_potential(spec: PotentialSpec, ff: FactorizationFunction, vmap: Vari
     """V_hat = V - 2 (ln ff)'' on the map grid; requires a sign-definite ff."""
     poly = ff.phi.poly
     if poly.degree >= 1 and real_root_count(poly):
-        raise NodeDetected("factorization polynomial has real zeros")
+        raise NodeDetected(_NODED)
     etas = vmap.eta_grid
     samples = ff.phi(etas)
     if np.min(samples) * np.max(samples) <= 0.0:
@@ -88,10 +98,10 @@ def partner_potential(spec: PotentialSpec, ff: FactorizationFunction, vmap: Vari
 
 
 def write_partner_csv(grid: PartnerPotentialGrid, path) -> None:
+    columns = (grid.x.tolist(), grid.v_parent.tolist(), grid.v_partner.tolist())
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("x,V_parent,V_partner\n")
-        for x, vp, vh in zip(grid.x, grid.v_parent, grid.v_partner):
-            fh.write("%.12g,%.12g,%.12g\n" % (x, vp, vh))
+        fh.writelines("%.12g,%.12g,%.12g\n" % row for row in zip(*columns))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,10 @@ class ZeroPolynomial(SpectraError):
     """Root isolation was asked for the identically-zero polynomial."""
 
 
+class RootOverflow(SpectraError):
+    """A real root lies beyond the largest double, so it cannot be returned as one."""
+
+
 class StepFailure(SpectraError):
     """Adaptive ODE integration could not meet its tolerance."""
 

@@ -15,7 +15,7 @@ eta(x) = sinh x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,8 +26,13 @@ from .errors import OutOfGrid, StepFailure
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TangentPolySpec:
+class _TangentPolyFields(NamedTuple):
+    a: float
+    kappa_plus: float
+    c_im: float
+
+
+class TangentPolySpec(_TangentPolyFields):
     """Second-order tangent polynomial T(eta) = a*eta^2 - c_im*eta + a*kappa_plus.
 
     ``a`` and ``kappa_plus`` parameterize the symmetric part; a nonzero
@@ -36,17 +41,16 @@ class TangentPolySpec:
     invariant c_im^2 < 4 a^2 kappa_plus.
     """
 
-    a: float = 1.0
-    kappa_plus: float = 1.0
-    c_im: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.a > 0):
+    def __new__(cls, a: float = 1.0, kappa_plus: float = 1.0, c_im: float = 0.0):
+        if not (a > 0):
             raise ValueError("leading coefficient a must be positive")
-        if not (self.kappa_plus > 0):
+        if not (kappa_plus > 0):
             raise ValueError("kappa_plus must be positive")
-        if not (self.c_im ** 2 < 4.0 * self.a ** 2 * self.kappa_plus):
+        if not (c_im ** 2 < 4.0 * a ** 2 * kappa_plus):
             raise ValueError("tangent polynomial must have negative discriminant")
+        return super().__new__(cls, a, kappa_plus, c_im)
 
     @classmethod
     def from_general(cls, c: complex, d: float) -> "TangentPolySpec":
@@ -85,8 +89,12 @@ def tangent_eval(tp: TangentPolySpec, eta):
     return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
+class _PotentialFields(NamedTuple):
+    h0: complex
+    tp: TangentPolySpec
+
+
+class PotentialSpec(_PotentialFields):
     """One potential of the family: singular-point strength h0 plus tangent data.
 
     The constant term of the invariant is not free: vanishing of the potential
@@ -95,15 +103,14 @@ class PotentialSpec:
     real part.
     """
 
-    h0: complex
-    tp: TangentPolySpec
+    __slots__ = ()
 
-    def __post_init__(self):
-        h0 = complex(self.h0)
-        object.__setattr__(self, "h0", h0)
+    def __new__(cls, h0: complex, tp: TangentPolySpec):
+        h0 = complex(h0)
         lam = np.sqrt(complex(h0 + 1.0))
         if not (lam.real > 0):
             raise ValueError("Re sqrt(h0+1) must be positive")
+        return super().__new__(cls, h0, tp)
 
     @property
     def h0_re(self) -> float:

@@ -11,29 +11,33 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import AmbiguousZero, InsufficientDecay, NonFiniteSamples, NotConverged
 
 
-@dataclass(frozen=True)
-class Grid1D:
-    """A uniform 1D grid, optionally carrying sampled values."""
-
+class _GridFields(NamedTuple):
     x_min: float
     x_max: float
     n: int
-    values: np.ndarray | None = None
+    values: np.ndarray | None
 
-    def __post_init__(self):
-        if self.n < 256:
+
+class Grid1D(_GridFields):
+    """A uniform 1D grid, optionally carrying sampled values."""
+
+    __slots__ = ()
+
+    def __new__(cls, x_min: float, x_max: float, n: int, values: np.ndarray | None = None):
+        if n < 256:
             raise ValueError("grid needs at least 256 points")
-        if not self.x_max > self.x_min:
+        if not x_max > x_min:
             raise ValueError("empty grid range")
-        if self.values is not None and len(self.values) != self.n:
+        if values is not None and len(values) != n:
             raise ValueError("values length does not match n")
+        return super().__new__(cls, x_min, x_max, n, values)
 
     @property
     def xs(self) -> np.ndarray:
@@ -44,8 +48,7 @@ class Grid1D:
         return (self.x_max - self.x_min) / (self.n - 1)
 
 
-@dataclass(frozen=True)
-class EigenEstimate:
+class EigenEstimate(NamedTuple):
     """One oracle level.  ``nodes`` is its index, which is the node count of
     its eigenfunction.  ``error`` is the gap between the one-step and two-step
     Richardson values, which estimates truncation, plus the propagated solver

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +41,7 @@ from .errors import (
     DegenerateParameter,
     ImaginaryResidue,
     NonIntegrable,
+    RootOverflow,
     ZeroPolynomial,
 )
 
@@ -48,8 +50,7 @@ from .errors import (
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ComplexIndex:
+class ComplexIndex(NamedTuple):
     """A complex polynomial index stored as exact rationals."""
 
     re: Fraction
@@ -77,8 +78,7 @@ class ComplexIndex:
         return "ComplexIndex(%s, %s)" % (self.re, self.im)
 
 
-@dataclass(frozen=True)
-class RealPolynomial:
+class RealPolynomial(NamedTuple):
     """Dense real polynomial with exact Fraction coefficients, ascending degree.
 
     The trailing (highest-degree) coefficient is nonzero unless the polynomial
@@ -110,7 +110,7 @@ class RealPolynomial:
     def __call__(self, x):
         if self.is_zero:
             return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
-        return np.polynomial.polynomial.polyval(x, self.as_floats())
+        return np.polyval(self.as_floats()[::-1], x)
 
     def derivative(self) -> "RealPolynomial":
         return RealPolynomial.from_coeffs(ex.rp_diff(list(self.coeffs)))
@@ -129,8 +129,7 @@ class RealPolynomial:
         return self + (-1) * other
 
 
-@dataclass(frozen=True)
-class RouthPolynomial:
+class RouthPolynomial(NamedTuple):
     """A Routh polynomial: real polynomial plus its complex index and order."""
 
     order: int
@@ -154,8 +153,7 @@ class RouthPolynomial:
         }
 
 
-@dataclass(frozen=True)
-class WeightParams:
+class WeightParams(NamedTuple):
     """Parameters of the generating weight (1+eta^2)^Re(a) exp(2 Im(a) atan eta)."""
 
     index: ComplexIndex
@@ -167,8 +165,7 @@ class WeightParams:
         return cls(ComplexIndex.of(value))
 
 
-@dataclass(frozen=True)
-class DiscriminantOrder2:
+class DiscriminantOrder2(NamedTuple):
     """Discriminant of the order-2 Routh polynomial.
 
     ``value`` is computed from the actual polynomial coefficients.
@@ -414,15 +411,14 @@ def inner_product(n: int, m: int, w) -> float:
     fam = family_index_for_weight(w)
     rn = routh_polynomial(n, fam)
     rm = routh_polynomial(m, fam)
-    cn = rn.poly.as_floats()
-    cm = rm.poly.as_floats()
+    cn = rn.poly.as_floats()[::-1]
+    cm = rm.poly.as_floats()[::-1]
     are = float(w.index.re)
     aim = float(w.index.im)
 
     def integrand(eta):
-        pv = np.polynomial.polynomial.polyval
         return (
-            pv(eta, cn) * pv(eta, cm)
+            np.polyval(cn, eta) * np.polyval(cm, eta)
             * (1.0 + eta ** 2) ** are * np.exp(2.0 * aim * np.arctan(eta))
         )
 
@@ -614,18 +610,46 @@ def _rounded_root(f: list, lo: Fraction, hi: Fraction) -> float:
     return _key_float(k_lo)
 
 
+_DOUBLE_MAX = Fraction(sys.float_info.max)
+
+
+def _roots_beyond(chain: list, x: Fraction) -> int:
+    """Number of roots r of ``chain[0]`` with |r| > x, for x > 0."""
+    at_minus_x = _hom(chain[0], -x.numerator, x.denominator) == 0  # counted in (-inf, -x]
+    return (_variations_at_infinity(chain, -1) - _variations_at(chain, -x) - at_minus_x
+            + _variations_at(chain, x) - _variations_at_infinity(chain, 1))
+
+
 def _isolated_roots(chain: list) -> list:
     """Correctly rounded roots of the square-free ``chain[0]``.
 
     Bisects (-2^k, 2^k], a power-of-two Cauchy bound, with the Sturm count
     V(a) - V(b) of roots in (a, b], until each interval holds one root.
+    When 2^k exceeds the largest double, a root beyond it raises
+    :class:`RootOverflow` with its binary magnitude, and otherwise the
+    bisection starts from (-max - 1, max] instead.
     """
     f = chain[0]
     # |root| < 1 + max|c_i| / |c_n| <= 1 + ceil(...) <= 2^k
-    ratio = -(-max(abs(c) for c in f[:-1]) // abs(f[-1]))
-    bound = Fraction(1 << ratio.bit_length())
+    k = (-(-max(abs(c) for c in f[:-1]) // abs(f[-1]))).bit_length()
+    lo, hi = -Fraction(1 << k), Fraction(1 << k)
+    if hi > _DOUBLE_MAX:
+        if _roots_beyond(chain, _DOUBLE_MAX):
+            # least e with every |root| <= 2^e; 2^1023 < max < 2^1024
+            e_lo, e_hi = 1023, k
+            while e_hi - e_lo > 1:
+                mid = (e_lo + e_hi) // 2
+                if _roots_beyond(chain, Fraction(1 << mid)):
+                    e_lo = mid
+                else:
+                    e_hi = mid
+            raise RootOverflow(
+                "a real root with 2^%d < |root| <= 2^%d (about 1e%d) is beyond the double range"
+                % (e_hi - 1, e_hi, round(e_hi * math.log10(2.0)))
+            )
+        lo, hi = -_DOUBLE_MAX - 1, _DOUBLE_MAX  # -max itself may be a root
     out = []
-    stack = [(-bound, bound, _variations_at(chain, -bound), _variations_at(chain, bound))]
+    stack = [(lo, hi, _variations_at(chain, lo), _variations_at(chain, hi))]
     while stack:
         lo, hi, v_lo, v_hi = stack.pop()
         count = v_lo - v_hi

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,14 +62,12 @@ THRESHOLD_ENERGY = 1e-10
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LambdaBranch:
+class LambdaBranch(NamedTuple):
     value: complex
     energy: float
 
 
-@dataclass(frozen=True)
-class QuarticRoots:
+class QuarticRoots(NamedTuple):
     """Classified real roots of the order-m quartic."""
 
     order: int
@@ -90,9 +88,11 @@ class EtaSolution:
         self.atan_coeff = float(atan_coeff)
         self.poly = poly
         self.scale = float(scale)
-        self._c0 = poly.as_floats()
-        self._c1 = poly.derivative().as_floats()
-        self._c2 = poly.derivative().derivative().as_floats()
+        d1 = poly.derivative()
+        # descending, as np.polyval takes them
+        self._c0 = poly.as_floats()[::-1]
+        self._c1 = d1.as_floats()[::-1]
+        self._c2 = d1.derivative().as_floats()[::-1]
 
     def gauge(self, eta):
         eta = np.asarray(eta, dtype=float)
@@ -107,44 +107,39 @@ class EtaSolution:
 
     def __call__(self, eta):
         eta = np.asarray(eta, dtype=float)
-        pv = np.polynomial.polynomial.polyval
-        out = self.scale * self.gauge(eta) * pv(eta, self._c0)
+        out = self.scale * self.gauge(eta) * np.polyval(self._c0, eta)
         return float(out) if out.ndim == 0 else out
 
     def d1(self, eta):
         eta = np.asarray(eta, dtype=float)
-        pv = np.polynomial.polynomial.polyval
         g = self.gauge(eta)
-        out = self.scale * g * (self._u(eta) * pv(eta, self._c0) + pv(eta, self._c1))
+        out = self.scale * g * (self._u(eta) * np.polyval(self._c0, eta) + np.polyval(self._c1, eta))
         return float(out) if out.ndim == 0 else out
 
     def d2(self, eta):
         eta = np.asarray(eta, dtype=float)
-        pv = np.polynomial.polynomial.polyval
         g = self.gauge(eta)
         u = self._u(eta)
         out = self.scale * g * (
-            (u * u + self._du(eta)) * pv(eta, self._c0)
-            + 2.0 * u * pv(eta, self._c1)
-            + pv(eta, self._c2)
+            (u * u + self._du(eta)) * np.polyval(self._c0, eta)
+            + 2.0 * u * np.polyval(self._c1, eta)
+            + np.polyval(self._c2, eta)
         )
         return float(out) if out.ndim == 0 else out
 
     def log_parts(self, eta):
         """(Phi'/Phi, Phi''/Phi) as a pair, for Darboux chain rules."""
-        pv = np.polynomial.polynomial.polyval
         u = self._u(eta)
-        r0 = pv(eta, self._c0)
-        r1 = pv(eta, self._c1) / r0
-        r2 = pv(eta, self._c2) / r0
+        r0 = np.polyval(self._c0, eta)
+        r1 = np.polyval(self._c1, eta) / r0
+        r2 = np.polyval(self._c2, eta) / r0
         return u + r1, (u * u + self._du(eta)) + 2.0 * u * r1 + r2
 
     def with_extra_factor(self, factor: RealPolynomial) -> "EtaSolution":
         return EtaSolution(self.power, self.atan_coeff, self.poly * factor, self.scale)
 
 
-@dataclass(frozen=True)
-class BoundState:
+class BoundState(NamedTuple):
     n: int
     energy: float
     lam: complex
@@ -158,8 +153,7 @@ class BoundState:
         return real_root_count(self.poly.poly)
 
 
-@dataclass(frozen=True)
-class AehSolution:
+class AehSolution(NamedTuple):
     kind: str  # "c" | "d"
     m: int
     energy: float
@@ -175,8 +169,7 @@ class AehSolution:
         return self.root_count == 0
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(NamedTuple):
     states: tuple
     n_max_constructive: int
     n_max_formula: int
@@ -241,8 +234,8 @@ def _quartic_coeffs(spec: PotentialSpec, m: int) -> list:
 
 
 def quartic_residual_scale(spec: PotentialSpec, m: int, lam_r: float) -> float:
-    coeffs = [float(c) for c in _quartic_coeffs(spec, m)]
-    val = np.polynomial.polynomial.polyval(lam_r, np.array(coeffs))
+    coeffs = [float(c) for c in reversed(_quartic_coeffs(spec, m))]
+    val = np.polyval(coeffs, lam_r)
     return float(abs(val) / max(1.0, abs(lam_r) ** 4))
 
 
@@ -580,8 +573,7 @@ def gendenshtein_params(a_g: float, b_g: float) -> PotentialSpec:
     return PotentialSpec(h0=lam0 * lam0 - 1.0, tp=TangentPolySpec(a=1.0, kappa_plus=1.0))
 
 
-@dataclass(frozen=True)
-class SigmaRhoReport:
+class SigmaRhoReport(NamedTuple):
     sigma: float
     rho: complex
     sum_identity_dev: float     # (sigma-1/2)^2 + (rho-1/2)^2 vs h_R(e) + 1
@@ -631,7 +623,7 @@ def stevenson_identity_check(spec: PotentialSpec, n: int, eta_samples) -> float:
         if abs(c_param + (j - 1)) < 1e-14:
             raise DegenerateParameter("denominator Pochhammer vanishes at j=%d" % j)
     rp = routh_polynomial(n, ComplexIndex.of(1.0 - lam.conjugate()))
-    coeffs = rp.poly.as_floats()
+    coeffs = rp.poly.as_floats()[::-1]
     worst = 0.0
     for eta in np.asarray(eta_samples, dtype=float):
         xi = geometry.stevenson_xi(eta)
@@ -642,7 +634,7 @@ def stevenson_identity_check(spec: PotentialSpec, n: int, eta_samples) -> float:
             acc += term
         lhs = xi ** (-n) * acc
         scale = ((-1j) ** n) * math.factorial(n) / _poch(c_param, n)
-        rhs = scale * np.polynomial.polynomial.polyval(eta, coeffs)
+        rhs = scale * np.polyval(coeffs, eta)
         dev = abs(lhs - rhs) / max(1.0, abs(rhs))
         worst = max(worst, float(dev))
     return worst
@@ -652,8 +644,7 @@ def stevenson_identity_check(spec: PotentialSpec, n: int, eta_samples) -> float:
 # nodelessness scan
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScanCell:
+class ScanCell(NamedTuple):
     a: float
     b: float
     empirical_nodeless: bool | None

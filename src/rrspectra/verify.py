@@ -8,7 +8,7 @@ the comparison stays independent of the result it checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ def oracle_grid_for(spec: PotentialSpec, energies=None, x_max=None, n=None) -> t
     return vmap, grid
 
 
-@dataclass(frozen=True)
-class LevelComparison:
+class LevelComparison(NamedTuple):
     n: int
     analytic: float
     numeric: float
@@ -57,8 +56,7 @@ class LevelComparison:
     nodes_numeric: int
 
 
-@dataclass(frozen=True)
-class VerifyReport:
+class VerifyReport(NamedTuple):
     levels: tuple
     tol: float
     spectrum: Spectrum
@@ -123,8 +121,7 @@ def verify_spectrum(spec: PotentialSpec, tol: float = 1e-3, x_max=None, n=None) 
     return VerifyReport(levels=tuple(levels), tol=tol, spectrum=spectrum)
 
 
-@dataclass(frozen=True)
-class PartnerReport:
+class PartnerReport(NamedTuple):
     expected: tuple
     numeric: tuple
     rel_deltas: tuple

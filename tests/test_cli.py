@@ -283,6 +283,15 @@ class TestPartnerCommand:
         )
         assert main(["partner", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
+    def test_noded_seed_builds_no_grid(self, tmp_path, monkeypatch, capsys):
+        def no_map(*args):
+            raise AssertionError("a noded seed is rejected before any grid is built")
+
+        monkeypatch.setattr(cli, "VariableMap", no_map)
+        self.test_noded_seed_fails_cleanly(tmp_path)
+        err = capsys.readouterr().err
+        assert "NodeDetected: factorization polynomial has real zeros" in err
+
 
 class TestIdentitiesCommand:
     def test_gendenshtein(self, tmp_path):
@@ -332,8 +341,10 @@ class TestConfigErrors:
 
 
 def test_startup_does_not_import_scipy(tmp_path):
-    # spectrum and identities are closed form end to end, and the oracle behind
-    # verify and partner is numpy only, so no command loads any scipy module
+    # spectrum, identities and scan-nodeless are closed form end to end, and
+    # the oracle behind verify and partner is numpy only, so no command loads
+    # any scipy module; records are NamedTuples and polynomials are evaluated
+    # by np.polyval, so no command loads dataclasses or numpy.polynomial either
     gen = write_config(tmp_path, GEN, "gen.json")
     mil = write_config(tmp_path, MILSON, "mil.json")
     partners = [
@@ -345,10 +356,15 @@ def test_startup_does_not_import_scipy(tmp_path):
              for cmd in ("spectrum", "identities", "verify") for i, cfg in enumerate((gen, mil))]
     calls += [["partner", "--config", cfg, "--out", str(tmp_path / ("partner-%d" % i))]
               for i, cfg in enumerate(partners)]
+    scan = write_config(tmp_path, {**GEN, "scan": {"a_range": [2, 3], "b_range": [0, 1],
+                                                   "na": 2, "nb": 2, "m": 2}}, "scan.json")
+    calls.append(["scan-nodeless", "--config", scan, "--out", str(tmp_path / "scan")])
     code = (
         "import sys; from rrspectra.cli import main\n"
         "for argv in %r: assert main(argv) == 0, argv\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "assert 'dataclasses' not in sys.modules\n"
+        "assert 'numpy.polynomial' not in sys.modules\n"
         % (calls,)
     )
     src = os.path.dirname(os.path.dirname(rrspectra.__file__))

@@ -1,13 +1,14 @@
 """Polynomial-family tests: construction identities, ODEs, orthogonality, roots."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rrspectra.errors import DegenerateParameter, NonIntegrable, ZeroPolynomial
+from rrspectra.errors import DegenerateParameter, NonIntegrable, RootOverflow, ZeroPolynomial
 from rrspectra.routh import (
     ComplexIndex,
     RealPolynomial,
@@ -377,6 +378,25 @@ class TestExactIsolation:
             real_roots([0, 0])
         assert real_roots([Fraction(-7, 3)]) == []
         assert real_root_count([5]) == 0
+
+    def test_root_beyond_double_range_is_typed(self):
+        # roots +-10^350: counted exactly, but no double holds them
+        p = RealPolynomial.from_coeffs([-1, 0, Fraction(1, 10 ** 700)])
+        assert real_root_count(p) == 2
+        with pytest.raises(RootOverflow, match=r"2\^1162 < \|root\| <= 2\^1163 \(about 1e350\)"):
+            real_roots(p)
+
+    def test_huge_cauchy_bound_with_double_roots(self):
+        # the Cauchy bound of (x - 1)(x^2 + 10^700) is far beyond the double
+        # range, but its one real root is not
+        p = RealPolynomial.from_coeffs([-1, 1]) * RealPolynomial.from_coeffs([10 ** 700, 0, 1])
+        assert real_roots(p) == [1.0]
+        top = Fraction(sys.float_info.max)
+        assert real_roots([top, 1]) == [-sys.float_info.max]
+        assert real_roots([-top, 1]) == [sys.float_info.max]
+        for c in (top + 1, -top - 1):
+            with pytest.raises(RootOverflow):
+                real_roots([c, 1])
 
     def test_counts_match_locations(self, rng):
         for _ in range(40):
