@@ -16,7 +16,7 @@ from .geometry import (
     stevenson_xi,
     tangent_eval,
 )
-from .oracle import EigenEstimate, Grid1D, adaptive_quadrature, count_sign_changes, lowest_levels
+from .oracle import EigenEstimate, Grid1D, count_sign_changes, lowest_levels
 from .routh import (
     ComplexIndex,
     RealPolynomial,

@@ -145,7 +145,7 @@ def symmetric_irregular_solution(spec: PotentialSpec, epsilon: float, vmap: Vari
     psi_a(-x).  Requires Im(h0) = 0 and a factorization energy strictly below
     the ground level.  Returns max-normalized samples on the map grid.
     """
-    if spec.h0.imag != 0.0 or not spec.tp.is_symmetric:
+    if spec.h0.imag != 0.0:
         raise PreconditionViolated("construction requires a symmetric potential")
     spectrum = enumerate_bound_spectrum(spec)
     if spectrum.states and epsilon >= spectrum.states[0].energy:

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OutOfGrid, StepFailure
+from .errors import ConfigError, OutOfGrid, StepFailure
 
 
 # ---------------------------------------------------------------------------
@@ -29,63 +29,35 @@ from .errors import OutOfGrid, StepFailure
 class _TangentPolyFields(NamedTuple):
     a: float
     kappa_plus: float
-    c_im: float
 
 
 class TangentPolySpec(_TangentPolyFields):
-    """Second-order tangent polynomial T(eta) = a*eta^2 - c_im*eta + a*kappa_plus.
+    """Symmetric second-order tangent polynomial T(eta) = a*(eta^2 + kappa_plus).
 
-    ``a`` and ``kappa_plus`` parameterize the symmetric part; a nonzero
-    ``c_im`` (imaginary part of the general complex coefficient) adds a real
-    linear term.  The no-real-zeros requirement is the negative-discriminant
-    invariant c_im^2 < 4 a^2 kappa_plus.
+    It has no real zeros (negative discriminant) exactly when kappa_plus > 0.
     """
 
     __slots__ = ()
 
-    def __new__(cls, a: float = 1.0, kappa_plus: float = 1.0, c_im: float = 0.0):
+    def __new__(cls, a: float = 1.0, kappa_plus: float = 1.0):
         if not (a > 0):
             raise ValueError("leading coefficient a must be positive")
         if not (kappa_plus > 0):
             raise ValueError("kappa_plus must be positive")
-        if not (c_im ** 2 < 4.0 * a ** 2 * kappa_plus):
-            raise ValueError("tangent polynomial must have negative discriminant")
-        return super().__new__(cls, a, kappa_plus, c_im)
-
-    @classmethod
-    def from_general(cls, c: complex, d: float) -> "TangentPolySpec":
-        """Build from the general parameterization with coefficients (c, c*, d).
-
-        The leading coefficient is a = (2 Re c + d)/4 and the symmetric-form
-        parameter is kappa_plus = 1 - Re(c)/a.
-        """
-        c = complex(c)
-        a = (2.0 * c.real + d) / 4.0
-        if a <= 0:
-            raise ValueError("general coefficients give nonpositive leading term")
-        return cls(a=a, kappa_plus=1.0 - c.real / a, c_im=c.imag)
-
-    @property
-    def is_symmetric(self) -> bool:
-        return self.c_im == 0.0
-
-    @property
-    def c_complex(self) -> complex:
-        """The general-form coefficient paired with the (eta+i)^2 term."""
-        return complex(self.a * (1.0 - self.kappa_plus), self.c_im)
+        return super().__new__(cls, a, kappa_plus)
 
     @property
     def d(self) -> float:
         return 2.0 * self.a * (1.0 + self.kappa_plus)
 
     def to_json_dict(self) -> dict:
-        return {"a": self.a, "kappa_plus": self.kappa_plus, "c_im": self.c_im}
+        return {"a": self.a, "kappa_plus": self.kappa_plus}
 
 
 def tangent_eval(tp: TangentPolySpec, eta):
     """Evaluate the tangent polynomial; strictly positive on the real line."""
     eta = np.asarray(eta, dtype=float)
-    out = tp.a * (eta ** 2 + tp.kappa_plus) - tp.c_im * eta
+    out = tp.a * (eta ** 2 + tp.kappa_plus)
     return float(out) if out.ndim == 0 else out
 
 
@@ -113,14 +85,6 @@ class PotentialSpec(_PotentialFields):
         return super().__new__(cls, h0, tp)
 
     @property
-    def h0_re(self) -> float:
-        return self.h0.real
-
-    @property
-    def h0_im(self) -> float:
-        return self.h0.imag
-
-    @property
     def o00(self) -> float:
         return 2.0 * self.h0.real + 1.0
 
@@ -134,21 +98,20 @@ class PotentialSpec(_PotentialFields):
         """Coefficient c of the energy in h(e) = h0 - c*e, i.e. a*(1 - kappa)."""
         return self.tp.a * (1.0 - self.tp.kappa_plus)
 
-    @property
-    def is_symmetric(self) -> bool:
-        return self.h0.imag == 0.0 and self.tp.is_symmetric
-
     def to_json_dict(self) -> dict:
         return {"h0": [self.h0.real, self.h0.imag], "tp": self.tp.to_json_dict()}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PotentialSpec":
+        """Inverse of :meth:`to_json_dict`.  A ``c_im`` key (the linear term of
+        an asymmetric tangent polynomial, which the family does not have) is
+        accepted only when it is 0."""
         tp = d["tp"]
+        if tp.get("c_im", 0.0) != 0.0:
+            raise ConfigError("asymmetric tangent polynomial (c_im = %r) is not supported" % tp["c_im"])
         return cls(
             h0=complex(d["h0"][0], d["h0"][1]),
-            tp=TangentPolySpec(
-                a=tp.get("a", 1.0), kappa_plus=tp["kappa_plus"], c_im=tp.get("c_im", 0.0)
-            ),
+            tp=TangentPolySpec(a=tp.get("a", 1.0), kappa_plus=tp["kappa_plus"]),
         )
 
 
@@ -161,8 +124,7 @@ def bose_invariant_eval(spec: PotentialSpec, epsilon: float, eta):
     real on the real line.
     """
     eta = np.asarray(eta, dtype=float)
-    c = spec.tp.c_complex
-    h = spec.h0 - c * epsilon
+    h = spec.h0 - spec.energy_coupling * epsilon
     o0 = spec.o00 + spec.tp.d * epsilon
     denom = (1.0 + eta ** 2)
     # h/(eta+i)^2 + conj(h)/(eta-i)^2 = 2*Re[h*(eta-i)^2] / (1+eta^2)^2
@@ -191,8 +153,6 @@ def liouville_x(tp: TangentPolySpec, eta):
 
     ``r`` comes from ``hypot``, so huge |eta| does not overflow.
     """
-    if not tp.is_symmetric:
-        raise ValueError("closed-form map requires a symmetric tangent polynomial")
     eta = np.asarray(eta, dtype=float)
     kap = tp.kappa_plus
     rk = math.sqrt(kap)
@@ -219,14 +179,12 @@ class VariableMap:
 
     Anchored at eta(0) = 0.  x(eta) is the closed form :func:`liouville_x`
     and eta(x) its Newton inverse; the grid table ``eta_grid`` must come out
-    strictly increasing.  Only symmetric tangent polynomials are supported,
-    so the map is odd.  The tests check both directions against an
+    strictly increasing.  The tangent polynomial is symmetric, so the map
+    is odd.  The tests check both directions against an
     independent ODE solve and quadrature.
     """
 
     def __init__(self, tp: TangentPolySpec, x_max: float, n_points: int):
-        if not tp.is_symmetric:
-            raise ValueError("variable map requires a symmetric tangent polynomial")
         if x_max <= 0:
             raise ValueError("x_max must be positive")
         if n_points < 64:
@@ -293,8 +251,6 @@ def schwarzian_eval(tp: TangentPolySpec, eta):
     exact; the generic definition applied to the numeric map is kept for
     cross-checking in tests.
     """
-    if not tp.is_symmetric:
-        raise ValueError("closed-form Schwarzian requires a symmetric tangent polynomial")
     eta = np.asarray(eta, dtype=float)
     kap = tp.kappa_plus
     e2 = eta ** 2

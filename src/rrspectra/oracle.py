@@ -1,6 +1,6 @@
 """Brute-force verification tools: a finite-difference bound-state
 eigensolver in numpy (a sine-basis Rayleigh-Ritz solve certified by Sturm
-counts), adaptive quadrature, and exact-ish sign-change counting.
+counts) and exact-ish sign-change counting.
 
 Nothing in this module knows about the analytic machinery it is used to
 check; it sees only sampled potentials and callables.  Units are hbar = 2m = 1
@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AmbiguousZero, InsufficientDecay, NonFiniteSamples, NotConverged
+from .errors import AmbiguousZero, InsufficientDecay, NonFiniteSamples
 
 
 class _GridFields(NamedTuple):
@@ -210,35 +210,6 @@ def lowest_levels(potential: Grid1D, count: int, *, require_decay: bool = True) 
         EigenEstimate(energy=float(e), nodes=k, error=float(abs(e - e1) + d))
         for k, (e, e1, d) in enumerate(zip(two_step, one_step, cert))
     ]
-
-
-# ---------------------------------------------------------------------------
-# quadrature
-# ---------------------------------------------------------------------------
-
-def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-10) -> float:
-    """Integral of ``f`` over (a, b) with absolute error below ``tol``.
-
-    Infinite limits are mapped to a finite interval by the tangent
-    substitution x = tan(t) before handing off to adaptive Gauss-Kronrod.
-    """
-    from scipy.integrate import quad
-
-    if math.isinf(a) or math.isinf(b):
-        ta = math.atan(a) if not math.isinf(a) else math.copysign(math.pi / 2, a)
-        tb = math.atan(b) if not math.isinf(b) else math.copysign(math.pi / 2, b)
-
-        def g(t):
-            x = math.tan(t)
-            return f(x) * (1.0 + x * x)
-
-        out = quad(g, ta, tb, epsabs=tol, epsrel=1.49e-12, limit=400, full_output=1)
-    else:
-        out = quad(f, a, b, epsabs=tol, epsrel=1.49e-12, limit=400, full_output=1)
-    val, err = out[0], out[1]
-    if err > max(tol, 1e-13 * abs(val)) * 10.0:
-        raise NotConverged("quadrature error estimate %g exceeds tolerance %g" % (err, tol))
-    return val
 
 
 # ---------------------------------------------------------------------------

@@ -35,12 +35,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import geometry, oracle
-from ._exact import C_ONE, C_ZERO, c_add, c_mul, c_scale, to_fraction
+from ._exact import to_fraction
 from .errors import (
     BranchUndefined,
     ConventionUnresolved,
     DegenerateParameter,
-    ImaginaryResidue,
     NoSuchRoot,
     PreconditionViolated,
 )
@@ -49,6 +48,9 @@ from .routh import (
     ComplexIndex,
     RealPolynomial,
     RouthPolynomial,
+    cauchy_beta_ratios,
+    integer_product,
+    log_cauchy_beta,
     real_root_count,
     real_roots,
     routh_polynomial,
@@ -108,12 +110,6 @@ class EtaSolution:
     def __call__(self, eta):
         eta = np.asarray(eta, dtype=float)
         out = self.scale * self.gauge(eta) * np.polyval(self._c0, eta)
-        return float(out) if out.ndim == 0 else out
-
-    def d1(self, eta):
-        eta = np.asarray(eta, dtype=float)
-        g = self.gauge(eta)
-        out = self.scale * g * (self._u(eta) * np.polyval(self._c0, eta) + np.polyval(self._c1, eta))
         return float(out) if out.ndim == 0 else out
 
     def d2(self, eta):
@@ -246,8 +242,6 @@ def quartic_lambda_roots(spec: PotentialSpec, m: int) -> QuarticRoots:
     branch point and are discarded.  Positive roots above m + 1/2 are
     bound-state candidates; negative roots belong to type-d solutions.
     """
-    if not spec.tp.is_symmetric:
-        raise PreconditionViolated("quartic quantization requires a symmetric tangent polynomial")
     roots = [r for r in real_roots(RealPolynomial.from_coeffs(_quartic_coeffs(spec, m)))
              if abs(r) > 1e-12]
     half = m + 0.5
@@ -346,20 +340,12 @@ def _pinned_phi(lam: complex, m: int) -> tuple:
 # residual oracle
 # ---------------------------------------------------------------------------
 
-def rcsle_residual(spec: PotentialSpec, epsilon: float, phi, eta_samples) -> float:
-    """max over samples of |Phi'' + I(eta; e) Phi| / (1 + |Phi|).
-
-    ``phi`` should expose exact second derivatives via ``d2``; plain callables
-    fall back to central differences (testing convenience only).
-    """
+def rcsle_residual(spec: PotentialSpec, epsilon: float, phi: EtaSolution, eta_samples) -> float:
+    """max over samples of |Phi'' + I(eta; e) Phi| / (1 + |Phi|), with the
+    exact second derivative ``phi.d2``."""
     etas = np.asarray(eta_samples, dtype=float)
-    if hasattr(phi, "d2"):
-        vals = np.asarray(phi(etas), dtype=float)
-        second = np.asarray(phi.d2(etas), dtype=float)
-    else:
-        h = 1e-5
-        vals = np.array([phi(e) for e in etas])
-        second = np.array([(phi(e + h) - 2.0 * phi(e) + phi(e - h)) / h ** 2 for e in etas])
+    vals = np.asarray(phi(etas), dtype=float)
+    second = np.asarray(phi.d2(etas), dtype=float)
     inv = geometry.bose_invariant_eval(spec, epsilon, etas)
     res = np.abs(second + inv * vals) / (1.0 + np.abs(vals))
     return float(np.max(res))
@@ -369,77 +355,26 @@ def rcsle_residual(spec: PotentialSpec, epsilon: float, phi, eta_samples) -> flo
 # spectrum enumeration and assembly
 # ---------------------------------------------------------------------------
 
-# Stirling-series coefficients B_2k / (2k (2k-1)), k = 1..6
-_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
-
-
-def _log_abs_gamma(z: complex) -> float:
-    """log|Gamma(z)| for Re z > 0: recurrence up to Re z >= 15, then Stirling's series."""
-    shift = 0.0
-    while z.real < 15.0:
-        shift += math.log(abs(z))
-        z += 1.0
-    w = 1.0 / (z * z)
-    series = sum(c * w ** k for k, c in enumerate(_STIRLING)) / z
-    return ((z - 0.5) * cmath.log(z) - z + series).real + 0.5 * math.log(2.0 * math.pi) - shift
-
-
 def _normalize_phi(spec: PotentialSpec, phi: EtaSolution) -> EtaSolution:
     """Scale so that integral Phi^2 * density deta = 1 (hence psi is L2-normal).
 
     Closed form, with Phi = (1+eta^2)^p exp(q atan eta) R(eta).  The density
     splits as T/(1+eta^2)^2 = a/(1+eta^2) + a(kappa-1)/(1+eta^2)^2, so each
-    part of Phi^2 times it is R^2 (1+i eta)^-alpha (1-i eta)^-beta with
-    alpha, beta = nu +- iq, nu = 1 - 2p in the first part and nu + 1 in the
-    second.  Written in w = 1 + i eta, R^2 needs only the moments of w^j, and
-    Cauchy's beta integral gives them:
-
-        integral (1+i eta)^-alpha (1-i eta)^-beta deta
-            = pi 2^(2-2nu) Gamma(2nu-1) / |Gamma(nu+iq)|^2
-            = sqrt(pi) Gamma(nu-1/2) Gamma(nu) / |Gamma(nu+iq)|^2 = B(nu, q),
-
-    and w^j multiplies it by prod_{i=1..j} 2(alpha-i)/(2nu-1-i), while
-    B(nu+1, q) = B(nu, q) nu(2nu-1)/(2(nu^2+q^2)).  The moment sum runs in
-    exact Gaussian integers and rationals, since in floats it cancels badly
-    (relative error 1.5e-10 at order 4 and 1e-4 at order 13 for
-    Gendenshtein(16.2, 0.7)); its imaginary part must vanish, and only
-    B(nu, q) is rounded.  Every integral converges for an admissible level
-    of order n, since nu > n + 1/2.
+    part of Phi^2 times it is R^2 (1+eta^2)^-nu exp(2q atan eta) with
+    nu = 1 - 2p in the first part and nu + 1 in the second: Cauchy beta
+    integrals, each an exact rational multiple of B(nu, q)
+    (:func:`routh.cauchy_beta_ratios`), while
+    B(nu+1, q) = B(nu, q) nu(2nu-1)/(2(nu^2+q^2)).  Only B(nu, q) is
+    rounded.  Every integral converges for an admissible level of order n,
+    since nu > n + 1/2.
     """
     p, q = to_fraction(phi.power), to_fraction(phi.atan_coeff)
     nu = 1 - 2 * p
-    den = math.lcm(*(c.denominator for c in phi.poly.coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in phi.poly.coeffs]  # R = ints(eta) / den
-    sq = [0] * (2 * len(ints) - 1)
-    for i, a in enumerate(ints):
-        for k, b in enumerate(ints):
-            sq[i + k] += a * b
-    # den^2 R^2 in w, with eta^k = i^k (1 - w)^k: Gaussian integers (re, im)
-    in_w = []
-    for j in range(len(sq)):
-        parts = [0, 0]
-        for k in range(j, len(sq)):
-            parts[k % 2] += (-1) ** (j + k // 2) * math.comb(k, j) * sq[k]
-        in_w.append(tuple(parts))
-
-    def moments(v: Fraction) -> Fraction:
-        total, ratio = C_ZERO, C_ONE
-        for j, d in enumerate(in_w):
-            if j:
-                ratio = c_scale(c_mul(ratio, (v - j, q)), Fraction(2) / (2 * v - 1 - j))
-            total = c_add(total, c_mul(d, ratio))
-        if total[1] != 0:
-            raise ImaginaryResidue("beta-moment sum has a nonzero imaginary part")
-        return total[0]
-
+    sq, den = integer_product(phi.poly.coeffs, phi.poly.coeffs)  # R^2 = sq(eta) / den^2
+    m0, m1 = cauchy_beta_ratios(sq, q, (nu, nu + 1))
     kap = to_fraction(spec.tp.kappa_plus)
-    bracket = moments(nu) + (kap - 1) * nu * (2 * nu - 1) / (2 * (nu * nu + q * q)) * moments(nu + 1)
-    nu_f, q_f = float(nu), float(q)
-    log_base = (
-        0.5 * math.log(math.pi) + math.lgamma(nu_f - 0.5) + math.lgamma(nu_f)
-        - 2.0 * _log_abs_gamma(complex(nu_f, q_f))
-    )
-    norm2 = spec.tp.a * phi.scale ** 2 * math.exp(log_base) * float(bracket / (den * den))
+    bracket = m0 + (kap - 1) * nu * (2 * nu - 1) / (2 * (nu * nu + q * q)) * m1
+    norm2 = spec.tp.a * phi.scale ** 2 * math.exp(log_cauchy_beta(nu, q)) * float(bracket / (den * den))
     return EtaSolution(phi.power, phi.atan_coeff, phi.poly, phi.scale / math.sqrt(norm2))
 
 

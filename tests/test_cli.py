@@ -341,10 +341,12 @@ class TestConfigErrors:
 
 
 def test_startup_does_not_import_scipy(tmp_path):
-    # spectrum, identities and scan-nodeless are closed form end to end, and
-    # the oracle behind verify and partner is numpy only, so no command loads
-    # any scipy module; records are NamedTuples and polynomials are evaluated
-    # by np.polyval, so no command loads dataclasses or numpy.polynomial either
+    # spectrum, identities and scan-nodeless are closed form end to end, the
+    # oracle behind verify and partner is numpy only, and inner products are
+    # exact beta-moment sums, so neither any command nor any module of the
+    # package loads scipy; records are NamedTuples and polynomials are
+    # evaluated by np.polyval, so no command loads dataclasses or
+    # numpy.polynomial either
     gen = write_config(tmp_path, GEN, "gen.json")
     mil = write_config(tmp_path, MILSON, "mil.json")
     partners = [
@@ -362,9 +364,13 @@ def test_startup_does_not_import_scipy(tmp_path):
     code = (
         "import sys; from rrspectra.cli import main\n"
         "for argv in %r: assert main(argv) == 0, argv\n"
-        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         "assert 'dataclasses' not in sys.modules\n"
         "assert 'numpy.polynomial' not in sys.modules\n"
+        "import importlib, pkgutil, rrspectra\n"
+        "for mod in pkgutil.iter_modules(rrspectra.__path__): importlib.import_module('rrspectra.' + mod.name)\n"
+        "from rrspectra.routh import inner_product, routh_rodrigues\n"
+        "inner_product(0, 2, -5), routh_rodrigues(3, complex(-4, 1.5))\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         % (calls,)
     )
     src = os.path.dirname(os.path.dirname(rrspectra.__file__))

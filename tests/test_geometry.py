@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rrspectra.errors import OutOfGrid
+from rrspectra.errors import ConfigError, OutOfGrid
 from rrspectra.geometry import (
     PotentialSpec,
     TangentPolySpec,
@@ -24,29 +24,20 @@ class TestTangentPoly:
         assert tangent_eval(TangentPolySpec(1.0, 1.0), 0.0) == 1.0
         assert tangent_eval(TangentPolySpec(1.0, 2.0), 1.0) == 3.0
 
-    def test_general_form_matches_symmetric(self):
-        # c real: T = [c(eta-i)^2 + c(eta+i)^2 + d(eta^2+1)]/4 with a=(2c+d)/4
-        tp = TangentPolySpec.from_general(complex(1.0, 0.0), 6.0)
-        assert_allclose(tp.a, 2.0)
-        assert_allclose(tp.kappa_plus, 0.5)
-        for eta in (-2.0, 0.0, 0.7):
-            direct = (2 * (eta ** 2 - 1) + 6 * (eta ** 2 + 1)) / 4
-            assert_allclose(tangent_eval(tp, eta), direct, rtol=1e-14)
-
-    def test_asymmetric_coefficient_kept(self):
-        tp = TangentPolySpec.from_general(complex(0.5, 0.3), 5.0)
-        assert not tp.is_symmetric
-        assert_allclose(tangent_eval(tp, 1.0), tp.a * (1 + tp.kappa_plus) - 0.3, rtol=1e-14)
-
     def test_negative_discriminant_enforced(self):
-        with pytest.raises(ValueError):
-            TangentPolySpec(a=1.0, kappa_plus=0.01, c_im=1.0)
-        with pytest.raises(ValueError):
-            TangentPolySpec(a=1.0, kappa_plus=-1.0)
+        for kappa in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                TangentPolySpec(a=1.0, kappa_plus=kappa)
 
     def test_leading_coefficient_consistency(self):
-        tp = TangentPolySpec(a=1.5, kappa_plus=2.0)
-        assert_allclose((2 * tp.c_complex.real + tp.d) / 4.0, tp.a, rtol=1e-14)
+        # general form [c(eta-i)^2 + c(eta+i)^2 + d(eta^2+1)]/4, with c the
+        # (real) energy coupling: its leading coefficient (2c + d)/4 is a
+        spec = PotentialSpec(h0=7.75, tp=TangentPolySpec(a=1.5, kappa_plus=2.0))
+        c, d = spec.energy_coupling, spec.tp.d
+        assert_allclose((2 * c + d) / 4.0, spec.tp.a, rtol=1e-14)
+        for eta in (-2.0, 0.0, 0.7):
+            direct = (2 * c * (eta ** 2 - 1) + d * (eta ** 2 + 1)) / 4
+            assert_allclose(tangent_eval(spec.tp, eta), direct, rtol=1e-14)
 
 
 class TestPotentialSpec:
@@ -61,10 +52,12 @@ class TestPotentialSpec:
         again = PotentialSpec.from_json_dict(milson_spec.to_json_dict())
         assert again.h0 == milson_spec.h0
         assert again.tp.kappa_plus == milson_spec.tp.kappa_plus
-        skewed = PotentialSpec(h0=milson_spec.h0, tp=TangentPolySpec(a=1.0, kappa_plus=2.0, c_im=0.3))
-        assert PotentialSpec.from_json_dict(skewed.to_json_dict()) == skewed
-        legacy = {"h0": [7.75, 3.0], "tp": {"a": 1.0, "kappa_plus": 2.0}}
-        assert PotentialSpec.from_json_dict(legacy).tp.c_im == 0.0
+        assert "c_im" not in milson_spec.to_json_dict()["tp"]
+        legacy = {"h0": [7.75, 3.0], "tp": {"a": 1.0, "kappa_plus": 2.0, "c_im": 0.0}}
+        assert PotentialSpec.from_json_dict(legacy) == milson_spec
+        legacy["tp"]["c_im"] = 0.3  # an asymmetric tangent polynomial
+        with pytest.raises(ConfigError, match="c_im"):
+            PotentialSpec.from_json_dict(legacy)
 
 
 class TestBoseInvariant:
@@ -77,7 +70,7 @@ class TestBoseInvariant:
 
     def test_matches_complex_fraction_form(self, milson_spec, rng):
         # independent evaluation straight from the +-i pole expansion
-        c = milson_spec.tp.c_complex
+        c = milson_spec.energy_coupling
         for _ in range(20):
             eta = float(rng.normal() * 3)
             eps = float(-rng.uniform(0, 5))

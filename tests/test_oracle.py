@@ -11,14 +11,11 @@ from numpy.testing import assert_allclose
 from rrspectra import darboux, oracle, spectral
 from rrspectra.errors import AmbiguousZero, InsufficientDecay, NonFiniteSamples
 from rrspectra.geometry import PotentialSpec, TangentPolySpec, VariableMap
-from rrspectra.oracle import (
-    Grid1D,
-    adaptive_quadrature,
-    count_sign_changes,
-    lowest_levels,
-)
+from rrspectra.oracle import Grid1D, count_sign_changes, lowest_levels
 from rrspectra.spectral import assemble_eigenfunction, gendenshtein_params
 from rrspectra.verify import oracle_box, oracle_grid_for, verify_spectrum
+
+from quadrature import adaptive_quadrature
 
 
 def harmonic_grid(n=8192):

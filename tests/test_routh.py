@@ -27,6 +27,8 @@ from rrspectra.routh import (
     weight_eval,
 )
 
+from quadrature import adaptive_quadrature
+
 
 def random_indices(rng, count):
     """Random rational complex indices with modest denominators."""
@@ -244,15 +246,19 @@ class TestInnerProduct:
             inner_product(3, 3, WeightParams.of(-2))
 
     def test_orthogonality_battery(self):
-        # orders <= 4 under the pinned weight, real and complex family indices
+        # orders <= 4 under the pinned weight, real and complex family indices:
+        # off-diagonals are exact zeros, diagonals match brute-force quadrature
         for fam in (ComplexIndex.of(-4), ComplexIndex.of(complex(-4, 1.5))):
             w = WeightParams.of(pinned_weight_index(fam))
-            norms = [math.sqrt(inner_product(n, n, w)) for n in range(5)]
-            assert all(v > 0 for v in norms)
             for n in range(5):
+                rn = routh_polynomial(n, fam).poly
+                ref = adaptive_quadrature(lambda e: rn(e) ** 2 * weight_eval(w, e),
+                                          -np.inf, np.inf, tol=1e-10)
+                assert ref > 0
+                assert abs(inner_product(n, n, w) - ref) < 1e-9 * ref
                 for m in range(n + 1, 5):
-                    val = inner_product(n, m, w)
-                    assert abs(val) < 1e-9 * norms[n] * norms[m]
+                    assert inner_product(n, m, w) == 0.0
+                    assert inner_product(m, n, w) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +403,17 @@ class TestExactIsolation:
         for c in (top + 1, -top - 1):
             with pytest.raises(RootOverflow):
                 real_roots([c, 1])
+
+    def test_negative_root_that_rounds_to_zero_keeps_its_sign(self):
+        # one real root near -1e-400, whose correctly rounded double is -0.0
+        (r,) = real_roots([1, 10 ** 400, 0, 1])
+        assert r == 0.0 and math.copysign(1, r) == -1
+        # an exact zero is +0.0; +-half the least subnormal ties to a zero of its sign
+        half = Fraction(5e-324) / 2
+        for p, sign in (([0, 1, 0, 1], 1), ([half, 1], -1), ([-half, 1], 1)):
+            (r,) = real_roots(p)
+            assert r == 0.0 and math.copysign(1, r) == sign, p
+        assert real_roots([3 * half, 1]) == [-1e-323]  # a tie to the even mantissa
 
     def test_counts_match_locations(self, rng):
         for _ in range(40):

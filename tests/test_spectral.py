@@ -14,7 +14,6 @@ from rrspectra.errors import (
     PreconditionViolated,
 )
 from rrspectra.geometry import PotentialSpec, TangentPolySpec
-from rrspectra.oracle import adaptive_quadrature
 from rrspectra.routh import real_roots
 from rrspectra.spectral import (
     EtaSolution,
@@ -32,6 +31,8 @@ from rrspectra.spectral import (
     rcsle_residual,
     stevenson_identity_check,
 )
+
+from quadrature import adaptive_quadrature
 
 
 class TestLambdaBranch:
