@@ -13,7 +13,6 @@ from .geometry import (
     bose_invariant_eval,
     choose_x_max,
     schwarzian_eval,
-    stevenson_xi,
     tangent_eval,
 )
 from .oracle import EigenEstimate, Grid1D, count_sign_changes, lowest_levels
@@ -47,7 +46,6 @@ from .spectral import (
     nodeless_scan,
     pinned_convention,
     quartic_lambda_roots,
-    rcsle_residual,
     stevenson_identity_check,
 )
 from .darboux import (

@@ -287,10 +287,9 @@ def cmd_identities(config: RunConfig, out_dir: str, tol: float) -> int:
 
     spec = config.spec
     spectrum = spectral.enumerate_bound_spectrum(spec)
-    etas = np.linspace(-3.0, 3.0, 13)
     stevenson = {}
     for s in spectrum.states[:4]:
-        stevenson["n=%d" % s.n] = spectral.stevenson_identity_check(spec, s.n, etas)
+        stevenson["n=%d" % s.n] = spectral.stevenson_identity_check(spec, s.n)
     sig = spectral.milson_sigma_rho(spec, -1.0)
     quartic_res = {
         "m=%d" % s.n: spectral.quartic_residual_scale(spec, s.n, s.lam.real)

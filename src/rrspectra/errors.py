@@ -42,7 +42,8 @@ class NoSuchRoot(SpectraError):
 
 
 class ConventionUnresolved(SpectraError):
-    """No candidate index/sign convention drives the residual below the gate."""
+    """A closed form contradicts an exact property of its convention (a bound
+    state's polynomial does not have as many real roots as its level index)."""
 
 
 class NodeDetected(SpectraError):

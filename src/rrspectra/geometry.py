@@ -283,7 +283,3 @@ def choose_x_max(spec: PotentialSpec, threshold: float = 1e-3, margin: float = 1
     x_at = liouville_x(spec.tp, eta)  # the map is odd
     return float(math.ceil((x_at + margin) * 4.0) / 4.0)
 
-
-def stevenson_xi(eta) -> complex:
-    """The linear-fraction variable 2/(1 + i*eta); maps the real line onto |xi-1|=1."""
-    return 2.0 / (1j * np.asarray(eta, dtype=float) + 1.0)

@@ -16,12 +16,22 @@ the root becomes order-independent (the shape-invariant Gendenshtein limit).
 
 Solutions are assembled as gauge * polynomial closed forms
 
-    Phi(eta) = (1+eta^2)^((1-L_R)/2) * exp(s*L_I*atan eta) * R_m^(idx)(eta)
+    Phi(eta) = (1+eta^2)^p * exp(q*atan eta) * R_m^(alpha)(eta),
+    p = (1 - L_R)/2,  q = -L_I,  alpha = 1 - conj(lambda).
 
-where the sign ``s`` and the index map ``idx`` (conjugation and unit shift of
--lambda) are pinned once, empirically, by driving the canonical-equation
-residual below 1e-9; the frozen record is exposed via
-:func:`pinned_convention`.
+This convention is derived, not searched for.  With g = (1+eta^2)^p
+exp(q atan eta) and Phi = g*R, (1+eta^2)^2 (Phi'' + I*Phi)/g is the polynomial
+
+    (1+eta^2)^2 R'' + 2(2p*eta + q)(1+eta^2) R'
+        + [(2p*eta + q)^2 + 2p - 2q*eta - 2p*eta^2 + (1+eta^2)^2 I] R.
+
+Reduced by the canonical Routh equation (:func:`routh.ode_residual`), the R'
+term vanishes exactly when alpha = 2p - i*q, and the rest exactly when lambda
+lies on the order-m quartic with p and q as above.  This is the Liouville
+normal form of the canonical rational equation (Milson, Int. J. Theor. Phys.
+37, 1998; Nikiforov & Uvarov, Special Functions of Mathematical Physics,
+1988).  :func:`pinned_convention` names the resulting record;
+``tests/test_convention.py`` proves the reduction in exact rationals.
 """
 
 from __future__ import annotations
@@ -34,12 +44,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import geometry, oracle
+from . import _exact as ex
+from . import oracle
 from ._exact import to_fraction
 from .errors import (
     BranchUndefined,
     ConventionUnresolved,
-    DegenerateParameter,
     NoSuchRoot,
     PreconditionViolated,
 )
@@ -56,7 +66,6 @@ from .routh import (
     routh_polynomial,
 )
 
-RESIDUAL_GATE = 1e-9  # tested as `not res < RESIDUAL_GATE`, so a NaN residual fails
 THRESHOLD_ENERGY = 1e-10
 
 
@@ -267,88 +276,29 @@ def closed_form_lambda_kappa1(spec: PotentialSpec) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# convention pinning
+# the closed-form convention
 # ---------------------------------------------------------------------------
-
-_CANDIDATES = tuple(
-    (sign, conj, shift)
-    for sign in (-1, +1)
-    for conj in (True, False)
-    for shift in (1, 0)
-)
-
-_PIN: dict | None = None
-
-
-def _candidate_index(lam: complex, conj: bool, shift: int) -> ComplexIndex:
-    base = -(lam.conjugate() if conj else lam)
-    return ComplexIndex.of(base).shifted(shift)
-
-
-def _build_phi(lam: complex, m: int, sign: int, conj: bool, shift: int) -> tuple:
-    idx = _candidate_index(lam, conj, shift)
-    rp = routh_polynomial(m, idx)
-    phi = EtaSolution(0.5 * (1.0 - lam.real), sign * lam.imag, rp.poly)
-    return rp, phi
-
 
 def pinned_convention() -> dict:
-    """The frozen index/sign convention record, selected by residual once.
+    """The index/sign convention of every closed form, as a record.
 
-    Probes a deliberately asymmetric shape-invariant case at order 1 so the
-    conjugation choice is visible, and verifies the winner on a type-d probe.
+    Phi = (1+eta^2)^p exp(q atan eta) R_m^(alpha) solves the canonical
+    equation identically exactly when lambda is on the order-m quartic,
+    p = (1 - L_R)/2, q = -L_I and alpha = 2p - i*q = 1 - conj(lambda) (see the
+    module docstring).  In the record's terms: the atan coefficient is
+    ``sign`` * L_I, and the index is -lambda, ``conjugate``d, plus ``shift``.
     """
-    global _PIN
-    if _PIN is not None:
-        return _PIN
-    spec = gendenshtein_params(2.5, 0.5)
-    qr = quartic_lambda_roots(spec, 1)
-    lam = _lambda_from_root(spec, max(qr.c_candidates))
-    eps = -(lam.real - 1.5) ** 2 / spec.tp.a
-    samples = np.linspace(-6.0, 6.0, 61)
-    best = None
-    for sign, conj, shift in _CANDIDATES:
-        _rp, phi = _build_phi(lam, 1, sign, conj, shift)
-        res = rcsle_residual(spec, eps, phi, samples)
-        if best is None or res < best[0]:
-            best = (res, sign, conj, shift)
-    res, sign, conj, shift = best
-    if not res < RESIDUAL_GATE:
-        raise ConventionUnresolved("best candidate residual %g above gate" % res)
-    lam_d = _lambda_from_root(spec, min(qr.d_roots))
-    eps_d = -(1.5 - lam_d.real) ** 2 / spec.tp.a
-    _rp, phi_d = _build_phi(lam_d, 1, sign, conj, shift)
-    res_d = rcsle_residual(spec, eps_d, phi_d, samples)
-    if not res_d < RESIDUAL_GATE:
-        raise ConventionUnresolved("pinned convention fails the type-d probe: %g" % res_d)
-    _PIN = {
-        "sign": sign,
-        "conjugate": conj,
-        "shift": shift,
-        "probe_residual": res,
-        "probe_residual_type_d": res_d,
-    }
-    return _PIN
+    return {"sign": -1, "conjugate": True, "shift": 1}
 
 
-def _pinned_phi(lam: complex, m: int) -> tuple:
-    pin = pinned_convention()
-    return _build_phi(lam, m, pin["sign"], pin["conjugate"], pin["shift"])
+def _closed_form(lam: complex, m: int) -> tuple:
+    """(R_m^(1 - conj lambda), unnormalized Phi) in the pinned convention.
 
-
-# ---------------------------------------------------------------------------
-# residual oracle
-# ---------------------------------------------------------------------------
-
-def rcsle_residual(spec: PotentialSpec, epsilon: float, phi: EtaSolution, eta_samples) -> float:
-    """max over samples of |Phi'' + I(eta; e) Phi| / (1 + |Phi|), with the
-    exact second derivative ``phi.d2``."""
-    etas = np.asarray(eta_samples, dtype=float)
-    vals = np.asarray(phi(etas), dtype=float)
-    second = np.asarray(phi.d2(etas), dtype=float)
-    inv = geometry.bose_invariant_eval(spec, epsilon, etas)
-    res = np.abs(second + inv * vals) / (1.0 + np.abs(vals))
-    return float(np.max(res))
+    The index is -conj(lambda) shifted by one exactly: 1 - L_R is never
+    rounded, so the Routh coefficients are those of the float lambda.
+    """
+    rp = routh_polynomial(m, ComplexIndex.of(-lam.conjugate()).shifted(1))
+    return rp, EtaSolution(0.5 * (1.0 - lam.real), -lam.imag, rp.poly)
 
 
 # ---------------------------------------------------------------------------
@@ -403,11 +353,8 @@ def enumerate_bound_spectrum(spec: PotentialSpec) -> Spectrum:
             notes.append("order %d: |e| < %g treated as threshold, not bound" % (n, THRESHOLD_ENERGY))
             break
         lam = _lambda_from_root(spec, lam_r)
-        rp, phi = _pinned_phi(lam, n)
+        rp, phi = _closed_form(lam, n)
         phi = _normalize_phi(spec, phi)
-        res = rcsle_residual(spec, energy, phi, np.linspace(-8.0, 8.0, 33))
-        if not res < RESIDUAL_GATE:
-            raise ConventionUnresolved("state n=%d residual %g above gate" % (n, res))
         states.append(BoundState(n=n, energy=energy, lam=lam, poly=rp, phi=phi))
         n += 1
     lam0 = spec.lambda0
@@ -420,15 +367,13 @@ def enumerate_bound_spectrum(spec: PotentialSpec) -> Spectrum:
 
 
 def bound_state(spec: PotentialSpec, n: int) -> BoundState:
-    """The n-th bound state in closed form, after the admissibility check
-    lambda_R > n + 1/2 and the check that its polynomial has exactly n real
-    roots."""
+    """The n-th bound state in closed form, after the exact check that its
+    polynomial has n real roots.  (Admissibility, lambda_R > n + 1/2, is how
+    :func:`enumerate_bound_spectrum` chose the root.)"""
     spectrum = enumerate_bound_spectrum(spec)
     if n >= len(spectrum.states):
         raise NoSuchRoot("no bound state with index %d" % n)
     light = spectrum.states[n]
-    if not (light.lam.real > n + 0.5):
-        raise PreconditionViolated("admissibility lambda_R > n + 1/2 violated")
     n_roots = light.nodes
     if n_roots != n:
         raise ConventionUnresolved(
@@ -475,10 +420,7 @@ def aeh_solution(spec: PotentialSpec, kind: str, m: int, vmap: VariableMap | Non
         lam_r = min(qr.d_roots)
         energy = -((m + 0.5 - lam_r) ** 2) / a
     lam = _lambda_from_root(spec, lam_r)
-    rp, phi = _pinned_phi(lam, m)
-    res = rcsle_residual(spec, energy, phi, np.linspace(-8.0, 8.0, 33))
-    if not res < RESIDUAL_GATE:
-        raise ConventionUnresolved("aeh %s,%d residual %g above gate" % (kind, m, res))
+    rp, phi = _closed_form(lam, m)
     root_count = real_root_count(rp.poly) if rp.poly.degree >= 1 else 0
     psi = None
     x_grid = None
@@ -531,48 +473,44 @@ def milson_sigma_rho(spec: PotentialSpec, epsilon: float) -> SigmaRhoReport:
                           product_identity_dev=float(dev_prod))
 
 
-def _poch(x: complex, n: int) -> complex:
-    out = 1.0 + 0j
-    for j in range(n):
-        out *= x + j
-    return out
-
-
-def stevenson_identity_check(spec: PotentialSpec, n: int, eta_samples) -> float:
-    """Max relative deviation between the truncated hypergeometric solution form
-    and its Routh-polynomial resummation at level n.
+def stevenson_identity_check(spec: PotentialSpec, n: int) -> float:
+    """Largest coefficient deviation between the truncated hypergeometric
+    solution form and its Routh-polynomial resummation at level n.
 
     With xi = 2/(1 + i*eta) and lambda the level-n branch value, the identity
 
         xi^-n F(-n, lambda*-n; 2(lambda_R-n); xi)
             = (-i)^n n! / (2 lambda_R - 2n)_n * R_n^(1-lambda*)(eta)
 
-    holds wherever the lower Pochhammers are nonzero.
+    compares two polynomials in eta, since the left side is one of degree n
+    in 1/xi = (1 + i*eta)/2.  Their coefficients are compared exactly, in
+    Gaussian rationals, so the result is 0.0 when the identity holds.  No
+    Pochhammer (2 lambda_R - 2n)_j vanishes: an admissible root has
+    2(lambda_R - n) > 1.
     """
     qr = quartic_lambda_roots(spec, n)
     if not qr.c_candidates:
         raise NoSuchRoot("no admissible level at n=%d" % n)
     lam = _lambda_from_root(spec, max(qr.c_candidates))
-    c_param = 2.0 * (lam.real - n)
-    for j in range(1, n + 1):
-        if abs(c_param + (j - 1)) < 1e-14:
-            raise DegenerateParameter("denominator Pochhammer vanishes at j=%d" % j)
-    rp = routh_polynomial(n, ComplexIndex.of(1.0 - lam.conjugate()))
-    coeffs = rp.poly.as_floats()[::-1]
-    worst = 0.0
-    for eta in np.asarray(eta_samples, dtype=float):
-        xi = geometry.stevenson_xi(eta)
-        term = 1.0 + 0j
-        acc = 1.0 + 0j
-        for j in range(n):
-            term *= (-n + j) * (lam.conjugate() - n + j) / ((c_param + j) * (j + 1)) * xi
-            acc += term
-        lhs = xi ** (-n) * acc
-        scale = ((-1j) ** n) * math.factorial(n) / _poch(c_param, n)
-        rhs = scale * np.polyval(coeffs, eta)
-        dev = abs(lhs - rhs) / max(1.0, abs(rhs))
-        worst = max(worst, float(dev))
-    return worst
+    rp = _closed_form(lam, n)[0]
+    lam_r, lam_i = to_fraction(lam.real), to_fraction(lam.imag)
+    c_param = 2 * (lam_r - n)
+    lhs = []  # ascending in eta
+    term = ex.C_ONE  # (-n)_j (lambda* - n)_j / ((c)_j j!), the coefficient of xi^j in F
+    for j in range(n + 1):
+        # Horner in 1/xi: lhs <- lhs * (1 + i*eta)/2 + term, with i*(re, im) = (-im, re)
+        lhs = [ex.c_scale(ex.c_add(a, (-b[1], b[0])), Fraction(1, 2))
+               for a, b in zip(lhs + [ex.C_ZERO], [ex.C_ZERO] + lhs)]
+        lhs[0] = ex.c_add(lhs[0], term)
+        term = ex.c_scale(ex.c_mul(term, (lam_r - n + j, -lam_i)),
+                          Fraction(j - n) / ((c_param + j) * (j + 1)))
+    scale = Fraction(math.factorial(n))
+    for j in range(n):
+        scale /= c_param + j
+    unit = ((1, 0), (0, -1), (-1, 0), (0, 1))[n % 4]  # (-i)^n
+    rhs = [ex.c_scale(unit, scale * c) for c in rp.poly.coeffs]
+    rhs += [ex.C_ZERO] * (len(lhs) - len(rhs))
+    return max(math.hypot(float(a[0] - b[0]), float(a[1] - b[1])) for a, b in zip(lhs, rhs))
 
 
 # ---------------------------------------------------------------------------

@@ -129,9 +129,9 @@ def test_criterion_4_polynomial_identity_suite():
         b_g = float(rng.normal())
         spec = gendenshtein_params(a_g, b_g)
         for n in range(7):
-            dev = stevenson_identity_check(spec, n, rng.normal(size=4) * 2)
+            dev = stevenson_identity_check(spec, n)
             stev_worst = max(stev_worst, dev)
-    if stev_worst >= 1e-10:
+    if stev_worst != 0.0:
         failures.append("stevenson %.2e" % stev_worst)
     elapsed = time.monotonic() - t0
     report(
@@ -209,11 +209,24 @@ def test_criterion_9_symmetric_positivity():
         psi = symmetric_irregular_solution(spec, ground - 1.0, vmap)
         worst_min = min(worst_min, float(psi.min()))
         worst_even = max(worst_even, float(np.max(np.abs(psi - psi[::-1]))))
+    # at a type-d energy the even irregular solution is the closed-form seed
+    # phi/sqrt(eta'), so its error must fall at the order of the scheme
+    worst_ratio = math.inf
+    for h0, kap, m in ((8.0, 2.0, 0), (8.0, 2.0, 2), (5.0, 1.5, 2), (8.0, 1.0, 2)):
+        spec = PotentialSpec(h0=h0, tp=TangentPolySpec(1.0, kap))
+        errs = []
+        for n_points in (1025, 2049, 4097):
+            vmap = VariableMap(spec.tp, 16.0, n_points)
+            seed = aeh_solution(spec, "d", m, vmap)
+            psi = symmetric_irregular_solution(spec, seed.energy, vmap)
+            errs.append(float(np.max(np.abs(psi - seed.psi / np.max(seed.psi)))))
+        worst_ratio = min(worst_ratio, errs[0] / errs[1], errs[1] / errs[2])
     report(
         9,
         "symmetric irregular positivity/evenness",
-        worst_min > 0.0 and worst_even < 1e-9,
-        "min %.1e, evenness dev %.1e" % (worst_min, worst_even),
+        worst_min > 0.0 and worst_even < 1e-9 and worst_ratio >= 3.5,
+        "min %.1e, evenness dev %.1e, seed error ratio per halving %.1f"
+        % (worst_min, worst_even, worst_ratio),
     )
 
 

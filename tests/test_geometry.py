@@ -15,7 +15,6 @@ from rrspectra.geometry import (
     choose_x_max,
     potential_of_eta,
     schwarzian_eval,
-    stevenson_xi,
     tangent_eval,
 )
 
@@ -205,14 +204,3 @@ class TestPotential:
         with pytest.raises(OutOfGrid):
             potential_of_eta(gspec, gmap.eta_of_x(gmap.x_max + 1.0))
 
-
-class TestStevensonXi:
-    def test_origin(self):
-        assert stevenson_xi(0.0) == 2.0 + 0j
-
-    def test_decays_at_infinity(self):
-        assert abs(stevenson_xi(1e9)) < 1e-8
-
-    def test_image_circle(self, rng):
-        for eta in rng.normal(size=20) * 5:
-            assert_allclose(abs(stevenson_xi(eta) - 1.0), 1.0, rtol=1e-12)

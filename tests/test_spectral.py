@@ -8,13 +8,13 @@ from numpy.testing import assert_allclose
 
 from rrspectra.errors import (
     BranchUndefined,
-    DegenerateParameter,
     NoSuchRoot,
     NotConverged,
     PreconditionViolated,
 )
 from rrspectra.geometry import PotentialSpec, TangentPolySpec
-from rrspectra.routh import real_roots
+from rrspectra import spectral
+from rrspectra.routh import ComplexIndex, real_roots, routh_polynomial
 from rrspectra.spectral import (
     EtaSolution,
     aeh_solution,
@@ -28,11 +28,11 @@ from rrspectra.spectral import (
     pinned_convention,
     quartic_lambda_roots,
     quartic_residual_scale,
-    rcsle_residual,
     stevenson_identity_check,
 )
 
 from quadrature import adaptive_quadrature
+from residual import rcsle_residual
 
 
 class TestLambdaBranch:
@@ -128,10 +128,8 @@ class TestEnumeration:
 
 class TestConventionPinning:
     def test_record(self):
-        pin = pinned_convention()
-        assert pin["sign"] == -1 and pin["conjugate"] is True and pin["shift"] == 1
-        assert pin["probe_residual"] < 1e-9
-        assert pin["probe_residual_type_d"] < 1e-9
+        # derived, not searched: tests/test_convention.py proves this record
+        assert pinned_convention() == {"sign": -1, "conjugate": True, "shift": 1}
 
 
 class TestEigenfunctions:
@@ -256,11 +254,18 @@ class TestAehSolutions:
         with pytest.raises(NoSuchRoot):
             aeh_solution(gspec, "c", 9)
 
-    def test_residual_gate_for_both_kinds(self, gspec):
-        for kind, m in (("c", 1), ("d", 2)):
-            sol = aeh_solution(gspec, kind, m)
-            res = rcsle_residual(gspec, sol.energy, sol.phi, np.linspace(-6, 6, 25))
-            assert res < 1e-9
+    def test_residual_gate_for_both_kinds(self, gspec, milson_spec):
+        # the sampled float cross-check of the derived convention: every bound
+        # state and every type-d solution up to order 4, on the samples of the
+        # former run-time gate
+        etas = np.linspace(-8.0, 8.0, 33)
+        for spec in (gspec, milson_spec):
+            sols = list(enumerate_bound_spectrum(spec).states)
+            sols += [aeh_solution(spec, "d", m) for m in range(5)]
+            assert len(sols) >= 8
+            for sol in sols:
+                res = rcsle_residual(spec, sol.energy, sol.phi, etas)
+                assert res < 1e-9, (sol, res)
 
 
 class TestNamedPotentials:
@@ -299,23 +304,31 @@ class TestSigmaRho:
 
 class TestStevensonIdentity:
     def test_order_zero_trivial(self, gspec):
-        assert stevenson_identity_check(gspec, 0, [-1.0, 0.0, 2.0]) == 0.0
+        assert stevenson_identity_check(gspec, 0) == 0.0
 
     def test_order_one_reference_case(self, gspec):
         # lambda = 3 + 0.5i at every level for this member
-        assert stevenson_identity_check(gspec, 1, [-2.0, 0.0, 1.0]) < 1e-10
+        assert stevenson_identity_check(gspec, 1) == 0.0
 
     def test_order_two_random_members(self, rng):
         for _ in range(5):
             a_g = float(rng.uniform(2.2, 4.0))
             b_g = float(rng.normal() * 0.8)
             spec = gendenshtein_params(a_g, b_g)
-            etas = rng.normal(size=5) * 2
-            assert stevenson_identity_check(spec, 2, etas) < 1e-10
+            assert stevenson_identity_check(spec, 2) == 0.0
 
     def test_milson_levels(self, milson_spec):
         for n in range(3):
-            assert stevenson_identity_check(milson_spec, n, [-1.5, 0.3, 2.0]) < 1e-10
+            assert stevenson_identity_check(milson_spec, n) == 0.0
+
+    def test_wrong_index_is_detected(self, gspec, monkeypatch):
+        # R_n at the unshifted index -conj(lambda) breaks the identity
+        def unshifted(lam, m):
+            return (routh_polynomial(m, ComplexIndex.of(-lam.conjugate())), None)
+
+        monkeypatch.setattr(spectral, "_closed_form", unshifted)
+        for n in (1, 2):
+            assert stevenson_identity_check(gspec, n) > 1e-3
 
 
 class TestNodelessScan:
@@ -340,8 +353,8 @@ class TestNodelessScan:
 
 class TestStevensonDegenerate:
     def test_degenerate_parameter_path(self):
-        # engineered so 2(lambda_R - n) hits a nonpositive integer is impossible
-        # for admissible roots; inadmissible request surfaces as NoSuchRoot
+        # 2(lambda_R - n) > 1 for every admissible root, so no Pochhammer in
+        # it can vanish; an inadmissible request surfaces as NoSuchRoot
         spec = gendenshtein_params(0.3, 0.0)
-        with pytest.raises((DegenerateParameter, NoSuchRoot)):
-            stevenson_identity_check(spec, 3, [0.0])
+        with pytest.raises(NoSuchRoot):
+            stevenson_identity_check(spec, 3)
