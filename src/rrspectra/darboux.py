@@ -5,7 +5,9 @@ V into the partner V - 2 (ln ff)'' which is isospectral except at e_f:
 an irregular (type-d) seed inserts a new level there, the ground state
 erases its own.  All logarithmic derivatives are evaluated through closed
 forms in eta chained through the analytic eta'(eta); finite differences
-appear only in tests.
+appear only in tests.  Positive even irregular solutions of symmetric
+members come from the oracle's 3-point scheme: O(h^2) accurate, and refused
+just under the analytic ground level, above the discrete one.
 """
 
 from __future__ import annotations
@@ -108,42 +110,17 @@ def write_partner_csv(grid: PartnerPotentialGrid, path) -> None:
 # positive even irregular solutions of symmetric members
 # ---------------------------------------------------------------------------
 
-def _propagate_log(v: np.ndarray, e: float, dx: float) -> np.ndarray:
-    """Numerov sweep of y'' = (V-e) y from the left with growing initial data,
-    carried in log form; raises if the propagated solution changes sign."""
-    t = (dx * dx / 12.0) * (v - e)
-    n = len(v)
-    kappa = math.sqrt(max(-e, 1e-300))
-    prev, cur = 1.0, math.exp(min(kappa * dx, 1.0))
-    logs = np.empty(n)
-    shift = 0.0
-    logs[0] = 0.0
-    logs[1] = math.log(cur) if cur > 0 else -math.inf
-    for i in range(1, n - 1):
-        nxt = ((2.0 + 10.0 * t[i]) * cur - (1.0 - t[i - 1]) * prev) / (1.0 - t[i + 1])
-        if nxt <= 0.0:
-            raise PreconditionViolated(
-                "left-regular solution loses positivity at index %d" % (i + 1)
-            )
-        if nxt > 1e250:
-            scale = nxt
-            prev = cur / scale
-            nxt = 1.0
-            shift += math.log(scale)
-        else:
-            prev = cur
-        cur = nxt
-        logs[i + 1] = math.log(cur) + shift
-    return logs
-
-
 def symmetric_irregular_solution(spec: PotentialSpec, epsilon: float, vmap: VariableMap) -> np.ndarray:
     """Positive even solution irregular at both ends, for a symmetric member.
 
-    Builds the solution regular at the left end by Numerov integration,
-    verifies it stays positive, and symmetrizes: psi_d(x) = psi_a(x) +
-    psi_a(-x).  Requires Im(h0) = 0 and a factorization energy strictly below
-    the ground level.  Returns max-normalized samples on the map grid.
+    Runs the oracle's 3-point scheme from the left (psi_0 = 0, psi_1 = 1):
+    the ratios r_i = psi_(i+1)/psi_i = h^2 (V_i - epsilon) + 2 - 1/r_(i-1)
+    are h^2 times the LDL^T pivots of :func:`oracle._sturm_count`, so psi_a
+    stays positive exactly when no discrete level lies below epsilon, and
+    log psi_a sums log r_i.  Returns psi_a(x) + psi_a(-x), max-normalized on
+    the map grid, accurate to O(h^2).  Requires Im(h0) = 0 and 0 > epsilon
+    below the analytic ground level; an epsilon above the discrete ground
+    level, which lies O(h^2) lower, raises :class:`PreconditionViolated`.
     """
     if spec.h0.imag != 0.0:
         raise PreconditionViolated("construction requires a symmetric potential")
@@ -156,8 +133,16 @@ def symmetric_irregular_solution(spec: PotentialSpec, epsilon: float, vmap: Vari
     if epsilon >= 0.0:
         raise PreconditionViolated("factorization energy must be negative")
     v = geometry.potential_of_eta(spec, vmap.eta_grid)
-    dx = vmap.x_grid[1] - vmap.x_grid[0]
-    log_a = _propagate_log(v, epsilon, dx)
+    h = vmap.x_grid[1] - vmap.x_grid[0]
+    ratios = []
+    r = math.inf
+    for i, d in enumerate((h * h * (v[1:-1] - epsilon) + 2.0).tolist(), start=1):
+        r = d - 1.0 / r
+        if r <= 0.0:
+            raise PreconditionViolated(
+                "left-regular solution loses positivity at index %d" % (i + 1)
+            )
+        ratios.append(r)
+    log_a = np.concatenate(([-math.inf, 0.0], np.cumsum(np.log(ratios))))
     log_d = np.logaddexp(log_a, log_a[::-1])
-    psi_d = np.exp(log_d - np.max(log_d))
-    return psi_d
+    return np.exp(log_d - np.max(log_d))

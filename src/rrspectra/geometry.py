@@ -230,9 +230,6 @@ class VariableMap:
             raise StepFailure("variable-map inversion gave a non-finite eta")
         return float(eta) if eta.ndim == 0 else eta
 
-    def x_of_eta(self, eta):
-        return liouville_x(self.tp, eta)
-
     def deriv(self, eta):
         """Closed-form eta'(eta) = (1+eta^2)/sqrt(T(eta))."""
         eta = np.asarray(eta, dtype=float)

@@ -40,10 +40,6 @@ class Grid1D(_GridFields):
         return super().__new__(cls, x_min, x_max, n, values)
 
     @property
-    def xs(self) -> np.ndarray:
-        return np.linspace(self.x_min, self.x_max, self.n)
-
-    @property
     def dx(self) -> float:
         return (self.x_max - self.x_min) / (self.n - 1)
 

@@ -19,7 +19,8 @@ Floats otherwise appear only in evaluation.
 Two empirically pinned facts about the family are exposed and tested here:
 
 * the Rodrigues-type generator with weight index ``alpha`` produces
-  ``2^m m! * R_m^(alpha* + 1)``, and
+  ``2^m m! * R_m^(alpha* + 1)``, so its record carries the family index
+  ``alpha* + 1`` and satisfies the one canonical equation, and
 * the orthogonality weight for the family at index ``alpha`` is the generating
   weight at index ``alpha* - 1`` (one unit *lower* than the family index).
 """
@@ -137,7 +138,6 @@ class RouthPolynomial(NamedTuple):
     order: int
     index: ComplexIndex
     poly: RealPolynomial
-    convention: str  # "canonical-sum" | "rodrigues"
 
     @property
     def degenerate(self) -> bool:
@@ -266,12 +266,7 @@ def _routh_cached(m: int, alpha: ComplexIndex) -> RouthPolynomial:
                 "coefficient of eta^%d has imaginary part %s" % (j, im)
             )
         real_coeffs.append(re)
-    return RouthPolynomial(
-        order=m,
-        index=alpha,
-        poly=RealPolynomial.from_coeffs(real_coeffs),
-        convention="canonical-sum",
-    )
+    return RouthPolynomial(order=m, index=alpha, poly=RealPolynomial.from_coeffs(real_coeffs))
 
 
 def routh_polynomial(m: int, alpha) -> RouthPolynomial:
@@ -287,7 +282,8 @@ def routh_rodrigues(m: int, alpha) -> RouthPolynomial:
     Computes w^-1 d^m/deta^m [(1+eta^2)^m w] with w the generating weight at
     index ``alpha``, by exact symbolic differentiation.  The result is
     2^m m! times the canonical polynomial at index ``alpha* + 1`` (the unit
-    index offset between the two generators is pinned by the test suite).
+    index offset between the two generators is pinned by the test suite), so
+    the record is labelled with that family index.
     """
     if m < 0:
         raise ValueError("order must be nonnegative")
@@ -301,12 +297,7 @@ def routh_rodrigues(m: int, alpha) -> RouthPolynomial:
         term = ex.rp_mul(dp, [Fraction(1), Fraction(0), Fraction(1)])
         lin = [two_ai, two_ar + 2 * k]
         p = ex.rp_add(term, ex.rp_mul(lin, p))
-    return RouthPolynomial(
-        order=m,
-        index=a,
-        poly=RealPolynomial.from_coeffs(p),
-        convention="rodrigues",
-    )
+    return RouthPolynomial(order=m, index=a.conjugate().shifted(1), poly=RealPolynomial.from_coeffs(p))
 
 
 def routh_hypergeometric_eval(m: int, alpha, eta: float) -> float:
@@ -354,32 +345,20 @@ def ode_residual(p: RouthPolynomial) -> RealPolynomial:
     """Residual of the real-line hypergeometric-type equation for ``p``.
 
     The equation, obtained from the complex-index Jacobi equation under the
-    imaginary-axis substitution, reads for the canonical convention
+    imaginary-axis substitution, reads at the family index alpha = aR + i aI
 
-        (1+eta^2) R'' + 2(aR*eta - aI) R' - m(m + 2aR - 1) R = 0
+        (1+eta^2) R'' + 2(aR*eta - aI) R' - m(m + 2aR - 1) R = 0.
 
-    and for the Rodrigues convention (index offset alpha -> alpha* + 1)
-
-        (1+eta^2) R'' + 2((aR+1)*eta + aI) R' - m(m + 2aR + 1) R = 0.
-
-    Returns the residual polynomial, exactly; it must be identically zero.
+    Rodrigues records carry their family index alpha* + 1, so the same
+    equation covers them.  Returns the residual polynomial, exactly; it must
+    be identically zero.
     """
-    a = p.index
+    a, m = p.index, p.order
     r = list(p.poly.coeffs)
     d1 = ex.rp_diff(r)
-    d2 = ex.rp_diff(d1)
-    m = p.order
-    if p.convention == "canonical-sum":
-        lin = [-2 * a.im, 2 * a.re]
-        eig = Fraction(m) * (m + 2 * a.re - 1)
-    elif p.convention == "rodrigues":
-        lin = [2 * a.im, 2 * a.re + 2]
-        eig = Fraction(m) * (m + 2 * a.re + 1)
-    else:
-        raise ValueError("unknown convention %r" % p.convention)
-    res = ex.rp_mul(d2, [Fraction(1), Fraction(0), Fraction(1)])
-    res = ex.rp_add(res, ex.rp_mul(lin, d1))
-    res = ex.rp_add(res, ex.rp_scale(r, -eig))
+    res = ex.rp_mul(ex.rp_diff(d1), [1, 0, 1])
+    res = ex.rp_add(res, ex.rp_mul([-2 * a.im, 2 * a.re], d1))
+    res = ex.rp_add(res, ex.rp_scale(r, -m * (m + 2 * a.re - 1)))
     return RealPolynomial.from_coeffs(res)
 
 

@@ -59,11 +59,13 @@ from .routh import (
     RealPolynomial,
     RouthPolynomial,
     cauchy_beta_ratios,
+    discriminant_order2,
     integer_product,
     log_cauchy_beta,
     real_root_count,
     real_roots,
     routh_polynomial,
+    theorem_root_count,
 )
 
 THRESHOLD_ENERGY = 1e-10
@@ -139,9 +141,6 @@ class EtaSolution:
         r1 = np.polyval(self._c1, eta) / r0
         r2 = np.polyval(self._c2, eta) / r0
         return u + r1, (u * u + self._du(eta)) + 2.0 * u * r1 + r2
-
-    def with_extra_factor(self, factor: RealPolynomial) -> "EtaSolution":
-        return EtaSolution(self.power, self.atan_coeff, self.poly * factor, self.scale)
 
 
 class BoundState(NamedTuple):
@@ -532,8 +531,6 @@ def nodeless_threshold_b2(a_g: float) -> float:
 
 
 def _scan_cell(a_g: float, b_g: float, m: int) -> ScanCell:
-    from .routh import discriminant_order2, theorem_root_count
-
     spec = gendenshtein_params(a_g, b_g)
     try:
         sol = aeh_solution(spec, "d", m)

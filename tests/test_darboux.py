@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rrspectra import geometry, oracle
 from rrspectra.darboux import (
     FactorizationFunction,
     log_second_derivative,
@@ -103,6 +104,27 @@ class TestSymmetricIrregular:
         spec, vmap, ground = sym_setup
         psi = symmetric_irregular_solution(spec, ground - 1.0, vmap)
         assert np.max(np.abs(psi - psi[::-1])) < 1e-9
+
+    def test_positive_exactly_when_no_discrete_level_below(self, sym_setup):
+        # the ratios psi_(i+1)/psi_i are h^2 times the oracle's LDL^T pivots,
+        # so a solution exists exactly when the Sturm count at epsilon is 0;
+        # the discrete ground level lies O(h^2) below the analytic one
+        spec, vmap, ground = sym_setup
+        v = geometry.potential_of_eta(spec, vmap.eta_grid)
+        dx = vmap.x_grid[1] - vmap.x_grid[0]
+        outcomes = set()
+        for k in range(10):
+            eps = ground - 10.0 ** -k
+            below = oracle._sturm_count(v, dx, eps)
+            try:
+                psi = symmetric_irregular_solution(spec, eps, vmap)
+            except PreconditionViolated:
+                assert below > 0, k
+                outcomes.add("refused")
+            else:
+                assert below == 0 and psi.min() > 0.0, k
+                outcomes.add("built")
+        assert outcomes == {"built", "refused"}
 
     def test_rejects_energy_above_ground(self, sym_setup):
         spec, vmap, ground = sym_setup

@@ -147,6 +147,7 @@ class TestRodrigues:
                 can = routh_polynomial(m, a.conjugate().shifted(1))
                 scale = Fraction(2 ** m * math.factorial(m))
                 assert rod.poly.coeffs == tuple(scale * c for c in can.poly.coeffs)
+                assert rod.index == a.conjugate().shifted(1)
 
 
 # ---------------------------------------------------------------------------

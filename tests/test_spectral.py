@@ -217,7 +217,9 @@ class TestResidualOracle:
 
         s = enumerate_bound_spectrum(gspec)
         st = s.states[0]
-        bad = st.phi.with_extra_factor(RealPolynomial.from_coeffs([1, 0.01]))
+        phi = st.phi
+        bad = EtaSolution(phi.power, phi.atan_coeff,
+                          phi.poly * RealPolynomial.from_coeffs([1, 0.01]), phi.scale)
         res = rcsle_residual(gspec, st.energy, bad, np.linspace(-8, 8, 41))
         assert res > 1e-4
 
