@@ -33,9 +33,7 @@ from .routh import (
     weight_eval,
 )
 from .spectral import (
-    AehSolution,
-    BoundState,
-    LambdaBranch,
+    ClosedForm,
     Spectrum,
     aeh_solution,
     assemble_eigenfunction,

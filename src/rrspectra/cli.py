@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
@@ -41,6 +42,20 @@ def _require(cond, msg):
         raise ConfigError(msg)
 
 
+def _number(value, what: str, integral: bool = False):
+    """``value`` as a finite float, or as an int when ``integral``; anything
+    else (inf, NaN, a fraction for an integer, a non-number) is a config error."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = math.nan
+    _require(math.isfinite(x), "%s must be a finite number, got %r" % (what, value))
+    if not integral:
+        return x
+    _require(x.is_integer(), "%s must be an integer, got %r" % (what, value))
+    return int(value) if isinstance(value, int) else int(x)
+
+
 class RunConfig:
     def __init__(self, raw: dict):
         _require(isinstance(raw, dict), "config root must be a JSON object")
@@ -51,23 +66,27 @@ class RunConfig:
         kind, params = next(iter(pot.items()))
         _require(kind in ("gendenshtein", "milson"), "unknown potential kind %r" % kind)
         _require(isinstance(params, dict), "potential parameters must be an object")
+
+        def field(key, default=None):
+            value = params[key] if default is None else params.get(key, default)
+            return _number(value, "%s '%s'" % (kind, key))
+
         try:
             if kind == "gendenshtein":
-                a = float(params["a"])
-                b = float(params.get("b", 0.0))
+                a = field("a")
+                b = field("b", 0.0)
                 _require(a > 0, "gendenshtein 'a' must be positive")
                 self.spec = spectral.gendenshtein_params(a, b)
             else:
-                h0 = complex(float(params["h0_re"]), float(params.get("h0_im", 0.0)))
-                kap = float(params["kappa_plus"])
-                lead = float(params.get("a", 1.0))
-                self.spec = PotentialSpec(h0=h0, tp=TangentPolySpec(a=lead, kappa_plus=kap))
+                h0 = complex(field("h0_re"), field("h0_im", 0.0))
+                tp = TangentPolySpec(a=field("a", 1.0), kappa_plus=field("kappa_plus"))
+                self.spec = PotentialSpec(h0=h0, tp=tp)
         except KeyError as exc:
             raise ConfigError("missing potential field %s" % exc) from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError("invalid potential parameters: %s" % exc) from exc
         if "O00" in params:
-            declared = float(params["O00"])
+            declared = field("O00")
             if abs(declared - self.spec.o00) > 1e-9 * max(1.0, abs(declared)):
                 raise ConfigError(
                     "declared O00=%g violates the decay constraint 2*h0_re + 1 = %g"
@@ -75,8 +94,8 @@ class RunConfig:
                 )
         grid = raw.get("grid", {})
         _require(isinstance(grid, dict), "'grid' must be an object")
-        self.x_max = float(grid["x_max"]) if "x_max" in grid else None
-        self.n = int(grid["n"]) if "n" in grid else None
+        self.x_max = _number(grid["x_max"], "grid 'x_max'") if "x_max" in grid else None
+        self.n = _number(grid["n"], "grid 'n'", integral=True) if "n" in grid else None
         if self.x_max is not None:
             _require(self.x_max > 0, "grid x_max must be positive")
         if self.n is not None:
@@ -86,15 +105,15 @@ class RunConfig:
         scan = self.raw.get("scan")
         _require(isinstance(scan, dict), "scan command needs a 'scan' block")
         try:
-            a_range = [float(v) for v in scan["a_range"]]
-            b_range = [float(v) for v in scan["b_range"]]
-            _require(len(a_range) == 2 and a_range[0] < a_range[1], "malformed a_range")
-            _require(len(b_range) == 2 and b_range[0] <= b_range[1], "malformed b_range")
-            m = int(scan.get("m", 2))
-            na = int(scan.get("na", 16))
-            nb = int(scan.get("nb", 16))
-        except (KeyError, TypeError, ValueError) as exc:
+            a_range = [_number(v, "scan 'a_range'") for v in scan["a_range"]]
+            b_range = [_number(v, "scan 'b_range'") for v in scan["b_range"]]
+        except (KeyError, TypeError) as exc:
             raise ConfigError("malformed scan block: %s" % exc) from exc
+        _require(len(a_range) == 2 and a_range[0] < a_range[1], "malformed a_range")
+        _require(len(b_range) == 2 and b_range[0] <= b_range[1], "malformed b_range")
+        m = _number(scan.get("m", 2), "scan 'm'", integral=True)
+        na = _number(scan.get("na", 16), "scan 'na'", integral=True)
+        nb = _number(scan.get("nb", 16), "scan 'nb'", integral=True)
         _require(m >= 2 and m % 2 == 0, "scan order m must be even and >= 2")
         _require(na >= 2 and nb >= 2, "scan resolutions must be >= 2")
         return a_range, b_range, m, na, nb
@@ -104,10 +123,7 @@ class RunConfig:
         _require(isinstance(part, dict), "partner command needs a 'partner' block")
         kind = part.get("kind", "d")
         _require(kind in ("c", "d"), "partner kind must be 'c' or 'd'")
-        try:
-            m = int(part.get("m", 0))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("malformed partner block: %s" % exc) from exc
+        m = _number(part.get("m", 0), "partner 'm'", integral=True)
         _require(m >= 0, "partner order must be nonnegative")
         return kind, m
 

@@ -21,33 +21,28 @@ from . import geometry
 from .errors import NodeDetected, PreconditionViolated
 from .geometry import PotentialSpec, VariableMap
 from .routh import real_root_count
-from .spectral import AehSolution, BoundState, EtaSolution, enumerate_bound_spectrum
+from .spectral import EtaSolution, enumerate_bound_spectrum
 
 
 _NODED = "factorization polynomial has real zeros"
 
 
 class FactorizationFunction(NamedTuple):
-    """A closed-form solution used as a Darboux seed."""
+    """A closed-form solution used as a Darboux seed.  ``kind`` is the
+    seed's: "c" (a bound state) erases its level, "d" inserts one."""
 
     phi: EtaSolution
     energy: float
-    source: object = None
+    kind: str = "d"
 
     @classmethod
     def from_solution(cls, sol) -> "FactorizationFunction":
-        """The seed ``sol``, rejected with :class:`NodeDetected` when its
-        polynomial has real zeros (by its exact root count), before any grid
-        is built for it."""
-        if isinstance(sol, AehSolution):
-            nodes = sol.root_count
-        elif isinstance(sol, BoundState):
-            nodes = sol.nodes
-        else:
-            raise TypeError("expected an AehSolution or BoundState")
-        if nodes:
+        """The :class:`~rrspectra.spectral.ClosedForm` ``sol``, rejected with
+        :class:`NodeDetected` when its polynomial has real zeros (by its
+        stored exact count), before any grid is built for it."""
+        if sol.nodes:
             raise NodeDetected(_NODED)
-        return cls(phi=sol.phi, energy=sol.energy, source=sol)
+        return cls(phi=sol.phi, energy=sol.energy, kind=sol.kind)
 
 
 class PartnerPotentialGrid(NamedTuple):
@@ -89,13 +84,12 @@ def partner_potential(spec: PotentialSpec, ff: FactorizationFunction, vmap: Vari
         raise NodeDetected("factorization function changes sign on the grid")
     v_parent = geometry.potential_of_eta(spec, etas)
     v_partner = v_parent - 2.0 * log_second_derivative(spec.tp, ff.phi, etas)
-    mode = "erase" if isinstance(ff.source, BoundState) else "insert"
     return PartnerPotentialGrid(
         x=vmap.x_grid.copy(),
         v_parent=v_parent,
         v_partner=v_partner,
         energy_tag=ff.energy,
-        mode=mode,
+        mode="erase" if ff.kind == "c" else "insert",
     )
 
 

@@ -79,6 +79,8 @@ class PotentialSpec(_PotentialFields):
 
     def __new__(cls, h0: complex, tp: TangentPolySpec):
         h0 = complex(h0)
+        if not (math.isfinite(h0.real) and math.isfinite(h0.imag)):
+            raise ValueError("h0 must be finite")
         lam = np.sqrt(complex(h0 + 1.0))
         if not (lam.real > 0):
             raise ValueError("Re sqrt(h0+1) must be positive")

@@ -222,16 +222,11 @@ def count_sign_changes(f, xs, zero_tol: float = 1e-12) -> int:
     crossing between definite samples is located by local bisection, which
     confirms the bracket does not hide a sub-tolerance plateau.
 
-    ``f`` is called once on the whole sample array when it accepts one and
-    returns one value per sample; otherwise it is called per sample.
+    ``f`` is called once on the whole sample array, and on single points
+    while a crossing is bisected.
     """
     xs = np.asarray(xs, dtype=float)
-    try:
-        vals = np.asarray(f(xs), dtype=float)
-    except (TypeError, ValueError):
-        vals = None
-    if vals is None or vals.shape != xs.shape:
-        vals = np.asarray([f(x) for x in xs], dtype=float)
+    vals = np.asarray(f(xs), dtype=float)
     tiny = np.abs(vals) <= zero_tol
     if np.any(tiny[1:] & tiny[:-1]):
         raise AmbiguousZero("|f| <= %g over an interval of samples" % zero_tol)

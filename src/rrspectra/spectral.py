@@ -75,11 +75,6 @@ THRESHOLD_ENERGY = 1e-10
 # domain types
 # ---------------------------------------------------------------------------
 
-class LambdaBranch(NamedTuple):
-    value: complex
-    energy: float
-
-
 class QuarticRoots(NamedTuple):
     """Classified real roots of the order-m quartic."""
 
@@ -143,41 +138,39 @@ class EtaSolution:
         return u + r1, (u * u + self._du(eta)) + 2.0 * u * r1 + r2
 
 
-class BoundState(NamedTuple):
+class ClosedForm(NamedTuple):
+    """An order-n solution from :func:`_solution`: a bound state (kind "c") or
+    a type-d companion.  ``nodes`` counts the real roots of ``poly`` exactly;
+    ``psi`` and ``x_grid`` are set by :meth:`sampled`."""
+
+    kind: str  # "c" | "d"
     n: int
     energy: float
     lam: complex
     poly: RouthPolynomial
-    phi: EtaSolution
-    psi: np.ndarray | None = None
-    x_grid: np.ndarray | None = None
-
-    @property
-    def nodes(self) -> int:
-        return real_root_count(self.poly.poly)
-
-
-class AehSolution(NamedTuple):
-    kind: str  # "c" | "d"
-    m: int
-    energy: float
-    lam: complex
-    poly: RouthPolynomial
-    root_count: int  # real roots of the polynomial factor, with multiplicity
+    nodes: int
     phi: EtaSolution
     psi: np.ndarray | None = None
     x_grid: np.ndarray | None = None
 
     @property
     def nodeless(self) -> bool:
-        return self.root_count == 0
+        return self.nodes == 0
+
+    def sampled(self, vmap: VariableMap) -> "ClosedForm":
+        """This solution with psi = (eta')^(-1/2) Phi(eta(x)) on the map grid."""
+        etas = vmap.eta_grid
+        return self._replace(psi=self.phi(etas) / np.sqrt(vmap.deriv(etas)), x_grid=vmap.x_grid)
 
 
 class Spectrum(NamedTuple):
     states: tuple
-    n_max_constructive: int
     n_max_formula: int
     notes: tuple = ()
+
+    @property
+    def n_max_constructive(self) -> int:
+        return len(self.states)
 
     @property
     def formula_consistent(self) -> bool:
@@ -210,7 +203,7 @@ class Spectrum(NamedTuple):
 # branch and quartic
 # ---------------------------------------------------------------------------
 
-def lambda_of_energy(spec: PotentialSpec, epsilon: float) -> LambdaBranch:
+def lambda_of_energy(spec: PotentialSpec, epsilon: float) -> complex:
     """lambda(e) = sqrt(h0 + 1 - c*e) on the branch Re(lambda) > 0."""
     arg = spec.h0 + 1.0 - spec.energy_coupling * epsilon
     if arg == 0:
@@ -218,7 +211,7 @@ def lambda_of_energy(spec: PotentialSpec, epsilon: float) -> LambdaBranch:
     lam = cmath.sqrt(arg)
     if lam.real < 0:
         lam = -lam
-    return LambdaBranch(value=lam, energy=epsilon)
+    return lam
 
 
 def _quartic_coeffs(spec: PotentialSpec, m: int) -> list:
@@ -259,11 +252,6 @@ def quartic_lambda_roots(spec: PotentialSpec, m: int) -> QuarticRoots:
         c_candidates=tuple(r for r in roots if r > half),
         d_roots=tuple(r for r in roots if r < 0),
     )
-
-
-def _lambda_from_root(spec: PotentialSpec, lam_r: float) -> complex:
-    lam_i = spec.h0.imag / (2.0 * lam_r) if spec.h0.imag != 0.0 else 0.0
-    return complex(lam_r, lam_i)
 
 
 def closed_form_lambda_kappa1(spec: PotentialSpec) -> tuple:
@@ -327,18 +315,34 @@ def _normalize_phi(spec: PotentialSpec, phi: EtaSolution) -> EtaSolution:
     return EtaSolution(phi.power, phi.atan_coeff, phi.poly, phi.scale / math.sqrt(norm2))
 
 
+def _solution(spec: PotentialSpec, kind: str, qr: QuarticRoots) -> ClosedForm:
+    """The unnormalized order-m solution of ``kind``: type c on the largest
+    admissible root, type d on the most negative one, both at
+    e = -(m + 1/2 - lambda_R)^2 / a.  The node count is taken here, once."""
+    m = qr.order
+    roots = qr.c_candidates if kind == "c" else qr.d_roots
+    if not roots:
+        raise NoSuchRoot("no type-%s root at order %d" % (kind, m))
+    lam_r = max(roots) if kind == "c" else min(roots)
+    lam = complex(lam_r, spec.h0.imag / (2.0 * lam_r) if spec.h0.imag != 0.0 else 0.0)
+    rp, phi = _closed_form(lam, m)
+    return ClosedForm(
+        kind=kind, n=m, energy=-((m + 0.5 - lam_r) ** 2) / spec.tp.a, lam=lam,
+        poly=rp, nodes=real_root_count(rp.poly), phi=phi,
+    )
+
+
 @lru_cache(maxsize=64)
 def enumerate_bound_spectrum(spec: PotentialSpec) -> Spectrum:
     """Constructive bound-state enumeration: walk n upward until no root fits.
 
-    For each n the quartic at order n is solved exactly; an admissible root
-    must exceed n + 1/2 and yields e_n = -(lambda_R - n - 1/2)^2 / a.  The
-    closed-form level-count (floor of Re lambda0, read as a maximal index) is
-    recorded alongside for comparison but never drives the loop.
+    State n is the normalized type-c solution of order n (:func:`_solution`):
+    its root exceeds n + 1/2, and |e| < ``THRESHOLD_ENERGY`` ends the walk.
+    The closed-form level-count (floor of Re lambda0, read as a maximal
+    index) is recorded alongside for comparison but never drives the loop.
     """
     notes = []
     states = []
-    a = spec.tp.a
     n = 0
     while True:
         qr = quartic_lambda_roots(spec, n)
@@ -346,59 +350,38 @@ def enumerate_bound_spectrum(spec: PotentialSpec) -> Spectrum:
             break
         if len(qr.c_candidates) > 1:
             notes.append("order %d: %d admissible roots; kept the largest" % (n, len(qr.c_candidates)))
-        lam_r = max(qr.c_candidates)
-        energy = -((lam_r - n - 0.5) ** 2) / a
-        if abs(energy) < THRESHOLD_ENERGY:
+        state = _solution(spec, "c", qr)
+        if abs(state.energy) < THRESHOLD_ENERGY:
             notes.append("order %d: |e| < %g treated as threshold, not bound" % (n, THRESHOLD_ENERGY))
             break
-        lam = _lambda_from_root(spec, lam_r)
-        rp, phi = _closed_form(lam, n)
-        phi = _normalize_phi(spec, phi)
-        states.append(BoundState(n=n, energy=energy, lam=lam, poly=rp, phi=phi))
+        states.append(state._replace(phi=_normalize_phi(spec, state.phi)))
         n += 1
-    lam0 = spec.lambda0
     return Spectrum(
         states=tuple(states),
-        n_max_constructive=len(states),
-        n_max_formula=math.floor(lam0.real),
+        n_max_formula=math.floor(spec.lambda0.real),
         notes=tuple(notes),
     )
 
 
-def bound_state(spec: PotentialSpec, n: int) -> BoundState:
-    """The n-th bound state in closed form, after the exact check that its
+def bound_state(spec: PotentialSpec, n: int) -> ClosedForm:
+    """The normalized n-th bound state, after the exact check that its
     polynomial has n real roots.  (Admissibility, lambda_R > n + 1/2, is how
     :func:`enumerate_bound_spectrum` chose the root.)"""
-    spectrum = enumerate_bound_spectrum(spec)
-    if n >= len(spectrum.states):
+    states = enumerate_bound_spectrum(spec).states
+    if n >= len(states):
         raise NoSuchRoot("no bound state with index %d" % n)
-    light = spectrum.states[n]
-    n_roots = light.nodes
-    if n_roots != n:
-        raise ConventionUnresolved(
-            "state %d polynomial has %d real roots" % (n, n_roots)
-        )
-    return light
+    if states[n].nodes != n:
+        raise ConventionUnresolved("state %d polynomial has %d real roots" % (n, states[n].nodes))
+    return states[n]
 
 
-def assemble_eigenfunction(spec: PotentialSpec, n: int, vmap: VariableMap) -> BoundState:
+def assemble_eigenfunction(spec: PotentialSpec, n: int, vmap: VariableMap) -> ClosedForm:
     """Fully sampled n-th bound state, psi = (eta')^(-1/2) Phi(eta(x))."""
-    light = bound_state(spec, n)
-    etas = vmap.eta_grid
-    psi = light.phi(etas) / np.sqrt(vmap.deriv(etas))
-    return BoundState(
-        n=light.n,
-        energy=light.energy,
-        lam=light.lam,
-        poly=light.poly,
-        phi=light.phi,
-        psi=psi,
-        x_grid=vmap.x_grid,
-    )
+    return bound_state(spec, n).sampled(vmap)
 
 
-def aeh_solution(spec: PotentialSpec, kind: str, m: int, vmap: VariableMap | None = None) -> AehSolution:
-    """Closed-form solution of the requested kind and order.
+def aeh_solution(spec: PotentialSpec, kind: str, m: int, vmap: VariableMap | None = None) -> ClosedForm:
+    """Unnormalized solution of the requested kind and order, sampled on ``vmap`` if given.
 
     Type c are the normalizable branch (the bound states); type d carry the
     negative quartic root, lie below the ground level, and are the Darboux
@@ -406,31 +389,8 @@ def aeh_solution(spec: PotentialSpec, kind: str, m: int, vmap: VariableMap | Non
     """
     if kind not in ("c", "d"):
         raise ValueError("kind must be 'c' or 'd'")
-    qr = quartic_lambda_roots(spec, m)
-    a = spec.tp.a
-    if kind == "c":
-        if not qr.c_candidates:
-            raise NoSuchRoot("no type-c root at order %d" % m)
-        lam_r = max(qr.c_candidates)
-        energy = -((lam_r - m - 0.5) ** 2) / a
-    else:
-        if not qr.d_roots:
-            raise NoSuchRoot("no type-d root at order %d" % m)
-        lam_r = min(qr.d_roots)
-        energy = -((m + 0.5 - lam_r) ** 2) / a
-    lam = _lambda_from_root(spec, lam_r)
-    rp, phi = _closed_form(lam, m)
-    root_count = real_root_count(rp.poly) if rp.poly.degree >= 1 else 0
-    psi = None
-    x_grid = None
-    if vmap is not None:
-        etas = vmap.eta_grid
-        psi = phi(etas) / np.sqrt(vmap.deriv(etas))
-        x_grid = vmap.x_grid
-    return AehSolution(
-        kind=kind, m=m, energy=energy, lam=lam, poly=rp,
-        root_count=root_count, phi=phi, psi=psi, x_grid=x_grid,
-    )
+    sol = _solution(spec, kind, quartic_lambda_roots(spec, m))
+    return sol if vmap is None else sol.sampled(vmap)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +420,7 @@ def milson_sigma_rho(spec: PotentialSpec, epsilon: float) -> SigmaRhoReport:
     """Exponent-difference parameters sigma = 1/2 - lambda_R, rho = 1/2 - i*lambda_I,
 
     with both defining identities evaluated and reported as deviations."""
-    lam = lambda_of_energy(spec, epsilon).value
+    lam = lambda_of_energy(spec, epsilon)
     sigma = 0.5 - lam.real
     rho = 0.5 - 1j * lam.imag
     lhs = (sigma - 0.5) ** 2 + (rho - 0.5) ** 2
@@ -487,12 +447,8 @@ def stevenson_identity_check(spec: PotentialSpec, n: int) -> float:
     Pochhammer (2 lambda_R - 2n)_j vanishes: an admissible root has
     2(lambda_R - n) > 1.
     """
-    qr = quartic_lambda_roots(spec, n)
-    if not qr.c_candidates:
-        raise NoSuchRoot("no admissible level at n=%d" % n)
-    lam = _lambda_from_root(spec, max(qr.c_candidates))
-    rp = _closed_form(lam, n)[0]
-    lam_r, lam_i = to_fraction(lam.real), to_fraction(lam.imag)
+    sol = _solution(spec, "c", quartic_lambda_roots(spec, n))
+    lam_r, lam_i = to_fraction(sol.lam.real), to_fraction(sol.lam.imag)
     c_param = 2 * (lam_r - n)
     lhs = []  # ascending in eta
     term = ex.C_ONE  # (-n)_j (lambda* - n)_j / ((c)_j j!), the coefficient of xi^j in F
@@ -507,7 +463,7 @@ def stevenson_identity_check(spec: PotentialSpec, n: int) -> float:
     for j in range(n):
         scale /= c_param + j
     unit = ((1, 0), (0, -1), (-1, 0), (0, 1))[n % 4]  # (-i)^n
-    rhs = [ex.c_scale(unit, scale * c) for c in rp.poly.coeffs]
+    rhs = [ex.c_scale(unit, scale * c) for c in sol.poly.poly.coeffs]
     rhs += [ex.C_ZERO] * (len(lhs) - len(rhs))
     return max(math.hypot(float(a[0] - b[0]), float(a[1] - b[1])) for a, b in zip(lhs, rhs))
 
@@ -537,9 +493,9 @@ def _scan_cell(a_g: float, b_g: float, m: int) -> ScanCell:
     except NoSuchRoot:
         return ScanCell(a_g, b_g, None, None, None, None)
     etas = np.linspace(-40.0, 40.0, 1601)
-    changes = oracle.count_sign_changes(lambda e: sol.phi(e), etas)
+    changes = oracle.count_sign_changes(sol.phi, etas)
     theorem = theorem_root_count(m, sol.poly.index)
-    consistent = changes == sol.root_count and theorem in (None, sol.root_count)
+    consistent = changes == sol.nodes and theorem in (None, sol.nodes)
     disc_pred = None
     if m == 2:
         disc_pred = discriminant_order2(sol.poly.index).value < 0.0
@@ -573,11 +529,7 @@ def nodeless_scan(a_range, b_range, m: int, na: int = 16, nb: int = 16, workers:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_scan_cell_star, tasks))
+            cells = list(pool.map(_scan_cell, *zip(*tasks)))
     else:
         cells = [_scan_cell(*t) for t in tasks]
     return cells
-
-
-def _scan_cell_star(args):
-    return _scan_cell(*args)

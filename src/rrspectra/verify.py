@@ -41,7 +41,7 @@ def oracle_box(spec: PotentialSpec, energies=None, x_max=None, n=None) -> tuple:
 def oracle_grid_for(spec: PotentialSpec, energies=None, x_max=None, n=None) -> tuple:
     """A (VariableMap, Grid1D) pair sized by :func:`oracle_box` for eigenvalue extraction."""
     x_max, n = oracle_box(spec, energies, x_max, n)
-    vmap = VariableMap(spec.tp, x_max, max(int(n), 1024))
+    vmap = VariableMap(spec.tp, x_max, n)
     values = geometry.potential_of_eta(spec, vmap.eta_grid)
     grid = Grid1D(x_min=-x_max, x_max=x_max, n=len(values), values=values)
     return vmap, grid

@@ -332,6 +332,28 @@ class TestConfigErrors:
         assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
         assert "line" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, text", [
+        # JSON reads 1e400 as inf
+        ("spectrum", '{"potential": {"gendenshtein": {"a": 2.5}}, "grid": {"x_max": 1e400}}'),
+        ("verify", '{"potential": {"gendenshtein": {"a": 2.5}}, "grid": {"x_max": 1e400}}'),
+        ("spectrum", '{"potential": {"gendenshtein": {"a": 1e400}}}'),
+        ("verify", '{"potential": {"milson": {"h0_re": 7.75, "kappa_plus": 1e400}}}'),
+        ("spectrum", '{"potential": {"milson": {"h0_re": 7.75, "kappa_plus": 2, "a": Infinity}}}'),
+        ("verify", '{"potential": {"milson": {"h0_re": 7.75, "kappa_plus": 2, "a": Infinity}}}'),
+        ("spectrum", '{"potential": {"gendenshtein": {"a": 2.5}}, "grid": {"n": 1e400}}'),
+        ("verify", '{"potential": {"gendenshtein": {"a": 2.5}}, "grid": {"n": "abc"}}'),
+        ("spectrum", '{"potential": {"gendenshtein": {"a": 2.5}}, "grid": {"x_max": "abc"}}'),
+        ("partner", '{"potential": {"gendenshtein": {"a": 2.5}}, "partner": {"m": 1e400}}'),
+        ("spectrum", '{"potential": {"gendenshtein": {"a": 2.5}}, "grid": {"n": 300.7}}'),
+    ])
+    def test_malformed_number(self, tmp_path, capsys, command, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        out = tmp_path / "o"
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not list(out.glob("*"))
+
     def test_report_carries_pinned_convention(self, tmp_path):
         cfg = write_config(tmp_path, GEN)
         out = tmp_path / "out"

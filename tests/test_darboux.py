@@ -43,11 +43,12 @@ class TestPartnerPotential:
 
     def test_ground_state_erasure(self, insertion_setup):
         spec, vmap = insertion_setup
-        psi0 = assemble_eigenfunction(spec, 0, vmap)
-        grid = partner_potential(spec, FactorizationFunction.from_solution(psi0), vmap)
-        rep = verify_partner_levels(grid, [-0.25], tol=1e-3)
-        assert rep.passed, rep.rel_deltas
-        assert grid.mode == "erase"
+        # the normalized bound state, and the same type-c seed unnormalized
+        for psi0 in (assemble_eigenfunction(spec, 0, vmap), aeh_solution(spec, "c", 0)):
+            grid = partner_potential(spec, FactorizationFunction.from_solution(psi0), vmap)
+            rep = verify_partner_levels(grid, [-0.25], tol=1e-3)
+            assert rep.passed, rep.rel_deltas
+            assert grid.mode == "erase"
 
     def test_planted_node_rejected(self, insertion_setup):
         spec, vmap = insertion_setup

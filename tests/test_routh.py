@@ -529,7 +529,7 @@ class TestTheoremRootCount:
         for spec in specs:
             for m in range(1, 6):
                 sol = aeh_solution(spec, "d", m)
-                assert theorem_root_count(m, sol.poly.index) == sol.root_count == m % 2
+                assert theorem_root_count(m, sol.poly.index) == sol.nodes == m % 2
 
 
 class TestDiscriminant:

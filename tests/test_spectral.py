@@ -37,18 +37,18 @@ from residual import rcsle_residual
 
 class TestLambdaBranch:
     def test_zero_energy_is_lambda0(self, milson_spec):
-        lam = lambda_of_energy(milson_spec, 0.0).value
+        lam = lambda_of_energy(milson_spec, 0.0)
         assert_allclose([lam.real, lam.imag], [3.0, 0.5], rtol=1e-14)
 
     def test_gendenshtein_energy_independent(self, gspec):
-        vals = [lambda_of_energy(gspec, e).value for e in (0.0, -3.0, -12.0)]
+        vals = [lambda_of_energy(gspec, e) for e in (0.0, -3.0, -12.0)]
         assert all(v == vals[0] for v in vals)
         assert_allclose(vals[0].real, 2.5 + 0.5, rtol=1e-14)
 
     def test_product_identity(self, milson_spec, rng):
         for _ in range(20):
             e = float(-rng.uniform(0, 8))
-            lam = lambda_of_energy(milson_spec, e).value
+            lam = lambda_of_energy(milson_spec, e)
             assert_allclose(2 * lam.real * lam.imag, milson_spec.h0.imag, rtol=1e-12)
 
     def test_branch_point_rejected(self):
