@@ -20,7 +20,6 @@ from .routh import (
     ComplexIndex,
     RealPolynomial,
     RouthPolynomial,
-    WeightParams,
     discriminant_order2,
     inner_product,
     jacobi_complex_eval,
@@ -36,7 +35,7 @@ from .spectral import (
     ClosedForm,
     Spectrum,
     aeh_solution,
-    assemble_eigenfunction,
+    bound_state,
     enumerate_bound_spectrum,
     gendenshtein_params,
     lambda_of_energy,
@@ -47,8 +46,8 @@ from .spectral import (
     stevenson_identity_check,
 )
 from .darboux import (
-    FactorizationFunction,
     PartnerPotentialGrid,
+    partner_levels,
     partner_potential,
     symmetric_irregular_solution,
 )

@@ -37,6 +37,11 @@ from .geometry import PotentialSpec, TangentPolySpec, VariableMap
 # configuration
 # ---------------------------------------------------------------------------
 
+# Largest grid point count n and scan cell count na * nb: about 100 times the
+# largest grid in use, and a 1024 x 1024 map.
+MAX_COUNT = 2 ** 20
+
+
 def _require(cond, msg):
     if not cond:
         raise ConfigError(msg)
@@ -100,6 +105,7 @@ class RunConfig:
             _require(self.x_max > 0, "grid x_max must be positive")
         if self.n is not None:
             _require(self.n >= 256, "grid n must be at least 256")
+            _require(self.n <= MAX_COUNT, "grid n must be at most %d" % MAX_COUNT)
 
     def scan_params(self):
         scan = self.raw.get("scan")
@@ -116,6 +122,7 @@ class RunConfig:
         nb = _number(scan.get("nb", 16), "scan 'nb'", integral=True)
         _require(m >= 2 and m % 2 == 0, "scan order m must be even and >= 2")
         _require(na >= 2 and nb >= 2, "scan resolutions must be >= 2")
+        _require(na * nb <= MAX_COUNT, "scan na * nb must be at most %d" % MAX_COUNT)
         return a_range, b_range, m, na, nb
 
     def partner_params(self):
@@ -192,10 +199,7 @@ def cmd_spectrum(config: RunConfig, out_dir: str) -> int:
     states = []
     if spectrum.states:
         vmap = _default_map(config)
-        states = [
-            spectral.assemble_eigenfunction(config.spec, s.n, vmap)
-            for s in spectrum.states
-        ]
+        states = [spectral.bound_state(config.spec, s.n).sampled(vmap) for s in spectrum.states]
         _require_finite(config, "eigenfunction", [s.psi for s in states])
     spath = os.path.join(out_dir, "spectrum.json")
     _dump_json(spath, spectrum.to_json_dict())
@@ -268,20 +272,17 @@ def cmd_scan_nodeless(config: RunConfig, out_dir: str, workers: int) -> int:
 
 def cmd_partner(config: RunConfig, out_dir: str, tol: float) -> int:
     kind, m = config.partner_params()
-    spectrum = spectral.enumerate_bound_spectrum(config.spec)
-    parent = list(spectrum.energies)
+    parent = spectral.enumerate_bound_spectrum(config.spec).energies
     if kind == "d":
         seed = spectral.aeh_solution(config.spec, "d", m)
-        expected = sorted(parent + [seed.energy])
     else:
         if m != 0:
             raise ConfigError("type-c partner supports only m=0 (ground-state erasure)")
         seed = spectral.bound_state(config.spec, 0)
-        expected = parent[1:]
-    ff = darboux.FactorizationFunction.from_solution(seed)
+    expected = darboux.partner_levels(parent, seed)
     x_max, n = verify.oracle_box(config.spec, expected or parent, config.x_max, config.n)
     wide = VariableMap(config.spec.tp, x_max, n)
-    partner_grid = darboux.partner_potential(config.spec, ff, wide)
+    partner_grid = darboux.partner_potential(config.spec, seed, wide)
     _require_finite(config, "potential", [partner_grid.v_parent, partner_grid.v_partner])
     cpath = os.path.join(out_dir, "partner.csv")
     darboux.write_partner_csv(partner_grid, cpath)
@@ -303,9 +304,7 @@ def cmd_identities(config: RunConfig, out_dir: str, tol: float) -> int:
 
     spec = config.spec
     spectrum = spectral.enumerate_bound_spectrum(spec)
-    stevenson = {}
-    for s in spectrum.states[:4]:
-        stevenson["n=%d" % s.n] = spectral.stevenson_identity_check(spec, s.n)
+    stevenson = {"n=%d" % s.n: spectral.stevenson_identity_check(s) for s in spectrum.states[:4]}
     sig = spectral.milson_sigma_rho(spec, -1.0)
     quartic_res = {
         "m=%d" % s.n: spectral.quartic_residual_scale(spec, s.n, s.lam.real)

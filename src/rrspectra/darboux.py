@@ -1,13 +1,16 @@
-"""Single-step Darboux partners built from nodeless closed-form solutions.
+"""Single-step Darboux partners built on nodeless closed-form solutions.
 
-A strictly positive solution ff at factorization energy e_f turns
-V into the partner V - 2 (ln ff)'' which is isospectral except at e_f:
-an irregular (type-d) seed inserts a new level there, the ground state
-erases its own.  All logarithmic derivatives are evaluated through closed
-forms in eta chained through the analytic eta'(eta); finite differences
-appear only in tests.  Positive even irregular solutions of symmetric
-members come from the oracle's 3-point scheme: O(h^2) accurate, and refused
-just under the analytic ground level, above the discrete one.
+The seed is a :class:`~rrspectra.spectral.ClosedForm`.  A strictly positive
+solution ff at factorization energy e_f turns V into the partner
+V - 2 (ln ff)'' which is isospectral except at e_f: a type-d seed inserts a
+new level there, the ground state (type c) erases its own, as
+:func:`partner_levels` states.  A seed is refused by its stored exact node
+count before any grid is built, and again when its samples change sign.
+All logarithmic derivatives are evaluated through closed forms in eta
+chained through the analytic eta'(eta); finite differences appear only in
+tests.  Positive even irregular solutions of symmetric members come from the
+oracle's 3-point scheme: O(h^2) accurate, and refused just under the
+analytic ground level, above the discrete one.
 """
 
 from __future__ import annotations
@@ -20,37 +23,26 @@ import numpy as np
 from . import geometry
 from .errors import NodeDetected, PreconditionViolated
 from .geometry import PotentialSpec, VariableMap
-from .routh import real_root_count
-from .spectral import EtaSolution, enumerate_bound_spectrum
+from .spectral import ClosedForm, EtaSolution, enumerate_bound_spectrum
 
 
 _NODED = "factorization polynomial has real zeros"
 
 
-class FactorizationFunction(NamedTuple):
-    """A closed-form solution used as a Darboux seed.  ``kind`` is the
-    seed's: "c" (a bound state) erases its level, "d" inserts one."""
-
-    phi: EtaSolution
-    energy: float
-    kind: str = "d"
-
-    @classmethod
-    def from_solution(cls, sol) -> "FactorizationFunction":
-        """The :class:`~rrspectra.spectral.ClosedForm` ``sol``, rejected with
-        :class:`NodeDetected` when its polynomial has real zeros (by its
-        stored exact count), before any grid is built for it."""
-        if sol.nodes:
-            raise NodeDetected(_NODED)
-        return cls(phi=sol.phi, energy=sol.energy, kind=sol.kind)
+def partner_levels(parent, seed) -> list:
+    """The levels of the partner built on ``seed`` from the ``parent`` levels:
+    a type-d seed inserts its energy, a bound-state (type-c) seed erases the
+    ground level.  A seed whose polynomial has real zeros (by its stored exact
+    count) raises :class:`NodeDetected`, before any grid is built for it."""
+    if seed.nodes:
+        raise NodeDetected(_NODED)
+    return sorted([*parent, seed.energy]) if seed.kind == "d" else list(parent[1:])
 
 
 class PartnerPotentialGrid(NamedTuple):
     x: np.ndarray
     v_parent: np.ndarray
     v_partner: np.ndarray
-    energy_tag: float
-    mode: str  # "insert" | "erase"
 
 
 def _map_derivatives(tp, eta):
@@ -73,24 +65,20 @@ def log_second_derivative(tp, phi: EtaSolution, eta):
     return -0.5 * f * fpp + f * fp * l1 + f * f * (l2 - l1 * l1)
 
 
-def partner_potential(spec: PotentialSpec, ff: FactorizationFunction, vmap: VariableMap) -> PartnerPotentialGrid:
-    """V_hat = V - 2 (ln ff)'' on the map grid; requires a sign-definite ff."""
-    poly = ff.phi.poly
-    if poly.degree >= 1 and real_root_count(poly):
+def partner_potential(spec: PotentialSpec, seed: ClosedForm, vmap: VariableMap) -> PartnerPotentialGrid:
+    """V_hat = V - 2 (ln ff)'' on the map grid, with ff the closed-form ``seed``.
+
+    A seed with real polynomial zeros (its stored ``nodes``), or whose
+    samples change sign on the grid, raises :class:`NodeDetected`."""
+    if seed.nodes:
         raise NodeDetected(_NODED)
     etas = vmap.eta_grid
-    samples = ff.phi(etas)
+    samples = seed.phi(etas)
     if np.min(samples) * np.max(samples) <= 0.0:
         raise NodeDetected("factorization function changes sign on the grid")
     v_parent = geometry.potential_of_eta(spec, etas)
-    v_partner = v_parent - 2.0 * log_second_derivative(spec.tp, ff.phi, etas)
-    return PartnerPotentialGrid(
-        x=vmap.x_grid.copy(),
-        v_parent=v_parent,
-        v_partner=v_partner,
-        energy_tag=ff.energy,
-        mode="erase" if ff.kind == "c" else "insert",
-    )
+    v_partner = v_parent - 2.0 * log_second_derivative(spec.tp, seed.phi, etas)
+    return PartnerPotentialGrid(x=vmap.x_grid.copy(), v_parent=v_parent, v_partner=v_partner)
 
 
 def write_partner_csv(grid: PartnerPotentialGrid, path) -> None:

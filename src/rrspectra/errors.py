@@ -26,7 +26,8 @@ class RootOverflow(SpectraError):
 
 
 class StepFailure(SpectraError):
-    """Adaptive ODE integration could not meet its tolerance."""
+    """The variable map could not be built or inverted (its Newton inverse did
+    not converge), or :func:`geometry.choose_x_max` found no decayed potential."""
 
 
 class OutOfGrid(SpectraError):

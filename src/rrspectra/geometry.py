@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, OutOfGrid, StepFailure
+from .errors import OutOfGrid, StepFailure
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +49,6 @@ class TangentPolySpec(_TangentPolyFields):
     @property
     def d(self) -> float:
         return 2.0 * self.a * (1.0 + self.kappa_plus)
-
-    def to_json_dict(self) -> dict:
-        return {"a": self.a, "kappa_plus": self.kappa_plus}
 
 
 def tangent_eval(tp: TangentPolySpec, eta):
@@ -99,22 +96,6 @@ class PotentialSpec(_PotentialFields):
     def energy_coupling(self) -> float:
         """Coefficient c of the energy in h(e) = h0 - c*e, i.e. a*(1 - kappa)."""
         return self.tp.a * (1.0 - self.tp.kappa_plus)
-
-    def to_json_dict(self) -> dict:
-        return {"h0": [self.h0.real, self.h0.imag], "tp": self.tp.to_json_dict()}
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "PotentialSpec":
-        """Inverse of :meth:`to_json_dict`.  A ``c_im`` key (the linear term of
-        an asymmetric tangent polynomial, which the family does not have) is
-        accepted only when it is 0."""
-        tp = d["tp"]
-        if tp.get("c_im", 0.0) != 0.0:
-            raise ConfigError("asymmetric tangent polynomial (c_im = %r) is not supported" % tp["c_im"])
-        return cls(
-            h0=complex(d["h0"][0], d["h0"][1]),
-            tp=TangentPolySpec(a=tp.get("a", 1.0), kappa_plus=tp["kappa_plus"]),
-        )
 
 
 def bose_invariant_eval(spec: PotentialSpec, epsilon: float, eta):

@@ -115,9 +115,6 @@ class RealPolynomial(NamedTuple):
             return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
         return np.polyval(self.as_floats()[::-1], x)
 
-    def derivative(self) -> "RealPolynomial":
-        return RealPolynomial.from_coeffs(ex.rp_diff(list(self.coeffs)))
-
     def __mul__(self, other):
         if isinstance(other, RealPolynomial):
             return RealPolynomial.from_coeffs(ex.rp_mul(list(self.coeffs), list(other.coeffs)))
@@ -146,25 +143,6 @@ class RouthPolynomial(NamedTuple):
 
     def __call__(self, eta):
         return self.poly(eta)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "alpha": [float(self.index.re), float(self.index.im)],
-            "coeffs": [float(c) for c in self.poly.coeffs],
-        }
-
-
-class WeightParams(NamedTuple):
-    """Parameters of the generating weight (1+eta^2)^Re(a) exp(2 Im(a) atan eta)."""
-
-    index: ComplexIndex
-
-    @classmethod
-    def of(cls, value) -> "WeightParams":
-        if isinstance(value, WeightParams):
-            return value
-        return cls(ComplexIndex.of(value))
 
 
 class DiscriminantOrder2(NamedTuple):
@@ -331,7 +309,7 @@ def routh_hypergeometric_eval(m: int, alpha, eta: float) -> float:
 
 def weight_eval(w, eta):
     """Generating weight (1+eta^2)^Re(a) * exp(2 Im(a) atan eta); positive."""
-    a = WeightParams.of(w).index
+    a = ComplexIndex.of(w)
     eta = np.asarray(eta, dtype=float)
     out = (1.0 + eta ** 2) ** float(a.re) * np.exp(2.0 * float(a.im) * np.arctan(eta))
     return float(out) if out.ndim == 0 else out
@@ -374,7 +352,7 @@ def pinned_weight_index(family_index) -> ComplexIndex:
 
 def family_index_for_weight(w) -> ComplexIndex:
     """Inverse of :func:`pinned_weight_index`."""
-    return WeightParams.of(w).index.conjugate().shifted(1)
+    return ComplexIndex.of(w).conjugate().shifted(1)
 
 
 def inner_product(n: int, m: int, w) -> float:
@@ -385,15 +363,15 @@ def inner_product(n: int, m: int, w) -> float:
     B(-Re w, Im w) times the exact ratio :func:`cauchy_beta_ratios`, so an
     orthogonal pair gives exactly 0.0 and only B is rounded.
     """
-    w = WeightParams.of(w)
-    if 2 * max(n, m) + 2 * w.index.re >= -1:
+    w = ComplexIndex.of(w)
+    if 2 * max(n, m) + 2 * w.re >= -1:
         raise NonIntegrable(
-            "orders (%d, %d) do not decay under weight index %s" % (n, m, w.index)
+            "orders (%d, %d) do not decay under weight index %s" % (n, m, w)
         )
     fam = family_index_for_weight(w)
     prod, den = integer_product(routh_polynomial(n, fam).poly.coeffs,
                                 routh_polynomial(m, fam).poly.coeffs)
-    nu, q = -w.index.re, w.index.im
+    nu, q = -w.re, w.im
     (ratio,) = cauchy_beta_ratios(prod, q, (nu,))
     return math.exp(log_cauchy_beta(nu, q)) * float(ratio / (den * den))
 

@@ -96,11 +96,11 @@ class EtaSolution:
         self.atan_coeff = float(atan_coeff)
         self.poly = poly
         self.scale = float(scale)
-        d1 = poly.derivative()
-        # descending, as np.polyval takes them
+        # descending, as np.polyval takes them; R' and R'' from the exact coefficients
+        cs = list(enumerate(poly.coeffs))
         self._c0 = poly.as_floats()[::-1]
-        self._c1 = d1.as_floats()[::-1]
-        self._c2 = d1.derivative().as_floats()[::-1]
+        self._c1 = np.array([float(k * c) for k, c in cs[:0:-1]] or [0.0])
+        self._c2 = np.array([float(k * (k - 1) * c) for k, c in cs[:1:-1]] or [0.0])
 
     def gauge(self, eta):
         eta = np.asarray(eta, dtype=float)
@@ -375,13 +375,8 @@ def bound_state(spec: PotentialSpec, n: int) -> ClosedForm:
     return states[n]
 
 
-def assemble_eigenfunction(spec: PotentialSpec, n: int, vmap: VariableMap) -> ClosedForm:
-    """Fully sampled n-th bound state, psi = (eta')^(-1/2) Phi(eta(x))."""
-    return bound_state(spec, n).sampled(vmap)
-
-
-def aeh_solution(spec: PotentialSpec, kind: str, m: int, vmap: VariableMap | None = None) -> ClosedForm:
-    """Unnormalized solution of the requested kind and order, sampled on ``vmap`` if given.
+def aeh_solution(spec: PotentialSpec, kind: str, m: int) -> ClosedForm:
+    """Unnormalized solution of the requested kind and order.
 
     Type c are the normalizable branch (the bound states); type d carry the
     negative quartic root, lie below the ground level, and are the Darboux
@@ -389,8 +384,7 @@ def aeh_solution(spec: PotentialSpec, kind: str, m: int, vmap: VariableMap | Non
     """
     if kind not in ("c", "d"):
         raise ValueError("kind must be 'c' or 'd'")
-    sol = _solution(spec, kind, quartic_lambda_roots(spec, m))
-    return sol if vmap is None else sol.sampled(vmap)
+    return _solution(spec, kind, quartic_lambda_roots(spec, m))
 
 
 # ---------------------------------------------------------------------------
@@ -432,11 +426,11 @@ def milson_sigma_rho(spec: PotentialSpec, epsilon: float) -> SigmaRhoReport:
                           product_identity_dev=float(dev_prod))
 
 
-def stevenson_identity_check(spec: PotentialSpec, n: int) -> float:
+def stevenson_identity_check(state: ClosedForm) -> float:
     """Largest coefficient deviation between the truncated hypergeometric
-    solution form and its Routh-polynomial resummation at level n.
+    solution form and the Routh polynomial of the bound ``state`` of level n.
 
-    With xi = 2/(1 + i*eta) and lambda the level-n branch value, the identity
+    With xi = 2/(1 + i*eta) and lambda the state's branch value, the identity
 
         xi^-n F(-n, lambda*-n; 2(lambda_R-n); xi)
             = (-i)^n n! / (2 lambda_R - 2n)_n * R_n^(1-lambda*)(eta)
@@ -447,8 +441,8 @@ def stevenson_identity_check(spec: PotentialSpec, n: int) -> float:
     Pochhammer (2 lambda_R - 2n)_j vanishes: an admissible root has
     2(lambda_R - n) > 1.
     """
-    sol = _solution(spec, "c", quartic_lambda_roots(spec, n))
-    lam_r, lam_i = to_fraction(sol.lam.real), to_fraction(sol.lam.imag)
+    n = state.n
+    lam_r, lam_i = to_fraction(state.lam.real), to_fraction(state.lam.imag)
     c_param = 2 * (lam_r - n)
     lhs = []  # ascending in eta
     term = ex.C_ONE  # (-n)_j (lambda* - n)_j / ((c)_j j!), the coefficient of xi^j in F
@@ -463,7 +457,7 @@ def stevenson_identity_check(spec: PotentialSpec, n: int) -> float:
     for j in range(n):
         scale /= c_param + j
     unit = ((1, 0), (0, -1), (-1, 0), (0, 1))[n % 4]  # (-i)^n
-    rhs = [ex.c_scale(unit, scale * c) for c in sol.poly.poly.coeffs]
+    rhs = [ex.c_scale(unit, scale * c) for c in state.poly.poly.coeffs]
     rhs += [ex.C_ZERO] * (len(lhs) - len(rhs))
     return max(math.hypot(float(a[0] - b[0]), float(a[1] - b[1])) for a, b in zip(lhs, rhs))
 

@@ -10,11 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from rrspectra.darboux import (
-    FactorizationFunction,
-    partner_potential,
-    symmetric_irregular_solution,
-)
+from rrspectra.darboux import partner_potential, symmetric_irregular_solution
 from rrspectra.geometry import PotentialSpec, TangentPolySpec, VariableMap
 from rrspectra.routh import (
     ComplexIndex,
@@ -26,6 +22,7 @@ from rrspectra.routh import (
 )
 from rrspectra.spectral import (
     aeh_solution,
+    bound_state,
     closed_form_lambda_kappa1,
     enumerate_bound_spectrum,
     gendenshtein_params,
@@ -129,7 +126,7 @@ def test_criterion_4_polynomial_identity_suite():
         b_g = float(rng.normal())
         spec = gendenshtein_params(a_g, b_g)
         for n in range(7):
-            dev = stevenson_identity_check(spec, n)
+            dev = stevenson_identity_check(bound_state(spec, n))
             stev_worst = max(stev_worst, dev)
     if stev_worst != 0.0:
         failures.append("stevenson %.2e" % stev_worst)
@@ -168,8 +165,8 @@ def test_criterion_7_darboux_insertion():
     t0 = time.monotonic()
     spec = gendenshtein_params(2.5, 0.5)
     vmap = VariableMap(spec.tp, 46.0, 8192)
-    seed = aeh_solution(spec, "d", 0, vmap)
-    grid = partner_potential(spec, FactorizationFunction.from_solution(seed), vmap)
+    seed = aeh_solution(spec, "d", 0)
+    grid = partner_potential(spec, seed, vmap)
     expected = [-12.25, -6.25, -2.25, -0.25]
     rep = verify_partner_levels(grid, expected, tol=1e-3)
     elapsed = time.monotonic() - t0
@@ -217,7 +214,7 @@ def test_criterion_9_symmetric_positivity():
         errs = []
         for n_points in (1025, 2049, 4097):
             vmap = VariableMap(spec.tp, 16.0, n_points)
-            seed = aeh_solution(spec, "d", m, vmap)
+            seed = aeh_solution(spec, "d", m).sampled(vmap)
             psi = symmetric_irregular_solution(spec, seed.energy, vmap)
             errs.append(float(np.max(np.abs(psi - seed.psi / np.max(seed.psi)))))
         worst_ratio = min(worst_ratio, errs[0] / errs[1], errs[1] / errs[2])

@@ -77,14 +77,14 @@ class TestSpectrumCommand:
         assert os.listdir(out) == []
 
     def test_non_finite_default_grid_is_numeric_failure(self, tmp_path, monkeypatch, capsys):
-        real = cli.spectral.assemble_eigenfunction
+        real = cli.spectral.ClosedForm.sampled
 
-        def overflowing(spec, n, vmap):
-            state = real(spec, n, vmap)
+        def overflowing(state, vmap):
+            state = real(state, vmap)
             state.psi[-1] = np.nan
             return state
 
-        monkeypatch.setattr(cli.spectral, "assemble_eigenfunction", overflowing)
+        monkeypatch.setattr(cli.spectral.ClosedForm, "sampled", overflowing)
         cfg = write_config(tmp_path, GEN)
         out = tmp_path / "o"
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 3
@@ -92,12 +92,18 @@ class TestSpectrumCommand:
         assert os.listdir(out) == []
 
     def test_determinism(self, tmp_path):
-        cfg = write_config(tmp_path, GEN)
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert main(["spectrum", "--config", cfg, "--out", str(out1)]) == 0
-        assert main(["spectrum", "--config", cfg, "--out", str(out2)]) == 0
-        for name in ("spectrum.json", "eigenfunctions.csv", "report.json"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+        cfg = write_config(tmp_path, {
+            **GEN, "partner": {"kind": "d", "m": 0},
+            "scan": {"a_range": [2.0, 3.0], "b_range": [0.0, 1.0], "na": 3, "nb": 3, "m": 2},
+        })
+        for command in ("spectrum", "verify", "scan-nodeless", "partner", "identities"):
+            out1, out2 = tmp_path / command / "a", tmp_path / command / "b"
+            assert main([command, "--config", cfg, "--out", str(out1)]) == 0
+            assert main([command, "--config", cfg, "--out", str(out2)]) == 0
+            names = sorted(os.listdir(out1))
+            assert names == sorted(os.listdir(out2)) and "report.json" in names
+            for name in names:
+                assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), (command, name)
 
 
 class TestVerifyCommand:
@@ -314,6 +320,29 @@ class TestIdentitiesCommand:
         payload = json.loads((out / "identities.json").read_text())
         assert payload["passed"] is True
 
+    def test_builds_as_many_sturm_chains_as_spectrum(self, tmp_path, monkeypatch):
+        # the Stevenson check reads the enumerated states: it neither solves
+        # nor counts a level again
+        from rrspectra import routh
+
+        real = routh._root_chains
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return real(p)
+
+        monkeypatch.setattr(routh, "_root_chains", counting)
+        cfg = write_config(tmp_path, {"potential": {"gendenshtein": {"a": 3.3, "b": 0.7}}})
+        counts = {}
+        for command in ("spectrum", "identities"):
+            cli.spectral.enumerate_bound_spectrum.cache_clear()
+            calls.clear()
+            assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
+            counts[command] = len(calls)
+        # 5 quartics (orders 0..4) and one node count for each of the 4 levels
+        assert counts == {"spectrum": 9, "identities": 9}
+
 
 class TestConfigErrors:
     def test_missing_file(self, tmp_path):
@@ -345,6 +374,15 @@ class TestConfigErrors:
         ("spectrum", '{"potential": {"gendenshtein": {"a": 2.5}}, "grid": {"x_max": "abc"}}'),
         ("partner", '{"potential": {"gendenshtein": {"a": 2.5}}, "partner": {"m": 1e400}}'),
         ("spectrum", '{"potential": {"gendenshtein": {"a": 2.5}}, "grid": {"n": 300.7}}'),
+        # counts above 2^20 are refused before anything is allocated
+        ("spectrum", '{"potential": {"gendenshtein": {"a": 2.5}}, "grid": {"n": 1e30}}'),
+        ("verify", '{"potential": {"gendenshtein": {"a": 2.5}}, "grid": {"n": 1e30}}'),
+        ("spectrum", '{"potential": {"gendenshtein": {"a": 2.5}}, "grid": {"n": 1048577}}'),
+        ("verify", '{"potential": {"gendenshtein": {"a": 2.5}}, "grid": {"n": 1048577}}'),
+        ("scan-nodeless", '{"potential": {"gendenshtein": {"a": 2.5}}, "scan": '
+                          '{"a_range": [2, 3], "b_range": [0, 1], "na": 1e30}}'),
+        ("scan-nodeless", '{"potential": {"gendenshtein": {"a": 2.5}}, "scan": '
+                          '{"a_range": [2, 3], "b_range": [0, 1], "na": 1024, "nb": 1025}}'),
     ])
     def test_malformed_number(self, tmp_path, capsys, command, text):
         path = tmp_path / "cfg.json"
@@ -353,6 +391,13 @@ class TestConfigErrors:
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not list(out.glob("*"))
+
+    def test_count_at_cap_parses(self):
+        assert cli.MAX_COUNT == 2 ** 20
+        config = cli.RunConfig({**GEN, "grid": {"n": 2 ** 20}, "scan": {
+            "a_range": [2.0, 3.0], "b_range": [0.0, 1.0], "na": 1024, "nb": 1024}})
+        assert config.n == 2 ** 20
+        assert config.scan_params()[3:] == (1024, 1024)
 
     def test_report_carries_pinned_convention(self, tmp_path):
         cfg = write_config(tmp_path, GEN)

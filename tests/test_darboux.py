@@ -5,19 +5,17 @@ import pytest
 
 from rrspectra import geometry, oracle
 from rrspectra.darboux import (
-    FactorizationFunction,
     log_second_derivative,
+    partner_levels,
     partner_potential,
     symmetric_irregular_solution,
     write_partner_csv,
 )
 from rrspectra.errors import NodeDetected, PreconditionViolated
 from rrspectra.geometry import PotentialSpec, TangentPolySpec, VariableMap
-from rrspectra.routh import RealPolynomial
 from rrspectra.spectral import (
-    EtaSolution,
     aeh_solution,
-    assemble_eigenfunction,
+    bound_state,
     enumerate_bound_spectrum,
     gendenshtein_params,
 )
@@ -34,32 +32,38 @@ def insertion_setup():
 class TestPartnerPotential:
     def test_state_insertion(self, insertion_setup):
         spec, vmap = insertion_setup
-        seed = aeh_solution(spec, "d", 0, vmap)
-        grid = partner_potential(spec, FactorizationFunction.from_solution(seed), vmap)
+        seed = aeh_solution(spec, "d", 0)
+        grid = partner_potential(spec, seed, vmap)
         # parent levels -(1.5-n)^2 for n=0,1 plus the inserted -(1.5+1)^2
         rep = verify_partner_levels(grid, [-6.25, -2.25, -0.25], tol=1e-3)
         assert rep.passed, rep.rel_deltas
-        assert grid.mode == "insert"
 
     def test_ground_state_erasure(self, insertion_setup):
         spec, vmap = insertion_setup
         # the normalized bound state, and the same type-c seed unnormalized
-        for psi0 in (assemble_eigenfunction(spec, 0, vmap), aeh_solution(spec, "c", 0)):
-            grid = partner_potential(spec, FactorizationFunction.from_solution(psi0), vmap)
+        for psi0 in (bound_state(spec, 0), aeh_solution(spec, "c", 0)):
+            grid = partner_potential(spec, psi0, vmap)
             rep = verify_partner_levels(grid, [-0.25], tol=1e-3)
             assert rep.passed, rep.rel_deltas
-            assert grid.mode == "erase"
 
     def test_planted_node_rejected(self, insertion_setup):
+        # a real polynomial of odd order has a real zero
         spec, vmap = insertion_setup
-        noded = EtaSolution(-1.0, 0.0, RealPolynomial.from_coeffs([-1, 0, 1]))
-        ff = FactorizationFunction(phi=noded, energy=-9.0)
-        with pytest.raises(NodeDetected):
-            partner_potential(spec, ff, vmap)
+        seed = aeh_solution(spec, "d", 1)
+        assert seed.nodes == 1
+        with pytest.raises(NodeDetected, match="real zeros"):
+            partner_potential(spec, seed, vmap)
+
+    def test_sign_change_on_grid_rejected(self, insertion_setup):
+        # a seed whose stored count misses its zero is caught by its samples
+        spec, vmap = insertion_setup
+        seed = aeh_solution(spec, "d", 1)._replace(nodes=0)
+        with pytest.raises(NodeDetected, match="changes sign"):
+            partner_potential(spec, seed, vmap)
 
     def test_log_derivative_matches_finite_differences(self, insertion_setup):
         spec, vmap = insertion_setup
-        seed = aeh_solution(spec, "d", 0, vmap)
+        seed = aeh_solution(spec, "d", 0)
         h = 1e-3
 
         def ln_ff(x):
@@ -73,18 +77,42 @@ class TestPartnerPotential:
 
     def test_partner_decays_like_parent(self, insertion_setup):
         spec, vmap = insertion_setup
-        seed = aeh_solution(spec, "d", 0, vmap)
-        grid = partner_potential(spec, FactorizationFunction.from_solution(seed), vmap)
+        seed = aeh_solution(spec, "d", 0)
+        grid = partner_potential(spec, seed, vmap)
         assert abs(grid.v_partner[0]) < 1e-2 and abs(grid.v_partner[-1]) < 1e-2
 
     def test_csv_dump(self, insertion_setup, tmp_path):
         spec, vmap = insertion_setup
-        seed = aeh_solution(spec, "d", 0, vmap)
-        grid = partner_potential(spec, FactorizationFunction.from_solution(seed), vmap)
+        seed = aeh_solution(spec, "d", 0)
+        grid = partner_potential(spec, seed, vmap)
         path = tmp_path / "partner.csv"
         write_partner_csv(grid, path)
         header = path.read_text().splitlines()[0]
         assert header == "x,V_parent,V_partner"
+
+
+class TestPartnerLevels:
+    PARENT = [-2.25, -0.25]
+
+    def test_type_d_seed_inserts_its_energy(self):
+        spec = gendenshtein_params(1.5, 0.4)
+        for m, inserted in ((0, -6.25), (2, -20.25)):
+            seed = aeh_solution(spec, "d", m)
+            levels = partner_levels(self.PARENT, seed)
+            assert levels == sorted(self.PARENT + [seed.energy])
+            assert levels[0] == pytest.approx(inserted, rel=1e-12)
+
+    def test_bound_state_seed_erases_the_ground_level(self):
+        spec = gendenshtein_params(1.5, 0.4)
+        for seed in (bound_state(spec, 0), aeh_solution(spec, "c", 0)):
+            assert partner_levels(self.PARENT, seed) == [-0.25]
+
+    def test_noded_seed_rejected(self):
+        spec = gendenshtein_params(1.5, 0.4)
+        with pytest.raises(NodeDetected, match="real zeros"):
+            partner_levels(self.PARENT, aeh_solution(spec, "d", 1))
+        with pytest.raises(NodeDetected):
+            partner_levels(self.PARENT, bound_state(spec, 1))
 
 
 @pytest.fixture(scope="module")

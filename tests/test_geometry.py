@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rrspectra import geometry
-from rrspectra.errors import ConfigError, OutOfGrid
+from rrspectra.errors import OutOfGrid
 from rrspectra.geometry import (
     PotentialSpec,
     TangentPolySpec,
@@ -47,17 +47,6 @@ class TestPotentialSpec:
     def test_branch_invariant(self):
         with pytest.raises(ValueError):
             PotentialSpec(h0=-5.0, tp=TangentPolySpec(1.0, 1.0))
-
-    def test_json_round_trip(self, milson_spec):
-        again = PotentialSpec.from_json_dict(milson_spec.to_json_dict())
-        assert again.h0 == milson_spec.h0
-        assert again.tp.kappa_plus == milson_spec.tp.kappa_plus
-        assert "c_im" not in milson_spec.to_json_dict()["tp"]
-        legacy = {"h0": [7.75, 3.0], "tp": {"a": 1.0, "kappa_plus": 2.0, "c_im": 0.0}}
-        assert PotentialSpec.from_json_dict(legacy) == milson_spec
-        legacy["tp"]["c_im"] = 0.3  # an asymmetric tangent polynomial
-        with pytest.raises(ConfigError, match="c_im"):
-            PotentialSpec.from_json_dict(legacy)
 
 
 class TestBoseInvariant:

@@ -12,7 +12,7 @@ from rrspectra import darboux, oracle, spectral
 from rrspectra.errors import AmbiguousZero, InsufficientDecay, NonFiniteSamples
 from rrspectra.geometry import PotentialSpec, TangentPolySpec, VariableMap
 from rrspectra.oracle import Grid1D, count_sign_changes, lowest_levels
-from rrspectra.spectral import assemble_eigenfunction, gendenshtein_params
+from rrspectra.spectral import bound_state, gendenshtein_params
 from rrspectra.verify import oracle_box, oracle_grid_for, verify_spectrum
 
 from quadrature import adaptive_quadrature
@@ -93,10 +93,9 @@ def oracle_samples(spec):
 def partner_samples(spec):
     """The type-d m=0 partner of ``spec`` on its oracle grid, as ``partner`` builds it."""
     seed = spectral.aeh_solution(spec, "d", 0)
-    expected = sorted(spectral.enumerate_bound_spectrum(spec).energies + [seed.energy])
+    expected = darboux.partner_levels(spectral.enumerate_bound_spectrum(spec).energies, seed)
     x_max, n = oracle_box(spec, expected)
-    ff = darboux.FactorizationFunction.from_solution(seed)
-    grid = darboux.partner_potential(spec, ff, VariableMap(spec.tp, x_max, n))
+    grid = darboux.partner_potential(spec, seed, VariableMap(spec.tp, x_max, n))
     return grid.v_partner, float(grid.x[1] - grid.x[0]), len(expected)
 
 
@@ -226,8 +225,8 @@ class TestSignChanges:
     def test_sine(self):
         assert count_sign_changes(np.sin, np.linspace(0, 10, 301)) == 3
 
-    def test_second_excited_state(self, gspec, gmap):
-        st = assemble_eigenfunction(gspec, 2, gmap)
+    def test_second_excited_state(self, gspec):
+        st = bound_state(gspec, 2)
         assert count_sign_changes(st.phi, np.linspace(-12, 12, 501)) == 2
 
     def test_strictly_positive(self):

@@ -12,7 +12,6 @@ from rrspectra.errors import DegenerateParameter, NonIntegrable, RootOverflow, Z
 from rrspectra.routh import (
     ComplexIndex,
     RealPolynomial,
-    WeightParams,
     discriminant_order2,
     inner_product,
     jacobi_complex_eval,
@@ -121,9 +120,6 @@ class TestRouthCanonical:
         p = routh_polynomial(2, ComplexIndex(Fraction(-1, 2), Fraction(1)))
         assert p.degenerate and p.poly.degree < 2
 
-    def test_json_round_shape(self):
-        d = routh_polynomial(2, complex(-3, 0)).to_json_dict()
-        assert d == {"order": 2, "alpha": [-3.0, 0.0], "coeffs": [-0.5, 0.0, 2.5]}
 
 
 # ---------------------------------------------------------------------------
@@ -191,16 +187,16 @@ class TestHypergeometric:
 
 class TestWeight:
     def test_real_index_at_origin(self):
-        assert weight_eval(WeightParams.of(-2.7), 0.0) == 1.0
+        assert weight_eval(ComplexIndex.of(-2.7), 0.0) == 1.0
 
     def test_pure_imaginary_index(self):
-        assert_allclose(weight_eval(WeightParams.of(1j), 1.0), math.exp(math.pi / 2), rtol=1e-14)
+        assert_allclose(weight_eval(ComplexIndex.of(1j), 1.0), math.exp(math.pi / 2), rtol=1e-14)
 
     def test_inverse_square(self):
-        assert_allclose(weight_eval(WeightParams.of(-2), 1.0), 0.25, rtol=1e-14)
+        assert_allclose(weight_eval(ComplexIndex.of(-2), 1.0), 0.25, rtol=1e-14)
 
     def test_positive_everywhere(self, rng):
-        w = WeightParams.of(complex(-3.3, 2.1))
+        w = ComplexIndex.of(complex(-3.3, 2.1))
         assert np.all(weight_eval(w, rng.normal(size=50) * 10) > 0)
 
 
@@ -232,25 +228,25 @@ class TestOdeResidual:
 
 class TestInnerProduct:
     def test_plain_beta_integral(self):
-        assert_allclose(inner_product(0, 0, WeightParams.of(-2)), math.pi / 2, atol=1e-10)
+        assert_allclose(inner_product(0, 0, ComplexIndex.of(-2)), math.pi / 2, atol=1e-10)
 
     def test_orthogonality_zero_two(self):
         # family index -4 pairs with weight index -5
-        w = WeightParams.of(pinned_weight_index(-4))
+        w = ComplexIndex.of(pinned_weight_index(-4))
         assert abs(inner_product(0, 2, w)) < 1e-9
 
     def test_odd_pair_symmetric_weight(self):
-        assert abs(inner_product(0, 1, WeightParams.of(-3))) < 1e-10
+        assert abs(inner_product(0, 1, ComplexIndex.of(-3))) < 1e-10
 
     def test_precondition(self):
         with pytest.raises(NonIntegrable):
-            inner_product(3, 3, WeightParams.of(-2))
+            inner_product(3, 3, ComplexIndex.of(-2))
 
     def test_orthogonality_battery(self):
         # orders <= 4 under the pinned weight, real and complex family indices:
         # off-diagonals are exact zeros, diagonals match brute-force quadrature
         for fam in (ComplexIndex.of(-4), ComplexIndex.of(complex(-4, 1.5))):
-            w = WeightParams.of(pinned_weight_index(fam))
+            w = ComplexIndex.of(pinned_weight_index(fam))
             for n in range(5):
                 rn = routh_polynomial(n, fam).poly
                 ref = adaptive_quadrature(lambda e: rn(e) ** 2 * weight_eval(w, e),

@@ -13,12 +13,11 @@ from rrspectra.errors import (
     PreconditionViolated,
 )
 from rrspectra.geometry import PotentialSpec, TangentPolySpec
-from rrspectra import spectral
 from rrspectra.routh import ComplexIndex, real_roots, routh_polynomial
 from rrspectra.spectral import (
     EtaSolution,
     aeh_solution,
-    assemble_eigenfunction,
+    bound_state,
     closed_form_lambda_kappa1,
     enumerate_bound_spectrum,
     gendenshtein_params,
@@ -135,16 +134,16 @@ class TestConventionPinning:
 class TestEigenfunctions:
     def test_ground_state_closed_form(self, gspec, gmap):
         # psi_0 proportional to cosh(x)^-a * exp(-b*atan(sinh x))
-        st = assemble_eigenfunction(gspec, 0, gmap)
+        st = bound_state(gspec, 0).sampled(gmap)
         xs = gmap.x_grid[::128]
         psi = st.psi[::128]
         ref = np.cosh(xs) ** -2.5 * np.exp(-0.5 * np.arctan(np.sinh(xs)))
         ratio = psi / ref
         assert np.max(np.abs(ratio / ratio[len(ratio) // 2] - 1.0)) < 1e-9
 
-    def test_node_counts(self, gspec, gmap):
+    def test_node_counts(self, gspec):
         for n in range(3):
-            st = assemble_eigenfunction(gspec, n, gmap)
+            st = bound_state(gspec, n)
             assert st.nodes == n
             assert len(real_roots(st.poly.poly)) == n
 
@@ -164,14 +163,14 @@ class TestEigenfunctions:
                 expect = 1.0 if i == j else 0.0
                 assert abs(overlap(i, j) - expect) < 1e-8
 
-    def test_admissibility_invariant(self, gspec, gmap):
+    def test_admissibility_invariant(self, gspec):
         for n in range(3):
-            st = assemble_eigenfunction(gspec, n, gmap)
+            st = bound_state(gspec, n)
             assert st.lam.real > n + 0.5
 
-    def test_missing_level(self, gspec, gmap):
+    def test_missing_level(self, gspec):
         with pytest.raises(NoSuchRoot):
-            assemble_eigenfunction(gspec, 7, gmap)
+            bound_state(gspec, 7)
 
 
 class TestNormalization:
@@ -306,31 +305,29 @@ class TestSigmaRho:
 
 class TestStevensonIdentity:
     def test_order_zero_trivial(self, gspec):
-        assert stevenson_identity_check(gspec, 0) == 0.0
+        assert stevenson_identity_check(bound_state(gspec, 0)) == 0.0
 
     def test_order_one_reference_case(self, gspec):
         # lambda = 3 + 0.5i at every level for this member
-        assert stevenson_identity_check(gspec, 1) == 0.0
+        assert stevenson_identity_check(bound_state(gspec, 1)) == 0.0
 
     def test_order_two_random_members(self, rng):
         for _ in range(5):
             a_g = float(rng.uniform(2.2, 4.0))
             b_g = float(rng.normal() * 0.8)
             spec = gendenshtein_params(a_g, b_g)
-            assert stevenson_identity_check(spec, 2) == 0.0
+            assert stevenson_identity_check(bound_state(spec, 2)) == 0.0
 
     def test_milson_levels(self, milson_spec):
         for n in range(3):
-            assert stevenson_identity_check(milson_spec, n) == 0.0
+            assert stevenson_identity_check(bound_state(milson_spec, n)) == 0.0
 
-    def test_wrong_index_is_detected(self, gspec, monkeypatch):
+    def test_wrong_index_is_detected(self, gspec):
         # R_n at the unshifted index -conj(lambda) breaks the identity
-        def unshifted(lam, m):
-            return (routh_polynomial(m, ComplexIndex.of(-lam.conjugate())), None)
-
-        monkeypatch.setattr(spectral, "_closed_form", unshifted)
         for n in (1, 2):
-            assert stevenson_identity_check(gspec, n) > 1e-3
+            st = bound_state(gspec, n)
+            unshifted = routh_polynomial(n, ComplexIndex.of(-st.lam.conjugate()))
+            assert stevenson_identity_check(st._replace(poly=unshifted)) > 1e-3
 
 
 class TestNodelessScan:
@@ -359,4 +356,4 @@ class TestStevensonDegenerate:
         # it can vanish; an inadmissible request surfaces as NoSuchRoot
         spec = gendenshtein_params(0.3, 0.0)
         with pytest.raises(NoSuchRoot):
-            stevenson_identity_check(spec, 3)
+            stevenson_identity_check(bound_state(spec, 3))
