@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -150,15 +151,24 @@ def load_config(path: str) -> RunConfig:
 # output plumbing
 # ---------------------------------------------------------------------------
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks) -> None:
+    """Write the strings ``chunks`` to a temporary file, then move it onto ``path``."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
     os.replace(tmp, path)
 
 
 def _dump_json(path: str, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _atomic_write(path, [json.dumps(payload, sort_keys=True, indent=2), "\n"])
+
+
+def _write_csv(path: str, header: str, columns) -> None:
+    """One ``%.12g`` row per sample of the equal-length arrays ``columns``,
+    streamed row by row."""
+    fmt = ",".join(["%.12g"] * len(columns)) + "\n"
+    rows = (fmt % row for row in zip(*(c.tolist() for c in columns)))
+    _atomic_write(path, itertools.chain([header + "\n"], rows))
 
 
 def _report_record(command: str, config: RunConfig, outputs, passed: bool) -> dict:
@@ -174,14 +184,12 @@ def _report_record(command: str, config: RunConfig, outputs, passed: bool) -> di
     }
 
 
-def _require_finite(config: RunConfig, what: str, values) -> None:
-    """NaN or infinite samples: a config error for a user grid, else numeric."""
+def _require_finite(what: str, values) -> None:
     bad = int(np.count_nonzero(~np.isfinite(values)))
     if bad:
-        msg = "%d of %d %s samples are NaN or infinite" % (bad, np.size(values), what)
-        if config.x_max is None and config.n is None:
-            raise NonFiniteSamples(msg)
-        raise ConfigError("grid x_max=%s, n=%s: %s" % (config.x_max, config.n, msg))
+        raise NonFiniteSamples(
+            "%d of %d %s samples are NaN or infinite" % (bad, np.size(values), what)
+        )
 
 
 def _default_map(config: RunConfig) -> VariableMap:
@@ -200,16 +208,14 @@ def cmd_spectrum(config: RunConfig, out_dir: str) -> int:
     if spectrum.states:
         vmap = _default_map(config)
         states = [spectral.bound_state(config.spec, s.n).sampled(vmap) for s in spectrum.states]
-        _require_finite(config, "eigenfunction", [s.psi for s in states])
+        _require_finite("eigenfunction", [s.psi for s in states])
     spath = os.path.join(out_dir, "spectrum.json")
     _dump_json(spath, spectrum.to_json_dict())
     outputs = [spath]
     if states:
         cpath = os.path.join(out_dir, "eigenfunctions.csv")
         header = "x," + ",".join("psi_%d" % s.n for s in states)
-        fmt = ",".join(["%.12g"] * (len(states) + 1)) + "\n"
-        columns = [vmap.x_grid.tolist()] + [s.psi.tolist() for s in states]
-        _atomic_write(cpath, "".join([header + "\n"] + [fmt % row for row in zip(*columns)]))
+        _write_csv(cpath, header, [vmap.x_grid] + [s.psi for s in states])
         outputs.append(cpath)
     _dump_json(os.path.join(out_dir, "report.json"),
                _report_record("spectrum", config, outputs, True))
@@ -245,7 +251,7 @@ def cmd_scan_nodeless(config: RunConfig, out_dir: str, workers: int) -> int:
     a_range, b_range, m, na, nb = config.scan_params()
     cells = spectral.nodeless_scan(a_range, b_range, m, na=na, nb=nb, workers=workers)
     cpath = os.path.join(out_dir, "scan.csv")
-    _atomic_write(cpath, "\n".join([_SCAN_HEADER] + [_cell_csv(c) for c in cells]) + "\n")
+    _atomic_write(cpath, ["\n".join([_SCAN_HEADER] + [_cell_csv(c) for c in cells]), "\n"])
     agree_thresh = sum(
         1 for c in cells
         if c.empirical_nodeless is not None and c.threshold_prediction == c.empirical_nodeless
@@ -280,16 +286,16 @@ def cmd_partner(config: RunConfig, out_dir: str, tol: float) -> int:
             raise ConfigError("type-c partner supports only m=0 (ground-state erasure)")
         seed = spectral.bound_state(config.spec, 0)
     expected = darboux.partner_levels(parent, seed)
-    x_max, n = verify.oracle_box(config.spec, expected or parent, config.x_max, config.n)
-    wide = VariableMap(config.spec.tp, x_max, n)
-    partner_grid = darboux.partner_potential(config.spec, seed, wide)
-    _require_finite(config, "potential", [partner_grid.v_parent, partner_grid.v_partner])
+    vmap = verify.oracle_map(config.spec, expected or parent, config.x_max, config.n)
+    partner_grid = darboux.partner_potential(config.spec, seed, vmap)
+    _require_finite("potential", [partner_grid.v_parent, partner_grid.v_partner])
     cpath = os.path.join(out_dir, "partner.csv")
-    darboux.write_partner_csv(partner_grid, cpath)
+    _write_csv(cpath, "x,V_parent,V_partner",
+               [partner_grid.x, partner_grid.v_parent, partner_grid.v_partner])
     outputs = [cpath]
     passed = True
     if expected:
-        report = verify.verify_partner_levels(partner_grid, expected, tol=tol)
+        report = verify.verify_partner_levels(vmap, partner_grid, expected, tol=tol)
         rpath = os.path.join(out_dir, "partner_verify.json")
         _dump_json(rpath, report.to_json_dict())
         outputs.append(rpath)
@@ -377,10 +383,13 @@ def main(argv=None) -> int:
         if args.command == "identities":
             return cmd_identities(config, args.out, args.tol)
         raise ConfigError("unknown command %r" % args.command)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return 2
     except SpectraError as exc:
+        # samples that are not finite on a grid the config chose are that grid's fault
+        if isinstance(exc, NonFiniteSamples) and (config.x_max, config.n) != (None, None):
+            exc = ConfigError("grid x_max=%s, n=%s: %s" % (config.x_max, config.n, exc))
+        if isinstance(exc, ConfigError):
+            print("config error: %s" % exc, file=sys.stderr)
+            return 2
         print("numeric failure: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 3
 

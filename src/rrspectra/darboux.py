@@ -81,13 +81,6 @@ def partner_potential(spec: PotentialSpec, seed: ClosedForm, vmap: VariableMap) 
     return PartnerPotentialGrid(x=vmap.x_grid.copy(), v_parent=v_parent, v_partner=v_partner)
 
 
-def write_partner_csv(grid: PartnerPotentialGrid, path) -> None:
-    columns = (grid.x.tolist(), grid.v_parent.tolist(), grid.v_partner.tolist())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,V_parent,V_partner\n")
-        fh.writelines("%.12g,%.12g,%.12g\n" % row for row in zip(*columns))
-
-
 # ---------------------------------------------------------------------------
 # positive even irregular solutions of symmetric members
 # ---------------------------------------------------------------------------

@@ -55,10 +55,6 @@ class PreconditionViolated(SpectraError):
     """An operation-level precondition does not hold."""
 
 
-class NotConverged(SpectraError):
-    """An iterative numeric procedure exhausted its budget."""
-
-
 class InsufficientDecay(SpectraError):
     """The sampled potential does not decay at the grid ends."""
 

@@ -249,17 +249,15 @@ def potential_of_eta(spec: PotentialSpec, eta):
     return float(out) if out.ndim == 0 else out
 
 
-def choose_x_max(spec: PotentialSpec, threshold: float = 1e-3, margin: float = 1.0) -> float:
-    """Smallest grid half-width with |V| below ``threshold`` at the ends."""
+def choose_x_max(spec: PotentialSpec) -> float:
+    """Grid half-width with |V| below 1e-3 at both ends, plus 1, rounded up to a quarter."""
     eta = 1.0
     for _ in range(80):
-        if abs(potential_of_eta(spec, eta)) < threshold and abs(
-            potential_of_eta(spec, -eta)
-        ) < threshold:
+        if abs(potential_of_eta(spec, eta)) < 1e-3 and abs(potential_of_eta(spec, -eta)) < 1e-3:
             break
         eta *= 1.25
     else:
-        raise StepFailure("potential does not decay below %g" % threshold)
+        raise StepFailure("potential does not decay below 1e-3")
     x_at = liouville_x(spec.tp, eta)  # the map is odd
-    return float(math.ceil((x_at + margin) * 4.0) / 4.0)
+    return float(math.ceil((x_at + 1.0) * 4.0) / 4.0)
 

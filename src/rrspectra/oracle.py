@@ -22,20 +22,20 @@ class _GridFields(NamedTuple):
     x_min: float
     x_max: float
     n: int
-    values: np.ndarray | None
+    values: np.ndarray
 
 
 class Grid1D(_GridFields):
-    """A uniform 1D grid, optionally carrying sampled values."""
+    """A uniform 1D grid carrying the values sampled on it."""
 
     __slots__ = ()
 
-    def __new__(cls, x_min: float, x_max: float, n: int, values: np.ndarray | None = None):
+    def __new__(cls, x_min: float, x_max: float, n: int, values: np.ndarray):
         if n < 256:
             raise ValueError("grid needs at least 256 points")
         if not x_max > x_min:
             raise ValueError("empty grid range")
-        if values is not None and len(values) != n:
+        if len(values) != n:
             raise ValueError("values length does not match n")
         return super().__new__(cls, x_min, x_max, n, values)
 
@@ -45,14 +45,12 @@ class Grid1D(_GridFields):
 
 
 class EigenEstimate(NamedTuple):
-    """One oracle level.  ``nodes`` is its index, which is the node count of
-    its eigenfunction.  ``error`` is the gap between the one-step and two-step
+    """One oracle level.  ``error`` is the gap between the one-step and two-step
     Richardson values, which estimates truncation, plus the propagated solver
     certificate (64 d_h + 20 d_2h + d_4h) / 45.  It does not see the roundoff
     of order 1e-16 / h^2 that dominates on very fine grids."""
 
     energy: float
-    nodes: int
     error: float
 
 
@@ -177,8 +175,6 @@ def lowest_levels(potential: Grid1D, count: int, *, require_decay: bool = True) 
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if potential.values is None:
-        raise ValueError("potential grid carries no sampled values")
     v = np.asarray(potential.values, dtype=float)
     if not np.all(np.isfinite(v)):
         raise NonFiniteSamples(
@@ -203,8 +199,8 @@ def lowest_levels(potential: Grid1D, count: int, *, require_decay: bool = True) 
     two_step = (64.0 * e_h - 20.0 * e_2h + e_4h) / 45.0
     cert = (64.0 * d_h + 20.0 * d_2h + d_4h) / 45.0
     return [
-        EigenEstimate(energy=float(e), nodes=k, error=float(abs(e - e1) + d))
-        for k, (e, e1, d) in enumerate(zip(two_step, one_step, cert))
+        EigenEstimate(energy=float(e), error=float(abs(e - e1) + d))
+        for e, e1, d in zip(two_step, one_step, cert)
     ]
 
 
@@ -212,10 +208,13 @@ def lowest_levels(potential: Grid1D, count: int, *, require_decay: bool = True) 
 # sign changes
 # ---------------------------------------------------------------------------
 
-def count_sign_changes(f, xs, zero_tol: float = 1e-12) -> int:
+_ZERO_TOL = 1e-12  # a sample at most this large in magnitude has no definite sign
+
+
+def count_sign_changes(f, xs) -> int:
     """Number of strict sign changes of ``f`` over the sample points ``xs``.
 
-    A sample whose magnitude stays below ``zero_tol`` counts as a crossing
+    A sample whose magnitude stays below ``_ZERO_TOL`` counts as a crossing
     only when its definite-signed neighbours disagree (a grazing near-zero
     between same-signed neighbours is excluded); two or more consecutive
     sub-tolerance samples are reported as :class:`AmbiguousZero`.  Each
@@ -227,19 +226,19 @@ def count_sign_changes(f, xs, zero_tol: float = 1e-12) -> int:
     """
     xs = np.asarray(xs, dtype=float)
     vals = np.asarray(f(xs), dtype=float)
-    tiny = np.abs(vals) <= zero_tol
+    tiny = np.abs(vals) <= _ZERO_TOL
     if np.any(tiny[1:] & tiny[:-1]):
-        raise AmbiguousZero("|f| <= %g over an interval of samples" % zero_tol)
+        raise AmbiguousZero("|f| <= %g over an interval of samples" % _ZERO_TOL)
 
     definite = np.flatnonzero(~tiny)
     positive = vals[definite] > 0
     flips = np.flatnonzero(positive[1:] != positive[:-1])
     for i in flips:
-        _locate_crossing(f, xs[definite[i]], xs[definite[i + 1]], zero_tol)
+        _locate_crossing(f, xs[definite[i]], xs[definite[i + 1]])
     return len(flips)
 
 
-def _locate_crossing(f, a: float, b: float, zero_tol: float) -> float:
+def _locate_crossing(f, a: float, b: float) -> float:
     """Bisect a sign-changing bracket down to the crossing point.
 
     Raises :class:`AmbiguousZero` when the bracket collapses onto a
@@ -252,10 +251,10 @@ def _locate_crossing(f, a: float, b: float, zero_tol: float) -> float:
             break
         m = 0.5 * (a + b)
         fm = f(m)
-        if abs(fm) <= zero_tol:
+        if abs(fm) <= _ZERO_TOL:
             plateau += 1
             if plateau >= 40:
-                raise AmbiguousZero("|f| <= %g on a plateau near %.6g" % (zero_tol, m))
+                raise AmbiguousZero("|f| <= %g on a plateau near %.6g" % (_ZERO_TOL, m))
         if fa * fm < 0:
             b = m
         else:

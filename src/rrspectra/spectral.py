@@ -111,7 +111,13 @@ class EtaSolution:
 
     def _du(self, eta):
         p, q = self.power, self.atan_coeff
-        return (2.0 * p - 2.0 * p * eta ** 2 - 2.0 * q * eta) / (1.0 + eta ** 2) ** 2
+        w = 1.0 + eta ** 2
+        num = 2.0 * p - 2.0 * p * eta ** 2 - 2.0 * q * eta
+        with np.errstate(over="ignore"):
+            w2 = w * w
+        # w * w overflows once |eta| > ~1e77 (|x| > ~178 for eta = sinh x); num / w2
+        # is then 0, not -2p / eta^2, which Darboux partners scale back to O(1)
+        return np.where(np.isinf(w2), num / w / w, num / w2)
 
     def __call__(self, eta):
         eta = np.asarray(eta, dtype=float)

@@ -1,8 +1,9 @@
 """Cross-checks between the closed-form machinery and the numeric oracle.
 
-Shared by the command-line front end and the acceptance suite.  Oracle grids
-are always built from the sampled potential alone (no analytic seeding), so
-the comparison stays independent of the result it checks.
+Shared by the command-line front end and the acceptance suite.  The bound
+spectrum and Darboux partners share one grid rule, :func:`oracle_map`, and
+one oracle call.  The oracle sees the sampled potential alone (no analytic
+seeding), so the comparison stays independent of the result it checks.
 """
 
 from __future__ import annotations
@@ -10,24 +11,22 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-import numpy as np
-
 from . import geometry, oracle
-from .errors import ConfigError, NonFiniteSamples
 from .geometry import PotentialSpec, VariableMap
 from .oracle import Grid1D
 from .spectral import Spectrum, enumerate_bound_spectrum
 
 
-def oracle_box(spec: PotentialSpec, energies=None, x_max=None, n=None) -> tuple:
-    """Half-width and point count (x_max, n) of an oracle grid; given values are kept.
+def oracle_map(spec: PotentialSpec, energies, x_max=None, n=None) -> VariableMap:
+    """The variable map an oracle grid is sampled on; given x_max and n are kept.
 
     The half-width covers both the potential decay scale and the slowest
-    bound-state tail exp(-kappa |x|) with kappa from the shallowest level.
-    The point count keeps the spacing at 0.012 or finer, odd, and at least 8192.
+    bound-state tail exp(-kappa |x|) with kappa from the shallowest of
+    ``energies``.  The point count keeps the spacing at 0.012 or finer and is
+    at least 8192; above the floor it is odd (x_max past about 49.15).
     """
     if x_max is None:
-        x_decay = geometry.choose_x_max(spec, threshold=1e-3)
+        x_decay = geometry.choose_x_max(spec)
         if energies:
             kappa_min = math.sqrt(max(-max(energies), 1e-4))
             x_max = min(60.0, max(12.0, x_decay + 18.0 / kappa_min))
@@ -35,16 +34,13 @@ def oracle_box(spec: PotentialSpec, energies=None, x_max=None, n=None) -> tuple:
             x_max = min(60.0, max(12.0, 3.0 * x_decay))
     if n is None:
         n = max(8192, int(2 * x_max / 0.012) | 1)
-    return x_max, n
+    return VariableMap(spec.tp, x_max, n)
 
 
-def oracle_grid_for(spec: PotentialSpec, energies=None, x_max=None, n=None) -> tuple:
-    """A (VariableMap, Grid1D) pair sized by :func:`oracle_box` for eigenvalue extraction."""
-    x_max, n = oracle_box(spec, energies, x_max, n)
-    vmap = VariableMap(spec.tp, x_max, n)
-    values = geometry.potential_of_eta(spec, vmap.eta_grid)
-    grid = Grid1D(x_min=-x_max, x_max=x_max, n=len(values), values=values)
-    return vmap, grid
+def _oracle_levels(vmap: VariableMap, values, count: int) -> list:
+    """The oracle's lowest ``count`` levels of the potential ``values`` sampled on ``vmap``."""
+    grid = Grid1D(x_min=-vmap.x_max, x_max=vmap.x_max, n=len(values), values=values)
+    return oracle.lowest_levels(grid, count=count)
 
 
 class LevelComparison(NamedTuple):
@@ -72,17 +68,7 @@ class VerifyReport(NamedTuple):
         return {
             "tol": self.tol,
             "passed": self.passed,
-            "levels": [
-                {
-                    "n": lv.n,
-                    "analytic": lv.analytic,
-                    "numeric": lv.numeric,
-                    "rel_delta": lv.rel_delta,
-                    "nodes_analytic": lv.nodes_analytic,
-                    "nodes_numeric": lv.nodes_numeric,
-                }
-                for lv in self.levels
-            ],
+            "levels": [lv._asdict() for lv in self.levels],
             "n_max_constructive": self.spectrum.n_max_constructive,
             "n_max_formula": self.spectrum.n_max_formula,
             "formula_consistent": self.spectrum.formula_consistent,
@@ -92,33 +78,21 @@ class VerifyReport(NamedTuple):
 def verify_spectrum(spec: PotentialSpec, tol: float = 1e-3, x_max=None, n=None) -> VerifyReport:
     """Analytic levels against the finite-difference oracle, level by level.
 
-    A potential that cannot be sampled on the grid (NaN or infinite values)
-    is a :class:`ConfigError` when the caller chose the grid (``x_max`` or
-    ``n``) and a :class:`NonFiniteSamples` numeric failure otherwise."""
+    Level k of the oracle is the k-th lowest, so its node count is k.  A
+    potential that cannot be sampled on the grid raises :class:`NonFiniteSamples`."""
     spectrum = enumerate_bound_spectrum(spec)
     if not spectrum.states:
         return VerifyReport(levels=(), tol=tol, spectrum=spectrum)
-    _vmap, grid = oracle_grid_for(spec, spectrum.energies, x_max=x_max, n=n)
-    try:
-        estimates = oracle.lowest_levels(grid, count=len(spectrum.states))
-    except NonFiniteSamples as exc:
-        if x_max is None and n is None:
-            raise
-        raise ConfigError("grid x_max=%g, n=%d: %s" % (grid.x_max, grid.n, exc)) from exc
-    levels = []
-    for state, est in zip(spectrum.states, estimates):
-        rel = abs(state.energy - est.energy) / abs(est.energy)
-        levels.append(
-            LevelComparison(
-                n=state.n,
-                analytic=state.energy,
-                numeric=est.energy,
-                rel_delta=rel,
-                nodes_analytic=state.nodes,
-                nodes_numeric=est.nodes,
-            )
-        )
-    return VerifyReport(levels=tuple(levels), tol=tol, spectrum=spectrum)
+    vmap = oracle_map(spec, spectrum.energies, x_max, n)
+    values = geometry.potential_of_eta(spec, vmap.eta_grid)
+    estimates = _oracle_levels(vmap, values, len(spectrum.states))
+    levels = tuple(
+        LevelComparison(n=s.n, analytic=s.energy, numeric=e.energy,
+                        rel_delta=abs(s.energy - e.energy) / abs(e.energy),
+                        nodes_analytic=s.nodes, nodes_numeric=k)
+        for k, (s, e) in enumerate(zip(spectrum.states, estimates))
+    )
+    return VerifyReport(levels=levels, tol=tol, spectrum=spectrum)
 
 
 class PartnerReport(NamedTuple):
@@ -144,17 +118,9 @@ class PartnerReport(NamedTuple):
         }
 
 
-def verify_partner_levels(partner_grid, expected, tol: float = 1e-3) -> PartnerReport:
-    """Oracle spectrum of a partner potential against an expected level list."""
-    grid = Grid1D(
-        x_min=float(partner_grid.x[0]),
-        x_max=float(partner_grid.x[-1]),
-        n=len(partner_grid.x),
-        values=np.asarray(partner_grid.v_partner, dtype=float),
-    )
-    estimates = oracle.lowest_levels(grid, count=len(expected))
+def verify_partner_levels(vmap: VariableMap, partner_grid, expected, tol: float = 1e-3) -> PartnerReport:
+    """Oracle spectrum of a partner potential sampled on ``vmap`` against an expected level list."""
+    estimates = _oracle_levels(vmap, partner_grid.v_partner, len(expected))
     numeric = tuple(e.energy for e in estimates)
-    deltas = tuple(
-        abs(e - v) / abs(e) for e, v in zip(expected, numeric)
-    )
+    deltas = tuple(abs(e - v) / abs(e) for e, v in zip(expected, numeric))
     return PartnerReport(expected=tuple(expected), numeric=numeric, rel_deltas=deltas, tol=tol)

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import math
 
-from rrspectra.errors import NotConverged
+
+class NotConverged(Exception):
+    """The quadrature error estimate exceeds the requested tolerance."""
 
 
 def adaptive_quadrature(f, a: float, b: float, tol: float = 1e-10) -> float:

@@ -168,7 +168,7 @@ def test_criterion_7_darboux_insertion():
     seed = aeh_solution(spec, "d", 0)
     grid = partner_potential(spec, seed, vmap)
     expected = [-12.25, -6.25, -2.25, -0.25]
-    rep = verify_partner_levels(grid, expected, tol=1e-3)
+    rep = verify_partner_levels(vmap, grid, expected, tol=1e-3)
     elapsed = time.monotonic() - t0
     report(
         7,

@@ -242,6 +242,24 @@ class TestPartnerCommand:
         header = (out / "partner.csv").read_text().splitlines()[0]
         assert header == "x,V_parent,V_partner"
 
+    def test_csv_dump(self, tmp_path, monkeypatch):
+        # partner.csv appears only when complete, like every other output:
+        # written to a temporary file, then moved into place
+        moved = []
+        replace = os.replace
+
+        def recording(src, dst):
+            moved.append(os.path.basename(dst))
+            replace(src, dst)
+
+        monkeypatch.setattr(cli.os, "replace", recording)
+        self.test_insertion(tmp_path)
+        assert moved == ["partner.csv", "partner_verify.json", "report.json"]
+        out = tmp_path / "out"
+        assert sorted(os.listdir(out)) == ["partner.csv", "partner_verify.json", "report.json"]
+        rows = (out / "partner.csv").read_text().splitlines()[1:]
+        assert len(rows) == 8192 and all(len(r.split(",")) == 3 for r in rows)
+
     def test_erasure(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -295,7 +313,8 @@ class TestPartnerCommand:
         def no_map(*args):
             raise AssertionError("a noded seed is rejected before any grid is built")
 
-        monkeypatch.setattr(cli, "VariableMap", no_map)
+        # the partner grid is the oracle map that verify sizes and builds
+        monkeypatch.setattr(cli.verify, "VariableMap", no_map)
         self.test_noded_seed_fails_cleanly(tmp_path)
         err = capsys.readouterr().err
         assert "NodeDetected: factorization polynomial has real zeros" in err

@@ -9,7 +9,6 @@ from rrspectra.darboux import (
     partner_levels,
     partner_potential,
     symmetric_irregular_solution,
-    write_partner_csv,
 )
 from rrspectra.errors import NodeDetected, PreconditionViolated
 from rrspectra.geometry import PotentialSpec, TangentPolySpec, VariableMap
@@ -19,13 +18,13 @@ from rrspectra.spectral import (
     enumerate_bound_spectrum,
     gendenshtein_params,
 )
-from rrspectra.verify import oracle_grid_for, verify_partner_levels
+from rrspectra.verify import oracle_map, verify_partner_levels
 
 
 @pytest.fixture(scope="module")
 def insertion_setup():
     spec = gendenshtein_params(1.5, 0.4)
-    vmap, _grid = oracle_grid_for(spec, [-6.25, -2.25, -0.25])
+    vmap = oracle_map(spec, [-6.25, -2.25, -0.25])
     return spec, vmap
 
 
@@ -35,7 +34,7 @@ class TestPartnerPotential:
         seed = aeh_solution(spec, "d", 0)
         grid = partner_potential(spec, seed, vmap)
         # parent levels -(1.5-n)^2 for n=0,1 plus the inserted -(1.5+1)^2
-        rep = verify_partner_levels(grid, [-6.25, -2.25, -0.25], tol=1e-3)
+        rep = verify_partner_levels(vmap, grid, [-6.25, -2.25, -0.25], tol=1e-3)
         assert rep.passed, rep.rel_deltas
 
     def test_ground_state_erasure(self, insertion_setup):
@@ -43,7 +42,7 @@ class TestPartnerPotential:
         # the normalized bound state, and the same type-c seed unnormalized
         for psi0 in (bound_state(spec, 0), aeh_solution(spec, "c", 0)):
             grid = partner_potential(spec, psi0, vmap)
-            rep = verify_partner_levels(grid, [-0.25], tol=1e-3)
+            rep = verify_partner_levels(vmap, grid, [-0.25], tol=1e-3)
             assert rep.passed, rep.rel_deltas
 
     def test_planted_node_rejected(self, insertion_setup):
@@ -81,14 +80,15 @@ class TestPartnerPotential:
         grid = partner_potential(spec, seed, vmap)
         assert abs(grid.v_partner[0]) < 1e-2 and abs(grid.v_partner[-1]) < 1e-2
 
-    def test_csv_dump(self, insertion_setup, tmp_path):
-        spec, vmap = insertion_setup
-        seed = aeh_solution(spec, "d", 0)
-        grid = partner_potential(spec, seed, vmap)
-        path = tmp_path / "partner.csv"
-        write_partner_csv(grid, path)
-        header = path.read_text().splitlines()[0]
-        assert header == "x,V_parent,V_partner"
+    def test_far_field_decays(self):
+        # past |x| ~ 178, (1 + eta^2)^2 overflows; the two cancelling O(1)
+        # terms of (ln ff)'' must both survive, or V_hat ends near -4p
+        spec = gendenshtein_params(1.7193, 2.1470)
+        vmap = VariableMap(spec.tp, 200.0, 4097)
+        with np.errstate(over="ignore"):  # root**5 in the map's f'' overflows; f'' -> 0
+            grid = partner_potential(spec, aeh_solution(spec, "d", 0), vmap)
+        assert np.all(np.isfinite(grid.v_partner))
+        assert abs(grid.v_partner[0]) < 1e-12 and abs(grid.v_partner[-1]) < 1e-12
 
 
 class TestPartnerLevels:

@@ -185,7 +185,7 @@ class TestPotential:
         assert np.max(np.abs(v_pos - v_neg)) < 1e-10
 
     def test_decay_at_chosen_x_max(self, milson_spec):
-        x_max = choose_x_max(milson_spec, threshold=1e-3)
+        x_max = choose_x_max(milson_spec)
         vm = VariableMap(milson_spec.tp, x_max, 256)
         assert abs(potential_of_eta(milson_spec, vm.eta_of_x(x_max))) < 1e-3
         assert abs(potential_of_eta(milson_spec, vm.eta_of_x(-x_max))) < 1e-3

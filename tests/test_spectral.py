@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 from rrspectra.errors import (
     BranchUndefined,
     NoSuchRoot,
-    NotConverged,
     PreconditionViolated,
 )
 from rrspectra.geometry import PotentialSpec, TangentPolySpec
@@ -30,7 +29,7 @@ from rrspectra.spectral import (
     stevenson_identity_check,
 )
 
-from quadrature import adaptive_quadrature
+from quadrature import NotConverged, adaptive_quadrature
 from residual import rcsle_residual
 
 
