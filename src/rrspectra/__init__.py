@@ -10,26 +10,21 @@ from .geometry import (
     PotentialSpec,
     TangentPolySpec,
     VariableMap,
-    bose_invariant_eval,
     choose_x_max,
     schwarzian_eval,
     tangent_eval,
 )
-from .oracle import EigenEstimate, Grid1D, count_sign_changes, lowest_levels
+from .oracle import EigenEstimate, Grid1D, lowest_levels
 from .routh import (
     ComplexIndex,
     RealPolynomial,
     RouthPolynomial,
     discriminant_order2,
-    inner_product,
-    jacobi_complex_eval,
     ode_residual,
     real_root_count,
     real_roots,
-    routh_hypergeometric_eval,
     routh_polynomial,
     routh_rodrigues,
-    weight_eval,
 )
 from .spectral import (
     ClosedForm,
@@ -49,7 +44,6 @@ from .darboux import (
     PartnerPotentialGrid,
     partner_levels,
     partner_potential,
-    symmetric_irregular_solution,
 )
 
 __version__ = "0.1.0"

@@ -9,14 +9,6 @@ class ImaginaryResidue(SpectraError):
     """A coefficient that must be exactly real has a nonzero imaginary part."""
 
 
-class DegenerateParameter(SpectraError):
-    """A Pochhammer denominator in a truncated hypergeometric sum vanished."""
-
-
-class NonIntegrable(SpectraError):
-    """The requested inner product does not converge."""
-
-
 class ZeroPolynomial(SpectraError):
     """Root isolation was asked for the identically-zero polynomial."""
 
@@ -60,11 +52,7 @@ class InsufficientDecay(SpectraError):
 
 
 class NonFiniteSamples(SpectraError):
-    """A sampled potential holds NaN or infinite values."""
-
-
-class AmbiguousZero(SpectraError):
-    """A sampled function is numerically zero over an interval."""
+    """Sampled values (a potential, or eta on the variable map) are NaN or infinite."""
 
 
 class ConfigError(SpectraError):

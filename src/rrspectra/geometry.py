@@ -1,4 +1,4 @@
-"""Tangent polynomials, Bose invariants and the Liouville change of variable.
+"""Tangent polynomials and the Liouville change of variable.
 
 The potentials handled here live on the whole real line and come from a
 rational canonical Sturm-Liouville form Phi'' + I(eta; e) Phi = 0 with two
@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OutOfGrid, StepFailure
+from .errors import NonFiniteSamples, OutOfGrid, StepFailure
 
 
 # ---------------------------------------------------------------------------
@@ -98,24 +98,6 @@ class PotentialSpec(_PotentialFields):
         return self.tp.a * (1.0 - self.tp.kappa_plus)
 
 
-def bose_invariant_eval(spec: PotentialSpec, epsilon: float, eta):
-    """The rational invariant I(eta; e) of the canonical equation, real for real eta.
-
-    The singular-point strengths slide linearly with energy,
-    h(e) = h0 - c*e and O0(e) = O00 + d*e, with (c, d) the tangent-polynomial
-    coefficients.  The conjugate pairing of the +-i fractions keeps the value
-    real on the real line.
-    """
-    eta = np.asarray(eta, dtype=float)
-    h = spec.h0 - spec.energy_coupling * epsilon
-    o0 = spec.o00 + spec.tp.d * epsilon
-    denom = (1.0 + eta ** 2)
-    # h/(eta+i)^2 + conj(h)/(eta-i)^2 = 2*Re[h*(eta-i)^2] / (1+eta^2)^2
-    re_part = h.real * (eta ** 2 - 1.0) + 2.0 * h.imag * eta
-    out = -0.25 * (2.0 * re_part / denom ** 2 - o0 / denom)
-    return float(out) if out.ndim == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # the Liouville map
 # ---------------------------------------------------------------------------
@@ -190,7 +172,8 @@ class VariableMap:
         root, the iterates approach it monotonically (for kappa < 1 after the
         first step).  The iteration stops once every step is below 1e-14
         relative to s, after one polishing step, and raises
-        :class:`StepFailure` if that does not happen or eta overflows.
+        :class:`StepFailure` if that does not happen.  An eta past the double
+        range (|s| > 710.47) raises :class:`NonFiniteSamples`.
         """
         xs = np.asarray(x, dtype=float)
         if np.any(np.abs(xs) > self.x_max * (1.0 + 1e-12)):
@@ -201,6 +184,8 @@ class VariableMap:
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(60):
                 eta = np.sinh(s)
+                if not np.all(np.isfinite(eta)):
+                    break  # reported below
                 step = (liouville_x(self.tp, eta) - xs) * np.hypot(eta, 1.0) / (ra * np.hypot(eta, rk))
                 s = s - step
                 if done:
@@ -209,8 +194,9 @@ class VariableMap:
             else:
                 raise StepFailure("variable-map inversion did not converge")
             eta = np.sinh(s)
-        if not np.all(np.isfinite(eta)):
-            raise StepFailure("variable-map inversion gave a non-finite eta")
+        bad = int(np.count_nonzero(~np.isfinite(eta)))
+        if bad:
+            raise NonFiniteSamples("%d of %d eta samples overflow the double range" % (bad, np.size(eta)))
         return float(eta) if eta.ndim == 0 else eta
 
     def deriv(self, eta):

@@ -1,9 +1,9 @@
-"""Brute-force verification tools: a finite-difference bound-state
+"""Brute-force verification tool: a finite-difference bound-state
 eigensolver in numpy (a sine-basis Rayleigh-Ritz solve certified by Sturm
-counts) and exact-ish sign-change counting.
+counts).
 
 Nothing in this module knows about the analytic machinery it is used to
-check; it sees only sampled potentials and callables.  Units are hbar = 2m = 1
+check; it sees only sampled potentials.  Units are hbar = 2m = 1
 so the eigenproblem reads -psi'' + V psi = e psi.
 """
 
@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AmbiguousZero, InsufficientDecay, NonFiniteSamples
+from .errors import InsufficientDecay, NonFiniteSamples
 
 
 class _GridFields(NamedTuple):
@@ -202,61 +202,3 @@ def lowest_levels(potential: Grid1D, count: int, *, require_decay: bool = True) 
         EigenEstimate(energy=float(e), error=float(abs(e - e1) + d))
         for e, e1, d in zip(two_step, one_step, cert)
     ]
-
-
-# ---------------------------------------------------------------------------
-# sign changes
-# ---------------------------------------------------------------------------
-
-_ZERO_TOL = 1e-12  # a sample at most this large in magnitude has no definite sign
-
-
-def count_sign_changes(f, xs) -> int:
-    """Number of strict sign changes of ``f`` over the sample points ``xs``.
-
-    A sample whose magnitude stays below ``_ZERO_TOL`` counts as a crossing
-    only when its definite-signed neighbours disagree (a grazing near-zero
-    between same-signed neighbours is excluded); two or more consecutive
-    sub-tolerance samples are reported as :class:`AmbiguousZero`.  Each
-    crossing between definite samples is located by local bisection, which
-    confirms the bracket does not hide a sub-tolerance plateau.
-
-    ``f`` is called once on the whole sample array, and on single points
-    while a crossing is bisected.
-    """
-    xs = np.asarray(xs, dtype=float)
-    vals = np.asarray(f(xs), dtype=float)
-    tiny = np.abs(vals) <= _ZERO_TOL
-    if np.any(tiny[1:] & tiny[:-1]):
-        raise AmbiguousZero("|f| <= %g over an interval of samples" % _ZERO_TOL)
-
-    definite = np.flatnonzero(~tiny)
-    positive = vals[definite] > 0
-    flips = np.flatnonzero(positive[1:] != positive[:-1])
-    for i in flips:
-        _locate_crossing(f, xs[definite[i]], xs[definite[i + 1]])
-    return len(flips)
-
-
-def _locate_crossing(f, a: float, b: float) -> float:
-    """Bisect a sign-changing bracket down to the crossing point.
-
-    Raises :class:`AmbiguousZero` when the bracket collapses onto a
-    sub-tolerance plateau wider than the location resolution.
-    """
-    fa = f(a)
-    plateau = 0
-    for _ in range(80):
-        if abs(b - a) <= 1e-13 * max(1.0, abs(a), abs(b)):
-            break
-        m = 0.5 * (a + b)
-        fm = f(m)
-        if abs(fm) <= _ZERO_TOL:
-            plateau += 1
-            if plateau >= 40:
-                raise AmbiguousZero("|f| <= %g on a plateau near %.6g" % (_ZERO_TOL, m))
-        if fa * fm < 0:
-            b = m
-        else:
-            a, fa = m, fm
-    return 0.5 * (a + b)

@@ -2,9 +2,9 @@
 
 Everything here is built from one canonical object: the Jacobi polynomial with
 complex indices, normalized so that index (1, 1) reproduces the Legendre
-polynomials (i.e. ``jacobi_complex_eval(m, beta, alpha, y)`` equals the
-textbook Jacobi polynomial of indices ``(beta - 1, alpha - 1)``).  The Routh
-polynomial of order ``m`` and complex index ``alpha`` is then
+polynomials (``_jacobi_coeffs_cached(m, beta, alpha)`` gives the coefficients
+of the textbook Jacobi polynomial of indices ``(beta - 1, alpha - 1)``).  The
+Routh polynomial of order ``m`` and complex index ``alpha`` is then
 
     R_m^(alpha)(eta) = (-i)^m * P_m^(alpha*, alpha)(i * eta)
 
@@ -16,13 +16,10 @@ rounded Cauchy beta integral.  Real roots are isolated by integer Sturm chains
 and correctly rounded by an exact search started from a float estimate.
 Floats otherwise appear only in evaluation.
 
-Two empirically pinned facts about the family are exposed and tested here:
-
-* the Rodrigues-type generator with weight index ``alpha`` produces
-  ``2^m m! * R_m^(alpha* + 1)``, so its record carries the family index
-  ``alpha* + 1`` and satisfies the one canonical equation, and
-* the orthogonality weight for the family at index ``alpha`` is the generating
-  weight at index ``alpha* - 1`` (one unit *lower* than the family index).
+One empirically pinned fact about the family is exposed and tested here: the
+Rodrigues-type generator with weight index ``alpha`` produces
+``2^m m! * R_m^(alpha* + 1)``, so its record carries the family index
+``alpha* + 1`` and satisfies the one canonical equation.
 """
 
 from __future__ import annotations
@@ -39,14 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _exact as ex
-from ._exact import CNum
-from .errors import (
-    DegenerateParameter,
-    ImaginaryResidue,
-    NonIntegrable,
-    RootOverflow,
-    ZeroPolynomial,
-)
+from .errors import ImaginaryResidue, RootOverflow, ZeroPolynomial
 
 
 # ---------------------------------------------------------------------------
@@ -72,10 +62,6 @@ class ComplexIndex(NamedTuple):
 
     def shifted(self, k) -> "ComplexIndex":
         return ComplexIndex(self.re + Fraction(k), self.im)
-
-    @property
-    def as_complex(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
 
     def __repr__(self):
         return "ComplexIndex(%s, %s)" % (self.re, self.im)
@@ -122,12 +108,6 @@ class RealPolynomial(NamedTuple):
 
     __rmul__ = __mul__
 
-    def __add__(self, other: "RealPolynomial") -> "RealPolynomial":
-        return RealPolynomial.from_coeffs(ex.rp_add(list(self.coeffs), list(other.coeffs)))
-
-    def __sub__(self, other: "RealPolynomial") -> "RealPolynomial":
-        return self + (-1) * other
-
 
 class RouthPolynomial(NamedTuple):
     """A Routh polynomial: real polynomial plus its complex index and order."""
@@ -136,27 +116,8 @@ class RouthPolynomial(NamedTuple):
     index: ComplexIndex
     poly: RealPolynomial
 
-    @property
-    def degenerate(self) -> bool:
-        """True when the leading coefficient vanished and degree < order."""
-        return self.poly.degree < self.order
-
     def __call__(self, eta):
         return self.poly(eta)
-
-
-class DiscriminantOrder2(NamedTuple):
-    """Discriminant of the order-2 Routh polynomial.
-
-    ``value`` is computed from the actual polynomial coefficients.
-    ``tabulated`` is the closed form quoted alongside the order-2 coefficient
-    table in earlier treatments of this family; it is retained for comparison
-    because its dependence on the imaginary index part disagrees with the
-    direct computation (the sign of ``value`` depends on Re(alpha) only).
-    """
-
-    value: float
-    tabulated: float
 
 
 # ---------------------------------------------------------------------------
@@ -216,22 +177,6 @@ def _jacobi_coeffs_cached(m: int, beta: ComplexIndex, alpha: ComplexIndex) -> tu
     return tuple((Fraction(r, den), Fraction(i, den)) for r, i in zip(re, im))
 
 
-def jacobi_complex_coeffs(m: int, beta, alpha) -> list[CNum]:
-    if m < 0:
-        raise ValueError("order must be nonnegative")
-    return list(_jacobi_coeffs_cached(m, ComplexIndex.of(beta), ComplexIndex.of(alpha)))
-
-
-def jacobi_complex_eval(m: int, beta, alpha, y) -> complex:
-    """Evaluate the complex-index Jacobi polynomial at a complex point."""
-    coeffs = jacobi_complex_coeffs(m, beta, alpha)
-    acc = 0j
-    z = complex(y)
-    for re, im in reversed(coeffs):
-        acc = acc * z + complex(float(re), float(im))
-    return acc
-
-
 @lru_cache(maxsize=4096)
 def _routh_cached(m: int, alpha: ComplexIndex) -> RouthPolynomial:
     coeffs = _jacobi_coeffs_cached(m, alpha.conjugate(), alpha)
@@ -278,43 +223,6 @@ def routh_rodrigues(m: int, alpha) -> RouthPolynomial:
     return RouthPolynomial(order=m, index=a.conjugate().shifted(1), poly=RealPolynomial.from_coeffs(p))
 
 
-def routh_hypergeometric_eval(m: int, alpha, eta: float) -> float:
-    """Evaluate the canonical Routh polynomial via its truncated 2F1 form.
-
-    Uses R_m^(alpha)(eta) = i^m (alpha)_m / m! * F(-m, m+2aR-1; alpha; z) with
-    z = (1+i eta)/2 (the lower 2F1 parameter sits one unit below the printed
-    unshifted form, matching the canonical index normalization).
-    """
-    if m < 0:
-        raise ValueError("order must be nonnegative")
-    a = ComplexIndex.of(alpha)
-    if a.im == 0 and a.re.denominator == 1 and -(m - 1) <= a.re <= 0:
-        raise DegenerateParameter(
-            "Pochhammer (alpha)_j vanishes for alpha=%s, m=%d" % (a.re, m)
-        )
-    ac = a.as_complex
-    two_ar = 2.0 * float(a.re)
-    z = (1.0 + 1j * eta) / 2.0
-    term = 1.0 + 0j
-    acc = 1.0 + 0j
-    for j in range(m):
-        term *= (-m + j) * (m + two_ar - 1 + j) / ((ac + j) * (j + 1)) * z
-        acc += term
-    poch = 1.0 + 0j
-    for j in range(m):
-        poch *= ac + j
-    val = (1j ** m) * poch / factorial(m) * acc
-    return val.real
-
-
-def weight_eval(w, eta):
-    """Generating weight (1+eta^2)^Re(a) * exp(2 Im(a) atan eta); positive."""
-    a = ComplexIndex.of(w)
-    eta = np.asarray(eta, dtype=float)
-    out = (1.0 + eta ** 2) ** float(a.re) * np.exp(2.0 * float(a.im) * np.arctan(eta))
-    return float(out) if out.ndim == 0 else out
-
-
 # ---------------------------------------------------------------------------
 # verification helpers
 # ---------------------------------------------------------------------------
@@ -338,42 +246,6 @@ def ode_residual(p: RouthPolynomial) -> RealPolynomial:
     res = ex.rp_add(res, ex.rp_mul([-2 * a.im, 2 * a.re], d1))
     res = ex.rp_add(res, ex.rp_scale(r, -m * (m + 2 * a.re - 1)))
     return RealPolynomial.from_coeffs(res)
-
-
-def pinned_weight_index(family_index) -> ComplexIndex:
-    """Orthogonality weight index for the canonical family at ``family_index``.
-
-    Pinned empirically (and by the Pearson equation of the canonical ODE):
-    the family at index alpha is orthogonal under the generating weight at
-    index alpha* - 1.
-    """
-    return ComplexIndex.of(family_index).conjugate().shifted(-1)
-
-
-def family_index_for_weight(w) -> ComplexIndex:
-    """Inverse of :func:`pinned_weight_index`."""
-    return ComplexIndex.of(w).conjugate().shifted(1)
-
-
-def inner_product(n: int, m: int, w) -> float:
-    """Weighted inner product of two canonical Routh polynomials.
-
-    Integrates R_n R_m w over the real line for the family pinned to the
-    weight ``w`` (family index = conj(weight index) + 1).  The integral is
-    B(-Re w, Im w) times the exact ratio :func:`cauchy_beta_ratios`, so an
-    orthogonal pair gives exactly 0.0 and only B is rounded.
-    """
-    w = ComplexIndex.of(w)
-    if 2 * max(n, m) + 2 * w.re >= -1:
-        raise NonIntegrable(
-            "orders (%d, %d) do not decay under weight index %s" % (n, m, w)
-        )
-    fam = family_index_for_weight(w)
-    prod, den = integer_product(routh_polynomial(n, fam).poly.coeffs,
-                                routh_polynomial(m, fam).poly.coeffs)
-    nu, q = -w.re, w.im
-    (ratio,) = cauchy_beta_ratios(prod, q, (nu,))
-    return math.exp(log_cauchy_beta(nu, q)) * float(ratio / (den * den))
 
 
 # ---------------------------------------------------------------------------
@@ -748,21 +620,13 @@ def theorem_root_count(m: int, alpha) -> int | None:
     return m % 2 if m + 2 * ComplexIndex.of(alpha).re - 1 > 0 else None
 
 
-def discriminant_order2(alpha) -> DiscriminantOrder2:
-    """Discriminant of the order-2 canonical Routh polynomial.
-
-    ``value`` comes from the actual coefficients; in closed form it equals
-    -(1/4)(2aR+1)[(aR+1)^2 + aI^2], so its sign is that of -(2aR+1) and does
-    not depend on aI.  ``tabulated`` evaluates the quoted closed form whose
-    aI-dependence survives; the two are reported side by side rather than
-    reconciled.
+def discriminant_order2(alpha) -> float:
+    """Discriminant of the order-2 canonical Routh polynomial, from its
+    coefficients.  In closed form it equals -(1/4)(2aR+1)[(aR+1)^2 + aI^2],
+    so its sign is that of -(2aR+1) and does not depend on aI.
     """
     a = ComplexIndex.of(alpha)
     p = routh_polynomial(2, a).poly
     cs = list(p.coeffs) + [Fraction(0)] * (3 - len(p.coeffs))
     c0, c1, c2 = cs[0], cs[1], cs[2]
-    value = float(c1 * c1 - 4 * c2 * c0)
-    ar = float(a.re)
-    ai = float(a.im)
-    tabulated = -0.25 * (ar + 3.0) * ((ar + 2.0) ** 2 - 0.5 * (3.0 * ar + 4.0) * ai ** 2)
-    return DiscriminantOrder2(value=value, tabulated=tabulated)
+    return float(c1 * c1 - 4 * c2 * c0)

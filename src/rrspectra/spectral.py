@@ -45,7 +45,6 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _exact as ex
-from . import oracle
 from ._exact import to_fraction
 from .errors import (
     BranchUndefined,
@@ -260,14 +259,6 @@ def quartic_lambda_roots(spec: PotentialSpec, m: int) -> QuarticRoots:
     )
 
 
-def closed_form_lambda_kappa1(spec: PotentialSpec) -> tuple:
-    """(c-root, d-root) of the collapsed kappa = 1 quartic, via the nested radical."""
-    a1 = spec.h0.real + 1.0
-    rad = math.sqrt(0.25 * a1 * a1 + 0.25 * spec.h0.imag ** 2)
-    lam_r = math.sqrt(0.5 * a1 + rad)
-    return lam_r, -lam_r
-
-
 # ---------------------------------------------------------------------------
 # the closed-form convention
 # ---------------------------------------------------------------------------
@@ -478,7 +469,7 @@ class ScanCell(NamedTuple):
     empirical_nodeless: bool | None
     threshold_prediction: bool | None
     discriminant_prediction: bool | None
-    consistent: bool | None  # exact root count vs sign-change count vs theorem
+    consistent: bool | None  # exact root count vs theorem_root_count, where it applies
 
 
 def nodeless_threshold_b2(a_g: float) -> float:
@@ -492,13 +483,10 @@ def _scan_cell(a_g: float, b_g: float, m: int) -> ScanCell:
         sol = aeh_solution(spec, "d", m)
     except NoSuchRoot:
         return ScanCell(a_g, b_g, None, None, None, None)
-    etas = np.linspace(-40.0, 40.0, 1601)
-    changes = oracle.count_sign_changes(sol.phi, etas)
-    theorem = theorem_root_count(m, sol.poly.index)
-    consistent = changes == sol.nodes and theorem in (None, sol.nodes)
+    consistent = theorem_root_count(m, sol.poly.index) in (None, sol.nodes)
     disc_pred = None
     if m == 2:
-        disc_pred = discriminant_order2(sol.poly.index).value < 0.0
+        disc_pred = discriminant_order2(sol.poly.index) < 0.0
     thresh = bool(b_g ** 2 < nodeless_threshold_b2(a_g)) if m == 2 else None
     return ScanCell(
         a=a_g, b=b_g,
@@ -512,11 +500,11 @@ def _scan_cell(a_g: float, b_g: float, m: int) -> ScanCell:
 def nodeless_scan(a_range, b_range, m: int, na: int = 16, nb: int = 16, workers: int = 1):
     """Three-way nodelessness map over a (a, b) parameter grid at fixed order.
 
-    Per cell: the exact root count of the type-d polynomial factor (with a
-    sign-change cross-check of the assembled solution and, where it applies,
-    :func:`routh.theorem_root_count`), the quoted asymmetry threshold, and
-    the canonical discriminant sign.  Disagreements are
-    reported, not resolved.
+    Per cell: the exact root count of the type-d polynomial factor (checked
+    against :func:`routh.theorem_root_count` where it applies; the gauge
+    factor is positive, so no root means a nodeless solution), the quoted
+    asymmetry threshold, and the canonical discriminant sign.  Disagreements
+    are reported, not resolved.
     """
     if m < 2 or m % 2:
         raise PreconditionViolated("scan order must be even and >= 2")

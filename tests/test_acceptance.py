@@ -10,20 +10,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from rrspectra.darboux import partner_potential, symmetric_irregular_solution
+from rrspectra.darboux import partner_potential
 from rrspectra.geometry import PotentialSpec, TangentPolySpec, VariableMap
-from rrspectra.routh import (
-    ComplexIndex,
-    inner_product,
-    ode_residual,
-    pinned_weight_index,
-    routh_polynomial,
-    routh_rodrigues,
-)
+from rrspectra.routh import ComplexIndex, ode_residual, routh_polynomial, routh_rodrigues
 from rrspectra.spectral import (
     aeh_solution,
     bound_state,
-    closed_form_lambda_kappa1,
     enumerate_bound_spectrum,
     gendenshtein_params,
     nodeless_scan,
@@ -31,6 +23,10 @@ from rrspectra.spectral import (
     stevenson_identity_check,
 )
 from rrspectra.verify import verify_partner_levels, verify_spectrum
+
+from irregular import symmetric_irregular_solution
+from orthogonality import inner_product, pinned_weight_index
+from quartic import closed_form_lambda_kappa1
 
 
 def report(num, name, passed, detail=""):

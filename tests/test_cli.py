@@ -270,6 +270,16 @@ class TestPartnerCommand:
         payload = json.loads((out / "partner_verify.json").read_text())
         assert [lv["expected"] for lv in payload["levels"]] == pytest.approx([-0.25])
 
+    def test_erasure_on_a_deep_well_is_not_refused(self, tmp_path):
+        # the nodeless ground state underflows to 0.0 on about a fifth of the
+        # grid; the oracle, not a refusal, decides the command
+        cfg = write_config(tmp_path, {"potential": {"gendenshtein": {"a": 16.2, "b": 0.7}},
+                                      "partner": {"kind": "c", "m": 0}})
+        out = tmp_path / "out"
+        assert main(["partner", "--config", cfg, "--out", str(out)]) in (0, 1)
+        payload = json.loads((out / "partner_verify.json").read_text())
+        assert len(payload["levels"]) == 16
+
     def test_erasure_builds_no_default_map(self, tmp_path, monkeypatch):
         def no_map(config):
             raise AssertionError("type-c partner needs no eigenfunction map")
@@ -411,6 +421,17 @@ class TestConfigErrors:
         assert "config error" in capsys.readouterr().err
         assert not list(out.glob("*"))
 
+    @pytest.mark.parametrize("command", ["spectrum", "verify", "partner"])
+    def test_eta_overflow_on_user_grid(self, tmp_path, capsys, command):
+        # past |x| ~ 710 eta = sinh x itself overflows, before any sample is taken
+        cfg = write_config(tmp_path, {
+            "potential": {"gendenshtein": {"a": 3.9992, "b": 1.6531}},
+            "grid": {"x_max": 780.19, "n": 4641}, "partner": {"kind": "d", "m": 0}})
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "eta samples overflow" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
     def test_count_at_cap_parses(self):
         assert cli.MAX_COUNT == 2 ** 20
         config = cli.RunConfig({**GEN, "grid": {"n": 2 ** 20}, "scan": {
@@ -430,8 +451,8 @@ class TestConfigErrors:
 
 def test_startup_does_not_import_scipy(tmp_path):
     # spectrum, identities and scan-nodeless are closed form end to end, the
-    # oracle behind verify and partner is numpy only, and inner products are
-    # exact beta-moment sums, so neither any command nor any module of the
+    # oracle behind verify and partner is numpy only, and Cauchy-beta moments
+    # are exact sums, so neither any command nor any module of the
     # package loads scipy; records are NamedTuples and polynomials are
     # evaluated by np.polyval, so no command loads dataclasses or
     # numpy.polynomial either
@@ -456,8 +477,9 @@ def test_startup_does_not_import_scipy(tmp_path):
         "assert 'numpy.polynomial' not in sys.modules\n"
         "import importlib, pkgutil, rrspectra\n"
         "for mod in pkgutil.iter_modules(rrspectra.__path__): importlib.import_module('rrspectra.' + mod.name)\n"
-        "from rrspectra.routh import inner_product, routh_rodrigues\n"
-        "inner_product(0, 2, -5), routh_rodrigues(3, complex(-4, 1.5))\n"
+        "from fractions import Fraction\n"
+        "from rrspectra.routh import cauchy_beta_ratios, routh_rodrigues\n"
+        "cauchy_beta_ratios([1, 0, 1], Fraction(1, 2), [Fraction(5, 2)]), routh_rodrigues(3, complex(-4, 1.5))\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         % (calls,)
     )

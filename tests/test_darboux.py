@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from rrspectra import geometry, oracle
-from rrspectra.darboux import (
-    log_second_derivative,
-    partner_levels,
-    partner_potential,
-    symmetric_irregular_solution,
-)
+from rrspectra.darboux import log_second_derivative, partner_levels, partner_potential
 from rrspectra.errors import NodeDetected, PreconditionViolated
 from rrspectra.geometry import PotentialSpec, TangentPolySpec, VariableMap
 from rrspectra.spectral import (
@@ -19,6 +14,8 @@ from rrspectra.spectral import (
     gendenshtein_params,
 )
 from rrspectra.verify import oracle_map, verify_partner_levels
+
+from irregular import symmetric_irregular_solution
 
 
 @pytest.fixture(scope="module")
@@ -53,12 +50,16 @@ class TestPartnerPotential:
         with pytest.raises(NodeDetected, match="real zeros"):
             partner_potential(spec, seed, vmap)
 
-    def test_sign_change_on_grid_rejected(self, insertion_setup):
-        # a seed whose stored count misses its zero is caught by its samples
-        spec, vmap = insertion_setup
-        seed = aeh_solution(spec, "d", 1)._replace(nodes=0)
-        with pytest.raises(NodeDetected, match="changes sign"):
-            partner_potential(spec, seed, vmap)
+    def test_ground_state_erasure_on_a_deep_well(self):
+        # the nodeless ground state underflows to 0.0 far out on its grid;
+        # only its exact node count may refuse it
+        spec = gendenshtein_params(16.2, 0.7)
+        parent = enumerate_bound_spectrum(spec).energies
+        vmap = oracle_map(spec, parent[1:])
+        seed = bound_state(spec, 0)
+        assert seed.nodes == 0 and np.any(seed.phi(vmap.eta_grid) == 0.0)
+        grid = partner_potential(spec, seed, vmap)
+        assert np.all(np.isfinite(grid.v_partner))
 
     def test_log_derivative_matches_finite_differences(self, insertion_setup):
         spec, vmap = insertion_setup

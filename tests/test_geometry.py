@@ -7,17 +7,19 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rrspectra import geometry
-from rrspectra.errors import OutOfGrid
+from rrspectra.errors import NonFiniteSamples, OutOfGrid
 from rrspectra.geometry import (
     PotentialSpec,
     TangentPolySpec,
     VariableMap,
-    bose_invariant_eval,
     choose_x_max,
     potential_of_eta,
     schwarzian_eval,
     tangent_eval,
 )
+
+from residual import bose_invariant_eval
+
 
 class TestTangentPoly:
     def test_basic_values(self):
@@ -124,6 +126,14 @@ class TestVariableMap:
         vm = VariableMap(TangentPolySpec(1.0, kappa), 5.0, 128)
         x = geometry.liouville_x(vm.tp, 1e200)
         assert math.isfinite(x) and x > geometry.liouville_x(vm.tp, 1e100) > 0
+
+    @pytest.mark.parametrize("kappa", [0.55, 1.0, 2.7])
+    def test_eta_past_the_double_range_is_non_finite(self, kappa):
+        # eta = sinh s overflows past |s| = 710.47, where s = x for kappa = 1
+        with pytest.raises(NonFiniteSamples, match="overflow"):
+            VariableMap(TangentPolySpec(1.0, kappa), 780.19, 4641)
+        vm = VariableMap(TangentPolySpec(1.0, 1.0), 710.0, 257)
+        assert np.all(np.isfinite(vm.eta_grid)) and vm.eta_grid[-1] > 1e308
 
     def test_out_of_grid(self):
         vm = VariableMap(TangentPolySpec(1.0, 1.0), 5.0, 128)

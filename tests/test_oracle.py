@@ -9,10 +9,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rrspectra import darboux, geometry, oracle, spectral
-from rrspectra.errors import AmbiguousZero, InsufficientDecay, NonFiniteSamples
+from rrspectra.errors import InsufficientDecay, NonFiniteSamples
 from rrspectra.geometry import PotentialSpec, TangentPolySpec
-from rrspectra.oracle import Grid1D, count_sign_changes, lowest_levels
-from rrspectra.spectral import bound_state, gendenshtein_params
+from rrspectra.oracle import Grid1D, lowest_levels
+from rrspectra.spectral import gendenshtein_params
 from rrspectra.verify import oracle_map, verify_spectrum
 
 from quadrature import adaptive_quadrature
@@ -221,25 +221,3 @@ class TestQuadrature:
 
     def test_finite_interval(self):
         assert_allclose(adaptive_quadrature(math.sin, 0.0, math.pi, tol=1e-12), 2.0, atol=1e-12)
-
-
-class TestSignChanges:
-    def test_sine(self):
-        assert count_sign_changes(np.sin, np.linspace(0, 10, 301)) == 3
-
-    def test_second_excited_state(self, gspec):
-        st = bound_state(gspec, 2)
-        assert count_sign_changes(st.phi, np.linspace(-12, 12, 501)) == 2
-
-    def test_strictly_positive(self):
-        assert count_sign_changes(lambda x: 1.0 + x * x, np.linspace(-5, 5, 101)) == 0
-
-    def test_grazing_not_counted(self):
-        assert count_sign_changes(lambda x: x * x, np.linspace(-1, 1, 41)) == 0
-
-    def test_ambiguous_zero_interval(self):
-        def flat(x):
-            return np.where((2.0 < x) & (x < 4.0), 0.0, 1.0)
-
-        with pytest.raises(AmbiguousZero):
-            count_sign_changes(flat, np.linspace(0, 6, 61))

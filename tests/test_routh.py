@@ -8,24 +8,22 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rrspectra.errors import DegenerateParameter, NonIntegrable, RootOverflow, ZeroPolynomial
+from rrspectra import _exact as ex
+from rrspectra.errors import RootOverflow, ZeroPolynomial
 from rrspectra.routh import (
     ComplexIndex,
     RealPolynomial,
+    _jacobi_coeffs_cached,
     discriminant_order2,
-    inner_product,
-    jacobi_complex_eval,
     ode_residual,
-    pinned_weight_index,
     real_root_count,
     real_roots,
-    routh_hypergeometric_eval,
     routh_polynomial,
     routh_rodrigues,
     theorem_root_count,
-    weight_eval,
 )
 
+from orthogonality import NonIntegrable, inner_product, pinned_weight_index, weight_eval
 from quadrature import adaptive_quadrature
 
 
@@ -45,35 +43,24 @@ def random_indices(rng, count):
 
 class TestJacobiComplex:
     def test_order_zero_is_one(self, rng):
-        for _ in range(5):
-            b = complex(rng.normal(), rng.normal())
-            a = complex(rng.normal(), rng.normal())
-            y = complex(rng.normal(), rng.normal())
-            assert jacobi_complex_eval(0, b, a, y) == 1.0 + 0j
+        for b, a in zip(random_indices(rng, 5), random_indices(rng, 5)):
+            assert _jacobi_coeffs_cached(0, b, a) == (ex.C_ONE,)
 
     def test_order_one_hand_expansion(self, rng):
-        for _ in range(10):
-            b = complex(rng.normal(), rng.normal())
-            a = complex(rng.normal(), rng.normal())
-            y = complex(rng.normal(), rng.normal())
-            expected = ((a + b) * y + b - a) / 2.0
-            assert_allclose(jacobi_complex_eval(1, b, a, y), expected, rtol=1e-13)
-
-    def test_index_one_one_is_legendre(self):
-        for y in (-0.7, 0.0, 0.5, 1.0):
-            assert_allclose(
-                jacobi_complex_eval(2, 1, 1, y).real, (3 * y * y - 1) / 2, atol=1e-14
+        # ((a + b) y + b - a) / 2, coefficient for coefficient
+        for b, a in zip(random_indices(rng, 10), random_indices(rng, 10)):
+            assert _jacobi_coeffs_cached(1, b, a) == (
+                ((b.re - a.re) / 2, (b.im - a.im) / 2),
+                ((a.re + b.re) / 2, (a.im + b.im) / 2),
             )
 
-    def test_exact_rational_coefficients(self):
-        from rrspectra.routh import jacobi_complex_coeffs
-
-        coeffs = jacobi_complex_coeffs(2, 1, 1)
-        assert coeffs == [
+    def test_index_one_one_is_legendre(self):
+        one = ComplexIndex.of(1)
+        assert _jacobi_coeffs_cached(2, one, one) == (
             (Fraction(-1, 2), Fraction(0)),
             (Fraction(0), Fraction(0)),
             (Fraction(3, 2), Fraction(0)),
-        ]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -111,14 +98,14 @@ class TestRouthCanonical:
                 )
                 p = routh_polynomial(m, a)
                 if lead_zero:
-                    assert p.degenerate
+                    assert p.poly.degree < p.order
                 else:
-                    assert p.poly.degree == m and not p.degenerate
+                    assert p.poly.degree == p.order == m
 
     def test_degeneracy_reported_not_silent(self):
         # m=2 leading coefficient (2aR+1)(aR+1)/4 vanishes at aR = -1/2
         p = routh_polynomial(2, ComplexIndex(Fraction(-1, 2), Fraction(1)))
-        assert p.degenerate and p.poly.degree < 2
+        assert p.poly.degree < p.order == 2
 
 
 
@@ -150,35 +137,58 @@ class TestRodrigues:
 # hypergeometric form
 # ---------------------------------------------------------------------------
 
+_I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def truncated_2f1(m: int, a: ComplexIndex) -> list:
+    """Ascending eta-coefficients, in Gaussian rationals, of
+
+        i^m (alpha)_m / m! * F(-m, m + 2aR - 1; alpha; (1 + i eta)/2)
+
+    (the lower parameter sits one unit below the printed unshifted form,
+    matching the canonical index normalization).  The j-th term carries
+    (alpha)_m / (alpha)_j = (alpha + j)_(m-j), so no Pochhammer is divided by
+    and integer indices in [1 - m, 0] need no special case.
+    """
+    out = [ex.C_ZERO] * (m + 1)
+    for j in range(m + 1):
+        term = ex.C_ONE
+        for k in range(j):
+            term = ex.c_scale(term, Fraction(k - m) * (m + 2 * a.re - 1 + k) / (k + 1))
+        for k in range(j, m):
+            term = ex.c_mul(term, (a.re + k, a.im))
+        # times i^m / m! and ((1 + i eta)/2)^j = 2^-j sum_k C(j, k) i^k eta^k
+        term = ex.c_scale(ex.c_mul(term, _I_POWERS[m % 4]), Fraction(1, math.factorial(m) * 2 ** j))
+        for k in range(j + 1):
+            out[k] = ex.c_add(out[k], ex.c_scale(ex.c_mul(term, _I_POWERS[k % 4]), math.comb(j, k)))
+    return out
+
+
 class TestHypergeometric:
+    # the truncated 2F1 form and the canonical construction, compared exactly
+
+    def _assert_matches(self, m, a):
+        coeffs = routh_polynomial(m, a).poly.coeffs
+        coeffs += (Fraction(0),) * (m + 1 - len(coeffs))
+        assert truncated_2f1(m, a) == [(c, Fraction(0)) for c in coeffs]
+
     def test_order_zero_constant(self):
-        for eta in (-3.0, 0.0, 7.5):
-            assert routh_hypergeometric_eval(0, complex(0.2, 0.8), eta) == 1.0
+        assert truncated_2f1(0, ComplexIndex.of(complex(0.2, 0.8))) == [ex.C_ONE]
 
     def test_matches_linear_case(self):
-        assert_allclose(routh_hypergeometric_eval(1, -3, 2.0), -6.0, rtol=1e-13)
-
-    def test_root_of_order_two(self):
-        assert abs(routh_hypergeometric_eval(2, -3, 1 / math.sqrt(5))) < 1e-12
+        # R_1^(-3)(eta) = -3 eta
+        assert truncated_2f1(1, ComplexIndex.of(-3)) == [ex.C_ZERO, (Fraction(-3), Fraction(0))]
 
     def test_matches_canonical_for_random_inputs(self, rng):
         for a in random_indices(rng, 12):
-            if a.im == 0 and a.re.denominator == 1 and -7 <= a.re <= 0:
-                continue
-            for m in range(7):
-                eta = float(rng.normal()) * 2.0
-                poly = routh_polynomial(m, a)
-                direct = poly(eta)
-                via_f = routh_hypergeometric_eval(m, a, eta)
-                # tolerance scaled by the summation magnitude: the truncated
-                # series cancels strongly when |alpha| is large
-                scale = max(1.0, float(np.max(np.abs(poly.poly.as_floats()))))
-                scale *= max(1.0, abs(eta)) ** m
-                assert_allclose(via_f, direct, rtol=1e-11, atol=1e-12 * scale)
+            for m in range(8):
+                self._assert_matches(m, a)
 
-    def test_degenerate_parameter_rejected(self):
-        with pytest.raises(DegenerateParameter):
-            routh_hypergeometric_eval(3, -1, 0.5)
+    def test_integer_indices_where_the_series_divides_by_zero(self):
+        # (alpha)_j vanishes in the 2F1 denominators for alpha = 1 - m .. 0
+        for m in range(1, 6):
+            for k in range(m):
+                self._assert_matches(m, ComplexIndex.of(-k))
 
 
 # ---------------------------------------------------------------------------
@@ -530,24 +540,27 @@ class TestTheoremRootCount:
 
 class TestDiscriminant:
     def test_real_index(self):
-        d = discriminant_order2(-3)
-        assert_allclose(d.value, 5.0, rtol=1e-14)
+        assert_allclose(discriminant_order2(-3), 5.0, rtol=1e-14)
 
     def test_complex_index(self):
-        d = discriminant_order2(complex(1, 1))
-        assert_allclose(d.value, -15 / 4, rtol=1e-14)
+        assert_allclose(discriminant_order2(complex(1, 1)), -15 / 4, rtol=1e-14)
 
     def test_sign_depends_only_on_real_part(self, rng):
         for a in random_indices(rng, 20):
             if 2 * a.re + 1 == 0:
                 continue
             d = discriminant_order2(a)
-            assert math.copysign(1, d.value) == math.copysign(1, -float(2 * a.re + 1))
+            assert math.copysign(1, d) == math.copysign(1, -float(2 * a.re + 1))
 
     def test_tabulated_form_disagrees_on_asymmetry(self):
-        # the quoted closed form keeps an aI dependence the canonical value lacks
+        # the closed form quoted alongside the order-2 coefficient table in
+        # earlier treatments of this family keeps an aI dependence that the
+        # discriminant of the actual coefficients lacks
+        def tabulated(ar, ai):
+            return -0.25 * (ar + 3.0) * ((ar + 2.0) ** 2 - 0.5 * (3.0 * ar + 4.0) * ai ** 2)
+
         sym = discriminant_order2(complex(-4, 0))
         asym = discriminant_order2(complex(-4, 2))
         # closed form: delta = -(1/4)(2aR+1)[(aR+1)^2 + aI^2]
-        assert_allclose(sym.value, asym.value + 0.25 * (2 * -4 + 1) * 4, rtol=1e-12)
-        assert sym.tabulated != pytest.approx(asym.tabulated)
+        assert_allclose(sym, asym + 0.25 * (2 * -4 + 1) * 4, rtol=1e-12)
+        assert tabulated(-4.0, 0.0) != pytest.approx(tabulated(-4.0, 2.0))

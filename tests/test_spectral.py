@@ -17,7 +17,6 @@ from rrspectra.spectral import (
     EtaSolution,
     aeh_solution,
     bound_state,
-    closed_form_lambda_kappa1,
     enumerate_bound_spectrum,
     gendenshtein_params,
     lambda_of_energy,
@@ -30,6 +29,7 @@ from rrspectra.spectral import (
 )
 
 from quadrature import NotConverged, adaptive_quadrature
+from quartic import closed_form_lambda_kappa1
 from residual import rcsle_residual
 
 
