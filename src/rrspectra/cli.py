@@ -27,11 +27,9 @@ import math
 import os
 import sys
 
-import numpy as np
-
-from . import darboux, geometry, spectral, verify
+from . import spectral
 from .errors import ConfigError, NonFiniteSamples, SpectraError
-from .geometry import PotentialSpec, TangentPolySpec, VariableMap
+from .spectral import PotentialSpec, TangentPolySpec
 
 
 # ---------------------------------------------------------------------------
@@ -184,31 +182,33 @@ def _report_record(command: str, config: RunConfig, outputs, passed: bool) -> di
     }
 
 
-def _require_finite(what: str, values) -> None:
-    bad = int(np.count_nonzero(~np.isfinite(values)))
-    if bad:
-        raise NonFiniteSamples(
-            "%d of %d %s samples are NaN or infinite" % (bad, np.size(values), what)
-        )
-
-
-def _default_map(config: RunConfig) -> VariableMap:
-    x_max = config.x_max or geometry.choose_x_max(config.spec)
-    n = config.n or 4096
-    return VariableMap(config.spec.tp, x_max, n)
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
+#
+# identities and scan-nodeless are exact and run on spectral and routh alone;
+# the commands that sample import the float layer (geometry, verify, darboux,
+# and through them numpy) when they run, so the exact ones never load it.
+
+def _default_map(config: RunConfig):
+    """The eigenfunction map of ``spectrum``: the config's grid, or 4,096
+    points over the potential's decay scale."""
+    from . import geometry
+
+    x_max = config.x_max or geometry.choose_x_max(config.spec)
+    return geometry.VariableMap(config.spec.tp, x_max, config.n or 4096)
+
 
 def cmd_spectrum(config: RunConfig, out_dir: str) -> int:
+    from . import geometry
+
     spectrum = spectral.enumerate_bound_spectrum(config.spec)
     states = []
     if spectrum.states:
         vmap = _default_map(config)
-        states = [spectral.bound_state(config.spec, s.n).sampled(vmap) for s in spectrum.states]
-        _require_finite("eigenfunction", [s.psi for s in states])
+        states = [geometry.sampled(spectral.bound_state(config.spec, s.n), vmap)
+                  for s in spectrum.states]
+        geometry.require_finite("eigenfunction", [s.psi for s in states])
     spath = os.path.join(out_dir, "spectrum.json")
     _dump_json(spath, spectrum.to_json_dict())
     outputs = [spath]
@@ -223,6 +223,8 @@ def cmd_spectrum(config: RunConfig, out_dir: str) -> int:
 
 
 def cmd_verify(config: RunConfig, out_dir: str, tol: float) -> int:
+    from . import verify
+
     report = verify.verify_spectrum(config.spec, tol=tol, x_max=config.x_max, n=config.n)
     vpath = os.path.join(out_dir, "verify.json")
     _dump_json(vpath, report.to_json_dict())
@@ -277,6 +279,8 @@ def cmd_scan_nodeless(config: RunConfig, out_dir: str, workers: int) -> int:
 
 
 def cmd_partner(config: RunConfig, out_dir: str, tol: float) -> int:
+    from . import darboux, geometry, verify
+
     kind, m = config.partner_params()
     parent = spectral.enumerate_bound_spectrum(config.spec).energies
     if kind == "d":
@@ -288,7 +292,7 @@ def cmd_partner(config: RunConfig, out_dir: str, tol: float) -> int:
     expected = darboux.partner_levels(parent, seed)
     vmap = verify.oracle_map(config.spec, expected or parent, config.x_max, config.n)
     partner_grid = darboux.partner_potential(config.spec, seed, vmap)
-    _require_finite("potential", [partner_grid.v_parent, partner_grid.v_partner])
+    geometry.require_finite("potential", [partner_grid.v_parent, partner_grid.v_partner])
     cpath = os.path.join(out_dir, "partner.csv")
     _write_csv(cpath, "x,V_parent,V_partner",
                [partner_grid.x, partner_grid.v_parent, partner_grid.v_partner])

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import geometry
 from .errors import NodeDetected
-from .geometry import PotentialSpec, VariableMap
-from .spectral import ClosedForm, EtaSolution
+from .geometry import VariableMap
+from .spectral import ClosedForm, EtaSolution, PotentialSpec
 
 
 _NODED = "factorization polynomial has real zeros"
@@ -52,7 +52,11 @@ def _map_derivatives(tp, eta):
     root = np.sqrt(e2 + kap)
     f = (1.0 + e2) / (sa * root)
     fp = eta * (e2 + 2.0 * kap - 1.0) / (sa * root ** 3)
-    fpp = ((2.0 - kap) * e2 + kap * (2.0 * kap - 1.0)) / (sa * root ** 5)
+    with np.errstate(over="ignore"):
+        root5 = root ** 5
+    # root ** 5 overflows past |eta| ~ 4e61 (|x| ~ 142 for eta = sinh x); f'' is
+    # then 0, its limit
+    fpp = ((2.0 - kap) * e2 + kap * (2.0 * kap - 1.0)) / (sa * root5)
     return f, fp, fpp
 
 
@@ -60,7 +64,7 @@ def log_second_derivative(tp, phi: EtaSolution, eta):
     """(d^2/dx^2) ln[(eta')^(-1/2) * Phi(eta(x))] expressed through eta."""
     eta = np.asarray(eta, dtype=float)
     f, fp, fpp = _map_derivatives(tp, eta)
-    l1, l2 = phi.log_parts(eta)
+    l1, l2 = geometry.log_parts(phi, eta)
     return -0.5 * f * fpp + f * fp * l1 + f * f * (l2 - l1 * l1)
 
 

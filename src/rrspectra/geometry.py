@@ -1,4 +1,5 @@
-"""Tangent polynomials and the Liouville change of variable.
+"""Tangent polynomials, the Liouville change of variable, and the float
+evaluation of closed forms on grids.
 
 The potentials handled here live on the whole real line and come from a
 rational canonical Sturm-Liouville form Phi'' + I(eta; e) Phi = 0 with two
@@ -10,92 +11,30 @@ Schroedinger potential V(x) (units hbar = 2m = 1 throughout).
 The symmetric tangent polynomial a*(eta^2 + kappa) generates the Milson
 family; kappa = 1 with a = 1 is the Gendenshtein (Scarf II) limit where
 eta(x) = sinh x.
+
+The spec records and the closed-form records come from :mod:`spectral`,
+which is exact and imports no numpy; this module is where they meet floats.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import NonFiniteSamples, OutOfGrid, StepFailure
+from .spectral import ClosedForm, EtaSolution, PotentialSpec, TangentPolySpec
 
 
 # ---------------------------------------------------------------------------
-# domain types
+# the tangent polynomial
 # ---------------------------------------------------------------------------
-
-class _TangentPolyFields(NamedTuple):
-    a: float
-    kappa_plus: float
-
-
-class TangentPolySpec(_TangentPolyFields):
-    """Symmetric second-order tangent polynomial T(eta) = a*(eta^2 + kappa_plus).
-
-    It has no real zeros (negative discriminant) exactly when kappa_plus > 0.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, a: float = 1.0, kappa_plus: float = 1.0):
-        if not (a > 0):
-            raise ValueError("leading coefficient a must be positive")
-        if not (kappa_plus > 0):
-            raise ValueError("kappa_plus must be positive")
-        return super().__new__(cls, a, kappa_plus)
-
-    @property
-    def d(self) -> float:
-        return 2.0 * self.a * (1.0 + self.kappa_plus)
-
 
 def tangent_eval(tp: TangentPolySpec, eta):
     """Evaluate the tangent polynomial; strictly positive on the real line."""
     eta = np.asarray(eta, dtype=float)
     out = tp.a * (eta ** 2 + tp.kappa_plus)
     return float(out) if out.ndim == 0 else out
-
-
-class _PotentialFields(NamedTuple):
-    h0: complex
-    tp: TangentPolySpec
-
-
-class PotentialSpec(_PotentialFields):
-    """One potential of the family: singular-point strength h0 plus tangent data.
-
-    The constant term of the invariant is not free: vanishing of the potential
-    at both infinities forces O00 = 2*Re(h0) + 1, which is enforced here.  The
-    zero-energy exponent parameter lambda0 = sqrt(h0 + 1) must have a positive
-    real part.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, h0: complex, tp: TangentPolySpec):
-        h0 = complex(h0)
-        if not (math.isfinite(h0.real) and math.isfinite(h0.imag)):
-            raise ValueError("h0 must be finite")
-        lam = np.sqrt(complex(h0 + 1.0))
-        if not (lam.real > 0):
-            raise ValueError("Re sqrt(h0+1) must be positive")
-        return super().__new__(cls, h0, tp)
-
-    @property
-    def o00(self) -> float:
-        return 2.0 * self.h0.real + 1.0
-
-    @property
-    def lambda0(self) -> complex:
-        lam = complex(np.sqrt(complex(self.h0 + 1.0)))
-        return lam if lam.real > 0 else -lam
-
-    @property
-    def energy_coupling(self) -> float:
-        """Coefficient c of the energy in h(e) = h0 - c*e, i.e. a*(1 - kappa)."""
-        return self.tp.a * (1.0 - self.tp.kappa_plus)
 
 
 # ---------------------------------------------------------------------------
@@ -247,3 +186,72 @@ def choose_x_max(spec: PotentialSpec) -> float:
     x_at = liouville_x(spec.tp, eta)  # the map is odd
     return float(math.ceil((x_at + 1.0) * 4.0) / 4.0)
 
+
+# ---------------------------------------------------------------------------
+# closed forms on grids
+# ---------------------------------------------------------------------------
+
+def _descending(phi: EtaSolution, k: int) -> list:
+    """Float coefficients of R^(k) for the polynomial R of ``phi``, highest
+    degree first (as np.polyval takes them), from the exact coefficients."""
+    cs = list(enumerate(phi.poly.coeffs))[::-1]
+    return [float(math.perm(j, k) * c) for j, c in cs if j >= k] or [0.0]
+
+
+def gauge(phi: EtaSolution, eta):
+    """(1+eta^2)^p * exp(q*atan eta), the positive factor of ``phi``."""
+    eta = np.asarray(eta, dtype=float)
+    return (1.0 + eta ** 2) ** phi.power * np.exp(phi.atan_coeff * np.arctan(eta))
+
+
+def phi_value(phi: EtaSolution, eta):
+    """Phi(eta) = scale * gauge * R(eta)."""
+    eta = np.asarray(eta, dtype=float)
+    out = phi.scale * gauge(phi, eta) * np.polyval(_descending(phi, 0), eta)
+    return float(out) if out.ndim == 0 else out
+
+
+def _gauge_u(phi: EtaSolution, eta):
+    """The gauge log-derivative u = (2p*eta + q)/(1+eta^2)."""
+    return (2.0 * phi.power * eta + phi.atan_coeff) / (1.0 + eta ** 2)
+
+
+def _gauge_du(phi: EtaSolution, eta):
+    """u'(eta), exactly differentiated."""
+    p, q = phi.power, phi.atan_coeff
+    w = 1.0 + eta ** 2
+    num = 2.0 * p - 2.0 * p * eta ** 2 - 2.0 * q * eta
+    with np.errstate(over="ignore"):
+        w2 = w * w
+    # w * w overflows once |eta| > ~1e77 (|x| > ~178 for eta = sinh x); num / w2
+    # is then 0, not -2p / eta^2, which Darboux partners scale back to O(1)
+    return np.where(np.isinf(w2), num / w / w, num / w2)
+
+
+def log_parts(phi: EtaSolution, eta):
+    """(Phi'/Phi, Phi''/Phi) as a pair, for Darboux chain rules.
+
+    Derivatives go through the gauge log-derivative u and the exact
+    coefficients of R' and R'', never through finite differences.
+    """
+    u = _gauge_u(phi, eta)
+    r0 = np.polyval(_descending(phi, 0), eta)
+    r1 = np.polyval(_descending(phi, 1), eta) / r0
+    r2 = np.polyval(_descending(phi, 2), eta) / r0
+    return u + r1, (u * u + _gauge_du(phi, eta)) + 2.0 * u * r1 + r2
+
+
+def sampled(solution: ClosedForm, vmap: VariableMap) -> ClosedForm:
+    """``solution`` with psi = (eta')^(-1/2) Phi(eta(x)) on the map grid."""
+    etas = vmap.eta_grid
+    return solution._replace(psi=phi_value(solution.phi, etas) / np.sqrt(vmap.deriv(etas)),
+                             x_grid=vmap.x_grid)
+
+
+def require_finite(what: str, values) -> None:
+    """Raise :class:`NonFiniteSamples` unless every sample in ``values`` is finite."""
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise NonFiniteSamples(
+            "%d of %d %s samples are NaN or infinite" % (bad, np.size(values), what)
+        )

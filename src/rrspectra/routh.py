@@ -14,7 +14,8 @@ so realness, degree degeneracy and ODE residuals are decided by identity.
 Weighted integrals of these polynomials are exact rational multiples of one
 rounded Cauchy beta integral.  Real roots are isolated by integer Sturm chains
 and correctly rounded by an exact search started from a float estimate.
-Floats otherwise appear only in evaluation.
+Nothing here imports numpy: closed forms are evaluated on grids by
+:mod:`geometry`.
 
 One empirically pinned fact about the family is exposed and tested here: the
 Rodrigues-type generator with weight index ``alpha`` produces
@@ -32,8 +33,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
 from typing import NamedTuple
-
-import numpy as np
 
 from . import _exact as ex
 from .errors import ImaginaryResidue, RootOverflow, ZeroPolynomial
@@ -91,23 +90,6 @@ class RealPolynomial(NamedTuple):
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def as_floats(self) -> np.ndarray:
-        if self.is_zero:
-            return np.zeros(1)
-        return np.array([float(c) for c in self.coeffs])
-
-    def __call__(self, x):
-        if self.is_zero:
-            return np.zeros_like(np.asarray(x, dtype=float)) if np.ndim(x) else 0.0
-        return np.polyval(self.as_floats()[::-1], x)
-
-    def __mul__(self, other):
-        if isinstance(other, RealPolynomial):
-            return RealPolynomial.from_coeffs(ex.rp_mul(list(self.coeffs), list(other.coeffs)))
-        return RealPolynomial.from_coeffs(ex.rp_scale(list(self.coeffs), other))
-
-    __rmul__ = __mul__
-
 
 class RouthPolynomial(NamedTuple):
     """A Routh polynomial: real polynomial plus its complex index and order."""
@@ -115,9 +97,6 @@ class RouthPolynomial(NamedTuple):
     order: int
     index: ComplexIndex
     poly: RealPolynomial
-
-    def __call__(self, eta):
-        return self.poly(eta)
 
 
 # ---------------------------------------------------------------------------

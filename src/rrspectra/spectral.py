@@ -32,6 +32,9 @@ normal form of the canonical rational equation (Milson, Int. J. Theor. Phys.
 37, 1998; Nikiforov & Uvarov, Special Functions of Mathematical Physics,
 1988).  :func:`pinned_convention` names the resulting record;
 ``tests/test_convention.py`` proves the reduction in exact rationals.
+
+This module imports no numpy: roots, counts and identities are decided in
+rationals, and :mod:`geometry` samples the closed forms on grids.
 """
 
 from __future__ import annotations
@@ -42,8 +45,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
-import numpy as np
-
 from . import _exact as ex
 from ._exact import to_fraction
 from .errors import (
@@ -52,7 +53,6 @@ from .errors import (
     NoSuchRoot,
     PreconditionViolated,
 )
-from .geometry import PotentialSpec, TangentPolySpec, VariableMap
 from .routh import (
     ComplexIndex,
     RealPolynomial,
@@ -74,6 +74,67 @@ THRESHOLD_ENERGY = 1e-10
 # domain types
 # ---------------------------------------------------------------------------
 
+class _TangentPolyFields(NamedTuple):
+    a: float
+    kappa_plus: float
+
+
+class TangentPolySpec(_TangentPolyFields):
+    """Symmetric second-order tangent polynomial T(eta) = a*(eta^2 + kappa_plus).
+
+    It has no real zeros (negative discriminant) exactly when kappa_plus > 0.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: float = 1.0, kappa_plus: float = 1.0):
+        if not (a > 0):
+            raise ValueError("leading coefficient a must be positive")
+        if not (kappa_plus > 0):
+            raise ValueError("kappa_plus must be positive")
+        return super().__new__(cls, a, kappa_plus)
+
+
+class _PotentialFields(NamedTuple):
+    h0: complex
+    tp: TangentPolySpec
+
+
+class PotentialSpec(_PotentialFields):
+    """One potential of the family: singular-point strength h0 plus tangent data.
+
+    The constant term of the invariant is not free: vanishing of the potential
+    at both infinities forces O00 = 2*Re(h0) + 1, which is enforced here.  The
+    zero-energy exponent parameter lambda0 = sqrt(h0 + 1) must have a positive
+    real part.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, h0: complex, tp: TangentPolySpec):
+        h0 = complex(h0)
+        if not (math.isfinite(h0.real) and math.isfinite(h0.imag)):
+            raise ValueError("h0 must be finite")
+        lam = cmath.sqrt(h0 + 1.0)
+        if not (lam.real > 0):
+            raise ValueError("Re sqrt(h0+1) must be positive")
+        return super().__new__(cls, h0, tp)
+
+    @property
+    def o00(self) -> float:
+        return 2.0 * self.h0.real + 1.0
+
+    @property
+    def lambda0(self) -> complex:
+        lam = cmath.sqrt(self.h0 + 1.0)
+        return lam if lam.real > 0 else -lam
+
+    @property
+    def energy_coupling(self) -> float:
+        """Coefficient c of the energy in h(e) = h0 - c*e, i.e. a*(1 - kappa)."""
+        return self.tp.a * (1.0 - self.tp.kappa_plus)
+
+
 class QuarticRoots(NamedTuple):
     """Classified real roots of the order-m quartic."""
 
@@ -83,70 +144,21 @@ class QuarticRoots(NamedTuple):
     d_roots: tuple       # negative roots, type-d branch
 
 
-class EtaSolution:
-    """Closed form (1+eta^2)^p * exp(q*atan eta) * R(eta) with exact derivatives.
+class EtaSolution(NamedTuple):
+    """Closed form scale * (1+eta^2)^p * exp(q*atan eta) * R(eta), as a record:
+    the gauge power p, the atan coefficient q, the exact polynomial R and the
+    scale.  :mod:`geometry` evaluates it and its log-derivatives on grids."""
 
-    Derivatives are evaluated through the gauge log-derivative
-    u = (2p*eta + q)/(1+eta^2), never by finite differences.
-    """
-
-    def __init__(self, power: float, atan_coeff: float, poly: RealPolynomial, scale: float = 1.0):
-        self.power = float(power)
-        self.atan_coeff = float(atan_coeff)
-        self.poly = poly
-        self.scale = float(scale)
-        # descending, as np.polyval takes them; R' and R'' from the exact coefficients
-        cs = list(enumerate(poly.coeffs))
-        self._c0 = poly.as_floats()[::-1]
-        self._c1 = np.array([float(k * c) for k, c in cs[:0:-1]] or [0.0])
-        self._c2 = np.array([float(k * (k - 1) * c) for k, c in cs[:1:-1]] or [0.0])
-
-    def gauge(self, eta):
-        eta = np.asarray(eta, dtype=float)
-        return (1.0 + eta ** 2) ** self.power * np.exp(self.atan_coeff * np.arctan(eta))
-
-    def _u(self, eta):
-        return (2.0 * self.power * eta + self.atan_coeff) / (1.0 + eta ** 2)
-
-    def _du(self, eta):
-        p, q = self.power, self.atan_coeff
-        w = 1.0 + eta ** 2
-        num = 2.0 * p - 2.0 * p * eta ** 2 - 2.0 * q * eta
-        with np.errstate(over="ignore"):
-            w2 = w * w
-        # w * w overflows once |eta| > ~1e77 (|x| > ~178 for eta = sinh x); num / w2
-        # is then 0, not -2p / eta^2, which Darboux partners scale back to O(1)
-        return np.where(np.isinf(w2), num / w / w, num / w2)
-
-    def __call__(self, eta):
-        eta = np.asarray(eta, dtype=float)
-        out = self.scale * self.gauge(eta) * np.polyval(self._c0, eta)
-        return float(out) if out.ndim == 0 else out
-
-    def d2(self, eta):
-        eta = np.asarray(eta, dtype=float)
-        g = self.gauge(eta)
-        u = self._u(eta)
-        out = self.scale * g * (
-            (u * u + self._du(eta)) * np.polyval(self._c0, eta)
-            + 2.0 * u * np.polyval(self._c1, eta)
-            + np.polyval(self._c2, eta)
-        )
-        return float(out) if out.ndim == 0 else out
-
-    def log_parts(self, eta):
-        """(Phi'/Phi, Phi''/Phi) as a pair, for Darboux chain rules."""
-        u = self._u(eta)
-        r0 = np.polyval(self._c0, eta)
-        r1 = np.polyval(self._c1, eta) / r0
-        r2 = np.polyval(self._c2, eta) / r0
-        return u + r1, (u * u + self._du(eta)) + 2.0 * u * r1 + r2
+    power: float
+    atan_coeff: float
+    poly: RealPolynomial
+    scale: float = 1.0
 
 
 class ClosedForm(NamedTuple):
     """An order-n solution from :func:`_solution`: a bound state (kind "c") or
     a type-d companion.  ``nodes`` counts the real roots of ``poly`` exactly;
-    ``psi`` and ``x_grid`` are set by :meth:`sampled`."""
+    ``psi`` and ``x_grid`` are float arrays set by :func:`geometry.sampled`."""
 
     kind: str  # "c" | "d"
     n: int
@@ -155,17 +167,12 @@ class ClosedForm(NamedTuple):
     poly: RouthPolynomial
     nodes: int
     phi: EtaSolution
-    psi: np.ndarray | None = None
-    x_grid: np.ndarray | None = None
+    psi: object = None
+    x_grid: object = None
 
     @property
     def nodeless(self) -> bool:
         return self.nodes == 0
-
-    def sampled(self, vmap: VariableMap) -> "ClosedForm":
-        """This solution with psi = (eta')^(-1/2) Phi(eta(x)) on the map grid."""
-        etas = vmap.eta_grid
-        return self._replace(psi=self.phi(etas) / np.sqrt(vmap.deriv(etas)), x_grid=vmap.x_grid)
 
 
 class Spectrum(NamedTuple):
@@ -236,9 +243,10 @@ def _quartic_coeffs(spec: PotentialSpec, m: int) -> list:
 
 
 def quartic_residual_scale(spec: PotentialSpec, m: int, lam_r: float) -> float:
-    coeffs = [float(c) for c in reversed(_quartic_coeffs(spec, m))]
-    val = np.polyval(coeffs, lam_r)
-    return float(abs(val) / max(1.0, abs(lam_r) ** 4))
+    val = 0.0
+    for c in reversed(_quartic_coeffs(spec, m)):  # Horner, as np.polyval evaluates
+        val = val * lam_r + float(c)
+    return abs(val) / max(1.0, abs(lam_r) ** 4)
 
 
 def quartic_lambda_roots(spec: PotentialSpec, m: int) -> QuarticRoots:
@@ -309,7 +317,7 @@ def _normalize_phi(spec: PotentialSpec, phi: EtaSolution) -> EtaSolution:
     kap = to_fraction(spec.tp.kappa_plus)
     bracket = m0 + (kap - 1) * nu * (2 * nu - 1) / (2 * (nu * nu + q * q)) * m1
     norm2 = spec.tp.a * phi.scale ** 2 * math.exp(log_cauchy_beta(nu, q)) * float(bracket / (den * den))
-    return EtaSolution(phi.power, phi.atan_coeff, phi.poly, phi.scale / math.sqrt(norm2))
+    return phi._replace(scale=phi.scale / math.sqrt(norm2))
 
 
 def _solution(spec: PotentialSpec, kind: str, qr: QuarticRoots) -> ClosedForm:
@@ -497,6 +505,23 @@ def _scan_cell(a_g: float, b_g: float, m: int) -> ScanCell:
     )
 
 
+def _scan_axis(start, stop, num: int) -> list:
+    """``num`` >= 2 floats from ``start`` to ``stop``, equal to
+    ``np.linspace(start, stop, num)`` bit for bit: i*step + start with the
+    last value set to ``stop``, and (i/(num-1))*delta + start when the step
+    rounds to zero, as numpy does."""
+    start, stop = float(start), float(stop)
+    div = num - 1
+    delta = stop - start
+    step = delta / div
+    if step == 0:
+        out = [i / div * delta + start for i in range(num)]
+    else:
+        out = [i * step + start for i in range(num)]
+    out[-1] = stop
+    return out
+
+
 def nodeless_scan(a_range, b_range, m: int, na: int = 16, nb: int = 16, workers: int = 1):
     """Three-way nodelessness map over a (a, b) parameter grid at fixed order.
 
@@ -510,9 +535,7 @@ def nodeless_scan(a_range, b_range, m: int, na: int = 16, nb: int = 16, workers:
         raise PreconditionViolated("scan order must be even and >= 2")
     if na < 2 or nb < 2:
         raise PreconditionViolated("grid resolutions must be at least 2")
-    avals = np.linspace(a_range[0], a_range[1], na)
-    bvals = np.linspace(b_range[0], b_range[1], nb)
-    tasks = [(float(a), float(b), m) for a in avals for b in bvals]
+    tasks = [(a, b, m) for a in _scan_axis(*a_range, na) for b in _scan_axis(*b_range, nb)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -12,9 +12,9 @@ import math
 from typing import NamedTuple
 
 from . import geometry, oracle
-from .geometry import PotentialSpec, VariableMap
+from .geometry import VariableMap
 from .oracle import Grid1D
-from .spectral import Spectrum, enumerate_bound_spectrum
+from .spectral import PotentialSpec, Spectrum, enumerate_bound_spectrum
 
 
 def oracle_map(spec: PotentialSpec, energies, x_max=None, n=None) -> VariableMap:

@@ -1,6 +1,7 @@
 """Sampled residual of the canonical equation: the float reference that the
 closed forms, which solve the equation by construction, are checked against,
-with the rational invariant I(eta; e) it needs.
+with the rational invariant I(eta; e) it needs, and the float and polynomial
+arithmetic on package records that only the tests use.
 
 It lives with the tests because the package decides the convention by
 derivation (see ``rrspectra.spectral``) and samples no residual at run time.
@@ -10,8 +11,41 @@ from __future__ import annotations
 
 import numpy as np
 
-from rrspectra.geometry import PotentialSpec
-from rrspectra.spectral import EtaSolution
+from rrspectra import _exact as ex
+from rrspectra.geometry import gauge, phi_value
+from rrspectra.routh import RealPolynomial
+from rrspectra.spectral import EtaSolution, PotentialSpec, TangentPolySpec
+
+
+def energy_slope(tp: TangentPolySpec) -> float:
+    """Coefficient d of the energy in O0(e) = O00 + d*e, i.e. 2a(1 + kappa)."""
+    return 2.0 * tp.a * (1.0 + tp.kappa_plus)
+
+
+def poly_mul(p: RealPolynomial, q: RealPolynomial) -> RealPolynomial:
+    """The exact product of two real polynomials."""
+    return RealPolynomial.from_coeffs(ex.rp_mul(list(p.coeffs), list(q.coeffs)))
+
+
+def poly_eval(p: RealPolynomial, x):
+    """p(x) in floats, by Horner."""
+    return np.polyval([float(c) for c in reversed(p.coeffs)] or [0.0], x)
+
+
+def phi_second_derivative(phi: EtaSolution, eta):
+    """Phi''(eta) from the gauge log-derivative u = (2p*eta + q)/(1+eta^2):
+    Phi'' = scale * gauge * [(u^2 + u') R + 2u R' + R'']."""
+    eta = np.asarray(eta, dtype=float)
+    p, q = phi.power, phi.atan_coeff
+    w = 1.0 + eta ** 2
+    u = (2.0 * p * eta + q) / w
+    du = (2.0 * p - 2.0 * p * eta ** 2 - 2.0 * q * eta) / (w * w)
+    r0 = list(phi.poly.coeffs)
+    r1 = ex.rp_diff(r0)
+    r2 = ex.rp_diff(r1)
+    r0, r1, r2 = (poly_eval(RealPolynomial.from_coeffs(r), eta) for r in (r0, r1, r2))
+    out = phi.scale * gauge(phi, eta) * ((u * u + du) * r0 + 2.0 * u * r1 + r2)
+    return float(out) if out.ndim == 0 else out
 
 
 def bose_invariant_eval(spec: PotentialSpec, epsilon: float, eta):
@@ -24,7 +58,7 @@ def bose_invariant_eval(spec: PotentialSpec, epsilon: float, eta):
     """
     eta = np.asarray(eta, dtype=float)
     h = spec.h0 - spec.energy_coupling * epsilon
-    o0 = spec.o00 + spec.tp.d * epsilon
+    o0 = spec.o00 + energy_slope(spec.tp) * epsilon
     denom = (1.0 + eta ** 2)
     # h/(eta+i)^2 + conj(h)/(eta-i)^2 = 2*Re[h*(eta-i)^2] / (1+eta^2)^2
     re_part = h.real * (eta ** 2 - 1.0) + 2.0 * h.imag * eta
@@ -34,10 +68,10 @@ def bose_invariant_eval(spec: PotentialSpec, epsilon: float, eta):
 
 def rcsle_residual(spec: PotentialSpec, epsilon: float, phi: EtaSolution, eta_samples) -> float:
     """max over samples of |Phi'' + I(eta; e) Phi| / (1 + |Phi|), with the
-    exact second derivative ``phi.d2``."""
+    exact second derivative :func:`phi_second_derivative`."""
     etas = np.asarray(eta_samples, dtype=float)
-    vals = np.asarray(phi(etas), dtype=float)
-    second = np.asarray(phi.d2(etas), dtype=float)
+    vals = np.asarray(phi_value(phi, etas), dtype=float)
+    second = np.asarray(phi_second_derivative(phi, etas), dtype=float)
     inv = bose_invariant_eval(spec, epsilon, etas)
     res = np.abs(second + inv * vals) / (1.0 + np.abs(vals))
     return float(np.max(res))

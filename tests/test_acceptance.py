@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from rrspectra.darboux import partner_potential
-from rrspectra.geometry import PotentialSpec, TangentPolySpec, VariableMap
+from rrspectra.geometry import PotentialSpec, TangentPolySpec, VariableMap, sampled
 from rrspectra.routh import ComplexIndex, ode_residual, routh_polynomial, routh_rodrigues
 from rrspectra.spectral import (
     aeh_solution,
@@ -210,7 +210,7 @@ def test_criterion_9_symmetric_positivity():
         errs = []
         for n_points in (1025, 2049, 4097):
             vmap = VariableMap(spec.tp, 16.0, n_points)
-            seed = aeh_solution(spec, "d", m).sampled(vmap)
+            seed = sampled(aeh_solution(spec, "d", m), vmap)
             psi = symmetric_irregular_solution(spec, seed.energy, vmap)
             errs.append(float(np.max(np.abs(psi - seed.psi / np.max(seed.psi)))))
         worst_ratio = min(worst_ratio, errs[0] / errs[1], errs[1] / errs[2])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import rrspectra
-from rrspectra import cli
+from rrspectra import cli, geometry, verify
 from rrspectra.cli import main
 
 
@@ -77,14 +77,14 @@ class TestSpectrumCommand:
         assert os.listdir(out) == []
 
     def test_non_finite_default_grid_is_numeric_failure(self, tmp_path, monkeypatch, capsys):
-        real = cli.spectral.ClosedForm.sampled
+        real = geometry.sampled
 
         def overflowing(state, vmap):
             state = real(state, vmap)
             state.psi[-1] = np.nan
             return state
 
-        monkeypatch.setattr(cli.spectral.ClosedForm, "sampled", overflowing)
+        monkeypatch.setattr(geometry, "sampled", overflowing)
         cfg = write_config(tmp_path, GEN)
         out = tmp_path / "o"
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 3
@@ -324,7 +324,7 @@ class TestPartnerCommand:
             raise AssertionError("a noded seed is rejected before any grid is built")
 
         # the partner grid is the oracle map that verify sizes and builds
-        monkeypatch.setattr(cli.verify, "VariableMap", no_map)
+        monkeypatch.setattr(verify, "VariableMap", no_map)
         self.test_noded_seed_fails_cleanly(tmp_path)
         err = capsys.readouterr().err
         assert "NodeDetected: factorization polynomial has real zeros" in err
@@ -449,13 +449,20 @@ class TestConfigErrors:
         assert record["inputs_digest"]
 
 
+def run_python(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports this package."""
+    src = os.path.dirname(os.path.dirname(rrspectra.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path})
+
+
 def test_startup_does_not_import_scipy(tmp_path):
     # spectrum, identities and scan-nodeless are closed form end to end, the
     # oracle behind verify and partner is numpy only, and Cauchy-beta moments
     # are exact sums, so neither any command nor any module of the
     # package loads scipy; records are NamedTuples and polynomials are
-    # evaluated by np.polyval, so no command loads dataclasses or
-    # numpy.polynomial either
+    # evaluated by Horner's rule (np.polyval on grids in geometry), so no
+    # command loads dataclasses or numpy.polynomial either
     gen = write_config(tmp_path, GEN, "gen.json")
     mil = write_config(tmp_path, MILSON, "mil.json")
     partners = [
@@ -483,6 +490,23 @@ def test_startup_does_not_import_scipy(tmp_path):
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         % (calls,)
     )
-    src = os.path.dirname(os.path.dirname(rrspectra.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path})
+    run_python(code)
+
+
+def test_exact_commands_do_not_import_numpy(tmp_path):
+    # identities and scan-nodeless decide their claims in rationals through
+    # spectral and routh; only the commands that sample load numpy
+    calls = [["identities", "--config", write_config(tmp_path, payload, "%s.json" % name),
+              "--out", str(tmp_path / name)]
+             for name, payload in (("gen", GEN), ("mil", MILSON))]
+    for m in (2, 4):
+        scan = write_config(tmp_path, {**GEN, "scan": {"a_range": [2, 3], "b_range": [0, 1],
+                                                       "na": 3, "nb": 3, "m": m}}, "scan%d.json" % m)
+        calls.append(["scan-nodeless", "--config", scan, "--out", str(tmp_path / ("scan%d" % m))])
+    run_python(
+        "import sys; from rrspectra.cli import main\n"
+        "for argv in %r: assert main(argv) == 0, argv\n"
+        "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('numpy'))\n"
+        % (calls,)
+    )
+    assert (tmp_path / "scan4" / "scan.csv").read_text().count("\n") == 10

@@ -1,5 +1,7 @@
 """Darboux-partner tests: insertion, erasure, seed validation, symmetric seeds."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -57,7 +59,7 @@ class TestPartnerPotential:
         parent = enumerate_bound_spectrum(spec).energies
         vmap = oracle_map(spec, parent[1:])
         seed = bound_state(spec, 0)
-        assert seed.nodes == 0 and np.any(seed.phi(vmap.eta_grid) == 0.0)
+        assert seed.nodes == 0 and np.any(geometry.phi_value(seed.phi, vmap.eta_grid) == 0.0)
         grid = partner_potential(spec, seed, vmap)
         assert np.all(np.isfinite(grid.v_partner))
 
@@ -68,7 +70,7 @@ class TestPartnerPotential:
 
         def ln_ff(x):
             eta = vmap.eta_of_x(x)
-            return -0.5 * np.log(vmap.deriv(eta)) + np.log(seed.phi(eta))
+            return -0.5 * np.log(vmap.deriv(eta)) + np.log(geometry.phi_value(seed.phi, eta))
 
         xs = np.linspace(-6, 6, 25)
         fd = np.array([(ln_ff(x + h) - 2 * ln_ff(x) + ln_ff(x - h)) / h ** 2 for x in xs])
@@ -86,7 +88,8 @@ class TestPartnerPotential:
         # terms of (ln ff)'' must both survive, or V_hat ends near -4p
         spec = gendenshtein_params(1.7193, 2.1470)
         vmap = VariableMap(spec.tp, 200.0, 4097)
-        with np.errstate(over="ignore"):  # root**5 in the map's f'' overflows; f'' -> 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # root**5 in the map's f'' overflows silently
             grid = partner_potential(spec, aeh_solution(spec, "d", 0), vmap)
         assert np.all(np.isfinite(grid.v_partner))
         assert abs(grid.v_partner[0]) < 1e-12 and abs(grid.v_partner[-1]) < 1e-12

@@ -18,7 +18,7 @@ from rrspectra.geometry import (
     tangent_eval,
 )
 
-from residual import bose_invariant_eval
+from residual import bose_invariant_eval, energy_slope
 
 
 class TestTangentPoly:
@@ -35,7 +35,7 @@ class TestTangentPoly:
         # general form [c(eta-i)^2 + c(eta+i)^2 + d(eta^2+1)]/4, with c the
         # (real) energy coupling: its leading coefficient (2c + d)/4 is a
         spec = PotentialSpec(h0=7.75, tp=TangentPolySpec(a=1.5, kappa_plus=2.0))
-        c, d = spec.energy_coupling, spec.tp.d
+        c, d = spec.energy_coupling, energy_slope(spec.tp)
         assert_allclose((2 * c + d) / 4.0, spec.tp.a, rtol=1e-14)
         for eta in (-2.0, 0.0, 0.7):
             direct = (2 * c * (eta ** 2 - 1) + d * (eta ** 2 + 1)) / 4
@@ -56,7 +56,7 @@ class TestBoseInvariant:
         # at eta=0 the fractions collapse: I(0) = (2 Re h(e) + O0(e))/4
         for eps in (0.0, -1.0, -6.25):
             h = gspec.h0 - gspec.energy_coupling * eps
-            o0 = gspec.o00 + gspec.tp.d * eps
+            o0 = gspec.o00 + energy_slope(gspec.tp) * eps
             assert_allclose(bose_invariant_eval(gspec, eps, 0.0), (2 * h.real + o0) / 4.0, rtol=1e-14)
 
     def test_matches_complex_fraction_form(self, milson_spec, rng):
@@ -66,7 +66,7 @@ class TestBoseInvariant:
             eta = float(rng.normal() * 3)
             eps = float(-rng.uniform(0, 5))
             h = milson_spec.h0 - c * eps
-            o0 = milson_spec.o00 + milson_spec.tp.d * eps
+            o0 = milson_spec.o00 + energy_slope(milson_spec.tp) * eps
             direct = -0.25 * (
                 h / (eta + 1j) ** 2 + h.conjugate() / (eta - 1j) ** 2 - o0 / (eta ** 2 + 1)
             )

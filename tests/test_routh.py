@@ -25,6 +25,7 @@ from rrspectra.routh import (
 
 from orthogonality import NonIntegrable, inner_product, pinned_weight_index, weight_eval
 from quadrature import adaptive_quadrature
+from residual import poly_eval, poly_mul
 
 
 def random_indices(rng, count):
@@ -259,7 +260,7 @@ class TestInnerProduct:
             w = ComplexIndex.of(pinned_weight_index(fam))
             for n in range(5):
                 rn = routh_polynomial(n, fam).poly
-                ref = adaptive_quadrature(lambda e: rn(e) ** 2 * weight_eval(w, e),
+                ref = adaptive_quadrature(lambda e: poly_eval(rn, e) ** 2 * weight_eval(w, e),
                                           -np.inf, np.inf, tol=1e-10)
                 assert ref > 0
                 assert abs(inner_product(n, n, w) - ref) < 1e-9 * ref
@@ -338,7 +339,7 @@ def _root_corpus():
         p = _poly_from_roots(roots, lead=int(rng.integers(1, 5)))
         if rng.random() < 0.5:  # times a squared quadratic, real roots irrational
             q = RealPolynomial.from_coeffs([int(rng.integers(-5, 0)), int(rng.integers(-3, 4)), 1])
-            p = list((RealPolynomial.from_coeffs(p) * q * q).coeffs)
+            p = list(poly_mul(poly_mul(RealPolynomial.from_coeffs(p), q), q).coeffs)
         out.append(p)
     return [RealPolynomial.from_coeffs(c) for c in out]
 
@@ -402,7 +403,8 @@ class TestExactIsolation:
     def test_huge_cauchy_bound_with_double_roots(self):
         # the Cauchy bound of (x - 1)(x^2 + 10^700) is far beyond the double
         # range, but its one real root is not
-        p = RealPolynomial.from_coeffs([-1, 1]) * RealPolynomial.from_coeffs([10 ** 700, 0, 1])
+        p = poly_mul(RealPolynomial.from_coeffs([-1, 1]),
+                     RealPolynomial.from_coeffs([10 ** 700, 0, 1]))
         assert real_roots(p) == [1.0]
         top = Fraction(sys.float_info.max)
         assert real_roots([top, 1]) == [-sys.float_info.max]
@@ -427,7 +429,8 @@ class TestExactIsolation:
             roots = [Fraction(int(rng.integers(-30, 31)), int(rng.integers(1, 7)))
                      for _ in range(int(rng.integers(1, 7)))]
             extra = [int(rng.integers(1, 9)), 0, 1]  # x^2 + k: no real roots
-            p = RealPolynomial.from_coeffs(_poly_from_roots(roots)) * RealPolynomial.from_coeffs(extra)
+            p = poly_mul(RealPolynomial.from_coeffs(_poly_from_roots(roots)),
+                         RealPolynomial.from_coeffs(extra))
             assert real_root_count(p) == len(real_roots(p)) == len(roots)
 
 
@@ -484,7 +487,8 @@ class TestRootGuess:
                 spec = gendenshtein_params(a, b)
                 polys += [RealPolynomial.from_coeffs(_quartic_coeffs(spec, m)) for m in range(4)]
                 polys += [aeh_solution(spec, "d", m).poly.poly for m in (1, 3)]
-        polys += [(-1) * p for p in polys]  # either sign of leading coefficient
+        minus = RealPolynomial.from_coeffs([-1])
+        polys += [poly_mul(minus, p) for p in polys]  # either sign of leading coefficient
         rounded, gaps = routh._rounded_root, []
 
         def recording(f, lo, hi):

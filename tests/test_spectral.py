@@ -11,10 +11,11 @@ from rrspectra.errors import (
     NoSuchRoot,
     PreconditionViolated,
 )
-from rrspectra.geometry import PotentialSpec, TangentPolySpec
+from rrspectra.geometry import PotentialSpec, TangentPolySpec, phi_value, sampled
 from rrspectra.routh import ComplexIndex, real_roots, routh_polynomial
 from rrspectra.spectral import (
     EtaSolution,
+    _scan_axis,
     aeh_solution,
     bound_state,
     enumerate_bound_spectrum,
@@ -30,7 +31,7 @@ from rrspectra.spectral import (
 
 from quadrature import NotConverged, adaptive_quadrature
 from quartic import closed_form_lambda_kappa1
-from residual import rcsle_residual
+from residual import poly_mul, rcsle_residual
 
 
 class TestLambdaBranch:
@@ -133,7 +134,7 @@ class TestConventionPinning:
 class TestEigenfunctions:
     def test_ground_state_closed_form(self, gspec, gmap):
         # psi_0 proportional to cosh(x)^-a * exp(-b*atan(sinh x))
-        st = bound_state(gspec, 0).sampled(gmap)
+        st = sampled(bound_state(gspec, 0), gmap)
         xs = gmap.x_grid[::128]
         psi = st.psi[::128]
         ref = np.cosh(xs) ** -2.5 * np.exp(-0.5 * np.arctan(np.sinh(xs)))
@@ -153,7 +154,8 @@ class TestEigenfunctions:
         def overlap(i, j):
             fi, fj = s.states[i].phi, s.states[j].phi
             return adaptive_quadrature(
-                lambda e: fi(e) * fj(e) * (tp.a * (e * e + tp.kappa_plus)) / (1 + e * e) ** 2,
+                lambda e: (phi_value(fi, e) * phi_value(fj, e)
+                           * (tp.a * (e * e + tp.kappa_plus)) / (1 + e * e) ** 2),
                 -np.inf, np.inf, tol=1e-10,
             )
 
@@ -193,7 +195,7 @@ class TestNormalization:
             phi = st.phi
             try:
                 norm2 = adaptive_quadrature(
-                    lambda e: phi(e) ** 2 * tp.a * (e * e + tp.kappa_plus) / (1 + e * e) ** 2,
+                    lambda e: phi_value(phi, e) ** 2 * tp.a * (e * e + tp.kappa_plus) / (1 + e * e) ** 2,
                     -np.inf, np.inf, tol=1e-10,
                 )
             except NotConverged:
@@ -217,7 +219,7 @@ class TestResidualOracle:
         st = s.states[0]
         phi = st.phi
         bad = EtaSolution(phi.power, phi.atan_coeff,
-                          phi.poly * RealPolynomial.from_coeffs([1, 0.01]), phi.scale)
+                          poly_mul(phi.poly, RealPolynomial.from_coeffs([1, 0.01])), phi.scale)
         res = rcsle_residual(gspec, st.energy, bad, np.linspace(-8, 8, 41))
         assert res > 1e-4
 
@@ -347,6 +349,19 @@ class TestNodelessScan:
             nodeless_scan((1, 2), (0, 1), 3)
         with pytest.raises(PreconditionViolated):
             nodeless_scan((1, 2), (0, 1), 2, na=1)
+
+    def test_axes_are_linspace_bit_for_bit(self, rng):
+        # two points, a degenerate range, negative starts, and steps that
+        # underflow to zero (numpy's denormal path)
+        cases = [(2.0, 3.0, 2), (1.5, 1.5, 7), (-3.0, -3.0, 2), (-0.0, 0.0, 3), (-4.25, 2.5, 16),
+                 (-1e-3, 0.0, 5), (0.0, 5e-324, 4), (-5e-324, 5e-324, 3), (2, 4, 16)]
+        for _ in range(500):
+            start = float(rng.uniform(-50.0, 50.0))
+            stop = start + float(rng.choice([0.0, rng.uniform(0.0, 1e-9), rng.uniform(0.0, 60.0)]))
+            cases.append((start, stop, int(rng.integers(2, 65))))
+        for start, stop, num in cases:
+            got = np.array(_scan_axis(start, stop, num))
+            assert got.tobytes() == np.linspace(start, stop, num).tobytes(), (start, stop, num)
 
 
 class TestStevensonDegenerate:
