@@ -203,19 +203,18 @@ def cmd_spectrum(config: RunConfig, out_dir: str) -> int:
     from . import geometry
 
     spectrum = spectral.enumerate_bound_spectrum(config.spec)
-    states = []
-    if spectrum.states:
+    states = spectrum.states
+    if states:
         vmap = _default_map(config)
-        states = [geometry.sampled(spectral.bound_state(config.spec, s.n), vmap)
-                  for s in spectrum.states]
-        geometry.require_finite("eigenfunction", [s.psi for s in states])
+        psis = [geometry.sampled(spectral.bound_state(config.spec, s.n), vmap) for s in states]
+        geometry.require_finite("eigenfunction", psis)
     spath = os.path.join(out_dir, "spectrum.json")
     _dump_json(spath, spectrum.to_json_dict())
     outputs = [spath]
     if states:
         cpath = os.path.join(out_dir, "eigenfunctions.csv")
         header = "x," + ",".join("psi_%d" % s.n for s in states)
-        _write_csv(cpath, header, [vmap.x_grid] + [s.psi for s in states])
+        _write_csv(cpath, header, [vmap.x_grid] + psis)
         outputs.append(cpath)
     _dump_json(os.path.join(out_dir, "report.json"),
                _report_record("spectrum", config, outputs, True))

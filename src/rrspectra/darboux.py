@@ -7,14 +7,23 @@ new level there, the ground state (type c) erases its own, as
 :func:`partner_levels` states.  The gauge (1+eta^2)^p exp(q atan eta) of a
 closed form is positive, so a seed is nodeless exactly when its polynomial
 has no real root: its stored exact node count is the one refusal, made
-before any grid is built.  All logarithmic derivatives are evaluated through
-closed forms in eta chained through the analytic eta'(eta); finite
-differences appear only in tests.
+before any grid is built.
+
+The partner is taken in Riccati form.  With w = ff'/ff, the equation
+-ff'' + V ff = e_f ff reads w' = V - e_f - w^2, so
+
+    V_hat = V - 2 w' = 2 e_f + 2 w^2 - V,
+
+and only the first log-derivative w is evaluated, in closed form through
+eta (:func:`geometry.log_derivative`).  The identity is exact here, not an
+approximation: a closed form solves the canonical equation by construction,
+and the Liouville transformation in the derived convention turns that into
+-ff'' + V ff = e_f ff with the same V that :func:`geometry.potential_of_eta`
+samples.  Finite differences appear only in tests.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +31,7 @@ import numpy as np
 from . import geometry
 from .errors import NodeDetected
 from .geometry import VariableMap
-from .spectral import ClosedForm, EtaSolution, PotentialSpec
+from .spectral import ClosedForm, PotentialSpec
 
 
 _NODED = "factorization polynomial has real zeros"
@@ -44,39 +53,17 @@ class PartnerPotentialGrid(NamedTuple):
     v_partner: np.ndarray
 
 
-def _map_derivatives(tp, eta):
-    """(f, f', f'') of f(eta) = eta' = (1+eta^2)/sqrt(a(eta^2+kappa))."""
-    a, kap = tp.a, tp.kappa_plus
-    sa = math.sqrt(a)
-    e2 = eta ** 2
-    root = np.sqrt(e2 + kap)
-    f = (1.0 + e2) / (sa * root)
-    fp = eta * (e2 + 2.0 * kap - 1.0) / (sa * root ** 3)
-    with np.errstate(over="ignore"):
-        root5 = root ** 5
-    # root ** 5 overflows past |eta| ~ 4e61 (|x| ~ 142 for eta = sinh x); f'' is
-    # then 0, its limit
-    fpp = ((2.0 - kap) * e2 + kap * (2.0 * kap - 1.0)) / (sa * root5)
-    return f, fp, fpp
-
-
-def log_second_derivative(tp, phi: EtaSolution, eta):
-    """(d^2/dx^2) ln[(eta')^(-1/2) * Phi(eta(x))] expressed through eta."""
-    eta = np.asarray(eta, dtype=float)
-    f, fp, fpp = _map_derivatives(tp, eta)
-    l1, l2 = geometry.log_parts(phi, eta)
-    return -0.5 * f * fpp + f * fp * l1 + f * f * (l2 - l1 * l1)
-
-
 def partner_potential(spec: PotentialSpec, seed: ClosedForm, vmap: VariableMap) -> PartnerPotentialGrid:
-    """V_hat = V - 2 (ln ff)'' on the map grid, with ff the closed-form ``seed``.
+    """V_hat = 2 e_s + 2 w^2 - V on the map grid, with w the log-derivative
+    of the closed-form ``seed`` and e_s its energy.
 
     A seed with real polynomial zeros (its stored ``nodes``) raises
-    :class:`NodeDetected`.  Only log-derivatives of the seed are evaluated,
+    :class:`NodeDetected`.  Only the log-derivative of the seed is evaluated,
     never its values, which underflow to 0.0 in the tails of deep wells."""
     if seed.nodes:
         raise NodeDetected(_NODED)
     etas = vmap.eta_grid
     v_parent = geometry.potential_of_eta(spec, etas)
-    v_partner = v_parent - 2.0 * log_second_derivative(spec.tp, seed.phi, etas)
+    w = geometry.log_derivative(spec.tp, seed.phi, etas)
+    v_partner = 2.0 * seed.energy + 2.0 * w * w - v_parent
     return PartnerPotentialGrid(x=vmap.x_grid.copy(), v_parent=v_parent, v_partner=v_partner)

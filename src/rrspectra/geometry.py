@@ -78,6 +78,13 @@ def liouville_x(tp: TangentPolySpec, eta):
     return float(out) if out.ndim == 0 else out
 
 
+def eta_prime(tp: TangentPolySpec, eta):
+    """Closed-form eta'(eta) = (1+eta^2)/sqrt(T(eta)), the slope of the map."""
+    eta = np.asarray(eta, dtype=float)
+    out = (1.0 + eta ** 2) / np.sqrt(tangent_eval(tp, eta))
+    return float(out) if out.ndim == 0 else out
+
+
 class VariableMap:
     """The monotone bijection x <-> eta generated by eta' = (1+eta^2)/sqrt(T).
 
@@ -138,12 +145,6 @@ class VariableMap:
             raise NonFiniteSamples("%d of %d eta samples overflow the double range" % (bad, np.size(eta)))
         return float(eta) if eta.ndim == 0 else eta
 
-    def deriv(self, eta):
-        """Closed-form eta'(eta) = (1+eta^2)/sqrt(T(eta))."""
-        eta = np.asarray(eta, dtype=float)
-        out = (1.0 + eta ** 2) / np.sqrt(tangent_eval(self.tp, eta))
-        return float(out) if out.ndim == 0 else out
-
 
 # ---------------------------------------------------------------------------
 # Schwarzian and the potential
@@ -168,9 +169,9 @@ def schwarzian_eval(tp: TangentPolySpec, eta):
 def potential_of_eta(spec: PotentialSpec, eta):
     """The Liouville potential expressed through eta (symmetric family)."""
     eta = np.asarray(eta, dtype=float)
-    t = tangent_eval(spec.tp, eta)
     num = 4.0 * spec.h0.real - 4.0 * spec.h0.imag * eta + eta ** 2 + 1.0
-    out = -num / (4.0 * t) - 0.5 * schwarzian_eval(spec.tp, eta)
+    # num / (4T), divided by eta^2 + kappa first: 4T overflows before eta^2 does
+    out = -num / (eta ** 2 + spec.tp.kappa_plus) / (4.0 * spec.tp.a) - 0.5 * schwarzian_eval(spec.tp, eta)
     return float(out) if out.ndim == 0 else out
 
 
@@ -211,41 +212,27 @@ def phi_value(phi: EtaSolution, eta):
     return float(out) if out.ndim == 0 else out
 
 
-def _gauge_u(phi: EtaSolution, eta):
-    """The gauge log-derivative u = (2p*eta + q)/(1+eta^2)."""
-    return (2.0 * phi.power * eta + phi.atan_coeff) / (1.0 + eta ** 2)
+def log_derivative(tp: TangentPolySpec, phi: EtaSolution, eta):
+    """w = psi'/psi for psi = (eta')^(-1/2) Phi(eta(x)), expressed through eta:
 
+        w = eta' [u + R'/R - (ln eta')'/2],
 
-def _gauge_du(phi: EtaSolution, eta):
-    """u'(eta), exactly differentiated."""
-    p, q = phi.power, phi.atan_coeff
-    w = 1.0 + eta ** 2
-    num = 2.0 * p - 2.0 * p * eta ** 2 - 2.0 * q * eta
-    with np.errstate(over="ignore"):
-        w2 = w * w
-    # w * w overflows once |eta| > ~1e77 (|x| > ~178 for eta = sinh x); num / w2
-    # is then 0, not -2p / eta^2, which Darboux partners scale back to O(1)
-    return np.where(np.isinf(w2), num / w / w, num / w2)
-
-
-def log_parts(phi: EtaSolution, eta):
-    """(Phi'/Phi, Phi''/Phi) as a pair, for Darboux chain rules.
-
-    Derivatives go through the gauge log-derivative u and the exact
-    coefficients of R' and R'', never through finite differences.
+    with u = (2p*eta + q)/(1+eta^2) the log-derivative of the gauge and
+    (ln eta')' = 2eta/(1+eta^2) - eta/(eta^2+kappa), both d/deta.  R' comes
+    from the exact coefficients, never from finite differences.
     """
-    u = _gauge_u(phi, eta)
-    r0 = np.polyval(_descending(phi, 0), eta)
-    r1 = np.polyval(_descending(phi, 1), eta) / r0
-    r2 = np.polyval(_descending(phi, 2), eta) / r0
-    return u + r1, (u * u + _gauge_du(phi, eta)) + 2.0 * u * r1 + r2
+    eta = np.asarray(eta, dtype=float)
+    e2 = eta ** 2
+    u = (2.0 * phi.power * eta + phi.atan_coeff) / (1.0 + e2)
+    r1 = np.polyval(_descending(phi, 1), eta) / np.polyval(_descending(phi, 0), eta)
+    dlog_slope = 2.0 * eta / (1.0 + e2) - eta / (e2 + tp.kappa_plus)
+    return eta_prime(tp, eta) * (u + r1 - 0.5 * dlog_slope)
 
 
-def sampled(solution: ClosedForm, vmap: VariableMap) -> ClosedForm:
-    """``solution`` with psi = (eta')^(-1/2) Phi(eta(x)) on the map grid."""
+def sampled(solution: ClosedForm, vmap: VariableMap):
+    """psi = (eta')^(-1/2) Phi(eta(x)) of ``solution`` on the map grid."""
     etas = vmap.eta_grid
-    return solution._replace(psi=phi_value(solution.phi, etas) / np.sqrt(vmap.deriv(etas)),
-                             x_grid=vmap.x_grid)
+    return phi_value(solution.phi, etas) / np.sqrt(eta_prime(vmap.tp, etas))
 
 
 def require_finite(what: str, values) -> None:

@@ -157,8 +157,7 @@ class EtaSolution(NamedTuple):
 
 class ClosedForm(NamedTuple):
     """An order-n solution from :func:`_solution`: a bound state (kind "c") or
-    a type-d companion.  ``nodes`` counts the real roots of ``poly`` exactly;
-    ``psi`` and ``x_grid`` are float arrays set by :func:`geometry.sampled`."""
+    a type-d companion.  ``nodes`` counts the real roots of ``poly`` exactly."""
 
     kind: str  # "c" | "d"
     n: int
@@ -167,8 +166,6 @@ class ClosedForm(NamedTuple):
     poly: RouthPolynomial
     nodes: int
     phi: EtaSolution
-    psi: object = None
-    x_grid: object = None
 
     @property
     def nodeless(self) -> bool:

@@ -80,9 +80,9 @@ class TestSpectrumCommand:
         real = geometry.sampled
 
         def overflowing(state, vmap):
-            state = real(state, vmap)
-            state.psi[-1] = np.nan
-            return state
+            psi = real(state, vmap)
+            psi[-1] = np.nan
+            return psi
 
         monkeypatch.setattr(geometry, "sampled", overflowing)
         cfg = write_config(tmp_path, GEN)
@@ -142,6 +142,14 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
         payload = json.loads((out / "verify.json").read_text())
         assert not payload["passed"] and len(payload["levels"]) == 2
+
+    def test_grid_where_four_t_overflows_passes(self, tmp_path):
+        # near |x| = 355, 4(eta^2 + 1) overflows while eta^2 does not; the
+        # potential must still decay there instead of ending at 1/4
+        cfg = write_config(tmp_path, {**GEN, "grid": {"x_max": 355.3, "n": 40001}})
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "verify.json").read_text())["passed"] is True
 
     def test_unrepresentable_user_grid_is_config_error(self, tmp_path, capsys):
         # past |x| ~ 355 the sampled potential overflows to NaN; the oracle
@@ -296,8 +304,7 @@ class TestPartnerCommand:
             "partner": {"kind": "d", "m": 8},
         })
         out = tmp_path / "o"
-        with np.errstate(all="ignore"):
-            assert main(["partner", "--config", cfg, "--out", str(out)]) == 1
+        assert main(["partner", "--config", cfg, "--out", str(out)]) == 1
         assert json.loads((out / "partner_verify.json").read_text())["passed"] is False
 
     def test_unrepresentable_user_grid_is_config_error(self, tmp_path, capsys):
@@ -310,6 +317,16 @@ class TestPartnerCommand:
             assert main(["partner", "--config", cfg, "--out", str(out)]) == 2
         assert "NaN or infinite" in capsys.readouterr().err
         assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("x_max", [240.0, 300.0])
+    def test_wide_user_grid_passes(self, tmp_path, x_max):
+        # |eta|^3 overflows past |x| ~ 237; the partner needs only the seed's
+        # first log-derivative w, which stays finite out to |x| ~ 355
+        cfg = write_config(tmp_path, {**GEN, "grid": {"x_max": x_max, "n": 20001},
+                                      "partner": {"kind": "d", "m": 0}})
+        out = tmp_path / "o"
+        assert main(["partner", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "partner_verify.json").read_text())["passed"] is True
 
     def test_noded_seed_fails_cleanly(self, tmp_path):
         # odd-order type-d polynomials always carry a real zero

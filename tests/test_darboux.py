@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rrspectra import geometry, oracle
-from rrspectra.darboux import log_second_derivative, partner_levels, partner_potential
+from rrspectra.darboux import partner_levels, partner_potential
 from rrspectra.errors import NodeDetected, PreconditionViolated
 from rrspectra.geometry import PotentialSpec, TangentPolySpec, VariableMap
 from rrspectra.spectral import (
@@ -64,18 +64,25 @@ class TestPartnerPotential:
         assert np.all(np.isfinite(grid.v_partner))
 
     def test_log_derivative_matches_finite_differences(self, insertion_setup):
+        # w against a centred difference of ln ff, and the difference (ln ff)''
+        # against V - e_s - w^2: the Riccati identity the partner is built on
         spec, vmap = insertion_setup
         seed = aeh_solution(spec, "d", 0)
         h = 1e-3
 
         def ln_ff(x):
             eta = vmap.eta_of_x(x)
-            return -0.5 * np.log(vmap.deriv(eta)) + np.log(geometry.phi_value(seed.phi, eta))
+            slope = geometry.eta_prime(spec.tp, eta)
+            return -0.5 * np.log(slope) + np.log(geometry.phi_value(seed.phi, eta))
 
         xs = np.linspace(-6, 6, 25)
-        fd = np.array([(ln_ff(x + h) - 2 * ln_ff(x) + ln_ff(x - h)) / h ** 2 for x in xs])
-        closed = log_second_derivative(spec.tp, seed.phi, vmap.eta_of_x(xs))
-        assert np.max(np.abs(fd - closed)) < 1e-6
+        etas = vmap.eta_of_x(xs)
+        fd1 = np.array([(ln_ff(x + h) - ln_ff(x - h)) / (2 * h) for x in xs])
+        fd2 = np.array([(ln_ff(x + h) - 2 * ln_ff(x) + ln_ff(x - h)) / h ** 2 for x in xs])
+        w = geometry.log_derivative(spec.tp, seed.phi, etas)
+        assert np.max(np.abs(fd1 - w)) < 1e-6
+        riccati = geometry.potential_of_eta(spec, etas) - seed.energy - w * w
+        assert np.max(np.abs(fd2 - riccati)) < 1e-6
 
     def test_partner_decays_like_parent(self, insertion_setup):
         spec, vmap = insertion_setup
@@ -84,12 +91,12 @@ class TestPartnerPotential:
         assert abs(grid.v_partner[0]) < 1e-2 and abs(grid.v_partner[-1]) < 1e-2
 
     def test_far_field_decays(self):
-        # past |x| ~ 178, (1 + eta^2)^2 overflows; the two cancelling O(1)
-        # terms of (ln ff)'' must both survive, or V_hat ends near -4p
+        # eta' ~ |eta| and the bracket of w ~ 1/|eta| must both stay finite
+        # far out, so that V_hat = 2 e_s + 2 w^2 - V cancels to 0 at both ends
         spec = gendenshtein_params(1.7193, 2.1470)
         vmap = VariableMap(spec.tp, 200.0, 4097)
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # root**5 in the map's f'' overflows silently
+            warnings.simplefilter("error")  # no overflow anywhere in the partner
             grid = partner_potential(spec, aeh_solution(spec, "d", 0), vmap)
         assert np.all(np.isfinite(grid.v_partner))
         assert abs(grid.v_partner[0]) < 1e-12 and abs(grid.v_partner[-1]) < 1e-12

@@ -200,6 +200,15 @@ class TestPotential:
         assert abs(potential_of_eta(milson_spec, vm.eta_of_x(x_max))) < 1e-3
         assert abs(potential_of_eta(milson_spec, vm.eta_of_x(-x_max))) < 1e-3
 
+    @pytest.mark.parametrize("a, kappa", [(1.0, 1.0), (4.0, 2.0)])
+    def test_decays_where_four_t_overflows(self, a, kappa):
+        # 4a(eta^2 + kappa) overflows once eta^2 > ~4.5e307/a, while eta^2
+        # itself does not; V must still be ~Im(h0)/(a eta), not 1/(4a)
+        spec = PotentialSpec(h0=complex(7.75, 3.0), tp=TangentPolySpec(a, kappa))
+        for eta in (5e153, 5.4e153, 1e154):
+            assert abs(potential_of_eta(spec, eta)) < 1e-12
+            assert abs(potential_of_eta(spec, -eta)) < 1e-12
+
     def test_out_of_grid_error(self, gspec, gmap):
         with pytest.raises(OutOfGrid):
             potential_of_eta(gspec, gmap.eta_of_x(gmap.x_max + 1.0))
