@@ -290,15 +290,14 @@ def cmd_partner(config: RunConfig, out_dir: str, tol: float) -> int:
         seed = spectral.bound_state(config.spec, 0)
     expected = darboux.partner_levels(parent, seed)
     vmap = verify.oracle_map(config.spec, expected or parent, config.x_max, config.n)
-    partner_grid = darboux.partner_potential(config.spec, seed, vmap)
-    geometry.require_finite("potential", [partner_grid.v_parent, partner_grid.v_partner])
+    v_parent, v_partner = darboux.partner_potential(config.spec, seed, vmap)
+    geometry.require_finite("potential", [v_parent, v_partner])
     cpath = os.path.join(out_dir, "partner.csv")
-    _write_csv(cpath, "x,V_parent,V_partner",
-               [partner_grid.x, partner_grid.v_parent, partner_grid.v_partner])
+    _write_csv(cpath, "x,V_parent,V_partner", [vmap.x_grid, v_parent, v_partner])
     outputs = [cpath]
     passed = True
     if expected:
-        report = verify.verify_partner_levels(vmap, partner_grid, expected, tol=tol)
+        report = verify.verify_partner_levels(vmap, v_partner, expected, tol=tol)
         rpath = os.path.join(out_dir, "partner_verify.json")
         _dump_json(rpath, report.to_json_dict())
         outputs.append(rpath)
@@ -375,16 +374,22 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
-        if args.command == "spectrum":
-            return cmd_spectrum(config, args.out)
-        if args.command == "verify":
-            return cmd_verify(config, args.out, args.tol)
         if args.command == "scan-nodeless":
             return cmd_scan_nodeless(config, args.out, args.workers)
-        if args.command == "partner":
-            return cmd_partner(config, args.out, args.tol)
         if args.command == "identities":
             return cmd_identities(config, args.out, args.tol)
+        # The commands that sample run without numpy's floating-point
+        # warnings: require_finite or the oracle rejects every non-finite
+        # array they keep, so an overflow is reported once, as a typed error.
+        import numpy as np
+
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            if args.command == "spectrum":
+                return cmd_spectrum(config, args.out)
+            if args.command == "verify":
+                return cmd_verify(config, args.out, args.tol)
+            if args.command == "partner":
+                return cmd_partner(config, args.out, args.tol)
         raise ConfigError("unknown command %r" % args.command)
     except SpectraError as exc:
         # samples that are not finite on a grid the config chose are that grid's fault

@@ -19,14 +19,11 @@ eta (:func:`geometry.log_derivative`).  The identity is exact here, not an
 approximation: a closed form solves the canonical equation by construction,
 and the Liouville transformation in the derived convention turns that into
 -ff'' + V ff = e_f ff with the same V that :func:`geometry.potential_of_eta`
-samples.  Finite differences appear only in tests.
+samples.  Finite differences appear only in tests.  The partner comes back
+as plain arrays on the map's own grid, ``vmap.x_grid``.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
-
-import numpy as np
 
 from . import geometry
 from .errors import NodeDetected
@@ -47,15 +44,9 @@ def partner_levels(parent, seed) -> list:
     return sorted([*parent, seed.energy]) if seed.kind == "d" else list(parent[1:])
 
 
-class PartnerPotentialGrid(NamedTuple):
-    x: np.ndarray
-    v_parent: np.ndarray
-    v_partner: np.ndarray
-
-
-def partner_potential(spec: PotentialSpec, seed: ClosedForm, vmap: VariableMap) -> PartnerPotentialGrid:
-    """V_hat = 2 e_s + 2 w^2 - V on the map grid, with w the log-derivative
-    of the closed-form ``seed`` and e_s its energy.
+def partner_potential(spec: PotentialSpec, seed: ClosedForm, vmap: VariableMap) -> tuple:
+    """(V, V_hat) on the grid of ``vmap``, with V_hat = 2 e_s + 2 w^2 - V, w
+    the log-derivative of the closed-form ``seed`` and e_s its energy.
 
     A seed with real polynomial zeros (its stored ``nodes``) raises
     :class:`NodeDetected`.  Only the log-derivative of the seed is evaluated,
@@ -64,6 +55,5 @@ def partner_potential(spec: PotentialSpec, seed: ClosedForm, vmap: VariableMap) 
         raise NodeDetected(_NODED)
     etas = vmap.eta_grid
     v_parent = geometry.potential_of_eta(spec, etas)
-    w = geometry.log_derivative(spec.tp, seed.phi, etas)
-    v_partner = 2.0 * seed.energy + 2.0 * w * w - v_parent
-    return PartnerPotentialGrid(x=vmap.x_grid.copy(), v_parent=v_parent, v_partner=v_partner)
+    w = geometry.log_derivative(spec.tp, seed, etas)
+    return v_parent, 2.0 * seed.energy + 2.0 * w * w - v_parent

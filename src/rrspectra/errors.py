@@ -22,10 +22,6 @@ class StepFailure(SpectraError):
     not converge), or :func:`geometry.choose_x_max` found no decayed potential."""
 
 
-class OutOfGrid(SpectraError):
-    """Evaluation requested outside the stored variable-map grid."""
-
-
 class BranchUndefined(SpectraError):
     """The square-root branch is evaluated exactly at its branch point."""
 
@@ -41,10 +37,6 @@ class ConventionUnresolved(SpectraError):
 
 class NodeDetected(SpectraError):
     """A factorization function changes sign on the grid."""
-
-
-class PreconditionViolated(SpectraError):
-    """An operation-level precondition does not hold."""
 
 
 class InsufficientDecay(SpectraError):

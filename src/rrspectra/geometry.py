@@ -12,8 +12,12 @@ The symmetric tangent polynomial a*(eta^2 + kappa) generates the Milson
 family; kappa = 1 with a = 1 is the Gendenshtein (Scarf II) limit where
 eta(x) = sinh x.
 
-The spec records and the closed-form records come from :mod:`spectral`,
-which is exact and imports no numpy; this module is where they meet floats.
+The spec records and the closed-form record :class:`~spectral.ClosedForm`
+come from :mod:`spectral`, which is exact and imports no numpy; this module
+is where they meet floats.  :func:`gauge`, :func:`phi_value`,
+:func:`log_derivative` and :func:`sampled` read the record itself, and a
+:class:`VariableMap` carries the one uniform x grid (and its spacing ``dx``)
+that every sampled array lives on.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ import math
 
 import numpy as np
 
-from .errors import NonFiniteSamples, OutOfGrid, StepFailure
-from .spectral import ClosedForm, EtaSolution, PotentialSpec, TangentPolySpec
+from .errors import NonFiniteSamples, StepFailure
+from .spectral import ClosedForm, PotentialSpec, TangentPolySpec
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +93,8 @@ class VariableMap:
     """The monotone bijection x <-> eta generated by eta' = (1+eta^2)/sqrt(T).
 
     Anchored at eta(0) = 0.  x(eta) is the closed form :func:`liouville_x`
-    and eta(x) its Newton inverse; the grid table ``eta_grid`` must come out
+    and eta(x) its Newton inverse, defined on the whole line; the grid table
+    ``eta_grid`` on the uniform ``x_grid`` of spacing ``dx`` must come out
     strictly increasing.  The tangent polynomial is symmetric, so the map
     is odd.  The tests check both directions against an
     independent ODE solve and quadrature.
@@ -104,6 +109,7 @@ class VariableMap:
         self.x_max = float(x_max)
         self.n_points = int(n_points)
         self.x_grid = np.linspace(-self.x_max, self.x_max, self.n_points)
+        self.dx = (self.x_max + self.x_max) / (self.n_points - 1)
         self.eta_grid = self.eta_of_x(self.x_grid)
         if np.any(np.diff(self.eta_grid) <= 0):
             raise StepFailure("variable map table is not strictly increasing")
@@ -122,8 +128,6 @@ class VariableMap:
         range (|s| > 710.47) raises :class:`NonFiniteSamples`.
         """
         xs = np.asarray(x, dtype=float)
-        if np.any(np.abs(xs) > self.x_max * (1.0 + 1e-12)):
-            raise OutOfGrid("|x| exceeds the map range %.6g" % self.x_max)
         ra, rk = math.sqrt(self.tp.a), math.sqrt(self.tp.kappa_plus)
         s = xs / (ra * max(1.0, rk))
         done = False
@@ -192,27 +196,27 @@ def choose_x_max(spec: PotentialSpec) -> float:
 # closed forms on grids
 # ---------------------------------------------------------------------------
 
-def _descending(phi: EtaSolution, k: int) -> list:
-    """Float coefficients of R^(k) for the polynomial R of ``phi``, highest
+def _descending(solution: ClosedForm, k: int) -> list:
+    """Float coefficients of R^(k) for the polynomial R of ``solution``, highest
     degree first (as np.polyval takes them), from the exact coefficients."""
-    cs = list(enumerate(phi.poly.coeffs))[::-1]
+    cs = list(enumerate(solution.poly.poly.coeffs))[::-1]
     return [float(math.perm(j, k) * c) for j, c in cs if j >= k] or [0.0]
 
 
-def gauge(phi: EtaSolution, eta):
-    """(1+eta^2)^p * exp(q*atan eta), the positive factor of ``phi``."""
+def gauge(solution: ClosedForm, eta):
+    """(1+eta^2)^p * exp(q*atan eta), the positive factor of ``solution``."""
     eta = np.asarray(eta, dtype=float)
-    return (1.0 + eta ** 2) ** phi.power * np.exp(phi.atan_coeff * np.arctan(eta))
+    return (1.0 + eta ** 2) ** solution.power * np.exp(solution.atan_coeff * np.arctan(eta))
 
 
-def phi_value(phi: EtaSolution, eta):
+def phi_value(solution: ClosedForm, eta):
     """Phi(eta) = scale * gauge * R(eta)."""
     eta = np.asarray(eta, dtype=float)
-    out = phi.scale * gauge(phi, eta) * np.polyval(_descending(phi, 0), eta)
+    out = solution.scale * gauge(solution, eta) * np.polyval(_descending(solution, 0), eta)
     return float(out) if out.ndim == 0 else out
 
 
-def log_derivative(tp: TangentPolySpec, phi: EtaSolution, eta):
+def log_derivative(tp: TangentPolySpec, solution: ClosedForm, eta):
     """w = psi'/psi for psi = (eta')^(-1/2) Phi(eta(x)), expressed through eta:
 
         w = eta' [u + R'/R - (ln eta')'/2],
@@ -223,8 +227,8 @@ def log_derivative(tp: TangentPolySpec, phi: EtaSolution, eta):
     """
     eta = np.asarray(eta, dtype=float)
     e2 = eta ** 2
-    u = (2.0 * phi.power * eta + phi.atan_coeff) / (1.0 + e2)
-    r1 = np.polyval(_descending(phi, 1), eta) / np.polyval(_descending(phi, 0), eta)
+    u = (2.0 * solution.power * eta + solution.atan_coeff) / (1.0 + e2)
+    r1 = np.polyval(_descending(solution, 1), eta) / np.polyval(_descending(solution, 0), eta)
     dlog_slope = 2.0 * eta / (1.0 + e2) - eta / (e2 + tp.kappa_plus)
     return eta_prime(tp, eta) * (u + r1 - 0.5 * dlog_slope)
 
@@ -232,7 +236,7 @@ def log_derivative(tp: TangentPolySpec, phi: EtaSolution, eta):
 def sampled(solution: ClosedForm, vmap: VariableMap):
     """psi = (eta')^(-1/2) Phi(eta(x)) of ``solution`` on the map grid."""
     etas = vmap.eta_grid
-    return phi_value(solution.phi, etas) / np.sqrt(eta_prime(vmap.tp, etas))
+    return phi_value(solution, etas) / np.sqrt(eta_prime(vmap.tp, etas))
 
 
 def require_finite(what: str, values) -> None:

@@ -3,8 +3,9 @@ eigensolver in numpy (a sine-basis Rayleigh-Ritz solve certified by Sturm
 counts).
 
 Nothing in this module knows about the analytic machinery it is used to
-check; it sees only sampled potentials.  Units are hbar = 2m = 1
-so the eigenproblem reads -psi'' + V psi = e psi.
+check; it sees only a potential sampled on a uniform grid, as a plain array
+and its spacing.  Units are hbar = 2m = 1 so the eigenproblem reads
+-psi'' + V psi = e psi.
 """
 
 from __future__ import annotations
@@ -16,32 +17,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InsufficientDecay, NonFiniteSamples
-
-
-class _GridFields(NamedTuple):
-    x_min: float
-    x_max: float
-    n: int
-    values: np.ndarray
-
-
-class Grid1D(_GridFields):
-    """A uniform 1D grid carrying the values sampled on it."""
-
-    __slots__ = ()
-
-    def __new__(cls, x_min: float, x_max: float, n: int, values: np.ndarray):
-        if n < 256:
-            raise ValueError("grid needs at least 256 points")
-        if not x_max > x_min:
-            raise ValueError("empty grid range")
-        if len(values) != n:
-            raise ValueError("values length does not match n")
-        return super().__new__(cls, x_min, x_max, n, values)
-
-    @property
-    def dx(self) -> float:
-        return (self.x_max - self.x_min) / (self.n - 1)
 
 
 class EigenEstimate(NamedTuple):
@@ -158,8 +133,9 @@ def _dirichlet_levels(v: np.ndarray, dx: float, count: int) -> tuple:
     return levels, bounds
 
 
-def lowest_levels(potential: Grid1D, count: int, *, require_decay: bool = True) -> list[EigenEstimate]:
-    """Lowest ``count`` eigenvalues of -psi'' + V psi = e psi on the grid.
+def lowest_levels(values, dx: float, count: int, *, require_decay: bool = True) -> list[EigenEstimate]:
+    """Lowest ``count`` eigenvalues of -psi'' + V psi = e psi for the samples
+    ``values`` of V on a uniform grid of spacing ``dx``.
 
     The 3-point finite-difference Hamiltonian with Dirichlet ends is solved on
     the grid and on its 2:1 and 4:1 subsamples (see :func:`_dirichlet_levels`),
@@ -175,7 +151,7 @@ def lowest_levels(potential: Grid1D, count: int, *, require_decay: bool = True) 
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    v = np.asarray(potential.values, dtype=float)
+    v = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(v)):
         raise NonFiniteSamples(
             "%d of %d potential samples are NaN or infinite" % (np.count_nonzero(~np.isfinite(v)), len(v))
@@ -188,7 +164,6 @@ def lowest_levels(potential: Grid1D, count: int, *, require_decay: bool = True) 
     v = v[extra // 2 : len(v) - (extra - extra // 2)]
     count = min(count, (len(v) - 1) // 4 - 1)  # interior size of the 4h grid
     e_ceiling = -1e-14 if require_decay else float(min(v[0], v[-1]))
-    dx = potential.dx
     kept = min(count, _sturm_count(v, dx, e_ceiling))  # so no level above it is solved
     if kept == 0:
         return []

@@ -33,8 +33,10 @@ normal form of the canonical rational equation (Milson, Int. J. Theor. Phys.
 1988).  :func:`pinned_convention` names the resulting record;
 ``tests/test_convention.py`` proves the reduction in exact rationals.
 
-This module imports no numpy: roots, counts and identities are decided in
-rationals, and :mod:`geometry` samples the closed forms on grids.
+One record, :class:`ClosedForm`, holds a solution: its energy, lambda, the
+exact Routh polynomial R, its exact node count and a scale; p and q are read
+off lambda.  This module imports no numpy: roots, counts and identities are
+decided in rationals, and :mod:`geometry` samples the closed forms on grids.
 """
 
 from __future__ import annotations
@@ -47,12 +49,7 @@ from typing import NamedTuple
 
 from . import _exact as ex
 from ._exact import to_fraction
-from .errors import (
-    BranchUndefined,
-    ConventionUnresolved,
-    NoSuchRoot,
-    PreconditionViolated,
-)
+from .errors import BranchUndefined, ConventionUnresolved, NoSuchRoot
 from .routh import (
     ComplexIndex,
     RealPolynomial,
@@ -144,28 +141,34 @@ class QuarticRoots(NamedTuple):
     d_roots: tuple       # negative roots, type-d branch
 
 
-class EtaSolution(NamedTuple):
-    """Closed form scale * (1+eta^2)^p * exp(q*atan eta) * R(eta), as a record:
-    the gauge power p, the atan coefficient q, the exact polynomial R and the
-    scale.  :mod:`geometry` evaluates it and its log-derivatives on grids."""
-
-    power: float
-    atan_coeff: float
-    poly: RealPolynomial
-    scale: float = 1.0
-
-
 class ClosedForm(NamedTuple):
-    """An order-n solution from :func:`_solution`: a bound state (kind "c") or
-    a type-d companion.  ``nodes`` counts the real roots of ``poly`` exactly."""
+    """An order-n solution from :func:`_solution`, a bound state (kind "c") or
+    a type-d companion: scale * (1+eta^2)^p * exp(q*atan eta) * R(eta), with
+    the gauge power p and atan coefficient q read off ``lam`` and R the exact
+    ``poly``.  ``nodes`` counts the real roots of R exactly, and ``scale`` is
+    1.0 until :func:`_normalize_phi` sets it.  :mod:`geometry` evaluates the
+    record and its log-derivative on grids."""
 
     kind: str  # "c" | "d"
-    n: int
     energy: float
     lam: complex
     poly: RouthPolynomial
     nodes: int
-    phi: EtaSolution
+    scale: float = 1.0
+
+    @property
+    def n(self) -> int:
+        return self.poly.order
+
+    @property
+    def power(self) -> float:
+        """p = (1 - L_R)/2."""
+        return 0.5 * (1.0 - self.lam.real)
+
+    @property
+    def atan_coeff(self) -> float:
+        """q = -L_I."""
+        return -self.lam.imag
 
     @property
     def nodeless(self) -> bool:
@@ -280,21 +283,11 @@ def pinned_convention() -> dict:
     return {"sign": -1, "conjugate": True, "shift": 1}
 
 
-def _closed_form(lam: complex, m: int) -> tuple:
-    """(R_m^(1 - conj lambda), unnormalized Phi) in the pinned convention.
-
-    The index is -conj(lambda) shifted by one exactly: 1 - L_R is never
-    rounded, so the Routh coefficients are those of the float lambda.
-    """
-    rp = routh_polynomial(m, ComplexIndex.of(-lam.conjugate()).shifted(1))
-    return rp, EtaSolution(0.5 * (1.0 - lam.real), -lam.imag, rp.poly)
-
-
 # ---------------------------------------------------------------------------
 # spectrum enumeration and assembly
 # ---------------------------------------------------------------------------
 
-def _normalize_phi(spec: PotentialSpec, phi: EtaSolution) -> EtaSolution:
+def _normalize_phi(spec: PotentialSpec, solution: ClosedForm) -> ClosedForm:
     """Scale so that integral Phi^2 * density deta = 1 (hence psi is L2-normal).
 
     Closed form, with Phi = (1+eta^2)^p exp(q atan eta) R(eta).  The density
@@ -307,30 +300,36 @@ def _normalize_phi(spec: PotentialSpec, phi: EtaSolution) -> EtaSolution:
     rounded.  Every integral converges for an admissible level of order n,
     since nu > n + 1/2.
     """
-    p, q = to_fraction(phi.power), to_fraction(phi.atan_coeff)
+    p, q = to_fraction(solution.power), to_fraction(solution.atan_coeff)
     nu = 1 - 2 * p
-    sq, den = integer_product(phi.poly.coeffs, phi.poly.coeffs)  # R^2 = sq(eta) / den^2
+    coeffs = solution.poly.poly.coeffs
+    sq, den = integer_product(coeffs, coeffs)  # R^2 = sq(eta) / den^2
     m0, m1 = cauchy_beta_ratios(sq, q, (nu, nu + 1))
     kap = to_fraction(spec.tp.kappa_plus)
     bracket = m0 + (kap - 1) * nu * (2 * nu - 1) / (2 * (nu * nu + q * q)) * m1
-    norm2 = spec.tp.a * phi.scale ** 2 * math.exp(log_cauchy_beta(nu, q)) * float(bracket / (den * den))
-    return phi._replace(scale=phi.scale / math.sqrt(norm2))
+    scale = solution.scale
+    norm2 = spec.tp.a * scale ** 2 * math.exp(log_cauchy_beta(nu, q)) * float(bracket / (den * den))
+    return solution._replace(scale=scale / math.sqrt(norm2))
 
 
 def _solution(spec: PotentialSpec, kind: str, qr: QuarticRoots) -> ClosedForm:
     """The unnormalized order-m solution of ``kind``: type c on the largest
     admissible root, type d on the most negative one, both at
-    e = -(m + 1/2 - lambda_R)^2 / a.  The node count is taken here, once."""
+    e = -(m + 1/2 - lambda_R)^2 / a.  The node count is taken here, once.
+
+    The polynomial is R_m^(1 - conj lambda) of the pinned convention.  Its
+    index is -conj(lambda) shifted by one exactly: 1 - L_R is never rounded,
+    so the Routh coefficients are those of the float lambda."""
     m = qr.order
     roots = qr.c_candidates if kind == "c" else qr.d_roots
     if not roots:
         raise NoSuchRoot("no type-%s root at order %d" % (kind, m))
     lam_r = max(roots) if kind == "c" else min(roots)
     lam = complex(lam_r, spec.h0.imag / (2.0 * lam_r) if spec.h0.imag != 0.0 else 0.0)
-    rp, phi = _closed_form(lam, m)
+    rp = routh_polynomial(m, ComplexIndex.of(-lam.conjugate()).shifted(1))
     return ClosedForm(
-        kind=kind, n=m, energy=-((m + 0.5 - lam_r) ** 2) / spec.tp.a, lam=lam,
-        poly=rp, nodes=real_root_count(rp.poly), phi=phi,
+        kind=kind, energy=-((m + 0.5 - lam_r) ** 2) / spec.tp.a, lam=lam,
+        poly=rp, nodes=real_root_count(rp.poly),
     )
 
 
@@ -356,7 +355,7 @@ def enumerate_bound_spectrum(spec: PotentialSpec) -> Spectrum:
         if abs(state.energy) < THRESHOLD_ENERGY:
             notes.append("order %d: |e| < %g treated as threshold, not bound" % (n, THRESHOLD_ENERGY))
             break
-        states.append(state._replace(phi=_normalize_phi(spec, state.phi)))
+        states.append(_normalize_phi(spec, state))
         n += 1
     return Spectrum(
         states=tuple(states),
@@ -526,12 +525,9 @@ def nodeless_scan(a_range, b_range, m: int, na: int = 16, nb: int = 16, workers:
     against :func:`routh.theorem_root_count` where it applies; the gauge
     factor is positive, so no root means a nodeless solution), the quoted
     asymmetry threshold, and the canonical discriminant sign.  Disagreements
-    are reported, not resolved.
+    are reported, not resolved.  The order ``m`` is even and >= 2 and both
+    resolutions are >= 2, as the run configuration checks.
     """
-    if m < 2 or m % 2:
-        raise PreconditionViolated("scan order must be even and >= 2")
-    if na < 2 or nb < 2:
-        raise PreconditionViolated("grid resolutions must be at least 2")
     tasks = [(a, b, m) for a in _scan_axis(*a_range, na) for b in _scan_axis(*b_range, nb)]
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -2,8 +2,9 @@
 
 Shared by the command-line front end and the acceptance suite.  The bound
 spectrum and Darboux partners share one grid rule, :func:`oracle_map`, and
-one oracle call.  The oracle sees the sampled potential alone (no analytic
-seeding), so the comparison stays independent of the result it checks.
+one oracle, :func:`oracle.lowest_levels`.  The oracle sees the sampled
+potential array and the map's spacing alone (no analytic seeding), so the
+comparison stays independent of the result it checks.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from typing import NamedTuple
 
 from . import geometry, oracle
 from .geometry import VariableMap
-from .oracle import Grid1D
 from .spectral import PotentialSpec, Spectrum, enumerate_bound_spectrum
 
 
@@ -35,12 +35,6 @@ def oracle_map(spec: PotentialSpec, energies, x_max=None, n=None) -> VariableMap
     if n is None:
         n = max(8192, int(2 * x_max / 0.012) | 1)
     return VariableMap(spec.tp, x_max, n)
-
-
-def _oracle_levels(vmap: VariableMap, values, count: int) -> list:
-    """The oracle's lowest ``count`` levels of the potential ``values`` sampled on ``vmap``."""
-    grid = Grid1D(x_min=-vmap.x_max, x_max=vmap.x_max, n=len(values), values=values)
-    return oracle.lowest_levels(grid, count=count)
 
 
 class LevelComparison(NamedTuple):
@@ -85,7 +79,7 @@ def verify_spectrum(spec: PotentialSpec, tol: float = 1e-3, x_max=None, n=None) 
         return VerifyReport(levels=(), tol=tol, spectrum=spectrum)
     vmap = oracle_map(spec, spectrum.energies, x_max, n)
     values = geometry.potential_of_eta(spec, vmap.eta_grid)
-    estimates = _oracle_levels(vmap, values, len(spectrum.states))
+    estimates = oracle.lowest_levels(values, vmap.dx, len(spectrum.states))
     levels = tuple(
         LevelComparison(n=s.n, analytic=s.energy, numeric=e.energy,
                         rel_delta=abs(s.energy - e.energy) / abs(e.energy),
@@ -118,9 +112,10 @@ class PartnerReport(NamedTuple):
         }
 
 
-def verify_partner_levels(vmap: VariableMap, partner_grid, expected, tol: float = 1e-3) -> PartnerReport:
-    """Oracle spectrum of a partner potential sampled on ``vmap`` against an expected level list."""
-    estimates = _oracle_levels(vmap, partner_grid.v_partner, len(expected))
+def verify_partner_levels(vmap: VariableMap, v_partner, expected, tol: float = 1e-3) -> PartnerReport:
+    """Oracle spectrum of the partner potential ``v_partner``, sampled on
+    ``vmap``, against an expected level list."""
+    estimates = oracle.lowest_levels(v_partner, vmap.dx, len(expected))
     numeric = tuple(e.energy for e in estimates)
     deltas = tuple(abs(e - v) / abs(e) for e, v in zip(expected, numeric))
     return PartnerReport(expected=tuple(expected), numeric=numeric, rel_deltas=deltas, tol=tol)

@@ -14,9 +14,12 @@ import math
 import numpy as np
 
 from rrspectra import geometry
-from rrspectra.errors import PreconditionViolated
 from rrspectra.geometry import PotentialSpec, VariableMap
 from rrspectra.spectral import enumerate_bound_spectrum
+
+
+class PreconditionViolated(Exception):
+    """The requested irregular solution does not exist for these inputs."""
 
 
 def symmetric_irregular_solution(spec: PotentialSpec, epsilon: float, vmap: VariableMap) -> np.ndarray:
@@ -42,7 +45,7 @@ def symmetric_irregular_solution(spec: PotentialSpec, epsilon: float, vmap: Vari
     if epsilon >= 0.0:
         raise PreconditionViolated("factorization energy must be negative")
     v = geometry.potential_of_eta(spec, vmap.eta_grid)
-    h = vmap.x_grid[1] - vmap.x_grid[0]
+    h = vmap.dx
     ratios = []
     r = math.inf
     for i, d in enumerate((h * h * (v[1:-1] - epsilon) + 2.0).tolist(), start=1):

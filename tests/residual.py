@@ -14,7 +14,7 @@ import numpy as np
 from rrspectra import _exact as ex
 from rrspectra.geometry import gauge, phi_value
 from rrspectra.routh import RealPolynomial
-from rrspectra.spectral import EtaSolution, PotentialSpec, TangentPolySpec
+from rrspectra.spectral import ClosedForm, PotentialSpec, TangentPolySpec
 
 
 def energy_slope(tp: TangentPolySpec) -> float:
@@ -32,19 +32,19 @@ def poly_eval(p: RealPolynomial, x):
     return np.polyval([float(c) for c in reversed(p.coeffs)] or [0.0], x)
 
 
-def phi_second_derivative(phi: EtaSolution, eta):
+def phi_second_derivative(solution: ClosedForm, eta):
     """Phi''(eta) from the gauge log-derivative u = (2p*eta + q)/(1+eta^2):
     Phi'' = scale * gauge * [(u^2 + u') R + 2u R' + R'']."""
     eta = np.asarray(eta, dtype=float)
-    p, q = phi.power, phi.atan_coeff
+    p, q = solution.power, solution.atan_coeff
     w = 1.0 + eta ** 2
     u = (2.0 * p * eta + q) / w
     du = (2.0 * p - 2.0 * p * eta ** 2 - 2.0 * q * eta) / (w * w)
-    r0 = list(phi.poly.coeffs)
+    r0 = list(solution.poly.poly.coeffs)
     r1 = ex.rp_diff(r0)
     r2 = ex.rp_diff(r1)
     r0, r1, r2 = (poly_eval(RealPolynomial.from_coeffs(r), eta) for r in (r0, r1, r2))
-    out = phi.scale * gauge(phi, eta) * ((u * u + du) * r0 + 2.0 * u * r1 + r2)
+    out = solution.scale * gauge(solution, eta) * ((u * u + du) * r0 + 2.0 * u * r1 + r2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -66,12 +66,12 @@ def bose_invariant_eval(spec: PotentialSpec, epsilon: float, eta):
     return float(out) if out.ndim == 0 else out
 
 
-def rcsle_residual(spec: PotentialSpec, epsilon: float, phi: EtaSolution, eta_samples) -> float:
+def rcsle_residual(spec: PotentialSpec, epsilon: float, solution: ClosedForm, eta_samples) -> float:
     """max over samples of |Phi'' + I(eta; e) Phi| / (1 + |Phi|), with the
     exact second derivative :func:`phi_second_derivative`."""
     etas = np.asarray(eta_samples, dtype=float)
-    vals = np.asarray(phi_value(phi, etas), dtype=float)
-    second = np.asarray(phi_second_derivative(phi, etas), dtype=float)
+    vals = np.asarray(phi_value(solution, etas), dtype=float)
+    second = np.asarray(phi_second_derivative(solution, etas), dtype=float)
     inv = bose_invariant_eval(spec, epsilon, etas)
     res = np.abs(second + inv * vals) / (1.0 + np.abs(vals))
     return float(np.max(res))

@@ -19,6 +19,15 @@ def write_config(tmp_path, payload, name="cfg.json"):
     return str(path)
 
 
+def assert_one_config_error(err, what):
+    """``err`` is exactly one line, the config error for non-finite ``what``
+    samples: numpy prints no warning of its own before it."""
+    lines = err.splitlines()
+    assert len(lines) == 1 and err.endswith("\n"), err
+    assert lines[0].startswith("config error: grid x_max=400.0, n=None: "), err
+    assert lines[0].endswith(" %s samples are NaN or infinite" % what), err
+
+
 GEN = {"potential": {"gendenshtein": {"a": 2.5, "b": 0.5}}}
 MILSON = {"potential": {"milson": {"h0_re": 7.75, "h0_im": 3.0, "kappa_plus": 2.0}}}
 
@@ -71,9 +80,8 @@ class TestSpectrumCommand:
         # nothing may be written, spectrum.json included
         cfg = write_config(tmp_path, {**GEN, "grid": {"x_max": 400.0}})
         out = tmp_path / "o"
-        with np.errstate(all="ignore"):
-            assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
-        assert "NaN or infinite" in capsys.readouterr().err
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
+        assert_one_config_error(capsys.readouterr().err, "eigenfunction")
         assert os.listdir(out) == []
 
     def test_non_finite_default_grid_is_numeric_failure(self, tmp_path, monkeypatch, capsys):
@@ -155,9 +163,8 @@ class TestVerifyCommand:
         # past |x| ~ 355 the sampled potential overflows to NaN; the oracle
         # rejects the samples before any solve
         cfg = write_config(tmp_path, {**GEN, "grid": {"x_max": 400.0}})
-        with np.errstate(all="ignore"):
-            assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert "NaN or infinite" in capsys.readouterr().err
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert_one_config_error(capsys.readouterr().err, "potential")
 
 
 class TestScanCommand:
@@ -313,9 +320,8 @@ class TestPartnerCommand:
         cfg = write_config(tmp_path, {**GEN, "grid": {"x_max": 400.0},
                                       "partner": {"kind": "d", "m": 0}})
         out = tmp_path / "o"
-        with np.errstate(all="ignore"):
-            assert main(["partner", "--config", cfg, "--out", str(out)]) == 2
-        assert "NaN or infinite" in capsys.readouterr().err
+        assert main(["partner", "--config", cfg, "--out", str(out)]) == 2
+        assert_one_config_error(capsys.readouterr().err, "potential")
         assert os.listdir(out) == []
 
     @pytest.mark.parametrize("x_max", [240.0, 300.0])
@@ -429,6 +435,11 @@ class TestConfigErrors:
                           '{"a_range": [2, 3], "b_range": [0, 1], "na": 1e30}}'),
         ("scan-nodeless", '{"potential": {"gendenshtein": {"a": 2.5}}, "scan": '
                           '{"a_range": [2, 3], "b_range": [0, 1], "na": 1024, "nb": 1025}}'),
+        # a scan axis needs both of its end points
+        ("scan-nodeless", '{"potential": {"gendenshtein": {"a": 2.5}}, "scan": '
+                          '{"a_range": [2, 3], "b_range": [0, 1], "na": 1}}'),
+        ("scan-nodeless", '{"potential": {"gendenshtein": {"a": 2.5}}, "scan": '
+                          '{"a_range": [2, 3], "b_range": [0, 1], "nb": 1}}'),
     ])
     def test_malformed_number(self, tmp_path, capsys, command, text):
         path = tmp_path / "cfg.json"

@@ -25,7 +25,6 @@ from rrspectra._exact import rp_add, rp_diff, rp_mul, rp_scale  # noqa: E402
 from rrspectra.geometry import PotentialSpec, TangentPolySpec  # noqa: E402
 from rrspectra.routh import ComplexIndex, RealPolynomial, routh_polynomial  # noqa: E402
 from rrspectra.spectral import (  # noqa: E402
-    _closed_form,
     aeh_solution,
     enumerate_bound_spectrum,
     gendenshtein_params,
@@ -110,6 +109,5 @@ def test_closed_form_follows_the_record(spec):
     sols += [(m, aeh_solution(spec, "d", m)) for m in range(4)]
     for m, sol in sols:
         lam_r, lam_i = Fraction(sol.lam.real), Fraction(sol.lam.imag)
-        rp, phi = _closed_form(sol.lam, m)
-        assert sol.poly.index == rp.index == record_index(pin, lam_r, lam_i)
-        assert (phi.power, phi.atan_coeff) == (float((1 - lam_r) / 2), float(pin["sign"] * lam_i))
+        assert sol.n == m and sol.poly.index == record_index(pin, lam_r, lam_i)
+        assert (sol.power, sol.atan_coeff) == (float((1 - lam_r) / 2), float(pin["sign"] * lam_i))

@@ -7,7 +7,7 @@ import pytest
 
 from rrspectra import geometry, oracle
 from rrspectra.darboux import partner_levels, partner_potential
-from rrspectra.errors import NodeDetected, PreconditionViolated
+from rrspectra.errors import NodeDetected
 from rrspectra.geometry import PotentialSpec, TangentPolySpec, VariableMap
 from rrspectra.spectral import (
     aeh_solution,
@@ -17,7 +17,7 @@ from rrspectra.spectral import (
 )
 from rrspectra.verify import oracle_map, verify_partner_levels
 
-from irregular import symmetric_irregular_solution
+from irregular import PreconditionViolated, symmetric_irregular_solution
 
 
 @pytest.fixture(scope="module")
@@ -31,17 +31,17 @@ class TestPartnerPotential:
     def test_state_insertion(self, insertion_setup):
         spec, vmap = insertion_setup
         seed = aeh_solution(spec, "d", 0)
-        grid = partner_potential(spec, seed, vmap)
+        _, v_partner = partner_potential(spec, seed, vmap)
         # parent levels -(1.5-n)^2 for n=0,1 plus the inserted -(1.5+1)^2
-        rep = verify_partner_levels(vmap, grid, [-6.25, -2.25, -0.25], tol=1e-3)
+        rep = verify_partner_levels(vmap, v_partner, [-6.25, -2.25, -0.25], tol=1e-3)
         assert rep.passed, rep.rel_deltas
 
     def test_ground_state_erasure(self, insertion_setup):
         spec, vmap = insertion_setup
         # the normalized bound state, and the same type-c seed unnormalized
         for psi0 in (bound_state(spec, 0), aeh_solution(spec, "c", 0)):
-            grid = partner_potential(spec, psi0, vmap)
-            rep = verify_partner_levels(vmap, grid, [-0.25], tol=1e-3)
+            _, v_partner = partner_potential(spec, psi0, vmap)
+            rep = verify_partner_levels(vmap, v_partner, [-0.25], tol=1e-3)
             assert rep.passed, rep.rel_deltas
 
     def test_planted_node_rejected(self, insertion_setup):
@@ -59,9 +59,9 @@ class TestPartnerPotential:
         parent = enumerate_bound_spectrum(spec).energies
         vmap = oracle_map(spec, parent[1:])
         seed = bound_state(spec, 0)
-        assert seed.nodes == 0 and np.any(geometry.phi_value(seed.phi, vmap.eta_grid) == 0.0)
-        grid = partner_potential(spec, seed, vmap)
-        assert np.all(np.isfinite(grid.v_partner))
+        assert seed.nodes == 0 and np.any(geometry.phi_value(seed, vmap.eta_grid) == 0.0)
+        _, v_partner = partner_potential(spec, seed, vmap)
+        assert np.all(np.isfinite(v_partner))
 
     def test_log_derivative_matches_finite_differences(self, insertion_setup):
         # w against a centred difference of ln ff, and the difference (ln ff)''
@@ -73,13 +73,13 @@ class TestPartnerPotential:
         def ln_ff(x):
             eta = vmap.eta_of_x(x)
             slope = geometry.eta_prime(spec.tp, eta)
-            return -0.5 * np.log(slope) + np.log(geometry.phi_value(seed.phi, eta))
+            return -0.5 * np.log(slope) + np.log(geometry.phi_value(seed, eta))
 
         xs = np.linspace(-6, 6, 25)
         etas = vmap.eta_of_x(xs)
         fd1 = np.array([(ln_ff(x + h) - ln_ff(x - h)) / (2 * h) for x in xs])
         fd2 = np.array([(ln_ff(x + h) - 2 * ln_ff(x) + ln_ff(x - h)) / h ** 2 for x in xs])
-        w = geometry.log_derivative(spec.tp, seed.phi, etas)
+        w = geometry.log_derivative(spec.tp, seed, etas)
         assert np.max(np.abs(fd1 - w)) < 1e-6
         riccati = geometry.potential_of_eta(spec, etas) - seed.energy - w * w
         assert np.max(np.abs(fd2 - riccati)) < 1e-6
@@ -87,8 +87,8 @@ class TestPartnerPotential:
     def test_partner_decays_like_parent(self, insertion_setup):
         spec, vmap = insertion_setup
         seed = aeh_solution(spec, "d", 0)
-        grid = partner_potential(spec, seed, vmap)
-        assert abs(grid.v_partner[0]) < 1e-2 and abs(grid.v_partner[-1]) < 1e-2
+        _, v_partner = partner_potential(spec, seed, vmap)
+        assert abs(v_partner[0]) < 1e-2 and abs(v_partner[-1]) < 1e-2
 
     def test_far_field_decays(self):
         # eta' ~ |eta| and the bracket of w ~ 1/|eta| must both stay finite
@@ -97,9 +97,9 @@ class TestPartnerPotential:
         vmap = VariableMap(spec.tp, 200.0, 4097)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow anywhere in the partner
-            grid = partner_potential(spec, aeh_solution(spec, "d", 0), vmap)
-        assert np.all(np.isfinite(grid.v_partner))
-        assert abs(grid.v_partner[0]) < 1e-12 and abs(grid.v_partner[-1]) < 1e-12
+            _, v_partner = partner_potential(spec, aeh_solution(spec, "d", 0), vmap)
+        assert np.all(np.isfinite(v_partner))
+        assert abs(v_partner[0]) < 1e-12 and abs(v_partner[-1]) < 1e-12
 
 
 class TestPartnerLevels:
@@ -151,7 +151,7 @@ class TestSymmetricIrregular:
         # the discrete ground level lies O(h^2) below the analytic one
         spec, vmap, ground = sym_setup
         v = geometry.potential_of_eta(spec, vmap.eta_grid)
-        dx = vmap.x_grid[1] - vmap.x_grid[0]
+        dx = vmap.dx
         outcomes = set()
         for k in range(10):
             eps = ground - 10.0 ** -k

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from rrspectra import darboux, geometry, oracle, spectral
 from rrspectra.errors import InsufficientDecay, NonFiniteSamples
 from rrspectra.geometry import PotentialSpec, TangentPolySpec
-from rrspectra.oracle import Grid1D, lowest_levels
+from rrspectra.oracle import lowest_levels
 from rrspectra.spectral import gendenshtein_params
 from rrspectra.verify import oracle_map, verify_spectrum
 
@@ -19,36 +19,35 @@ from quadrature import adaptive_quadrature
 
 
 def harmonic_grid(n=8192):
-    xs = np.linspace(-10, 10, n)
-    return Grid1D(-10.0, 10.0, n, xs ** 2)
+    """(V, dx) for V = x^2 on n points over [-10, 10]."""
+    return np.linspace(-10, 10, n) ** 2, 20.0 / (n - 1)
 
 
 def oracle_grid(spec, energies, n=None):
-    """The potential of ``spec`` sampled on the map that ``verify`` sizes for it."""
+    """(V, dx): the potential of ``spec`` sampled on the map that ``verify`` sizes for it."""
     vmap = oracle_map(spec, energies, n=n)
-    return Grid1D(-vmap.x_max, vmap.x_max, vmap.n_points,
-                  geometry.potential_of_eta(spec, vmap.eta_grid))
+    return geometry.potential_of_eta(spec, vmap.eta_grid), vmap.dx
 
 
 class TestNumerov:
     """``lowest_levels``; the class keeps the name of the shooting oracle it replaced."""
 
     def test_harmonic_calibration(self):
-        est = lowest_levels(harmonic_grid(), 6, require_decay=False)
+        est = lowest_levels(*harmonic_grid(), 6, require_decay=False)
         assert_allclose([e.energy for e in est], [2 * n + 1 for n in range(6)], atol=1e-6)
 
     @pytest.mark.parametrize("n", [2049, 2048, 2047])
     def test_error_bounds_true_error(self, n):
         # n = 2049 keeps every sample, 2048 drops one and 2047 (3 mod 4) two;
         # one Richardson step would miss the 1e-9 bound by about 50x
-        est = lowest_levels(harmonic_grid(n), 6, require_decay=False)
+        est = lowest_levels(*harmonic_grid(n), 6, require_decay=False)
         assert_allclose([e.energy for e in est], [2 * k + 1 for k in range(6)], atol=1e-9, rtol=0)
         for k, e in enumerate(est):
             assert abs(e.energy - (2 * k + 1)) <= e.error < 1e-7
 
     def test_gendenshtein_cross_check(self, gspec):
         grid = oracle_grid(gspec, [-6.25, -2.25, -0.25])
-        est = lowest_levels(grid, 3)
+        est = lowest_levels(*grid, 3)
         for e, expected in zip(est, (-6.25, -2.25, -0.25)):
             assert abs(e.energy - expected) / abs(expected) < 1e-4
 
@@ -57,19 +56,19 @@ class TestNumerov:
         g2 = oracle_grid(gspec, [-6.25, -0.25], n=8192)
         # a user's point count is kept as given, however small
         assert oracle_map(gspec, [-6.25], n=300).n_points == 300
-        e1 = lowest_levels(g1, 3)
-        e2 = lowest_levels(g2, 3)
+        e1 = lowest_levels(*g1, 3)
+        e2 = lowest_levels(*g2, 3)
         for a, b in zip(e1, e2):
             assert abs(a.energy - b.energy) < 1e-7
 
     def test_insufficient_decay_rejected(self):
         with pytest.raises(InsufficientDecay):
-            lowest_levels(harmonic_grid(), 2)
+            lowest_levels(*harmonic_grid(), 2)
 
     def test_fewer_states_than_requested(self):
         spec = gendenshtein_params(0.8, 0.0)  # single level at -0.64
         grid = oracle_grid(spec, [-0.64])
-        est = lowest_levels(grid, 5)
+        est = lowest_levels(*grid, 5)
         assert len(est) == 1
         assert abs(est[0].energy + 0.64) < 1e-4
 
@@ -89,21 +88,20 @@ def milson(h0, kappa):
 
 def oracle_samples(spec):
     spectrum = spectral.enumerate_bound_spectrum(spec)
-    grid = oracle_grid(spec, spectrum.energies)
-    return grid.values, grid.dx, len(spectrum.states)
+    return (*oracle_grid(spec, spectrum.energies), len(spectrum.states))
 
 
 def partner_samples(spec):
     """The type-d m=0 partner of ``spec`` on its oracle grid, as ``partner`` builds it."""
     seed = spectral.aeh_solution(spec, "d", 0)
     expected = darboux.partner_levels(spectral.enumerate_bound_spectrum(spec).energies, seed)
-    grid = darboux.partner_potential(spec, seed, oracle_map(spec, expected))
-    return grid.v_partner, float(grid.x[1] - grid.x[0]), len(expected)
+    vmap = oracle_map(spec, expected)
+    _, v_partner = darboux.partner_potential(spec, seed, vmap)
+    return v_partner, vmap.dx, len(expected)
 
 
 def harmonic_samples(n):
-    grid = harmonic_grid(n)
-    return grid.values, grid.dx, 6
+    return (*harmonic_grid(n), 6)
 
 
 RITZ_CASES = {
@@ -148,10 +146,10 @@ class TestSineRitz:
         assert np.all(np.abs(levels - ref) <= bounds + 2.0 * sys.float_info.epsilon * h_norm(v, dx))
 
     def test_error_adds_propagated_certificate(self):
-        grid = harmonic_grid(2049)
-        est = lowest_levels(grid, 6, require_decay=False)
+        values, dx = harmonic_grid(2049)
+        est = lowest_levels(values, dx, 6, require_decay=False)
         (e1, d1), (e2, d2), (e4, d4) = (
-            oracle._dirichlet_levels(grid.values[::s], s * grid.dx, 6) for s in (1, 2, 4)
+            oracle._dirichlet_levels(values[::s], s * dx, 6) for s in (1, 2, 4)
         )
         truncation = np.abs((64 * e1 - 20 * e2 + e4) / 45 - (4 * e1 - e2) / 3)
         cert = (64 * d1 + 20 * d2 + d4) / 45
@@ -187,7 +185,7 @@ class TestSineRitz:
         values = np.linspace(-10, 10, 1025) ** 2
         values[700] = bad
         with pytest.raises(NonFiniteSamples):
-            lowest_levels(Grid1D(-10.0, 10.0, 1025, values), 2, require_decay=False)
+            lowest_levels(values, 20.0 / 1024, 2, require_decay=False)
 
 
 class TestVerifyReport:

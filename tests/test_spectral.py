@@ -6,15 +6,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rrspectra.errors import (
-    BranchUndefined,
-    NoSuchRoot,
-    PreconditionViolated,
-)
+from rrspectra.errors import BranchUndefined, NoSuchRoot
 from rrspectra.geometry import PotentialSpec, TangentPolySpec, phi_value, sampled
 from rrspectra.routh import ComplexIndex, real_roots, routh_polynomial
 from rrspectra.spectral import (
-    EtaSolution,
     _scan_axis,
     aeh_solution,
     bound_state,
@@ -151,7 +146,7 @@ class TestEigenfunctions:
         tp = gspec.tp
 
         def overlap(i, j):
-            fi, fj = s.states[i].phi, s.states[j].phi
+            fi, fj = s.states[i], s.states[j]
             return adaptive_quadrature(
                 lambda e: (phi_value(fi, e) * phi_value(fj, e)
                            * (tp.a * (e * e + tp.kappa_plus)) / (1 + e * e) ** 2),
@@ -191,10 +186,9 @@ class TestNormalization:
         tp = spec.tp
         checked = 0
         for st in enumerate_bound_spectrum(spec).states:
-            phi = st.phi
             try:
                 norm2 = adaptive_quadrature(
-                    lambda e: phi_value(phi, e) ** 2 * tp.a * (e * e + tp.kappa_plus) / (1 + e * e) ** 2,
+                    lambda e: phi_value(st, e) ** 2 * tp.a * (e * e + tp.kappa_plus) / (1 + e * e) ** 2,
                     -np.inf, np.inf, tol=1e-10,
                 )
             except NotConverged:
@@ -208,7 +202,7 @@ class TestResidualOracle:
     def test_exact_ground_state(self, gspec):
         s = enumerate_bound_spectrum(gspec)
         st = s.states[0]
-        res = rcsle_residual(gspec, st.energy, st.phi, np.linspace(-8, 8, 41))
+        res = rcsle_residual(gspec, st.energy, st, np.linspace(-8, 8, 41))
         assert res < 1e-10
 
     def test_perturbation_detected(self, gspec):
@@ -216,16 +210,16 @@ class TestResidualOracle:
 
         s = enumerate_bound_spectrum(gspec)
         st = s.states[0]
-        phi = st.phi
-        bad = EtaSolution(phi.power, phi.atan_coeff,
-                          poly_mul(phi.poly, RealPolynomial.from_coeffs([1, 0.01])), phi.scale)
+        bad = st._replace(poly=st.poly._replace(
+            poly=poly_mul(st.poly.poly, RealPolynomial.from_coeffs([1, 0.01]))))
         res = rcsle_residual(gspec, st.energy, bad, np.linspace(-8, 8, 41))
         assert res > 1e-4
 
     def test_zero_function_degenerate(self, gspec):
         from rrspectra.routh import RealPolynomial
 
-        zero = EtaSolution(0.0, 0.0, RealPolynomial.from_coeffs([0]))
+        st = enumerate_bound_spectrum(gspec).states[0]
+        zero = st._replace(poly=st.poly._replace(poly=RealPolynomial.from_coeffs([0])))
         assert rcsle_residual(gspec, -1.0, zero, [0.0, 1.0]) == 0.0
 
 
@@ -265,7 +259,7 @@ class TestAehSolutions:
             sols += [aeh_solution(spec, "d", m) for m in range(5)]
             assert len(sols) >= 8
             for sol in sols:
-                res = rcsle_residual(spec, sol.energy, sol.phi, etas)
+                res = rcsle_residual(spec, sol.energy, sol, etas)
                 assert res < 1e-9, (sol, res)
 
 
@@ -342,12 +336,6 @@ class TestNodelessScan:
         # while the empirical map and the discriminant stay nodeless
         assert any(not c.threshold_prediction for c in cells)
         assert all(c.discriminant_prediction == c.empirical_nodeless for c in cells)
-
-    def test_preconditions(self):
-        with pytest.raises(PreconditionViolated):
-            nodeless_scan((1, 2), (0, 1), 3)
-        with pytest.raises(PreconditionViolated):
-            nodeless_scan((1, 2), (0, 1), 2, na=1)
 
     def test_axes_are_linspace_bit_for_bit(self, rng):
         # two points, a degenerate range, negative starts, and steps that
