@@ -5,7 +5,7 @@ lists of Fractions in ascending degree.  Exact quantities stay in these
 representations so that realness and residual-zero assertions are decided by
 identity, never by tolerance; floats enter only at evaluation time.  (The
 complex-index Jacobi sum itself is evaluated in Python integers over one
-common denominator, see ``routh._jacobi_coeffs_cached``.)
+common denominator, see ``routh._jacobi_coeffs``.)
 """
 
 from __future__ import annotations

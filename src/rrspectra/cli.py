@@ -116,6 +116,13 @@ class RunConfig:
             raise ConfigError("malformed scan block: %s" % exc) from exc
         _require(len(a_range) == 2 and a_range[0] < a_range[1], "malformed a_range")
         _require(len(b_range) == 2 and b_range[0] <= b_range[1], "malformed b_range")
+        # a non-positive a fails at the low corner, and |h0| is largest at a corner
+        for a in a_range:
+            for b in b_range:
+                try:
+                    spectral.gendenshtein_params(a, b)
+                except ValueError as exc:
+                    raise ConfigError("invalid scan corner a=%g, b=%g: %s" % (a, b, exc)) from exc
         m = _number(scan.get("m", 2), "scan 'm'", integral=True)
         na = _number(scan.get("na", 16), "scan 'na'", integral=True)
         nb = _number(scan.get("nb", 16), "scan 'nb'", integral=True)
@@ -206,7 +213,7 @@ def cmd_spectrum(config: RunConfig, out_dir: str) -> int:
     states = spectrum.states
     if states:
         vmap = _default_map(config)
-        psis = [geometry.sampled(spectral.bound_state(config.spec, s.n), vmap) for s in states]
+        psis = [geometry.sampled(spectral.bound_state(spectrum, s.n), vmap) for s in states]
         geometry.require_finite("eigenfunction", psis)
     spath = os.path.join(out_dir, "spectrum.json")
     _dump_json(spath, spectrum.to_json_dict())
@@ -281,13 +288,14 @@ def cmd_partner(config: RunConfig, out_dir: str, tol: float) -> int:
     from . import darboux, geometry, verify
 
     kind, m = config.partner_params()
-    parent = spectral.enumerate_bound_spectrum(config.spec).energies
+    spectrum = spectral.enumerate_bound_spectrum(config.spec)
+    parent = spectrum.energies
     if kind == "d":
         seed = spectral.aeh_solution(config.spec, "d", m)
     else:
         if m != 0:
             raise ConfigError("type-c partner supports only m=0 (ground-state erasure)")
-        seed = spectral.bound_state(config.spec, 0)
+        seed = spectral.bound_state(spectrum, 0)
     expected = darboux.partner_levels(parent, seed)
     vmap = verify.oracle_map(config.spec, expected or parent, config.x_max, config.n)
     v_parent, v_partner = darboux.partner_potential(config.spec, seed, vmap)
@@ -391,7 +399,8 @@ def main(argv=None) -> int:
             if args.command == "partner":
                 return cmd_partner(config, args.out, args.tol)
         raise ConfigError("unknown command %r" % args.command)
-    except SpectraError as exc:
+    except (SpectraError, OverflowError) as exc:
+        # an exact quantity beyond the double range (OverflowError) is a numeric failure;
         # samples that are not finite on a grid the config chose are that grid's fault
         if isinstance(exc, NonFiniteSamples) and (config.x_max, config.n) != (None, None):
             exc = ConfigError("grid x_max=%s, n=%s: %s" % (config.x_max, config.n, exc))

@@ -2,8 +2,8 @@
 
 Everything here is built from one canonical object: the Jacobi polynomial with
 complex indices, normalized so that index (1, 1) reproduces the Legendre
-polynomials (``_jacobi_coeffs_cached(m, beta, alpha)`` gives the coefficients
-of the textbook Jacobi polynomial of indices ``(beta - 1, alpha - 1)``).  The
+polynomials (``_jacobi_coeffs(m, beta, alpha)`` gives the coefficients of
+the textbook Jacobi polynomial of indices ``(beta - 1, alpha - 1)``).  The
 Routh polynomial of order ``m`` and complex index ``alpha`` is then
 
     R_m^(alpha)(eta) = (-i)^m * P_m^(alpha*, alpha)(i * eta)
@@ -15,7 +15,9 @@ Weighted integrals of these polynomials are exact rational multiples of one
 rounded Cauchy beta integral.  Real roots are isolated by integer Sturm chains
 and correctly rounded by an exact search started from a float estimate.
 Nothing here imports numpy: closed forms are evaluated on grids by
-:mod:`geometry`.
+:mod:`geometry`.  Each command builds a polynomial once and passes the record
+on, so only the integer binomial basis, shared by every index of one order,
+is memoized.
 
 One empirically pinned fact about the family is exposed and tested here: the
 Rodrigues-type generator with weight index ``alpha`` produces
@@ -125,8 +127,7 @@ def _rising_tails(index: ComplexIndex, d: int, m: int) -> list:
     return out
 
 
-@lru_cache(maxsize=4096)
-def _jacobi_coeffs_cached(m: int, beta: ComplexIndex, alpha: ComplexIndex) -> tuple:
+def _jacobi_coeffs(m: int, beta: ComplexIndex, alpha: ComplexIndex) -> tuple:
     """Coefficients (ascending, CNum) of the complex-index Jacobi polynomial.
 
     Index normalization: (beta, alpha) here corresponds to textbook indices
@@ -156,11 +157,13 @@ def _jacobi_coeffs_cached(m: int, beta: ComplexIndex, alpha: ComplexIndex) -> tu
     return tuple((Fraction(r, den), Fraction(i, den)) for r, i in zip(re, im))
 
 
-@lru_cache(maxsize=4096)
-def _routh_cached(m: int, alpha: ComplexIndex) -> RouthPolynomial:
-    coeffs = _jacobi_coeffs_cached(m, alpha.conjugate(), alpha)
+def routh_polynomial(m: int, alpha) -> RouthPolynomial:
+    """Canonical Routh polynomial (-i)^m P_m^(alpha*, alpha)(i eta), exact."""
+    if m < 0:
+        raise ValueError("order must be nonnegative")
+    alpha = ComplexIndex.of(alpha)
     real_coeffs = []
-    for j, (re, im) in enumerate(coeffs):
+    for j, (re, im) in enumerate(_jacobi_coeffs(m, alpha.conjugate(), alpha)):
         # times (-i)^m * i^j = i^(j-m): a quarter turn is a swap and a sign change
         re, im = ((re, im), (-im, re), (-re, -im), (im, -re))[(j - m) % 4]
         if im != 0:
@@ -169,13 +172,6 @@ def _routh_cached(m: int, alpha: ComplexIndex) -> RouthPolynomial:
             )
         real_coeffs.append(re)
     return RouthPolynomial(order=m, index=alpha, poly=RealPolynomial.from_coeffs(real_coeffs))
-
-
-def routh_polynomial(m: int, alpha) -> RouthPolynomial:
-    """Canonical Routh polynomial (-i)^m P_m^(alpha*, alpha)(i eta), exact."""
-    if m < 0:
-        raise ValueError("order must be nonnegative")
-    return _routh_cached(m, ComplexIndex.of(alpha))
 
 
 def routh_rodrigues(m: int, alpha) -> RouthPolynomial:
@@ -599,13 +595,12 @@ def theorem_root_count(m: int, alpha) -> int | None:
     return m % 2 if m + 2 * ComplexIndex.of(alpha).re - 1 > 0 else None
 
 
-def discriminant_order2(alpha) -> float:
-    """Discriminant of the order-2 canonical Routh polynomial, from its
-    coefficients.  In closed form it equals -(1/4)(2aR+1)[(aR+1)^2 + aI^2],
-    so its sign is that of -(2aR+1) and does not depend on aI.
+def discriminant_order2(p: RealPolynomial) -> float:
+    """Discriminant c1^2 - 4 c2 c0 of the order-2 canonical Routh polynomial
+    ``p``, from its coefficients.  In closed form it equals
+    -(1/4)(2aR+1)[(aR+1)^2 + aI^2] at the index alpha = aR + i aI, so its
+    sign is that of -(2aR+1) and does not depend on aI.
     """
-    a = ComplexIndex.of(alpha)
-    p = routh_polynomial(2, a).poly
     cs = list(p.coeffs) + [Fraction(0)] * (3 - len(p.coeffs))
     c0, c1, c2 = cs[0], cs[1], cs[2]
     return float(c1 * c1 - 4 * c2 * c0)

@@ -35,8 +35,10 @@ normal form of the canonical rational equation (Milson, Int. J. Theor. Phys.
 
 One record, :class:`ClosedForm`, holds a solution: its energy, lambda, the
 exact Routh polynomial R, its exact node count and a scale; p and q are read
-off lambda.  This module imports no numpy: roots, counts and identities are
-decided in rationals, and :mod:`geometry` samples the closed forms on grids.
+off lambda.  A command enumerates its :class:`Spectrum` once and reads its
+levels from it (:func:`bound_state`); nothing here is cached.  This module
+imports no numpy: roots, counts and identities are decided in rationals, and
+:mod:`geometry` samples the closed forms on grids.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 from . import _exact as ex
@@ -333,7 +334,6 @@ def _solution(spec: PotentialSpec, kind: str, qr: QuarticRoots) -> ClosedForm:
     )
 
 
-@lru_cache(maxsize=64)
 def enumerate_bound_spectrum(spec: PotentialSpec) -> Spectrum:
     """Constructive bound-state enumeration: walk n upward until no root fits.
 
@@ -364,11 +364,11 @@ def enumerate_bound_spectrum(spec: PotentialSpec) -> Spectrum:
     )
 
 
-def bound_state(spec: PotentialSpec, n: int) -> ClosedForm:
-    """The normalized n-th bound state, after the exact check that its
-    polynomial has n real roots.  (Admissibility, lambda_R > n + 1/2, is how
-    :func:`enumerate_bound_spectrum` chose the root.)"""
-    states = enumerate_bound_spectrum(spec).states
+def bound_state(spectrum: Spectrum, n: int) -> ClosedForm:
+    """The normalized n-th bound state of ``spectrum``, after the exact check
+    that its polynomial has n real roots.  (Admissibility, lambda_R > n + 1/2,
+    is how :func:`enumerate_bound_spectrum` chose the root.)"""
+    states = spectrum.states
     if n >= len(states):
         raise NoSuchRoot("no bound state with index %d" % n)
     if states[n].nodes != n:
@@ -490,7 +490,7 @@ def _scan_cell(a_g: float, b_g: float, m: int) -> ScanCell:
     consistent = theorem_root_count(m, sol.poly.index) in (None, sol.nodes)
     disc_pred = None
     if m == 2:
-        disc_pred = discriminant_order2(sol.poly.index) < 0.0
+        disc_pred = discriminant_order2(sol.poly.poly) < 0.0
     thresh = bool(b_g ** 2 < nodeless_threshold_b2(a_g)) if m == 2 else None
     return ScanCell(
         a=a_g, b=b_g,

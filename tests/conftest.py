@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rrspectra.geometry import PotentialSpec, TangentPolySpec, VariableMap
-from rrspectra.spectral import gendenshtein_params
+from rrspectra.spectral import enumerate_bound_spectrum, gendenshtein_params
 
 
 @pytest.fixture(scope="session")
@@ -15,6 +15,17 @@ def gspec():
 def milson_spec():
     """kappa=2 member with lambda0 = 3 + 0.5i (h0 = 7.75 + 3i)."""
     return PotentialSpec(h0=complex(7.75, 3.0), tp=TangentPolySpec(a=1.0, kappa_plus=2.0))
+
+
+@pytest.fixture(scope="session")
+def gspectrum(gspec):
+    """The enumerated spectrum of ``gspec``, held once as a command holds it."""
+    return enumerate_bound_spectrum(gspec)
+
+
+@pytest.fixture(scope="session")
+def milson_spectrum(milson_spec):
+    return enumerate_bound_spectrum(milson_spec)
 
 
 @pytest.fixture(scope="session")

@@ -11,8 +11,10 @@ the two objects.
 
 The configs are the seed-1001 commands of the three benchmark workloads
 (``perfbench/workloads.py``, imported read-only), plus cases the benchmark
-does not draw: a user grid too wide for doubles, Milson kappa far from 1 and
-a type-c (ground-state erasure) partner.  pytest does not collect this file.
+does not draw: a user grid too wide for doubles, Milson kappa far from 1, a
+type-c (ground-state erasure) partner, and a real h0, whose quartic has a
+double root at lambda = 0 (the repeated-root path of root isolation).
+pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -43,6 +45,9 @@ EXTRA = {
     "type-c-partner": ({"potential": GEN, "partner": {"kind": "c", "m": 0}}, ("partner",)),
     "type-c-partner-deep": ({"potential": {"gendenshtein": {"a": 16.2, "b": 0.7}},
                              "partner": {"kind": "c", "m": 0}}, ("partner",)),
+    "repeated-root": ({"potential": {"gendenshtein": {"a": 2.5, "b": 0.0}},
+                       "partner": {"kind": "d", "m": 0}},
+                      ("spectrum", "verify", "identities", "partner")),
 }
 for kappa in (0.05, 20.0):
     EXTRA["milson-kappa-%g" % kappa] = (

@@ -120,9 +120,9 @@ def test_criterion_4_polynomial_identity_suite():
     for _ in range(12):
         a_g = float(rng.uniform(6.0, 9.0))
         b_g = float(rng.normal())
-        spec = gendenshtein_params(a_g, b_g)
+        spectrum = enumerate_bound_spectrum(gendenshtein_params(a_g, b_g))
         for n in range(7):
-            dev = stevenson_identity_check(bound_state(spec, n))
+            dev = stevenson_identity_check(bound_state(spectrum, n))
             stev_worst = max(stev_worst, dev)
     if stev_worst != 0.0:
         failures.append("stevenson %.2e" % stev_worst)

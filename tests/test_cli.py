@@ -388,7 +388,6 @@ class TestIdentitiesCommand:
         cfg = write_config(tmp_path, {"potential": {"gendenshtein": {"a": 3.3, "b": 0.7}}})
         counts = {}
         for command in ("spectrum", "identities"):
-            cli.spectral.enumerate_bound_spectrum.cache_clear()
             calls.clear()
             assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
             counts[command] = len(calls)
@@ -440,6 +439,15 @@ class TestConfigErrors:
                           '{"a_range": [2, 3], "b_range": [0, 1], "na": 1}}'),
         ("scan-nodeless", '{"potential": {"gendenshtein": {"a": 2.5}}, "scan": '
                           '{"a_range": [2, 3], "b_range": [0, 1], "nb": 1}}'),
+        # every corner of a scan must be a valid potential: a > 0 and a finite h0
+        ("scan-nodeless", '{"potential": {"gendenshtein": {"a": 2.5}}, "scan": '
+                          '{"a_range": [-1, 1], "b_range": [0, 1]}}'),
+        ("scan-nodeless", '{"potential": {"gendenshtein": {"a": 2.5}}, "scan": '
+                          '{"a_range": [0, 1], "b_range": [0, 1]}}'),
+        ("scan-nodeless", '{"potential": {"gendenshtein": {"a": 2.5}}, "scan": '
+                          '{"a_range": [1e200, 1e201], "b_range": [0, 1]}}'),
+        ("scan-nodeless", '{"potential": {"gendenshtein": {"a": 2.5}}, "scan": '
+                          '{"a_range": [2, 3], "b_range": [0, 1e200]}}'),
     ])
     def test_malformed_number(self, tmp_path, capsys, command, text):
         path = tmp_path / "cfg.json"
@@ -458,6 +466,21 @@ class TestConfigErrors:
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert "eta samples overflow" in capsys.readouterr().err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("command", ["spectrum", "verify", "identities"])
+    @pytest.mark.parametrize("milson", [
+        # a normalization ratio of level 23 is a Fraction beyond the double range
+        {"h0_re": 1e30, "kappa_plus": 2.0},
+        # the rounded Cauchy beta integral of the ground level overflows math.exp
+        {"h0_re": 1e300, "h0_im": 1e300, "kappa_plus": 2.0},
+    ])
+    def test_exact_overflow_is_numeric_failure(self, tmp_path, capsys, command, milson):
+        cfg = write_config(tmp_path, {"potential": {"milson": milson}})
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: OverflowError: ") and err.count("\n") == 1, err
         assert os.listdir(out) == []
 
     def test_count_at_cap_parses(self):

@@ -17,7 +17,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from rrspectra.routh import ComplexIndex, _jacobi_coeffs_cached, routh_polynomial  # noqa: E402
+from rrspectra.routh import ComplexIndex, _jacobi_coeffs, routh_polynomial  # noqa: E402
 
 
 def _c_mul(a, b):
@@ -74,7 +74,7 @@ order = st.integers(0, 8)
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(order, index, index)
 def test_general_pairs_match_reference(m, beta, alpha):
-    assert list(_jacobi_coeffs_cached(m, beta, alpha)) == reference_jacobi(m, beta, alpha)
+    assert list(_jacobi_coeffs(m, beta, alpha)) == reference_jacobi(m, beta, alpha)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

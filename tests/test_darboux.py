@@ -39,7 +39,7 @@ class TestPartnerPotential:
     def test_ground_state_erasure(self, insertion_setup):
         spec, vmap = insertion_setup
         # the normalized bound state, and the same type-c seed unnormalized
-        for psi0 in (bound_state(spec, 0), aeh_solution(spec, "c", 0)):
+        for psi0 in (bound_state(enumerate_bound_spectrum(spec), 0), aeh_solution(spec, "c", 0)):
             _, v_partner = partner_potential(spec, psi0, vmap)
             rep = verify_partner_levels(vmap, v_partner, [-0.25], tol=1e-3)
             assert rep.passed, rep.rel_deltas
@@ -56,9 +56,9 @@ class TestPartnerPotential:
         # the nodeless ground state underflows to 0.0 far out on its grid;
         # only its exact node count may refuse it
         spec = gendenshtein_params(16.2, 0.7)
-        parent = enumerate_bound_spectrum(spec).energies
-        vmap = oracle_map(spec, parent[1:])
-        seed = bound_state(spec, 0)
+        spectrum = enumerate_bound_spectrum(spec)
+        vmap = oracle_map(spec, spectrum.energies[1:])
+        seed = bound_state(spectrum, 0)
         assert seed.nodes == 0 and np.any(geometry.phi_value(seed, vmap.eta_grid) == 0.0)
         _, v_partner = partner_potential(spec, seed, vmap)
         assert np.all(np.isfinite(v_partner))
@@ -115,7 +115,7 @@ class TestPartnerLevels:
 
     def test_bound_state_seed_erases_the_ground_level(self):
         spec = gendenshtein_params(1.5, 0.4)
-        for seed in (bound_state(spec, 0), aeh_solution(spec, "c", 0)):
+        for seed in (bound_state(enumerate_bound_spectrum(spec), 0), aeh_solution(spec, "c", 0)):
             assert partner_levels(self.PARENT, seed) == [-0.25]
 
     def test_noded_seed_rejected(self):
@@ -123,7 +123,7 @@ class TestPartnerLevels:
         with pytest.raises(NodeDetected, match="real zeros"):
             partner_levels(self.PARENT, aeh_solution(spec, "d", 1))
         with pytest.raises(NodeDetected):
-            partner_levels(self.PARENT, bound_state(spec, 1))
+            partner_levels(self.PARENT, bound_state(enumerate_bound_spectrum(spec), 1))
 
 
 @pytest.fixture(scope="module")

@@ -127,17 +127,17 @@ class TestConventionPinning:
 
 
 class TestEigenfunctions:
-    def test_ground_state_closed_form(self, gspec, gmap):
+    def test_ground_state_closed_form(self, gspectrum, gmap):
         # psi_0 proportional to cosh(x)^-a * exp(-b*atan(sinh x))
         xs = gmap.x_grid[::128]
-        psi = sampled(bound_state(gspec, 0), gmap)[::128]
+        psi = sampled(bound_state(gspectrum, 0), gmap)[::128]
         ref = np.cosh(xs) ** -2.5 * np.exp(-0.5 * np.arctan(np.sinh(xs)))
         ratio = psi / ref
         assert np.max(np.abs(ratio / ratio[len(ratio) // 2] - 1.0)) < 1e-9
 
-    def test_node_counts(self, gspec):
+    def test_node_counts(self, gspectrum):
         for n in range(3):
-            st = bound_state(gspec, n)
+            st = bound_state(gspectrum, n)
             assert st.nodes == n
             assert len(real_roots(st.poly.poly)) == n
 
@@ -158,14 +158,14 @@ class TestEigenfunctions:
                 expect = 1.0 if i == j else 0.0
                 assert abs(overlap(i, j) - expect) < 1e-8
 
-    def test_admissibility_invariant(self, gspec):
+    def test_admissibility_invariant(self, gspectrum):
         for n in range(3):
-            st = bound_state(gspec, n)
+            st = bound_state(gspectrum, n)
             assert st.lam.real > n + 0.5
 
-    def test_missing_level(self, gspec):
+    def test_missing_level(self, gspectrum):
         with pytest.raises(NoSuchRoot):
-            bound_state(gspec, 7)
+            bound_state(gspectrum, 7)
 
 
 class TestNormalization:
@@ -298,28 +298,28 @@ class TestSigmaRho:
 
 
 class TestStevensonIdentity:
-    def test_order_zero_trivial(self, gspec):
-        assert stevenson_identity_check(bound_state(gspec, 0)) == 0.0
+    def test_order_zero_trivial(self, gspectrum):
+        assert stevenson_identity_check(bound_state(gspectrum, 0)) == 0.0
 
-    def test_order_one_reference_case(self, gspec):
+    def test_order_one_reference_case(self, gspectrum):
         # lambda = 3 + 0.5i at every level for this member
-        assert stevenson_identity_check(bound_state(gspec, 1)) == 0.0
+        assert stevenson_identity_check(bound_state(gspectrum, 1)) == 0.0
 
     def test_order_two_random_members(self, rng):
         for _ in range(5):
             a_g = float(rng.uniform(2.2, 4.0))
             b_g = float(rng.normal() * 0.8)
-            spec = gendenshtein_params(a_g, b_g)
-            assert stevenson_identity_check(bound_state(spec, 2)) == 0.0
+            spectrum = enumerate_bound_spectrum(gendenshtein_params(a_g, b_g))
+            assert stevenson_identity_check(bound_state(spectrum, 2)) == 0.0
 
-    def test_milson_levels(self, milson_spec):
+    def test_milson_levels(self, milson_spectrum):
         for n in range(3):
-            assert stevenson_identity_check(bound_state(milson_spec, n)) == 0.0
+            assert stevenson_identity_check(bound_state(milson_spectrum, n)) == 0.0
 
-    def test_wrong_index_is_detected(self, gspec):
+    def test_wrong_index_is_detected(self, gspectrum):
         # R_n at the unshifted index -conj(lambda) breaks the identity
         for n in (1, 2):
-            st = bound_state(gspec, n)
+            st = bound_state(gspectrum, n)
             unshifted = routh_polynomial(n, ComplexIndex.of(-st.lam.conjugate()))
             assert stevenson_identity_check(st._replace(poly=unshifted)) > 1e-3
 
@@ -336,6 +336,23 @@ class TestNodelessScan:
         # while the empirical map and the discriminant stay nodeless
         assert any(not c.threshold_prediction for c in cells)
         assert all(c.discriminant_prediction == c.empirical_nodeless for c in cells)
+
+    def test_builds_one_routh_polynomial_per_cell(self, monkeypatch):
+        # the discriminant reads the cell's order-2 polynomial; nothing builds it again
+        from rrspectra import routh, spectral
+
+        real = routh.routh_polynomial
+        calls = []
+
+        def counting(m, alpha):
+            calls.append(m)
+            return real(m, alpha)
+
+        monkeypatch.setattr(routh, "routh_polynomial", counting)
+        monkeypatch.setattr(spectral, "routh_polynomial", counting)
+        cells = nodeless_scan((2.0, 3.0), (0.0, 5.0), 2, na=5, nb=5)
+        assert all(c.discriminant_prediction is not None for c in cells)
+        assert calls == [2] * 25
 
     def test_axes_are_linspace_bit_for_bit(self, rng):
         # two points, a degenerate range, negative starts, and steps that
@@ -357,4 +374,4 @@ class TestStevensonDegenerate:
         # it can vanish; an inadmissible request surfaces as NoSuchRoot
         spec = gendenshtein_params(0.3, 0.0)
         with pytest.raises(NoSuchRoot):
-            stevenson_identity_check(bound_state(spec, 3))
+            stevenson_identity_check(bound_state(enumerate_bound_spectrum(spec), 3))
