@@ -13,14 +13,22 @@ plus optional "grid": {"x_max": .., "n": ..} and per-command blocks
 ("scan": {"a_range": [..], "b_range": [..], "na": .., "nb": .., "m": ..},
  "partner": {"kind": "d", "m": 0}).
 
-Exit codes: 0 success, 1 verification failure, 2 config error, 3 numeric
-failure.  Identical configs produce byte-identical outputs.
+Exit codes: 0 success, 1 verification failure, 2 config error (a bad
+config, a ``--tol`` that is negative or not finite, or a grid the config set
+that cannot be sampled), 3 numeric failure.  Identical configs produce
+byte-identical outputs.
+
+Every command is a fresh process, so its imports are part of its cost.
+``identities`` and ``scan-nodeless`` run on the exact layer alone, and
+``spectrum`` adds :mod:`geometry`, which samples in plain floats; only
+``verify`` and ``partner``, which call the oracle, load numpy.  The config
+digest in ``report.json`` comes from the interpreter's built-in SHA-256, so
+no command loads OpenSSL through ``hashlib``.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import json
 import math
@@ -30,6 +38,16 @@ import sys
 from . import spectral
 from .errors import ConfigError, NonFiniteSamples, SpectraError
 from .spectral import PotentialSpec, TangentPolySpec
+
+# The built-in SHA-256 (_sha2 from Python 3.12, _sha256 before), not hashlib's,
+# which loads OpenSSL; hashlib is the fallback for builds without it.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 
 # ---------------------------------------------------------------------------
@@ -169,17 +187,15 @@ def _dump_json(path: str, payload: dict) -> None:
 
 
 def _write_csv(path: str, header: str, columns) -> None:
-    """One ``%.12g`` row per sample of the equal-length arrays ``columns``,
-    streamed row by row."""
+    """One ``%.12g`` row per sample of the equal-length float lists
+    ``columns``, streamed row by row."""
     fmt = ",".join(["%.12g"] * len(columns)) + "\n"
-    rows = (fmt % row for row in zip(*(c.tolist() for c in columns)))
+    rows = (fmt % row for row in zip(*columns))
     _atomic_write(path, itertools.chain([header + "\n"], rows))
 
 
 def _report_record(command: str, config: RunConfig, outputs, passed: bool) -> dict:
-    digest = hashlib.sha256(
-        json.dumps(config.raw, sort_keys=True).encode("utf-8")
-    ).hexdigest()
+    digest = sha256(json.dumps(config.raw, sort_keys=True).encode("utf-8")).hexdigest()
     return {
         "command": command,
         "inputs_digest": digest,
@@ -194,8 +210,9 @@ def _report_record(command: str, config: RunConfig, outputs, passed: bool) -> di
 # ---------------------------------------------------------------------------
 #
 # identities and scan-nodeless are exact and run on spectral and routh alone;
-# the commands that sample import the float layer (geometry, verify, darboux,
-# and through them numpy) when they run, so the exact ones never load it.
+# the commands that sample import the float layer when they run: spectrum
+# needs geometry alone, and verify and partner add the oracle (verify,
+# darboux, and through them numpy).
 
 def _default_map(config: RunConfig):
     """The eigenfunction map of ``spectrum``: the config's grid, or 4,096
@@ -209,11 +226,13 @@ def _default_map(config: RunConfig):
 def cmd_spectrum(config: RunConfig, out_dir: str) -> int:
     from . import geometry
 
-    spectrum = spectral.enumerate_bound_spectrum(config.spec)
+    spec = config.spec
+    spectrum = spectral.enumerate_bound_spectrum(spec)
     states = spectrum.states
     if states:
         vmap = _default_map(config)
-        psis = [geometry.sampled(spectral.bound_state(spectrum, s.n), vmap) for s in states]
+        psis = geometry.sampled(
+            [spectral.normalized(spec, spectral.bound_state(spectrum, s.n)) for s in states], vmap)
         geometry.require_finite("eigenfunction", psis)
     spath = os.path.join(out_dir, "spectrum.json")
     _dump_json(spath, spectrum.to_json_dict())
@@ -299,9 +318,10 @@ def cmd_partner(config: RunConfig, out_dir: str, tol: float) -> int:
     expected = darboux.partner_levels(parent, seed)
     vmap = verify.oracle_map(config.spec, expected or parent, config.x_max, config.n)
     v_parent, v_partner = darboux.partner_potential(config.spec, seed, vmap)
-    geometry.require_finite("potential", [v_parent, v_partner])
+    columns = [vmap.x_grid, v_parent.tolist(), v_partner.tolist()]
+    geometry.require_finite("potential", columns[1:])
     cpath = os.path.join(out_dir, "partner.csv")
-    _write_csv(cpath, "x,V_parent,V_partner", [vmap.x_grid, v_parent, v_partner])
+    _write_csv(cpath, "x,V_parent,V_partner", columns)
     outputs = [cpath]
     passed = True
     if expected:
@@ -380,20 +400,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # inf would pass every level, and NaN or a negative bound none
+        _require(math.isfinite(args.tol) and args.tol >= 0,
+                 "--tol must be a finite number >= 0, got %r" % args.tol)
         config = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         if args.command == "scan-nodeless":
             return cmd_scan_nodeless(config, args.out, args.workers)
         if args.command == "identities":
             return cmd_identities(config, args.out, args.tol)
-        # The commands that sample run without numpy's floating-point
-        # warnings: require_finite or the oracle rejects every non-finite
-        # array they keep, so an overflow is reported once, as a typed error.
+        if args.command == "spectrum":
+            return cmd_spectrum(config, args.out)
+        # The oracle commands run without numpy's floating-point warnings:
+        # require_finite or the oracle rejects every non-finite array they
+        # keep, so an overflow is reported once, as a typed error.
         import numpy as np
 
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if args.command == "spectrum":
-                return cmd_spectrum(config, args.out)
             if args.command == "verify":
                 return cmd_verify(config, args.out, args.tol)
             if args.command == "partner":

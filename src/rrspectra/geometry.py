@@ -13,18 +13,23 @@ family; kappa = 1 with a = 1 is the Gendenshtein (Scarf II) limit where
 eta(x) = sinh x.
 
 The spec records and the closed-form record :class:`~spectral.ClosedForm`
-come from :mod:`spectral`, which is exact and imports no numpy; this module
-is where they meet floats.  :func:`gauge`, :func:`phi_value`,
-:func:`log_derivative` and :func:`sampled` read the record itself, and a
-:class:`VariableMap` carries the one uniform x grid (and its spacing ``dx``)
-that every sampled array lives on.
+come from :mod:`spectral`, which is exact; this module is where they meet
+floats, and it imports no numpy either, so ``spectrum`` loads none.  A
+:class:`VariableMap` holds the one uniform x grid (and its spacing ``dx``)
+that every sampled array lives on, and the eta table on it, as lists of
+floats.  :func:`liouville_x`, the map's Newton inverse (:func:`_inverse`) and
+:func:`sampled`, which samples eigenfunctions, work on floats with
+:mod:`math`.  The closed forms built from arithmetic alone
+(:func:`tangent_eval`, :func:`eta_prime`, :func:`schwarzian_eval`,
+:func:`potential_of_eta` and :func:`log_derivative`) take a float or a numpy
+array through the same code, so :mod:`verify` and :mod:`darboux`, which feed
+the oracle, evaluate the potential and the partner on the whole grid at once.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import operator
 
 from .errors import NonFiniteSamples, StepFailure
 from .spectral import ClosedForm, PotentialSpec, TangentPolySpec
@@ -36,16 +41,41 @@ from .spectral import ClosedForm, PotentialSpec, TangentPolySpec
 
 def tangent_eval(tp: TangentPolySpec, eta):
     """Evaluate the tangent polynomial; strictly positive on the real line."""
-    eta = np.asarray(eta, dtype=float)
-    out = tp.a * (eta ** 2 + tp.kappa_plus)
-    return float(out) if out.ndim == 0 else out
+    return tp.a * (eta * eta + tp.kappa_plus)
 
 
 # ---------------------------------------------------------------------------
 # the Liouville map
 # ---------------------------------------------------------------------------
 
-def liouville_x(tp: TangentPolySpec, eta):
+def _liouville(tp: TangentPolySpec):
+    """x(eta) of :func:`liouville_x` as a function of a float, its constants
+    taken once."""
+    kap = tp.kappa_plus
+    ra, rk = math.sqrt(tp.a), math.sqrt(kap)
+    s = math.sqrt(abs(kap - 1.0))
+    asinh, atan, copysign, hypot, log1p = math.asinh, math.atan, math.copysign, math.hypot, math.log1p
+    if kap >= 1.0:
+        def x_of(eta):
+            # eta / r <= 1 first: s * eta overflows for eta near the double range
+            return ra * (asinh(eta / rk) + s * atan(s * (eta / hypot(eta, rk))))
+    else:
+        one_minus_s = kap / (1.0 + s)
+
+        def x_of(eta):
+            e = abs(eta)
+            r = hypot(e, rk)
+            # each log1p argument is rewritten to avoid cancellation and overflow
+            return ra * copysign(
+                log1p(one_minus_s * e / (r + s * e))
+                + one_minus_s * log1p(e * (e / (r + rk) + s) / rk)  # log((r + s e)/sqrt(kappa))
+                + s * log1p(e * (e / (1.0 + hypot(1.0, e)))),  # log1p(e^2)/2
+                eta,
+            )
+    return x_of
+
+
+def liouville_x(tp: TangentPolySpec, eta: float) -> float:
     """Closed-form x(eta) = integral_0^eta sqrt(T(u))/(1+u^2) du, symmetric T.
 
     With T = a(u^2 + kappa), r = sqrt(eta^2 + kappa) and s = sqrt|kappa - 1|,
@@ -61,43 +91,25 @@ def liouville_x(tp: TangentPolySpec, eta):
 
     ``r`` comes from ``hypot``, so huge |eta| does not overflow.
     """
-    eta = np.asarray(eta, dtype=float)
-    kap = tp.kappa_plus
-    rk = math.sqrt(kap)
-    s = math.sqrt(abs(kap - 1.0))
-    if kap >= 1.0:
-        out = np.arcsinh(eta / rk) + s * np.arctan(s * eta / np.hypot(eta, rk))
-    else:
-        e = np.abs(eta)
-        r = np.hypot(e, rk)
-        one_minus_s = kap / (1.0 + s)
-        # each log1p argument is rewritten to avoid cancellation and overflow
-        out = np.copysign(
-            np.log1p(one_minus_s * e / (r + s * e))
-            + one_minus_s * np.log1p(e * (e / (r + rk) + s) / rk)  # log((r + s e)/sqrt(kappa))
-            + s * np.log1p(e * (e / (1.0 + np.hypot(1.0, e)))),  # log1p(e^2)/2
-            eta,
-        )
-    out = math.sqrt(tp.a) * out
-    return float(out) if out.ndim == 0 else out
+    return _liouville(tp)(eta)
 
 
 def eta_prime(tp: TangentPolySpec, eta):
     """Closed-form eta'(eta) = (1+eta^2)/sqrt(T(eta)), the slope of the map."""
-    eta = np.asarray(eta, dtype=float)
-    out = (1.0 + eta ** 2) / np.sqrt(tangent_eval(tp, eta))
-    return float(out) if out.ndim == 0 else out
+    return (1.0 + eta * eta) / tangent_eval(tp, eta) ** 0.5
 
 
 class VariableMap:
     """The monotone bijection x <-> eta generated by eta' = (1+eta^2)/sqrt(T).
 
     Anchored at eta(0) = 0.  x(eta) is the closed form :func:`liouville_x`
-    and eta(x) its Newton inverse, defined on the whole line; the grid table
-    ``eta_grid`` on the uniform ``x_grid`` of spacing ``dx`` must come out
-    strictly increasing.  The tangent polynomial is symmetric, so the map
-    is odd.  The tests check both directions against an
-    independent ODE solve and quadrature.
+    and eta(x) its Newton inverse (:func:`_inverse`), defined on the whole
+    line.  ``x_grid`` is the uniform grid of spacing ``dx``, taken as
+    ``i * dx - x_max`` with the last point set to ``x_max``, which is how
+    ``numpy.linspace`` computes it; ``eta_grid`` is the table of eta on it and
+    must come out strictly increasing.  Both are lists of floats.  The tangent
+    polynomial is symmetric, so the map is odd.  The tests check both
+    directions against an independent ODE solve and quadrature.
     """
 
     def __init__(self, tp: TangentPolySpec, x_max: float, n_points: int):
@@ -108,46 +120,88 @@ class VariableMap:
         self.tp = tp
         self.x_max = float(x_max)
         self.n_points = int(n_points)
-        self.x_grid = np.linspace(-self.x_max, self.x_max, self.n_points)
         self.dx = (self.x_max + self.x_max) / (self.n_points - 1)
-        self.eta_grid = self.eta_of_x(self.x_grid)
-        if np.any(np.diff(self.eta_grid) <= 0):
+        self.x_grid = [i * self.dx - self.x_max for i in range(self.n_points)]
+        self.x_grid[-1] = self.x_max
+        self.eta_grid = self._eta_table()
+        if not all(map(operator.lt, self.eta_grid, self.eta_grid[1:])):
             raise StepFailure("variable map table is not strictly increasing")
 
-    def eta_of_x(self, x):
-        """Inverse of :func:`liouville_x` by Newton's method in s = asinh eta.
-
-        The slope dx/ds = sqrt(a (eta^2+kappa)/(eta^2+1)) runs monotonically
-        from sqrt(a kappa) at s = 0 to sqrt(a) at infinity, so x(s) is concave
-        on s > 0 for kappa > 1 and convex for kappa < 1.  Starting from
-        s = x / (sqrt(a) max(1, sqrt(kappa))), which never overshoots the
-        root, the iterates approach it monotonically (for kappa < 1 after the
-        first step).  The iteration stops once every step is below 1e-14
-        relative to s, after one polishing step, and raises
-        :class:`StepFailure` if that does not happen.  An eta past the double
-        range (|s| > 710.47) raises :class:`NonFiniteSamples`.
+    def _eta_table(self) -> list:
+        """eta on ``x_grid``: :func:`_inverse` on the upper half, from the
+        middle point outward.  The map is odd, so a lower point is its negated
+        upper mirror, moved by eta' times the rounding difference between its
+        x and the mirror's negated x (zero for most points): the error of that
+        first-order step is of the order of the square of an ulp.  Samples
+        past the double range raise :class:`NonFiniteSamples` with their
+        count.
         """
-        xs = np.asarray(x, dtype=float)
+        xs, n = self.x_grid, self.n_points
         ra, rk = math.sqrt(self.tp.a), math.sqrt(self.tp.kappa_plus)
-        s = xs / (ra * max(1.0, rk))
+        hypot = math.hypot
+        mid = n // 2
+        upper = _inverse(self.tp, xs[mid:])
+        etas = [None] * mid + upper + [None] * (n - mid - len(upper))  # None: eta overflows
+        for i in range(mid):
+            j = n - 1 - i
+            eta = etas[j]
+            if eta is not None:
+                c = hypot(eta, 1.0)  # eta' = c^2 / (sqrt(a) hypot(eta, sqrt(kappa))) < inf
+                etas[i] = (xs[i] + xs[j]) * (c * (c / (ra * hypot(eta, rk)))) - eta
+        bad = etas.count(None)
+        if bad:
+            raise NonFiniteSamples("%d of %d eta samples overflow the double range" % (bad, n))
+        return etas
+
+
+def _inverse(tp: TangentPolySpec, xs) -> list:
+    """eta at the increasing points ``xs`` by Newton's method in s = asinh eta,
+    up to the first point whose eta is past the double range (|s| > 710.47).
+
+    The slope dx/ds = sqrt(a (eta^2+kappa)/(eta^2+1)) runs monotonically
+    from sqrt(a kappa) at s = 0 to sqrt(a) at infinity, so x(s) is concave
+    on s > 0 for kappa > 1 and convex for kappa < 1.  The first solve starts
+    from s = x / sqrt(a max(1, kappa)), which never overshoots the root, and
+    the iterates approach it monotonically (for kappa < 1 after the first
+    step).  Each later solve starts from the cubic extrapolation of the roots
+    before it (from the last root while there are fewer than four).  A solve
+    stops once a step is below 1e-14 relative to s, after one polishing step,
+    and raises :class:`StepFailure` if that does not happen.  An eta past the
+    double range shows as ``OverflowError`` from ``math.sinh``, or as an s
+    made infinite or NaN by an iterate that overflowed on the way; it and the
+    points after it, where eta is larger still, are left out.
+    """
+    x_of = _liouville(tp)
+    ra, rk = math.sqrt(tp.a), math.sqrt(tp.kappa_plus)
+    sinh, hypot, isfinite = math.sinh, math.hypot, math.isfinite
+    etas = []
+    s1 = s2 = s3 = s4 = 0.0  # s1 is the last root, s4 the fourth last
+    for k, x in enumerate(xs):
+        if k >= 4:
+            s = 4.0 * (s1 + s3) - 6.0 * s2 - s4
+        elif k:
+            s = s1
+        else:
+            s = x / math.sqrt(tp.a * max(1.0, tp.kappa_plus))
         done = False
-        with np.errstate(over="ignore", invalid="ignore"):
+        try:
             for _ in range(60):
-                eta = np.sinh(s)
-                if not np.all(np.isfinite(eta)):
-                    break  # reported below
-                step = (liouville_x(self.tp, eta) - xs) * np.hypot(eta, 1.0) / (ra * np.hypot(eta, rk))
-                s = s - step
+                eta = sinh(s)
+                step = (x_of(eta) - x) * hypot(eta, 1.0) / (ra * hypot(eta, rk))
+                s -= step
                 if done:
                     break
-                done = bool(np.all(np.abs(step) <= 1e-14 * np.abs(s)))
+                done = abs(step) <= 1e-14 * abs(s)
             else:
-                raise StepFailure("variable-map inversion did not converge")
-            eta = np.sinh(s)
-        bad = int(np.count_nonzero(~np.isfinite(eta)))
-        if bad:
-            raise NonFiniteSamples("%d of %d eta samples overflow the double range" % (bad, np.size(eta)))
-        return float(eta) if eta.ndim == 0 else eta
+                if isfinite(s):
+                    raise StepFailure("variable-map inversion did not converge")
+            if not isfinite(s):
+                break  # an inf or NaN on the way
+            etas.append(sinh(s))
+        except OverflowError:
+            break
+        s4, s3, s2, s1 = s3, s2, s1, s
+    return etas
 
 
 # ---------------------------------------------------------------------------
@@ -161,22 +215,19 @@ def schwarzian_eval(tp: TangentPolySpec, eta):
     exact; the generic definition applied to the numeric map is kept for
     cross-checking in tests.
     """
-    eta = np.asarray(eta, dtype=float)
     kap = tp.kappa_plus
-    e2 = eta ** 2
+    e2 = eta * eta
     ratio = (1.0 + e2) / (e2 + kap)
     bracket = -0.5 - (kap + 1.0) / (1.0 + e2) + 2.5 * kap / (e2 + kap)
-    out = ((1.0 - e2) / (e2 + kap) - ratio ** 2 * bracket) / tp.a
-    return float(out) if out.ndim == 0 else out
+    return ((1.0 - e2) / (e2 + kap) - ratio * ratio * bracket) / tp.a
 
 
 def potential_of_eta(spec: PotentialSpec, eta):
     """The Liouville potential expressed through eta (symmetric family)."""
-    eta = np.asarray(eta, dtype=float)
-    num = 4.0 * spec.h0.real - 4.0 * spec.h0.imag * eta + eta ** 2 + 1.0
+    e2 = eta * eta
+    num = 4.0 * spec.h0.real - 4.0 * spec.h0.imag * eta + e2 + 1.0
     # num / (4T), divided by eta^2 + kappa first: 4T overflows before eta^2 does
-    out = -num / (eta ** 2 + spec.tp.kappa_plus) / (4.0 * spec.tp.a) - 0.5 * schwarzian_eval(spec.tp, eta)
-    return float(out) if out.ndim == 0 else out
+    return -num / (e2 + spec.tp.kappa_plus) / (4.0 * spec.tp.a) - 0.5 * schwarzian_eval(spec.tp, eta)
 
 
 def choose_x_max(spec: PotentialSpec) -> float:
@@ -198,22 +249,17 @@ def choose_x_max(spec: PotentialSpec) -> float:
 
 def _descending(solution: ClosedForm, k: int) -> list:
     """Float coefficients of R^(k) for the polynomial R of ``solution``, highest
-    degree first (as np.polyval takes them), from the exact coefficients."""
+    degree first, as :func:`_horner` takes them, from the exact coefficients."""
     cs = list(enumerate(solution.poly.poly.coeffs))[::-1]
     return [float(math.perm(j, k) * c) for j, c in cs if j >= k] or [0.0]
 
 
-def gauge(solution: ClosedForm, eta):
-    """(1+eta^2)^p * exp(q*atan eta), the positive factor of ``solution``."""
-    eta = np.asarray(eta, dtype=float)
-    return (1.0 + eta ** 2) ** solution.power * np.exp(solution.atan_coeff * np.arctan(eta))
-
-
-def phi_value(solution: ClosedForm, eta):
-    """Phi(eta) = scale * gauge * R(eta)."""
-    eta = np.asarray(eta, dtype=float)
-    out = solution.scale * gauge(solution, eta) * np.polyval(_descending(solution, 0), eta)
-    return float(out) if out.ndim == 0 else out
+def _horner(coeffs: list, eta):
+    """The polynomial with descending float ``coeffs`` at a float or an array."""
+    out = coeffs[0]
+    for c in coeffs[1:]:
+        out = out * eta + c
+    return out
 
 
 def log_derivative(tp: TangentPolySpec, solution: ClosedForm, eta):
@@ -225,24 +271,47 @@ def log_derivative(tp: TangentPolySpec, solution: ClosedForm, eta):
     (ln eta')' = 2eta/(1+eta^2) - eta/(eta^2+kappa), both d/deta.  R' comes
     from the exact coefficients, never from finite differences.
     """
-    eta = np.asarray(eta, dtype=float)
-    e2 = eta ** 2
+    e2 = eta * eta
     u = (2.0 * solution.power * eta + solution.atan_coeff) / (1.0 + e2)
-    r1 = np.polyval(_descending(solution, 1), eta) / np.polyval(_descending(solution, 0), eta)
+    r1 = _horner(_descending(solution, 1), eta) / _horner(_descending(solution, 0), eta)
     dlog_slope = 2.0 * eta / (1.0 + e2) - eta / (e2 + tp.kappa_plus)
     return eta_prime(tp, eta) * (u + r1 - 0.5 * dlog_slope)
 
 
-def sampled(solution: ClosedForm, vmap: VariableMap):
-    """psi = (eta')^(-1/2) Phi(eta(x)) of ``solution`` on the map grid."""
-    etas = vmap.eta_grid
-    return phi_value(solution, etas) / np.sqrt(eta_prime(vmap.tp, etas))
+def sampled(solutions, vmap: VariableMap) -> list:
+    """psi = (eta')^(-1/2) Phi(eta(x)) of each closed form in ``solutions`` on
+    the map grid, one list of floats per solution.
+
+    Phi = scale * exp(p log(1+eta^2) + q atan eta) * R(eta), the gauge
+    (1+eta^2)^p exp(q atan eta) taken as one exponential.  The logarithm, the
+    arctangent and sqrt(eta') depend on eta alone, so they are taken once per
+    point for all the solutions.  A sample whose float arithmetic overflows or
+    divides by zero is NaN, as it would be in IEEE arithmetic, for
+    :func:`require_finite` to count.
+    """
+    tp, etas = vmap.tp, vmap.eta_grid
+    exp, sqrt, nan = math.exp, math.sqrt, math.nan
+    logs = [math.log1p(e * e) for e in etas]
+    atans = list(map(math.atan, etas))
+    roots = [sqrt(eta_prime(tp, e)) for e in etas]
+    out = []
+    for solution in solutions:
+        coeffs = _descending(solution, 0)
+        p, q, scale = solution.power, solution.atan_coeff, solution.scale
+        psi = []
+        for eta, lg, at, root in zip(etas, logs, atans, roots):
+            try:
+                psi.append(scale * exp(p * lg + q * at) * _horner(coeffs, eta) / root)
+            except ArithmeticError:
+                psi.append(nan)
+        out.append(psi)
+    return out
 
 
-def require_finite(what: str, values) -> None:
-    """Raise :class:`NonFiniteSamples` unless every sample in ``values`` is finite."""
-    bad = int(np.count_nonzero(~np.isfinite(values)))
+def require_finite(what: str, columns) -> None:
+    """Raise :class:`NonFiniteSamples` unless every sample in the float
+    sequences ``columns`` is finite."""
+    total = sum(len(c) for c in columns)
+    bad = total - sum(sum(map(math.isfinite, c)) for c in columns)
     if bad:
-        raise NonFiniteSamples(
-            "%d of %d %s samples are NaN or infinite" % (bad, np.size(values), what)
-        )
+        raise NonFiniteSamples("%d of %d %s samples are NaN or infinite" % (bad, total, what))

@@ -36,15 +36,18 @@ normal form of the canonical rational equation (Milson, Int. J. Theor. Phys.
 One record, :class:`ClosedForm`, holds a solution: its energy, lambda, the
 exact Routh polynomial R, its exact node count and a scale; p and q are read
 off lambda.  A command enumerates its :class:`Spectrum` once and reads its
-levels from it (:func:`bound_state`); nothing here is cached.  This module
-imports no numpy: roots, counts and identities are decided in rationals, and
-:mod:`geometry` samples the closed forms on grids.
+levels from it (:func:`bound_state`); nothing here is cached.  Only
+``spectrum`` samples bound states, so only it normalizes them
+(:func:`normalized`), each once.  This module imports no numpy: roots,
+counts and identities are decided in rationals, and :mod:`geometry` samples
+the closed forms on grids.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -147,7 +150,7 @@ class ClosedForm(NamedTuple):
     a type-d companion: scale * (1+eta^2)^p * exp(q*atan eta) * R(eta), with
     the gauge power p and atan coefficient q read off ``lam`` and R the exact
     ``poly``.  ``nodes`` counts the real roots of R exactly, and ``scale`` is
-    1.0 until :func:`_normalize_phi` sets it.  :mod:`geometry` evaluates the
+    1.0 until :func:`normalized` sets it.  :mod:`geometry` evaluates the
     record and its log-derivative on grids."""
 
     kind: str  # "c" | "d"
@@ -288,8 +291,8 @@ def pinned_convention() -> dict:
 # spectrum enumeration and assembly
 # ---------------------------------------------------------------------------
 
-def _normalize_phi(spec: PotentialSpec, solution: ClosedForm) -> ClosedForm:
-    """Scale so that integral Phi^2 * density deta = 1 (hence psi is L2-normal).
+def normalized(spec: PotentialSpec, solution: ClosedForm) -> ClosedForm:
+    """``solution`` scaled so that integral Phi^2 * density deta = 1 (hence psi is L2-normal).
 
     Closed form, with Phi = (1+eta^2)^p exp(q atan eta) R(eta).  The density
     splits as T/(1+eta^2)^2 = a/(1+eta^2) + a(kappa-1)/(1+eta^2)^2, so each
@@ -337,10 +340,16 @@ def _solution(spec: PotentialSpec, kind: str, qr: QuarticRoots) -> ClosedForm:
 def enumerate_bound_spectrum(spec: PotentialSpec) -> Spectrum:
     """Constructive bound-state enumeration: walk n upward until no root fits.
 
-    State n is the normalized type-c solution of order n (:func:`_solution`):
-    its root exceeds n + 1/2, and |e| < ``THRESHOLD_ENERGY`` ends the walk.
-    The closed-form level-count (floor of Re lambda0, read as a maximal
-    index) is recorded alongside for comparison but never drives the loop.
+    State n is the unnormalized type-c solution of order n
+    (:func:`_solution`): its root exceeds n + 1/2, and |e| <
+    ``THRESHOLD_ENERGY`` ends the walk.  The closed-form level-count (floor
+    of Re lambda0, read as a maximal index) is recorded alongside for
+    comparison but never drives the loop.
+
+    A level whose polynomial has a coefficient beyond the double range raises
+    ``OverflowError``: no float can sample it, and the walk would otherwise go
+    on through about Re lambda0 levels, which is unbounded in practice for a
+    huge h0.
     """
     notes = []
     states = []
@@ -355,7 +364,9 @@ def enumerate_bound_spectrum(spec: PotentialSpec) -> Spectrum:
         if abs(state.energy) < THRESHOLD_ENERGY:
             notes.append("order %d: |e| < %g treated as threshold, not bound" % (n, THRESHOLD_ENERGY))
             break
-        states.append(_normalize_phi(spec, state))
+        if max(map(abs, state.poly.poly.coeffs)) > sys.float_info.max:
+            raise OverflowError("order %d: a Routh coefficient is beyond the double range" % n)
+        states.append(state)
         n += 1
     return Spectrum(
         states=tuple(states),
@@ -365,7 +376,7 @@ def enumerate_bound_spectrum(spec: PotentialSpec) -> Spectrum:
 
 
 def bound_state(spectrum: Spectrum, n: int) -> ClosedForm:
-    """The normalized n-th bound state of ``spectrum``, after the exact check
+    """The n-th bound state of ``spectrum``, after the exact check
     that its polynomial has n real roots.  (Admissibility, lambda_R > n + 1/2,
     is how :func:`enumerate_bound_spectrum` chose the root.)"""
     states = spectrum.states

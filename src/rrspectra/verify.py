@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+import numpy as np
+
 from . import geometry, oracle
 from .geometry import VariableMap
 from .spectral import PotentialSpec, Spectrum, enumerate_bound_spectrum
@@ -78,7 +80,7 @@ def verify_spectrum(spec: PotentialSpec, tol: float = 1e-3, x_max=None, n=None) 
     if not spectrum.states:
         return VerifyReport(levels=(), tol=tol, spectrum=spectrum)
     vmap = oracle_map(spec, spectrum.energies, x_max, n)
-    values = geometry.potential_of_eta(spec, vmap.eta_grid)
+    values = geometry.potential_of_eta(spec, np.array(vmap.eta_grid))
     estimates = oracle.lowest_levels(values, vmap.dx, len(spectrum.states))
     levels = tuple(
         LevelComparison(n=s.n, analytic=s.energy, numeric=e.energy,

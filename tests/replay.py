@@ -1,13 +1,26 @@
 """Digest every output file of a fixed set of commands, to check that a change
-keeps the command outputs byte-identical.
+keeps the command outputs byte-identical, or keep the outputs and compare
+them number by number.
 
     PYTHONPATH=src python tests/replay.py > digests.json
+    PYTHONPATH=src python tests/replay.py --keep DIR > digests.json
+    python tests/replay.py --diff DIR_A DIR_B
 
 Each config runs through ``cli.main`` in this process, in a fresh output
 directory.  The script prints one JSON object mapping ``<config-id>/<file>``
 to the SHA-256 of that file, plus ``<config-id>/exit`` to the exit code, so a
 command that writes nothing is compared too.  Run it at two commits and diff
 the two objects.
+
+``--keep DIR`` runs the commands in DIR instead of a temporary directory and
+leaves there each config (``<config-id>.json``), its outputs
+(``<config-id>/``) and the exit codes (``exit_codes.json``).  ``--diff``
+compares two such directories file by file and prints, per file, either
+``identical`` or the largest difference among its numbers: for JSON, per
+object key, relative to the larger magnitude of the two numbers; for CSV,
+relative to the largest magnitude in the cell's column of DIR_A.  Anything else that
+differs (a key, a string, a flag, an integer, a row count, a missing file) is
+reported with where it first differs, and makes the exit status 1.
 
 The configs are the seed-1001 commands of the three benchmark workloads
 (``perfbench/workloads.py``, imported read-only), plus cases the benchmark
@@ -19,20 +32,19 @@ pytest does not collect this file.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
-
-import workloads  # noqa: E402
-
-from rrspectra import cli  # noqa: E402
 
 SEED = 1001
 RUN_SECONDS = 30
@@ -59,6 +71,8 @@ for kappa in (0.05, 20.0):
 
 def commands():
     """(config id, command, config dict) for every replayed command."""
+    import workloads
+
     for workload in sorted(workloads.CYCLES):
         count = workloads.cycles_for(workload, RUN_SECONDS) * len(workloads.CYCLES[workload])
         for index in range(count):
@@ -70,6 +84,8 @@ def commands():
 
 
 def replay(root: str) -> dict:
+    from rrspectra import cli
+
     digests = {}
     for cid, command, cfg in commands():
         cfg_path = os.path.join(root, cid + ".json")
@@ -85,9 +101,131 @@ def replay(root: str) -> dict:
     return digests
 
 
-def main() -> int:
-    with tempfile.TemporaryDirectory() as root:
-        json.dump(replay(root), sys.stdout, indent=1, sort_keys=True)
+# ---------------------------------------------------------------------------
+# --diff
+# ---------------------------------------------------------------------------
+
+class Differs(Exception):
+    """Two outputs differ other than in the value of a float."""
+
+
+def _rel(a: float, b: float, scale: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(a - b) / scale if scale > 0 and math.isfinite(scale) else math.inf
+
+
+def json_diff(a, b, worst: dict, where: str = "", field: str = "") -> None:
+    """Record in ``worst`` the largest relative difference between the floats
+    of two JSON values, per object key (``field``); raises :class:`Differs`
+    at the first other difference."""
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
+    if numbers and (isinstance(a, float) or isinstance(b, float)):
+        worst[field] = max(worst.get(field, 0.0), _rel(a, b, max(abs(a), abs(b))))
+    elif isinstance(a, dict) and isinstance(b, dict):
+        if sorted(a) != sorted(b):
+            raise Differs("%s keys %s" % (where or "root", sorted(set(a) ^ set(b))))
+        for k in a:
+            json_diff(a[k], b[k], worst, "%s.%s" % (where, k), k)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            raise Differs("%s length %d != %d" % (where or "root", len(a), len(b)))
+        for i, (x, y) in enumerate(zip(a, b)):
+            json_diff(x, y, worst, "%s[%d]" % (where, i), field)
+    elif type(a) is not type(b) or a != b:
+        raise Differs("%s: %r != %r" % (where or "root", a, b))
+
+
+def csv_diff(rows_a: list, rows_b: list) -> float:
+    """Largest difference between numeric cells, relative to the largest
+    magnitude in the cell's column of ``rows_a``; raises :class:`Differs` at
+    the first other difference."""
+    if len(rows_a) != len(rows_b) or not rows_a or rows_a[0] != rows_b[0]:
+        raise Differs("header or row count")
+    body_a, body_b = rows_a[1:], rows_b[1:]
+
+    def number(cell):
+        try:
+            return float(cell)
+        except ValueError:
+            return None
+
+    scales = [max((abs(v) for v in map(number, col) if v is not None and math.isfinite(v)),
+                  default=0.0) for col in zip(*body_a)]
+    worst = 0.0
+    for r, (row_a, row_b) in enumerate(zip(body_a, body_b), start=2):
+        if len(row_a) != len(row_b):
+            raise Differs("line %d: cell count" % r)
+        for c, (x, y) in enumerate(zip(row_a, row_b)):
+            if x == y:
+                continue
+            fx, fy = number(x), number(y)
+            if fx is None or fy is None:
+                raise Differs("line %d column %d: %r != %r" % (r, c + 1, x, y))
+            worst = max(worst, _rel(fx, fy, scales[c]))
+    return worst
+
+
+def diff_file(path_a: str, path_b: str) -> str:
+    with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
+        if fa.read() == fb.read():
+            return "identical"
+    if path_a.endswith(".json"):
+        with open(path_a, encoding="utf-8") as fa, open(path_b, encoding="utf-8") as fb:
+            worst = {}
+            json_diff(json.load(fa), json.load(fb), worst)
+        return "max rel diff " + ", ".join(
+            "%s %.3g" % (k or "root", v) for k, v in sorted(worst.items()) if v)
+    if path_a.endswith(".csv"):
+        with open(path_a, encoding="utf-8", newline="") as fa, \
+                open(path_b, encoding="utf-8", newline="") as fb:
+            return "max diff %.3g of column max" % csv_diff(list(csv.reader(fa)), list(csv.reader(fb)))
+    raise Differs("bytes")
+
+
+def diff_dirs(dir_a: str, dir_b: str) -> int:
+    """Print one line per file of either directory tree; 1 if any file
+    differs other than in its floats, or exists on one side only."""
+
+    def files(root):
+        return {os.path.relpath(os.path.join(d, f), root)
+                for d, _sub, names in os.walk(root) for f in names}
+
+    in_a, in_b = files(dir_a), files(dir_b)
+    status = 0
+    for rel in sorted(in_a | in_b):
+        if rel not in in_a or rel not in in_b:
+            print("%s: only in %s" % (rel, dir_a if rel in in_a else dir_b))
+            status = 1
+            continue
+        try:
+            verdict = diff_file(os.path.join(dir_a, rel), os.path.join(dir_b, rel))
+        except Differs as exc:
+            verdict = "differs: %s" % exc
+            status = 1
+        print("%s: %s" % (rel, verdict))
+    return status
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--keep", metavar="DIR", help="run in DIR and leave the outputs there")
+    group.add_argument("--diff", nargs=2, metavar=("DIR_A", "DIR_B"),
+                       help="compare the outputs kept in two directories")
+    args = parser.parse_args(argv)
+    if args.diff:
+        return diff_dirs(*args.diff)
+    if args.keep:
+        os.makedirs(args.keep, exist_ok=True)
+        digests = replay(args.keep)
+        exits = {key[:-len("/exit")]: int(v) for key, v in digests.items() if key.endswith("/exit")}
+        with open(os.path.join(args.keep, "exit_codes.json"), "w", encoding="utf-8") as fh:
+            json.dump(exits, fh, indent=1, sort_keys=True)
+    else:
+        with tempfile.TemporaryDirectory() as root:
+            digests = replay(root)
+    json.dump(digests, sys.stdout, indent=1, sort_keys=True)
     print()
     return 0
 

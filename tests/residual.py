@@ -1,7 +1,8 @@
 """Sampled residual of the canonical equation: the float reference that the
 closed forms, which solve the equation by construction, are checked against,
 with the rational invariant I(eta; e) it needs, and the float and polynomial
-arithmetic on package records that only the tests use.
+arithmetic on package records that only the tests use: eta at a single point
+of the map, and the gauge and Phi at a single eta.
 
 It lives with the tests because the package decides the convention by
 derivation (see ``rrspectra.spectral``) and samples no residual at run time.
@@ -9,10 +10,12 @@ derivation (see ``rrspectra.spectral``) and samples no residual at run time.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from rrspectra import _exact as ex
-from rrspectra.geometry import gauge, phi_value
+from rrspectra.geometry import _inverse
 from rrspectra.routh import RealPolynomial
 from rrspectra.spectral import ClosedForm, PotentialSpec, TangentPolySpec
 
@@ -32,6 +35,23 @@ def poly_eval(p: RealPolynomial, x):
     return np.polyval([float(c) for c in reversed(p.coeffs)] or [0.0], x)
 
 
+def eta_of_x(tp: TangentPolySpec, x: float) -> float:
+    """eta at one point ``x`` by the package's Newton inverse, started from
+    s = x / sqrt(a max(1, kappa)), which never overshoots the root."""
+    (eta,) = _inverse(tp, [x])
+    return eta
+
+
+def gauge(solution: ClosedForm, eta: float) -> float:
+    """(1+eta^2)^p * exp(q*atan eta), the positive factor of ``solution``."""
+    return (1.0 + eta * eta) ** solution.power * math.exp(solution.atan_coeff * math.atan(eta))
+
+
+def phi_value(solution: ClosedForm, eta: float) -> float:
+    """Phi(eta) = scale * gauge * R(eta) at a float ``eta``."""
+    return solution.scale * gauge(solution, eta) * float(poly_eval(solution.poly.poly, eta))
+
+
 def phi_second_derivative(solution: ClosedForm, eta):
     """Phi''(eta) from the gauge log-derivative u = (2p*eta + q)/(1+eta^2):
     Phi'' = scale * gauge * [(u^2 + u') R + 2u R' + R'']."""
@@ -44,7 +64,8 @@ def phi_second_derivative(solution: ClosedForm, eta):
     r1 = ex.rp_diff(r0)
     r2 = ex.rp_diff(r1)
     r0, r1, r2 = (poly_eval(RealPolynomial.from_coeffs(r), eta) for r in (r0, r1, r2))
-    out = solution.scale * gauge(solution, eta) * ((u * u + du) * r0 + 2.0 * u * r1 + r2)
+    g = np.reshape([gauge(solution, e) for e in eta.ravel().tolist()], eta.shape)
+    out = solution.scale * g * ((u * u + du) * r0 + 2.0 * u * r1 + r2)
     return float(out) if out.ndim == 0 else out
 
 
@@ -70,7 +91,7 @@ def rcsle_residual(spec: PotentialSpec, epsilon: float, solution: ClosedForm, et
     """max over samples of |Phi'' + I(eta; e) Phi| / (1 + |Phi|), with the
     exact second derivative :func:`phi_second_derivative`."""
     etas = np.asarray(eta_samples, dtype=float)
-    vals = np.asarray(phi_value(solution, etas), dtype=float)
+    vals = np.array([phi_value(solution, e) for e in etas.tolist()])
     second = np.asarray(phi_second_derivative(solution, etas), dtype=float)
     inv = bose_invariant_eval(spec, epsilon, etas)
     res = np.abs(second + inv * vals) / (1.0 + np.abs(vals))

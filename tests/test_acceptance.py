@@ -211,7 +211,7 @@ def test_criterion_9_symmetric_positivity():
         for n_points in (1025, 2049, 4097):
             vmap = VariableMap(spec.tp, 16.0, n_points)
             seed = aeh_solution(spec, "d", m)
-            closed = sampled(seed, vmap)
+            closed = np.array(sampled([seed], vmap)[0])
             psi = symmetric_irregular_solution(spec, seed.energy, vmap)
             errs.append(float(np.max(np.abs(psi - closed / np.max(closed)))))
         worst_ratio = min(worst_ratio, errs[0] / errs[1], errs[1] / errs[2])

@@ -87,10 +87,10 @@ class TestSpectrumCommand:
     def test_non_finite_default_grid_is_numeric_failure(self, tmp_path, monkeypatch, capsys):
         real = geometry.sampled
 
-        def overflowing(state, vmap):
-            psi = real(state, vmap)
-            psi[-1] = np.nan
-            return psi
+        def overflowing(states, vmap):
+            psis = real(states, vmap)
+            psis[-1][-1] = np.nan
+            return psis
 
         monkeypatch.setattr(geometry, "sampled", overflowing)
         cfg = write_config(tmp_path, GEN)
@@ -470,9 +470,11 @@ class TestConfigErrors:
 
     @pytest.mark.parametrize("command", ["spectrum", "verify", "identities"])
     @pytest.mark.parametrize("milson", [
-        # a normalization ratio of level 23 is a Fraction beyond the double range
+        # a Routh coefficient of level 23 is beyond the double range, which
+        # ends the walk through the 1e15 levels of this well
         {"h0_re": 1e30, "kappa_plus": 2.0},
-        # the rounded Cauchy beta integral of the ground level overflows math.exp
+        # so is one of level 3 here (and the ground level's normalization
+        # overflows math.exp)
         {"h0_re": 1e300, "h0_im": 1e300, "kappa_plus": 2.0},
     ])
     def test_exact_overflow_is_numeric_failure(self, tmp_path, capsys, command, milson):
@@ -482,6 +484,23 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("numeric failure: OverflowError: ") and err.count("\n") == 1, err
         assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1"])
+    @pytest.mark.parametrize("command", ["verify", "identities", "partner"])
+    def test_unusable_tolerance(self, tmp_path, capsys, command, tol):
+        # inf would pass whatever the oracle found, NaN and -1 would fail it
+        cfg = write_config(tmp_path, {**GEN, "partner": {"kind": "d", "m": 0}})
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), "--tol", tol]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --tol ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_zero_tolerance_is_legal(self, tmp_path):
+        # identities raises any tolerance to its 1e-9 floor; verify fails honestly
+        cfg = write_config(tmp_path, GEN)
+        assert main(["identities", "--config", cfg, "--out", str(tmp_path / "i"), "--tol", "0"]) == 0
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--tol", "0"]) == 1
 
     def test_count_at_cap_parses(self):
         assert cli.MAX_COUNT == 2 ** 20
@@ -512,8 +531,9 @@ def test_startup_does_not_import_scipy(tmp_path):
     # oracle behind verify and partner is numpy only, and Cauchy-beta moments
     # are exact sums, so neither any command nor any module of the
     # package loads scipy; records are NamedTuples and polynomials are
-    # evaluated by Horner's rule (np.polyval on grids in geometry), so no
-    # command loads dataclasses or numpy.polynomial either
+    # evaluated by Horner's rule, so no command loads dataclasses or
+    # numpy.polynomial either; the config digest is the interpreter's
+    # built-in SHA-256, so no command loads OpenSSL (_hashlib)
     gen = write_config(tmp_path, GEN, "gen.json")
     mil = write_config(tmp_path, MILSON, "mil.json")
     partners = [
@@ -533,6 +553,7 @@ def test_startup_does_not_import_scipy(tmp_path):
         "for argv in %r: assert main(argv) == 0, argv\n"
         "assert 'dataclasses' not in sys.modules\n"
         "assert 'numpy.polynomial' not in sys.modules\n"
+        "assert '_hashlib' not in sys.modules\n"
         "import importlib, pkgutil, rrspectra\n"
         "for mod in pkgutil.iter_modules(rrspectra.__path__): importlib.import_module('rrspectra.' + mod.name)\n"
         "from fractions import Fraction\n"
@@ -546,9 +567,11 @@ def test_startup_does_not_import_scipy(tmp_path):
 
 def test_exact_commands_do_not_import_numpy(tmp_path):
     # identities and scan-nodeless decide their claims in rationals through
-    # spectral and routh; only the commands that sample load numpy
-    calls = [["identities", "--config", write_config(tmp_path, payload, "%s.json" % name),
-              "--out", str(tmp_path / name)]
+    # spectral and routh, and spectrum samples its closed forms in plain
+    # floats; only the commands that call the oracle load numpy
+    calls = [[command, "--config", write_config(tmp_path, payload, "%s.json" % name),
+              "--out", str(tmp_path / (command + name))]
+             for command in ("identities", "spectrum")
              for name, payload in (("gen", GEN), ("mil", MILSON))]
     for m in (2, 4):
         scan = write_config(tmp_path, {**GEN, "scan": {"a_range": [2, 3], "b_range": [0, 1],
@@ -561,3 +584,16 @@ def test_exact_commands_do_not_import_numpy(tmp_path):
         % (calls,)
     )
     assert (tmp_path / "scan4" / "scan.csv").read_text().count("\n") == 10
+    assert (tmp_path / "spectrummil" / "eigenfunctions.csv").read_text().count("\n") == 4097
+
+
+def test_report_digest_is_sha256_of_the_config(tmp_path):
+    import hashlib
+
+    for data in (b"", b"abc", bytes(range(256)) * 3):
+        assert cli.sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+    raw = {**MILSON, "grid": {"x_max": 9.5}, "note": "\u00e9"}
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", write_config(tmp_path, raw), "--out", str(out)]) == 0
+    expected = hashlib.sha256(json.dumps(raw, sort_keys=True).encode("utf-8")).hexdigest()
+    assert json.loads((out / "report.json").read_text())["inputs_digest"] == expected

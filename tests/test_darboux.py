@@ -14,10 +14,12 @@ from rrspectra.spectral import (
     bound_state,
     enumerate_bound_spectrum,
     gendenshtein_params,
+    normalized,
 )
 from rrspectra.verify import oracle_map, verify_partner_levels
 
 from irregular import PreconditionViolated, symmetric_irregular_solution
+from residual import eta_of_x, phi_value
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +41,8 @@ class TestPartnerPotential:
     def test_ground_state_erasure(self, insertion_setup):
         spec, vmap = insertion_setup
         # the normalized bound state, and the same type-c seed unnormalized
-        for psi0 in (bound_state(enumerate_bound_spectrum(spec), 0), aeh_solution(spec, "c", 0)):
+        for psi0 in (normalized(spec, bound_state(enumerate_bound_spectrum(spec), 0)),
+                     aeh_solution(spec, "c", 0)):
             _, v_partner = partner_potential(spec, psi0, vmap)
             rep = verify_partner_levels(vmap, v_partner, [-0.25], tol=1e-3)
             assert rep.passed, rep.rel_deltas
@@ -58,8 +61,8 @@ class TestPartnerPotential:
         spec = gendenshtein_params(16.2, 0.7)
         spectrum = enumerate_bound_spectrum(spec)
         vmap = oracle_map(spec, spectrum.energies[1:])
-        seed = bound_state(spectrum, 0)
-        assert seed.nodes == 0 and np.any(geometry.phi_value(seed, vmap.eta_grid) == 0.0)
+        seed = normalized(spec, bound_state(spectrum, 0))
+        assert seed.nodes == 0 and any(phi_value(seed, e) == 0.0 for e in vmap.eta_grid)
         _, v_partner = partner_potential(spec, seed, vmap)
         assert np.all(np.isfinite(v_partner))
 
@@ -71,12 +74,12 @@ class TestPartnerPotential:
         h = 1e-3
 
         def ln_ff(x):
-            eta = vmap.eta_of_x(x)
+            eta = eta_of_x(vmap.tp, x)
             slope = geometry.eta_prime(spec.tp, eta)
-            return -0.5 * np.log(slope) + np.log(geometry.phi_value(seed, eta))
+            return -0.5 * np.log(slope) + np.log(phi_value(seed, eta))
 
         xs = np.linspace(-6, 6, 25)
-        etas = vmap.eta_of_x(xs)
+        etas = np.array([eta_of_x(vmap.tp, x) for x in xs])
         fd1 = np.array([(ln_ff(x + h) - ln_ff(x - h)) / (2 * h) for x in xs])
         fd2 = np.array([(ln_ff(x + h) - 2 * ln_ff(x) + ln_ff(x - h)) / h ** 2 for x in xs])
         w = geometry.log_derivative(spec.tp, seed, etas)
@@ -150,7 +153,7 @@ class TestSymmetricIrregular:
         # so a solution exists exactly when the Sturm count at epsilon is 0;
         # the discrete ground level lies O(h^2) below the analytic one
         spec, vmap, ground = sym_setup
-        v = geometry.potential_of_eta(spec, vmap.eta_grid)
+        v = geometry.potential_of_eta(spec, np.array(vmap.eta_grid))
         dx = vmap.dx
         outcomes = set()
         for k in range(10):

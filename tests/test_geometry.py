@@ -1,6 +1,7 @@
 """Geometry tests: tangent polynomials, Bose invariant, the map, Schwarzian, potential."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,12 +14,15 @@ from rrspectra.geometry import (
     TangentPolySpec,
     VariableMap,
     choose_x_max,
+    log_derivative,
     potential_of_eta,
+    sampled,
     schwarzian_eval,
     tangent_eval,
 )
+from rrspectra.spectral import aeh_solution
 
-from residual import bose_invariant_eval, energy_slope
+from residual import bose_invariant_eval, energy_slope, eta_of_x
 
 
 class TestTangentPoly:
@@ -82,18 +86,18 @@ class TestVariableMap:
     def test_kappa_one_is_sinh(self):
         vm = VariableMap(TangentPolySpec(1.0, 1.0), 6.0, 512)
         xs = np.linspace(-6, 6, 121)
-        assert np.max(np.abs(vm.eta_of_x(xs) - np.sinh(xs))) < 1e-9
+        assert np.max(np.abs([eta_of_x(vm.tp, x) for x in xs] - np.sinh(xs))) < 1e-9
 
     def test_anchor_and_oddness(self):
         vm = VariableMap(TangentPolySpec(1.0, 2.0), 8.0, 256)
-        assert vm.eta_of_x(0.0) == 0.0
+        assert eta_of_x(vm.tp, 0.0) == 0.0
         xs = np.linspace(0.1, 8.0, 40)
-        assert np.max(np.abs(vm.eta_of_x(-xs) + vm.eta_of_x(xs))) < 1e-10
+        assert max(abs(eta_of_x(vm.tp, -x) + eta_of_x(vm.tp, x)) for x in xs) < 1e-10
 
     def test_round_trip_inversion(self):
         vm = VariableMap(TangentPolySpec(2.0, 3.0), 10.0, 256)
         sub = vm.x_grid[::16]
-        back = np.array([geometry.liouville_x(vm.tp, e) for e in vm.eta_of_x(sub)])
+        back = np.array([geometry.liouville_x(vm.tp, eta_of_x(vm.tp, x)) for x in sub])
         assert np.max(np.abs(back - sub)) < 1e-10
 
     def test_monotone_table(self):
@@ -141,6 +145,29 @@ class TestVariableMap:
         vm = VariableMap(TangentPolySpec(1.0, 1.0), 710.0, 257)
         assert np.all(np.isfinite(vm.eta_grid)) and vm.eta_grid[-1] > 1e308
 
+    @pytest.mark.parametrize("x_max, n", [(12.0, 8192), (23.25, 8192), (60.0, 10001),
+                                          (31.7, 5283), (7.25, 4096), (400.0, 4096)])
+    def test_grid_is_linspace_bit_for_bit(self, x_max, n):
+        vm = VariableMap(TangentPolySpec(1.0, 1.0), x_max, n)
+        assert vm.x_grid == np.linspace(-x_max, x_max, n).tolist()
+
+    @pytest.mark.parametrize("kappa", [0.05, 0.55, 1.0, 2.7, 20.0])
+    def test_table_matches_pointwise_inverse(self, kappa):
+        # the table starts each solve from its neighbours and takes the lower
+        # half from its upper mirror; a single point starts from its own guess.
+        # They agree within 8 roundings of s = asinh eta (at most 4.6 seen);
+        # without the correction for the rounding of a lower x, 11 to 84
+        vm = VariableMap(TangentPolySpec(1.5, kappa), 60.0, 10001)
+        assert isinstance(vm.eta_grid, list) and isinstance(vm.x_grid, list)
+        eps = sys.float_info.epsilon
+        for x, eta in zip(vm.x_grid, vm.eta_grid):
+            s = math.asinh(eta_of_x(vm.tp, x))
+            assert abs(math.asinh(eta) - s) <= 8 * eps * max(1.0, abs(s)), x
+        for i in range(vm.n_points // 2):
+            j = vm.n_points - 1 - i
+            if vm.x_grid[i] == -vm.x_grid[j]:
+                assert vm.eta_grid[i] == -vm.eta_grid[j]
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             VariableMap(TangentPolySpec(1.0, 1.0), 5.0, 32)
@@ -164,7 +191,7 @@ class TestSchwarzian:
         h = 1e-3
 
         def schwarzian_fd(x):
-            e = vm.eta_of_x(np.array([x - 2 * h, x - h, x, x + h, x + 2 * h]))
+            e = [eta_of_x(vm.tp, t) for t in (x - 2 * h, x - h, x, x + h, x + 2 * h)]
             d1 = (e[3] - e[1]) / (2 * h)
             d2 = (e[3] - 2 * e[2] + e[1]) / h ** 2
             d3 = (e[4] - 2 * e[3] + 2 * e[1] - e[0]) / (2 * h ** 3)
@@ -172,7 +199,7 @@ class TestSchwarzian:
 
         xs = [geometry.liouville_x(vm.tp, e) for e in (-5.0, -2.0, -0.5, 0.0, 1.0, 3.0, 5.0)]
         worst = max(
-            abs(schwarzian_fd(x) - schwarzian_eval(tp, vm.eta_of_x(x))) for x in xs
+            abs(schwarzian_fd(x) - schwarzian_eval(tp, eta_of_x(vm.tp, x))) for x in xs
         )
         assert worst < 1e-6
 
@@ -184,22 +211,22 @@ class TestPotential:
         expected = (b_g ** 2 - a_g * (a_g + 1)) / np.cosh(xs) ** 2 + (
             2 * a_g + 1
         ) * b_g * np.sinh(xs) / np.cosh(xs) ** 2
-        v = potential_of_eta(gspec, gmap.eta_of_x(xs))
+        v = potential_of_eta(gspec, np.array([eta_of_x(gmap.tp, x) for x in xs]))
         assert np.max(np.abs(v - expected)) < 1e-9
 
     def test_symmetric_is_even(self):
         spec = PotentialSpec(h0=8.0, tp=TangentPolySpec(1.0, 2.0))
         vm = VariableMap(spec.tp, 10.0, 512)
         xs = np.linspace(0.0, 10.0, 64)
-        v_pos = potential_of_eta(spec, vm.eta_of_x(xs))
-        v_neg = potential_of_eta(spec, vm.eta_of_x(-xs))
+        v_pos = potential_of_eta(spec, np.array([eta_of_x(vm.tp, x) for x in xs]))
+        v_neg = potential_of_eta(spec, np.array([eta_of_x(vm.tp, -x) for x in xs]))
         assert np.max(np.abs(v_pos - v_neg)) < 1e-10
 
     def test_decay_at_chosen_x_max(self, milson_spec):
         x_max = choose_x_max(milson_spec)
         vm = VariableMap(milson_spec.tp, x_max, 256)
-        assert abs(potential_of_eta(milson_spec, vm.eta_of_x(x_max))) < 1e-3
-        assert abs(potential_of_eta(milson_spec, vm.eta_of_x(-x_max))) < 1e-3
+        assert abs(potential_of_eta(milson_spec, eta_of_x(vm.tp, x_max))) < 1e-3
+        assert abs(potential_of_eta(milson_spec, eta_of_x(vm.tp, -x_max))) < 1e-3
 
     @pytest.mark.parametrize("a, kappa", [(1.0, 1.0), (4.0, 2.0)])
     def test_decays_where_four_t_overflows(self, a, kappa):
@@ -210,3 +237,31 @@ class TestPotential:
             assert abs(potential_of_eta(spec, eta)) < 1e-12
             assert abs(potential_of_eta(spec, -eta)) < 1e-12
 
+
+
+class TestFloatsAndArrays:
+    ETAS = [-3e100, -2e5, -2.5, -0.3, 0.0, 0.7, 4.0, 1e6, 1e100]
+
+    def test_closed_forms_take_a_float_or_an_array(self, gspec, milson_spec):
+        # the arithmetic closed forms run the same code on both; only sqrt
+        # (numpy's sqrt against the float power 0.5) may round differently
+        for spec in (gspec, milson_spec):
+            etas = np.array(self.ETAS)
+            assert potential_of_eta(spec, etas).tolist() == [potential_of_eta(spec, e) for e in self.ETAS]
+            assert schwarzian_eval(spec.tp, etas).tolist() == [schwarzian_eval(spec.tp, e) for e in self.ETAS]
+            seed = aeh_solution(spec, "d", 2)
+            assert_allclose(log_derivative(spec.tp, seed, etas),
+                            [log_derivative(spec.tp, seed, e) for e in self.ETAS], rtol=1e-15)
+
+    def test_float_overflow_samples_nan(self, gspec):
+        # in plain floats exp and ** raise OverflowError where numpy gave inf;
+        # past |x| ~ 355 eta^2 is inf and psi is inf/inf: every such sample
+        # is NaN for require_finite to count, never an exception
+        vm = VariableMap(gspec.tp, 400.0, 801)
+        seed = aeh_solution(gspec, "d", 0)  # p > 0: the gauge itself overflows far out
+        (psi,) = sampled([seed], vm)
+        bad = [x for x, v in zip(vm.x_grid, psi) if not math.isfinite(v)]
+        assert bad and all(math.isnan(v) for v in psi if not math.isfinite(v))
+        assert min(abs(x) for x in bad) > 100.0
+        with pytest.raises(NonFiniteSamples, match="of 801 psi samples are NaN or infinite"):
+            geometry.require_finite("psi", [psi])

@@ -26,7 +26,7 @@ def harmonic_grid(n=8192):
 def oracle_grid(spec, energies, n=None):
     """(V, dx): the potential of ``spec`` sampled on the map that ``verify`` sizes for it."""
     vmap = oracle_map(spec, energies, n=n)
-    return geometry.potential_of_eta(spec, vmap.eta_grid), vmap.dx
+    return geometry.potential_of_eta(spec, np.array(vmap.eta_grid)), vmap.dx
 
 
 class TestNumerov:

@@ -7,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rrspectra.errors import BranchUndefined, NoSuchRoot
-from rrspectra.geometry import PotentialSpec, TangentPolySpec, phi_value, sampled
+from rrspectra.geometry import PotentialSpec, TangentPolySpec, sampled
 from rrspectra.routh import ComplexIndex, real_roots, routh_polynomial
 from rrspectra.spectral import (
     _scan_axis,
@@ -18,6 +18,7 @@ from rrspectra.spectral import (
     lambda_of_energy,
     milson_sigma_rho,
     nodeless_scan,
+    normalized,
     pinned_convention,
     quartic_lambda_roots,
     quartic_residual_scale,
@@ -26,7 +27,7 @@ from rrspectra.spectral import (
 
 from quadrature import NotConverged, adaptive_quadrature
 from quartic import closed_form_lambda_kappa1
-from residual import poly_mul, rcsle_residual
+from residual import phi_value, poly_mul, rcsle_residual
 
 
 class TestLambdaBranch:
@@ -130,7 +131,7 @@ class TestEigenfunctions:
     def test_ground_state_closed_form(self, gspectrum, gmap):
         # psi_0 proportional to cosh(x)^-a * exp(-b*atan(sinh x))
         xs = gmap.x_grid[::128]
-        psi = sampled(bound_state(gspectrum, 0), gmap)[::128]
+        psi = sampled([bound_state(gspectrum, 0)], gmap)[0][::128]
         ref = np.cosh(xs) ** -2.5 * np.exp(-0.5 * np.arctan(np.sinh(xs)))
         ratio = psi / ref
         assert np.max(np.abs(ratio / ratio[len(ratio) // 2] - 1.0)) < 1e-9
@@ -142,11 +143,11 @@ class TestEigenfunctions:
             assert len(real_roots(st.poly.poly)) == n
 
     def test_orthonormality(self, gspec):
-        s = enumerate_bound_spectrum(gspec)
+        states = [normalized(gspec, st) for st in enumerate_bound_spectrum(gspec).states]
         tp = gspec.tp
 
         def overlap(i, j):
-            fi, fj = s.states[i], s.states[j]
+            fi, fj = states[i], states[j]
             return adaptive_quadrature(
                 lambda e: (phi_value(fi, e) * phi_value(fj, e)
                            * (tp.a * (e * e + tp.kappa_plus)) / (1 + e * e) ** 2),
@@ -186,6 +187,7 @@ class TestNormalization:
         tp = spec.tp
         checked = 0
         for st in enumerate_bound_spectrum(spec).states:
+            st = normalized(spec, st)
             try:
                 norm2 = adaptive_quadrature(
                     lambda e: phi_value(st, e) ** 2 * tp.a * (e * e + tp.kappa_plus) / (1 + e * e) ** 2,
