@@ -14,9 +14,9 @@ plus optional "grid": {"x_max": .., "n": ..} and per-command blocks
  "partner": {"kind": "d", "m": 0}).
 
 Exit codes: 0 success, 1 verification failure, 2 config error (a bad
-config, a ``--tol`` that is negative or not finite, or a grid the config set
-that cannot be sampled), 3 numeric failure.  Identical configs produce
-byte-identical outputs.
+config, a ``--tol`` that is negative or not finite, a ``--workers`` below 1,
+or a grid the config set that cannot be sampled), 3 numeric failure.
+Identical configs produce byte-identical outputs.
 
 Every command is a fresh process, so its imports are part of its cost.
 ``identities`` and ``scan-nodeless`` run on the exact layer alone, and
@@ -194,6 +194,19 @@ def _write_csv(path: str, header: str, columns) -> None:
     _atomic_write(path, itertools.chain([header + "\n"], rows))
 
 
+def _check_record(report, analytic_key: str, **extra) -> dict:
+    """A level check as JSON: one row per level with the analytic energy under
+    ``analytic_key``, and the node counts where the closed form claims one."""
+    rows = []
+    for lv in report.levels:
+        row = {"n": lv.n, analytic_key: lv.analytic, "numeric": lv.numeric,
+               "rel_delta": lv.rel_delta}
+        if lv.nodes_analytic is not None:
+            row.update(nodes_analytic=lv.nodes_analytic, nodes_numeric=lv.nodes_numeric)
+        rows.append(row)
+    return {"tol": report.tol, "passed": report.passed, "levels": rows, **extra}
+
+
 def _report_record(command: str, config: RunConfig, outputs, passed: bool) -> dict:
     digest = sha256(json.dumps(config.raw, sort_keys=True).encode("utf-8")).hexdigest()
     return {
@@ -250,9 +263,11 @@ def cmd_spectrum(config: RunConfig, out_dir: str) -> int:
 def cmd_verify(config: RunConfig, out_dir: str, tol: float) -> int:
     from . import verify
 
-    report = verify.verify_spectrum(config.spec, tol=tol, x_max=config.x_max, n=config.n)
+    report, spectrum = verify.verify_spectrum(config.spec, tol=tol, x_max=config.x_max, n=config.n)
     vpath = os.path.join(out_dir, "verify.json")
-    _dump_json(vpath, report.to_json_dict())
+    _dump_json(vpath, _check_record(report, "analytic", n_max_formula=spectrum.n_max_formula,
+                                    n_max_constructive=spectrum.n_max_constructive,
+                                    formula_consistent=spectrum.formula_consistent))
     _dump_json(os.path.join(out_dir, "report.json"),
                _report_record("verify", config, [vpath], report.passed))
     return 0 if report.passed else 1
@@ -327,7 +342,7 @@ def cmd_partner(config: RunConfig, out_dir: str, tol: float) -> int:
     if expected:
         report = verify.verify_partner_levels(vmap, v_partner, expected, tol=tol)
         rpath = os.path.join(out_dir, "partner_verify.json")
-        _dump_json(rpath, report.to_json_dict())
+        _dump_json(rpath, _check_record(report, "expected"))
         outputs.append(rpath)
         passed = report.passed
     _dump_json(os.path.join(out_dir, "report.json"),
@@ -403,6 +418,7 @@ def main(argv=None) -> int:
         # inf would pass every level, and NaN or a negative bound none
         _require(math.isfinite(args.tol) and args.tol >= 0,
                  "--tol must be a finite number >= 0, got %r" % args.tol)
+        _require(args.workers >= 1, "--workers must be at least 1, got %d" % args.workers)
         config = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
         if args.command == "scan-nodeless":

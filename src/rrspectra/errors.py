@@ -36,7 +36,8 @@ class ConventionUnresolved(SpectraError):
 
 
 class NodeDetected(SpectraError):
-    """A factorization function changes sign on the grid."""
+    """A Darboux seed's polynomial has real zeros, by the exact real-root
+    count stored with it, so its factorization function would have nodes."""
 
 
 class InsufficientDecay(SpectraError):

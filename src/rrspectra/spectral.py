@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -537,9 +538,12 @@ def nodeless_scan(a_range, b_range, m: int, na: int = 16, nb: int = 16, workers:
     factor is positive, so no root means a nodeless solution), the quoted
     asymmetry threshold, and the canonical discriminant sign.  Disagreements
     are reported, not resolved.  The order ``m`` is even and >= 2 and both
-    resolutions are >= 2, as the run configuration checks.
+    resolutions are >= 2, as the run configuration checks.  The cells do not
+    depend on ``workers``, which is capped at the CPU and cell counts: the
+    pool forks all its workers at once.
     """
     tasks = [(a, b, m) for a in _scan_axis(*a_range, na) for b in _scan_axis(*b_range, nb)]
+    workers = min(workers, os.cpu_count() or 1, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

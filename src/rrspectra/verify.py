@@ -1,8 +1,9 @@
 """Cross-checks between the closed-form machinery and the numeric oracle.
 
 Shared by the command-line front end and the acceptance suite.  The bound
-spectrum and Darboux partners share one grid rule, :func:`oracle_map`, and
-one oracle, :func:`oracle.lowest_levels`.  The oracle sees the sampled
+spectrum and Darboux partners share one grid rule, :func:`oracle_map`, one
+oracle, :func:`oracle.lowest_levels`, and one comparison, which gives a
+:class:`LevelCheck` per level and one pass rule.  The oracle sees the sampled
 potential array and the map's spacing alone (no analytic seeding), so the
 comparison stays independent of the result it checks.
 """
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import geometry, oracle
 from .geometry import VariableMap
-from .spectral import PotentialSpec, Spectrum, enumerate_bound_spectrum
+from .spectral import PotentialSpec, enumerate_bound_spectrum
 
 
 def oracle_map(spec: PotentialSpec, energies, x_max=None, n=None) -> VariableMap:
@@ -39,85 +40,61 @@ def oracle_map(spec: PotentialSpec, energies, x_max=None, n=None) -> VariableMap
     return VariableMap(spec.tp, x_max, n)
 
 
-class LevelComparison(NamedTuple):
+class LevelCheck(NamedTuple):
+    """One level of an oracle check.  Level k of the oracle is the k-th
+    lowest, so ``nodes_numeric`` is k; ``nodes_analytic`` is the closed
+    form's exact node count, or None where it makes no claim."""
     n: int
     analytic: float
     numeric: float
     rel_delta: float
-    nodes_analytic: int
+    nodes_analytic: int | None
     nodes_numeric: int
 
 
-class VerifyReport(NamedTuple):
+class LevelReport(NamedTuple):
+    """One check passes when it found all ``n_expected`` levels, each within
+    ``tol`` and with the node count its closed form claims."""
     levels: tuple
+    n_expected: int
     tol: float
-    spectrum: Spectrum
 
     @property
     def passed(self) -> bool:
-        return len(self.levels) == len(self.spectrum.states) and all(
-            lv.rel_delta <= self.tol and lv.nodes_analytic == lv.nodes_numeric
+        return len(self.levels) == self.n_expected and all(
+            lv.rel_delta <= self.tol and lv.nodes_analytic in (None, lv.nodes_numeric)
             for lv in self.levels
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "tol": self.tol,
-            "passed": self.passed,
-            "levels": [lv._asdict() for lv in self.levels],
-            "n_max_constructive": self.spectrum.n_max_constructive,
-            "n_max_formula": self.spectrum.n_max_formula,
-            "formula_consistent": self.spectrum.formula_consistent,
-        }
+
+def _compare(values, dx, energies, nodes, tol) -> LevelReport:
+    """The oracle levels of the samples ``values`` against the analytic
+    ``energies`` and ``nodes``; ``rel_delta`` is relative to the oracle value."""
+    estimates = oracle.lowest_levels(values, dx, len(energies))
+    levels = tuple(
+        LevelCheck(n=k, analytic=e, numeric=est.energy,
+                   rel_delta=abs(e - est.energy) / abs(est.energy),
+                   nodes_analytic=m, nodes_numeric=k)
+        for k, (e, m, est) in enumerate(zip(energies, nodes, estimates))
+    )
+    return LevelReport(levels=levels, n_expected=len(energies), tol=tol)
 
 
-def verify_spectrum(spec: PotentialSpec, tol: float = 1e-3, x_max=None, n=None) -> VerifyReport:
-    """Analytic levels against the finite-difference oracle, level by level.
-
-    Level k of the oracle is the k-th lowest, so its node count is k.  A
-    potential that cannot be sampled on the grid raises :class:`NonFiniteSamples`."""
+def verify_spectrum(spec: PotentialSpec, tol: float = 1e-3, x_max=None, n=None) -> tuple:
+    """(report, spectrum): the enumerated bound spectrum, and its levels and
+    node counts against the finite-difference oracle.  A potential that
+    cannot be sampled on the grid raises :class:`NonFiniteSamples`."""
     spectrum = enumerate_bound_spectrum(spec)
     if not spectrum.states:
-        return VerifyReport(levels=(), tol=tol, spectrum=spectrum)
+        return LevelReport(levels=(), n_expected=0, tol=tol), spectrum
     vmap = oracle_map(spec, spectrum.energies, x_max, n)
     values = geometry.potential_of_eta(spec, np.array(vmap.eta_grid))
-    estimates = oracle.lowest_levels(values, vmap.dx, len(spectrum.states))
-    levels = tuple(
-        LevelComparison(n=s.n, analytic=s.energy, numeric=e.energy,
-                        rel_delta=abs(s.energy - e.energy) / abs(e.energy),
-                        nodes_analytic=s.nodes, nodes_numeric=k)
-        for k, (s, e) in enumerate(zip(spectrum.states, estimates))
-    )
-    return VerifyReport(levels=levels, tol=tol, spectrum=spectrum)
+    report = _compare(values, vmap.dx, spectrum.energies, [s.nodes for s in spectrum.states], tol)
+    return report, spectrum
 
 
-class PartnerReport(NamedTuple):
-    expected: tuple
-    numeric: tuple
-    rel_deltas: tuple
-    tol: float
-
-    @property
-    def passed(self) -> bool:
-        return len(self.numeric) == len(self.expected) and all(
-            d <= self.tol for d in self.rel_deltas
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "tol": self.tol,
-            "passed": self.passed,
-            "levels": [
-                {"expected": e, "numeric": v, "rel_delta": d}
-                for e, v, d in zip(self.expected, self.numeric, self.rel_deltas)
-            ],
-        }
-
-
-def verify_partner_levels(vmap: VariableMap, v_partner, expected, tol: float = 1e-3) -> PartnerReport:
+def verify_partner_levels(vmap: VariableMap, v_partner, expected, tol: float = 1e-3) -> LevelReport:
     """Oracle spectrum of the partner potential ``v_partner``, sampled on
-    ``vmap``, against an expected level list."""
-    estimates = oracle.lowest_levels(v_partner, vmap.dx, len(expected))
-    numeric = tuple(e.energy for e in estimates)
-    deltas = tuple(abs(e - v) / abs(e) for e, v in zip(expected, numeric))
-    return PartnerReport(expected=tuple(expected), numeric=numeric, rel_deltas=deltas, tol=tol)
+    ``vmap``, against an expected level list; the partner's node counts are
+    not claimed."""
+    return _compare(v_partner, vmap.dx, expected, [None] * len(expected), tol)

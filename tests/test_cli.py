@@ -1,5 +1,6 @@
 """End-to-end command tests: outputs, exit codes, determinism."""
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -211,16 +212,42 @@ class TestScanCommand:
         assert main(["scan-nodeless", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         assert time.monotonic() - t0 < 30.0
 
+    SCAN_2X2 = {
+        "potential": {"gendenshtein": {"a": 2.5, "b": 0.5}},
+        "scan": {"a_range": [2.0, 3.0], "b_range": [0.0, 1.0], "na": 2, "nb": 2, "m": 2},
+    }
+
     def test_workers_give_identical_output(self, tmp_path):
-        payload = {
-            "potential": {"gendenshtein": {"a": 2.5, "b": 0.5}},
-            "scan": {"a_range": [2.0, 3.0], "b_range": [0.0, 1.0], "na": 2, "nb": 2, "m": 2},
-        }
-        cfg = write_config(tmp_path, payload)
+        cfg = write_config(tmp_path, self.SCAN_2X2)
         out1, out2 = tmp_path / "w1", tmp_path / "w2"
         assert main(["scan-nodeless", "--config", cfg, "--out", str(out1)]) == 0
         assert main(["scan-nodeless", "--config", cfg, "--out", str(out2), "--workers", "2"]) == 0
         assert (out1 / "scan.csv").read_bytes() == (out2 / "scan.csv").read_bytes()
+
+    @pytest.mark.parametrize("cpus, pool_size", [(8, 4), (3, 3), (None, None)])
+    def test_pool_never_outgrows_cells_or_cpus(self, tmp_path, monkeypatch, cpus, pool_size):
+        # the real pool forks max_workers processes at once; this one maps serially
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cfg = write_config(tmp_path, self.SCAN_2X2)
+        out = str(tmp_path / "o")
+        assert main(["scan-nodeless", "--config", cfg, "--out", out, "--workers", "100000"]) == 0
+        assert sizes == ([] if pool_size is None else [pool_size])
 
     def test_malformed_range(self, tmp_path):
         cfg = write_config(
@@ -254,6 +281,10 @@ class TestPartnerCommand:
         payload = json.loads((out / "partner_verify.json").read_text())
         assert payload["passed"]
         assert payload["levels"][0]["expected"] == pytest.approx(-6.25)
+        # the one rel_delta rule of verify.json: relative to the oracle value
+        assert [lv["n"] for lv in payload["levels"]] == [0, 1, 2]
+        for lv in payload["levels"]:
+            assert lv["rel_delta"] == abs(lv["expected"] - lv["numeric"]) / abs(lv["numeric"])
         header = (out / "partner.csv").read_text().splitlines()[0]
         assert header == "x,V_parent,V_partner"
 
@@ -496,6 +527,15 @@ class TestConfigErrors:
         assert err.startswith("config error: --tol ") and err.count("\n") == 1, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one(self, tmp_path, capsys, workers):
+        cfg = write_config(tmp_path, {**GEN, "scan": {"a_range": [2.0, 3.0], "b_range": [0.0, 1.0]}})
+        out = tmp_path / "o"
+        assert main(["scan-nodeless", "--config", cfg, "--out", str(out), "--workers", workers]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: --workers ") and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_zero_tolerance_is_legal(self, tmp_path):
         # identities raises any tolerance to its 1e-9 floor; verify fails honestly
         cfg = write_config(tmp_path, GEN)
@@ -585,6 +625,23 @@ def test_exact_commands_do_not_import_numpy(tmp_path):
     )
     assert (tmp_path / "scan4" / "scan.csv").read_text().count("\n") == 10
     assert (tmp_path / "spectrummil" / "eigenfunctions.csv").read_text().count("\n") == 4097
+
+
+def test_oracle_outputs_keep_their_keys(tmp_path):
+    # the benchmark's output checks read these keys by name
+    cfg = write_config(tmp_path, {**GEN, "partner": {"kind": "d", "m": 0}})
+    assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v")]) == 0
+    assert main(["partner", "--config", cfg, "--out", str(tmp_path / "p")]) == 0
+    ver = json.loads((tmp_path / "v" / "verify.json").read_text())
+    part = json.loads((tmp_path / "p" / "partner_verify.json").read_text())
+    assert set(ver) == {"tol", "passed", "levels", "n_max_constructive", "n_max_formula",
+                        "formula_consistent"}
+    assert ver["levels"] and all(set(lv) == {"n", "analytic", "numeric", "rel_delta",
+                                             "nodes_analytic", "nodes_numeric"}
+                                 for lv in ver["levels"])
+    assert set(part) == {"tol", "passed", "levels"}
+    assert part["levels"] and all(set(lv) == {"n", "expected", "numeric", "rel_delta"}
+                                  for lv in part["levels"])
 
 
 def test_report_digest_is_sha256_of_the_config(tmp_path):

@@ -36,7 +36,7 @@ class TestPartnerPotential:
         _, v_partner = partner_potential(spec, seed, vmap)
         # parent levels -(1.5-n)^2 for n=0,1 plus the inserted -(1.5+1)^2
         rep = verify_partner_levels(vmap, v_partner, [-6.25, -2.25, -0.25], tol=1e-3)
-        assert rep.passed, rep.rel_deltas
+        assert rep.passed, rep.levels
 
     def test_ground_state_erasure(self, insertion_setup):
         spec, vmap = insertion_setup
@@ -45,7 +45,7 @@ class TestPartnerPotential:
                      aeh_solution(spec, "c", 0)):
             _, v_partner = partner_potential(spec, psi0, vmap)
             rep = verify_partner_levels(vmap, v_partner, [-0.25], tol=1e-3)
-            assert rep.passed, rep.rel_deltas
+            assert rep.passed, rep.levels
 
     def test_planted_node_rejected(self, insertion_setup):
         # a real polynomial of odd order has a real zero

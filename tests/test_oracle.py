@@ -3,16 +3,17 @@
 import functools
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rrspectra import darboux, geometry, oracle, spectral
+from rrspectra import darboux, geometry, oracle, spectral, verify
 from rrspectra.errors import InsufficientDecay, NonFiniteSamples
 from rrspectra.geometry import PotentialSpec, TangentPolySpec
 from rrspectra.oracle import lowest_levels
-from rrspectra.spectral import gendenshtein_params
+from rrspectra.spectral import Spectrum, gendenshtein_params
 from rrspectra.verify import oracle_map, verify_spectrum
 
 from quadrature import adaptive_quadrature
@@ -188,13 +189,52 @@ class TestSineRitz:
             lowest_levels(values, 20.0 / 1024, 2, require_decay=False)
 
 
-class TestVerifyReport:
+# name: (levels the oracle finds, analytic node counts, passed); the
+# analytic levels are ANALYTIC
+ANALYTIC = [-4.0, -1.0]
+LEVEL_CASES = {
+    "all found": ([-4.0, -1.0], [0, 1], True),
+    "short list": ([-4.0], [0, 1], False),
+    "beyond tol": ([-4.0, -1.01], [0, 1], False),
+    "wrong nodes": ([-4.0, -1.0], [0, 2], False),
+    "no node claim": ([-4.0, -1.0], [None, None], True),
+}
+
+
+class TestLevelReport:
     def test_missing_level_fails(self):
         # the x_max = 7 box is too small for the shallow level at -0.01
-        rep = verify_spectrum(gendenshtein_params(2.1, 0.0), x_max=7.0, n=2049)
-        assert len(rep.spectrum.states) == 3 and len(rep.levels) == 2
+        rep, spectrum = verify_spectrum(gendenshtein_params(2.1, 0.0), x_max=7.0, n=2049)
+        assert len(spectrum.states) == 3 and len(rep.levels) == 2
         assert all(lv.rel_delta <= rep.tol for lv in rep.levels)
         assert not rep.passed
+
+    @pytest.mark.parametrize("check, case", [
+        *(("spectrum", case) for case in LEVEL_CASES),
+        # a partner claims no node counts
+        ("partner", "short list"), ("partner", "beyond tol"), ("partner", "no node claim"),
+    ])
+    def test_one_pass_rule(self, monkeypatch, check, case):
+        found, nodes, passed = LEVEL_CASES[case]
+        monkeypatch.setattr(verify.oracle, "lowest_levels", lambda values, dx, count: [
+            oracle.EigenEstimate(energy=e, error=0.0) for e in found[:count]])
+        spec = gendenshtein_params(2.5, 0.5)
+        if check == "spectrum":
+            states = tuple(SimpleNamespace(energy=e, nodes=m) for e, m in zip(ANALYTIC, nodes))
+            monkeypatch.setattr(verify, "enumerate_bound_spectrum",
+                                lambda spec: Spectrum(states=states, n_max_formula=1))
+            rep, _ = verify_spectrum(spec, tol=1e-3)
+        else:
+            vmap = oracle_map(spec, ANALYTIC)
+            rep = verify.verify_partner_levels(vmap, np.zeros(vmap.n_points), ANALYTIC, tol=1e-3)
+        assert rep.passed is passed
+        assert (rep.n_expected, rep.tol) == (2, 1e-3)
+        assert [lv.n for lv in rep.levels] == [lv.nodes_numeric for lv in rep.levels] == \
+            list(range(len(found)))
+        claims = nodes if check == "spectrum" else [None, None]
+        for lv, e, v, m in zip(rep.levels, ANALYTIC, found, claims):
+            assert (lv.analytic, lv.numeric, lv.nodes_analytic) == (e, v, m)
+            assert lv.rel_delta == abs(e - v) / abs(v)
 
 
 class TestQuadrature:
