@@ -13,10 +13,16 @@ plus optional "grid": {"x_max": .., "n": ..} and per-command blocks
 ("scan": {"a_range": [..], "b_range": [..], "na": .., "nb": .., "m": ..},
  "partner": {"kind": "d", "m": 0}).
 
-Exit codes: 0 success, 1 verification failure, 2 config error (a bad
-config, a ``--tol`` that is negative or not finite, a ``--workers`` below 1,
-or a grid the config set that cannot be sampled), 3 numeric failure.
-Identical configs produce byte-identical outputs.
+Each command (the ``COMMANDS`` table) computes everything first and returns
+its files and whether its checks passed; :func:`main` alone writes them, each
+through a temporary file moved into place, then ``report.json``, and picks
+the exit code.  A command that raises writes no file.
+
+Exit codes: 0 success, 1 verification failure (its files are written), 2
+config error (a bad config, a ``--tol`` that is negative or not finite, a
+``--workers`` below 1, or a grid the config set that cannot be sampled or on
+which the potential has not decayed), 3 numeric failure.  Identical configs
+produce byte-identical outputs.
 
 Every command is a fresh process, so its imports are part of its cost.
 ``identities`` and ``scan-nodeless`` run on the exact layer alone, and
@@ -29,6 +35,7 @@ no command loads OpenSSL through ``hashlib``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import json
 import math
@@ -36,7 +43,7 @@ import os
 import sys
 
 from . import spectral
-from .errors import ConfigError, NonFiniteSamples, SpectraError
+from .errors import ConfigError, InsufficientDecay, NonFiniteSamples, SpectraError
 from .spectral import PotentialSpec, TangentPolySpec
 
 # The built-in SHA-256 (_sha2 from Python 3.12, _sha256 before), not hashlib's,
@@ -156,6 +163,7 @@ class RunConfig:
         _require(kind in ("c", "d"), "partner kind must be 'c' or 'd'")
         m = _number(part.get("m", 0), "partner 'm'", integral=True)
         _require(m >= 0, "partner order must be nonnegative")
+        _require(kind == "d" or m == 0, "type-c partner supports only m=0 (ground-state erasure)")
         return kind, m
 
 
@@ -171,27 +179,35 @@ def load_config(path: str) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# output plumbing
+# output records
 # ---------------------------------------------------------------------------
+#
+# A command computes everything first and returns ``(files, passed)``:
+# ``files`` maps each output file name to the chunks of its text, and only
+# ``main`` writes them.
 
-def _atomic_write(path: str, chunks) -> None:
-    """Write the strings ``chunks`` to a temporary file, then move it onto ``path``."""
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.writelines(chunks)
-    os.replace(tmp, path)
-
-
-def _dump_json(path: str, payload: dict) -> None:
-    _atomic_write(path, [json.dumps(payload, sort_keys=True, indent=2), "\n"])
+def _json(payload: dict) -> list:
+    return [json.dumps(payload, sort_keys=True, indent=2), "\n"]
 
 
-def _write_csv(path: str, header: str, columns) -> None:
-    """One ``%.12g`` row per sample of the equal-length float lists
-    ``columns``, streamed row by row."""
+def _csv(header: str, columns):
+    """The rows of the equal-length float lists ``columns``, one ``%.12g``
+    row per sample, generated as they are written."""
     fmt = ",".join(["%.12g"] * len(columns)) + "\n"
-    rows = (fmt % row for row in zip(*columns))
-    _atomic_write(path, itertools.chain([header + "\n"], rows))
+    return itertools.chain([header + "\n"], (fmt % row for row in zip(*columns)))
+
+
+def _spectrum_record(spectrum) -> dict:
+    return {
+        "states": [
+            {"n": s.n, "energy": s.energy, "lambda": [s.lam.real, s.lam.imag], "nodes": s.nodes}
+            for s in spectrum.states
+        ],
+        "n_max_constructive": spectrum.n_max_constructive,
+        "n_max_formula": spectrum.n_max_formula,
+        "formula_consistent": spectrum.formula_consistent,
+        "notes": list(spectrum.notes),
+    }
 
 
 def _check_record(report, analytic_key: str, **extra) -> dict:
@@ -205,17 +221,6 @@ def _check_record(report, analytic_key: str, **extra) -> dict:
             row.update(nodes_analytic=lv.nodes_analytic, nodes_numeric=lv.nodes_numeric)
         rows.append(row)
     return {"tol": report.tol, "passed": report.passed, "levels": rows, **extra}
-
-
-def _report_record(command: str, config: RunConfig, outputs, passed: bool) -> dict:
-    digest = sha256(json.dumps(config.raw, sort_keys=True).encode("utf-8")).hexdigest()
-    return {
-        "command": command,
-        "inputs_digest": digest,
-        "outputs": sorted(os.path.basename(p) for p in outputs),
-        "passed": passed,
-        "pinned_convention": spectral.pinned_convention(),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -236,51 +241,42 @@ def _default_map(config: RunConfig):
     return geometry.VariableMap(config.spec.tp, x_max, config.n or 4096)
 
 
-def cmd_spectrum(config: RunConfig, out_dir: str) -> int:
+def cmd_spectrum(config: RunConfig, args) -> tuple:
     from . import geometry
 
     spec = config.spec
     spectrum = spectral.enumerate_bound_spectrum(spec)
+    files = {"spectrum.json": _json(_spectrum_record(spectrum))}
     states = spectrum.states
     if states:
         vmap = _default_map(config)
         psis = geometry.sampled(
             [spectral.normalized(spec, spectral.bound_state(spectrum, s.n)) for s in states], vmap)
         geometry.require_finite("eigenfunction", psis)
-    spath = os.path.join(out_dir, "spectrum.json")
-    _dump_json(spath, spectrum.to_json_dict())
-    outputs = [spath]
-    if states:
-        cpath = os.path.join(out_dir, "eigenfunctions.csv")
         header = "x," + ",".join("psi_%d" % s.n for s in states)
-        _write_csv(cpath, header, [vmap.x_grid] + psis)
-        outputs.append(cpath)
-    _dump_json(os.path.join(out_dir, "report.json"),
-               _report_record("spectrum", config, outputs, True))
-    return 0
+        files["eigenfunctions.csv"] = _csv(header, [vmap.x_grid] + psis)
+    return files, True
 
 
-def cmd_verify(config: RunConfig, out_dir: str, tol: float) -> int:
+def cmd_verify(config: RunConfig, args) -> tuple:
     from . import verify
 
-    report, spectrum = verify.verify_spectrum(config.spec, tol=tol, x_max=config.x_max, n=config.n)
-    vpath = os.path.join(out_dir, "verify.json")
-    _dump_json(vpath, _check_record(report, "analytic", n_max_formula=spectrum.n_max_formula,
-                                    n_max_constructive=spectrum.n_max_constructive,
-                                    formula_consistent=spectrum.formula_consistent))
-    _dump_json(os.path.join(out_dir, "report.json"),
-               _report_record("verify", config, [vpath], report.passed))
-    return 0 if report.passed else 1
+    report, spectrum = verify.verify_spectrum(config.spec, tol=args.tol, x_max=config.x_max,
+                                              n=config.n)
+    record = _check_record(report, "analytic", n_max_formula=spectrum.n_max_formula,
+                           n_max_constructive=spectrum.n_max_constructive,
+                           formula_consistent=spectrum.formula_consistent)
+    return {"verify.json": _json(record)}, report.passed
 
 
-_SCAN_HEADER = "a,b,empirical_nodeless,threshold_prediction,discriminant_prediction,consistent"
+_SCAN_HEADER = "a,b,empirical_nodeless,threshold_prediction,discriminant_prediction,consistent\n"
 
 
 def _cell_csv(cell) -> str:
     def fmt(v):
         return "" if v is None else str(bool(v)).lower()
 
-    return "%.12g,%.12g,%s,%s,%s,%s" % (
+    return "%.12g,%.12g,%s,%s,%s,%s\n" % (
         cell.a, cell.b,
         fmt(cell.empirical_nodeless),
         fmt(cell.threshold_prediction),
@@ -289,11 +285,9 @@ def _cell_csv(cell) -> str:
     )
 
 
-def cmd_scan_nodeless(config: RunConfig, out_dir: str, workers: int) -> int:
+def cmd_scan_nodeless(config: RunConfig, args) -> tuple:
     a_range, b_range, m, na, nb = config.scan_params()
-    cells = spectral.nodeless_scan(a_range, b_range, m, na=na, nb=nb, workers=workers)
-    cpath = os.path.join(out_dir, "scan.csv")
-    _atomic_write(cpath, ["\n".join([_SCAN_HEADER] + [_cell_csv(c) for c in cells]), "\n"])
+    cells = spectral.nodeless_scan(a_range, b_range, m, na=na, nb=nb, workers=args.workers)
     agree_thresh = sum(
         1 for c in cells
         if c.empirical_nodeless is not None and c.threshold_prediction == c.empirical_nodeless
@@ -310,15 +304,12 @@ def cmd_scan_nodeless(config: RunConfig, out_dir: str, workers: int) -> int:
         "discriminant_agreement": agree_disc,
         "internally_consistent": all(c.consistent for c in cells if c.consistent is not None),
     }
-    spath = os.path.join(out_dir, "scan_summary.json")
-    _dump_json(spath, summary)
-    _dump_json(os.path.join(out_dir, "report.json"),
-               _report_record("scan-nodeless", config, [cpath, spath],
-                              summary["internally_consistent"]))
-    return 0
+    files = {"scan.csv": [_SCAN_HEADER] + [_cell_csv(c) for c in cells],
+             "scan_summary.json": _json(summary)}
+    return files, summary["internally_consistent"]
 
 
-def cmd_partner(config: RunConfig, out_dir: str, tol: float) -> int:
+def cmd_partner(config: RunConfig, args) -> tuple:
     from . import darboux, geometry, verify
 
     kind, m = config.partner_params()
@@ -327,30 +318,22 @@ def cmd_partner(config: RunConfig, out_dir: str, tol: float) -> int:
     if kind == "d":
         seed = spectral.aeh_solution(config.spec, "d", m)
     else:
-        if m != 0:
-            raise ConfigError("type-c partner supports only m=0 (ground-state erasure)")
         seed = spectral.bound_state(spectrum, 0)
     expected = darboux.partner_levels(parent, seed)
     vmap = verify.oracle_map(config.spec, expected or parent, config.x_max, config.n)
     v_parent, v_partner = darboux.partner_potential(config.spec, seed, vmap)
     columns = [vmap.x_grid, v_parent.tolist(), v_partner.tolist()]
     geometry.require_finite("potential", columns[1:])
-    cpath = os.path.join(out_dir, "partner.csv")
-    _write_csv(cpath, "x,V_parent,V_partner", columns)
-    outputs = [cpath]
+    files = {"partner.csv": _csv("x,V_parent,V_partner", columns)}
     passed = True
     if expected:
-        report = verify.verify_partner_levels(vmap, v_partner, expected, tol=tol)
-        rpath = os.path.join(out_dir, "partner_verify.json")
-        _dump_json(rpath, _check_record(report, "expected"))
-        outputs.append(rpath)
+        report = verify.verify_partner_levels(vmap, v_partner, expected, tol=args.tol)
+        files["partner_verify.json"] = _json(_check_record(report, "expected"))
         passed = report.passed
-    _dump_json(os.path.join(out_dir, "report.json"),
-               _report_record("partner", config, outputs, passed))
-    return 0 if passed else 1
+    return files, passed
 
 
-def cmd_identities(config: RunConfig, out_dir: str, tol: float) -> int:
+def cmd_identities(config: RunConfig, args) -> tuple:
     from .routh import ode_residual, routh_polynomial, routh_rodrigues
 
     spec = config.spec
@@ -383,13 +366,18 @@ def cmd_identities(config: RunConfig, out_dir: str, tol: float) -> int:
         + list(quartic_res.values()),
         default=0.0,
     )
-    passed = bool(poly_ok and worst < max(tol, 1e-9))
+    passed = bool(poly_ok and worst < max(args.tol, 1e-9))
     payload["passed"] = passed
-    ipath = os.path.join(out_dir, "identities.json")
-    _dump_json(ipath, payload)
-    _dump_json(os.path.join(out_dir, "report.json"),
-               _report_record("identities", config, [ipath], passed))
-    return 0 if passed else 1
+    return {"identities.json": _json(payload)}, passed
+
+
+COMMANDS = {
+    "spectrum": cmd_spectrum,
+    "verify": cmd_verify,
+    "scan-nodeless": cmd_scan_nodeless,
+    "partner": cmd_partner,
+    "identities": cmd_identities,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         "verified against a finite-difference oracle (units: hbar = 2m = 1).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("spectrum", "verify", "scan-nodeless", "partner", "identities"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--out", default=".", help="output directory")
@@ -421,33 +409,40 @@ def main(argv=None) -> int:
         _require(args.workers >= 1, "--workers must be at least 1, got %d" % args.workers)
         config = load_config(args.config)
         os.makedirs(args.out, exist_ok=True)
-        if args.command == "scan-nodeless":
-            return cmd_scan_nodeless(config, args.out, args.workers)
-        if args.command == "identities":
-            return cmd_identities(config, args.out, args.tol)
-        if args.command == "spectrum":
-            return cmd_spectrum(config, args.out)
-        # The oracle commands run without numpy's floating-point warnings:
-        # require_finite or the oracle rejects every non-finite array they
-        # keep, so an overflow is reported once, as a typed error.
-        import numpy as np
+        quiet = contextlib.nullcontext()
+        if args.command in ("verify", "partner"):
+            # The oracle commands run without numpy's floating-point warnings:
+            # require_finite or the oracle rejects every non-finite array they
+            # keep, so an overflow is reported once, as a typed error.
+            import numpy as np
 
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            if args.command == "verify":
-                return cmd_verify(config, args.out, args.tol)
-            if args.command == "partner":
-                return cmd_partner(config, args.out, args.tol)
-        raise ConfigError("unknown command %r" % args.command)
+            quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
+        with quiet:
+            files, passed = COMMANDS[args.command](config, args)
     except (SpectraError, OverflowError) as exc:
-        # an exact quantity beyond the double range (OverflowError) is a numeric failure;
-        # samples that are not finite on a grid the config chose are that grid's fault
-        if isinstance(exc, NonFiniteSamples) and (config.x_max, config.n) != (None, None):
+        # an exact quantity beyond the double range (OverflowError) is a numeric
+        # failure; samples that are not finite, or a potential that has not
+        # decayed, on a grid the config chose are that grid's fault
+        if (isinstance(exc, (NonFiniteSamples, InsufficientDecay))
+                and (config.x_max, config.n) != (None, None)):
             exc = ConfigError("grid x_max=%s, n=%s: %s" % (config.x_max, config.n, exc))
         if isinstance(exc, ConfigError):
             print("config error: %s" % exc, file=sys.stderr)
             return 2
         print("numeric failure: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 3
+    # Nothing is written before the command returns, so a failed command
+    # leaves no file; each file appears only when complete.
+    digest = sha256(json.dumps(config.raw, sort_keys=True).encode("utf-8")).hexdigest()
+    report = {"command": args.command, "inputs_digest": digest, "outputs": sorted(files),
+              "passed": passed, "pinned_convention": spectral.pinned_convention()}
+    files["report.json"] = _json(report)
+    for name, chunks in files.items():
+        path = os.path.join(args.out, name)
+        with open(path + ".tmp", "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(path + ".tmp", path)
+    return 0 if passed else 1
 
 
 if __name__ == "__main__":

@@ -32,7 +32,7 @@ import math
 import operator
 
 from .errors import NonFiniteSamples, StepFailure
-from .spectral import ClosedForm, PotentialSpec, TangentPolySpec
+from .spectral import ClosedForm, PotentialSpec, TangentPolySpec, linspace
 
 
 # ---------------------------------------------------------------------------
@@ -104,12 +104,12 @@ class VariableMap:
 
     Anchored at eta(0) = 0.  x(eta) is the closed form :func:`liouville_x`
     and eta(x) its Newton inverse (:func:`_inverse`), defined on the whole
-    line.  ``x_grid`` is the uniform grid of spacing ``dx``, taken as
-    ``i * dx - x_max`` with the last point set to ``x_max``, which is how
-    ``numpy.linspace`` computes it; ``eta_grid`` is the table of eta on it and
-    must come out strictly increasing.  Both are lists of floats.  The tangent
-    polynomial is symmetric, so the map is odd.  The tests check both
-    directions against an independent ODE solve and quadrature.
+    line.  ``x_grid`` is the uniform grid of spacing ``dx`` from -x_max to
+    x_max, :func:`spectral.linspace`, which is ``numpy.linspace`` bit for bit;
+    ``eta_grid`` is the table of eta on it and must come out strictly
+    increasing.  Both are lists of floats.  The tangent polynomial is
+    symmetric, so the map is odd.  The tests check both directions against an
+    independent ODE solve and quadrature.
     """
 
     def __init__(self, tp: TangentPolySpec, x_max: float, n_points: int):
@@ -121,8 +121,7 @@ class VariableMap:
         self.x_max = float(x_max)
         self.n_points = int(n_points)
         self.dx = (self.x_max + self.x_max) / (self.n_points - 1)
-        self.x_grid = [i * self.dx - self.x_max for i in range(self.n_points)]
-        self.x_grid[-1] = self.x_max
+        self.x_grid = linspace(-self.x_max, self.x_max, self.n_points)
         self.eta_grid = self._eta_table()
         if not all(map(operator.lt, self.eta_grid, self.eta_grid[1:])):
             raise StepFailure("variable map table is not strictly increasing")

@@ -198,23 +198,6 @@ class Spectrum(NamedTuple):
     def energies(self) -> list:
         return [s.energy for s in self.states]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "states": [
-                {
-                    "n": s.n,
-                    "energy": s.energy,
-                    "lambda": [s.lam.real, s.lam.imag],
-                    "nodes": s.nodes,
-                }
-                for s in self.states
-            ],
-            "n_max_constructive": self.n_max_constructive,
-            "n_max_formula": self.n_max_formula,
-            "formula_consistent": self.formula_consistent,
-            "notes": list(self.notes),
-        }
-
 
 # ---------------------------------------------------------------------------
 # branch and quartic
@@ -513,7 +496,7 @@ def _scan_cell(a_g: float, b_g: float, m: int) -> ScanCell:
     )
 
 
-def _scan_axis(start, stop, num: int) -> list:
+def linspace(start, stop, num: int) -> list:
     """``num`` >= 2 floats from ``start`` to ``stop``, equal to
     ``np.linspace(start, stop, num)`` bit for bit: i*step + start with the
     last value set to ``stop``, and (i/(num-1))*delta + start when the step
@@ -542,7 +525,7 @@ def nodeless_scan(a_range, b_range, m: int, na: int = 16, nb: int = 16, workers:
     depend on ``workers``, which is capped at the CPU and cell counts: the
     pool forks all its workers at once.
     """
-    tasks = [(a, b, m) for a in _scan_axis(*a_range, na) for b in _scan_axis(*b_range, nb)]
+    tasks = [(a, b, m) for a in linspace(*a_range, na) for b in linspace(*b_range, nb)]
     workers = min(workers, os.cpu_count() or 1, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor

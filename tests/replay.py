@@ -24,9 +24,10 @@ reported with where it first differs, and makes the exit status 1.
 
 The configs are the seed-1001 commands of the three benchmark workloads
 (``perfbench/workloads.py``, imported read-only), plus cases the benchmark
-does not draw: a user grid too wide for doubles, Milson kappa far from 1, a
-type-c (ground-state erasure) partner, and a real h0, whose quartic has a
-double root at lambda = 0 (the repeated-root path of root isolation).
+does not draw: a user grid too wide for doubles, a user grid too narrow for
+the potential to decay (a config error that leaves no file), Milson kappa far
+from 1, a type-c (ground-state erasure) partner, and a real h0, whose quartic
+has a double root at lambda = 0 (the repeated-root path of root isolation).
 pytest does not collect this file.
 """
 
@@ -54,6 +55,9 @@ EXTRA = {
     "wide-grid": ({"potential": GEN, "grid": {"x_max": 400.0},
                    "partner": {"kind": "d", "m": 0}},
                   ("spectrum", "verify", "partner")),
+    "narrow-grid": ({"potential": {"gendenshtein": {"a": 3.3, "b": 0.7}},
+                     "grid": {"x_max": 3.0, "n": 1024}, "partner": {"kind": "d", "m": 0}},
+                    ("verify", "partner")),
     "type-c-partner": ({"potential": GEN, "partner": {"kind": "c", "m": 0}}, ("partner",)),
     "type-c-partner-deep": ({"potential": {"gendenshtein": {"a": 16.2, "b": 0.7}},
                              "partner": {"kind": "c", "m": 0}}, ("partner",)),

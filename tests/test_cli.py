@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import rrspectra
-from rrspectra import cli, geometry, verify
+from rrspectra import cli, geometry, spectral, verify
 from rrspectra.cli import main
 
 
@@ -31,6 +31,9 @@ def assert_one_config_error(err, what):
 
 GEN = {"potential": {"gendenshtein": {"a": 2.5, "b": 0.5}}}
 MILSON = {"potential": {"milson": {"h0_re": 7.75, "h0_im": 3.0, "kappa_plus": 2.0}}}
+# a grid on which this potential has not decayed at x = +-3
+NARROW = {"potential": {"gendenshtein": {"a": 3.3, "b": 0.7}}, "grid": {"x_max": 3.0, "n": 1024},
+          "partner": {"kind": "d", "m": 0}}
 
 
 class TestSpectrumCommand:
@@ -249,6 +252,15 @@ class TestScanCommand:
         assert main(["scan-nodeless", "--config", cfg, "--out", out, "--workers", "100000"]) == 0
         assert sizes == ([] if pool_size is None else [pool_size])
 
+    def test_inconsistent_cell_fails_the_scan(self, tmp_path, monkeypatch):
+        # a theorem count that contradicts every exact count is a failed check
+        monkeypatch.setattr(spectral, "theorem_root_count", lambda m, index: m + 1)
+        cfg = write_config(tmp_path, self.SCAN_2X2)
+        out = tmp_path / "o"
+        assert main(["scan-nodeless", "--config", cfg, "--out", str(out)]) == 1
+        assert json.loads((out / "scan_summary.json").read_text())["internally_consistent"] is False
+        assert json.loads((out / "report.json").read_text())["passed"] is False
+
     def test_malformed_range(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -371,7 +383,21 @@ class TestPartnerCommand:
             tmp_path,
             {"potential": {"gendenshtein": {"a": 2.5, "b": 0.5}}, "partner": {"kind": "d", "m": 1}},
         )
-        assert main(["partner", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
+        out = tmp_path / "o"
+        assert main(["partner", "--config", cfg, "--out", str(out)]) == 3
+        assert os.listdir(out) == []
+
+    def test_excited_erasure_is_refused_before_the_spectrum(self, tmp_path, monkeypatch, capsys):
+        def no_spectrum(spec):
+            raise AssertionError("the partner block is checked before any level is solved")
+
+        monkeypatch.setattr(spectral, "enumerate_bound_spectrum", no_spectrum)
+        cfg = write_config(tmp_path, {**GEN, "partner": {"kind": "c", "m": 1}})
+        out = tmp_path / "o"
+        assert main(["partner", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: type-c partner supports only m=0 (ground-state erasure)\n"
+        assert os.listdir(out) == []
 
     def test_noded_seed_builds_no_grid(self, tmp_path, monkeypatch, capsys):
         def no_map(*args):
@@ -499,7 +525,7 @@ class TestConfigErrors:
         assert "eta samples overflow" in capsys.readouterr().err
         assert os.listdir(out) == []
 
-    @pytest.mark.parametrize("command", ["spectrum", "verify", "identities"])
+    @pytest.mark.parametrize("command", ["spectrum", "verify", "identities", "partner"])
     @pytest.mark.parametrize("milson", [
         # a Routh coefficient of level 23 is beyond the double range, which
         # ends the walk through the 1e15 levels of this well
@@ -509,7 +535,8 @@ class TestConfigErrors:
         {"h0_re": 1e300, "h0_im": 1e300, "kappa_plus": 2.0},
     ])
     def test_exact_overflow_is_numeric_failure(self, tmp_path, capsys, command, milson):
-        cfg = write_config(tmp_path, {"potential": {"milson": milson}})
+        cfg = write_config(tmp_path, {"potential": {"milson": milson},
+                                      "partner": {"kind": "d", "m": 0}})
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out", str(out)]) == 3
         err = capsys.readouterr().err
@@ -557,6 +584,55 @@ class TestConfigErrors:
         assert record["pinned_convention"]["shift"] == 1
         assert record["command"] == "spectrum"
         assert record["inputs_digest"]
+
+
+class TestOutputContract:
+    """A command computes everything before ``main`` writes a file: one that
+    raises leaves ``--out`` empty, and ``report.json`` lists every other file."""
+
+    @pytest.mark.parametrize("command", ["verify", "partner"])
+    def test_undecayed_user_grid_is_config_error(self, tmp_path, capsys, command):
+        # partner used to write partner.csv before the oracle exited 3
+        cfg = write_config(tmp_path, NARROW)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: grid x_max=3.0, n=1024: potential ends at "), err
+        assert err.count("\n") == 1, err
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("command", ["verify", "partner"])
+    def test_undecayed_default_grid_is_numeric_failure(self, tmp_path, monkeypatch, capsys,
+                                                       command):
+        # the same grid, chosen by the oracle's rule and not by the config
+        def narrow(spec, energies, x_max=None, n=None):
+            return geometry.VariableMap(spec.tp, 3.0, 1024)
+
+        monkeypatch.setattr(verify, "oracle_map", narrow)
+        cfg = write_config(tmp_path, {key: NARROW[key] for key in ("potential", "partner")})
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("numeric failure: InsufficientDecay: ")
+        assert os.listdir(out) == []
+
+    SCAN_AND_PARTNER = {**GEN, "partner": {"kind": "d", "m": 0}, "scan": {
+        "a_range": [2.0, 3.0], "b_range": [0.0, 1.0], "na": 2, "nb": 2, "m": 2}}
+
+    @pytest.mark.parametrize("command, tol, code", [
+        ("spectrum", "1e-3", 0), ("verify", "1e-3", 0), ("scan-nodeless", "1e-3", 0),
+        ("partner", "1e-3", 0), ("identities", "1e-3", 0),
+        # a failed check still writes its files
+        ("verify", "1e-13", 1), ("partner", "1e-13", 1),
+    ])
+    def test_report_lists_every_output(self, tmp_path, command, tol, code):
+        cfg = write_config(tmp_path, self.SCAN_AND_PARTNER)
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out), "--tol", tol]) == code
+        record = json.loads((out / "report.json").read_text())
+        names = sorted(os.listdir(out))
+        assert "report.json" in names and len(names) >= 2
+        assert record["outputs"] == [name for name in names if name != "report.json"]
+        assert record["command"] == command and record["passed"] is (code == 0)
 
 
 def run_python(code: str) -> None:

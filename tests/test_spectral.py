@@ -6,16 +6,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from rrspectra.cli import _spectrum_record
 from rrspectra.errors import BranchUndefined, NoSuchRoot
 from rrspectra.geometry import PotentialSpec, TangentPolySpec, sampled
 from rrspectra.routh import ComplexIndex, real_roots, routh_polynomial
 from rrspectra.spectral import (
-    _scan_axis,
     aeh_solution,
     bound_state,
     enumerate_bound_spectrum,
     gendenshtein_params,
     lambda_of_energy,
+    linspace,
     milson_sigma_rho,
     nodeless_scan,
     normalized,
@@ -116,7 +117,7 @@ class TestEnumeration:
             assert enumerate_bound_spectrum(spec).n_max_constructive == expected
 
     def test_json_shape(self, gspec):
-        d = enumerate_bound_spectrum(gspec).to_json_dict()
+        d = _spectrum_record(enumerate_bound_spectrum(gspec))
         assert [s["nodes"] for s in d["states"]] == [0, 1, 2]
         assert set(d) >= {"states", "n_max_constructive", "n_max_formula", "formula_consistent"}
 
@@ -366,7 +367,7 @@ class TestNodelessScan:
             stop = start + float(rng.choice([0.0, rng.uniform(0.0, 1e-9), rng.uniform(0.0, 60.0)]))
             cases.append((start, stop, int(rng.integers(2, 65))))
         for start, stop, num in cases:
-            got = np.array(_scan_axis(start, stop, num))
+            got = np.array(linspace(start, stop, num))
             assert got.tobytes() == np.linspace(start, stop, num).tobytes(), (start, stop, num)
 
 
