@@ -3,11 +3,10 @@ with Romanovski-Routh polynomial machinery, Darboux partners, and an
 independent finite-difference verification oracle.
 
 Import the submodules themselves (``rrspectra.spectral``, ``rrspectra.routh``,
-...): the package imports none of them, so the exact layer (``spectral``,
-``routh``) loads without numpy."""
+...): the package imports none of them.  No module loads numpy."""
 
-# The oracle's eigenvalue backend: a numpy sine-basis Rayleigh-Ritz solve
-# certified by Sturm counts.
-KERNEL_BACKEND = "numpy"
+# The oracle's eigenvalue backend: certified Sturm counts with Newton and
+# Laguerre steps on the tridiagonal Hamiltonian, in plain Python.
+KERNEL_BACKEND = "python"
 
 __version__ = "0.1.0"

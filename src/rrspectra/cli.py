@@ -21,21 +21,22 @@ the exit code.  A command that raises writes no file.
 Exit codes: 0 success, 1 verification failure (its files are written), 2
 config error (a bad config, a ``--tol`` that is negative or not finite, a
 ``--workers`` below 1, or a grid the config set that cannot be sampled or on
-which the potential has not decayed), 3 numeric failure.  Identical configs
-produce byte-identical outputs.
+which the potential has not decayed) or output error (an ``--out`` that
+cannot be made or written), 3 numeric failure.  Identical configs produce
+byte-identical outputs.
 
 Every command is a fresh process, so its imports are part of its cost.
 ``identities`` and ``scan-nodeless`` run on the exact layer alone, and
-``spectrum`` adds :mod:`geometry`, which samples in plain floats; only
-``verify`` and ``partner``, which call the oracle, load numpy.  The config
-digest in ``report.json`` comes from the interpreter's built-in SHA-256, so
-no command loads OpenSSL through ``hashlib``.
+``spectrum`` adds :mod:`geometry`, which samples in plain floats, and
+``verify`` and ``partner`` add the oracle, in plain Python too: no command
+loads numpy.  The config digest in ``report.json`` comes from the
+interpreter's built-in SHA-256, so no command loads OpenSSL through
+``hashlib``.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import itertools
 import json
 import math
@@ -230,7 +231,7 @@ def _check_record(report, analytic_key: str, **extra) -> dict:
 # identities and scan-nodeless are exact and run on spectral and routh alone;
 # the commands that sample import the float layer when they run: spectrum
 # needs geometry alone, and verify and partner add the oracle (verify,
-# darboux, and through them numpy).
+# darboux and oracle).
 
 def _default_map(config: RunConfig):
     """The eigenfunction map of ``spectrum``: the config's grid, or 4,096
@@ -322,7 +323,7 @@ def cmd_partner(config: RunConfig, args) -> tuple:
     expected = darboux.partner_levels(parent, seed)
     vmap = verify.oracle_map(config.spec, expected or parent, config.x_max, config.n)
     v_parent, v_partner = darboux.partner_potential(config.spec, seed, vmap)
-    columns = [vmap.x_grid, v_parent.tolist(), v_partner.tolist()]
+    columns = [vmap.x_grid, v_parent, v_partner]
     geometry.require_finite("potential", columns[1:])
     files = {"partner.csv": _csv("x,V_parent,V_partner", columns)}
     passed = True
@@ -400,6 +401,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _output_error(exc: OSError) -> int:
+    """An ``--out`` that cannot be made or written: one line and exit 2, the
+    code argparse uses for a bad argument."""
+    print("output error: %s" % exc, file=sys.stderr)
+    return 2
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -408,17 +416,11 @@ def main(argv=None) -> int:
                  "--tol must be a finite number >= 0, got %r" % args.tol)
         _require(args.workers >= 1, "--workers must be at least 1, got %d" % args.workers)
         config = load_config(args.config)
-        os.makedirs(args.out, exist_ok=True)
-        quiet = contextlib.nullcontext()
-        if args.command in ("verify", "partner"):
-            # The oracle commands run without numpy's floating-point warnings:
-            # require_finite or the oracle rejects every non-finite array they
-            # keep, so an overflow is reported once, as a typed error.
-            import numpy as np
-
-            quiet = np.errstate(over="ignore", invalid="ignore", divide="ignore")
-        with quiet:
-            files, passed = COMMANDS[args.command](config, args)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            return _output_error(exc)
+        files, passed = COMMANDS[args.command](config, args)
     except (SpectraError, OverflowError) as exc:
         # an exact quantity beyond the double range (OverflowError) is a numeric
         # failure; samples that are not finite, or a potential that has not
@@ -437,11 +439,14 @@ def main(argv=None) -> int:
     report = {"command": args.command, "inputs_digest": digest, "outputs": sorted(files),
               "passed": passed, "pinned_convention": spectral.pinned_convention()}
     files["report.json"] = _json(report)
-    for name, chunks in files.items():
-        path = os.path.join(args.out, name)
-        with open(path + ".tmp", "w", encoding="utf-8") as fh:
-            fh.writelines(chunks)
-        os.replace(path + ".tmp", path)
+    try:
+        for name, chunks in files.items():
+            path = os.path.join(args.out, name)
+            with open(path + ".tmp", "w", encoding="utf-8") as fh:
+                fh.writelines(chunks)
+            os.replace(path + ".tmp", path)
+    except OSError as exc:
+        return _output_error(exc)
     return 0 if passed else 1
 
 

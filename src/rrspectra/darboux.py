@@ -20,13 +20,12 @@ approximation: a closed form solves the canonical equation by construction,
 and the Liouville transformation in the derived convention turns that into
 -ff'' + V ff = e_f ff with the same V that :func:`geometry.potential_of_eta`
 samples.  Finite differences appear only in tests.  The partner comes back
-as numpy arrays on the map's own grid, ``vmap.x_grid``, ready for the oracle:
-the eta table is converted once and V and w are evaluated on all of it at once.
+as two lists of floats on the map's own grid, ``vmap.x_grid``, ready for the
+oracle: V and w are sampled point by point on the eta table, each closed
+form's coefficients taken once.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from . import geometry
 from .errors import NodeDetected
@@ -56,7 +55,7 @@ def partner_potential(spec: PotentialSpec, seed: ClosedForm, vmap: VariableMap) 
     never its values, which underflow to 0.0 in the tails of deep wells."""
     if seed.nodes:
         raise NodeDetected(_NODED)
-    etas = np.array(vmap.eta_grid)
-    v_parent = geometry.potential_of_eta(spec, etas)
-    w = geometry.log_derivative(spec.tp, seed, etas)
-    return v_parent, 2.0 * seed.energy + 2.0 * w * w - v_parent
+    v_parent = geometry.on_grid(geometry.potential(spec), vmap.eta_grid)
+    w = geometry.on_grid(geometry.log_derivative(spec.tp, seed), vmap.eta_grid)
+    e_s = seed.energy
+    return v_parent, [2.0 * e_s + 2.0 * wi * wi - vi for wi, vi in zip(w, v_parent)]

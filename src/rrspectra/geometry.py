@@ -14,16 +14,20 @@ eta(x) = sinh x.
 
 The spec records and the closed-form record :class:`~spectral.ClosedForm`
 come from :mod:`spectral`, which is exact; this module is where they meet
-floats, and it imports no numpy either, so ``spectrum`` loads none.  A
+floats, in plain floats with :mod:`math` and without numpy.  A
 :class:`VariableMap` holds the one uniform x grid (and its spacing ``dx``)
-that every sampled array lives on, and the eta table on it, as lists of
+that every sampled list lives on, and the eta table on it, as lists of
 floats.  :func:`liouville_x`, the map's Newton inverse (:func:`_inverse`) and
-:func:`sampled`, which samples eigenfunctions, work on floats with
-:mod:`math`.  The closed forms built from arithmetic alone
+:func:`sampled`, which samples eigenfunctions, work on floats.
+:func:`potential` and :func:`log_derivative` return the potential and the
+log-derivative of a closed form as functions of eta, with their constants
+and coefficient lists taken once, and :func:`on_grid` samples such a
+function on the eta table for :mod:`verify` and :mod:`darboux`, which feed
+the oracle.  The closed forms built from arithmetic alone
 (:func:`tangent_eval`, :func:`eta_prime`, :func:`schwarzian_eval`,
-:func:`potential_of_eta` and :func:`log_derivative`) take a float or a numpy
-array through the same code, so :mod:`verify` and :mod:`darboux`, which feed
-the oracle, evaluate the potential and the partner on the whole grid at once.
+:func:`potential_of_eta` and the functions that :func:`potential` and
+:func:`log_derivative` return) also take a numpy array through the same
+code, which the tests use.
 """
 
 from __future__ import annotations
@@ -221,12 +225,27 @@ def schwarzian_eval(tp: TangentPolySpec, eta):
     return ((1.0 - e2) / (e2 + kap) - ratio * ratio * bracket) / tp.a
 
 
+def potential(spec: PotentialSpec):
+    """The Liouville potential (symmetric family) as a function of eta, a
+    float or an array, its constants taken once:
+
+        V = -(4 h0_re - 4 h0_im eta + eta^2 + 1) / (4T) - {eta, x}/2.
+    """
+    c_re, c_im = 4.0 * spec.h0.real, 4.0 * spec.h0.imag
+    tp, kap, a4 = spec.tp, spec.tp.kappa_plus, 4.0 * spec.tp.a
+
+    def v_of(eta):
+        e2 = eta * eta
+        num = c_re - c_im * eta + e2 + 1.0
+        # num / (4T), divided by eta^2 + kappa first: 4T overflows before eta^2 does
+        return -num / (e2 + kap) / a4 - 0.5 * schwarzian_eval(tp, eta)
+    return v_of
+
+
 def potential_of_eta(spec: PotentialSpec, eta):
-    """The Liouville potential expressed through eta (symmetric family)."""
-    e2 = eta * eta
-    num = 4.0 * spec.h0.real - 4.0 * spec.h0.imag * eta + e2 + 1.0
-    # num / (4T), divided by eta^2 + kappa first: 4T overflows before eta^2 does
-    return -num / (e2 + spec.tp.kappa_plus) / (4.0 * spec.tp.a) - 0.5 * schwarzian_eval(spec.tp, eta)
+    """The Liouville potential expressed through eta: :func:`potential` at a
+    float or an array."""
+    return potential(spec)(eta)
 
 
 def choose_x_max(spec: PotentialSpec) -> float:
@@ -261,8 +280,9 @@ def _horner(coeffs: list, eta):
     return out
 
 
-def log_derivative(tp: TangentPolySpec, solution: ClosedForm, eta):
-    """w = psi'/psi for psi = (eta')^(-1/2) Phi(eta(x)), expressed through eta:
+def log_derivative(tp: TangentPolySpec, solution: ClosedForm):
+    """w = psi'/psi for psi = (eta')^(-1/2) Phi(eta(x)) as a function of eta,
+    a float or an array, the coefficient lists of R and R' taken once:
 
         w = eta' [u + R'/R - (ln eta')'/2],
 
@@ -270,11 +290,28 @@ def log_derivative(tp: TangentPolySpec, solution: ClosedForm, eta):
     (ln eta')' = 2eta/(1+eta^2) - eta/(eta^2+kappa), both d/deta.  R' comes
     from the exact coefficients, never from finite differences.
     """
-    e2 = eta * eta
-    u = (2.0 * solution.power * eta + solution.atan_coeff) / (1.0 + e2)
-    r1 = _horner(_descending(solution, 1), eta) / _horner(_descending(solution, 0), eta)
-    dlog_slope = 2.0 * eta / (1.0 + e2) - eta / (e2 + tp.kappa_plus)
-    return eta_prime(tp, eta) * (u + r1 - 0.5 * dlog_slope)
+    r0, r1 = _descending(solution, 0), _descending(solution, 1)
+    two_p, q, kap = 2.0 * solution.power, solution.atan_coeff, tp.kappa_plus
+
+    def w_of(eta):
+        e2 = eta * eta
+        u = (two_p * eta + q) / (1.0 + e2)
+        dlog_slope = 2.0 * eta / (1.0 + e2) - eta / (e2 + kap)
+        return eta_prime(tp, eta) * (u + _horner(r1, eta) / _horner(r0, eta) - 0.5 * dlog_slope)
+    return w_of
+
+
+def on_grid(f, etas) -> list:
+    """``f`` at each float of ``etas``, as a list.  A sample whose float
+    arithmetic overflows or divides by zero is NaN, as it would be in IEEE
+    arithmetic, for the oracle or :func:`require_finite` to count."""
+    out = []
+    for eta in etas:
+        try:
+            out.append(f(eta))
+        except ArithmeticError:
+            out.append(math.nan)
+    return out
 
 
 def sampled(solutions, vmap: VariableMap) -> list:

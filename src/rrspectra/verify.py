@@ -4,16 +4,15 @@ Shared by the command-line front end and the acceptance suite.  The bound
 spectrum and Darboux partners share one grid rule, :func:`oracle_map`, one
 oracle, :func:`oracle.lowest_levels`, and one comparison, which gives a
 :class:`LevelCheck` per level and one pass rule.  The oracle sees the sampled
-potential array and the map's spacing alone (no analytic seeding), so the
-comparison stays independent of the result it checks.
+potential, a list of floats, and the map's spacing alone (no analytic
+seeding), so the comparison stays independent of the result it checks.
+Nothing here loads numpy.
 """
 
 from __future__ import annotations
 
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from . import geometry, oracle
 from .geometry import VariableMap
@@ -88,7 +87,7 @@ def verify_spectrum(spec: PotentialSpec, tol: float = 1e-3, x_max=None, n=None) 
     if not spectrum.states:
         return LevelReport(levels=(), n_expected=0, tol=tol), spectrum
     vmap = oracle_map(spec, spectrum.energies, x_max, n)
-    values = geometry.potential_of_eta(spec, np.array(vmap.eta_grid))
+    values = geometry.on_grid(geometry.potential(spec), vmap.eta_grid)
     report = _compare(values, vmap.dx, spectrum.energies, [s.nodes for s in spectrum.states], tol)
     return report, spectrum
 

@@ -22,7 +22,7 @@ def write_config(tmp_path, payload, name="cfg.json"):
 
 def assert_one_config_error(err, what):
     """``err`` is exactly one line, the config error for non-finite ``what``
-    samples: numpy prints no warning of its own before it."""
+    samples: no warning is printed before it."""
     lines = err.splitlines()
     assert len(lines) == 1 and err.endswith("\n"), err
     assert lines[0].startswith("config error: grid x_max=400.0, n=None: "), err
@@ -618,6 +618,29 @@ class TestOutputContract:
     SCAN_AND_PARTNER = {**GEN, "partner": {"kind": "d", "m": 0}, "scan": {
         "a_range": [2.0, 3.0], "b_range": [0.0, 1.0], "na": 2, "nb": 2, "m": 2}}
 
+    @pytest.mark.parametrize("under", [False, True])
+    def test_unusable_out_is_output_error(self, tmp_path, capsys, under):
+        # --out naming a regular file, or a directory under one, cannot be
+        # made: one line and exit 2, as argparse gives for a bad argument
+        cfg = write_config(tmp_path, GEN)
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / "sub" if under else afile
+        assert main(["identities", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1, err
+        assert str(afile) in err
+        assert afile.read_text() == "kept\n"
+
+    def test_unwritable_output_is_output_error(self, tmp_path, capsys):
+        # a directory in the place of an output file fails the writer
+        cfg = write_config(tmp_path, GEN)
+        out = tmp_path / "o"
+        (out / "identities.json").mkdir(parents=True)
+        assert main(["identities", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1, err
+
     @pytest.mark.parametrize("command, tol, code", [
         ("spectrum", "1e-3", 0), ("verify", "1e-3", 0), ("scan-nodeless", "1e-3", 0),
         ("partner", "1e-3", 0), ("identities", "1e-3", 0),
@@ -644,7 +667,7 @@ def run_python(code: str) -> None:
 
 def test_startup_does_not_import_scipy(tmp_path):
     # spectrum, identities and scan-nodeless are closed form end to end, the
-    # oracle behind verify and partner is numpy only, and Cauchy-beta moments
+    # oracle behind verify and partner is plain Python, and Cauchy-beta moments
     # are exact sums, so neither any command nor any module of the
     # package loads scipy; records are NamedTuples and polynomials are
     # evaluated by Horner's rule, so no command loads dataclasses or
@@ -681,14 +704,19 @@ def test_startup_does_not_import_scipy(tmp_path):
     run_python(code)
 
 
-def test_exact_commands_do_not_import_numpy(tmp_path):
+def test_no_command_imports_numpy(tmp_path):
     # identities and scan-nodeless decide their claims in rationals through
-    # spectral and routh, and spectrum samples its closed forms in plain
-    # floats; only the commands that call the oracle load numpy
+    # spectral and routh, spectrum samples its closed forms in plain floats,
+    # and the oracle behind verify and partner runs in plain Python too
     calls = [[command, "--config", write_config(tmp_path, payload, "%s.json" % name),
               "--out", str(tmp_path / (command + name))]
-             for command in ("identities", "spectrum")
+             for command in ("identities", "spectrum", "verify")
              for name, payload in (("gen", GEN), ("mil", MILSON))]
+    for kind in ("c", "d"):
+        for name, payload in (("gen", GEN), ("mil", MILSON)):
+            part = {**payload, "partner": {"kind": kind, "m": 0}}
+            calls.append(["partner", "--config", write_config(tmp_path, part, "p%s%s.json" % (kind, name)),
+                          "--out", str(tmp_path / ("partner%s%s" % (kind, name)))])
     for m in (2, 4):
         scan = write_config(tmp_path, {**GEN, "scan": {"a_range": [2, 3], "b_range": [0, 1],
                                                        "na": 3, "nb": 3, "m": m}}, "scan%d.json" % m)
@@ -696,11 +724,17 @@ def test_exact_commands_do_not_import_numpy(tmp_path):
     run_python(
         "import sys; from rrspectra.cli import main\n"
         "for argv in %r: assert main(argv) == 0, argv\n"
+        "import importlib, pkgutil, rrspectra\n"
+        "for mod in pkgutil.iter_modules(rrspectra.__path__): importlib.import_module('rrspectra.' + mod.name)\n"
         "assert 'numpy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('numpy'))\n"
         % (calls,)
     )
     assert (tmp_path / "scan4" / "scan.csv").read_text().count("\n") == 10
     assert (tmp_path / "spectrummil" / "eigenfunctions.csv").read_text().count("\n") == 4097
+    for kind in ("c", "d"):
+        for name in ("gen", "mil"):
+            out = tmp_path / ("partner%s%s" % (kind, name))
+            assert json.loads((out / "partner_verify.json").read_text())["passed"] is True
 
 
 def test_oracle_outputs_keep_their_keys(tmp_path):

@@ -82,7 +82,7 @@ class TestPartnerPotential:
         etas = np.array([eta_of_x(vmap.tp, x) for x in xs])
         fd1 = np.array([(ln_ff(x + h) - ln_ff(x - h)) / (2 * h) for x in xs])
         fd2 = np.array([(ln_ff(x + h) - 2 * ln_ff(x) + ln_ff(x - h)) / h ** 2 for x in xs])
-        w = geometry.log_derivative(spec.tp, seed, etas)
+        w = geometry.log_derivative(spec.tp, seed)(etas)
         assert np.max(np.abs(fd1 - w)) < 1e-6
         riccati = geometry.potential_of_eta(spec, etas) - seed.energy - w * w
         assert np.max(np.abs(fd2 - riccati)) < 1e-6

@@ -250,8 +250,8 @@ class TestFloatsAndArrays:
             assert potential_of_eta(spec, etas).tolist() == [potential_of_eta(spec, e) for e in self.ETAS]
             assert schwarzian_eval(spec.tp, etas).tolist() == [schwarzian_eval(spec.tp, e) for e in self.ETAS]
             seed = aeh_solution(spec, "d", 2)
-            assert_allclose(log_derivative(spec.tp, seed, etas),
-                            [log_derivative(spec.tp, seed, e) for e in self.ETAS], rtol=1e-15)
+            assert_allclose(log_derivative(spec.tp, seed)(etas),
+                            [log_derivative(spec.tp, seed)(e) for e in self.ETAS], rtol=1e-15)
 
     def test_float_overflow_samples_nan(self, gspec):
         # in plain floats exp and ** raise OverflowError where numpy gave inf;

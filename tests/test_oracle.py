@@ -98,7 +98,7 @@ def partner_samples(spec):
     expected = darboux.partner_levels(spectral.enumerate_bound_spectrum(spec).energies, seed)
     vmap = oracle_map(spec, expected)
     _, v_partner = darboux.partner_potential(spec, seed, vmap)
-    return v_partner, vmap.dx, len(expected)
+    return np.asarray(v_partner), vmap.dx, len(expected)
 
 
 def harmonic_samples(n):
@@ -111,8 +111,11 @@ RITZ_CASES = {
     "harmonic-2049": lambda: harmonic_samples(2049),
     "gendenshtein-2.5-0.5": lambda: oracle_samples(gendenshtein_params(2.5, 0.5)),
     "gendenshtein-2.05-0": lambda: oracle_samples(gendenshtein_params(2.05, 0.0)),
-    # kappa = 0.05 gives a well about 0.1 wide that the sine basis cannot
-    # resolve, so its levels are finished by Sturm bisection
+    # deep wells: 17 and 31 levels
+    "gendenshtein-16.2-0.7": lambda: oracle_samples(gendenshtein_params(16.2, 0.7)),
+    "gendenshtein-30.3-0.7": lambda: oracle_samples(gendenshtein_params(30.3, 0.7)),
+    # kappa = 0.05 gives a well about 0.1 wide that the coarse grids do not
+    # resolve, so their levels are poor starting values for the finer grids
     "milson-kappa-0.05": lambda: oracle_samples(milson(complex(7.75, 3.0), 0.05)),
     "milson-kappa-20": lambda: oracle_samples(milson(complex(7.75, 3.0), 20.0)),
     "partner-7104": lambda: partner_samples(milson(complex(6.8592, 2.3552), 0.6319)),
@@ -124,6 +127,43 @@ def ritz_case(name):
     return RITZ_CASES[name]()
 
 
+@functools.lru_cache(maxsize=None)
+def chain_case(name):
+    """{step: (v, dx, count, starts, levels, bounds)}: each grid that
+    ``lowest_levels`` solves for the case ``name``, by its spacing in units
+    of the case's own."""
+    v, dx, count = ritz_case(name)
+    solved = {}
+    solve = oracle._dirichlet_levels
+
+    def record(v_g, dx_g, count_g, starts=()):
+        levels, bounds = solve(v_g, dx_g, count_g, starts)
+        solved[round(dx_g / dx)] = (np.asarray(v_g), dx_g, count_g, starts, levels, bounds)
+        return levels, bounds
+
+    oracle._dirichlet_levels = record
+    try:
+        estimates = lowest_levels(v, dx, count, require_decay=not name.startswith("harmonic"))
+    finally:
+        oracle._dirichlet_levels = solve
+    return estimates, solved
+
+
+class PassCounter:
+    """Counts the pivot passes of the oracle by kind while installed."""
+
+    def __init__(self, monkeypatch):
+        self.calls = {"_count": 0, "_newton_pass": 0, "_laguerre_pass": 0}
+        for name in self.calls:
+            monkeypatch.setattr(oracle, name, self._counted(name, getattr(oracle, name)))
+
+    def _counted(self, name, f):
+        def counted(*args):
+            self.calls[name] += 1
+            return f(*args)
+        return counted
+
+
 def h_norm(v, dx):
     return 4.0 / (dx * dx) + np.max(np.abs(v[1:-1]))
 
@@ -132,47 +172,68 @@ def agreement_tol(v, dx, ref):
     return np.maximum(1e-10 * np.abs(ref), 8.0 * sys.float_info.epsilon * h_norm(v, dx))
 
 
+def assert_matches_lapack(v, dx, count, levels, bounds):
+    ref = lapack_levels(v, dx, count)
+    gap = np.abs(np.asarray(levels) - ref)
+    assert len(levels) == count and np.all(gap <= agreement_tol(v, dx, ref))
+    # the certificate covers the gap, up to the reference's own roundoff
+    assert np.all(gap <= np.asarray(bounds) + 2.0 * sys.float_info.epsilon * h_norm(v, dx))
+
+
 class TestSineRitz:
-    """``_dirichlet_levels`` against LAPACK on the h, 2h and 4h grids."""
+    """``_dirichlet_levels`` against LAPACK on the h, 2h and 4h grids; the
+    class keeps the name of the sine-basis Ritz solve it replaced."""
 
     @pytest.mark.parametrize("step", [1, 2, 4])
     @pytest.mark.parametrize("name", sorted(RITZ_CASES))
     def test_matches_lapack(self, name, step):
+        # each grid as lowest_levels solves it, from the coarser grids' levels
+        v, dx, count, starts, levels, bounds = chain_case(name)[1][step]
+        assert_matches_lapack(v, dx, count, levels, bounds)
+
+    @pytest.mark.parametrize("step", [1, 2, 4])
+    @pytest.mark.parametrize("name", sorted(RITZ_CASES))
+    def test_fallback_alone_matches_lapack(self, monkeypatch, name, step):
+        # no starting values: every level by bisection and Laguerre steps
         v, dx, count = ritz_case(name)
         v, dx = v[::step], step * dx
-        levels, bounds = oracle._dirichlet_levels(v, dx, count)
-        ref = lapack_levels(v, dx, count)
-        assert np.all(np.abs(levels - ref) <= agreement_tol(v, dx, ref))
-        # the certificate covers the gap, up to the reference's own roundoff
-        assert np.all(np.abs(levels - ref) <= bounds + 2.0 * sys.float_info.epsilon * h_norm(v, dx))
+        passes = PassCounter(monkeypatch)
+        levels, bounds = oracle._dirichlet_levels(v.tolist(), dx, count)
+        assert passes.calls["_newton_pass"] == 0
+        assert_matches_lapack(v, dx, count, levels, bounds)
+
+    @pytest.mark.parametrize("name", sorted(RITZ_CASES))
+    def test_fast_path_costs_few_passes(self, monkeypatch, name):
+        # every level reached from its starting value takes at most 4 Newton
+        # passes and then exactly two certifying counts
+        passes = PassCounter(monkeypatch)
+        costs = []
+        newton = oracle._newton
+
+        def costed(*args):
+            before = dict(passes.calls)
+            level = newton(*args)
+            if level:
+                costs.append({k: passes.calls[k] - before[k] for k in before})
+            return level
+
+        monkeypatch.setattr(oracle, "_newton", costed)
+        v, dx, count = ritz_case(name)
+        lowest_levels(v, dx, count, require_decay=not name.startswith("harmonic"))
+        assert costs
+        for cost in costs:
+            assert cost == {"_count": 2, "_newton_pass": cost["_newton_pass"], "_laguerre_pass": 0}
+            assert 1 <= cost["_newton_pass"] <= 4
 
     def test_error_adds_propagated_certificate(self):
-        values, dx = harmonic_grid(2049)
-        est = lowest_levels(values, dx, 6, require_decay=False)
+        est, solved = chain_case("harmonic-2049")
         (e1, d1), (e2, d2), (e4, d4) = (
-            oracle._dirichlet_levels(values[::s], s * dx, 6) for s in (1, 2, 4)
+            (np.asarray(solved[s][4]), np.asarray(solved[s][5])) for s in (1, 2, 4)
         )
         truncation = np.abs((64 * e1 - 20 * e2 + e4) / 45 - (4 * e1 - e2) / 3)
         cert = (64 * d1 + 20 * d2 + d4) / 45
         assert_allclose([e.error for e in est], truncation + cert, rtol=1e-12)
         assert np.all(cert > 0)
-
-    def test_bisection_finishes_a_small_basis(self, monkeypatch):
-        # an 8-mode basis certifies nothing, so every level is found by the
-        # gallop and bisection below its Ritz value
-        monkeypatch.setattr(oracle, "_BASIS_CEILING", 8)
-        v, dx, count = ritz_case("gendenshtein-2.5-0.5")
-        levels, _bounds = oracle._dirichlet_levels(v, dx, count)
-        ref = lapack_levels(v, dx, count)
-        assert np.all(np.abs(levels - ref) <= agreement_tol(v, dx, ref))
-
-    def test_one_count_per_certified_level(self, monkeypatch):
-        calls = []
-        counter = oracle._sturm_count
-        monkeypatch.setattr(oracle, "_sturm_count", lambda *a: calls.append(a) or counter(*a))
-        v, dx, count = ritz_case("gendenshtein-2.5-0.5")
-        oracle._dirichlet_levels(v, dx, count)
-        assert len(calls) == count
 
     def test_sturm_count(self):
         v, dx, count = ritz_case("harmonic-2049")
