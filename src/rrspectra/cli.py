@@ -16,7 +16,8 @@ plus optional "grid": {"x_max": .., "n": ..} and per-command blocks
 Each command (the ``COMMANDS`` table) computes everything first and returns
 its files and whether its checks passed; :func:`main` alone writes them, each
 through a temporary file moved into place, then ``report.json``, and picks
-the exit code.  A command that raises writes no file.
+the exit code.  A command that raises writes no file, and a write that fails
+removes its temporary file.
 
 Exit codes: 0 success, 1 verification failure (its files are written), 2
 config error (a bad config, a ``--tol`` that is negative or not finite, a
@@ -315,17 +316,16 @@ def cmd_partner(config: RunConfig, args) -> tuple:
 
     kind, m = config.partner_params()
     spectrum = spectral.enumerate_bound_spectrum(config.spec)
-    parent = spectrum.energies
     if kind == "d":
         seed = spectral.aeh_solution(config.spec, "d", m)
     else:
         seed = spectral.bound_state(spectrum, 0)
-    expected = darboux.partner_levels(parent, seed)
-    vmap = verify.oracle_map(config.spec, expected or parent, config.x_max, config.n)
-    v_parent, v_partner = darboux.partner_potential(config.spec, seed, vmap)
-    columns = [vmap.x_grid, v_parent, v_partner]
-    geometry.require_finite("potential", columns[1:])
-    files = {"partner.csv": _csv("x,V_parent,V_partner", columns)}
+    expected = darboux.partner_levels(spectrum.energies, seed)
+    vmap, (v_parent, v_partner) = verify.oracle_map(
+        config.spec, lambda m: darboux.partner_potential(config.spec, seed, m),
+        config.x_max, config.n)
+    geometry.require_finite("potential", [v_parent, v_partner])
+    files = {"partner.csv": _csv("x,V_parent,V_partner", [vmap.x_grid, v_parent, v_partner])}
     passed = True
     if expected:
         report = verify.verify_partner_levels(vmap, v_partner, expected, tol=args.tol)
@@ -446,6 +446,10 @@ def main(argv=None) -> int:
                 fh.writelines(chunks)
             os.replace(path + ".tmp", path)
     except OSError as exc:
+        try:
+            os.remove(path + ".tmp")
+        except OSError:
+            pass  # the file was never made
         return _output_error(exc)
     return 0 if passed else 1
 

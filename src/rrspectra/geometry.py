@@ -261,6 +261,28 @@ def choose_x_max(spec: PotentialSpec) -> float:
     return float(math.ceil((x_at + 1.0) * 4.0) / 4.0)
 
 
+def decay_x_max(spec: PotentialSpec, level: float) -> float:
+    """The smallest quarter x with |V| below ``level`` at both ends: eta doubles
+    from 1 until |V(+-eta)| < ``level``, then bisection finds where that
+    starts to within 1e-4 of eta, and x(eta) is rounded up to a quarter."""
+    v = potential(spec)
+
+    def decayed(eta):
+        return abs(v(eta)) < level and abs(v(-eta)) < level
+
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        if decayed(hi):
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        raise StepFailure("potential does not decay below %g" % level)
+    while hi - lo > 1e-4 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if decayed(mid) else (mid, hi)
+    return float(math.ceil(liouville_x(spec.tp, hi) * 4.0) / 4.0)
+
+
 # ---------------------------------------------------------------------------
 # closed forms on grids
 # ---------------------------------------------------------------------------

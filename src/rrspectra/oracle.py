@@ -1,6 +1,7 @@
 """Brute-force verification tool: a finite-difference bound-state
-eigensolver in plain Python (certified root finding on the tridiagonal
-characteristic polynomial: Sturm counts, Newton and Laguerre steps).
+eigensolver in plain Python (certified root finding on the determinant of
+the tridiagonal Hamiltonian with transparent ends: Sturm counts, Newton and
+Laguerre steps).
 
 Nothing in this module knows about the analytic machinery it is used to
 check; it sees only a potential sampled on a uniform grid, as a sequence of
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import InsufficientDecay, NonFiniteSamples
@@ -36,6 +38,7 @@ _CERT_NORM = 4.0  # ... or in units of eps * ||H||, whichever is wider
 _NEWTON_STEPS = 4  # passes a level may take from its starting value before it falls back
 _LAGUERRE_STEPS = 40  # passes of the fallback before it only bisects
 _COARSEST = 512  # fewest interior samples of a grid that only supplies starting values
+_CEILING = -1e-14  # highest level solved with transparent ends: rho is not real at e >= 0
 
 
 # The 3-point Hamiltonian on N interior samples is the tridiagonal matrix H
@@ -47,32 +50,84 @@ _COARSEST = 512  # fewest interior samples of a grid that only supplies starting
 # differentiates the recurrence in sigma (Li & Zeng, SIAM J. Sci. Comput. 15,
 # 1994): with p_i = off2/q_(i-1), u_i = q_i'/q_i = (p_i u_(i-1) - 1)/q_i and
 # r_i = q_i''/q_i = p_i (r_(i-1) - 2 u_(i-1)^2)/q_i, and since
-# det(H - sigma) = prod q_i = prod (lambda_j - sigma),
-#     s = sum_j 1/(lambda_j - sigma) = -sum u_i,
-#     t = sum_j 1/(lambda_j - sigma)^2 = sum (u_i^2 - r_i).
+# det(H - sigma) = prod q_i,
+#     s = -(ln det)' = -sum u_i,   which is sum_j 1/(lambda_j - sigma),
+#     t = -(ln det)'' = sum (u_i^2 - r_i),   which is sum_j 1/(lambda_j - sigma)^2.
+#
+# Transparent ends (Arnold, VLSI Design 6, 1998; Ehrhardt & Arnold, Riv. Mat.
+# Univ. Parma, 2001) take the ghost value outside each end from the exact
+# discrete solution where V = 0, psi_(j-1) = rho psi_j with
+# rho + 1/rho = 2 - h^2 e and 0 < rho < 1, so the first and last diagonal
+# entries gain end(e) = -rho(e)/h^2.  A level is then a root of
+# det(H(sigma) - sigma).  The end entries decrease with sigma, so
+# H(sigma) - sigma decreases in the Loewner order, its Sturm count is
+# monotone, and the certificate below holds as it is.  Each pass carries the
+# first end in its starting state, as a ghost step before step 0 with pivot
+# q = -off2/end, u = -end'/end and r = 2 (end'/end)^2 - end''/end, which
+# gives step 0 the entry d_0 + end and its derivatives; it peels the last
+# step to add the second.  s and t then differentiate the determinant of the
+# actual problem, which is not a polynomial in sigma.
 
 
-def _count(diag: list, off2: float, sigma: float) -> int:
+def _ends(h2: float, sigma: float) -> tuple:
+    """(end, end', end''): the term -rho/h^2 that a transparent end adds to its
+    diagonal entry at ``sigma`` < 0, and its sigma-derivatives; zeros for
+    Dirichlet ends (``h2`` = 0).  With s = -h^2 sigma/2 and D = sqrt(s (2+s)),
+    rho = 1/(1 + s + D), in which nothing cancels as sigma -> 0-, and
+    rho' = h^2 rho/(2D), rho'' = h^4/(4 D^3)."""
+    if not h2:
+        return 0.0, 0.0, 0.0
+    s = -0.5 * h2 * sigma
+    root = math.sqrt(s * (2.0 + s))
+    rho = 1.0 / (1.0 + s + root)
+    return -rho / h2, -0.5 * rho / root, -0.25 * h2 / (root * root * root)
+
+
+class _Hamiltonian:
+    """The 3-point Hamiltonian on the interior of the samples ``v``: its
+    diagonal d_i = V_i + 2/h^2, off2 = 1/h^4, h2 = h^2 for transparent ends
+    (the end samples are ghosts) or 0 for Dirichlet ends (psi = 0 there), and
+    the certificate's floor 4 eps ||H||.  ``bottom`` and ``top`` are the
+    (sigma, count) pairs that bracket every level: none lies below V_min, as
+    the kinetic part is positive definite, and ``top`` is the Sturm count at
+    ``ceiling``."""
+
+    def __init__(self, v, dx: float, ceiling: float, transparent: bool):
+        inv_h2 = 1.0 / (dx * dx)
+        interior = v[1:-1]
+        self.diag = [x + 2.0 * inv_h2 for x in interior]
+        self.off2 = inv_h2 * inv_h2
+        self.h2 = dx * dx if transparent else 0.0
+        self.floor = _CERT_NORM * sys.float_info.epsilon * (4.0 * inv_h2 + max(map(abs, interior)))
+        self.bottom = (min(interior), 0)
+        self.top = (ceiling, _count(self, ceiling))
+
+
+def _count(ham: _Hamiltonian, sigma: float) -> int:
     """The Sturm count of ``sigma``: the levels below it."""
+    end = _ends(ham.h2, sigma)[0]
+    diag, off2 = ham.diag, ham.off2
     pivmin = off2 * sys.float_info.min
     count = 0
-    q = math.inf
-    for d in diag:
+    q = -off2 / end if end else math.inf
+    for d in islice(diag, len(diag) - 1):
         q = d - sigma - off2 / q
         if q < pivmin:
             count += 1
             if q > -pivmin:
                 q = -pivmin
-    return count
+    return count + (diag[-1] + end - sigma - off2 / q < pivmin)
 
 
-def _newton_pass(diag: list, off2: float, sigma: float) -> tuple:
-    """(count, s): the Sturm count of ``sigma`` and s = sum_j 1/(lambda_j - sigma)."""
+def _newton_pass(ham: _Hamiltonian, sigma: float) -> tuple:
+    """(count, s): the Sturm count of ``sigma`` and s = -(ln det(H - sigma))'."""
+    end, end1, _ = _ends(ham.h2, sigma)
+    diag, off2 = ham.diag, ham.off2
     pivmin = off2 * sys.float_info.min
     count = 0
-    q = math.inf
-    u = s = 0.0
-    for d in diag:
+    q, u = (-off2 / end, -end1 / end) if end else (math.inf, 0.0)
+    s = 0.0
+    for d in islice(diag, len(diag) - 1):
         p = off2 / q
         q = d - sigma - p
         if q < pivmin:
@@ -81,16 +136,28 @@ def _newton_pass(diag: list, off2: float, sigma: float) -> tuple:
                 q = -pivmin
         u = (p * u - 1.0) / q
         s -= u
-    return count, s
+    p = off2 / q
+    q = diag[-1] + end - sigma - p
+    if q < pivmin:
+        count += 1
+        if q > -pivmin:
+            q = -pivmin
+    return count, s - (p * u + end1 - 1.0) / q
 
 
-def _laguerre_pass(diag: list, off2: float, sigma: float) -> tuple:
-    """(count, s, t): :func:`_newton_pass` and t = sum_j 1/(lambda_j - sigma)^2."""
+def _laguerre_pass(ham: _Hamiltonian, sigma: float) -> tuple:
+    """(count, s, t): :func:`_newton_pass` and t = -(ln det(H - sigma))''."""
+    end, end1, end2 = _ends(ham.h2, sigma)
+    diag, off2 = ham.diag, ham.off2
     pivmin = off2 * sys.float_info.min
     count = 0
-    q = math.inf
-    u = r = s = t = 0.0
-    for d in diag:
+    if end:
+        q, u = -off2 / end, -end1 / end
+        r = 2.0 * u * u - end2 / end
+    else:
+        q, u, r = math.inf, 0.0, 0.0
+    s = t = 0.0
+    for d in islice(diag, len(diag) - 1):
         p = off2 / q
         q = d - sigma - p
         if q < pivmin:
@@ -101,19 +168,15 @@ def _laguerre_pass(diag: list, off2: float, sigma: float) -> tuple:
         u = (p * u - 1.0) / q
         s -= u
         t += u * u - r
-    return count, s, t
-
-
-def _tridiagonal(v, dx: float) -> tuple:
-    """(diag, off2) of the 3-point Hamiltonian with psi = 0 at both ends of ``v``."""
-    inv_h2 = 1.0 / (dx * dx)
-    return [x + 2.0 * inv_h2 for x in v[1:-1]], inv_h2 * inv_h2
-
-
-def _sturm_count(v, dx: float, sigma: float) -> int:
-    """Number of eigenvalues below ``sigma`` of the 3-point Dirichlet
-    Hamiltonian on the samples ``v``."""
-    return _count(*_tridiagonal(v, dx), sigma)
+    p = off2 / q
+    q = diag[-1] + end - sigma - p
+    if q < pivmin:
+        count += 1
+        if q > -pivmin:
+            q = -pivmin
+    r = (p * (r - 2.0 * u * u) + end2) / q
+    u = (p * u + end1 - 1.0) / q
+    return count, s - u, t + u * u - r
 
 
 def _bracket(seen: list, k: int) -> tuple:
@@ -122,60 +185,82 @@ def _bracket(seen: list, k: int) -> tuple:
     return max(p for p in seen if p[1] <= k), min(p for p in seen if p[1] > k)
 
 
-def _certified(diag, off2, k, x, floor, seen):
-    """(x, w) if two Sturm counts show level k within w = max(1e-11 |x|,
-    4 eps ||H||) of ``x``, else None; both counts join ``seen``."""
-    w = max(_CERT_REL * abs(x), floor)
-    below, above = _count(diag, off2, x - w), _count(diag, off2, x + w)
-    seen += [(x - w, below), (x + w, above)]
-    return (x, w) if below <= k < above else None
+def _certified(ham, k, x, seen):
+    """(x, w) if Sturm counts show level k within w = max(1e-11 |x|,
+    4 eps ||H||) of ``x``, else None.  A side of [x - w, x + w] that the
+    bracket in ``seen`` already reaches is settled by it; the other takes a
+    count at x - w or x + w, which joins ``seen``."""
+    w = max(_CERT_REL * abs(x), ham.floor)
+    (lo, _), (hi, _) = _bracket(seen, k)
+    if not (x - w < hi and lo < x + w):  # also for a NaN x
+        return None
+    if lo < x - w:
+        below = _count(ham, x - w)
+        seen.append((x - w, below))
+        if below > k:
+            return None
+    if hi > x + w:
+        above = _count(ham, x + w)
+        seen.append((x + w, above))
+        if above <= k:
+            return None
+    return x, w
 
 
-def _newton(diag, off2, k, x, found, floor, seen):
+def _newton(ham, k, x, found, gap, seen):
     """Level k by Newton's method on det(H - sigma) / prod_(j<k) (lambda_j - sigma),
     the levels ``found`` below it deflated, from the starting value ``x``:
-    at most :data:`_NEWTON_STEPS` passes, then the certificate.  None if an
-    iterate leaves the bracket of level k, the steps do not settle, or the
-    certificate fails."""
+    at most :data:`_NEWTON_STEPS` passes, then the certificate.  With
+    transparent ends the steps are taken in kappa = sqrt(-sigma), in which
+    the determinant has no branch point at threshold.  None if an iterate
+    leaves the bracket of level k, the steps do not settle, or the
+    certificate fails.  ``gap``, the distance from ``x`` to the nearest other
+    level or threshold, scales the error left by the first step."""
     last = 0.0
     for _ in range(_NEWTON_STEPS):
         (lo, _), (hi, _) = _bracket(seen, k)
         if not lo < x < hi or found and x <= found[-1]:  # deflation needs x above them
             return None
-        count, s = _newton_pass(diag, off2, x)
+        count, s = _newton_pass(ham, x)
         seen.append((x, count))
         s -= sum(1.0 / (e - x) for e in found)
         step = 1.0 / s if s else math.nan
+        if ham.h2:
+            # sigma = -kappa^2 after the Newton step -step/(2 kappa) in kappa
+            step -= step * step / (-4.0 * x)
         x += step
         # done once the step, or the error c step^2 left after a step of
-        # quadratic convergence (c = step / last^2 from the two latest steps),
-        # is well inside the certificate
-        step, w = abs(step), max(_CERT_REL * abs(x), floor)
-        if step <= 0.5 * w or step * step * step <= 0.25 * w * last * last:
-            return _certified(diag, off2, k, x, floor, seen)
+        # quadratic convergence, is well inside the certificate: c = step / last^2
+        # from the two latest steps, or 1 / gap after the first
+        step, w = abs(step), max(_CERT_REL * abs(x), ham.floor)
+        c = step / (last * last) if last else 1.0 / gap
+        if step <= 0.5 * w or c * step * step <= 0.25 * w:
+            return _certified(ham, k, x, seen)
         last = step
     return None
 
 
-def _isolate(diag, off2, k, floor, seen):
+def _isolate(ham, k, seen):
     """Level k by Sturm bisection until it alone lies in the bracket, then
     Laguerre steps inside it, each safeguarded by the bracket; bisection
-    alone finishes a level the steps do not certify."""
-    n = len(diag)
+    alone finishes a level the steps do not certify.  With transparent ends
+    the determinant is not a polynomial, and the steps keep no convergence
+    guarantee of their own: the bracket alone bounds them."""
+    n = len(ham.diag)
     x = None
     laguerre = 0
     while True:
         (lo, c_lo), (hi, c_hi) = _bracket(seen, k)
-        if hi - lo <= 2.0 * floor:
+        if hi - lo <= 2.0 * ham.floor:
             return 0.5 * (lo + hi), 0.5 * (hi - lo)
         if x is None or not lo < x < hi:
             x, last = 0.5 * (lo + hi), 0.0
         if c_lo < k or c_hi > k + 1 or laguerre == _LAGUERRE_STEPS:
-            seen.append((x, _count(diag, off2, x)))
+            seen.append((x, _count(ham, x)))
             x = None
             continue
         laguerre += 1
-        count, s, t = _laguerre_pass(diag, off2, x)
+        count, s, t = _laguerre_pass(ham, x)
         seen.append((x, count))
         # Laguerre's step for a polynomial of degree n with real roots moves
         # monotonically to the nearest root on the chosen side: right from
@@ -186,64 +271,80 @@ def _isolate(diag, off2, k, floor, seen):
         x += step
         # done once the step, or the error c step^3 left after a step of cubic
         # convergence (c = step / last^3), is well inside the certificate
-        step, w = abs(step), max(_CERT_REL * abs(x), floor)
+        step, w = abs(step), max(_CERT_REL * abs(x), ham.floor)
         if step <= 0.5 * w or step * step * step * step <= 0.25 * w * last * last * last:
-            level = _certified(diag, off2, k, x, floor, seen)
+            level = _certified(ham, k, x, seen)
             if level:
                 return level
         last = step
 
 
-def _dirichlet_levels(v, dx: float, count: int, starts=()) -> tuple:
-    """Lowest ``count`` eigenvalues of the 3-point Hamiltonian with psi = 0 at
-    both ends of the samples ``v``, each with a certified bound on its error.
+def _levels(ham: _Hamiltonian, count: int, starts=()) -> tuple:
+    """Lowest ``count`` levels of ``ham`` (at most its count at the ceiling),
+    each with a certified bound on its error.
 
     The levels are found in order.  Level k with a starting value ``starts[k]``
-    (the prediction from a coarser grid) takes the fast path, :func:`_newton`;
+    (the prediction from coarser grids) takes the fast path, :func:`_newton`;
     a level without one, or whose fast path fails, is found by
-    :func:`_isolate`.  Either way its certificate is two Sturm counts with
-    count(x - w) <= k < count(x + w), w = max(1e-11 |x|, 4 eps ||H||), or,
-    where bisection finishes it, a bracket at the resolution of the count,
+    :func:`_isolate`.  Either way its certificate is count(a) <= k < count(b)
+    for some a, b within w = max(1e-11 |x|, 4 eps ||H||) of x, or, where
+    bisection finishes it, a bracket at the resolution of the count,
     4 eps ||H||.  Every count taken on the grid brackets the later levels,
-    starting from V_min (the kinetic part is positive definite) and the
-    Gershgorin bound 4/h^2 + V_max.
+    starting from the Hamiltonian's ``bottom`` and ``top``.
 
     Returns (levels, bounds) as lists with |level - lambda_k| <= bound.
     """
-    diag, off2 = _tridiagonal(v, dx)
-    interior = v[1:-1]
-    floor = _CERT_NORM * sys.float_info.epsilon * (4.0 / (dx * dx) + max(map(abs, interior)))
-    seen = [(min(interior), 0), (4.0 / (dx * dx) + max(interior), len(interior))]
+    seen = [ham.bottom, ham.top]
     levels, bounds = [], []
     for k in range(count):
         level = None
         if k < len(starts):
-            level = _newton(diag, off2, k, starts[k], levels, floor, seen)
-        x, w = level or _isolate(diag, off2, k, floor, seen)
+            x = starts[k]
+            # the nearest of threshold and the neighbouring starting values
+            gap = min(abs(y - x) for y in [0.0, *starts[max(k - 1, 0):k], *starts[k + 1:k + 2]])
+            gap = max(gap, sys.float_info.min)
+            level = _newton(ham, k, x, levels, gap, seen)
+        x, w = level or _isolate(ham, k, seen)
         levels.append(x)
         bounds.append(w)
     return levels, bounds
+
+
+def _predicted(solved: list) -> list:
+    """Starting values for the next finer grid from the levels ``solved`` on
+    the grids below it, coarsest first: the levels of the one grid below,
+    E_2h + (E_2h - E_4h)/4 from two, and (84 E_2h - 21 E_4h + E_8h)/64,
+    which cancels the h^2 and h^4 terms, from three or more."""
+    if len(solved) >= 3:
+        return [(84.0 * a - 21.0 * b + c) / 64.0 for a, b, c in zip(*solved[:-4:-1])]
+    if len(solved) == 2:
+        return [a + (a - b) / 4.0 for a, b in zip(solved[1], solved[0])]
+    return list(solved[0]) if solved else []
 
 
 def lowest_levels(values, dx: float, count: int, *, require_decay: bool = True) -> list[EigenEstimate]:
     """Lowest ``count`` eigenvalues of -psi'' + V psi = e psi for the samples
     ``values`` of V on a uniform grid of spacing ``dx``.
 
-    The 3-point finite-difference Hamiltonian with Dirichlet ends is solved on
-    the grid and on its 2:1 and 4:1 subsamples (see :func:`_dirichlet_levels`),
-    and two Richardson steps cancel the h^2 and h^4 error terms:
-    (64 E_h - 20 E_2h + E_4h) / 45.  So that all three grids share both end
-    points, up to 3 end samples are dropped first to make n - 1 a multiple of 4.
-    The grids are solved coarse to fine, each level from the Richardson
-    prediction of the two grids below it (E_2h + (E_2h - E_4h) / 4 for h).
-    Coarser 2:1 subsamples, while they keep 512 interior samples and twice as
-    many as there are levels, are solved first for starting values alone.
+    By default the potential must decay at both grid ends (|V| < 1e-2), the
+    ends are transparent, exact where V = 0 outside the grid, and only levels
+    below -1e-14 are returned.  ``require_decay=False`` lifts the decay check
+    and takes Dirichlet ends psi = 0 (hard-wall box semantics) and levels
+    below the lower end value, which the harmonic-oscillator calibration
+    uses.  Samples that are NaN or infinite raise :class:`NonFiniteSamples`.
 
-    By default the potential must decay at both grid ends (|V| < 1e-2) and only
-    negative energies are returned; ``require_decay=False`` lifts both
-    restrictions (hard-wall box semantics), which the harmonic-oscillator
-    calibration uses.  Samples that are NaN or infinite raise
-    :class:`NonFiniteSamples`.
+    The 3-point finite-difference Hamiltonian is solved on the grid and on
+    its 2:1 and 4:1 subsamples (see :func:`_levels`), and two Richardson
+    steps cancel the h^2 and h^4 error terms: (64 E_h - 20 E_2h + E_4h) / 45.
+    So that all three grids share both end points, up to 3 end samples are
+    dropped first to make n - 1 a multiple of 4.  A level is returned only
+    where all three grids have it below the ceiling, so one within O(h^2) of
+    threshold on the finest grid alone is left out.  Coarser 2:1 subsamples,
+    while they keep 512 interior samples and twice as many as there are
+    levels, are solved first for starting values alone; the grids are solved
+    coarse to fine, each level from :func:`_predicted`.  Each grid's count at
+    the ceiling, with V_min below which the Hamiltonian has no level,
+    brackets its levels.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -258,19 +359,21 @@ def lowest_levels(values, dx: float, count: int, *, require_decay: bool = True) 
     extra = (len(v) - 1) % 4
     v = v[extra // 2 : len(v) - (extra - extra // 2)]
     count = min(count, (len(v) - 1) // 4 - 1)  # interior size of the 4h grid
-    e_ceiling = -1e-14 if require_decay else min(v[0], v[-1])
-    kept = min(count, _sturm_count(v, dx, e_ceiling))  # so no level above it is solved
+    if count < 1:
+        return []
+    ceiling = _CEILING if require_decay else min(v[0], v[-1])
+    samples = [v, v[::2], v[::4]]
+    grids = [_Hamiltonian(g, dx * 2 ** i, ceiling, require_decay) for i, g in enumerate(samples)]
+    kept = min(count, *(ham.top[1] for ham in grids))  # so no level above the ceiling is solved
     if kept == 0:
         return []
-    grids = [v, v[::2], v[::4]]
-    while len(grids[-1]) // 2 - 1 >= max(_COARSEST, 2 * kept):
-        grids.append(grids[-1][::2])
+    while len(samples[-1]) // 2 - 1 >= max(_COARSEST, 2 * kept):
+        samples.append(samples[-1][::2])
+        grids.append(_Hamiltonian(samples[-1], dx * 2 ** len(grids), ceiling, require_decay))
     solved = []  # (levels, bounds) of each grid, coarsest first
-    for g in reversed(range(len(grids))):
-        starts = ()
-        if len(solved) > 1:
-            starts = [a + (a - b) / 4.0 for a, b in zip(solved[-1][0], solved[-2][0])]
-        solved.append(_dirichlet_levels(grids[g], dx * 2 ** g, kept, starts))
+    for ham in reversed(grids):
+        starts = _predicted([levels for levels, _ in solved])
+        solved.append(_levels(ham, min(kept, ham.top[1]), starts))
     (e_4h, d_4h), (e_2h, d_2h), (e_h, d_h) = solved[-3:]
     estimates = []
     for e1, e2, e4, c1, c2, c4 in zip(e_h, e_2h, e_4h, d_h, d_2h, d_4h):

@@ -19,24 +19,39 @@ from .geometry import VariableMap
 from .spectral import PotentialSpec, enumerate_bound_spectrum
 
 
-def oracle_map(spec: PotentialSpec, energies, x_max=None, n=None) -> VariableMap:
-    """The variable map an oracle grid is sampled on; given x_max and n are kept.
+_DECAY = 1e-12  # |V| at the ends of an oracle box, where its ends are transparent
+_SPACING = 0.012  # widest oracle spacing ...
+_DEPTH_SPACING = 0.1  # ... or h sqrt|V_min| at most, for deeper wells
 
-    The half-width covers both the potential decay scale and the slowest
-    bound-state tail exp(-kappa |x|) with kappa from the shallowest of
-    ``energies``.  The point count keeps the spacing at 0.012 or finer and is
-    at least 8192; above the floor it is odd (x_max past about 49.15).
+
+def _points(x_max: float, h: float) -> int:
+    """The smallest odd point count with spacing at most ``h`` on [-x_max, x_max]."""
+    return max(65, (math.ceil(2.0 * x_max / h * (1.0 - 1e-12)) + 1) | 1)
+
+
+def oracle_map(spec: PotentialSpec, sample, x_max=None, n=None) -> tuple:
+    """(vmap, columns): the variable map an oracle grid is sampled on, and
+    ``sample(vmap)``, the potentials on it as lists of floats.  A given x_max
+    or n is kept.
+
+    The oracle's ends are transparent, exact where V = 0, so the half-width
+    is the potential's own decay scale: the smallest quarter with |V| < 1e-12
+    at both ends (:func:`geometry.decay_x_max`).  The spacing is
+    h = min(0.012, 0.1/sqrt|V_min|), V_min the deepest sample of the columns
+    (for a partner, the deeper of V and V_hat), and n the smallest odd count
+    at that spacing.  The columns are sampled at h = 0.012 first, and once
+    more on the finer map where the well is deeper than 0.1^2/0.012^2.
     """
     if x_max is None:
-        x_decay = geometry.choose_x_max(spec)
-        if energies:
-            kappa_min = math.sqrt(max(-max(energies), 1e-4))
-            x_max = min(60.0, max(12.0, x_decay + 18.0 / kappa_min))
-        else:
-            x_max = min(60.0, max(12.0, 3.0 * x_decay))
+        x_max = geometry.decay_x_max(spec, _DECAY)
+    vmap = VariableMap(spec.tp, x_max, n or _points(x_max, _SPACING))
+    columns = sample(vmap)
     if n is None:
-        n = max(8192, int(2 * x_max / 0.012) | 1)
-    return VariableMap(spec.tp, x_max, n)
+        depth = -min((x for c in columns for x in c if math.isfinite(x)), default=0.0)
+        if depth * _SPACING ** 2 > _DEPTH_SPACING ** 2:
+            vmap = VariableMap(spec.tp, x_max, _points(x_max, _DEPTH_SPACING / math.sqrt(depth)))
+            columns = sample(vmap)
+    return vmap, columns
 
 
 class LevelCheck(NamedTuple):
@@ -86,8 +101,8 @@ def verify_spectrum(spec: PotentialSpec, tol: float = 1e-3, x_max=None, n=None) 
     spectrum = enumerate_bound_spectrum(spec)
     if not spectrum.states:
         return LevelReport(levels=(), n_expected=0, tol=tol), spectrum
-    vmap = oracle_map(spec, spectrum.energies, x_max, n)
-    values = geometry.on_grid(geometry.potential(spec), vmap.eta_grid)
+    v_of = geometry.potential(spec)
+    vmap, (values,) = oracle_map(spec, lambda m: [geometry.on_grid(v_of, m.eta_grid)], x_max, n)
     report = _compare(values, vmap.dx, spectrum.energies, [s.nodes for s in spectrum.states], tol)
     return report, spectrum
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import rrspectra
-from rrspectra import cli, geometry, spectral, verify
+from rrspectra import cli, darboux, geometry, spectral, verify
 from rrspectra.cli import main
 
 
@@ -145,10 +145,11 @@ class TestVerifyCommand:
         assert not payload["passed"]
 
     def test_missing_level_fails(self, tmp_path):
-        # the x_max = 7 box is too small for the shallow level at -0.01
+        # the x_max = 4.5 box cuts off the well's tails (|V| ~ 7e-4 at its
+        # ends), and the level at -1e-6 is no longer bound in what is left
         cfg = write_config(
             tmp_path,
-            {"potential": {"gendenshtein": {"a": 2.1, "b": 0.0}}, "grid": {"x_max": 7.0, "n": 2049}},
+            {"potential": {"gendenshtein": {"a": 2.001, "b": 0.0}}, "grid": {"x_max": 4.5, "n": 2049}},
         )
         out = tmp_path / "out"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
@@ -316,7 +317,12 @@ class TestPartnerCommand:
         out = tmp_path / "out"
         assert sorted(os.listdir(out)) == ["partner.csv", "partner_verify.json", "report.json"]
         rows = (out / "partner.csv").read_text().splitlines()[1:]
-        assert len(rows) == 8192 and all(len(r.split(",")) == 3 for r in rows)
+        # one row per point of the map that oracle_map sizes for the partner
+        spec = spectral.gendenshtein_params(1.5, 0.4)
+        seed = spectral.aeh_solution(spec, "d", 0)
+        vmap, _ = verify.oracle_map(spec, lambda m: darboux.partner_potential(spec, seed, m))
+        assert len(rows) == vmap.n_points and all(len(r.split(",")) == 3 for r in rows)
+        assert float(rows[0].split(",")[0]) == -vmap.x_max
 
     def test_erasure(self, tmp_path):
         cfg = write_config(
@@ -347,11 +353,11 @@ class TestPartnerCommand:
 
     def test_nan_residual_seed_is_numeric_failure(self, tmp_path):
         # the order-8 type-d seed is a valid closed form (e about -1.1e5), but
-        # its partner's well is too deep for the oracle's default grid, so the
+        # its partner's well is too deep for a grid of 8,193 points, so the
         # command must report a failed check rather than pass
         cfg = write_config(tmp_path, {
             "potential": {"milson": {"h0_re": 0.5, "h0_im": 7.5, "kappa_plus": 0.05}},
-            "partner": {"kind": "d", "m": 8},
+            "partner": {"kind": "d", "m": 8}, "grid": {"n": 8193},
         })
         out = tmp_path / "o"
         assert main(["partner", "--config", cfg, "--out", str(out)]) == 1
@@ -590,14 +596,18 @@ class TestOutputContract:
     """A command computes everything before ``main`` writes a file: one that
     raises leaves ``--out`` empty, and ``report.json`` lists every other file."""
 
+    # a half-width alone takes the spacing rule's point count, at least 65
+    @pytest.mark.parametrize("grid", [{"x_max": 3.0, "n": 1024}, {"x_max": 0.2}])
     @pytest.mark.parametrize("command", ["verify", "partner"])
-    def test_undecayed_user_grid_is_config_error(self, tmp_path, capsys, command):
+    def test_undecayed_user_grid_is_config_error(self, tmp_path, capsys, command, grid):
         # partner used to write partner.csv before the oracle exited 3
-        cfg = write_config(tmp_path, NARROW)
+        cfg = write_config(tmp_path, {**NARROW, "grid": grid})
         out = tmp_path / "o"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: grid x_max=3.0, n=1024: potential ends at "), err
+        prefix = "config error: grid x_max=%s, n=%s: potential ends at " % (grid["x_max"],
+                                                                            grid.get("n"))
+        assert err.startswith(prefix), err
         assert err.count("\n") == 1, err
         assert os.listdir(out) == []
 
@@ -605,8 +615,9 @@ class TestOutputContract:
     def test_undecayed_default_grid_is_numeric_failure(self, tmp_path, monkeypatch, capsys,
                                                        command):
         # the same grid, chosen by the oracle's rule and not by the config
-        def narrow(spec, energies, x_max=None, n=None):
-            return geometry.VariableMap(spec.tp, 3.0, 1024)
+        def narrow(spec, sample, x_max=None, n=None):
+            vmap = geometry.VariableMap(spec.tp, 3.0, 1024)
+            return vmap, sample(vmap)
 
         monkeypatch.setattr(verify, "oracle_map", narrow)
         cfg = write_config(tmp_path, {key: NARROW[key] for key in ("potential", "partner")})
@@ -640,6 +651,8 @@ class TestOutputContract:
         assert main(["identities", "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("output error: ") and err.count("\n") == 1, err
+        # the temporary file of the write that failed is removed
+        assert os.listdir(out) == ["identities.json"]
 
     @pytest.mark.parametrize("command, tol, code", [
         ("spectrum", "1e-3", 0), ("verify", "1e-3", 0), ("scan-nodeless", "1e-3", 0),

@@ -24,8 +24,10 @@ from residual import eta_of_x, phi_value
 
 @pytest.fixture(scope="module")
 def insertion_setup():
+    # the map the partner command samples the type-d m=0 partner on
     spec = gendenshtein_params(1.5, 0.4)
-    vmap = oracle_map(spec, [-6.25, -2.25, -0.25])
+    seed = aeh_solution(spec, "d", 0)
+    vmap, _ = oracle_map(spec, lambda m: partner_potential(spec, seed, m))
     return spec, vmap
 
 
@@ -56,11 +58,11 @@ class TestPartnerPotential:
             partner_potential(spec, seed, vmap)
 
     def test_ground_state_erasure_on_a_deep_well(self):
-        # the nodeless ground state underflows to 0.0 far out on its grid;
+        # the nodeless ground state underflows to 0.0 far out on a wide grid;
         # only its exact node count may refuse it
         spec = gendenshtein_params(16.2, 0.7)
         spectrum = enumerate_bound_spectrum(spec)
-        vmap = oracle_map(spec, spectrum.energies[1:])
+        vmap = VariableMap(spec.tp, 60.0, 10001)
         seed = normalized(spec, bound_state(spectrum, 0))
         assert seed.nodes == 0 and any(phi_value(seed, e) == 0.0 for e in vmap.eta_grid)
         _, v_partner = partner_potential(spec, seed, vmap)
@@ -158,7 +160,7 @@ class TestSymmetricIrregular:
         outcomes = set()
         for k in range(10):
             eps = ground - 10.0 ** -k
-            below = oracle._sturm_count(v, dx, eps)
+            below = oracle._count(oracle._Hamiltonian(v.tolist(), dx, eps, False), eps)
             try:
                 psi = symmetric_irregular_solution(spec, eps, vmap)
             except PreconditionViolated:
