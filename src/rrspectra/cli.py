@@ -63,9 +63,9 @@ except ImportError:
 # configuration
 # ---------------------------------------------------------------------------
 
-# Largest grid point count n and scan cell count na * nb: about 100 times the
-# largest grid in use, and a 1024 x 1024 map.
-MAX_COUNT = 2 ** 20
+# Largest grid point count n and scan cell count na * nb; the oracle's own
+# grids obey the same cap.
+MAX_COUNT = spectral.MAX_COUNT
 
 
 def _require(cond, msg):
@@ -213,16 +213,20 @@ def _spectrum_record(spectrum) -> dict:
 
 
 def _check_record(report, analytic_key: str, **extra) -> dict:
-    """A level check as JSON: one row per level with the analytic energy under
-    ``analytic_key``, and the node counts where the closed form claims one."""
+    """A level check as JSON: the grid it was solved on, and one row per level
+    with the analytic energy under ``analytic_key``, the budget and the
+    observed-order ratio (null where it is not finite), and the node counts
+    where the closed form claims one."""
     rows = []
     for lv in report.levels:
         row = {"n": lv.n, analytic_key: lv.analytic, "numeric": lv.numeric,
-               "rel_delta": lv.rel_delta}
+               "rel_delta": lv.rel_delta, "error": lv.error,
+               "ratio": lv.ratio if math.isfinite(lv.ratio) else None}
         if lv.nodes_analytic is not None:
             row.update(nodes_analytic=lv.nodes_analytic, nodes_numeric=lv.nodes_numeric)
         rows.append(row)
-    return {"tol": report.tol, "passed": report.passed, "levels": rows, **extra}
+    grid = report.grid and dict(zip(("x_max", "n", "dx"), report.grid))
+    return {"tol": report.tol, "passed": report.passed, "grid": grid, "levels": rows, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +316,7 @@ def cmd_scan_nodeless(config: RunConfig, args) -> tuple:
 
 
 def cmd_partner(config: RunConfig, args) -> tuple:
-    from . import darboux, geometry, verify
+    from . import darboux, verify
 
     kind, m = config.partner_params()
     spectrum = spectral.enumerate_bound_spectrum(config.spec)
@@ -321,17 +325,15 @@ def cmd_partner(config: RunConfig, args) -> tuple:
     else:
         seed = spectral.bound_state(spectrum, 0)
     expected = darboux.partner_levels(spectrum.energies, seed)
-    vmap, (v_parent, v_partner) = verify.oracle_map(
-        config.spec, lambda m: darboux.partner_potential(config.spec, seed, m),
+    rungs = verify.oracle_map(
+        config.spec, lambda etas: darboux.partner_potential(config.spec, seed, etas),
         config.x_max, config.n)
-    geometry.require_finite("potential", [v_parent, v_partner])
+    report, vmap, (v_parent, v_partner) = verify.verify_partner_levels(rungs, expected, args.tol)
     files = {"partner.csv": _csv("x,V_parent,V_partner", [vmap.x_grid, v_parent, v_partner])}
-    passed = True
-    if expected:
-        report = verify.verify_partner_levels(vmap, v_partner, expected, tol=args.tol)
-        files["partner_verify.json"] = _json(_check_record(report, "expected"))
-        passed = report.passed
-    return files, passed
+    if not expected:
+        return files, True
+    files["partner_verify.json"] = _json(_check_record(report, "expected"))
+    return files, report.passed
 
 
 def cmd_identities(config: RunConfig, args) -> tuple:

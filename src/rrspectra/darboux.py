@@ -20,16 +20,15 @@ approximation: a closed form solves the canonical equation by construction,
 and the Liouville transformation in the derived convention turns that into
 -ff'' + V ff = e_f ff with the same V that :func:`geometry.potential_of_eta`
 samples.  Finite differences appear only in tests.  The partner comes back
-as two lists of floats on the map's own grid, ``vmap.x_grid``, ready for the
-oracle: V and w are sampled point by point on the eta table, each closed
-form's coefficients taken once.
+as two lists of floats at the given eta points, ready for the oracle: V and
+w are sampled point by point, each closed form's coefficients taken once,
+so an oracle grid refined by halving samples its new points alone.
 """
 
 from __future__ import annotations
 
 from . import geometry
 from .errors import NodeDetected
-from .geometry import VariableMap
 from .spectral import ClosedForm, PotentialSpec
 
 
@@ -46,8 +45,8 @@ def partner_levels(parent, seed) -> list:
     return sorted([*parent, seed.energy]) if seed.kind == "d" else list(parent[1:])
 
 
-def partner_potential(spec: PotentialSpec, seed: ClosedForm, vmap: VariableMap) -> tuple:
-    """(V, V_hat) on the grid of ``vmap``, with V_hat = 2 e_s + 2 w^2 - V, w
+def partner_potential(spec: PotentialSpec, seed: ClosedForm, etas) -> tuple:
+    """(V, V_hat) at the floats ``etas``, with V_hat = 2 e_s + 2 w^2 - V, w
     the log-derivative of the closed-form ``seed`` and e_s its energy.
 
     A seed with real polynomial zeros (its stored ``nodes``) raises
@@ -55,7 +54,7 @@ def partner_potential(spec: PotentialSpec, seed: ClosedForm, vmap: VariableMap) 
     never its values, which underflow to 0.0 in the tails of deep wells."""
     if seed.nodes:
         raise NodeDetected(_NODED)
-    v_parent = geometry.on_grid(geometry.potential(spec), vmap.eta_grid)
-    w = geometry.on_grid(geometry.log_derivative(spec.tp, seed), vmap.eta_grid)
+    v_parent = geometry.on_grid(geometry.potential(spec), etas)
+    w = geometry.on_grid(geometry.log_derivative(spec.tp, seed), etas)
     e_s = seed.energy
     return v_parent, [2.0 * e_s + 2.0 * wi * wi - vi for wi, vi in zip(w, v_parent)]

@@ -49,5 +49,10 @@ class NonFiniteSamples(SpectraError):
     """Sampled values (a potential, or eta on the variable map) are NaN or infinite."""
 
 
+class GridTooLarge(SpectraError):
+    """The oracle's spacing rule asks for more grid points than
+    :data:`spectral.MAX_COUNT`, the cap a config's own ``n`` obeys."""
+
+
 class ConfigError(SpectraError):
     """A run configuration is malformed or violates an invariant."""

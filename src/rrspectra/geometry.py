@@ -112,25 +112,30 @@ class VariableMap:
     x_max, :func:`spectral.linspace`, which is ``numpy.linspace`` bit for bit;
     ``eta_grid`` is the table of eta on it and must come out strictly
     increasing.  Both are lists of floats.  The tangent polynomial is
-    symmetric, so the map is odd.  The tests check both directions against an
-    independent ODE solve and quadrature.
+    symmetric, so the map is odd.  A map built from a ``coarse`` one, with
+    2n - 1 points for its n on the same x_max, keeps its table as the even
+    points (see :meth:`_eta_table`).  The tests check both directions against
+    an independent ODE solve and quadrature.
     """
 
-    def __init__(self, tp: TangentPolySpec, x_max: float, n_points: int):
+    def __init__(self, tp: TangentPolySpec, x_max: float, n_points: int, coarse=None):
         if x_max <= 0:
             raise ValueError("x_max must be positive")
         if n_points < 64:
             raise ValueError("need at least 64 grid points")
+        if coarse is not None and (coarse.tp, coarse.x_max, 2 * coarse.n_points - 1) != (
+                tp, float(x_max), n_points):
+            raise ValueError("a refined map halves the spacing of its coarse map")
         self.tp = tp
         self.x_max = float(x_max)
         self.n_points = int(n_points)
         self.dx = (self.x_max + self.x_max) / (self.n_points - 1)
         self.x_grid = linspace(-self.x_max, self.x_max, self.n_points)
-        self.eta_grid = self._eta_table()
+        self.eta_grid = self._eta_table(coarse)
         if not all(map(operator.lt, self.eta_grid, self.eta_grid[1:])):
             raise StepFailure("variable map table is not strictly increasing")
 
-    def _eta_table(self) -> list:
+    def _eta_table(self, coarse) -> list:
         """eta on ``x_grid``: :func:`_inverse` on the upper half, from the
         middle point outward.  The map is odd, so a lower point is its negated
         upper mirror, moved by eta' times the rounding difference between its
@@ -138,14 +143,25 @@ class VariableMap:
         first-order step is of the order of the square of an ulp.  Samples
         past the double range raise :class:`NonFiniteSamples` with their
         count.
+
+        A map refined from a ``coarse`` one, at half its spacing, keeps its
+        table as the even points: ``linspace(-X, X, 2n - 1)[::2]`` is
+        ``linspace(-X, X, n)`` bit for bit, since the halved step is exact.
+        Only the odd points are solved, by the same inverse and mirror step.
         """
         xs, n = self.x_grid, self.n_points
         ra, rk = math.sqrt(self.tp.a), math.sqrt(self.tp.kappa_plus)
         hypot = math.hypot
         mid = n // 2
-        upper = _inverse(self.tp, xs[mid:])
-        etas = [None] * mid + upper + [None] * (n - mid - len(upper))  # None: eta overflows
-        for i in range(mid):
+        etas = [None] * n  # None: eta overflows
+        if coarse is None:
+            start, stride, lower = mid, 1, range(mid)
+        else:
+            etas[::2] = coarse.eta_grid
+            start, stride, lower = mid | 1, 2, range(1, mid, 2)
+        upper = _inverse(self.tp, xs[start::stride])
+        etas[start:start + stride * len(upper):stride] = upper
+        for i in lower:
             j = n - 1 - i
             eta = etas[j]
             if eta is not None:

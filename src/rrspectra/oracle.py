@@ -23,10 +23,23 @@ class EigenEstimate(NamedTuple):
     """One oracle level.  ``error`` is the gap between the one-step and two-step
     Richardson values, which estimates truncation, plus the propagated solver
     certificate (64 d_h + 20 d_2h + d_4h) / 45.  It does not see the roundoff
-    of order 1e-16 / h^2 that dominates on very fine grids."""
+    of order 1e-16 / h^2 that dominates on very fine grids.  ``ratio`` is the
+    observed-order ratio (E_2h - E_4h) / (E_h - E_2h), which tends to 4 where
+    the h^2 expansion holds (Roache, J. Fluids Eng. 116, 1994); it is infinite
+    where E_h = E_2h."""
 
     energy: float
     error: float
+    ratio: float
+
+
+class Grid(NamedTuple):
+    """One solved grid: its lowest levels, their certified bounds, and its
+    Sturm count at the ceiling, the number of levels it has below it."""
+
+    levels: list
+    bounds: list
+    top: int
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +335,12 @@ def _predicted(solved: list) -> list:
     return list(solved[0]) if solved else []
 
 
-def lowest_levels(values, dx: float, count: int, *, require_decay: bool = True) -> list[EigenEstimate]:
-    """Lowest ``count`` eigenvalues of -psi'' + V psi = e psi for the samples
-    ``values`` of V on a uniform grid of spacing ``dx``.
+def lowest_levels(values, dx: float, count: int, *, require_decay: bool = True,
+                  coarser: tuple = ()) -> tuple:
+    """(estimates, grids): the lowest ``count`` eigenvalues of
+    -psi'' + V psi = e psi for the samples ``values`` of V on a uniform grid
+    of spacing ``dx``, as :class:`EigenEstimate` records, and every grid
+    solved for them, coarsest first, as :class:`Grid` records.
 
     By default the potential must decay at both grid ends (|V| < 1e-2), the
     ends are transparent, exact where V = 0 outside the grid, and only levels
@@ -342,9 +358,15 @@ def lowest_levels(values, dx: float, count: int, *, require_decay: bool = True) 
     threshold on the finest grid alone is left out.  Coarser 2:1 subsamples,
     while they keep 512 interior samples and twice as many as there are
     levels, are solved first for starting values alone; the grids are solved
-    coarse to fine, each level from :func:`_predicted`.  Each grid's count at
-    the ceiling, with V_min below which the Hamiltonian has no level,
-    brackets its levels.
+    coarse to fine, each level from :func:`_predicted`, and each grid for as
+    many of the ``count`` levels as it has below the ceiling.  Each grid's
+    count at the ceiling, with V_min below which the Hamiltonian has no
+    level, brackets its levels.
+
+    ``coarser``, the grids returned for the samples ``values[::2]`` at
+    spacing 2 dx (n - 1 must then be a multiple of 4, so nothing is
+    dropped), are taken as solved: only the grid itself is solved, from
+    their prediction, and the grids returned are theirs plus it.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -357,28 +379,33 @@ def lowest_levels(values, dx: float, count: int, *, require_decay: bool = True) 
             "potential ends at (%.3g, %.3g); need |V| < 1e-2" % (v[0], v[-1])
         )
     extra = (len(v) - 1) % 4
+    if coarser and extra:
+        raise ValueError("a refined grid needs n - 1 a multiple of 4")
     v = v[extra // 2 : len(v) - (extra - extra // 2)]
     count = min(count, (len(v) - 1) // 4 - 1)  # interior size of the 4h grid
     if count < 1:
-        return []
+        return [], ()
     ceiling = _CEILING if require_decay else min(v[0], v[-1])
-    samples = [v, v[::2], v[::4]]
+    samples = [v] if coarser else [v, v[::2], v[::4]]
     grids = [_Hamiltonian(g, dx * 2 ** i, ceiling, require_decay) for i, g in enumerate(samples)]
-    kept = min(count, *(ham.top[1] for ham in grids))  # so no level above the ceiling is solved
+    # so no level above the ceiling is solved
+    kept = min(count, *(ham.top[1] for ham in grids), *(g.top for g in coarser[-2:]))
     if kept == 0:
-        return []
-    while len(samples[-1]) // 2 - 1 >= max(_COARSEST, 2 * kept):
+        return [], ()
+    while not coarser and len(samples[-1]) // 2 - 1 >= max(_COARSEST, 2 * kept):
         samples.append(samples[-1][::2])
         grids.append(_Hamiltonian(samples[-1], dx * 2 ** len(grids), ceiling, require_decay))
-    solved = []  # (levels, bounds) of each grid, coarsest first
+    solved = list(coarser)
     for ham in reversed(grids):
-        starts = _predicted([levels for levels, _ in solved])
-        solved.append(_levels(ham, min(kept, ham.top[1]), starts))
-    (e_4h, d_4h), (e_2h, d_2h), (e_h, d_h) = solved[-3:]
+        starts = _predicted([g.levels for g in solved])
+        solved.append(Grid(*_levels(ham, min(count, ham.top[1]), starts), ham.top[1]))
+    (e_4h, d_4h, _), (e_2h, d_2h, _), (e_h, d_h, _) = solved[-3:]
     estimates = []
     for e1, e2, e4, c1, c2, c4 in zip(e_h, e_2h, e_4h, d_h, d_2h, d_4h):
         two_step = (64.0 * e1 - 20.0 * e2 + e4) / 45.0
         one_step = (4.0 * e1 - e2) / 3.0
         cert = (64.0 * c1 + 20.0 * c2 + c4) / 45.0
-        estimates.append(EigenEstimate(energy=two_step, error=abs(two_step - one_step) + cert))
-    return estimates
+        ratio = (e2 - e4) / (e1 - e2) if e1 != e2 else math.inf
+        estimates.append(EigenEstimate(energy=two_step, error=abs(two_step - one_step) + cert,
+                                       ratio=ratio))
+    return estimates, tuple(solved)

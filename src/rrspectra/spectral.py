@@ -496,6 +496,11 @@ def _scan_cell(a_g: float, b_g: float, m: int) -> ScanCell:
     )
 
 
+# Largest grid point count and scan cell count na * nb: about 100 times the
+# largest grid in use, and a 1024 x 1024 map.
+MAX_COUNT = 2 ** 20
+
+
 def linspace(start, stop, num: int) -> list:
     """``num`` >= 2 floats from ``start`` to ``stop``, equal to
     ``np.linspace(start, stop, num)`` bit for bit: i*step + start with the

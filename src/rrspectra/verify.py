@@ -7,6 +7,17 @@ oracle, :func:`oracle.lowest_levels`, and one comparison, which gives a
 potential, a list of floats, and the map's spacing alone (no analytic
 seeding), so the comparison stays independent of the result it checks.
 Nothing here loads numpy.
+
+The oracle solves on a ladder of nested grids, coarse to fine, and stops at
+the first rung on which every level is resolved: found, with an error
+budget (its error estimate plus |V| at the box ends) at most tol |E| / 10,
+and an observed-order ratio (E_2h - E_4h) / (E_h - E_2h) in [3.5, 4.8].
+Rung 0 has 4 times the spacing of the cap, and each rung halves the spacing
+of the one before, so the grids a rung solved are the next rung's 2:1 and
+4:1 subsamples and each refinement solves one new grid.  The cap is the
+spacing rule min(0.012, 0.1/sqrt|V_min|) on the rung's own samples; a rung
+above 2^20 points is refused.  ``tol`` 0, or a given point count, solves
+one grid alone: the cap, or the given grid.
 """
 
 from __future__ import annotations
@@ -15,63 +26,135 @@ import math
 from typing import NamedTuple
 
 from . import geometry, oracle
+from .errors import GridTooLarge
 from .geometry import VariableMap
-from .spectral import PotentialSpec, enumerate_bound_spectrum
+from .spectral import MAX_COUNT, PotentialSpec, enumerate_bound_spectrum
 
 
 _DECAY = 1e-12  # |V| at the ends of an oracle box, where its ends are transparent
 _SPACING = 0.012  # widest oracle spacing ...
 _DEPTH_SPACING = 0.1  # ... or h sqrt|V_min| at most, for deeper wells
+# Observed-order ratios of resolved levels: 4.00-4.36 on the levels below -1
+# of seed-1001 and seed-4242 benchmark configs, up to 4.68 on the top levels
+# of Gendenshtein (30.3, 0.7); the Milson kappa 0.05 ground state (-27) and
+# the near-threshold level of Gendenshtein 2.0001 (10.1) lie far outside.
+_BAND = (3.5, 4.8)
 
 
-def _points(x_max: float, h: float) -> int:
-    """The smallest odd point count with spacing at most ``h`` on [-x_max, x_max]."""
-    return max(65, (math.ceil(2.0 * x_max / h * (1.0 - 1e-12)) + 1) | 1)
+def _cap_intervals(x_max: float, columns) -> int:
+    """The intervals on [-x_max, x_max] at spacing
+    h = min(0.012, 0.1/sqrt|V_min|), V_min the deepest finite sample of
+    ``columns``."""
+    depth = -min((x for c in columns for x in c if math.isfinite(x)), default=0.0)
+    h = _SPACING
+    if depth * _SPACING ** 2 > _DEPTH_SPACING ** 2:
+        h = _DEPTH_SPACING / math.sqrt(depth)
+    return math.ceil(2.0 * x_max / h * (1.0 - 1e-12))
 
 
-def oracle_map(spec: PotentialSpec, sample, x_max=None, n=None) -> tuple:
-    """(vmap, columns): the variable map an oracle grid is sampled on, and
-    ``sample(vmap)``, the potentials on it as lists of floats.  A given x_max
-    or n is kept.
+def _first_rung(cap: int) -> int:
+    """Rung 0's intervals for a cap of ``cap`` intervals: a quarter of the
+    cap rounded up to a multiple of 16, and at least 64."""
+    return max(64, -(-cap // 16) * 4)
+
+
+def _refuse_above_cap(intervals: int, cap: int) -> None:
+    """Raise :class:`GridTooLarge` if the ladder from ``intervals`` to the cap
+    ``cap`` has a rung above :data:`MAX_COUNT` points."""
+    while intervals < cap:
+        intervals *= 2
+    if intervals + 1 > MAX_COUNT:
+        raise GridTooLarge("the oracle grid needs %d points; the cap is %d"
+                           % (intervals + 1, MAX_COUNT))
+
+
+def _sampled(sample, etas) -> list:
+    columns = sample(etas)
+    geometry.require_finite("potential", columns)
+    return columns
+
+
+def _interleave(even: list, odd: list) -> list:
+    """The samples of a refined rung: ``even`` at its even points, ``odd`` between."""
+    out = even + odd
+    out[::2], out[1::2] = even, odd
+    return out
+
+
+def oracle_map(spec: PotentialSpec, sample, x_max=None, n=None):
+    """The rungs (vmap, columns) of the oracle's ladder, coarsest first: each
+    variable map, and ``sample(etas)``, the potentials at the floats ``etas``
+    as lists of floats, on it.  ``sample`` must work point by point, since a
+    refinement samples its new points alone.  A given x_max is kept, and a
+    given n is the one rung.  Samples that are NaN or infinite raise
+    :class:`NonFiniteSamples`.
 
     The oracle's ends are transparent, exact where V = 0, so the half-width
     is the potential's own decay scale: the smallest quarter with |V| < 1e-12
-    at both ends (:func:`geometry.decay_x_max`).  The spacing is
-    h = min(0.012, 0.1/sqrt|V_min|), V_min the deepest sample of the columns
-    (for a partner, the deeper of V and V_hat), and n the smallest odd count
-    at that spacing.  The columns are sampled at h = 0.012 first, and once
-    more on the finer map where the well is deeper than 0.1^2/0.012^2.
+    at both ends (:func:`geometry.decay_x_max`).  The cap, the last rung, is
+    the first with a spacing of at most h = min(0.012, 0.1/sqrt|V_min|),
+    V_min the deepest sample of the rung's own columns (for a partner, the
+    deeper of V and V_hat).  Rung 0 has about 4 h, a quarter of the cap's
+    intervals rounded up to a multiple of 16 (so 4 divides the intervals of
+    every rung) and at least 64.  It is sampled at 4 x 0.012 first, and once
+    more on the finer map where the well is deeper than 0.1^2/0.012^2.  Each
+    later rung has 2n - 1 points at half the spacing: it keeps the map and
+    the samples of the rung before as its even points and samples its odd
+    points alone.  Where the samples of a rung ask for a cap above 2^20
+    points, :class:`GridTooLarge` is raised before a finer map is built.
     """
     if x_max is None:
         x_max = geometry.decay_x_max(spec, _DECAY)
-    vmap = VariableMap(spec.tp, x_max, n or _points(x_max, _SPACING))
-    columns = sample(vmap)
-    if n is None:
-        depth = -min((x for c in columns for x in c if math.isfinite(x)), default=0.0)
-        if depth * _SPACING ** 2 > _DEPTH_SPACING ** 2:
-            vmap = VariableMap(spec.tp, x_max, _points(x_max, _DEPTH_SPACING / math.sqrt(depth)))
-            columns = sample(vmap)
-    return vmap, columns
+    if n is not None:
+        vmap = VariableMap(spec.tp, x_max, n)
+        yield vmap, _sampled(sample, vmap.eta_grid)
+        return
+    intervals = _first_rung(_cap_intervals(x_max, ()))  # at 4 x 0.012
+    vmap = VariableMap(spec.tp, x_max, intervals + 1)
+    columns = _sampled(sample, vmap.eta_grid)
+    cap = _cap_intervals(x_max, columns)
+    if _first_rung(cap) > intervals:  # a deep well
+        intervals = _first_rung(cap)
+        _refuse_above_cap(intervals, cap)
+        vmap = VariableMap(spec.tp, x_max, intervals + 1)
+        columns = _sampled(sample, vmap.eta_grid)
+    while True:
+        yield vmap, columns
+        cap = _cap_intervals(x_max, columns)
+        if intervals >= cap:
+            return
+        _refuse_above_cap(intervals, cap)
+        intervals *= 2
+        vmap = VariableMap(spec.tp, x_max, intervals + 1, vmap)
+        odd = _sampled(sample, vmap.eta_grid[1::2])
+        columns = [_interleave(c, o) for c, o in zip(columns, odd)]
 
 
 class LevelCheck(NamedTuple):
     """One level of an oracle check.  Level k of the oracle is the k-th
     lowest, so ``nodes_numeric`` is k; ``nodes_analytic`` is the closed
-    form's exact node count, or None where it makes no claim."""
+    form's exact node count, or None where it makes no claim.  ``error`` is
+    the level's budget, the oracle's error estimate plus |V| at the box ends,
+    and ``ratio`` its observed-order ratio."""
     n: int
     analytic: float
     numeric: float
     rel_delta: float
     nodes_analytic: int | None
     nodes_numeric: int
+    error: float
+    ratio: float
 
 
 class LevelReport(NamedTuple):
     """One check passes when it found all ``n_expected`` levels, each within
-    ``tol`` and with the node count its closed form claims."""
+    ``tol`` and with the node count its closed form claims.  ``grid`` is the
+    (x_max, n, dx) of the grid the levels were solved on, or None where
+    there are none."""
     levels: tuple
     n_expected: int
     tol: float
+    grid: tuple | None
 
     @property
     def passed(self) -> bool:
@@ -80,18 +163,44 @@ class LevelReport(NamedTuple):
             for lv in self.levels
         )
 
+    @property
+    def resolved(self) -> bool:
+        """Whether every level was found, with a budget of at most tol |E| / 10
+        and a ratio in the band: the ladder stops here."""
+        return len(self.levels) == self.n_expected and all(
+            lv.error <= 0.1 * self.tol * abs(lv.numeric) and _BAND[0] <= lv.ratio <= _BAND[1]
+            for lv in self.levels
+        )
 
-def _compare(values, dx, energies, nodes, tol) -> LevelReport:
-    """The oracle levels of the samples ``values`` against the analytic
-    ``energies`` and ``nodes``; ``rel_delta`` is relative to the oracle value."""
-    estimates = oracle.lowest_levels(values, dx, len(energies))
-    levels = tuple(
-        LevelCheck(n=k, analytic=e, numeric=est.energy,
-                   rel_delta=abs(e - est.energy) / abs(est.energy),
-                   nodes_analytic=m, nodes_numeric=k)
-        for k, (e, m, est) in enumerate(zip(energies, nodes, estimates))
-    )
-    return LevelReport(levels=levels, n_expected=len(energies), tol=tol)
+
+def _compare(rungs, energies, nodes, tol) -> tuple:
+    """(report, vmap, columns): the oracle levels of the last column of each
+    rung (vmap, columns) of ``rungs`` against the analytic ``energies`` and
+    ``nodes``, on the first rung where they are resolved, else the last;
+    ``rel_delta`` is relative to the oracle value.  Each rung after the first
+    hands the oracle the grids of the one before.  With ``tol`` 0 no level
+    can be resolved, so the last rung alone is solved."""
+    if not tol:
+        for last in rungs:  # each rung is dropped once the next is built
+            pass
+        rungs = [last]
+    coarser = ()
+    for vmap, columns in rungs:
+        values = columns[-1]
+        estimates, coarser = (oracle.lowest_levels(values, vmap.dx, len(energies), coarser=coarser)
+                              if energies else ((), ()))
+        end = max(abs(values[0]), abs(values[-1]))
+        levels = tuple(
+            LevelCheck(n=k, analytic=e, numeric=est.energy,
+                       rel_delta=abs(e - est.energy) / abs(est.energy),
+                       nodes_analytic=m, nodes_numeric=k, error=est.error + end, ratio=est.ratio)
+            for k, (e, m, est) in enumerate(zip(energies, nodes, estimates))
+        )
+        report = LevelReport(levels=levels, n_expected=len(energies), tol=tol,
+                             grid=(vmap.x_max, vmap.n_points, vmap.dx))
+        if report.resolved:
+            break
+    return report, vmap, columns
 
 
 def verify_spectrum(spec: PotentialSpec, tol: float = 1e-3, x_max=None, n=None) -> tuple:
@@ -100,15 +209,16 @@ def verify_spectrum(spec: PotentialSpec, tol: float = 1e-3, x_max=None, n=None) 
     cannot be sampled on the grid raises :class:`NonFiniteSamples`."""
     spectrum = enumerate_bound_spectrum(spec)
     if not spectrum.states:
-        return LevelReport(levels=(), n_expected=0, tol=tol), spectrum
+        return LevelReport(levels=(), n_expected=0, tol=tol, grid=None), spectrum
     v_of = geometry.potential(spec)
-    vmap, (values,) = oracle_map(spec, lambda m: [geometry.on_grid(v_of, m.eta_grid)], x_max, n)
-    report = _compare(values, vmap.dx, spectrum.energies, [s.nodes for s in spectrum.states], tol)
+    rungs = oracle_map(spec, lambda etas: [geometry.on_grid(v_of, etas)], x_max, n)
+    report, _, _ = _compare(rungs, spectrum.energies, [s.nodes for s in spectrum.states], tol)
     return report, spectrum
 
 
-def verify_partner_levels(vmap: VariableMap, v_partner, expected, tol: float = 1e-3) -> LevelReport:
-    """Oracle spectrum of the partner potential ``v_partner``, sampled on
-    ``vmap``, against an expected level list; the partner's node counts are
-    not claimed."""
-    return _compare(v_partner, vmap.dx, expected, [None] * len(expected), tol)
+def verify_partner_levels(rungs, expected, tol: float = 1e-3) -> tuple:
+    """(report, vmap, columns): the oracle spectrum of the partner potential,
+    the last column of each rung (vmap, columns) of ``rungs``, against an
+    expected level list, and the rung it was decided on; the partner's node
+    counts are not claimed."""
+    return _compare(rungs, expected, [None] * len(expected), tol)

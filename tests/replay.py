@@ -18,9 +18,13 @@ leaves there each config (``<config-id>.json``), its outputs
 compares two such directories file by file and prints, per file, either
 ``identical`` or the largest difference among its numbers: for JSON, per
 object key, relative to the larger magnitude of the two numbers; for CSV,
-relative to the largest magnitude in the cell's column of DIR_A.  Anything else that
-differs (a key, a string, a flag, an integer, a row count, a missing file) is
-reported with where it first differs, and makes the exit status 1.
+relative to the largest magnitude in the cell's column of DIR_A.  An oracle
+level row's ``numeric`` move is also given in units of the row's ``error``,
+its budget, from DIR_A (from DIR_B where DIR_A has none), as
+``numeric/error``.  Keys present on one side only are listed after the
+numbers; they, and anything else that differs (a string, a flag, an
+integer, a row count, a missing file), make the exit status 1.  Anything
+but keys is reported with where it first differs.
 
 The configs are the seed-1001 commands of the three benchmark workloads
 (``perfbench/workloads.py``, imported read-only), plus cases the benchmark
@@ -119,23 +123,30 @@ def _rel(a: float, b: float, scale: float) -> float:
     return abs(a - b) / scale if scale > 0 and math.isfinite(scale) else math.inf
 
 
-def json_diff(a, b, worst: dict, where: str = "", field: str = "") -> None:
+def json_diff(a, b, worst: dict, keys: list, where: str = "", field: str = "") -> None:
     """Record in ``worst`` the largest relative difference between the floats
-    of two JSON values, per object key (``field``); raises :class:`Differs`
-    at the first other difference."""
+    of two JSON values, per object key (``field``), and the largest move of
+    a ``numeric`` in units of its row's ``error`` (``numeric/error``); append
+    to ``keys`` the keys of an object present on one side only, and compare
+    the others; raises :class:`Differs` at the first other difference."""
     numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (a, b))
     if numbers and (isinstance(a, float) or isinstance(b, float)):
         worst[field] = max(worst.get(field, 0.0), _rel(a, b, max(abs(a), abs(b))))
     elif isinstance(a, dict) and isinstance(b, dict):
-        if sorted(a) != sorted(b):
-            raise Differs("%s keys %s" % (where or "root", sorted(set(a) ^ set(b))))
+        if set(a) != set(b):
+            keys.append("%s %s" % (where or "root", sorted(set(a) ^ set(b))))
+        error = a.get("error", b.get("error"))
+        if "numeric" in a and "numeric" in b and error:
+            move = abs(a["numeric"] - b["numeric"]) / error
+            worst["numeric/error"] = max(worst.get("numeric/error", 0.0), move)
         for k in a:
-            json_diff(a[k], b[k], worst, "%s.%s" % (where, k), k)
+            if k in b:
+                json_diff(a[k], b[k], worst, keys, "%s.%s" % (where, k), k)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             raise Differs("%s length %d != %d" % (where or "root", len(a), len(b)))
         for i, (x, y) in enumerate(zip(a, b)):
-            json_diff(x, y, worst, "%s[%d]" % (where, i), field)
+            json_diff(x, y, worst, keys, "%s[%d]" % (where, i), field)
     elif type(a) is not type(b) or a != b:
         raise Differs("%s: %r != %r" % (where or "root", a, b))
 
@@ -176,10 +187,14 @@ def diff_file(path_a: str, path_b: str) -> str:
             return "identical"
     if path_a.endswith(".json"):
         with open(path_a, encoding="utf-8") as fa, open(path_b, encoding="utf-8") as fb:
-            worst = {}
-            json_diff(json.load(fa), json.load(fb), worst)
-        return "max rel diff " + ", ".join(
+            worst, keys = {}, []
+            json_diff(json.load(fa), json.load(fb), worst, keys)
+        verdict = "max rel diff " + ", ".join(
             "%s %.3g" % (k or "root", v) for k, v in sorted(worst.items()) if v)
+        if keys:
+            raise Differs("%s; keys on one side only in %d objects, first %s"
+                          % (verdict, len(keys), keys[0]))
+        return verdict
     if path_a.endswith(".csv"):
         with open(path_a, encoding="utf-8", newline="") as fa, \
                 open(path_b, encoding="utf-8", newline="") as fb:

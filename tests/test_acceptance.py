@@ -163,9 +163,9 @@ def test_criterion_7_darboux_insertion():
     spec = gendenshtein_params(2.5, 0.5)
     vmap = VariableMap(spec.tp, 46.0, 8192)
     seed = aeh_solution(spec, "d", 0)
-    _, v_partner = partner_potential(spec, seed, vmap)
+    _, v_partner = partner_potential(spec, seed, vmap.eta_grid)
     expected = [-12.25, -6.25, -2.25, -0.25]
-    rep = verify_partner_levels(vmap, v_partner, expected, tol=1e-3)
+    rep = verify_partner_levels([(vmap, [v_partner])], expected, tol=1e-3)[0]
     elapsed = time.monotonic() - t0
     report(
         7,

@@ -317,10 +317,14 @@ class TestPartnerCommand:
         out = tmp_path / "out"
         assert sorted(os.listdir(out)) == ["partner.csv", "partner_verify.json", "report.json"]
         rows = (out / "partner.csv").read_text().splitlines()[1:]
-        # one row per point of the map that oracle_map sizes for the partner
+        # one row per point of the rung of the oracle's ladder the levels
+        # were decided on, the grid that partner_verify.json records
         spec = spectral.gendenshtein_params(1.5, 0.4)
         seed = spectral.aeh_solution(spec, "d", 0)
-        vmap, _ = verify.oracle_map(spec, lambda m: darboux.partner_potential(spec, seed, m))
+        rungs = verify.oracle_map(spec, lambda etas: darboux.partner_potential(spec, seed, etas))
+        _, vmap, _ = verify.verify_partner_levels(rungs, [-6.25, -2.25, -0.25], 1e-3)
+        grid = json.loads((out / "partner_verify.json").read_text())["grid"]
+        assert grid == {"x_max": vmap.x_max, "n": vmap.n_points, "dx": vmap.dx}
         assert len(rows) == vmap.n_points and all(len(r.split(",")) == 3 for r in rows)
         assert float(rows[0].split(",")[0]) == -vmap.x_max
 
@@ -617,7 +621,7 @@ class TestOutputContract:
         # the same grid, chosen by the oracle's rule and not by the config
         def narrow(spec, sample, x_max=None, n=None):
             vmap = geometry.VariableMap(spec.tp, 3.0, 1024)
-            return vmap, sample(vmap)
+            yield vmap, sample(vmap.eta_grid)
 
         monkeypatch.setattr(verify, "oracle_map", narrow)
         cfg = write_config(tmp_path, {key: NARROW[key] for key in ("potential", "partner")})
@@ -757,14 +761,21 @@ def test_oracle_outputs_keep_their_keys(tmp_path):
     assert main(["partner", "--config", cfg, "--out", str(tmp_path / "p")]) == 0
     ver = json.loads((tmp_path / "v" / "verify.json").read_text())
     part = json.loads((tmp_path / "p" / "partner_verify.json").read_text())
-    assert set(ver) == {"tol", "passed", "levels", "n_max_constructive", "n_max_formula",
-                        "formula_consistent"}
-    assert ver["levels"] and all(set(lv) == {"n", "analytic", "numeric", "rel_delta",
-                                             "nodes_analytic", "nodes_numeric"}
+    assert set(ver) == {"tol", "passed", "grid", "levels", "n_max_constructive",
+                        "n_max_formula", "formula_consistent"}
+    assert ver["levels"] and all(set(lv) == {"n", "analytic", "numeric", "rel_delta", "error",
+                                             "ratio", "nodes_analytic", "nodes_numeric"}
                                  for lv in ver["levels"])
-    assert set(part) == {"tol", "passed", "levels"}
-    assert part["levels"] and all(set(lv) == {"n", "expected", "numeric", "rel_delta"}
+    assert set(part) == {"tol", "passed", "grid", "levels"}
+    assert part["levels"] and all(set(lv) == {"n", "expected", "numeric", "rel_delta", "error",
+                                              "ratio"}
                                   for lv in part["levels"])
+    for record in (ver, part):
+        assert set(record["grid"]) == {"x_max", "n", "dx"}
+        assert record["grid"]["dx"] == 2 * record["grid"]["x_max"] / (record["grid"]["n"] - 1)
+        # resolved levels: within their budget, at most tol |E| / 10
+        assert all(lv["error"] <= 1e-4 * abs(lv["numeric"]) and 3.5 <= lv["ratio"] <= 4.8
+                   for lv in record["levels"])
 
 
 def test_report_digest_is_sha256_of_the_config(tmp_path):

@@ -24,10 +24,10 @@ from residual import eta_of_x, phi_value
 
 @pytest.fixture(scope="module")
 def insertion_setup():
-    # the map the partner command samples the type-d m=0 partner on
+    # the cap of the ladder the partner command samples the type-d m=0 partner on
     spec = gendenshtein_params(1.5, 0.4)
     seed = aeh_solution(spec, "d", 0)
-    vmap, _ = oracle_map(spec, lambda m: partner_potential(spec, seed, m))
+    *_, (vmap, _) = oracle_map(spec, lambda etas: partner_potential(spec, seed, etas))
     return spec, vmap
 
 
@@ -35,9 +35,9 @@ class TestPartnerPotential:
     def test_state_insertion(self, insertion_setup):
         spec, vmap = insertion_setup
         seed = aeh_solution(spec, "d", 0)
-        _, v_partner = partner_potential(spec, seed, vmap)
+        _, v_partner = partner_potential(spec, seed, vmap.eta_grid)
         # parent levels -(1.5-n)^2 for n=0,1 plus the inserted -(1.5+1)^2
-        rep = verify_partner_levels(vmap, v_partner, [-6.25, -2.25, -0.25], tol=1e-3)
+        rep = verify_partner_levels([(vmap, [v_partner])], [-6.25, -2.25, -0.25], tol=1e-3)[0]
         assert rep.passed, rep.levels
 
     def test_ground_state_erasure(self, insertion_setup):
@@ -45,8 +45,8 @@ class TestPartnerPotential:
         # the normalized bound state, and the same type-c seed unnormalized
         for psi0 in (normalized(spec, bound_state(enumerate_bound_spectrum(spec), 0)),
                      aeh_solution(spec, "c", 0)):
-            _, v_partner = partner_potential(spec, psi0, vmap)
-            rep = verify_partner_levels(vmap, v_partner, [-0.25], tol=1e-3)
+            _, v_partner = partner_potential(spec, psi0, vmap.eta_grid)
+            rep = verify_partner_levels([(vmap, [v_partner])], [-0.25], tol=1e-3)[0]
             assert rep.passed, rep.levels
 
     def test_planted_node_rejected(self, insertion_setup):
@@ -55,7 +55,7 @@ class TestPartnerPotential:
         seed = aeh_solution(spec, "d", 1)
         assert seed.nodes == 1
         with pytest.raises(NodeDetected, match="real zeros"):
-            partner_potential(spec, seed, vmap)
+            partner_potential(spec, seed, vmap.eta_grid)
 
     def test_ground_state_erasure_on_a_deep_well(self):
         # the nodeless ground state underflows to 0.0 far out on a wide grid;
@@ -65,7 +65,7 @@ class TestPartnerPotential:
         vmap = VariableMap(spec.tp, 60.0, 10001)
         seed = normalized(spec, bound_state(spectrum, 0))
         assert seed.nodes == 0 and any(phi_value(seed, e) == 0.0 for e in vmap.eta_grid)
-        _, v_partner = partner_potential(spec, seed, vmap)
+        _, v_partner = partner_potential(spec, seed, vmap.eta_grid)
         assert np.all(np.isfinite(v_partner))
 
     def test_log_derivative_matches_finite_differences(self, insertion_setup):
@@ -92,7 +92,7 @@ class TestPartnerPotential:
     def test_partner_decays_like_parent(self, insertion_setup):
         spec, vmap = insertion_setup
         seed = aeh_solution(spec, "d", 0)
-        _, v_partner = partner_potential(spec, seed, vmap)
+        _, v_partner = partner_potential(spec, seed, vmap.eta_grid)
         assert abs(v_partner[0]) < 1e-2 and abs(v_partner[-1]) < 1e-2
 
     def test_far_field_decays(self):
@@ -102,7 +102,7 @@ class TestPartnerPotential:
         vmap = VariableMap(spec.tp, 200.0, 4097)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow anywhere in the partner
-            _, v_partner = partner_potential(spec, aeh_solution(spec, "d", 0), vmap)
+            _, v_partner = partner_potential(spec, aeh_solution(spec, "d", 0), vmap.eta_grid)
         assert np.all(np.isfinite(v_partner))
         assert abs(v_partner[0]) < 1e-12 and abs(v_partner[-1]) < 1e-12
 

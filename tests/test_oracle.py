@@ -26,12 +26,13 @@ def harmonic_grid(n=8192):
 
 def potential_columns(spec):
     """The column sampler ``verify`` hands to ``oracle_map``: V of ``spec``."""
-    return lambda vmap: [geometry.on_grid(geometry.potential(spec), vmap.eta_grid)]
+    return lambda etas: [geometry.on_grid(geometry.potential(spec), etas)]
 
 
 def oracle_grid(spec, n=None):
-    """(V, dx): the potential of ``spec`` sampled on the map that ``verify`` sizes for it."""
-    vmap, (v,) = oracle_map(spec, potential_columns(spec), n=n)
+    """(V, dx): the potential of ``spec`` sampled on the cap of the ladder
+    that ``verify`` sizes for it, or on ``n`` points."""
+    *_, (vmap, (v,)) = oracle_map(spec, potential_columns(spec), n=n)
     return np.asarray(v), vmap.dx
 
 
@@ -39,21 +40,21 @@ class TestNumerov:
     """``lowest_levels``; the class keeps the name of the shooting oracle it replaced."""
 
     def test_harmonic_calibration(self):
-        est = lowest_levels(*harmonic_grid(), 6, require_decay=False)
+        est, _ = lowest_levels(*harmonic_grid(), 6, require_decay=False)
         assert_allclose([e.energy for e in est], [2 * n + 1 for n in range(6)], atol=1e-6)
 
     @pytest.mark.parametrize("n", [2049, 2048, 2047])
     def test_error_bounds_true_error(self, n):
         # n = 2049 keeps every sample, 2048 drops one and 2047 (3 mod 4) two;
         # one Richardson step would miss the 1e-9 bound by about 50x
-        est = lowest_levels(*harmonic_grid(n), 6, require_decay=False)
+        est, _ = lowest_levels(*harmonic_grid(n), 6, require_decay=False)
         assert_allclose([e.energy for e in est], [2 * k + 1 for k in range(6)], atol=1e-9, rtol=0)
         for k, e in enumerate(est):
             assert abs(e.energy - (2 * k + 1)) <= e.error < 1e-7
 
     def test_gendenshtein_cross_check(self, gspec):
         grid = oracle_grid(gspec)
-        est = lowest_levels(*grid, 3)
+        est, _ = lowest_levels(*grid, 3)
         for e, expected in zip(est, (-6.25, -2.25, -0.25)):
             assert abs(e.energy - expected) / abs(expected) < 1e-4
 
@@ -61,9 +62,10 @@ class TestNumerov:
         g1 = oracle_grid(gspec, n=4096)
         g2 = oracle_grid(gspec, n=8192)
         # a user's point count is kept as given, however small
-        assert oracle_map(gspec, potential_columns(gspec), n=300)[0].n_points == 300
-        e1 = lowest_levels(*g1, 3)
-        e2 = lowest_levels(*g2, 3)
+        [(vmap, _)] = oracle_map(gspec, potential_columns(gspec), n=300)
+        assert vmap.n_points == 300
+        e1, _ = lowest_levels(*g1, 3)
+        e2, _ = lowest_levels(*g2, 3)
         for a, b in zip(e1, e2):
             assert abs(a.energy - b.energy) < 1e-7
 
@@ -74,7 +76,7 @@ class TestNumerov:
         # well: each closed-form level is found, within the oracle's estimate
         spec = gendenshtein_params(a, b)
         exact = spectral.enumerate_bound_spectrum(spec).energies
-        est = lowest_levels(*oracle_grid(spec), len(exact))
+        est, _ = lowest_levels(*oracle_grid(spec), len(exact))
         assert len(est) == len(exact)
         for e, x in zip(est, exact):
             assert abs(e.energy - x) <= e.error
@@ -86,7 +88,7 @@ class TestNumerov:
     def test_fewer_states_than_requested(self):
         spec = gendenshtein_params(0.8, 0.0)  # single level at -0.64
         grid = oracle_grid(spec)
-        est = lowest_levels(*grid, 5)
+        est, _ = lowest_levels(*grid, 5)
         assert len(est) == 1
         assert abs(est[0].energy + 0.64) < 1e-4
 
@@ -128,7 +130,8 @@ def partner_samples(spec):
     """The type-d m=0 partner of ``spec`` on its oracle grid, as ``partner`` builds it."""
     seed = spectral.aeh_solution(spec, "d", 0)
     expected = darboux.partner_levels(spectral.enumerate_bound_spectrum(spec).energies, seed)
-    vmap, (_, v_partner) = oracle_map(spec, lambda m: darboux.partner_potential(spec, seed, m))
+    *_, (vmap, (_, v_partner)) = oracle_map(
+        spec, lambda etas: darboux.partner_potential(spec, seed, etas))
     return np.asarray(v_partner), vmap.dx, len(expected)
 
 
@@ -180,7 +183,7 @@ def chain_case(name):
 
     oracle._levels = record
     try:
-        estimates = lowest_levels(v, dx, count, require_decay=transparent(name))
+        estimates, _ = lowest_levels(v, dx, count, require_decay=transparent(name))
     finally:
         oracle._levels = solve
     return estimates, solved
@@ -319,6 +322,10 @@ class TestSineRitz:
         _, s, t = oracle._laguerre_pass(ham, sigma)
         assert oracle._newton_pass(ham, sigma)[1] == s
         assert s == pytest.approx(-(plus - minus) / (2 * d), rel=1e-5)
+        # the second difference divides the roundoff of ln det by d^2, about
+        # 1e-3 of t at this step; ten times the step keeps it near 1e-5
+        d *= 10.0
+        plus, minus = ln_det(sigma + d), ln_det(sigma - d)
         assert t == pytest.approx(-(plus - 2 * mid + minus) / (d * d), rel=1e-3)
 
     @pytest.mark.parametrize("name", ["gendenshtein-2.05-0", "partner-7104"])
@@ -366,8 +373,9 @@ class TestLevelReport:
     ])
     def test_one_pass_rule(self, monkeypatch, check, case):
         found, nodes, passed = LEVEL_CASES[case]
-        monkeypatch.setattr(verify.oracle, "lowest_levels", lambda values, dx, count: [
-            oracle.EigenEstimate(energy=e, error=0.0) for e in found[:count]])
+        # resolved levels, so the ladder stops at its first rung
+        monkeypatch.setattr(verify.oracle, "lowest_levels", lambda values, dx, count, coarser: ([
+            oracle.EigenEstimate(energy=e, error=0.0, ratio=4.0) for e in found[:count]], ()))
         spec = gendenshtein_params(2.5, 0.5)
         if check == "spectrum":
             states = tuple(SimpleNamespace(energy=e, nodes=m) for e, m in zip(ANALYTIC, nodes))
@@ -375,8 +383,9 @@ class TestLevelReport:
                                 lambda spec: Spectrum(states=states, n_max_formula=1))
             rep, _ = verify_spectrum(spec, tol=1e-3)
         else:
-            vmap, _ = oracle_map(spec, potential_columns(spec))
-            rep = verify.verify_partner_levels(vmap, np.zeros(vmap.n_points), ANALYTIC, tol=1e-3)
+            vmap, _ = next(oracle_map(spec, potential_columns(spec)))
+            rep, _, _ = verify.verify_partner_levels([(vmap, [np.zeros(vmap.n_points)])],
+                                                     ANALYTIC, tol=1e-3)
         assert rep.passed is passed
         assert (rep.n_expected, rep.tol) == (2, 1e-3)
         assert [lv.n for lv in rep.levels] == [lv.nodes_numeric for lv in rep.levels] == \
