@@ -32,7 +32,10 @@ Every command is a fresh process, so its imports are part of its cost.
 ``verify`` and ``partner`` add the oracle, in plain Python too: no command
 loads numpy.  The config digest in ``report.json`` comes from the
 interpreter's built-in SHA-256, so no command loads OpenSSL through
-``hashlib``.
+``hashlib``.  The process ends through :func:`run`: once :func:`main` has
+returned, with its files closed, and the streams are flushed, ``os._exit``
+ends it, skipping module teardown and ``atexit`` handlers.  :func:`main`
+itself still returns the exit code.
 """
 
 from __future__ import annotations
@@ -393,13 +396,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Closed-form spectra of Milson/Gendenshtein potentials, "
         "verified against a finite-difference oracle (units: hbar = 2m = 1).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--tol", type=float, default=1e-3, help="verification tolerance")
-        p.add_argument("--workers", type=int, default=1, help="scan worker count")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="JSON run configuration")
+    parser.add_argument("--out", default=".", help="output directory")
+    parser.add_argument("--tol", type=float, default=1e-3, help="verification tolerance")
+    parser.add_argument("--workers", type=int, default=1, help="scan worker count")
     return parser
 
 
@@ -456,5 +457,17 @@ def main(argv=None) -> int:
     return 0 if passed else 1
 
 
+def run():
+    """The ``spectra`` script and ``python -m rrspectra.cli``: :func:`main`,
+    then the process ends through ``os._exit`` with its exit code, after the
+    streams are flushed, skipping interpreter finalization.  Only a return
+    gets there; ``SystemExit`` and any other exception unwind as usual."""
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None where its descriptor was closed at start
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

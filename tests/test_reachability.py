@@ -1,7 +1,8 @@
 """Every public top-level function and class of the package, and every public
 method and property of its classes, serves a command.
 
-The walk starts at ``cli.main``.  Each name a reachable definition mentions,
+The walk starts at ``cli.run``, the process entry point, which calls
+``cli.main``.  Each name a reachable definition mentions,
 as a plain name or as an attribute, makes every definition of that name in
 any module reachable: top-level definitions (module-level assignments
 included, so a constant passes on what its value mentions) and methods of
@@ -75,8 +76,8 @@ def unreachable_public(defs: dict) -> list:
     by_name = {}
     for module, name in defs:
         by_name.setdefault(name.rpartition(".")[2], []).append((module, name))
-    reached = {("cli", "main")}
-    stack = [("cli", "main")]
+    reached = {("cli", "run")}
+    stack = [("cli", "run")]
     while stack:
         for name in mentioned(defs[stack.pop()]):
             for key in by_name.get(name, ()):
