@@ -404,10 +404,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _complain(line: str) -> None:
+    """Write ``line`` to stderr.  A stderr closed at start is None, or open on
+    a descriptor that cannot be written; the line is then lost, and the exit
+    code alone tells what happened."""
+    if sys.stderr is not None:
+        try:
+            sys.stderr.write(line + "\n")
+        except OSError:
+            pass
+
+
 def _output_error(exc: OSError) -> int:
     """An ``--out`` that cannot be made or written: one line and exit 2, the
     code argparse uses for a bad argument."""
-    print("output error: %s" % exc, file=sys.stderr)
+    _complain("output error: %s" % exc)
     return 2
 
 
@@ -432,9 +443,9 @@ def main(argv=None) -> int:
                 and (config.x_max, config.n) != (None, None)):
             exc = ConfigError("grid x_max=%s, n=%s: %s" % (config.x_max, config.n, exc))
         if isinstance(exc, ConfigError):
-            print("config error: %s" % exc, file=sys.stderr)
+            _complain("config error: %s" % exc)
             return 2
-        print("numeric failure: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        _complain("numeric failure: %s: %s" % (type(exc).__name__, exc))
         return 3
     # Nothing is written before the command returns, so a failed command
     # leaves no file; each file appears only when complete.
@@ -465,7 +476,10 @@ def run():
     code = main()
     for stream in (sys.stdout, sys.stderr):
         if stream is not None:  # None where its descriptor was closed at start
-            stream.flush()
+            try:
+                stream.flush()
+            except OSError:  # open on a descriptor that cannot be written
+                pass
     os._exit(code)
 
 

@@ -1,7 +1,7 @@
 """Brute-force verification tool: a finite-difference bound-state
-eigensolver in plain Python (certified root finding on the determinant of
-the tridiagonal Hamiltonian with transparent ends: Sturm counts, Newton and
-Laguerre steps).
+eigensolver in plain Python.  It finds roots of the determinant of the
+tridiagonal Hamiltonian with one end condition, transparent ends, and one
+iteration, Laguerre steps, and certifies each level by Sturm counts.
 
 Nothing in this module knows about the analytic machinery it is used to
 check; it sees only a potential sampled on a uniform grid, as a sequence of
@@ -42,14 +42,9 @@ class Grid(NamedTuple):
     top: int
 
 
-# ---------------------------------------------------------------------------
-# finite-difference eigensolver
-# ---------------------------------------------------------------------------
-
 _CERT_REL = 1e-11  # certified half-width relative to the level ...
 _CERT_NORM = 4.0  # ... or in units of eps * ||H||, whichever is wider
-_NEWTON_STEPS = 4  # passes a level may take from its starting value before it falls back
-_LAGUERRE_STEPS = 40  # passes of the fallback before it only bisects
+_LAGUERRE_STEPS = 40  # Laguerre passes a level may take before it only bisects
 _COARSEST = 512  # fewest interior samples of a grid that only supplies starting values
 _CEILING = -1e-14  # highest level solved with transparent ends: rho is not real at e >= 0
 
@@ -84,12 +79,9 @@ _CEILING = -1e-14  # highest level solved with transparent ends: rho is not real
 
 def _ends(h2: float, sigma: float) -> tuple:
     """(end, end', end''): the term -rho/h^2 that a transparent end adds to its
-    diagonal entry at ``sigma`` < 0, and its sigma-derivatives; zeros for
-    Dirichlet ends (``h2`` = 0).  With s = -h^2 sigma/2 and D = sqrt(s (2+s)),
-    rho = 1/(1 + s + D), in which nothing cancels as sigma -> 0-, and
-    rho' = h^2 rho/(2D), rho'' = h^4/(4 D^3)."""
-    if not h2:
-        return 0.0, 0.0, 0.0
+    diagonal entry at ``sigma`` < 0, and its sigma-derivatives.  With
+    s = -h^2 sigma/2 and D = sqrt(s (2+s)), rho = 1/(1 + s + D), in which
+    nothing cancels as sigma -> 0-, and rho' = h^2 rho/(2D), rho'' = h^4/(4 D^3)."""
     s = -0.5 * h2 * sigma
     root = math.sqrt(s * (2.0 + s))
     rho = 1.0 / (1.0 + s + root)
@@ -97,23 +89,22 @@ def _ends(h2: float, sigma: float) -> tuple:
 
 
 class _Hamiltonian:
-    """The 3-point Hamiltonian on the interior of the samples ``v``: its
-    diagonal d_i = V_i + 2/h^2, off2 = 1/h^4, h2 = h^2 for transparent ends
-    (the end samples are ghosts) or 0 for Dirichlet ends (psi = 0 there), and
-    the certificate's floor 4 eps ||H||.  ``bottom`` and ``top`` are the
-    (sigma, count) pairs that bracket every level: none lies below V_min, as
-    the kinetic part is positive definite, and ``top`` is the Sturm count at
-    ``ceiling``."""
+    """The 3-point Hamiltonian on the interior of the samples ``v`` (the end
+    samples are ghosts): its diagonal d_i = V_i + 2/h^2, off2 = 1/h^4,
+    h2 = h^2 and the certificate's floor 4 eps ||H||.  ``bottom`` and ``top``
+    are the (sigma, count) pairs that bracket every level: none lies below
+    V_min, as the kinetic part is positive definite, and ``top`` is the
+    Sturm count at the ceiling."""
 
-    def __init__(self, v, dx: float, ceiling: float, transparent: bool):
+    def __init__(self, v, dx: float):
         inv_h2 = 1.0 / (dx * dx)
         interior = v[1:-1]
         self.diag = [x + 2.0 * inv_h2 for x in interior]
         self.off2 = inv_h2 * inv_h2
-        self.h2 = dx * dx if transparent else 0.0
+        self.h2 = dx * dx
         self.floor = _CERT_NORM * sys.float_info.epsilon * (4.0 * inv_h2 + max(map(abs, interior)))
         self.bottom = (min(interior), 0)
-        self.top = (ceiling, _count(self, ceiling))
+        self.top = (_CEILING, _count(self, _CEILING))
 
 
 def _count(ham: _Hamiltonian, sigma: float) -> int:
@@ -122,7 +113,7 @@ def _count(ham: _Hamiltonian, sigma: float) -> int:
     diag, off2 = ham.diag, ham.off2
     pivmin = off2 * sys.float_info.min
     count = 0
-    q = -off2 / end if end else math.inf
+    q = -off2 / end
     for d in islice(diag, len(diag) - 1):
         q = d - sigma - off2 / q
         if q < pivmin:
@@ -132,43 +123,15 @@ def _count(ham: _Hamiltonian, sigma: float) -> int:
     return count + (diag[-1] + end - sigma - off2 / q < pivmin)
 
 
-def _newton_pass(ham: _Hamiltonian, sigma: float) -> tuple:
-    """(count, s): the Sturm count of ``sigma`` and s = -(ln det(H - sigma))'."""
-    end, end1, _ = _ends(ham.h2, sigma)
-    diag, off2 = ham.diag, ham.off2
-    pivmin = off2 * sys.float_info.min
-    count = 0
-    q, u = (-off2 / end, -end1 / end) if end else (math.inf, 0.0)
-    s = 0.0
-    for d in islice(diag, len(diag) - 1):
-        p = off2 / q
-        q = d - sigma - p
-        if q < pivmin:
-            count += 1
-            if q > -pivmin:
-                q = -pivmin
-        u = (p * u - 1.0) / q
-        s -= u
-    p = off2 / q
-    q = diag[-1] + end - sigma - p
-    if q < pivmin:
-        count += 1
-        if q > -pivmin:
-            q = -pivmin
-    return count, s - (p * u + end1 - 1.0) / q
-
-
 def _laguerre_pass(ham: _Hamiltonian, sigma: float) -> tuple:
-    """(count, s, t): :func:`_newton_pass` and t = -(ln det(H - sigma))''."""
+    """(count, s, t): the Sturm count of ``sigma``, s = -(ln det(H - sigma))'
+    and t = -(ln det(H - sigma))''."""
     end, end1, end2 = _ends(ham.h2, sigma)
     diag, off2 = ham.diag, ham.off2
     pivmin = off2 * sys.float_info.min
     count = 0
-    if end:
-        q, u = -off2 / end, -end1 / end
-        r = 2.0 * u * u - end2 / end
-    else:
-        q, u, r = math.inf, 0.0, 0.0
+    q, u = -off2 / end, -end1 / end
+    r = 2.0 * u * u - end2 / end
     s = t = 0.0
     for d in islice(diag, len(diag) - 1):
         p = off2 / q
@@ -220,72 +183,46 @@ def _certified(ham, k, x, seen):
     return x, w
 
 
-def _newton(ham, k, x, found, gap, seen):
-    """Level k by Newton's method on det(H - sigma) / prod_(j<k) (lambda_j - sigma),
-    the levels ``found`` below it deflated, from the starting value ``x``:
-    at most :data:`_NEWTON_STEPS` passes, then the certificate.  With
-    transparent ends the steps are taken in kappa = sqrt(-sigma), in which
-    the determinant has no branch point at threshold.  None if an iterate
-    leaves the bracket of level k, the steps do not settle, or the
-    certificate fails.  ``gap``, the distance from ``x`` to the nearest other
-    level or threshold, scales the error left by the first step."""
-    last = 0.0
-    for _ in range(_NEWTON_STEPS):
-        (lo, _), (hi, _) = _bracket(seen, k)
-        if not lo < x < hi or found and x <= found[-1]:  # deflation needs x above them
-            return None
-        count, s = _newton_pass(ham, x)
-        seen.append((x, count))
-        s -= sum(1.0 / (e - x) for e in found)
-        step = 1.0 / s if s else math.nan
-        if ham.h2:
-            # sigma = -kappa^2 after the Newton step -step/(2 kappa) in kappa
-            step -= step * step / (-4.0 * x)
-        x += step
-        # done once the step, or the error c step^2 left after a step of
-        # quadratic convergence, is well inside the certificate: c = step / last^2
-        # from the two latest steps, or 1 / gap after the first
-        step, w = abs(step), max(_CERT_REL * abs(x), ham.floor)
-        c = step / (last * last) if last else 1.0 / gap
-        if step <= 0.5 * w or c * step * step <= 0.25 * w:
-            return _certified(ham, k, x, seen)
-        last = step
-    return None
-
-
-def _isolate(ham, k, seen):
-    """Level k by Sturm bisection until it alone lies in the bracket, then
-    Laguerre steps inside it, each safeguarded by the bracket; bisection
-    alone finishes a level the steps do not certify.  With transparent ends
-    the determinant is not a polynomial, and the steps keep no convergence
-    guarantee of their own: the bracket alone bounds them."""
+def _isolate(ham, k, seen, start, gap):
+    """Level k by Laguerre steps inside the bracket of the counts ``seen``,
+    each from a point whose count is k or k + 1, where level k is the
+    nearest level on the side the step takes: from ``start`` at once, else,
+    or once an iterate leaves the bracket or passes a neighbouring level,
+    from the bracket's midpoint after Sturm bisection has isolated level k.
+    After :data:`_LAGUERRE_STEPS` passes bisection alone finishes the level.
+    ``gap``, the distance from ``start`` to the nearest other level or
+    threshold, scales the error left by the first step."""
     n = len(ham.diag)
-    x = None
-    laguerre = 0
+    x, last, passes, bisect = start, 0.0, 0, False
     while True:
         (lo, c_lo), (hi, c_hi) = _bracket(seen, k)
         if hi - lo <= 2.0 * ham.floor:
             return 0.5 * (lo + hi), 0.5 * (hi - lo)
         if x is None or not lo < x < hi:
-            x, last = 0.5 * (lo + hi), 0.0
-        if c_lo < k or c_hi > k + 1 or laguerre == _LAGUERRE_STEPS:
+            x, last, gap = 0.5 * (lo + hi), 0.0, 0.0
+            bisect = c_lo < k or c_hi > k + 1
+        if bisect or passes == _LAGUERRE_STEPS:
             seen.append((x, _count(ham, x)))
             x = None
             continue
-        laguerre += 1
+        passes += 1
         count, s, t = _laguerre_pass(ham, x)
         seen.append((x, count))
+        if not k <= count <= k + 1:
+            x = None
+            continue
         # Laguerre's step for a polynomial of degree n with real roots moves
         # monotonically to the nearest root on the chosen side: right from
         # below level k, left from above it
         root = math.sqrt(max(0.0, (n - 1) * (n * t - s * s)))
-        denom = s + root if count <= k else s - root
+        denom = s + root if count == k else s - root
         step = n / denom if denom else math.nan
         x += step
         # done once the step, or the error c step^3 left after a step of cubic
-        # convergence (c = step / last^3), is well inside the certificate
+        # convergence, is well inside the certificate: c = step / last^3 from
+        # the two latest steps, or 1 / gap^2 after the first from a start
         step, w = abs(step), max(_CERT_REL * abs(x), ham.floor)
-        if step <= 0.5 * w or step * step * step * step <= 0.25 * w * last * last * last:
+        if step <= 0.5 * w or step ** 4 <= 0.25 * w * (last ** 3 if last else step * gap * gap):
             level = _certified(ham, k, x, seen)
             if level:
                 return level
@@ -296,28 +233,25 @@ def _levels(ham: _Hamiltonian, count: int, starts=()) -> tuple:
     """Lowest ``count`` levels of ``ham`` (at most its count at the ceiling),
     each with a certified bound on its error.
 
-    The levels are found in order.  Level k with a starting value ``starts[k]``
-    (the prediction from coarser grids) takes the fast path, :func:`_newton`;
-    a level without one, or whose fast path fails, is found by
-    :func:`_isolate`.  Either way its certificate is count(a) <= k < count(b)
-    for some a, b within w = max(1e-11 |x|, 4 eps ||H||) of x, or, where
-    bisection finishes it, a bracket at the resolution of the count,
-    4 eps ||H||.  Every count taken on the grid brackets the later levels,
-    starting from the Hamiltonian's ``bottom`` and ``top``.
+    The levels are found in order, each by :func:`_isolate`, from its
+    starting value ``starts[k]`` (the prediction from coarser grids) where
+    there is one.  Its certificate is count(a) <= k < count(b) for some a, b
+    within w = max(1e-11 |x|, 4 eps ||H||) of x, or, where bisection
+    finishes it, a bracket at the resolution of the count, 4 eps ||H||.
+    Every count taken on the grid brackets the later levels, starting from
+    the Hamiltonian's ``bottom`` and ``top``.
 
     Returns (levels, bounds) as lists with |level - lambda_k| <= bound.
     """
     seen = [ham.bottom, ham.top]
     levels, bounds = [], []
     for k in range(count):
-        level = None
+        start, gap = None, 0.0
         if k < len(starts):
-            x = starts[k]
+            start = starts[k]
             # the nearest of threshold and the neighbouring starting values
-            gap = min(abs(y - x) for y in [0.0, *starts[max(k - 1, 0):k], *starts[k + 1:k + 2]])
-            gap = max(gap, sys.float_info.min)
-            level = _newton(ham, k, x, levels, gap, seen)
-        x, w = level or _isolate(ham, k, seen)
+            gap = min(abs(y - start) for y in [0.0, *starts[max(k - 1, 0):k], *starts[k + 1:k + 2]])
+        x, w = _isolate(ham, k, seen, start, gap)
         levels.append(x)
         bounds.append(w)
     return levels, bounds
@@ -335,33 +269,29 @@ def _predicted(solved: list) -> list:
     return list(solved[0]) if solved else []
 
 
-def lowest_levels(values, dx: float, count: int, *, require_decay: bool = True,
-                  coarser: tuple = ()) -> tuple:
+def lowest_levels(values, dx: float, count: int, *, coarser: tuple = ()) -> tuple:
     """(estimates, grids): the lowest ``count`` eigenvalues of
     -psi'' + V psi = e psi for the samples ``values`` of V on a uniform grid
     of spacing ``dx``, as :class:`EigenEstimate` records, and every grid
     solved for them, coarsest first, as :class:`Grid` records.
 
-    By default the potential must decay at both grid ends (|V| < 1e-2), the
-    ends are transparent, exact where V = 0 outside the grid, and only levels
-    below -1e-14 are returned.  ``require_decay=False`` lifts the decay check
-    and takes Dirichlet ends psi = 0 (hard-wall box semantics) and levels
-    below the lower end value, which the harmonic-oscillator calibration
-    uses.  Samples that are NaN or infinite raise :class:`NonFiniteSamples`.
+    The ends are transparent, exact where V = 0 outside the grid, so the
+    potential must decay at both (|V| < 1e-2, else :class:`InsufficientDecay`)
+    and only levels below -1e-14 are returned.  Samples that are NaN or
+    infinite raise :class:`NonFiniteSamples`.
 
     The 3-point finite-difference Hamiltonian is solved on the grid and on
-    its 2:1 and 4:1 subsamples (see :func:`_levels`), and two Richardson
-    steps cancel the h^2 and h^4 error terms: (64 E_h - 20 E_2h + E_4h) / 45.
-    So that all three grids share both end points, up to 3 end samples are
-    dropped first to make n - 1 a multiple of 4.  A level is returned only
-    where all three grids have it below the ceiling, so one within O(h^2) of
-    threshold on the finest grid alone is left out.  Coarser 2:1 subsamples,
-    while they keep 512 interior samples and twice as many as there are
-    levels, are solved first for starting values alone; the grids are solved
-    coarse to fine, each level from :func:`_predicted`, and each grid for as
-    many of the ``count`` levels as it has below the ceiling.  Each grid's
-    count at the ceiling, with V_min below which the Hamiltonian has no
-    level, brackets its levels.
+    its 2:1 and 4:1 subsamples, each level by Laguerre steps certified by
+    Sturm counts (see :func:`_levels`), and two Richardson steps cancel the
+    h^2 and h^4 error terms: (64 E_h - 20 E_2h + E_4h) / 45.  So that all
+    three grids share both end points, up to 3 end samples are dropped first
+    to make n - 1 a multiple of 4.  A level is returned only where all three
+    grids have it below the ceiling, so one within O(h^2) of threshold on
+    the finest grid alone is left out.  Coarser 2:1 subsamples, while they
+    keep 512 interior samples and twice as many as there are levels, are
+    solved first for starting values alone; the grids are solved coarse to
+    fine, each level from :func:`_predicted`, and each grid for as many of
+    the ``count`` levels as it has below the ceiling.
 
     ``coarser``, the grids returned for the samples ``values[::2]`` at
     spacing 2 dx (n - 1 must then be a multiple of 4, so nothing is
@@ -374,7 +304,7 @@ def lowest_levels(values, dx: float, count: int, *, require_decay: bool = True,
     bad = len(v) - sum(map(math.isfinite, v))
     if bad:
         raise NonFiniteSamples("%d of %d potential samples are NaN or infinite" % (bad, len(v)))
-    if require_decay and (abs(v[0]) >= 1e-2 or abs(v[-1]) >= 1e-2):
+    if abs(v[0]) >= 1e-2 or abs(v[-1]) >= 1e-2:
         raise InsufficientDecay(
             "potential ends at (%.3g, %.3g); need |V| < 1e-2" % (v[0], v[-1])
         )
@@ -385,16 +315,15 @@ def lowest_levels(values, dx: float, count: int, *, require_decay: bool = True,
     count = min(count, (len(v) - 1) // 4 - 1)  # interior size of the 4h grid
     if count < 1:
         return [], ()
-    ceiling = _CEILING if require_decay else min(v[0], v[-1])
     samples = [v] if coarser else [v, v[::2], v[::4]]
-    grids = [_Hamiltonian(g, dx * 2 ** i, ceiling, require_decay) for i, g in enumerate(samples)]
+    grids = [_Hamiltonian(g, dx * 2 ** i) for i, g in enumerate(samples)]
     # so no level above the ceiling is solved
     kept = min(count, *(ham.top[1] for ham in grids), *(g.top for g in coarser[-2:]))
     if kept == 0:
         return [], ()
     while not coarser and len(samples[-1]) // 2 - 1 >= max(_COARSEST, 2 * kept):
         samples.append(samples[-1][::2])
-        grids.append(_Hamiltonian(samples[-1], dx * 2 ** len(grids), ceiling, require_decay))
+        grids.append(_Hamiltonian(samples[-1], dx * 2 ** len(grids)))
     solved = list(coarser)
     for ham in reversed(grids):
         starts = _predicted([g.levels for g in solved])

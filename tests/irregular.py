@@ -27,8 +27,9 @@ def symmetric_irregular_solution(spec: PotentialSpec, epsilon: float, vmap: Vari
 
     Runs the oracle's 3-point scheme from the left (psi_0 = 0, psi_1 = 1):
     the ratios r_i = psi_(i+1)/psi_i = h^2 (V_i - epsilon) + 2 - 1/r_(i-1)
-    are h^2 times the LDL^T pivots of ``oracle._count`` (Dirichlet ends), so psi_a
-    stays positive exactly when no discrete level lies below epsilon, and
+    are h^2 times the LDL^T pivots of the 3-point Hamiltonian with psi = 0 at
+    both end samples, so psi_a stays positive exactly when no level of that
+    Hamiltonian lies below epsilon, and
     log psi_a sums log r_i.  Returns psi_a(x) + psi_a(-x), max-normalized on
     the map grid, accurate to O(h^2).  Requires Im(h0) = 0 and 0 > epsilon
     below the analytic ground level; an epsilon above the discrete ground

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rrspectra import geometry, oracle
+from rrspectra import geometry
 from rrspectra.darboux import partner_levels, partner_potential
 from rrspectra.errors import NodeDetected
 from rrspectra.geometry import PotentialSpec, TangentPolySpec, VariableMap
@@ -151,16 +151,19 @@ class TestSymmetricIrregular:
         assert np.max(np.abs(psi - psi[::-1])) < 1e-9
 
     def test_positive_exactly_when_no_discrete_level_below(self, sym_setup):
-        # the ratios psi_(i+1)/psi_i are h^2 times the oracle's LDL^T pivots,
-        # so a solution exists exactly when the Sturm count at epsilon is 0;
-        # the discrete ground level lies O(h^2) below the analytic one
+        # the ratios psi_(i+1)/psi_i are h^2 times the LDL^T pivots of the
+        # 3-point Hamiltonian with psi = 0 at both end samples, so a solution
+        # exists exactly when it has no level below epsilon, counted here by
+        # LAPACK; the discrete ground level lies O(h^2) below the analytic one
+        eigvalsh_tridiagonal = pytest.importorskip("scipy.linalg").eigvalsh_tridiagonal
         spec, vmap, ground = sym_setup
         v = geometry.potential_of_eta(spec, np.array(vmap.eta_grid))
         dx = vmap.dx
         outcomes = set()
         for k in range(10):
             eps = ground - 10.0 ** -k
-            below = oracle._count(oracle._Hamiltonian(v.tolist(), dx, eps, False), eps)
+            below = len(eigvalsh_tridiagonal(v[1:-1] + 2.0 / (dx * dx), np.full(len(v) - 3, -1.0 / (dx * dx)),
+                                             select="v", select_range=(-np.inf, eps)))
             try:
                 psi = symmetric_irregular_solution(spec, eps, vmap)
             except PreconditionViolated:

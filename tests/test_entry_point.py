@@ -26,8 +26,7 @@ MISSING_LEVEL = {"potential": {"gendenshtein": {"a": 2.001, "b": 0.0}},
 # past |x| ~ 355 eta = sinh x overflows and the psi samples turn NaN
 UNREPRESENTABLE = {**GEN, "grid": {"x_max": 400.0}}
 # -c scripts get their command line in sys.argv[1:], as the script would
-NAN_SAMPLES = (
-    "import io, sys\n"
+NAN_PATCH = (
     "from rrspectra import cli, geometry\n"
     "real = geometry.sampled\n"
     "def sampled(states, vmap):\n"
@@ -35,6 +34,9 @@ NAN_SAMPLES = (
     "    psis[-1][-1] = float('nan')\n"
     "    return psis\n"
     "geometry.sampled = sampled\n"
+)
+NAN_SAMPLES = NAN_PATCH + (
+    "import io, sys\n"
     # both streams block-buffered, whatever PYTHONUNBUFFERED says, so what
     # main and this script write stays in their buffers until run flushes them
     "def buffered(fd):\n"
@@ -139,6 +141,29 @@ def test_numeric_failure_exits_three_with_streams_flushed(tmp_path):
     assert proc.stdout == "stdout before run\n"
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numeric failure: NonFiniteSamples"), proc.stderr
+    assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("stderr", ["closed", "read-only"])
+@pytest.mark.parametrize("config, code, exit_code", [
+    (UNREPRESENTABLE, None, 2), (GEN, NAN_PATCH + "cli.run()\n", 3),
+], ids=["config-error", "numeric-failure"])
+def test_unwritable_stderr_keeps_the_exit_code(tmp_path, stderr, config, code, exit_code):
+    # fd 2 closed at start leaves sys.stderr None; a shell wrapper run with
+    # 2>&- can leave it open on a file it cannot write instead.  Either way
+    # the message is lost, never sent to stdout, and the exit code stands.
+    def unwritable():
+        os.close(2)
+        if stderr == "read-only":
+            os.open(os.devnull, os.O_RDONLY)  # the lowest free descriptor, 2
+
+    out = tmp_path / "out"
+    head = ["-m", "rrspectra.cli"] if code is None else ["-c", code]
+    proc = subprocess.run([sys.executable, *head, "spectrum", "--config",
+                           write_config(tmp_path, config), "--out", str(out)],
+                          env=child_env(), stdout=subprocess.PIPE, text=True, timeout=120,
+                          preexec_fn=unwritable)
+    assert (proc.returncode, proc.stdout) == (exit_code, "")
     assert os.listdir(out) == []
 
 

@@ -19,9 +19,14 @@ from rrspectra.verify import oracle_map, verify_spectrum
 from quadrature import adaptive_quadrature
 
 
-def harmonic_grid(n=8192):
-    """(V, dx) for V = x^2 on n points over [-10, 10]."""
-    return np.linspace(-10, 10, n) ** 2, 20.0 / (n - 1)
+NU = 3.3  # the Poschl-Teller depth: levels -(NU - n)^2 for n < NU
+PT_LEVELS = [-(NU - n) ** 2 for n in range(4)]
+
+
+def pt_grid(n=8192, x_max=20.0):
+    """(V, dx) for the Poschl-Teller well V = -NU (NU + 1) sech^2 x (Poschl &
+    Teller, Z. Phys. 83, 1933) on n points over [-x_max, x_max]."""
+    return -NU * (NU + 1) / np.cosh(np.linspace(-x_max, x_max, n)) ** 2, 2.0 * x_max / (n - 1)
 
 
 def potential_columns(spec):
@@ -39,18 +44,19 @@ def oracle_grid(spec, n=None):
 class TestNumerov:
     """``lowest_levels``; the class keeps the name of the shooting oracle it replaced."""
 
-    def test_harmonic_calibration(self):
-        est, _ = lowest_levels(*harmonic_grid(), 6, require_decay=False)
-        assert_allclose([e.energy for e in est], [2 * n + 1 for n in range(6)], atol=1e-6)
+    def test_poschl_teller_calibration(self):
+        # six asked for, and the well has four
+        est, _ = lowest_levels(*pt_grid(), 6)
+        assert_allclose([e.energy for e in est], PT_LEVELS, atol=1e-6)
 
-    @pytest.mark.parametrize("n", [2049, 2048, 2047])
+    @pytest.mark.parametrize("n", [4097, 4096, 4095])
     def test_error_bounds_true_error(self, n):
-        # n = 2049 keeps every sample, 2048 drops one and 2047 (3 mod 4) two;
-        # one Richardson step would miss the 1e-9 bound by about 50x
-        est, _ = lowest_levels(*harmonic_grid(n), 6, require_decay=False)
-        assert_allclose([e.energy for e in est], [2 * k + 1 for k in range(6)], atol=1e-9, rtol=0)
-        for k, e in enumerate(est):
-            assert abs(e.energy - (2 * k + 1)) <= e.error < 1e-7
+        # n = 4097 keeps every sample, 4096 drops one and 4095 (3 mod 4) two;
+        # one Richardson step would miss the 1e-9 bound by about 80x
+        est, _ = lowest_levels(*pt_grid(n), 4)
+        assert_allclose([e.energy for e in est], PT_LEVELS, atol=1e-9, rtol=0)
+        for e, exact in zip(est, PT_LEVELS):
+            assert abs(e.energy - exact) <= e.error < 1e-7
 
     def test_gendenshtein_cross_check(self, gspec):
         grid = oracle_grid(gspec)
@@ -82,8 +88,9 @@ class TestNumerov:
             assert abs(e.energy - x) <= e.error
 
     def test_insufficient_decay_rejected(self):
+        # |V| is about 1 at x = +-2
         with pytest.raises(InsufficientDecay):
-            lowest_levels(*harmonic_grid(), 2)
+            lowest_levels(*pt_grid(1025, x_max=2.0), 2)
 
     def test_fewer_states_than_requested(self):
         spec = gendenshtein_params(0.8, 0.0)  # single level at -0.64
@@ -135,14 +142,14 @@ def partner_samples(spec):
     return np.asarray(v_partner), vmap.dx, len(expected)
 
 
-def harmonic_samples(n):
-    return (*harmonic_grid(n), 6)
+def pt_samples(n):
+    return (*pt_grid(n), len(PT_LEVELS))
 
 
 RITZ_CASES = {
-    "harmonic-2047": lambda: harmonic_samples(2047),
-    "harmonic-2048": lambda: harmonic_samples(2048),
-    "harmonic-2049": lambda: harmonic_samples(2049),
+    "poschl-teller-4095": lambda: pt_samples(4095),
+    "poschl-teller-4096": lambda: pt_samples(4096),
+    "poschl-teller-4097": lambda: pt_samples(4097),
     "gendenshtein-2.5-0.5": lambda: oracle_samples(gendenshtein_params(2.5, 0.5)),
     "gendenshtein-2.05-0": lambda: oracle_samples(gendenshtein_params(2.05, 0.0)),
     # deep wells: 17 and 31 levels
@@ -156,14 +163,26 @@ RITZ_CASES = {
 }
 
 
+# total pivot passes of ``lowest_levels`` on each case, as the oracle this one
+# replaced took them (Newton steps from each starting value, Laguerre steps
+# only after bisection)
+PASS_BUDGET = {
+    "poschl-teller-4095": 65,
+    "poschl-teller-4096": 64,
+    "poschl-teller-4097": 61,
+    "gendenshtein-2.5-0.5": 64,
+    "gendenshtein-2.05-0": 49,
+    "gendenshtein-16.2-0.7": 539,
+    "gendenshtein-30.3-0.7": 1143,
+    "milson-kappa-0.05": 112,
+    "milson-kappa-20": 48,
+    "partner-7104": 103,
+}
+
+
 @functools.lru_cache(maxsize=None)
 def ritz_case(name):
     return RITZ_CASES[name]()
-
-
-def transparent(name):
-    """Whether ``lowest_levels`` solves the case ``name`` with transparent ends."""
-    return not name.startswith("harmonic")
 
 
 @functools.lru_cache(maxsize=None)
@@ -183,7 +202,7 @@ def chain_case(name):
 
     oracle._levels = record
     try:
-        estimates, _ = lowest_levels(v, dx, count, require_decay=transparent(name))
+        estimates, _ = lowest_levels(v, dx, count)
     finally:
         oracle._levels = solve
     return estimates, solved
@@ -193,7 +212,7 @@ class PassCounter:
     """Counts the pivot passes of the oracle by kind while installed."""
 
     def __init__(self, monkeypatch):
-        self.calls = {"_count": 0, "_newton_pass": 0, "_laguerre_pass": 0}
+        self.calls = {"_count": 0, "_laguerre_pass": 0}
         for name in self.calls:
             monkeypatch.setattr(oracle, name, self._counted(name, getattr(oracle, name)))
 
@@ -214,18 +233,12 @@ def agreement_tol(ham, ref):
 
 
 def assert_certified(ham, count, levels, bounds):
-    """The levels of ``ham`` against LAPACK on the same matrix.  With Dirichlet
-    ends they are its eigenvalues.  With transparent ends frozen at a
-    returned e, level k of H(e) is e; and f(sigma) = lambda_k(H(sigma)) - sigma,
-    which decreases, changes sign within the certificate of e."""
+    """The levels of ``ham`` against LAPACK on the same matrix: with its ends
+    frozen at a returned e, level k of H(e) is e; and
+    f(sigma) = lambda_k(H(sigma)) - sigma, which decreases, changes sign
+    within the certificate of e."""
     assert len(levels) == count
     roundoff = 2.0 * sys.float_info.epsilon * h_norm(ham)  # the reference's own
-    if not ham.h2:
-        ref = lapack_levels(ham.diag, ham.off2, count)
-        gap = np.abs(np.asarray(levels) - ref)
-        assert np.all(gap <= agreement_tol(ham, ref))
-        assert np.all(gap <= np.asarray(bounds) + roundoff)
-        return
     for k, (e, w) in enumerate(zip(levels, bounds)):
         assert abs(frozen_level(ham, e, k) - e) <= agreement_tol(ham, e)
         lo, hi = e - w - roundoff, min(e + w + roundoff, oracle._CEILING)
@@ -246,43 +259,48 @@ class TestSineRitz:
 
     @pytest.mark.parametrize("step", [1, 2, 4])
     @pytest.mark.parametrize("name", sorted(RITZ_CASES))
-    def test_fallback_alone_matches_lapack(self, monkeypatch, name, step):
+    def test_fallback_alone_matches_lapack(self, name, step):
         # no starting values: every level by bisection and Laguerre steps
         v, dx, count = ritz_case(name)
-        v, dx = v[::step].tolist(), step * dx
-        ceiling = oracle._CEILING if transparent(name) else min(v[0], v[-1])
-        ham = oracle._Hamiltonian(v, dx, ceiling, transparent(name))
+        ham = oracle._Hamiltonian(v[::step].tolist(), step * dx)
         count = min(count, ham.top[1])
-        passes = PassCounter(monkeypatch)
         levels, bounds = oracle._levels(ham, count)
-        assert passes.calls["_newton_pass"] == 0
         assert_certified(ham, count, levels, bounds)
 
     @pytest.mark.parametrize("name", sorted(RITZ_CASES))
-    def test_fast_path_costs_few_passes(self, monkeypatch, name):
-        # every level reached from its starting value takes at most 4 Newton
-        # passes and then at most two certifying counts
+    def test_passes_within_budget(self, monkeypatch, name):
+        # no more pivot passes than the oracle this one replaced took, which
+        # tried Newton steps from each starting value and Laguerre steps only
+        # after bisection
+        passes = PassCounter(monkeypatch)
+        lowest_levels(*ritz_case(name))
+        assert sum(passes.calls.values()) <= PASS_BUDGET[name]
+
+    @pytest.mark.parametrize("name", ["gendenshtein-2.5-0.5", "gendenshtein-2.05-0",
+                                      "milson-kappa-20", "partner-7104"])
+    def test_started_levels_cost_few_passes(self, monkeypatch, name):
+        # on these wells every level with a starting value takes at most 3
+        # Laguerre passes and at most two counts; the deep wells take up to
+        # 11 passes from a poor start and are held to PASS_BUDGET alone
         passes = PassCounter(monkeypatch)
         costs = []
-        newton = oracle._newton
+        isolate = oracle._isolate
 
-        def costed(*args):
+        def costed(ham, k, seen, start, gap):
             before = dict(passes.calls)
-            level = newton(*args)
-            if level:
+            level = isolate(ham, k, seen, start, gap)
+            if start is not None:
                 costs.append({k: passes.calls[k] - before[k] for k in before})
             return level
 
-        monkeypatch.setattr(oracle, "_newton", costed)
-        v, dx, count = ritz_case(name)
-        lowest_levels(v, dx, count, require_decay=transparent(name))
+        monkeypatch.setattr(oracle, "_isolate", costed)
+        lowest_levels(*ritz_case(name))
         assert costs
         for cost in costs:
-            assert cost["_laguerre_pass"] == 0 and cost["_count"] <= 2
-            assert 1 <= cost["_newton_pass"] <= 4
+            assert 1 <= cost["_laguerre_pass"] <= 3 and cost["_count"] <= 2
 
     def test_error_adds_propagated_certificate(self):
-        est, solved = chain_case("harmonic-2049")
+        est, solved = chain_case("poschl-teller-4097")
         (e1, d1), (e2, d2), (e4, d4) = (
             (np.asarray(solved[s][3]), np.asarray(solved[s][4])) for s in (1, 2, 4)
         )
@@ -292,12 +310,16 @@ class TestSineRitz:
         assert np.all(cert > 0)
 
     def test_sturm_count(self):
-        v, dx, count = ritz_case("harmonic-2049")
-        ham = oracle._Hamiltonian(v.tolist(), dx, 100.0, False)
-        ref = lapack_levels(ham.diag, ham.off2, count)
+        # the count steps from k to k + 1 across level k, the e with
+        # lambda_k(H(e)) = e, found here by Brent's method on LAPACK's levels
+        brentq = pytest.importorskip("scipy.optimize").brentq
+        v, dx, count = ritz_case("poschl-teller-4097")
+        ham = oracle._Hamiltonian(v.tolist(), dx)
         for k in range(count):
-            assert oracle._count(ham, ref[k] - 1e-6) == k
-            assert oracle._count(ham, ref[k] + 1e-6) == k + 1
+            e = brentq(lambda x: frozen_level(ham, x, k) - x, ham.bottom[0], oracle._CEILING,
+                       xtol=1e-12)
+            assert oracle._count(ham, e - 1e-6) == k
+            assert oracle._count(ham, e + 1e-6) == k + 1
 
     @pytest.mark.parametrize("sigma", [-3.0, -0.3, -1e-2, -1e-4])
     def test_pass_derivatives(self, sigma):
@@ -305,7 +327,7 @@ class TestSineRitz:
         # ln |det(H(sigma) - sigma)|, summed over the pivots of H(sigma) - sigma
         # with both end entries in the matrix
         v, dx, _ = ritz_case("gendenshtein-2.05-0")
-        ham = oracle._Hamiltonian(v[::4].tolist(), 4 * dx, oracle._CEILING, True)
+        ham = oracle._Hamiltonian(v[::4].tolist(), 4 * dx)
 
         def ln_det(x):
             diag = list(ham.diag)
@@ -320,7 +342,6 @@ class TestSineRitz:
         d = 1e-3 * abs(sigma)  # the nearest root or threshold is at least |sigma| away
         plus, mid, minus = ln_det(sigma + d), ln_det(sigma), ln_det(sigma - d)
         _, s, t = oracle._laguerre_pass(ham, sigma)
-        assert oracle._newton_pass(ham, sigma)[1] == s
         assert s == pytest.approx(-(plus - minus) / (2 * d), rel=1e-5)
         # the second difference divides the roundoff of ln det by d^2, about
         # 1e-3 of t at this step; ten times the step keeps it near 1e-5
@@ -332,17 +353,17 @@ class TestSineRitz:
     def test_transparent_count(self, name):
         # the count at sigma is the number of levels of H(sigma) below sigma
         v, dx, _ = ritz_case(name)
-        ham = oracle._Hamiltonian(v.tolist(), dx, oracle._CEILING, True)
+        ham = oracle._Hamiltonian(v.tolist(), dx)
         for sigma in np.linspace(ham.bottom[0], -1e-3, 41).tolist() + [-1e-9, oracle._CEILING]:
             below = lapack_levels(ham.diag, ham.off2, ham.top[1] + 1, transparent_end(ham.h2, sigma))
             assert oracle._count(ham, sigma) == np.sum(below < sigma)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_samples_rejected(self, bad):
-        values = np.linspace(-10, 10, 1025) ** 2
+        values, dx = pt_grid(1025)
         values[700] = bad
         with pytest.raises(NonFiniteSamples):
-            lowest_levels(values, 20.0 / 1024, 2, require_decay=False)
+            lowest_levels(values, dx, 2)
 
 
 # name: (levels the oracle finds, analytic node counts, passed); the

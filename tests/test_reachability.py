@@ -11,6 +11,11 @@ statements and dunder methods, which count as reached with it; each other
 method is a definition of its own.  Matching by name can only
 over-approximate what a command reaches, so a public definition the walk
 misses is code no command runs.
+
+Parameters are walked too: every keyword-only parameter of a function in
+the package must be passed by keyword from some call in the package.  A
+keyword-only parameter that only callers outside it set is a mode no
+command runs.  Matching by keyword name again over-approximates.
 """
 
 import ast
@@ -89,6 +94,17 @@ def unreachable_public(defs: dict) -> list:
                   and not key[1].rpartition(".")[2].startswith("_") and key not in reached)
 
 
+def unpassed_keywords(trees: dict) -> list:
+    """"module.function(parameter)" for each keyword-only parameter that no
+    call in ``trees`` passes by keyword."""
+    passed = {kw.arg for tree in trees.values() for node in ast.walk(tree)
+              if isinstance(node, ast.Call) for kw in node.keywords}
+    return sorted("%s.%s(%s)" % (module, node.name, arg.arg)
+                  for module, tree in trees.items() for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for arg in node.args.kwonlyargs if arg.arg not in passed)
+
+
 def plant_method(trees: dict, module: str, cls: str, source: str) -> None:
     """Append the methods in ``source`` to class ``cls`` of ``module``."""
     node = next(n for n in trees[module].body if isinstance(n, ast.ClassDef) and n.name == cls)
@@ -121,3 +137,16 @@ def test_dunder_methods_are_reached_with_their_class():
                  "def __len__(self):\n    return self.level_count()\n"
                  "def level_count(self):\n    return len(self.states)\n")
     assert unreachable_public(definitions(trees)) == []
+
+
+def test_every_keyword_only_parameter_is_passed_in_the_package():
+    assert unpassed_keywords(package_trees()) == []
+
+
+def test_the_walk_finds_a_planted_orphan_parameter():
+    trees = package_trees()
+    trees["cli"].body.extend(ast.parse(
+        "def orphan(x, *, orphan_mode=False):\n    return x\norphan(1)\n").body)
+    assert unpassed_keywords(trees) == ["cli.orphan(orphan_mode)"]
+    trees["cli"].body.extend(ast.parse("orphan(1, orphan_mode=True)\n").body)
+    assert unpassed_keywords(trees) == []
