@@ -66,11 +66,6 @@ except ImportError:
 # configuration
 # ---------------------------------------------------------------------------
 
-# Largest grid point count n and scan cell count na * nb; the oracle's own
-# grids obey the same cap.
-MAX_COUNT = spectral.MAX_COUNT
-
-
 def _require(cond, msg):
     if not cond:
         raise ConfigError(msg)
@@ -134,7 +129,8 @@ class RunConfig:
             _require(self.x_max > 0, "grid x_max must be positive")
         if self.n is not None:
             _require(self.n >= 256, "grid n must be at least 256")
-            _require(self.n <= MAX_COUNT, "grid n must be at most %d" % MAX_COUNT)
+            _require(self.n <= spectral.MAX_COUNT,
+                     "grid n must be at most %d" % spectral.MAX_COUNT)
 
     def scan_params(self):
         scan = self.raw.get("scan")
@@ -158,7 +154,8 @@ class RunConfig:
         nb = _number(scan.get("nb", 16), "scan 'nb'", integral=True)
         _require(m >= 2 and m % 2 == 0, "scan order m must be even and >= 2")
         _require(na >= 2 and nb >= 2, "scan resolutions must be >= 2")
-        _require(na * nb <= MAX_COUNT, "scan na * nb must be at most %d" % MAX_COUNT)
+        _require(na * nb <= spectral.MAX_COUNT,
+                 "scan na * nb must be at most %d" % spectral.MAX_COUNT)
         return a_range, b_range, m, na, nb
 
     def partner_params(self):
@@ -243,10 +240,10 @@ def _check_record(report, analytic_key: str, **extra) -> dict:
 
 def _default_map(config: RunConfig):
     """The eigenfunction map of ``spectrum``: the config's grid, or 4,096
-    points over the potential's decay scale."""
+    points out to 1 past the smallest quarter where |V| < 1e-3 at both ends."""
     from . import geometry
 
-    x_max = config.x_max or geometry.choose_x_max(config.spec)
+    x_max = config.x_max or geometry.decay_x_max(config.spec, 1e-3) + 1.0
     return geometry.VariableMap(config.spec.tp, x_max, config.n or 4096)
 
 

@@ -18,7 +18,7 @@ and only the first log-derivative w is evaluated, in closed form through
 eta (:func:`geometry.log_derivative`).  The identity is exact here, not an
 approximation: a closed form solves the canonical equation by construction,
 and the Liouville transformation in the derived convention turns that into
--ff'' + V ff = e_f ff with the same V that :func:`geometry.potential_of_eta`
+-ff'' + V ff = e_f ff with the same V that :func:`geometry.potential`
 samples.  Finite differences appear only in tests.  The partner comes back
 as two lists of floats at the given eta points, ready for the oracle: V and
 w are sampled point by point, each closed form's coefficients taken once,

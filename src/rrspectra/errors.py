@@ -19,8 +19,8 @@ class RootOverflow(SpectraError):
 
 class StepFailure(SpectraError):
     """The variable map could not be built or inverted (its Newton inverse did
-    not converge), or :func:`geometry.choose_x_max` or
-    :func:`geometry.decay_x_max` found no decayed potential."""
+    not converge), or :func:`geometry.decay_x_max` found no decayed
+    potential."""
 
 
 class BranchUndefined(SpectraError):

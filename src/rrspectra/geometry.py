@@ -17,15 +17,16 @@ come from :mod:`spectral`, which is exact; this module is where they meet
 floats, in plain floats with :mod:`math` and without numpy.  A
 :class:`VariableMap` holds the one uniform x grid (and its spacing ``dx``)
 that every sampled list lives on, and the eta table on it, as lists of
-floats.  :func:`liouville_x`, the map's Newton inverse (:func:`_inverse`) and
-:func:`sampled`, which samples eigenfunctions, work on floats.
-:func:`potential` and :func:`log_derivative` return the potential and the
+floats.  The map's Newton inverse (:func:`_inverse`) and :func:`sampled`,
+which samples eigenfunctions, work on floats.  :func:`liouville`,
+:func:`potential` and :func:`log_derivative` return x, the potential and the
 log-derivative of a closed form as functions of eta, with their constants
 and coefficient lists taken once, and :func:`on_grid` samples such a
 function on the eta table for :mod:`verify` and :mod:`darboux`, which feed
-the oracle.  The closed forms built from arithmetic alone
-(:func:`tangent_eval`, :func:`eta_prime`, :func:`schwarzian_eval`,
-:func:`potential_of_eta` and the functions that :func:`potential` and
+the oracle.  :func:`decay_x_max` is the one scan for where |V| has decayed,
+which cuts every box: the ``spectrum`` grid and the oracle's.  The closed
+forms built from arithmetic alone (:func:`tangent_eval`, :func:`eta_prime`,
+:func:`schwarzian_eval` and the functions that :func:`potential` and
 :func:`log_derivative` return) also take a numpy array through the same
 code, which the tests use.
 """
@@ -52,9 +53,23 @@ def tangent_eval(tp: TangentPolySpec, eta):
 # the Liouville map
 # ---------------------------------------------------------------------------
 
-def _liouville(tp: TangentPolySpec):
-    """x(eta) of :func:`liouville_x` as a function of a float, its constants
-    taken once."""
+def liouville(tp: TangentPolySpec):
+    """Closed-form x(eta) = integral_0^eta sqrt(T(u))/(1+u^2) du, symmetric T,
+    as a function of a float, its constants taken once.
+
+    With T = a(u^2 + kappa), r = sqrt(eta^2 + kappa) and s = sqrt|kappa - 1|,
+
+        x = sqrt(a) [asinh(eta/sqrt(kappa)) + s atan(s eta/r)]     (kappa >= 1)
+
+    For kappa < 1 the second term is -s atanh(s eta/r), which cancels most
+    of the first when kappa is small.  The same value is summed instead from
+    three terms of one sign (eta >= 0; the map is odd):
+
+        x = sqrt(a) [log1p((1-s) eta/(r + s eta)) + (1-s) log((r + s eta)/sqrt(kappa))
+                     + (s/2) log1p(eta^2)]
+
+    ``r`` comes from ``hypot``, so huge |eta| does not overflow.
+    """
     kap = tp.kappa_plus
     ra, rk = math.sqrt(tp.a), math.sqrt(kap)
     s = math.sqrt(abs(kap - 1.0))
@@ -79,25 +94,6 @@ def _liouville(tp: TangentPolySpec):
     return x_of
 
 
-def liouville_x(tp: TangentPolySpec, eta: float) -> float:
-    """Closed-form x(eta) = integral_0^eta sqrt(T(u))/(1+u^2) du, symmetric T.
-
-    With T = a(u^2 + kappa), r = sqrt(eta^2 + kappa) and s = sqrt|kappa - 1|,
-
-        x = sqrt(a) [asinh(eta/sqrt(kappa)) + s atan(s eta/r)]     (kappa >= 1)
-
-    For kappa < 1 the second term is -s atanh(s eta/r), which cancels most
-    of the first when kappa is small.  The same value is summed instead from
-    three terms of one sign (eta >= 0; the map is odd):
-
-        x = sqrt(a) [log1p((1-s) eta/(r + s eta)) + (1-s) log((r + s eta)/sqrt(kappa))
-                     + (s/2) log1p(eta^2)]
-
-    ``r`` comes from ``hypot``, so huge |eta| does not overflow.
-    """
-    return _liouville(tp)(eta)
-
-
 def eta_prime(tp: TangentPolySpec, eta):
     """Closed-form eta'(eta) = (1+eta^2)/sqrt(T(eta)), the slope of the map."""
     return (1.0 + eta * eta) / tangent_eval(tp, eta) ** 0.5
@@ -106,7 +102,7 @@ def eta_prime(tp: TangentPolySpec, eta):
 class VariableMap:
     """The monotone bijection x <-> eta generated by eta' = (1+eta^2)/sqrt(T).
 
-    Anchored at eta(0) = 0.  x(eta) is the closed form :func:`liouville_x`
+    Anchored at eta(0) = 0.  x(eta) is the closed form :func:`liouville`
     and eta(x) its Newton inverse (:func:`_inverse`), defined on the whole
     line.  ``x_grid`` is the uniform grid of spacing ``dx`` from -x_max to
     x_max, :func:`spectral.linspace`, which is ``numpy.linspace`` bit for bit;
@@ -190,7 +186,7 @@ def _inverse(tp: TangentPolySpec, xs) -> list:
     made infinite or NaN by an iterate that overflowed on the way; it and the
     points after it, where eta is larger still, are left out.
     """
-    x_of = _liouville(tp)
+    x_of = liouville(tp)
     ra, rk = math.sqrt(tp.a), math.sqrt(tp.kappa_plus)
     sinh, hypot, isfinite = math.sinh, math.hypot, math.isfinite
     etas = []
@@ -258,25 +254,6 @@ def potential(spec: PotentialSpec):
     return v_of
 
 
-def potential_of_eta(spec: PotentialSpec, eta):
-    """The Liouville potential expressed through eta: :func:`potential` at a
-    float or an array."""
-    return potential(spec)(eta)
-
-
-def choose_x_max(spec: PotentialSpec) -> float:
-    """Grid half-width with |V| below 1e-3 at both ends, plus 1, rounded up to a quarter."""
-    eta = 1.0
-    for _ in range(80):
-        if abs(potential_of_eta(spec, eta)) < 1e-3 and abs(potential_of_eta(spec, -eta)) < 1e-3:
-            break
-        eta *= 1.25
-    else:
-        raise StepFailure("potential does not decay below 1e-3")
-    x_at = liouville_x(spec.tp, eta)  # the map is odd
-    return float(math.ceil((x_at + 1.0) * 4.0) / 4.0)
-
-
 def decay_x_max(spec: PotentialSpec, level: float) -> float:
     """The smallest quarter x with |V| below ``level`` at both ends: eta doubles
     from 1 until |V(+-eta)| < ``level``, then bisection finds where that
@@ -296,7 +273,7 @@ def decay_x_max(spec: PotentialSpec, level: float) -> float:
     while hi - lo > 1e-4 * hi:
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if decayed(mid) else (mid, hi)
-    return float(math.ceil(liouville_x(spec.tp, hi) * 4.0) / 4.0)
+    return float(math.ceil(liouville(spec.tp)(hi) * 4.0) / 4.0)
 
 
 # ---------------------------------------------------------------------------

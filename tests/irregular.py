@@ -45,7 +45,7 @@ def symmetric_irregular_solution(spec: PotentialSpec, epsilon: float, vmap: Vari
         )
     if epsilon >= 0.0:
         raise PreconditionViolated("factorization energy must be negative")
-    v = geometry.potential_of_eta(spec, np.array(vmap.eta_grid))
+    v = geometry.potential(spec)(np.array(vmap.eta_grid))
     h = vmap.dx
     ratios = []
     r = math.inf

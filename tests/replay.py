@@ -29,9 +29,11 @@ but keys is reported with where it first differs.
 The configs are the seed-1001 commands of the three benchmark workloads
 (``perfbench/workloads.py``, imported read-only), plus cases the benchmark
 does not draw: a user grid too wide for doubles, a user grid too narrow for
-the potential to decay (a config error that leaves no file), Milson kappa far
-from 1, a type-c (ground-state erasure) partner, and a real h0, whose quartic
-has a double root at lambda = 0 (the repeated-root path of root isolation).
+the potential to decay (a config error that leaves no file), a user x_max
+without n (the config box of ``spectrum``), Milson kappa far from 1, a type-c
+(ground-state erasure) partner, a deep well (Gendenshtein 16.2, 0.7), and a
+real h0, whose quartic has a double root at lambda = 0 (the repeated-root
+path of root isolation).
 pytest does not collect this file.
 """
 
@@ -64,7 +66,8 @@ EXTRA = {
                     ("verify", "partner")),
     "type-c-partner": ({"potential": GEN, "partner": {"kind": "c", "m": 0}}, ("partner",)),
     "type-c-partner-deep": ({"potential": {"gendenshtein": {"a": 16.2, "b": 0.7}},
-                             "partner": {"kind": "c", "m": 0}}, ("partner",)),
+                             "partner": {"kind": "c", "m": 0}}, ("partner", "spectrum")),
+    "user-grid": ({"potential": GEN, "grid": {"x_max": 12.0}}, ("spectrum",)),
     "repeated-root": ({"potential": {"gendenshtein": {"a": 2.5, "b": 0.0}},
                        "partner": {"kind": "d", "m": 0}},
                       ("spectrum", "verify", "identities", "partner")),

@@ -13,6 +13,8 @@ import rrspectra
 from rrspectra import cli, darboux, geometry, spectral, verify
 from rrspectra.cli import main
 
+from residual import eta_of_x
+
 
 def write_config(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
@@ -78,6 +80,23 @@ class TestSpectrumCommand:
         out = tmp_path / "out"
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
         assert len(json.loads((out / "spectrum.json").read_text())["states"]) == 3
+
+    @pytest.mark.parametrize("payload", [MILSON, GEN], ids=["milson", "gendenshtein"])
+    def test_default_box_is_the_decay_scan(self, tmp_path, payload):
+        # without a grid block: 4,096 points out to 1 past the smallest
+        # quarter where |V| < 1e-3 at both ends; a config x_max is kept as given
+        spec = cli.RunConfig(payload).spec
+        x_max = geometry.decay_x_max(spec, 1e-3) + 1.0
+        v = geometry.potential(spec)
+        for x in (x_max - 1.0, 1.0 - x_max):
+            assert abs(v(eta_of_x(spec.tp, x))) < 1e-3
+        for grid, half_width in (({}, x_max), ({"grid": {"x_max": 12.0}}, 12.0)):
+            cfg = write_config(tmp_path, {**payload, **grid})
+            out = tmp_path / str(half_width)
+            assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+            xs = [float(row.partition(",")[0])
+                  for row in (out / "eigenfunctions.csv").read_text().splitlines()[1:]]
+            assert len(xs) == 4096 and (xs[0], xs[-1]) == (-half_width, half_width)
 
     def test_unrepresentable_user_grid_is_config_error(self, tmp_path, capsys):
         # past |x| ~ 355 eta = sinh x overflows and psi samples turn NaN;
@@ -580,7 +599,7 @@ class TestConfigErrors:
         assert main(["verify", "--config", cfg, "--out", str(tmp_path / "v"), "--tol", "0"]) == 1
 
     def test_count_at_cap_parses(self):
-        assert cli.MAX_COUNT == 2 ** 20
+        assert spectral.MAX_COUNT == 2 ** 20
         config = cli.RunConfig({**GEN, "grid": {"n": 2 ** 20}, "scan": {
             "a_range": [2.0, 3.0], "b_range": [0.0, 1.0], "na": 1024, "nb": 1024}})
         assert config.n == 2 ** 20

@@ -86,7 +86,7 @@ class TestPartnerPotential:
         fd2 = np.array([(ln_ff(x + h) - 2 * ln_ff(x) + ln_ff(x - h)) / h ** 2 for x in xs])
         w = geometry.log_derivative(spec.tp, seed)(etas)
         assert np.max(np.abs(fd1 - w)) < 1e-6
-        riccati = geometry.potential_of_eta(spec, etas) - seed.energy - w * w
+        riccati = geometry.potential(spec)(etas) - seed.energy - w * w
         assert np.max(np.abs(fd2 - riccati)) < 1e-6
 
     def test_partner_decays_like_parent(self, insertion_setup):
@@ -157,7 +157,7 @@ class TestSymmetricIrregular:
         # LAPACK; the discrete ground level lies O(h^2) below the analytic one
         eigvalsh_tridiagonal = pytest.importorskip("scipy.linalg").eigvalsh_tridiagonal
         spec, vmap, ground = sym_setup
-        v = geometry.potential_of_eta(spec, np.array(vmap.eta_grid))
+        v = geometry.potential(spec)(np.array(vmap.eta_grid))
         dx = vmap.dx
         outcomes = set()
         for k in range(10):

@@ -13,9 +13,8 @@ from rrspectra.geometry import (
     PotentialSpec,
     TangentPolySpec,
     VariableMap,
-    choose_x_max,
     log_derivative,
-    potential_of_eta,
+    potential,
     sampled,
     schwarzian_eval,
     tangent_eval,
@@ -97,7 +96,7 @@ class TestVariableMap:
     def test_round_trip_inversion(self):
         vm = VariableMap(TangentPolySpec(2.0, 3.0), 10.0, 256)
         sub = vm.x_grid[::16]
-        back = np.array([geometry.liouville_x(vm.tp, eta_of_x(vm.tp, x)) for x in sub])
+        back = np.array([geometry.liouville(vm.tp)(eta_of_x(vm.tp, x)) for x in sub])
         assert np.max(np.abs(back - sub)) < 1e-10
 
     def test_monotone_table(self):
@@ -125,17 +124,18 @@ class TestVariableMap:
         half = vm.x_grid[512:]
         ref = sol.sol(half)[0]
         assert np.max(np.abs(vm.eta_grid[512:] - ref) / np.maximum(1.0, ref)) < 1e-11
+        x_of = geometry.liouville(tp)
         for eta in (0.3, 1.0, 4.0, 50.0, 3e3):
             val, _err = quad(lambda u: math.sqrt(a * (u * u + kappa)) / (1.0 + u * u), 0.0, eta,
                              epsabs=1e-13, epsrel=1e-13, limit=200)
-            assert abs(geometry.liouville_x(vm.tp, eta) - val) < 1e-11 * max(1.0, val)
-            assert geometry.liouville_x(vm.tp, -eta) == -geometry.liouville_x(vm.tp, eta)
+            assert abs(x_of(eta) - val) < 1e-11 * max(1.0, val)
+            assert x_of(-eta) == -x_of(eta)
 
     @pytest.mark.parametrize("kappa", [0.55, 1.0, 2.7])
     def test_huge_eta_stays_finite(self, kappa):
-        vm = VariableMap(TangentPolySpec(1.0, kappa), 5.0, 128)
-        x = geometry.liouville_x(vm.tp, 1e200)
-        assert math.isfinite(x) and x > geometry.liouville_x(vm.tp, 1e100) > 0
+        x_of = geometry.liouville(TangentPolySpec(1.0, kappa))
+        x = x_of(1e200)
+        assert math.isfinite(x) and x > x_of(1e100) > 0
 
     @pytest.mark.parametrize("kappa", [0.55, 1.0, 2.7])
     def test_eta_past_the_double_range_is_non_finite(self, kappa):
@@ -197,7 +197,7 @@ class TestSchwarzian:
             d3 = (e[4] - 2 * e[3] + 2 * e[1] - e[0]) / (2 * h ** 3)
             return d3 / d1 - 1.5 * (d2 / d1) ** 2
 
-        xs = [geometry.liouville_x(vm.tp, e) for e in (-5.0, -2.0, -0.5, 0.0, 1.0, 3.0, 5.0)]
+        xs = [geometry.liouville(vm.tp)(e) for e in (-5.0, -2.0, -0.5, 0.0, 1.0, 3.0, 5.0)]
         worst = max(
             abs(schwarzian_fd(x) - schwarzian_eval(tp, eta_of_x(vm.tp, x))) for x in xs
         )
@@ -211,22 +211,16 @@ class TestPotential:
         expected = (b_g ** 2 - a_g * (a_g + 1)) / np.cosh(xs) ** 2 + (
             2 * a_g + 1
         ) * b_g * np.sinh(xs) / np.cosh(xs) ** 2
-        v = potential_of_eta(gspec, np.array([eta_of_x(gmap.tp, x) for x in xs]))
+        v = potential(gspec)(np.array([eta_of_x(gmap.tp, x) for x in xs]))
         assert np.max(np.abs(v - expected)) < 1e-9
 
     def test_symmetric_is_even(self):
         spec = PotentialSpec(h0=8.0, tp=TangentPolySpec(1.0, 2.0))
         vm = VariableMap(spec.tp, 10.0, 512)
         xs = np.linspace(0.0, 10.0, 64)
-        v_pos = potential_of_eta(spec, np.array([eta_of_x(vm.tp, x) for x in xs]))
-        v_neg = potential_of_eta(spec, np.array([eta_of_x(vm.tp, -x) for x in xs]))
+        v_pos = potential(spec)(np.array([eta_of_x(vm.tp, x) for x in xs]))
+        v_neg = potential(spec)(np.array([eta_of_x(vm.tp, -x) for x in xs]))
         assert np.max(np.abs(v_pos - v_neg)) < 1e-10
-
-    def test_decay_at_chosen_x_max(self, milson_spec):
-        x_max = choose_x_max(milson_spec)
-        vm = VariableMap(milson_spec.tp, x_max, 256)
-        assert abs(potential_of_eta(milson_spec, eta_of_x(vm.tp, x_max))) < 1e-3
-        assert abs(potential_of_eta(milson_spec, eta_of_x(vm.tp, -x_max))) < 1e-3
 
     @pytest.mark.parametrize("a, kappa", [(1.0, 1.0), (4.0, 2.0)])
     def test_decays_where_four_t_overflows(self, a, kappa):
@@ -234,8 +228,8 @@ class TestPotential:
         # itself does not; V must still be ~Im(h0)/(a eta), not 1/(4a)
         spec = PotentialSpec(h0=complex(7.75, 3.0), tp=TangentPolySpec(a, kappa))
         for eta in (5e153, 5.4e153, 1e154):
-            assert abs(potential_of_eta(spec, eta)) < 1e-12
-            assert abs(potential_of_eta(spec, -eta)) < 1e-12
+            assert abs(potential(spec)(eta)) < 1e-12
+            assert abs(potential(spec)(-eta)) < 1e-12
 
 
 
@@ -247,7 +241,7 @@ class TestFloatsAndArrays:
         # (numpy's sqrt against the float power 0.5) may round differently
         for spec in (gspec, milson_spec):
             etas = np.array(self.ETAS)
-            assert potential_of_eta(spec, etas).tolist() == [potential_of_eta(spec, e) for e in self.ETAS]
+            assert potential(spec)(etas).tolist() == [potential(spec)(e) for e in self.ETAS]
             assert schwarzian_eval(spec.tp, etas).tolist() == [schwarzian_eval(spec.tp, e) for e in self.ETAS]
             seed = aeh_solution(spec, "d", 2)
             assert_allclose(log_derivative(spec.tp, seed)(etas),

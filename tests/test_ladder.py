@@ -185,7 +185,7 @@ def test_point_cap_is_a_numeric_failure(tmp_path, monkeypatch, capsys):
     assert cli.main(["verify", "--config", str(path), "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("numeric failure: GridTooLarge: ")
     assert not list(out.iterdir())
-    assert verify.MAX_COUNT == cli.MAX_COUNT == 2 ** 20
+    assert verify.MAX_COUNT == spectral.MAX_COUNT == 2 ** 20
 
 
 @pytest.mark.parametrize("potential", [
