@@ -72,11 +72,13 @@ def _require(cond, msg):
 
 
 def _number(value, what: str, integral: bool = False):
-    """``value`` as a finite float, or as an int when ``integral``; anything
-    else (inf, NaN, a fraction for an integer, a non-number) is a config error."""
+    """``value``, a JSON number, as a finite float, or as an int when
+    ``integral``; anything else (inf, NaN, a fraction for an integer, a
+    string, a boolean, a list or an object) is a config error."""
     try:
-        x = float(value)
-    except (TypeError, ValueError, OverflowError):
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        x = float(value) if number else math.nan
+    except OverflowError:
         x = math.nan
     _require(math.isfinite(x), "%s must be a finite number, got %r" % (what, value))
     if not integral:

@@ -283,20 +283,20 @@ def lowest_levels(values, dx: float, count: int, *, coarser: tuple = ()) -> tupl
     The 3-point finite-difference Hamiltonian is solved on the grid and on
     its 2:1 and 4:1 subsamples, each level by Laguerre steps certified by
     Sturm counts (see :func:`_levels`), and two Richardson steps cancel the
-    h^2 and h^4 error terms: (64 E_h - 20 E_2h + E_4h) / 45.  So that all
-    three grids share both end points, up to 3 end samples are dropped first
-    to make n - 1 a multiple of 4.  A level is returned only where all three
-    grids have it below the ceiling, so one within O(h^2) of threshold on
-    the finest grid alone is left out.  Coarser 2:1 subsamples, while they
-    keep 512 interior samples and twice as many as there are levels, are
-    solved first for starting values alone; the grids are solved coarse to
+    h^2 and h^4 error terms: (64 E_h - 20 E_2h + E_4h) / 45.  Every sample
+    is solved; where n - 1 is not a multiple of 4 the subsamples end short of
+    the last sample.  A level is returned only where all three grids have it
+    below the ceiling, so one within O(h^2) of threshold on the finest grid
+    alone is left out.  Coarser 2:1 subsamples, while they keep 512
+    interior samples and twice as many as there are levels, are solved first
+    for starting values alone; the grids are solved coarse to
     fine, each level from :func:`_predicted`, and each grid for as many of
     the ``count`` levels as it has below the ceiling.
 
     ``coarser``, the grids returned for the samples ``values[::2]`` at
-    spacing 2 dx (n - 1 must then be a multiple of 4, so nothing is
-    dropped), are taken as solved: only the grid itself is solved, from
-    their prediction, and the grids returned are theirs plus it.
+    spacing 2 dx (n - 1 must then be a multiple of 4, so that they are the
+    2:1 and 4:1 subsamples), are taken as solved: only the grid itself is
+    solved, from their prediction, and the grids returned are theirs plus it.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
@@ -308,10 +308,8 @@ def lowest_levels(values, dx: float, count: int, *, coarser: tuple = ()) -> tupl
         raise InsufficientDecay(
             "potential ends at (%.3g, %.3g); need |V| < 1e-2" % (v[0], v[-1])
         )
-    extra = (len(v) - 1) % 4
-    if coarser and extra:
+    if coarser and (len(v) - 1) % 4:
         raise ValueError("a refined grid needs n - 1 a multiple of 4")
-    v = v[extra // 2 : len(v) - (extra - extra // 2)]
     count = min(count, (len(v) - 1) // 4 - 1)  # interior size of the 4h grid
     if count < 1:
         return [], ()

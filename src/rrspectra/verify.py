@@ -16,8 +16,7 @@ Rung 0 has 4 times the spacing of the cap, and each rung halves the spacing
 of the one before, so the grids a rung solved are the next rung's 2:1 and
 4:1 subsamples and each refinement solves one new grid.  The cap is the
 spacing rule min(0.012, 0.1/sqrt|V_min|) on the rung's own samples; a rung
-above 2^20 points is refused.  ``tol`` 0, or a given point count, solves
-one grid alone: the cap, or the given grid.
+above 2^20 points is refused.  A given point count is the one rung.
 """
 
 from __future__ import annotations
@@ -178,12 +177,7 @@ def _compare(rungs, energies, nodes, tol) -> tuple:
     rung (vmap, columns) of ``rungs`` against the analytic ``energies`` and
     ``nodes``, on the first rung where they are resolved, else the last;
     ``rel_delta`` is relative to the oracle value.  Each rung after the first
-    hands the oracle the grids of the one before.  With ``tol`` 0 no level
-    can be resolved, so the last rung alone is solved."""
-    if not tol:
-        for last in rungs:  # each rung is dropped once the next is built
-            pass
-        rungs = [last]
+    hands the oracle the grids of the one before."""
     coarser = ()
     for vmap, columns in rungs:
         values = columns[-1]

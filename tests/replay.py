@@ -30,10 +30,12 @@ The configs are the seed-1001 commands of the three benchmark workloads
 (``perfbench/workloads.py``, imported read-only), plus cases the benchmark
 does not draw: a user grid too wide for doubles, a user grid too narrow for
 the potential to decay (a config error that leaves no file), a user x_max
-without n (the config box of ``spectrum``), Milson kappa far from 1, a type-c
-(ground-state erasure) partner, a deep well (Gendenshtein 16.2, 0.7), and a
-real h0, whose quartic has a double root at lambda = 0 (the repeated-root
-path of root isolation).
+without n (the config box of ``spectrum``), a user n with n - 1 not a
+multiple of 4, ``--tol 0`` (the ladder climbs to the cap), Milson kappa far
+from 1, a type-c (ground-state erasure) partner, a deep well (Gendenshtein
+16.2, 0.7), and a real h0, whose quartic has a double root at lambda = 0 (the
+repeated-root path of root isolation).  An ``EXTRA`` command is the
+subcommand, optionally followed by further arguments ("verify --tol 0").
 pytest does not collect this file.
 """
 
@@ -68,6 +70,10 @@ EXTRA = {
     "type-c-partner-deep": ({"potential": {"gendenshtein": {"a": 16.2, "b": 0.7}},
                              "partner": {"kind": "c", "m": 0}}, ("partner", "spectrum")),
     "user-grid": ({"potential": GEN, "grid": {"x_max": 12.0}}, ("spectrum",)),
+    "user-n": ({"potential": GEN, "grid": {"n": 4096}, "partner": {"kind": "d", "m": 0}},
+               ("verify", "partner")),
+    "zero-tol": ({"potential": GEN, "partner": {"kind": "d", "m": 0}},
+                 ("verify --tol 0", "partner --tol 0")),
     "repeated-root": ({"potential": {"gendenshtein": {"a": 2.5, "b": 0.0}},
                        "partner": {"kind": "d", "m": 0}},
                       ("spectrum", "verify", "identities", "partner")),
@@ -81,30 +87,32 @@ for kappa in (0.05, 20.0):
 
 
 def commands():
-    """(config id, command, config dict) for every replayed command."""
+    """(config id, command line, config dict) for every replayed command; the
+    command line is the subcommand and the arguments after ``--out``."""
     import workloads
 
     for workload in sorted(workloads.CYCLES):
         count = workloads.cycles_for(workload, RUN_SECONDS) * len(workloads.CYCLES[workload])
         for index in range(count):
             command, cfg = workloads.make_config(workload, SEED, index)
-            yield "%s-%d-%02d-%s" % (workload, SEED, index, command), command, cfg
-    for name, (cfg, names) in sorted(EXTRA.items()):
-        for command in names:
-            yield "%s-%s" % (name, command), command, cfg
+            yield "%s-%d-%02d-%s" % (workload, SEED, index, command), [command], cfg
+    for name, (cfg, lines) in sorted(EXTRA.items()):
+        for line in lines:
+            argv = line.split()
+            yield "%s-%s" % (name, argv[0]), argv, cfg
 
 
 def replay(root: str) -> dict:
     from rrspectra import cli
 
     digests = {}
-    for cid, command, cfg in commands():
+    for cid, argv, cfg in commands():
         cfg_path = os.path.join(root, cid + ".json")
         with open(cfg_path, "w", encoding="utf-8") as fh:
             json.dump(cfg, fh)
         out = os.path.join(root, cid)
         with contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main([command, "--config", cfg_path, "--out", out])
+            code = cli.main([argv[0], "--config", cfg_path, "--out", out, *argv[1:]])
         digests[cid + "/exit"] = str(code)
         for name in sorted(os.listdir(out)):
             with open(os.path.join(out, name), "rb") as fh:

@@ -89,3 +89,23 @@ def test_every_value_parses_or_is_a_config_error(value):
     # the drawn value goes into every field of both base configs in turn
     for base, path in CASES:
         _check(_with(base, path, value))
+
+
+@pytest.mark.parametrize("path, value", [
+    (("potential", "gendenshtein", "a"), "2.5"),
+    (("potential", "gendenshtein", "b"), True),
+    (("grid", "n"), "4096"),
+    (("grid", "x_max"), True),
+    (("partner", "m"), True),
+    (("scan", "m"), "2"),
+    # a string or an object iterates, so each would read as [2.0, 4.0]
+    (("scan", "a_range"), "24"),
+    (("scan", "a_range"), {"2": 0, "4": 0}),
+])
+def test_only_json_numbers_are_numbers(path, value):
+    base = {"potential": {"gendenshtein": POTENTIALS["gendenshtein"]}, **BLOCKS}
+    config = RunConfig(base)
+    config.scan_params(), config.partner_params()  # the base config is valid
+    with pytest.raises(ConfigError, match="must be a finite number|malformed"):
+        config = RunConfig(_with(base, path, value))
+        config.scan_params(), config.partner_params()

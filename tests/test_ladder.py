@@ -144,20 +144,32 @@ def test_unresolved_at_the_cap_keeps_the_pass_rule(monkeypatch):
     assert report.grid[1] == rung_points(GEN, potential_columns(GEN))[-1]
 
 
-def test_zero_tolerance_solves_the_cap_alone(monkeypatch):
-    solved = LevelsCounter(monkeypatch)
+def test_zero_tolerance_climbs_to_the_cap(monkeypatch):
+    # no level is resolved at tol 0, so every rung is solved and the cap decides
+    calls = []
+    solve = oracle.lowest_levels
+
+    def wrapper(values, dx, count, coarser=()):
+        calls.append(len(values))
+        return solve(values, dx, count, coarser=coarser)
+
+    monkeypatch.setattr(verify.oracle, "lowest_levels", wrapper)
     report, _ = verify.verify_spectrum(GEN, tol=0.0)
-    cap = rung_points(GEN, potential_columns(GEN))[-1]
-    assert report.grid[1] == cap and not report.passed
-    # the cap and its 2:1 and 4:1 subsamples, from scratch
-    assert solved.sizes[-3:] == [(cap - 1) // 4 - 1, (cap - 1) // 2 - 1, cap - 2]
+    points = rung_points(GEN, potential_columns(GEN))
+    assert calls == points and len(points) == 3
+    assert report.grid[1] == points[-1] and not report.passed
 
 
-def test_given_count_is_the_one_rung(monkeypatch):
+@pytest.mark.parametrize("n, interiors", [
+    (3001, [749, 1499, 2999]),
+    # n - 1 not a multiple of 4: every sample is solved, and the subsamples end short
+    (4096, [1022, 2046, 4094]),
+], ids=["n-3001", "n-4096"])
+def test_given_count_is_the_one_rung(monkeypatch, n, interiors):
     solved = LevelsCounter(monkeypatch)
-    report, _ = verify.verify_spectrum(GEN, tol=1e-3, n=3001)
-    assert report.passed and report.grid[1] == 3001
-    assert solved.sizes == [749, 1499, 2999]  # the interiors of the 4h, 2h and h grids
+    report, _ = verify.verify_spectrum(GEN, tol=1e-3, n=n)
+    assert report.passed and report.grid[1] == n
+    assert solved.sizes == interiors  # the interiors of the 4h, 2h and h grids
 
 
 def test_point_cap_refuses_before_the_map_is_built(monkeypatch):
