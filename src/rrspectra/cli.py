@@ -21,10 +21,10 @@ removes its temporary file.
 
 Exit codes: 0 success, 1 verification failure (its files are written), 2
 config error (a bad config, a ``--tol`` that is negative or not finite, a
-``--workers`` below 1, or a grid the config set that cannot be sampled or on
-which the potential has not decayed) or output error (an ``--out`` that
-cannot be made or written), 3 numeric failure.  Identical configs produce
-byte-identical outputs.
+``--workers`` below 1, or a grid the config set that cannot be sampled, too
+wide or too narrow for doubles, or on which the potential has not decayed)
+or output error (an ``--out`` that cannot be made or written), 3 numeric
+failure.  Identical configs produce byte-identical outputs.
 
 Every command is a fresh process, so its imports are part of its cost.
 ``identities`` and ``scan-nodeless`` run on the exact layer alone, and
@@ -48,7 +48,7 @@ import os
 import sys
 
 from . import spectral
-from .errors import ConfigError, InsufficientDecay, NonFiniteSamples, SpectraError
+from .errors import ConfigError, InsufficientDecay, NonFiniteSamples, SpectraError, StepFailure
 from .spectral import PotentialSpec, TangentPolySpec
 
 # The built-in SHA-256 (_sha2 from Python 3.12, _sha256 before), not hashlib's,
@@ -436,9 +436,10 @@ def main(argv=None) -> int:
         files, passed = COMMANDS[args.command](config, args)
     except (SpectraError, OverflowError) as exc:
         # an exact quantity beyond the double range (OverflowError) is a numeric
-        # failure; samples that are not finite, or a potential that has not
-        # decayed, on a grid the config chose are that grid's fault
-        if (isinstance(exc, (NonFiniteSamples, InsufficientDecay))
+        # failure; samples that are not finite, a map that cannot be built, or
+        # a potential that has not decayed, on a grid the config chose are that
+        # grid's fault
+        if (isinstance(exc, (NonFiniteSamples, StepFailure, InsufficientDecay))
                 and (config.x_max, config.n) != (None, None)):
             exc = ConfigError("grid x_max=%s, n=%s: %s" % (config.x_max, config.n, exc))
         if isinstance(exc, ConfigError):

@@ -504,20 +504,20 @@ def _roots_beyond(chain: list, x: Fraction) -> int:
             + _variations_at(chain, x) - _variations_at_infinity(chain, 1))
 
 
-def _isolated_roots(chain: list) -> list:
-    """Correctly rounded roots of the square-free ``chain[0]``.
+def _isolated_roots(chain: list, lo, hi) -> list:
+    """Correctly rounded roots of the square-free ``chain[0]`` in (lo, hi].
 
-    Bisects (-2^k, 2^k], a power-of-two Cauchy bound, with the Sturm count
-    V(a) - V(b) of roots in (a, b], until each interval holds one root.
-    When 2^k exceeds the largest double, a root beyond it raises
-    :class:`RootOverflow` with its binary magnitude, and otherwise the
+    Bisects (-2^k, 2^k], a power-of-two Cauchy bound, cut to (lo, hi], with
+    the Sturm count V(a) - V(b) of roots in (a, b], until each interval holds
+    one root or none.  When 2^k exceeds the largest double, a root beyond it
+    raises :class:`RootOverflow` with its binary magnitude, and otherwise the
     bisection starts from (-max - 1, max] instead.
     """
     f = chain[0]
     # |root| < 1 + max|c_i| / |c_n| <= 1 + ceil(...) <= 2^k
     k = (-(-max(abs(c) for c in f[:-1]) // abs(f[-1]))).bit_length()
-    lo, hi = -Fraction(1 << k), Fraction(1 << k)
-    if hi > _DOUBLE_MAX:
+    lo_k, hi_k = -Fraction(1 << k), Fraction(1 << k)
+    if hi_k > _DOUBLE_MAX:
         if _roots_beyond(chain, _DOUBLE_MAX):
             # least e with every |root| <= 2^e; 2^1023 < max < 2^1024
             e_lo, e_hi = 1023, k
@@ -531,7 +531,9 @@ def _isolated_roots(chain: list) -> list:
                 "a real root with 2^%d < |root| <= 2^%d (about 1e%d) is beyond the double range"
                 % (e_hi - 1, e_hi, round(e_hi * math.log10(2.0)))
             )
-        lo, hi = -_DOUBLE_MAX - 1, _DOUBLE_MAX  # -max itself may be a root
+        lo_k, hi_k = -_DOUBLE_MAX - 1, _DOUBLE_MAX  # -max itself may be a root
+    lo = lo_k if lo is None else max(lo, lo_k)
+    hi = hi_k if hi is None else min(hi, hi_k)
     out = []
     stack = [(lo, hi, _variations_at(chain, lo), _variations_at(chain, hi))]
     while stack:
@@ -557,13 +559,14 @@ def _root_chains(p) -> list:
     return _square_free_chains(_integer_poly(p.coeffs)) if p.degree > 0 else []
 
 
-def real_roots(p) -> list[float]:
-    """All real roots of ``p`` with multiplicity, ascending.
+def real_roots(p, *, lo=None, hi=None) -> list[float]:
+    """The real roots of ``p`` in (lo, hi], rationals or None for unbounded,
+    with multiplicity, ascending.
 
-    Roots are isolated exactly (Sturm chains on integer coefficients) and
-    each location is the correctly rounded double of the exact root.
+    Roots are isolated exactly (Sturm chains on integer coefficients); only
+    those in (lo, hi] are located, each at the correctly rounded double.
     """
-    return sorted(r for chain in _root_chains(p) for r in _isolated_roots(chain))
+    return sorted(r for chain in _root_chains(p) for r in _isolated_roots(chain, lo, hi))
 
 
 def real_root_count(p) -> int:

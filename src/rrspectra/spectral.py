@@ -9,10 +9,14 @@ lambda_R,
     kappa*L^4 + (1-kappa)(2m+1)*L^3 - [h0_R + 1 + (1-kappa)(m+1/2)^2]*L^2
         - Im(h0)^2/4 = 0,
 
-whose positive admissible roots give the bound states and whose negative
-roots give the companion (type-d) closed-form solutions lying below the
-ground level.  At kappa = 1 the quartic collapses to a quadratic in L^2 and
-the root becomes order-independent (the shape-invariant Gendenshtein limit).
+whose admissible roots, L > mu = m + 1/2, give the bound states and whose
+negative roots give the companion (type-d) closed-form solutions lying below
+the ground level.  With H = h0_R + 1 and C = Im(h0)^2/4 the quartic is
+exactly Q(L) = L^4 - (1-kappa) L^2 (L-mu)^2 - H L^2 - C, so
+(Q/L^2)' = 2[kappa (L-mu) + mu] + 2C/L^3 > 0 for L > mu: order m has one
+admissible root exactly when Q(mu) = mu^4 - H mu^2 - C < 0, and never two.
+At kappa = 1 the quartic collapses to a quadratic in L^2 and the root
+becomes order-independent (the shape-invariant Gendenshtein limit).
 
 Solutions are assembled as gauge * polynomial closed forms
 
@@ -57,7 +61,6 @@ from ._exact import to_fraction
 from .errors import BranchUndefined, ConventionUnresolved, NoSuchRoot
 from .routh import (
     ComplexIndex,
-    RealPolynomial,
     RouthPolynomial,
     cauchy_beta_ratios,
     discriminant_order2,
@@ -135,15 +138,6 @@ class PotentialSpec(_PotentialFields):
     def energy_coupling(self) -> float:
         """Coefficient c of the energy in h(e) = h0 - c*e, i.e. a*(1 - kappa)."""
         return self.tp.a * (1.0 - self.tp.kappa_plus)
-
-
-class QuarticRoots(NamedTuple):
-    """Classified real roots of the order-m quartic."""
-
-    order: int
-    roots: tuple
-    c_candidates: tuple  # roots > m + 1/2, bound-state admissible
-    d_roots: tuple       # negative roots, type-d branch
 
 
 class ClosedForm(NamedTuple):
@@ -237,22 +231,19 @@ def quartic_residual_scale(spec: PotentialSpec, m: int, lam_r: float) -> float:
     return abs(val) / max(1.0, abs(lam_r) ** 4)
 
 
-def quartic_lambda_roots(spec: PotentialSpec, m: int) -> QuarticRoots:
-    """All real roots of the order-m quartic, exactly isolated and classified.
-
-    Roots at lambda = 0 (present only when Im(h0) = 0) sit on the square-root
-    branch point and are discarded.  Positive roots above m + 1/2 are
-    bound-state candidates; negative roots belong to type-d solutions.
+def quartic_lambda_roots(spec: PotentialSpec, m: int, kind: str) -> list:
+    """The correctly rounded roots of the order-m quartic that a solution of
+    ``kind`` may take, ascending: those in (mu, inf), mu = m + 1/2, for a
+    bound state (type c), and those at or below -1e-12, clear of the branch
+    point at lambda = 0, for a type-d companion.  The interval is decided
+    exactly, and only its roots are located.  A type-c list holds at most
+    one root: Q/L^2 has derivative 2[kappa (L-mu) + mu] + 2C/L^3 > 0 on
+    (mu, inf) (module docstring), so Q has a root there when Q(mu) < 0, and
+    only then.
     """
-    roots = [r for r in real_roots(RealPolynomial.from_coeffs(_quartic_coeffs(spec, m)))
-             if abs(r) > 1e-12]
-    half = m + 0.5
-    return QuarticRoots(
-        order=m,
-        roots=tuple(roots),
-        c_candidates=tuple(r for r in roots if r > half),
-        d_roots=tuple(r for r in roots if r < 0),
-    )
+    if kind == "c":
+        return real_roots(_quartic_coeffs(spec, m), lo=Fraction(2 * m + 1, 2))
+    return real_roots(_quartic_coeffs(spec, m), hi=Fraction(-1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -300,19 +291,19 @@ def normalized(spec: PotentialSpec, solution: ClosedForm) -> ClosedForm:
     return solution._replace(scale=scale / math.sqrt(norm2))
 
 
-def _solution(spec: PotentialSpec, kind: str, qr: QuarticRoots) -> ClosedForm:
-    """The unnormalized order-m solution of ``kind``: type c on the largest
+def _solution(spec: PotentialSpec, kind: str, m: int) -> ClosedForm:
+    """The unnormalized order-m solution of ``kind``: type c on the one
     admissible root, type d on the most negative one, both at
     e = -(m + 1/2 - lambda_R)^2 / a.  The node count is taken here, once.
+    There is one admissible root exactly when Q(m + 1/2) < 0, never two.
 
     The polynomial is R_m^(1 - conj lambda) of the pinned convention.  Its
     index is -conj(lambda) shifted by one exactly: 1 - L_R is never rounded,
     so the Routh coefficients are those of the float lambda."""
-    m = qr.order
-    roots = qr.c_candidates if kind == "c" else qr.d_roots
+    roots = quartic_lambda_roots(spec, m, kind)
     if not roots:
         raise NoSuchRoot("no type-%s root at order %d" % (kind, m))
-    lam_r = max(roots) if kind == "c" else min(roots)
+    lam_r = roots[0]
     lam = complex(lam_r, spec.h0.imag / (2.0 * lam_r) if spec.h0.imag != 0.0 else 0.0)
     rp = routh_polynomial(m, ComplexIndex.of(-lam.conjugate()).shifted(1))
     return ClosedForm(
@@ -339,12 +330,10 @@ def enumerate_bound_spectrum(spec: PotentialSpec) -> Spectrum:
     states = []
     n = 0
     while True:
-        qr = quartic_lambda_roots(spec, n)
-        if not qr.c_candidates:
+        try:
+            state = _solution(spec, "c", n)
+        except NoSuchRoot:
             break
-        if len(qr.c_candidates) > 1:
-            notes.append("order %d: %d admissible roots; kept the largest" % (n, len(qr.c_candidates)))
-        state = _solution(spec, "c", qr)
         if abs(state.energy) < THRESHOLD_ENERGY:
             notes.append("order %d: |e| < %g treated as threshold, not bound" % (n, THRESHOLD_ENERGY))
             break
@@ -380,7 +369,7 @@ def aeh_solution(spec: PotentialSpec, kind: str, m: int) -> ClosedForm:
     """
     if kind not in ("c", "d"):
         raise ValueError("kind must be 'c' or 'd'")
-    return _solution(spec, kind, quartic_lambda_roots(spec, m))
+    return _solution(spec, kind, m)
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,10 @@ the potential to decay (a config error that leaves no file), a user x_max
 without n (the config box of ``spectrum``), a user n with n - 1 not a
 multiple of 4, ``--tol 0`` (the ladder climbs to the cap), Milson kappa far
 from 1, a type-c (ground-state erasure) partner, a deep well (Gendenshtein
-16.2, 0.7), and a real h0, whose quartic has a double root at lambda = 0 (the
-repeated-root path of root isolation).  An ``EXTRA`` command is the
+16.2, 0.7), a real h0, whose quartic has a double root at lambda = 0 (the
+repeated-root path of root isolation), a Milson potential whose quartic has
+two positive roots below m + 1/2 at orders 1-3, and a user grid too narrow
+for doubles (a config error that leaves no file).  An ``EXTRA`` command is the
 subcommand, optionally followed by further arguments ("verify --tol 0").
 pytest does not collect this file.
 """
@@ -77,6 +79,13 @@ EXTRA = {
     "repeated-root": ({"potential": {"gendenshtein": {"a": 2.5, "b": 0.0}},
                        "partner": {"kind": "d", "m": 0}},
                       ("spectrum", "verify", "identities", "partner")),
+    "three-positive-roots": ({"potential": {"milson": {
+        "h0_re": 12.084706575734842, "h0_im": 0.0013390748054407224,
+        "kappa_plus": 47.9484157411458}}, "partner": {"kind": "d", "m": 0}},
+        ("spectrum", "verify", "partner", "identities")),
+    "tiny-grid": ({"potential": GEN, "grid": {"x_max": 5e-324, "n": 257},
+                   "partner": {"kind": "d", "m": 0}},
+                  ("spectrum", "verify", "partner")),
 }
 for kappa in (0.05, 20.0):
     EXTRA["milson-kappa-%g" % kappa] = (

@@ -91,9 +91,9 @@ def test_criterion_3_kappa_limit():
     for kap in (1.0 - 1e-8, 1.0 + 1e-8):
         spec = PotentialSpec(h0=spec1.h0, tp=TangentPolySpec(1.0, kap))
         for m in range(3):
-            qr = quartic_lambda_roots(spec, m)
-            worst = max(worst, abs(max(qr.c_candidates) - lam_c))
-            worst = max(worst, abs(min(qr.d_roots) - lam_d))
+            (c,) = quartic_lambda_roots(spec, m, "c")
+            worst = max(worst, abs(c - lam_c))
+            worst = max(worst, abs(quartic_lambda_roots(spec, m, "d")[0] - lam_d))
     report(3, "kappa->1 limit vs closed forms @1e-6", worst < 1e-6, "worst %.2e" % worst)
 
 

@@ -634,6 +634,19 @@ class TestOutputContract:
         assert err.count("\n") == 1, err
         assert os.listdir(out) == []
 
+    @pytest.mark.parametrize("command", ["spectrum", "verify", "partner"])
+    def test_user_grid_too_narrow_for_doubles_is_config_error(self, tmp_path, capsys, command):
+        # 257 points on [-5e-324, 5e-324] round to three doubles, so the
+        # variable map table cannot be strictly increasing
+        cfg = write_config(tmp_path, {**GEN, "grid": {"x_max": 5e-324, "n": 257},
+                                      "partner": {"kind": "d", "m": 0}})
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: grid x_max=5e-324, n=257: "), err
+        assert err.count("\n") == 1, err
+        assert os.listdir(out) == []
+
     @pytest.mark.parametrize("command", ["verify", "partner"])
     def test_undecayed_default_grid_is_numeric_failure(self, tmp_path, monkeypatch, capsys,
                                                        command):

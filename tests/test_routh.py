@@ -369,6 +369,25 @@ class TestExactIsolation:
             assert real_roots(p) == expected, p.coeffs
             assert real_root_count(p) == len(expected)
 
+    def test_interval_is_all_roots_restricted(self):
+        # ends on exact integer roots, between roots, and unbounded: (lo, hi]
+        # keeps the roots of the whole line that lie in it
+        on_roots = 0
+        for p in _root_corpus():
+            every = real_roots(p)
+            ints = [Fraction(r) for r in every if r == int(r)
+                    and sum(c * Fraction(r) ** i for i, c in enumerate(p.coeffs)) == 0]
+            gaps = [(Fraction(r) + Fraction(s)) / 2 for r, s in zip(every, every[1:])
+                    if s - r > 1e-9 * max(1.0, abs(r))]
+            ends = [None] + sorted(set(ints))[:3] + gaps[:3]
+            on_roots += len(set(ints))
+            for lo in ends:
+                for hi in ends:
+                    expected = [r for r in every
+                                if (lo is None or r > lo) and (hi is None or r <= hi)]
+                    assert real_roots(p, lo=lo, hi=hi) == expected, (p.coeffs, lo, hi)
+        assert on_roots > 20
+
     @pytest.mark.parametrize("roots", _ROUNDING_CASES)
     def test_rational_roots_correctly_rounded(self, roots):
         p = _poly_from_roots(roots)

@@ -1,6 +1,7 @@
 """Spectral-chain tests: branch, quartic, enumeration, eigenfunctions, identities."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from rrspectra.errors import BranchUndefined, NoSuchRoot
 from rrspectra.geometry import PotentialSpec, TangentPolySpec, sampled
 from rrspectra.routh import ComplexIndex, real_roots, routh_polynomial
 from rrspectra.spectral import (
+    _quartic_coeffs,
     aeh_solution,
     bound_state,
     enumerate_bound_spectrum,
@@ -55,35 +57,98 @@ class TestLambdaBranch:
 
 class TestQuartic:
     def test_gendenshtein_reduces_to_biquadratic(self, gspec):
-        qr = quartic_lambda_roots(gspec, 0)
-        assert_allclose(sorted(qr.roots), [-3.0, 3.0], rtol=1e-12)
+        lam_c, lam_d = (quartic_lambda_roots(gspec, 0, kind) for kind in "cd")
+        assert_allclose(lam_d + lam_c, [-3.0, 3.0], rtol=1e-12)
         a1 = gspec.h0.real + 1.0
         lam2 = 0.5 * a1 + math.sqrt(0.25 * a1 ** 2 + 0.25 * gspec.h0.imag ** 2)
-        assert_allclose(max(qr.roots) ** 2, lam2, rtol=1e-12)
+        assert_allclose(lam_c[0] ** 2, lam2, rtol=1e-12)
 
     def test_symmetric_degenerate_case(self):
+        # L^4 - 9 L^2: the double root at the branch point L = 0 is neither kind
         spec = PotentialSpec(h0=8.0, tp=TangentPolySpec(1.0, 1.0))
-        qr = quartic_lambda_roots(spec, 0)
-        assert_allclose(sorted(qr.roots), [-3.0, 3.0], rtol=1e-14)
+        assert quartic_lambda_roots(spec, 0, "c") == [3.0]
+        assert quartic_lambda_roots(spec, 0, "d") == [-3.0]
 
     def test_residual_scale(self, milson_spec):
         for m in range(3):
-            qr = quartic_lambda_roots(milson_spec, m)
-            for r in qr.roots:
-                assert quartic_residual_scale(milson_spec, m, r) < 1e-10
+            for kind in "cd":
+                for r in quartic_lambda_roots(milson_spec, m, kind):
+                    assert quartic_residual_scale(milson_spec, m, r) < 1e-10
 
     def test_kappa_to_one_continuity(self, gspec):
         lam_c, lam_d = closed_form_lambda_kappa1(gspec)
         for kap in (1.0 - 1e-8, 1.0 + 1e-8):
             spec = PotentialSpec(h0=gspec.h0, tp=TangentPolySpec(1.0, kap))
-            qr = quartic_lambda_roots(spec, 0)
-            assert abs(max(qr.c_candidates) - lam_c) < 1e-6
-            assert abs(min(qr.d_roots) - lam_d) < 1e-6
+            (c,) = quartic_lambda_roots(spec, 0, "c")
+            assert abs(c - lam_c) < 1e-6
+            assert abs(quartic_lambda_roots(spec, 0, "d")[0] - lam_d) < 1e-6
+
+    # h0 and kappa where orders 1-3 have two positive quartic roots below m + 1/2
+    THREE_POSITIVE = PotentialSpec(h0=complex(12.084706575734842, 0.0013390748054407224),
+                                   tp=TangentPolySpec(1.0, 47.9484157411458))
 
     def test_classification(self, milson_spec):
-        qr = quartic_lambda_roots(milson_spec, 0)
-        assert all(r > 0.5 for r in qr.c_candidates)
-        assert all(r < 0 for r in qr.d_roots)
+        # each kind takes the roots of the whole line that lie in its interval
+        for spec in (milson_spec, self.THREE_POSITIVE):
+            for m in range(5):
+                every = real_roots(_quartic_coeffs(spec, m))
+                assert quartic_lambda_roots(spec, m, "c") == [r for r in every if r > m + 0.5]
+                assert quartic_lambda_roots(spec, m, "d") == [r for r in every if r < -1e-12]
+        assert [sum(r > 0 for r in real_roots(_quartic_coeffs(self.THREE_POSITIVE, m)))
+                for m in (1, 2, 3)] == [3, 3, 3]
+
+    def test_one_admissible_root_exactly_when_q_at_mu_is_negative(self, rng):
+        found = set()
+        for _ in range(400):
+            m = int(rng.integers(0, 9))
+            spec = PotentialSpec(h0=complex(rng.uniform(-0.9, 40), rng.uniform(-10, 10)),
+                                 tp=TangentPolySpec(1.0, float(np.exp(rng.uniform(-3.5, 5.7)))))
+            mu, kap = Fraction(2 * m + 1, 2), Fraction(spec.tp.kappa_plus)
+            big_h, c = Fraction(spec.h0.real) + 1, Fraction(spec.h0.imag) ** 2 / 4
+
+            def q(lam):  # the quartic as the proof writes it
+                return lam ** 4 - (1 - kap) * lam ** 2 * (lam - mu) ** 2 - big_h * lam ** 2 - c
+
+            lam = Fraction(int(rng.integers(-99, 100)), int(rng.integers(1, 9)))
+            assert sum(k * lam ** i for i, k in enumerate(_quartic_coeffs(spec, m))) == q(lam)
+            roots = quartic_lambda_roots(spec, m, "c")
+            assert len(roots) == (q(mu) < 0), (spec, m)
+            found.add(len(roots))
+        assert found == {0, 1}
+
+class TestLocatedRoots:
+    """Only the roots a solution takes are located (``routh._rounded_root``)."""
+
+    @pytest.fixture()
+    def located(self, monkeypatch):
+        from rrspectra import routh
+
+        out, rounded = [], routh._rounded_root
+
+        def recording(f, lo, hi):
+            out.append(rounded(f, lo, hi))
+            return out[-1]
+
+        monkeypatch.setattr(routh, "_rounded_root", recording)
+        return out
+
+    @pytest.mark.parametrize("case", ["gendenshtein", "milson", "three_positive"])
+    def test_walk_locates_one_root_per_state(self, located, gspec, milson_spec, case):
+        spec = {"gendenshtein": gspec, "milson": milson_spec,
+                "three_positive": TestQuartic.THREE_POSITIVE}[case]
+        s = enumerate_bound_spectrum(spec)
+        assert located == [state.lam.real for state in s.states]
+        del located[:]
+        # the order that ends the walk, with no bound state, locates nothing
+        assert quartic_lambda_roots(spec, len(s.states), "c") == [] and located == []
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 4])
+    def test_type_d_locates_no_positive_root(self, located, gspec, milson_spec, m):
+        for spec in (gspec, milson_spec, TestQuartic.THREE_POSITIVE):
+            del located[:]
+            sol = aeh_solution(spec, "d", m)
+            assert located and all(r < 0 for r in located)
+            assert sol.lam.real == located[0]
 
 
 class TestEnumeration:
