@@ -21,10 +21,11 @@ removes its temporary file.
 
 Exit codes: 0 success, 1 verification failure (its files are written), 2
 config error (a bad config, a ``--tol`` that is negative or not finite, a
-``--workers`` below 1, or a grid the config set that cannot be sampled, too
-wide or too narrow for doubles, or on which the potential has not decayed)
-or output error (an ``--out`` that cannot be made or written), 3 numeric
-failure.  Identical configs produce byte-identical outputs.
+``--workers`` below 1, an order above ``spectral.MAX_ORDER``, set by the
+config or reached by a bound state, or a grid the config set that cannot be
+sampled, too wide or too narrow for doubles, or on which the potential has not
+decayed) or output error (an ``--out`` that cannot be made or written), 3
+numeric failure.  Identical configs produce byte-identical outputs.
 
 Every command is a fresh process, so its imports are part of its cost.
 ``identities`` and ``scan-nodeless`` run on the exact layer alone, and
@@ -155,6 +156,7 @@ class RunConfig:
         na = _number(scan.get("na", 16), "scan 'na'", integral=True)
         nb = _number(scan.get("nb", 16), "scan 'nb'", integral=True)
         _require(m >= 2 and m % 2 == 0, "scan order m must be even and >= 2")
+        _require(m <= spectral.MAX_ORDER, "scan order m must be at most %d" % spectral.MAX_ORDER)
         _require(na >= 2 and nb >= 2, "scan resolutions must be >= 2")
         _require(na * nb <= spectral.MAX_COUNT,
                  "scan na * nb must be at most %d" % spectral.MAX_COUNT)
@@ -166,7 +168,8 @@ class RunConfig:
         kind = part.get("kind", "d")
         _require(kind in ("c", "d"), "partner kind must be 'c' or 'd'")
         m = _number(part.get("m", 0), "partner 'm'", integral=True)
-        _require(m >= 0, "partner order must be nonnegative")
+        _require(0 <= m <= spectral.MAX_ORDER,
+                 "partner order must be from 0 to %d" % spectral.MAX_ORDER)
         _require(kind == "d" or m == 0, "type-c partner supports only m=0 (ground-state erasure)")
         return kind, m
 
@@ -339,7 +342,7 @@ def cmd_partner(config: RunConfig, args) -> tuple:
 
 
 def cmd_identities(config: RunConfig, args) -> tuple:
-    from .routh import ode_residual, routh_polynomial, routh_rodrigues
+    from .routh import ode_residual
 
     spec = config.spec
     spectrum = spectral.enumerate_bound_spectrum(spec)
@@ -349,13 +352,7 @@ def cmd_identities(config: RunConfig, args) -> tuple:
         "m=%d" % s.n: spectral.quartic_residual_scale(spec, s.n, s.lam.real)
         for s in spectrum.states
     }
-    poly_ok = True
-    for m in range(5):
-        idx = complex(-2.0, 0.7)
-        if not ode_residual(routh_polynomial(m, idx)).is_zero:
-            poly_ok = False
-        if not ode_residual(routh_rodrigues(m, idx)).is_zero:
-            poly_ok = False
+    poly_ok = all(ode_residual(s.poly).is_zero for s in spectrum.states)
     payload = {
         "stevenson_max_dev": stevenson,
         "sigma_rho": {

@@ -18,11 +18,6 @@ Nothing here imports numpy: closed forms are evaluated on grids by
 :mod:`geometry`.  Each command builds a polynomial once and passes the record
 on, so only the integer binomial basis, shared by every index of one order,
 is memoized.
-
-One empirically pinned fact about the family is exposed and tested here: the
-Rodrigues-type generator with weight index ``alpha`` produces
-``2^m m! * R_m^(alpha* + 1)``, so its record carries the family index
-``alpha* + 1`` and satisfies the one canonical equation.
 """
 
 from __future__ import annotations
@@ -174,30 +169,6 @@ def routh_polynomial(m: int, alpha) -> RouthPolynomial:
     return RouthPolynomial(order=m, index=alpha, poly=RealPolynomial.from_coeffs(real_coeffs))
 
 
-def routh_rodrigues(m: int, alpha) -> RouthPolynomial:
-    """Routh polynomial generated by the m-fold Rodrigues-type derivative.
-
-    Computes w^-1 d^m/deta^m [(1+eta^2)^m w] with w the generating weight at
-    index ``alpha``, by exact symbolic differentiation.  The result is
-    2^m m! times the canonical polynomial at index ``alpha* + 1`` (the unit
-    index offset between the two generators is pinned by the test suite), so
-    the record is labelled with that family index.
-    """
-    if m < 0:
-        raise ValueError("order must be nonnegative")
-    a = ComplexIndex.of(alpha)
-    two_ar = 2 * a.re
-    two_ai = 2 * a.im
-    # Invariant: current expression is P(eta) * (1+eta^2)^k * w(eta).
-    p = [Fraction(1)]
-    for k in range(m, 0, -1):
-        dp = ex.rp_diff(p)
-        term = ex.rp_mul(dp, [Fraction(1), Fraction(0), Fraction(1)])
-        lin = [two_ai, two_ar + 2 * k]
-        p = ex.rp_add(term, ex.rp_mul(lin, p))
-    return RouthPolynomial(order=m, index=a.conjugate().shifted(1), poly=RealPolynomial.from_coeffs(p))
-
-
 # ---------------------------------------------------------------------------
 # verification helpers
 # ---------------------------------------------------------------------------
@@ -210,9 +181,7 @@ def ode_residual(p: RouthPolynomial) -> RealPolynomial:
 
         (1+eta^2) R'' + 2(aR*eta - aI) R' - m(m + 2aR - 1) R = 0.
 
-    Rodrigues records carry their family index alpha* + 1, so the same
-    equation covers them.  Returns the residual polynomial, exactly; it must
-    be identically zero.
+    Returns the residual polynomial, exactly; it must be identically zero.
     """
     a, m = p.index, p.order
     r = list(p.poly.coeffs)

@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 from . import _exact as ex
 from ._exact import to_fraction
-from .errors import BranchUndefined, ConventionUnresolved, NoSuchRoot
+from .errors import BranchUndefined, ConfigError, ConventionUnresolved, NoSuchRoot
 from .routh import (
     ComplexIndex,
     RouthPolynomial,
@@ -299,10 +299,15 @@ def _solution(spec: PotentialSpec, kind: str, m: int) -> ClosedForm:
 
     The polynomial is R_m^(1 - conj lambda) of the pinned convention.  Its
     index is -conj(lambda) shifted by one exactly: 1 - L_R is never rounded,
-    so the Routh coefficients are those of the float lambda."""
+    so the Routh coefficients are those of the float lambda.  A solution of
+    order above :data:`MAX_ORDER` is a :class:`ConfigError`, and its
+    polynomial is never built."""
     roots = quartic_lambda_roots(spec, m, kind)
     if not roots:
         raise NoSuchRoot("no type-%s root at order %d" % (kind, m))
+    if m > MAX_ORDER:
+        raise ConfigError("a type-%s solution of order %d exists, above the order cap %d"
+                          % (kind, m, MAX_ORDER))
     lam_r = roots[0]
     lam = complex(lam_r, spec.h0.imag / (2.0 * lam_r) if spec.h0.imag != 0.0 else 0.0)
     rp = routh_polynomial(m, ComplexIndex.of(-lam.conjugate()).shifted(1))
@@ -321,10 +326,11 @@ def enumerate_bound_spectrum(spec: PotentialSpec) -> Spectrum:
     of Re lambda0, read as a maximal index) is recorded alongside for
     comparison but never drives the loop.
 
-    A level whose polynomial has a coefficient beyond the double range raises
-    ``OverflowError``: no float can sample it, and the walk would otherwise go
-    on through about Re lambda0 levels, which is unbounded in practice for a
-    huge h0.
+    The walk would otherwise go on through about Re lambda0 levels, which is
+    unbounded in practice for a huge h0.  So a level whose polynomial has a
+    coefficient beyond the double range raises ``OverflowError``, since no
+    float can sample it, and a level of order above :data:`MAX_ORDER` raises
+    :class:`ConfigError` (:func:`_solution`).
     """
     notes = []
     states = []
@@ -488,6 +494,11 @@ def _scan_cell(a_g: float, b_g: float, m: int) -> ScanCell:
 # Largest grid point count and scan cell count na * nb: about 100 times the
 # largest grid in use, and a 1024 x 1024 map.
 MAX_COUNT = 2 ** 20
+# Largest order of a closed form, set by the config or reached by a bound
+# state: about four times the 31 states of the deepest hard case (Gendenshtein
+# a = 30.3).  The cost of one exact solution grows about tenfold from order
+# 120 to order 240.
+MAX_ORDER = 128
 
 
 def linspace(start, stop, num: int) -> list:

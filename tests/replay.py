@@ -70,7 +70,8 @@ EXTRA = {
                     ("verify", "partner")),
     "type-c-partner": ({"potential": GEN, "partner": {"kind": "c", "m": 0}}, ("partner",)),
     "type-c-partner-deep": ({"potential": {"gendenshtein": {"a": 16.2, "b": 0.7}},
-                             "partner": {"kind": "c", "m": 0}}, ("partner", "spectrum")),
+                             "partner": {"kind": "c", "m": 0}},
+                            ("partner", "spectrum", "identities")),
     "user-grid": ({"potential": GEN, "grid": {"x_max": 12.0}}, ("spectrum",)),
     "user-n": ({"potential": GEN, "grid": {"n": 4096}, "partner": {"kind": "d", "m": 0}},
                ("verify", "partner")),

@@ -2,21 +2,25 @@
 closed forms, which solve the equation by construction, are checked against,
 with the rational invariant I(eta; e) it needs, and the float and polynomial
 arithmetic on package records that only the tests use: eta at a single point
-of the map, and the gauge and Phi at a single eta.
+of the map, and the gauge and Phi at a single eta.  Also the Rodrigues-type
+generator of the Routh family, the independent construction that
+``routh.routh_polynomial`` is compared with.
 
 It lives with the tests because the package decides the convention by
-derivation (see ``rrspectra.spectral``) and samples no residual at run time.
+derivation (see ``rrspectra.spectral``), samples no residual at run time and
+builds each Routh polynomial one way.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
 from rrspectra import _exact as ex
 from rrspectra.geometry import _inverse
-from rrspectra.routh import RealPolynomial
+from rrspectra.routh import ComplexIndex, RealPolynomial, RouthPolynomial
 from rrspectra.spectral import ClosedForm, PotentialSpec, TangentPolySpec
 
 
@@ -96,3 +100,28 @@ def rcsle_residual(spec: PotentialSpec, epsilon: float, solution: ClosedForm, et
     inv = bose_invariant_eval(spec, epsilon, etas)
     res = np.abs(second + inv * vals) / (1.0 + np.abs(vals))
     return float(np.max(res))
+
+
+def routh_rodrigues(m: int, alpha) -> RouthPolynomial:
+    """Routh polynomial generated by the m-fold Rodrigues-type derivative.
+
+    Computes w^-1 d^m/deta^m [(1+eta^2)^m w] with w the generating weight at
+    index ``alpha``, by exact symbolic differentiation.  The result is
+    2^m m! times the canonical polynomial at index ``alpha* + 1`` (the unit
+    index offset between the two generators is pinned by the test suite), so
+    the record is labelled with that family index and satisfies the one
+    canonical equation of ``routh.ode_residual``.
+    """
+    if m < 0:
+        raise ValueError("order must be nonnegative")
+    a = ComplexIndex.of(alpha)
+    two_ar = 2 * a.re
+    two_ai = 2 * a.im
+    # Invariant: current expression is P(eta) * (1+eta^2)^k * w(eta).
+    p = [Fraction(1)]
+    for k in range(m, 0, -1):
+        dp = ex.rp_diff(p)
+        term = ex.rp_mul(dp, [Fraction(1), Fraction(0), Fraction(1)])
+        lin = [two_ai, two_ar + 2 * k]
+        p = ex.rp_add(term, ex.rp_mul(lin, p))
+    return RouthPolynomial(order=m, index=a.conjugate().shifted(1), poly=RealPolynomial.from_coeffs(p))

@@ -12,7 +12,7 @@ import numpy as np
 
 from rrspectra.darboux import partner_potential
 from rrspectra.geometry import PotentialSpec, TangentPolySpec, VariableMap, sampled
-from rrspectra.routh import ComplexIndex, ode_residual, routh_polynomial, routh_rodrigues
+from rrspectra.routh import ComplexIndex, ode_residual, routh_polynomial
 from rrspectra.spectral import (
     aeh_solution,
     bound_state,
@@ -27,6 +27,7 @@ from rrspectra.verify import verify_partner_levels, verify_spectrum
 from irregular import symmetric_irregular_solution
 from orthogonality import inner_product, pinned_weight_index
 from quartic import closed_form_lambda_kappa1
+from residual import routh_rodrigues
 
 
 def report(num, name, passed, detail=""):

@@ -13,7 +13,7 @@ import rrspectra
 from rrspectra import cli, darboux, geometry, spectral, verify
 from rrspectra.cli import main
 
-from residual import eta_of_x
+from residual import eta_of_x, poly_mul
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -480,6 +480,56 @@ class TestIdentitiesCommand:
         # 5 quartics (orders 0..4) and one node count for each of the 4 levels
         assert counts == {"spectrum": 9, "identities": 9}
 
+    def test_builds_one_routh_polynomial_per_state(self, tmp_path, monkeypatch):
+        # the ODE claim is decided on the enumerated states' own polynomials,
+        # so identities builds no polynomial the spectrum did not
+        from rrspectra import routh
+
+        assert not hasattr(routh, "routh_rodrigues")
+        real = routh.routh_polynomial
+        calls = []
+
+        def counting(m, alpha):
+            calls.append(m)
+            return real(m, alpha)
+
+        monkeypatch.setattr(routh, "routh_polynomial", counting)
+        monkeypatch.setattr(spectral, "routh_polynomial", counting)
+        # seed-1001 cli_mix command 1
+        cfg = write_config(tmp_path, {"potential": {"gendenshtein": {
+            "a": 3.319211616860758, "b": 1.0848804275477275}}})
+        out = tmp_path / "out"
+        assert main(["identities", "--config", cfg, "--out", str(out)]) == 0
+        payload = json.loads((out / "identities.json").read_text())
+        assert payload["polynomial_ode_residuals_zero"] is True
+        assert len(payload["quartic_residuals"]) == 4
+        assert calls == [0, 1, 2, 3]
+
+    def test_doctored_state_fails_the_ode_claim(self, tmp_path, monkeypatch):
+        # state 5 lies past the Stevenson check's first four states, so only
+        # the ODE claim sees that its polynomial no longer solves the equation
+        from rrspectra.routh import RealPolynomial
+
+        real = spectral.enumerate_bound_spectrum
+
+        def doctored(spec):
+            spectrum = real(spec)
+            states = list(spectrum.states)
+            st = states[5]
+            states[5] = st._replace(poly=st.poly._replace(
+                poly=poly_mul(st.poly.poly, RealPolynomial.from_coeffs([1, 0.01]))))
+            return spectrum._replace(states=tuple(states))
+
+        cfg = write_config(tmp_path, {"potential": {"gendenshtein": {"a": 6.5, "b": 0.5}}})
+        assert main(["identities", "--config", cfg, "--out", str(tmp_path / "clean")]) == 0
+        monkeypatch.setattr(spectral, "enumerate_bound_spectrum", doctored)
+        out = tmp_path / "out"
+        assert main(["identities", "--config", cfg, "--out", str(out)]) == 1
+        payload = json.loads((out / "identities.json").read_text())
+        assert payload["polynomial_ode_residuals_zero"] is False
+        assert payload["passed"] is False
+        assert set(payload["stevenson_max_dev"].values()) == {0.0}
+
 
 class TestConfigErrors:
     def test_missing_file(self, tmp_path):
@@ -534,13 +584,19 @@ class TestConfigErrors:
                           '{"a_range": [1e200, 1e201], "b_range": [0, 1]}}'),
         ("scan-nodeless", '{"potential": {"gendenshtein": {"a": 2.5}}, "scan": '
                           '{"a_range": [2, 3], "b_range": [0, 1e200]}}'),
+        # orders above spectral.MAX_ORDER are refused before anything is built
+        ("scan-nodeless", '{"potential": {"gendenshtein": {"a": 2.5}}, "scan": '
+                          '{"a_range": [2, 3], "b_range": [0, 1], "m": %d}}' % (spectral.MAX_ORDER + 2)),
+        ("partner", '{"potential": {"gendenshtein": {"a": 2.5}}, "partner": '
+                    '{"kind": "d", "m": %d}}' % (spectral.MAX_ORDER + 2)),
     ])
     def test_malformed_number(self, tmp_path, capsys, command, text):
         path = tmp_path / "cfg.json"
         path.write_text(text)
         out = tmp_path / "o"
         assert main([command, "--config", str(path), "--out", str(out)]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert not list(out.glob("*"))
 
     @pytest.mark.parametrize("command", ["spectrum", "verify", "partner"])
@@ -600,10 +656,39 @@ class TestConfigErrors:
 
     def test_count_at_cap_parses(self):
         assert spectral.MAX_COUNT == 2 ** 20
+        assert spectral.MAX_ORDER == 128
         config = cli.RunConfig({**GEN, "grid": {"n": 2 ** 20}, "scan": {
-            "a_range": [2.0, 3.0], "b_range": [0.0, 1.0], "na": 1024, "nb": 1024}})
+            "a_range": [2.0, 3.0], "b_range": [0.0, 1.0], "na": 1024, "nb": 1024, "m": 128},
+            "partner": {"kind": "d", "m": 128}})
         assert config.n == 2 ** 20
-        assert config.scan_params()[3:] == (1024, 1024)
+        assert config.scan_params()[2:] == (128, 1024, 1024)
+        assert config.partner_params() == ("d", 128)
+
+    @pytest.mark.parametrize("command", ["spectrum", "verify", "identities", "partner"])
+    def test_walk_past_the_order_cap(self, tmp_path, capsys, monkeypatch, command):
+        # Gendenshtein 16.2 has 17 states; under a cap of 3 the walk builds
+        # orders 0..3, finds a root at order 4 and builds nothing there
+        monkeypatch.setattr(spectral, "MAX_ORDER", 3)
+        built = []
+        real = spectral.routh_polynomial
+        monkeypatch.setattr(spectral, "routh_polynomial",
+                            lambda m, alpha: built.append(m) or real(m, alpha))
+        cfg = write_config(tmp_path, {"potential": {"gendenshtein": {"a": 16.2, "b": 0.7}},
+                                      "partner": {"kind": "c", "m": 0}})
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: a type-c solution of order 4 exists, above the order cap 3\n"
+        assert os.listdir(out) == []
+        assert max(built) == 3
+
+    def test_walk_to_the_order_cap(self, tmp_path, monkeypatch):
+        # Gendenshtein 3.3 has 4 states, orders 0..3: all within a cap of 3
+        monkeypatch.setattr(spectral, "MAX_ORDER", 3)
+        cfg = write_config(tmp_path, {"potential": {"gendenshtein": {"a": 3.3, "b": 0.7}}})
+        assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        payload = json.loads((tmp_path / "o" / "spectrum.json").read_text())
+        assert payload["n_max_constructive"] == 4
 
     def test_report_carries_pinned_convention(self, tmp_path):
         cfg = write_config(tmp_path, GEN)
@@ -745,8 +830,9 @@ def test_startup_does_not_import_scipy(tmp_path):
         "import importlib, pkgutil, rrspectra\n"
         "for mod in pkgutil.iter_modules(rrspectra.__path__): importlib.import_module('rrspectra.' + mod.name)\n"
         "from fractions import Fraction\n"
-        "from rrspectra.routh import cauchy_beta_ratios, routh_rodrigues\n"
-        "cauchy_beta_ratios([1, 0, 1], Fraction(1, 2), [Fraction(5, 2)]), routh_rodrigues(3, complex(-4, 1.5))\n"
+        "from rrspectra.routh import cauchy_beta_ratios, ode_residual, routh_polynomial\n"
+        "cauchy_beta_ratios([1, 0, 1], Fraction(1, 2), [Fraction(5, 2)])\n"
+        "ode_residual(routh_polynomial(3, complex(-4, 1.5)))\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         % (calls,)
     )

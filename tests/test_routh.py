@@ -19,13 +19,12 @@ from rrspectra.routh import (
     real_root_count,
     real_roots,
     routh_polynomial,
-    routh_rodrigues,
     theorem_root_count,
 )
 
 from orthogonality import NonIntegrable, inner_product, pinned_weight_index, weight_eval
 from quadrature import adaptive_quadrature
-from residual import poly_eval, poly_mul
+from residual import poly_eval, poly_mul, routh_rodrigues
 
 
 def random_indices(rng, count):
