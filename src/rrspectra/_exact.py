@@ -1,11 +1,12 @@
 """Exact Gaussian-rational scalars and dense real-rational polynomials.
 
 Scalars are ``(re, im)`` pairs of :class:`fractions.Fraction`; polynomials are
-lists of Fractions in ascending degree.  Exact quantities stay in these
-representations so that realness and residual-zero assertions are decided by
-identity, never by tolerance; floats enter only at evaluation time.  (The
-complex-index Jacobi sum itself is evaluated in Python integers over one
-common denominator, see ``routh._jacobi_coeffs``.)
+lists of Fractions in ascending degree, and a finished one is a tuple without
+trailing zeros (:func:`rp_trim`), empty for the zero polynomial.  Exact
+quantities stay in these representations so that realness and residual-zero
+assertions are decided by identity, never by tolerance; floats enter only at
+evaluation time.  (The complex-index Jacobi sum itself is evaluated in Python
+integers over one common denominator, see ``routh._jacobi_coeffs``.)
 """
 
 from __future__ import annotations
@@ -65,3 +66,11 @@ def rp_scale(p: list[Fraction], s) -> list[Fraction]:
 
 def rp_diff(p: list[Fraction]) -> list[Fraction]:
     return [p[i] * i for i in range(1, len(p))]
+
+
+def rp_trim(p) -> tuple:
+    """``p`` without its trailing (highest-degree) zeros, as a tuple."""
+    n = len(p)
+    while n and p[n - 1] == 0:
+        n -= 1
+    return tuple(p[:n])

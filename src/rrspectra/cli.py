@@ -352,7 +352,7 @@ def cmd_identities(config: RunConfig, args) -> tuple:
         "m=%d" % s.n: spectral.quartic_residual_scale(spec, s.n, s.lam.real)
         for s in spectrum.states
     }
-    poly_ok = all(ode_residual(s.poly).is_zero for s in spectrum.states)
+    poly_ok = all(not ode_residual(s.poly) for s in spectrum.states)
     payload = {
         "stevenson_max_dev": stevenson,
         "sigma_rho": {

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 
 from .errors import NonFiniteSamples, StepFailure
 from .spectral import ClosedForm, PotentialSpec, TangentPolySpec, linspace
@@ -180,15 +181,19 @@ def _inverse(tp: TangentPolySpec, xs) -> list:
     the iterates approach it monotonically (for kappa < 1 after the first
     step).  Each later solve starts from the cubic extrapolation of the roots
     before it (from the last root while there are fewer than four).  A solve
-    stops once a step is below 1e-14 relative to s, after one polishing step,
-    and raises :class:`StepFailure` if that does not happen.  An eta past the
-    double range shows as ``OverflowError`` from ``math.sinh``, or as an s
-    made infinite or NaN by an iterate that overflowed on the way; it and the
-    points after it, where eta is larger still, are left out.
+    stops once a step is below 1e-14 relative to s, or once x(eta) is within
+    four ulps of x (where |x| >> |s|, at kappa far above 1, a step below
+    1e-14 s is below the rounding of x(eta) - x, and the steps would cycle),
+    after one polishing step, and raises :class:`StepFailure` if neither
+    happens.  An eta past the double range shows as ``OverflowError`` from
+    ``math.sinh``, or as an s made infinite or NaN by an iterate that
+    overflowed on the way; it and the points after it, where eta is larger
+    still, are left out.
     """
     x_of = liouville(tp)
     ra, rk = math.sqrt(tp.a), math.sqrt(tp.kappa_plus)
     sinh, hypot, isfinite = math.sinh, math.hypot, math.isfinite
+    four_ulps = 4.0 * sys.float_info.epsilon
     etas = []
     s1 = s2 = s3 = s4 = 0.0  # s1 is the last root, s4 the fourth last
     for k, x in enumerate(xs):
@@ -202,11 +207,12 @@ def _inverse(tp: TangentPolySpec, xs) -> list:
         try:
             for _ in range(60):
                 eta = sinh(s)
-                step = (x_of(eta) - x) * hypot(eta, 1.0) / (ra * hypot(eta, rk))
+                miss = x_of(eta) - x
+                step = miss * hypot(eta, 1.0) / (ra * hypot(eta, rk))
                 s -= step
                 if done:
                     break
-                done = abs(step) <= 1e-14 * abs(s)
+                done = abs(step) <= 1e-14 * abs(s) or abs(miss) <= four_ulps * abs(x)
             else:
                 if isfinite(s):
                     raise StepFailure("variable-map inversion did not converge")
@@ -283,7 +289,7 @@ def decay_x_max(spec: PotentialSpec, level: float) -> float:
 def _descending(solution: ClosedForm, k: int) -> list:
     """Float coefficients of R^(k) for the polynomial R of ``solution``, highest
     degree first, as :func:`_horner` takes them, from the exact coefficients."""
-    cs = list(enumerate(solution.poly.poly.coeffs))[::-1]
+    cs = list(enumerate(solution.poly.coeffs))[::-1]
     return [float(math.perm(j, k) * c) for j, c in cs if j >= k] or [0.0]
 
 

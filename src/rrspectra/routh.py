@@ -63,37 +63,15 @@ class ComplexIndex(NamedTuple):
         return "ComplexIndex(%s, %s)" % (self.re, self.im)
 
 
-class RealPolynomial(NamedTuple):
-    """Dense real polynomial with exact Fraction coefficients, ascending degree.
-
-    The trailing (highest-degree) coefficient is nonzero unless the polynomial
-    is identically zero, in which case ``coeffs`` is empty.
-    """
-
-    coeffs: tuple
-
-    @classmethod
-    def from_coeffs(cls, coeffs) -> "RealPolynomial":
-        cs = [ex.to_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return cls(tuple(cs))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
 class RouthPolynomial(NamedTuple):
-    """A Routh polynomial: real polynomial plus its complex index and order."""
+    """A Routh polynomial of order ``order`` and complex index ``index``, with
+    its exact real coefficients ``coeffs``: Fractions in ascending degree,
+    trailing zeros dropped, so the tuple is empty only for the zero
+    polynomial."""
 
     order: int
     index: ComplexIndex
-    poly: RealPolynomial
+    coeffs: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +144,14 @@ def routh_polynomial(m: int, alpha) -> RouthPolynomial:
                 "coefficient of eta^%d has imaginary part %s" % (j, im)
             )
         real_coeffs.append(re)
-    return RouthPolynomial(order=m, index=alpha, poly=RealPolynomial.from_coeffs(real_coeffs))
+    return RouthPolynomial(order=m, index=alpha, coeffs=ex.rp_trim(real_coeffs))
 
 
 # ---------------------------------------------------------------------------
 # verification helpers
 # ---------------------------------------------------------------------------
 
-def ode_residual(p: RouthPolynomial) -> RealPolynomial:
+def ode_residual(p: RouthPolynomial) -> tuple:
     """Residual of the real-line hypergeometric-type equation for ``p``.
 
     The equation, obtained from the complex-index Jacobi equation under the
@@ -181,15 +159,16 @@ def ode_residual(p: RouthPolynomial) -> RealPolynomial:
 
         (1+eta^2) R'' + 2(aR*eta - aI) R' - m(m + 2aR - 1) R = 0.
 
-    Returns the residual polynomial, exactly; it must be identically zero.
+    Returns the residual polynomial's coefficients, exactly, trailing zeros
+    dropped: the tuple is empty exactly when the equation holds.
     """
     a, m = p.index, p.order
-    r = list(p.poly.coeffs)
+    r = p.coeffs
     d1 = ex.rp_diff(r)
     res = ex.rp_mul(ex.rp_diff(d1), [1, 0, 1])
     res = ex.rp_add(res, ex.rp_mul([-2 * a.im, 2 * a.re], d1))
     res = ex.rp_add(res, ex.rp_scale(r, -m * (m + 2 * a.re - 1)))
-    return RealPolynomial.from_coeffs(res)
+    return ex.rp_trim(res)
 
 
 # ---------------------------------------------------------------------------
@@ -518,34 +497,33 @@ def _isolated_roots(chain: list, lo, hi) -> list:
     return out
 
 
-def _root_chains(p) -> list:
-    if isinstance(p, RouthPolynomial):
-        p = p.poly
-    if not isinstance(p, RealPolynomial):
-        p = RealPolynomial.from_coeffs(p)
-    if p.is_zero:
+def _root_chains(coeffs) -> list:
+    coeffs = ex.rp_trim(coeffs)
+    if not coeffs:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
-    return _square_free_chains(_integer_poly(p.coeffs)) if p.degree > 0 else []
+    return _square_free_chains(_integer_poly(coeffs)) if len(coeffs) > 1 else []
 
 
-def real_roots(p, *, lo=None, hi=None) -> list[float]:
-    """The real roots of ``p`` in (lo, hi], rationals or None for unbounded,
-    with multiplicity, ascending.
+def real_roots(coeffs, *, lo=None, hi=None) -> list[float]:
+    """The real roots in (lo, hi], rationals or None for unbounded, with
+    multiplicity, ascending, of the polynomial with ascending int or Fraction
+    ``coeffs``.
 
     Roots are isolated exactly (Sturm chains on integer coefficients); only
     those in (lo, hi] are located, each at the correctly rounded double.
     """
-    return sorted(r for chain in _root_chains(p) for r in _isolated_roots(chain, lo, hi))
+    return sorted(r for chain in _root_chains(coeffs) for r in _isolated_roots(chain, lo, hi))
 
 
-def real_root_count(p) -> int:
-    """Number of real roots of ``p`` with multiplicity, decided exactly.
+def real_root_count(coeffs) -> int:
+    """Number of real roots, with multiplicity, of the polynomial with
+    ascending int or Fraction ``coeffs``, decided exactly.
 
     Sturm sign variations at -inf and +inf, read from leading coefficients;
     no root is located.
     """
     return sum(_variations_at_infinity(chain, -1) - _variations_at_infinity(chain, 1)
-               for chain in _root_chains(p))
+               for chain in _root_chains(coeffs))
 
 
 def theorem_root_count(m: int, alpha) -> int | None:
@@ -567,12 +545,11 @@ def theorem_root_count(m: int, alpha) -> int | None:
     return m % 2 if m + 2 * ComplexIndex.of(alpha).re - 1 > 0 else None
 
 
-def discriminant_order2(p: RealPolynomial) -> float:
+def discriminant_order2(coeffs) -> float:
     """Discriminant c1^2 - 4 c2 c0 of the order-2 canonical Routh polynomial
-    ``p``, from its coefficients.  In closed form it equals
+    with ascending ``coeffs``.  In closed form it equals
     -(1/4)(2aR+1)[(aR+1)^2 + aI^2] at the index alpha = aR + i aI, so its
     sign is that of -(2aR+1) and does not depend on aI.
     """
-    cs = list(p.coeffs) + [Fraction(0)] * (3 - len(p.coeffs))
-    c0, c1, c2 = cs[0], cs[1], cs[2]
+    c0, c1, c2 = (*coeffs, 0, 0, 0)[:3]
     return float(c1 * c1 - 4 * c2 * c0)

@@ -131,8 +131,7 @@ class PotentialSpec(_PotentialFields):
 
     @property
     def lambda0(self) -> complex:
-        lam = cmath.sqrt(self.h0 + 1.0)
-        return lam if lam.real > 0 else -lam
+        return cmath.sqrt(self.h0 + 1.0)
 
     @property
     def energy_coupling(self) -> float:
@@ -185,7 +184,14 @@ class Spectrum(NamedTuple):
 
     @property
     def formula_consistent(self) -> bool:
-        """The closed-form level count (max index + 1) versus the constructive one."""
+        """The closed-form level count (max index + 1) versus the constructive one.
+
+        Order n is admissible exactly when n + 1/2 < Re lambda0, since Q(mu) < 0
+        exactly when mu^2 < (H + sqrt(H^2 + 4C))/2 = (Re lambda0)^2 (module
+        docstring).  Unless the threshold cut ends the walk first, the
+        constructive count is ceil(Re lambda0 - 1/2), and floor(Re lambda0) + 1
+        overcounts it by one whenever frac(Re lambda0) <= 1/2.
+        """
         return self.n_max_formula + 1 == self.n_max_constructive
 
     @property
@@ -198,14 +204,11 @@ class Spectrum(NamedTuple):
 # ---------------------------------------------------------------------------
 
 def lambda_of_energy(spec: PotentialSpec, epsilon: float) -> complex:
-    """lambda(e) = sqrt(h0 + 1 - c*e) on the branch Re(lambda) > 0."""
+    """lambda(e) = sqrt(h0 + 1 - c*e), the principal root: Re(lambda) >= 0."""
     arg = spec.h0 + 1.0 - spec.energy_coupling * epsilon
     if arg == 0:
         raise BranchUndefined("h0 + 1 - c*e vanishes; branch point")
-    lam = cmath.sqrt(arg)
-    if lam.real < 0:
-        lam = -lam
-    return lam
+    return cmath.sqrt(arg)
 
 
 def _quartic_coeffs(spec: PotentialSpec, m: int) -> list:
@@ -281,7 +284,7 @@ def normalized(spec: PotentialSpec, solution: ClosedForm) -> ClosedForm:
     """
     p, q = to_fraction(solution.power), to_fraction(solution.atan_coeff)
     nu = 1 - 2 * p
-    coeffs = solution.poly.poly.coeffs
+    coeffs = solution.poly.coeffs
     sq, den = integer_product(coeffs, coeffs)  # R^2 = sq(eta) / den^2
     m0, m1 = cauchy_beta_ratios(sq, q, (nu, nu + 1))
     kap = to_fraction(spec.tp.kappa_plus)
@@ -313,7 +316,7 @@ def _solution(spec: PotentialSpec, kind: str, m: int) -> ClosedForm:
     rp = routh_polynomial(m, ComplexIndex.of(-lam.conjugate()).shifted(1))
     return ClosedForm(
         kind=kind, energy=-((m + 0.5 - lam_r) ** 2) / spec.tp.a, lam=lam,
-        poly=rp, nodes=real_root_count(rp.poly),
+        poly=rp, nodes=real_root_count(rp.coeffs),
     )
 
 
@@ -343,7 +346,7 @@ def enumerate_bound_spectrum(spec: PotentialSpec) -> Spectrum:
         if abs(state.energy) < THRESHOLD_ENERGY:
             notes.append("order %d: |e| < %g treated as threshold, not bound" % (n, THRESHOLD_ENERGY))
             break
-        if max(map(abs, state.poly.poly.coeffs)) > sys.float_info.max:
+        if max(map(abs, state.poly.coeffs)) > sys.float_info.max:
             raise OverflowError("order %d: a Routh coefficient is beyond the double range" % n)
         states.append(state)
         n += 1
@@ -448,7 +451,7 @@ def stevenson_identity_check(state: ClosedForm) -> float:
     for j in range(n):
         scale /= c_param + j
     unit = ((1, 0), (0, -1), (-1, 0), (0, 1))[n % 4]  # (-i)^n
-    rhs = [ex.c_scale(unit, scale * c) for c in state.poly.poly.coeffs]
+    rhs = [ex.c_scale(unit, scale * c) for c in state.poly.coeffs]
     rhs += [ex.C_ZERO] * (len(lhs) - len(rhs))
     return max(math.hypot(float(a[0] - b[0]), float(a[1] - b[1])) for a, b in zip(lhs, rhs))
 
@@ -480,7 +483,7 @@ def _scan_cell(a_g: float, b_g: float, m: int) -> ScanCell:
     consistent = theorem_root_count(m, sol.poly.index) in (None, sol.nodes)
     disc_pred = None
     if m == 2:
-        disc_pred = discriminant_order2(sol.poly.poly) < 0.0
+        disc_pred = discriminant_order2(sol.poly.coeffs) < 0.0
     thresh = bool(b_g ** 2 < nodeless_threshold_b2(a_g)) if m == 2 else None
     return ScanCell(
         a=a_g, b=b_g,
@@ -528,7 +531,8 @@ def nodeless_scan(a_range, b_range, m: int, na: int = 16, nb: int = 16, workers:
     are reported, not resolved.  The order ``m`` is even and >= 2 and both
     resolutions are >= 2, as the run configuration checks.  The cells do not
     depend on ``workers``, which is capped at the CPU and cell counts: the
-    pool forks all its workers at once.
+    pool forks all its workers at once, and each takes one block of cells,
+    since a task per cell costs more in messages than the cell itself.
     """
     tasks = [(a, b, m) for a in linspace(*a_range, na) for b in linspace(*b_range, nb)]
     workers = min(workers, os.cpu_count() or 1, len(tasks))
@@ -536,7 +540,8 @@ def nodeless_scan(a_range, b_range, m: int, na: int = 16, nb: int = 16, workers:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_scan_cell, *zip(*tasks)))
+            chunk = -(-len(tasks) // workers)
+            cells = list(pool.map(_scan_cell, *zip(*tasks), chunksize=chunk))
     else:
         cells = [_scan_cell(*t) for t in tasks]
     return cells

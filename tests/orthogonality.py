@@ -62,8 +62,8 @@ def inner_product(n: int, m: int, w) -> float:
             "orders (%d, %d) do not decay under weight index %s" % (n, m, w)
         )
     fam = family_index_for_weight(w)
-    prod, den = integer_product(routh_polynomial(n, fam).poly.coeffs,
-                                routh_polynomial(m, fam).poly.coeffs)
+    prod, den = integer_product(routh_polynomial(n, fam).coeffs,
+                                routh_polynomial(m, fam).coeffs)
     nu, q = -w.re, w.im
     (ratio,) = cauchy_beta_ratios(prod, q, (nu,))
     return math.exp(log_cauchy_beta(nu, q)) * float(ratio / (den * den))

@@ -35,9 +35,11 @@ multiple of 4, ``--tol 0`` (the ladder climbs to the cap), Milson kappa far
 from 1, a type-c (ground-state erasure) partner, a deep well (Gendenshtein
 16.2, 0.7), a real h0, whose quartic has a double root at lambda = 0 (the
 repeated-root path of root isolation), a Milson potential whose quartic has
-two positive roots below m + 1/2 at orders 1-3, and a user grid too narrow
-for doubles (a config error that leaves no file).  An ``EXTRA`` command is the
-subcommand, optionally followed by further arguments ("verify --tol 0").
+two positive roots below m + 1/2 at orders 1-3, a user grid too narrow for
+doubles (a config error that leaves no file), and an order-4 scan on two
+worker processes (the pooled path, whose ``scan.csv`` must digest as the
+serial one's).  An ``EXTRA`` command is the subcommand, optionally followed by
+further arguments ("verify --tol 0").
 pytest does not collect this file.
 """
 
@@ -56,6 +58,8 @@ import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
+
+import workloads  # noqa: E402
 
 SEED = 1001
 RUN_SECONDS = 30
@@ -88,6 +92,10 @@ EXTRA = {
                    "partner": {"kind": "d", "m": 0}},
                   ("spectrum", "verify", "partner")),
 }
+# the pooled scan path on the second scan_grid command (order 4): its scan.csv
+# must digest as that serial command's does
+EXTRA["pooled-scan"] = (workloads.make_config("scan_grid", SEED, 1)[1],
+                        ("scan-nodeless --workers 2",))
 for kappa in (0.05, 20.0):
     EXTRA["milson-kappa-%g" % kappa] = (
         {"potential": {"milson": {"h0_re": 7.75, "h0_im": 3.0, "kappa_plus": kappa}},
@@ -99,8 +107,6 @@ for kappa in (0.05, 20.0):
 def commands():
     """(config id, command line, config dict) for every replayed command; the
     command line is the subcommand and the arguments after ``--out``."""
-    import workloads
-
     for workload in sorted(workloads.CYCLES):
         count = workloads.cycles_for(workload, RUN_SECONDS) * len(workloads.CYCLES[workload])
         for index in range(count):

@@ -20,7 +20,7 @@ import numpy as np
 
 from rrspectra import _exact as ex
 from rrspectra.geometry import _inverse
-from rrspectra.routh import ComplexIndex, RealPolynomial, RouthPolynomial
+from rrspectra.routh import ComplexIndex, RouthPolynomial
 from rrspectra.spectral import ClosedForm, PotentialSpec, TangentPolySpec
 
 
@@ -29,14 +29,15 @@ def energy_slope(tp: TangentPolySpec) -> float:
     return 2.0 * tp.a * (1.0 + tp.kappa_plus)
 
 
-def poly_mul(p: RealPolynomial, q: RealPolynomial) -> RealPolynomial:
-    """The exact product of two real polynomials."""
-    return RealPolynomial.from_coeffs(ex.rp_mul(list(p.coeffs), list(q.coeffs)))
+def poly_mul(p, q) -> tuple:
+    """The exact product of two real polynomials, ascending coefficient
+    sequences, without trailing zeros."""
+    return ex.rp_trim(ex.rp_mul(p, q))
 
 
-def poly_eval(p: RealPolynomial, x):
-    """p(x) in floats, by Horner."""
-    return np.polyval([float(c) for c in reversed(p.coeffs)] or [0.0], x)
+def poly_eval(p, x):
+    """p(x) in floats, by Horner, for the ascending coefficients ``p``."""
+    return np.polyval([float(c) for c in reversed(p)] or [0.0], x)
 
 
 def eta_of_x(tp: TangentPolySpec, x: float) -> float:
@@ -53,7 +54,7 @@ def gauge(solution: ClosedForm, eta: float) -> float:
 
 def phi_value(solution: ClosedForm, eta: float) -> float:
     """Phi(eta) = scale * gauge * R(eta) at a float ``eta``."""
-    return solution.scale * gauge(solution, eta) * float(poly_eval(solution.poly.poly, eta))
+    return solution.scale * gauge(solution, eta) * float(poly_eval(solution.poly.coeffs, eta))
 
 
 def phi_second_derivative(solution: ClosedForm, eta):
@@ -64,10 +65,10 @@ def phi_second_derivative(solution: ClosedForm, eta):
     w = 1.0 + eta ** 2
     u = (2.0 * p * eta + q) / w
     du = (2.0 * p - 2.0 * p * eta ** 2 - 2.0 * q * eta) / (w * w)
-    r0 = list(solution.poly.poly.coeffs)
+    r0 = solution.poly.coeffs
     r1 = ex.rp_diff(r0)
     r2 = ex.rp_diff(r1)
-    r0, r1, r2 = (poly_eval(RealPolynomial.from_coeffs(r), eta) for r in (r0, r1, r2))
+    r0, r1, r2 = (poly_eval(r, eta) for r in (r0, r1, r2))
     g = np.reshape([gauge(solution, e) for e in eta.ravel().tolist()], eta.shape)
     out = solution.scale * g * ((u * u + du) * r0 + 2.0 * u * r1 + r2)
     return float(out) if out.ndim == 0 else out
@@ -124,4 +125,4 @@ def routh_rodrigues(m: int, alpha) -> RouthPolynomial:
         term = ex.rp_mul(dp, [Fraction(1), Fraction(0), Fraction(1)])
         lin = [two_ai, two_ar + 2 * k]
         p = ex.rp_add(term, ex.rp_mul(lin, p))
-    return RouthPolynomial(order=m, index=a.conjugate().shifted(1), poly=RealPolynomial.from_coeffs(p))
+    return RouthPolynomial(order=m, index=a.conjugate().shifted(1), coeffs=ex.rp_trim(p))

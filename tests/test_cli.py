@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -262,7 +263,7 @@ class TestScanCommand:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
+            def map(self, fn, *iterables, chunksize=1):
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
@@ -508,8 +509,6 @@ class TestIdentitiesCommand:
     def test_doctored_state_fails_the_ode_claim(self, tmp_path, monkeypatch):
         # state 5 lies past the Stevenson check's first four states, so only
         # the ODE claim sees that its polynomial no longer solves the equation
-        from rrspectra.routh import RealPolynomial
-
         real = spectral.enumerate_bound_spectrum
 
         def doctored(spec):
@@ -517,7 +516,7 @@ class TestIdentitiesCommand:
             states = list(spectrum.states)
             st = states[5]
             states[5] = st._replace(poly=st.poly._replace(
-                poly=poly_mul(st.poly.poly, RealPolynomial.from_coeffs([1, 0.01]))))
+                coeffs=poly_mul(st.poly.coeffs, [1, Fraction(0.01)])))
             return spectrum._replace(states=tuple(states))
 
         cfg = write_config(tmp_path, {"potential": {"gendenshtein": {"a": 6.5, "b": 0.5}}})

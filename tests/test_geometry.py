@@ -145,6 +145,18 @@ class TestVariableMap:
         vm = VariableMap(TangentPolySpec(1.0, 1.0), 710.0, 257)
         assert np.all(np.isfinite(vm.eta_grid)) and vm.eta_grid[-1] > 1e308
 
+    @pytest.mark.parametrize("n", [1025, 4097, 16385])
+    @pytest.mark.parametrize("kappa", [1e5, 1e6, 1e7])
+    def test_large_kappa_inverse_converges(self, kappa, n):
+        # on the oracle's box |x| >> |s|, so a step of 1e-14 s is below the
+        # rounding of x(eta) - x; the solve stops within a few ulps of x
+        spec = PotentialSpec(complex(5.0, 2.0), TangentPolySpec(1.0, kappa))
+        vm = VariableMap(spec.tp, geometry.decay_x_max(spec, 1e-12), n)
+        x_of = geometry.liouville(spec.tp)
+        eps = sys.float_info.epsilon
+        for x, eta in zip(vm.x_grid, vm.eta_grid):
+            assert abs(x_of(eta) - x) <= 4 * eps * abs(x), x
+
     @pytest.mark.parametrize("x_max, n", [(12.0, 8192), (23.25, 8192), (60.0, 10001),
                                           (31.7, 5283), (7.25, 4096), (400.0, 4096)])
     def test_grid_is_linspace_bit_for_bit(self, x_max, n):

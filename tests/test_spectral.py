@@ -169,6 +169,15 @@ class TestEnumeration:
         assert s.n_max_formula == 3
         assert not s.formula_consistent
 
+    @pytest.mark.parametrize("a_g, consistent", [(2.8, False), (3.6, False), (2.3, True), (3.3, True)])
+    def test_formula_consistent_iff_fraction_above_half(self, a_g, consistent):
+        # order n is admissible exactly when n + 1/2 < Re lambda0 = a + 1/2,
+        # so floor(Re lambda0) + 1 overcounts when frac(Re lambda0) <= 1/2
+        spec = gendenshtein_params(a_g, 0.5)
+        s = enumerate_bound_spectrum(spec)
+        assert s.n_max_constructive == math.ceil(spec.lambda0.real - 0.5)
+        assert s.formula_consistent is consistent
+
     def test_energy_ordering(self, milson_spec):
         s = enumerate_bound_spectrum(milson_spec)
         es = s.energies
@@ -206,7 +215,7 @@ class TestEigenfunctions:
         for n in range(3):
             st = bound_state(gspectrum, n)
             assert st.nodes == n
-            assert len(real_roots(st.poly.poly)) == n
+            assert len(real_roots(st.poly.coeffs)) == n
 
     def test_orthonormality(self, gspec):
         states = [normalized(gspec, st) for st in enumerate_bound_spectrum(gspec).states]
@@ -274,27 +283,23 @@ class TestResidualOracle:
         assert res < 1e-10
 
     def test_perturbation_detected(self, gspec):
-        from rrspectra.routh import RealPolynomial
-
         s = enumerate_bound_spectrum(gspec)
         st = s.states[0]
         bad = st._replace(poly=st.poly._replace(
-            poly=poly_mul(st.poly.poly, RealPolynomial.from_coeffs([1, 0.01]))))
+            coeffs=poly_mul(st.poly.coeffs, [1, Fraction(0.01)])))
         res = rcsle_residual(gspec, st.energy, bad, np.linspace(-8, 8, 41))
         assert res > 1e-4
 
     def test_zero_function_degenerate(self, gspec):
-        from rrspectra.routh import RealPolynomial
-
         st = enumerate_bound_spectrum(gspec).states[0]
-        zero = st._replace(poly=st.poly._replace(poly=RealPolynomial.from_coeffs([0])))
+        zero = st._replace(poly=st.poly._replace(coeffs=()))
         assert rcsle_residual(gspec, -1.0, zero, [0.0, 1.0]) == 0.0
 
 
 class TestAehSolutions:
     def test_basic_seed_is_nodeless(self, gspec):
         sol = aeh_solution(gspec, "d", 0)
-        assert sol.nodeless and sol.poly.poly.degree == 0
+        assert sol.nodeless and len(sol.poly.coeffs) - 1 == 0
 
     def test_gendenshtein_type_d_energies(self):
         for a_g, b_g in ((2.5, 0.5), (1.3, 0.9), (3.1, 0.0)):
