@@ -6,8 +6,9 @@ V - 2 (ln ff)'' which is isospectral except at e_f: a type-d seed inserts a
 new level there, the ground state (type c) erases its own, as
 :func:`partner_levels` states.  The gauge (1+eta^2)^p exp(q atan eta) of a
 closed form is positive, so a seed is nodeless exactly when its polynomial
-has no real root: its stored exact node count is the one refusal, made
-before any grid is built.
+has no real root: its node count, decided by theorem from the seed's order
+and index (:attr:`~rrspectra.spectral.ClosedForm.nodes`), is the one
+refusal, made before any grid is built.
 
 The partner is taken in Riccati form.  With w = ff'/ff, the equation
 -ff'' + V ff = e_f ff reads w' = V - e_f - w^2, so
@@ -38,8 +39,8 @@ _NODED = "factorization polynomial has real zeros"
 def partner_levels(parent, seed) -> list:
     """The levels of the partner built on ``seed`` from the ``parent`` levels:
     a type-d seed inserts its energy, a bound-state (type-c) seed erases the
-    ground level.  A seed whose polynomial has real zeros (by its stored exact
-    count) raises :class:`NodeDetected`, before any grid is built for it."""
+    ground level.  A seed whose polynomial has real zeros (by its node count)
+    raises :class:`NodeDetected`, before any grid is built for it."""
     if seed.nodes:
         raise NodeDetected(_NODED)
     return sorted([*parent, seed.energy]) if seed.kind == "d" else list(parent[1:])
@@ -49,7 +50,7 @@ def partner_potential(spec: PotentialSpec, seed: ClosedForm, etas) -> tuple:
     """(V, V_hat) at the floats ``etas``, with V_hat = 2 e_s + 2 w^2 - V, w
     the log-derivative of the closed-form ``seed`` and e_s its energy.
 
-    A seed with real polynomial zeros (its stored ``nodes``) raises
+    A seed with real polynomial zeros (its ``nodes``) raises
     :class:`NodeDetected`.  Only the log-derivative of the seed is evaluated,
     never its values, which underflow to 0.0 in the tails of deep wells."""
     if seed.nodes:

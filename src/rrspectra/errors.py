@@ -31,14 +31,9 @@ class NoSuchRoot(SpectraError):
     """The quartic has no root of the requested kind at the requested order."""
 
 
-class ConventionUnresolved(SpectraError):
-    """A closed form contradicts an exact property of its convention (a bound
-    state's polynomial does not have as many real roots as its level index)."""
-
-
 class NodeDetected(SpectraError):
-    """A Darboux seed's polynomial has real zeros, by the exact real-root
-    count stored with it, so its factorization function would have nodes."""
+    """A Darboux seed's polynomial has real zeros, by its node count (decided
+    by theorem), so its factorization function would have nodes."""
 
 
 class InsufficientDecay(SpectraError):

@@ -528,28 +528,51 @@ def real_root_count(coeffs) -> int:
 
 def theorem_root_count(m: int, alpha) -> int | None:
     """Real roots of the canonical R_m^(alpha), with multiplicity, by theorem:
-    m mod 2 when m + 2 Re(alpha) - 1 > 0, else None (no claim).
+    m when m < 1 - Re(alpha), m mod 2 when m + 2 Re(alpha) - 1 > 0, else
+    None (no claim).  At m = 0 both hold and agree.
 
-    Proof.  R solves (1+eta^2) R'' + 2(aR eta - aI) R' = lam R with
-    lam = m(m + 2aR - 1) > 0 for m >= 1 (see :func:`ode_residual`).  At a
-    real critical point eta0, R''(eta0) = lam R(eta0) / (1 + eta0^2), so |R|
-    has a strict local minimum wherever R' = 0 and R != 0.  Between two
-    consecutive real roots |R| would need a positive local maximum, so there
-    is at most one distinct real root.  It is simple, since R = R' = 0 at a
-    point would make R vanish identically (the equation is regular), while
-    the leading coefficient is proportional to (m + 2aR - 1)_m > 0.  Nonreal
-    roots pair up, so the count has the parity of m.
+    Both proofs use the equation (1+eta^2) R'' + 2(aR eta - aI) R' = lam R,
+    lam = m(m + 2aR - 1), at alpha = aR + i aI (see :func:`ode_residual`),
+    and that R has real coefficients.
+
+    Proof of m (finite orthogonality).  With the weight
+    W = (1+eta^2)^(aR - 1) exp(-2 aI atan eta) > 0 and P = (1+eta^2) W the
+    equation is self-adjoint, (P R')' = lam W R.  Let n < m < 1 - aR.  Then
+    m + n + 2aR - 1 < 0, so P (R_m R_n' - R_m' R_n) vanishes at +-inf,
+    W R_m R_n is integrable, and lam_m - lam_n = (m - n)(m + n + 2aR - 1)
+    is nonzero: integrating by parts, R_m is W-orthogonal to R_n.  The
+    leading coefficient of R_k is proportional to (k + 2aR - 1)_k, each of
+    whose factors is at most 2k + 2aR - 2 < 0 for k <= m, so deg R_k = k
+    and R_0 .. R_(m-1) span the polynomials of degree below m.  If R_m
+    changed sign at k < m real points x_i only, R_m prod (eta - x_i) would
+    keep one sign and have a nonzero W-integral, against orthogonality.  So
+    R_m has m simple real roots.  This is the finite orthogonal subset of
+    Romanovski polynomials (Romanovski, C. R. Acad. Sci. Paris 188, 1929,
+    1023; Askey, J. Indian Math. Soc. 51, 1987, 27; Raposo, Weber,
+    Alvarez-Castillo and Kirchbach, Cent. Eur. J. Phys. 5, 2007, 253).
+
+    Proof of m mod 2.  Here lam > 0 for m >= 1.  At a real critical point
+    eta0, R''(eta0) = lam R(eta0) / (1 + eta0^2), so |R| has a strict local
+    minimum wherever R' = 0 and R != 0.  Between two consecutive real roots
+    |R| would need a positive local maximum, so there is at most one
+    distinct real root.  It is simple, since R = R' = 0 at a point would
+    make R vanish identically (the equation is regular), while the leading
+    coefficient is proportional to (m + 2aR - 1)_m > 0.  Nonreal roots pair
+    up, so the count has the parity of m.
     """
     if m < 0:
         raise ValueError("order must be nonnegative")
-    return m % 2 if m + 2 * ComplexIndex.of(alpha).re - 1 > 0 else None
+    re = ComplexIndex.of(alpha).re
+    if m < 1 - re:
+        return m
+    return m % 2 if m + 2 * re - 1 > 0 else None
 
 
-def discriminant_order2(coeffs) -> float:
-    """Discriminant c1^2 - 4 c2 c0 of the order-2 canonical Routh polynomial
-    with ascending ``coeffs``.  In closed form it equals
+def discriminant_order2(coeffs) -> Fraction:
+    """Discriminant c1^2 - 4 c2 c0, exactly, of the order-2 canonical Routh
+    polynomial with ascending ``coeffs``.  In closed form it equals
     -(1/4)(2aR+1)[(aR+1)^2 + aI^2] at the index alpha = aR + i aI, so its
     sign is that of -(2aR+1) and does not depend on aI.
     """
     c0, c1, c2 = (*coeffs, 0, 0, 0)[:3]
-    return float(c1 * c1 - 4 * c2 * c0)
+    return c1 * c1 - 4 * c2 * c0

@@ -38,8 +38,11 @@ normal form of the canonical rational equation (Milson, Int. J. Theor. Phys.
 ``tests/test_convention.py`` proves the reduction in exact rationals.
 
 One record, :class:`ClosedForm`, holds a solution: its energy, lambda, the
-exact Routh polynomial R, its exact node count and a scale; p and q are read
-off lambda.  A command enumerates its :class:`Spectrum` once and reads its
+exact Routh polynomial R and a scale; p and q are read off lambda, and the
+node count of R follows from its order and index by theorem
+(:func:`routh.theorem_root_count`), so no solution counts its roots.  The
+nodelessness scan alone counts them, exactly, as the cross-check of that
+theorem.  A command enumerates its :class:`Spectrum` once and reads its
 levels from it (:func:`bound_state`); nothing here is cached.  Only
 ``spectrum`` samples bound states, so only it normalizes them
 (:func:`normalized`), each once.  This module imports no numpy: roots,
@@ -58,7 +61,7 @@ from typing import NamedTuple
 
 from . import _exact as ex
 from ._exact import to_fraction
-from .errors import BranchUndefined, ConfigError, ConventionUnresolved, NoSuchRoot
+from .errors import BranchUndefined, ConfigError, NoSuchRoot
 from .routh import (
     ComplexIndex,
     RouthPolynomial,
@@ -143,20 +146,26 @@ class ClosedForm(NamedTuple):
     """An order-n solution from :func:`_solution`, a bound state (kind "c") or
     a type-d companion: scale * (1+eta^2)^p * exp(q*atan eta) * R(eta), with
     the gauge power p and atan coefficient q read off ``lam`` and R the exact
-    ``poly``.  ``nodes`` counts the real roots of R exactly, and ``scale`` is
-    1.0 until :func:`normalized` sets it.  :mod:`geometry` evaluates the
-    record and its log-derivative on grids."""
+    ``poly``.  ``scale`` is 1.0 until :func:`normalized` sets it.
+    :mod:`geometry` evaluates the record and its log-derivative on grids."""
 
     kind: str  # "c" | "d"
     energy: float
     lam: complex
     poly: RouthPolynomial
-    nodes: int
     scale: float = 1.0
 
     @property
     def n(self) -> int:
         return self.poly.order
+
+    @property
+    def nodes(self) -> int:
+        """The real roots of R, by theorem (:func:`routh.theorem_root_count`):
+        n for a bound state, since lambda_R > n + 1/2 gives
+        n < 1/2 - Re(index), and n mod 2 for a type-d companion, since
+        lambda_R < 0 gives Re(index) > 1."""
+        return theorem_root_count(self.n, self.poly.index)
 
     @property
     def power(self) -> float:
@@ -167,10 +176,6 @@ class ClosedForm(NamedTuple):
     def atan_coeff(self) -> float:
         """q = -L_I."""
         return -self.lam.imag
-
-    @property
-    def nodeless(self) -> bool:
-        return self.nodes == 0
 
 
 class Spectrum(NamedTuple):
@@ -297,8 +302,8 @@ def normalized(spec: PotentialSpec, solution: ClosedForm) -> ClosedForm:
 def _solution(spec: PotentialSpec, kind: str, m: int) -> ClosedForm:
     """The unnormalized order-m solution of ``kind``: type c on the one
     admissible root, type d on the most negative one, both at
-    e = -(m + 1/2 - lambda_R)^2 / a.  The node count is taken here, once.
-    There is one admissible root exactly when Q(m + 1/2) < 0, never two.
+    e = -(m + 1/2 - lambda_R)^2 / a.  There is one admissible root exactly
+    when Q(m + 1/2) < 0, never two.
 
     The polynomial is R_m^(1 - conj lambda) of the pinned convention.  Its
     index is -conj(lambda) shifted by one exactly: 1 - L_R is never rounded,
@@ -314,10 +319,7 @@ def _solution(spec: PotentialSpec, kind: str, m: int) -> ClosedForm:
     lam_r = roots[0]
     lam = complex(lam_r, spec.h0.imag / (2.0 * lam_r) if spec.h0.imag != 0.0 else 0.0)
     rp = routh_polynomial(m, ComplexIndex.of(-lam.conjugate()).shifted(1))
-    return ClosedForm(
-        kind=kind, energy=-((m + 0.5 - lam_r) ** 2) / spec.tp.a, lam=lam,
-        poly=rp, nodes=real_root_count(rp.coeffs),
-    )
+    return ClosedForm(kind=kind, energy=-((m + 0.5 - lam_r) ** 2) / spec.tp.a, lam=lam, poly=rp)
 
 
 def enumerate_bound_spectrum(spec: PotentialSpec) -> Spectrum:
@@ -358,15 +360,12 @@ def enumerate_bound_spectrum(spec: PotentialSpec) -> Spectrum:
 
 
 def bound_state(spectrum: Spectrum, n: int) -> ClosedForm:
-    """The n-th bound state of ``spectrum``, after the exact check
-    that its polynomial has n real roots.  (Admissibility, lambda_R > n + 1/2,
-    is how :func:`enumerate_bound_spectrum` chose the root.)"""
-    states = spectrum.states
-    if n >= len(states):
+    """The n-th bound state of ``spectrum``.  Its polynomial has n real roots
+    by theorem, since :func:`enumerate_bound_spectrum` chose an admissible
+    root, lambda_R > n + 1/2 (:attr:`ClosedForm.nodes`)."""
+    if n >= len(spectrum.states):
         raise NoSuchRoot("no bound state with index %d" % n)
-    if states[n].nodes != n:
-        raise ConventionUnresolved("state %d polynomial has %d real roots" % (n, states[n].nodes))
-    return states[n]
+    return spectrum.states[n]
 
 
 def aeh_solution(spec: PotentialSpec, kind: str, m: int) -> ClosedForm:
@@ -466,7 +465,7 @@ class ScanCell(NamedTuple):
     empirical_nodeless: bool | None
     threshold_prediction: bool | None
     discriminant_prediction: bool | None
-    consistent: bool | None  # exact root count vs theorem_root_count, where it applies
+    consistent: bool | None  # exact root count vs theorem_root_count
 
 
 def nodeless_threshold_b2(a_g: float) -> float:
@@ -480,17 +479,17 @@ def _scan_cell(a_g: float, b_g: float, m: int) -> ScanCell:
         sol = aeh_solution(spec, "d", m)
     except NoSuchRoot:
         return ScanCell(a_g, b_g, None, None, None, None)
-    consistent = theorem_root_count(m, sol.poly.index) in (None, sol.nodes)
+    count = real_root_count(sol.poly.coeffs)
     disc_pred = None
     if m == 2:
-        disc_pred = discriminant_order2(sol.poly.coeffs) < 0.0
+        disc_pred = discriminant_order2(sol.poly.coeffs) < 0
     thresh = bool(b_g ** 2 < nodeless_threshold_b2(a_g)) if m == 2 else None
     return ScanCell(
         a=a_g, b=b_g,
-        empirical_nodeless=sol.nodeless,
+        empirical_nodeless=count == 0,
         threshold_prediction=thresh,
         discriminant_prediction=disc_pred,
-        consistent=consistent,
+        consistent=theorem_root_count(m, sol.poly.index) == count,
     )
 
 
@@ -524,10 +523,11 @@ def linspace(start, stop, num: int) -> list:
 def nodeless_scan(a_range, b_range, m: int, na: int = 16, nb: int = 16, workers: int = 1):
     """Three-way nodelessness map over a (a, b) parameter grid at fixed order.
 
-    Per cell: the exact root count of the type-d polynomial factor (checked
-    against :func:`routh.theorem_root_count` where it applies; the gauge
-    factor is positive, so no root means a nodeless solution), the quoted
-    asymmetry threshold, and the canonical discriminant sign.  Disagreements
+    Per cell: the exact Sturm root count of the type-d polynomial factor
+    (the gauge factor is positive, so no root means a nodeless solution),
+    checked against :func:`routh.theorem_root_count`, which decides every
+    type-d count; the quoted asymmetry threshold; and the canonical
+    discriminant sign, decided exactly.  Disagreements
     are reported, not resolved.  The order ``m`` is even and >= 2 and both
     resolutions are >= 2, as the run configuration checks.  The cells do not
     depend on ``workers``, which is capped at the CPU and cell counts: the

@@ -132,7 +132,7 @@ def oracle_map(spec: PotentialSpec, sample, x_max=None, n=None):
 class LevelCheck(NamedTuple):
     """One level of an oracle check.  Level k of the oracle is the k-th
     lowest, so ``nodes_numeric`` is k; ``nodes_analytic`` is the closed
-    form's exact node count, or None where it makes no claim.  ``error`` is
+    form's node count, a theorem, or None where it makes no claim.  ``error`` is
     the level's budget, the oracle's error estimate plus |V| at the box ends,
     and ``ratio`` its observed-order ratio."""
     n: int

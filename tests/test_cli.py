@@ -222,6 +222,18 @@ class TestScanCommand:
         rows = (out / "scan.csv").read_text().splitlines()[1:]
         assert all(r.split(",")[2] == "true" for r in rows)
 
+    def test_huge_a_discriminant_sign_is_exact(self, tmp_path):
+        # at a ~ 1e120 the order-2 discriminant is beyond the double range,
+        # so its sign is read off the exact rational
+        cfg = write_config(tmp_path, {
+            "potential": {"gendenshtein": {"a": 2.5, "b": 0.5}},
+            "scan": {"a_range": [1e120, 2e120], "b_range": [0, 1], "na": 2, "nb": 2, "m": 2},
+        })
+        out = tmp_path / "out"
+        assert main(["scan-nodeless", "--config", cfg, "--out", str(out)]) == 0
+        rows = [r.split(",") for r in (out / "scan.csv").read_text().splitlines()[1:]]
+        assert len(rows) == 4 and all(r[4] == "true" for r in rows)
+
     def test_coarse_grid_within_budget(self, tmp_path):
         import time
 
@@ -459,9 +471,10 @@ class TestIdentitiesCommand:
         payload = json.loads((out / "identities.json").read_text())
         assert payload["passed"] is True
 
-    def test_builds_as_many_sturm_chains_as_spectrum(self, tmp_path, monkeypatch):
-        # the Stevenson check reads the enumerated states: it neither solves
-        # nor counts a level again
+    def test_builds_sturm_chains_for_quartics_alone(self, tmp_path, monkeypatch):
+        # node counts are theorems, so only the quartic roots of the levels
+        # (orders 0..4) and of the type-d seed build chains; the Stevenson
+        # check reads the enumerated states and solves no level again
         from rrspectra import routh
 
         real = routh._root_chains
@@ -472,14 +485,14 @@ class TestIdentitiesCommand:
             return real(p)
 
         monkeypatch.setattr(routh, "_root_chains", counting)
-        cfg = write_config(tmp_path, {"potential": {"gendenshtein": {"a": 3.3, "b": 0.7}}})
+        cfg = write_config(tmp_path, {"potential": {"gendenshtein": {"a": 3.3, "b": 0.7}},
+                                      "partner": {"kind": "d", "m": 0}})
         counts = {}
-        for command in ("spectrum", "identities"):
+        for command in ("spectrum", "identities", "verify", "partner"):
             calls.clear()
             assert main([command, "--config", cfg, "--out", str(tmp_path / command)]) == 0
             counts[command] = len(calls)
-        # 5 quartics (orders 0..4) and one node count for each of the 4 levels
-        assert counts == {"spectrum": 9, "identities": 9}
+        assert counts == {"spectrum": 5, "identities": 5, "verify": 5, "partner": 6}
 
     def test_builds_one_routh_polynomial_per_state(self, tmp_path, monkeypatch):
         # the ODE claim is decided on the enumerated states' own polynomials,

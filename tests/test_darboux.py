@@ -8,6 +8,7 @@ import pytest
 from rrspectra import geometry
 from rrspectra.darboux import partner_levels, partner_potential
 from rrspectra.errors import NodeDetected
+from rrspectra.routh import real_root_count
 from rrspectra.geometry import PotentialSpec, TangentPolySpec, VariableMap
 from rrspectra.spectral import (
     aeh_solution,
@@ -202,5 +203,5 @@ class TestSymmetricIrregular:
                     continue
                 found += 1
                 assert sol.energy < ground
-                assert sol.nodeless
+                assert sol.nodes == real_root_count(sol.poly.coeffs) == 0
         assert found >= 4

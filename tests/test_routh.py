@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from rrspectra import _exact as ex
@@ -520,27 +521,38 @@ class TestRootGuess:
         assert len(gaps) > 20 and max(gaps) <= 2
 
 
-class TestTheoremRootCount:
-    def test_matches_exact_count_on_both_sides(self, rng):
-        decided = abstained = 0
-        for m in range(9):
-            for _ in range(12):
-                # 2 aR within 3 of the boundary 1 - m, on either side
-                two_ar = Fraction(1 - m) + Fraction(int(rng.integers(-36, 37)), 12)
-                a = ComplexIndex(two_ar / 2, Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 9))))
-                claim = theorem_root_count(m, a)
-                if m + 2 * a.re - 1 > 0:
-                    assert claim == m % 2 == real_root_count(routh_polynomial(m, a).coeffs)
-                    decided += 1
-                else:
-                    assert claim is None
-                    abstained += 1
-        assert decided > 30 and abstained > 30
+_POSITIVE = st.fractions(min_value=0, max_value=20, max_denominator=12).filter(lambda t: t > 0)
 
-    def test_abstains_where_roots_exceed_parity(self):
-        # bound-state-like index: m nodes, so m mod 2 would be wrong
-        assert real_root_count(routh_polynomial(2, -3).coeffs) == 2
-        assert theorem_root_count(2, -3) is None
+
+@st.composite
+def _region_draw(draw, region):
+    """(m, alpha) with m <= 20, Re alpha in about [-40, 4], in ``region``."""
+    m = draw(st.integers(1 if region == "none" else 0, 20))
+    if region == "m":  # m < 1 - aR
+        re = 1 - m - draw(_POSITIVE)
+    elif region == "none":  # 1 - aR <= m <= 1 - 2 aR
+        re = 1 - m + draw(st.fractions(0, 1, max_denominator=12)) * (m - 1) / 2
+    else:  # m + 2 aR - 1 > 0
+        re = Fraction(1 - m, 2) + draw(_POSITIVE) / 5
+    return m, ComplexIndex(re, draw(st.fractions(-15, 15, max_denominator=8)))
+
+
+class TestTheoremRootCount:
+    @pytest.mark.parametrize("region", ["m", "none", "m mod 2"])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_exact_count_in_each_region(self, region, data):
+        m, a = data.draw(_region_draw(region))
+        claim = theorem_root_count(m, a)
+        if region == "none":
+            assert claim is None
+        else:
+            expected = m if region == "m" else m % 2
+            assert claim == expected == real_root_count(routh_polynomial(m, a).coeffs)
+
+    def test_counts_bound_state_roots_and_abstains_on_the_boundary(self):
+        # a bound-state index: m roots, where m mod 2 would be wrong
+        assert theorem_root_count(2, -3) == real_root_count(routh_polynomial(2, -3).coeffs) == 2
         for m in range(1, 9):  # on the boundary itself the degree drops
             assert theorem_root_count(m, ComplexIndex(Fraction(1 - m, 2), Fraction(1))) is None
 
@@ -554,11 +566,11 @@ class TestTheoremRootCount:
         for spec in specs:
             for m in range(1, 6):
                 sol = aeh_solution(spec, "d", m)
-                assert theorem_root_count(m, sol.poly.index) == sol.nodes == m % 2
+                assert sol.nodes == real_root_count(sol.poly.coeffs) == m % 2
 
 
 def order2_discriminant(alpha) -> float:
-    return discriminant_order2(routh_polynomial(2, alpha).coeffs)
+    return float(discriminant_order2(routh_polynomial(2, alpha).coeffs))
 
 
 class TestDiscriminant:

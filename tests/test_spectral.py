@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from rrspectra.cli import _spectrum_record
 from rrspectra.errors import BranchUndefined, NoSuchRoot
 from rrspectra.geometry import PotentialSpec, TangentPolySpec, sampled
-from rrspectra.routh import ComplexIndex, real_roots, routh_polynomial
+from rrspectra.routh import ComplexIndex, real_root_count, real_roots, routh_polynomial
 from rrspectra.spectral import (
     _quartic_coeffs,
     aeh_solution,
@@ -299,7 +299,7 @@ class TestResidualOracle:
 class TestAehSolutions:
     def test_basic_seed_is_nodeless(self, gspec):
         sol = aeh_solution(gspec, "d", 0)
-        assert sol.nodeless and len(sol.poly.coeffs) - 1 == 0
+        assert sol.nodes == 0 and len(sol.poly.coeffs) - 1 == 0
 
     def test_gendenshtein_type_d_energies(self):
         for a_g, b_g in ((2.5, 0.5), (1.3, 0.9), (3.1, 0.0)):
@@ -316,7 +316,7 @@ class TestAehSolutions:
 
     def test_order_two_small_asymmetry_nodeless(self):
         sol = aeh_solution(gendenshtein_params(2.5, 0.3), "d", 2)
-        assert sol.nodeless
+        assert sol.nodes == real_root_count(sol.poly.coeffs) == 0
 
     def test_no_such_root(self, gspec):
         with pytest.raises(NoSuchRoot):
