@@ -5,8 +5,8 @@ lists of Fractions in ascending degree, and a finished one is a tuple without
 trailing zeros (:func:`rp_trim`), empty for the zero polynomial.  Exact
 quantities stay in these representations so that realness and residual-zero
 assertions are decided by identity, never by tolerance; floats enter only at
-evaluation time.  (The complex-index Jacobi sum itself is evaluated in Python
-integers over one common denominator, see ``routh._jacobi_coeffs``.)
+evaluation time.  (The Routh recurrence itself runs in Python integers over
+one running denominator, see ``routh.routh_polynomial``.)
 """
 
 from __future__ import annotations

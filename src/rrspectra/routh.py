@@ -1,23 +1,21 @@
-"""Complex-index Jacobi polynomials and the Routh family on the imaginary axis.
+"""Routh polynomials on the imaginary axis, exactly, and their real roots.
 
-Everything here is built from one canonical object: the Jacobi polynomial with
-complex indices, normalized so that index (1, 1) reproduces the Legendre
-polynomials (``_jacobi_coeffs(m, beta, alpha)`` gives the coefficients of
-the textbook Jacobi polynomial of indices ``(beta - 1, alpha - 1)``).  The
-Routh polynomial of order ``m`` and complex index ``alpha`` is then
+The Routh polynomial of order ``m`` and complex index ``alpha`` is the
+polynomial solution of its own equation, built from it by an integer
+recurrence (:func:`routh_polynomial`).  It equals
 
-    R_m^(alpha)(eta) = (-i)^m * P_m^(alpha*, alpha)(i * eta)
+    R_m^(alpha)(eta) = (-i)^m * P_m^(alpha*, alpha)(i * eta),
 
-whose coefficients are real for *every* complex ``alpha``.  Construction is
-exact: the Jacobi sum is evaluated in integers over one common denominator,
-so realness, degree degeneracy and ODE residuals are decided by identity.
-Weighted integrals of these polynomials are exact rational multiples of one
-rounded Cauchy beta integral.  Real roots are isolated by integer Sturm chains
-and correctly rounded by an exact search started from a float estimate.
-Nothing here imports numpy: closed forms are evaluated on grids by
-:mod:`geometry`.  Each command builds a polynomial once and passes the record
-on, so only the integer binomial basis, shared by every index of one order,
-is memoized.
+with the complex-index Jacobi polynomial normalized so that index (1, 1)
+reproduces the Legendre polynomials, and its coefficients are real for
+*every* complex ``alpha``.  Construction is exact, so degree degeneracy and
+ODE residuals are decided by identity.  Weighted integrals of these
+polynomials are exact rational multiples of one rounded Cauchy beta
+integral.  Real roots are isolated by integer Sturm chains and correctly
+rounded by an exact search started from a float estimate.  Nothing here
+imports numpy: closed forms are evaluated on grids by :mod:`geometry`.
+Each command builds a polynomial once and passes the record on, and nothing
+here is memoized.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ import math
 import struct
 import sys
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -78,73 +75,70 @@ class RouthPolynomial(NamedTuple):
 # construction
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _binomial_basis(m: int) -> tuple:
-    """Integer coefficients (ascending) of C(m,k) (y-1)^k (y+1)^(m-k), k = 0..m."""
-    out = []
-    for k in range(m + 1):
-        p = [comb(m, k)]
-        for r in [-1] * k + [1] * (m - k):  # times (y + r)
-            p = [u + r * v for u, v in zip([0] + p, p + [0])]
-        out.append(p)
-    return tuple(out)
-
-
-def _rising_tails(index: ComplexIndex, d: int, m: int) -> list:
-    """d^(m-k) (index+k)_{m-k} for k = 0..m, as Gaussian-integer pairs."""
-    re, im = int(index.re * d), int(index.im * d)
-    out = [(1, 0)] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        (pr, pi), fr = out[i + 1], re + i * d
-        out[i] = (pr * fr - pi * im, pr * im + pi * fr)
-    return out
-
-
-def _jacobi_coeffs(m: int, beta: ComplexIndex, alpha: ComplexIndex) -> tuple:
-    """Coefficients (ascending, CNum) of the complex-index Jacobi polynomial.
-
-    Index normalization: (beta, alpha) here corresponds to textbook indices
-    (beta-1, alpha-1), so (1, 1) gives Legendre.  The expansion is the finite
-    double sum
-
-        2^-m * sum_k (beta+k)_{m-k} (alpha+m-k)_k / (k! (m-k)!)
-                     * (y-1)^k (y+1)^{m-k}
-
-    with rising-factorial Pochhammers, evaluated exactly in integers.  With d
-    the common denominator of the four index parts, each Pochhammer product
-    is a Gaussian integer over d^m, and 1/(k! (m-k)!) = C(m,k)/m!.  The
-    integer sum is divided once by 2^m m! d^m; Fractions are canonical, so
-    these are the same rationals a term-by-term evaluation gives.
-    """
-    d = math.lcm(beta.re.denominator, beta.im.denominator,
-                 alpha.re.denominator, alpha.im.denominator)
-    sb, sa = _rising_tails(beta, d, m), _rising_tails(alpha, d, m)
-    re, im = [0] * (m + 1), [0] * (m + 1)
-    for k, basis in enumerate(_binomial_basis(m)):
-        (br, bi), (ar, ai) = sb[k], sa[m - k]
-        pr, pi = br * ar - bi * ai, br * ai + bi * ar
-        for j, c in enumerate(basis):
-            re[j] += c * pr
-            im[j] += c * pi
-    den = 2 ** m * factorial(m) * d ** m
-    return tuple((Fraction(r, den), Fraction(i, den)) for r, i in zip(re, im))
-
-
 def routh_polynomial(m: int, alpha) -> RouthPolynomial:
-    """Canonical Routh polynomial (-i)^m P_m^(alpha*, alpha)(i eta), exact."""
+    """The canonical Routh polynomial R_m^(alpha), exactly: the polynomial
+    solution of
+
+        (1+eta^2) R'' + 2(aR*eta - aI) R' = m(m + 2aR - 1) R,   alpha = aR + i aI,
+
+    with leading coefficient c_m = (m + 2aR - 1)_m / (2^m m!).  It equals
+    (-i)^m P_m^(alpha*, alpha)(i eta), the complex-index Jacobi polynomial
+    normalized so that index (1, 1) gives Legendre, and its coefficients
+    are real.  The coefficient of eta^j in the equation reads
+
+        (j+2)(j+1) c_(j+2) - 2aI (j+1) c_(j+1) = (m-j)(m+j+2aR-1) c_j,
+
+    which gives c_(m-1), ..., c_0 from the top down.  With d the common
+    denominator of aR = p/d and aI = q/d, and e_j = (m-j)(d(m+j-1) + 2p),
+    c_j = t_j / D_j in integers, where D_m = (2d)^m m!, D_j = D_(j+1) e_j and
+
+        t_j = (j+2)(j+1) d e_(j+1) t_(j+2) - 2q (j+1) t_(j+1).
+
+    Fractions are canonical, so these are the rationals the explicit Jacobi
+    double sum gives (``tests/test_construction.py`` keeps it as the
+    reference).
+
+    The factor e_j vanishes for some j < m exactly at a degenerate index,
+    2aR = 1 - m - j0 with 0 <= j0 < m.  There R_m = s R_(j0), with k = m - j0
+    and s = (-1)^k (j0!/m!) prod_(j<k) (aI + i((k-1)/2 - j)), which is real:
+    the factors pair up as aI^2 + ((k-1)/2 - j)^2, and for odd k the middle
+    one is aI.  Proof.  With beta = alpha* and z = (1 - y)/2,
+
+        P_m^(beta, alpha)(y) = (beta)_m / m! F(-m, m + 2aR - 1; beta; z),
+
+    and m + 2aR - 1 = -j0, so the series stops at z^(j0).  At order j0 the
+    second parameter is j0 + 2aR - 1 = -m, so P_(j0) is (beta)_(j0) / j0!
+    times the same terminating sum, and
+    P_m = (j0!/m!) (beta + j0)_k P_(j0), an identity of polynomials in beta.
+    Here beta + j0 + j = -i (aI + i(j - (k-1)/2)), and with
+    R_n(eta) = (-i)^n P_n(i eta), s = (-i)^(2k) (j0!/m!)
+    prod_(j<k) (aI + i(j - (k-1)/2)); reversing j gives the form above.
+    The order-j0 polynomial is not degenerate: that would need 2aR =
+    1 - j0 - j1 with j1 < j0, so j1 = m.
+    """
     if m < 0:
         raise ValueError("order must be nonnegative")
     alpha = ComplexIndex.of(alpha)
-    real_coeffs = []
-    for j, (re, im) in enumerate(_jacobi_coeffs(m, alpha.conjugate(), alpha)):
-        # times (-i)^m * i^j = i^(j-m): a quarter turn is a swap and a sign change
-        re, im = ((re, im), (-im, re), (-re, -im), (im, -re))[(j - m) % 4]
-        if im != 0:
-            raise ImaginaryResidue(
-                "coefficient of eta^%d has imaginary part %s" % (j, im)
-            )
-        real_coeffs.append(re)
-    return RouthPolynomial(order=m, index=alpha, coeffs=ex.rp_trim(real_coeffs))
+    j0 = 1 - m - 2 * alpha.re
+    if j0.denominator == 1 and 0 <= j0 < m:
+        j0 = int(j0)
+        k = m - j0
+        s = Fraction((-1) ** k * factorial(j0), factorial(m)) * (alpha.im if k % 2 else 1)
+        for j in range(k // 2):
+            s *= alpha.im ** 2 + Fraction(k - 1 - 2 * j, 2) ** 2
+        low = routh_polynomial(j0, alpha).coeffs
+        return RouthPolynomial(order=m, index=alpha, coeffs=ex.rp_trim([s * c for c in low]))
+    d = math.lcm(alpha.re.denominator, alpha.im.denominator)
+    p, q = int(alpha.re * d), int(alpha.im * d)
+    e = [(m - j) * (d * (m + j - 1) + 2 * p) for j in range(m + 1)]
+    t = [0] * (m + 2)
+    t[m] = math.prod(d * (m - 1 + i) + 2 * p for i in range(m))
+    den = [0] * m + [(2 * d) ** m * factorial(m)]
+    for j in range(m - 1, -1, -1):
+        t[j] = (j + 2) * (j + 1) * d * e[j + 1] * t[j + 2] - 2 * q * (j + 1) * t[j + 1]
+        den[j] = den[j + 1] * e[j]
+    coeffs = [Fraction(n, dj) for n, dj in zip(t, den)]
+    return RouthPolynomial(order=m, index=alpha, coeffs=ex.rp_trim(coeffs))
 
 
 # ---------------------------------------------------------------------------

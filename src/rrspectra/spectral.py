@@ -430,9 +430,10 @@ def stevenson_identity_check(state: ClosedForm) -> float:
 
     compares two polynomials in eta, since the left side is one of degree n
     in 1/xi = (1 + i*eta)/2.  Their coefficients are compared exactly, in
-    Gaussian rationals, so the result is 0.0 when the identity holds.  No
-    Pochhammer (2 lambda_R - 2n)_j vanishes: an admissible root has
-    2(lambda_R - n) > 1.
+    Gaussian rationals, so the result is 0.0 exactly when the identity
+    holds; a nonzero difference too small for a double reports the least
+    positive double.  No Pochhammer (2 lambda_R - 2n)_j vanishes: an
+    admissible root has 2(lambda_R - n) > 1.
     """
     n = state.n
     lam_r, lam_i = to_fraction(state.lam.real), to_fraction(state.lam.imag)
@@ -452,7 +453,10 @@ def stevenson_identity_check(state: ClosedForm) -> float:
     unit = ((1, 0), (0, -1), (-1, 0), (0, 1))[n % 4]  # (-i)^n
     rhs = [ex.c_scale(unit, scale * c) for c in state.poly.coeffs]
     rhs += [ex.C_ZERO] * (len(lhs) - len(rhs))
-    return max(math.hypot(float(a[0] - b[0]), float(a[1] - b[1])) for a, b in zip(lhs, rhs))
+    diffs = [(a[0] - b[0], a[1] - b[1]) for a, b in zip(lhs, rhs)]
+    if not any(re or im for re, im in diffs):
+        return 0.0
+    return max(math.ulp(0.0), *(math.hypot(float(re), float(im)) for re, im in diffs))
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +502,8 @@ def _scan_cell(a_g: float, b_g: float, m: int) -> ScanCell:
 MAX_COUNT = 2 ** 20
 # Largest order of a closed form, set by the config or reached by a bound
 # state: about four times the 31 states of the deepest hard case (Gendenshtein
-# a = 30.3).  The cost of one exact solution grows about tenfold from order
-# 120 to order 240.
+# a = 30.3).  The cost of one exact solution grows about fourfold to
+# sevenfold from order 120 to order 240.
 MAX_ORDER = 128
 
 

@@ -42,9 +42,9 @@ _BAND = (3.5, 4.8)
 
 def _cap_intervals(x_max: float, columns) -> int:
     """The intervals on [-x_max, x_max] at spacing
-    h = min(0.012, 0.1/sqrt|V_min|), V_min the deepest finite sample of
-    ``columns``."""
-    depth = -min((x for c in columns for x in c if math.isfinite(x)), default=0.0)
+    h = min(0.012, 0.1/sqrt|V_min|), V_min the deepest sample of the
+    finite ``columns``."""
+    depth = -min(map(min, columns), default=0.0)
     h = _SPACING
     if depth * _SPACING ** 2 > _DEPTH_SPACING ** 2:
         h = _DEPTH_SPACING / math.sqrt(depth)

@@ -35,7 +35,8 @@ multiple of 4, ``--tol 0`` (the ladder climbs to the cap), Milson kappa far
 from 1, a type-c (ground-state erasure) partner, a deep well (Gendenshtein
 16.2, 0.7), a real h0, whose quartic has a double root at lambda = 0 (the
 repeated-root path of root isolation), a Milson potential whose quartic has
-two positive roots below m + 1/2 at orders 1-3, a user grid too narrow for
+two positive roots below m + 1/2 at orders 1-3, a Milson potential whose
+branch point is the energy e = -1, a user grid too narrow for
 doubles (a config error that leaves no file), and an order-4 scan on two
 worker processes (the pooled path, whose ``scan.csv`` must digest as the
 serial one's).  An ``EXTRA`` command is the subcommand, optionally followed by
@@ -88,6 +89,8 @@ EXTRA = {
         "h0_re": 12.084706575734842, "h0_im": 0.0013390748054407224,
         "kappa_plus": 47.9484157411458}}, "partner": {"kind": "d", "m": 0}},
         ("spectrum", "verify", "partner", "identities")),
+    "branch-point": ({"potential": {"milson": {"h0_re": 0.0, "h0_im": 0.0, "kappa_plus": 2.0}}},
+                     ("identities",)),
     "tiny-grid": ({"potential": GEN, "grid": {"x_max": 5e-324, "n": 257},
                    "partner": {"kind": "d", "m": 0}},
                   ("spectrum", "verify", "partner")),

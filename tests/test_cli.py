@@ -520,8 +520,8 @@ class TestIdentitiesCommand:
         assert calls == [0, 1, 2, 3]
 
     def test_doctored_state_fails_the_ode_claim(self, tmp_path, monkeypatch):
-        # state 5 lies past the Stevenson check's first four states, so only
-        # the ODE claim sees that its polynomial no longer solves the equation
+        # state 5's polynomial no longer solves the equation: the ODE claim
+        # and that state's Stevenson identity both fail, the others hold
         real = spectral.enumerate_bound_spectrum
 
         def doctored(spec):
@@ -540,7 +540,51 @@ class TestIdentitiesCommand:
         payload = json.loads((out / "identities.json").read_text())
         assert payload["polynomial_ode_residuals_zero"] is False
         assert payload["passed"] is False
-        assert set(payload["stevenson_max_dev"].values()) == {0.0}
+        stevenson = payload["stevenson_max_dev"]
+        assert stevenson.pop("n=5") > 0.0
+        assert set(stevenson.values()) == {0.0}
+
+    def test_misnormalized_state_fails_the_stevenson_claim(self, tmp_path, monkeypatch):
+        # a multiple of the true polynomial keeps its ODE residual zero, and
+        # its Stevenson deviation (4.4e-16) is far below any tolerance; the
+        # identity is decided exactly, so it fails all the same
+        real = spectral.enumerate_bound_spectrum
+
+        def doctored(spec):
+            spectrum = real(spec)
+            states = list(spectrum.states)
+            st = states[1]
+            states[1] = st._replace(poly=st.poly._replace(
+                coeffs=tuple(c * (1 + Fraction(1, 2 ** 50)) for c in st.poly.coeffs)))
+            return spectrum._replace(states=tuple(states))
+
+        monkeypatch.setattr(spectral, "enumerate_bound_spectrum", doctored)
+        cfg = write_config(tmp_path, GEN)
+        out = tmp_path / "out"
+        assert main(["identities", "--config", cfg, "--out", str(out)]) == 1
+        payload = json.loads((out / "identities.json").read_text())
+        assert payload["polynomial_ode_residuals_zero"] is True
+        assert 0.0 < payload["stevenson_max_dev"]["n=1"] < 1e-15
+        assert payload["passed"] is False
+
+    def test_stevenson_on_every_state(self, tmp_path):
+        cfg = write_config(tmp_path, {"potential": {"gendenshtein": {"a": 16.2, "b": 0.7}}})
+        out = tmp_path / "out"
+        assert main(["identities", "--config", cfg, "--out", str(out)]) == 0
+        payload = json.loads((out / "identities.json").read_text())
+        assert payload["stevenson_max_dev"] == {"n=%d" % n: 0.0 for n in range(17)}
+        assert len(payload["quartic_residuals"]) == 17
+
+    def test_branch_point_at_minus_one(self, tmp_path):
+        # h0 + 1 - c e vanishes at e = -1 here; sigma and rho are taken at the
+        # one level's energy instead, where lambda_R > 1/2
+        cfg = write_config(tmp_path, {"potential": {"milson": {
+            "h0_re": 0.0, "h0_im": 0.0, "kappa_plus": 2.0}}})
+        out = tmp_path / "out"
+        assert main(["identities", "--config", cfg, "--out", str(out)]) == 0
+        payload = json.loads((out / "identities.json").read_text())
+        assert list(payload["stevenson_max_dev"]) == ["n=0"]
+        assert payload["passed"] is True
 
 
 class TestConfigErrors:

@@ -1,14 +1,17 @@
-"""The integer Jacobi construction against the explicit Gaussian-rational sum.
+"""The Routh recurrence against the explicit Gaussian-rational Jacobi sum.
 
 ``reference_jacobi`` is the term-by-term evaluation of
 
     2^-m * sum_k (beta+k)_{m-k} (alpha+m-k)_k / (k! (m-k)!) (y-1)^k (y+1)^{m-k}
 
-in ``(Fraction, Fraction)`` pairs, kept here only as an oracle for the
-package's single-division integer evaluation.  Fractions are canonical, so
-the two must agree coefficient for coefficient, not just in value.
+in ``(Fraction, Fraction)`` pairs, and ``reference_routh`` turns it into
+(-i)^m P_m^(alpha*, alpha)(i eta).  They are kept here only as an oracle for
+the package, which builds R_m from its equation by an integer recurrence.
+Fractions are canonical, so the two must agree coefficient for coefficient,
+not just in value.
 """
 
+import math
 from fractions import Fraction
 from math import comb, factorial
 
@@ -17,7 +20,7 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from rrspectra.routh import ComplexIndex, _jacobi_coeffs, routh_polynomial  # noqa: E402
+from rrspectra.routh import ComplexIndex, routh_polynomial  # noqa: E402
 
 
 def _c_mul(a, b):
@@ -61,6 +64,37 @@ def reference_routh(m, alpha):
     return tuple(out)
 
 
+def _random_index(rng):
+    parts = [Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 9))) for _ in range(2)]
+    return ComplexIndex(*parts)
+
+
+class TestReferenceJacobi:
+    """Known values pin the reference itself."""
+
+    def test_order_zero_is_one(self, rng):
+        for _ in range(5):
+            b, a = _random_index(rng), _random_index(rng)
+            assert reference_jacobi(0, b, a) == [(Fraction(1), Fraction(0))]
+
+    def test_order_one_hand_expansion(self, rng):
+        # ((a + b) y + b - a) / 2, coefficient for coefficient
+        for _ in range(10):
+            b, a = _random_index(rng), _random_index(rng)
+            assert reference_jacobi(1, b, a) == [
+                ((b.re - a.re) / 2, (b.im - a.im) / 2),
+                ((a.re + b.re) / 2, (a.im + b.im) / 2),
+            ]
+
+    def test_index_one_one_is_legendre(self):
+        one = ComplexIndex.of(1)
+        assert reference_jacobi(2, one, one) == [
+            (Fraction(-1, 2), Fraction(0)),
+            (Fraction(0), Fraction(0)),
+            (Fraction(3, 2), Fraction(0)),
+        ]
+
+
 small = st.fractions(min_value=-40, max_value=40, max_denominator=12)
 # doubles become dyadic rationals with denominators up to about 2^60
 dyadic = st.builds(lambda n, e: Fraction(n, 2 ** e),
@@ -69,12 +103,6 @@ from_float = st.floats(-60, 60, allow_nan=False).map(Fraction)
 part = st.one_of(small, dyadic, from_float)
 index = st.builds(ComplexIndex, part, part)
 order = st.integers(0, 8)
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(order, index, index)
-def test_general_pairs_match_reference(m, beta, alpha):
-    assert list(_jacobi_coeffs(m, beta, alpha)) == reference_jacobi(m, beta, alpha)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -92,3 +120,18 @@ def test_degenerate_indices_stay_degenerate(mj, im):
     p = routh_polynomial(m, alpha)
     assert len(p.coeffs) - 1 < p.order
     assert p.coeffs == reference_routh(m, alpha)
+
+
+@pytest.mark.parametrize("m", [16, 31, 60])
+@pytest.mark.parametrize("kind", ["c", "d"])
+def test_high_orders_match_reference(m, kind):
+    # the index 1 - conj(lambda) of a float lambda, as spectral._solution
+    # takes it: a bound state has lambda_R > m + 1/2, so 2 aR < 1 - 2m, and a
+    # type-d seed lambda_R < 0, so aR > 1
+    if kind == "c":
+        lam = complex(m + 0.5 + math.sqrt(2.0), -7.0 * math.sqrt(3.0))
+    else:
+        lam = complex(-math.sqrt(5.0) - m / 3.0, 0.7 * math.sqrt(3.0))
+    alpha = ComplexIndex.of(-lam.conjugate()).shifted(1)
+    assert (2 * alpha.re < 1 - 2 * m) if kind == "c" else (alpha.re > 1)
+    assert routh_polynomial(m, alpha).coeffs == reference_routh(m, alpha)

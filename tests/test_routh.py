@@ -13,7 +13,6 @@ from rrspectra import _exact as ex
 from rrspectra.errors import RootOverflow, ZeroPolynomial
 from rrspectra.routh import (
     ComplexIndex,
-    _jacobi_coeffs,
     discriminant_order2,
     ode_residual,
     real_root_count,
@@ -38,32 +37,6 @@ def random_indices(rng, count):
 
 
 # ---------------------------------------------------------------------------
-# complex-index Jacobi polynomials
-# ---------------------------------------------------------------------------
-
-class TestJacobiComplex:
-    def test_order_zero_is_one(self, rng):
-        for b, a in zip(random_indices(rng, 5), random_indices(rng, 5)):
-            assert _jacobi_coeffs(0, b, a) == (ex.C_ONE,)
-
-    def test_order_one_hand_expansion(self, rng):
-        # ((a + b) y + b - a) / 2, coefficient for coefficient
-        for b, a in zip(random_indices(rng, 10), random_indices(rng, 10)):
-            assert _jacobi_coeffs(1, b, a) == (
-                ((b.re - a.re) / 2, (b.im - a.im) / 2),
-                ((a.re + b.re) / 2, (a.im + b.im) / 2),
-            )
-
-    def test_index_one_one_is_legendre(self):
-        one = ComplexIndex.of(1)
-        assert _jacobi_coeffs(2, one, one) == (
-            (Fraction(-1, 2), Fraction(0)),
-            (Fraction(0), Fraction(0)),
-            (Fraction(3, 2), Fraction(0)),
-        )
-
-
-# ---------------------------------------------------------------------------
 # canonical construction and realness
 # ---------------------------------------------------------------------------
 
@@ -83,7 +56,7 @@ class TestRouthCanonical:
         assert_allclose(real_roots(p.coeffs), [-1 / math.sqrt(5), 1 / math.sqrt(5)], rtol=1e-12)
 
     def test_realness_is_exact_for_random_indices(self, rng):
-        # exactness invariant: construction raises ImaginaryResidue otherwise
+        # the recurrence runs in integers, so every coefficient is an exact rational
         for a in random_indices(rng, 50):
             for m in range(9):
                 p = routh_polynomial(m, a)
