@@ -41,12 +41,12 @@ itself still returns the exit code.
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import math
 import os
 import sys
+from typing import NamedTuple
 
 from . import spectral
 from .errors import ConfigError, InsufficientDecay, NonFiniteSamples, SpectraError, StepFailure
@@ -382,20 +382,6 @@ COMMANDS = {
 # entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="spectra",
-        description="Closed-form spectra of Milson/Gendenshtein potentials, "
-        "verified against a finite-difference oracle (units: hbar = 2m = 1).",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", required=True, help="JSON run configuration")
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--tol", type=float, default=1e-3, help="verification tolerance")
-    parser.add_argument("--workers", type=int, default=1, help="scan worker count")
-    return parser
-
-
 def _complain(line: str) -> None:
     """Write ``line`` to stderr.  A stderr closed at start is None, or open on
     a descriptor that cannot be written; the line is then lost, and the exit
@@ -409,13 +395,83 @@ def _complain(line: str) -> None:
 
 def _output_error(exc: OSError) -> int:
     """An ``--out`` that cannot be made or written: one line and exit 2, the
-    code argparse uses for a bad argument."""
+    code of a bad argument."""
     _complain("output error: %s" % exc)
     return 2
 
 
+USAGE = ("usage: spectra [-h] --config CONFIG [--out OUT] [--tol TOL]\n"
+         "               [--workers WORKERS]\n"
+         "               {%s}\n" % ",".join(COMMANDS))
+HELP = USAGE + """
+Closed-form spectra of Milson/Gendenshtein potentials, verified against a
+finite-difference oracle (units: hbar = 2m = 1).
+
+positional arguments:
+  {%s}
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG       JSON run configuration
+  --out OUT             output directory
+  --tol TOL             verification tolerance
+  --workers WORKERS     scan worker count
+""" % ",".join(COMMANDS)
+_FLAGS = {"--config": str, "--out": str, "--tol": float, "--workers": int}
+
+
+class Args(NamedTuple):
+    command: str
+    config: str
+    out: str = "."
+    tol: float = 1e-3
+    workers: int = 1
+
+
+def _usage_error(message: str):
+    _complain(USAGE + "spectra: error: " + message)
+    raise SystemExit(2)
+
+
+def parse_args(argv) -> Args:
+    """The command line of the module docstring: one command from
+    ``COMMANDS``, and each flag as ``--flag value`` or ``--flag=value``, the
+    last one given counting.  ``-h`` or ``--help`` prints :data:`HELP` and
+    exits 0; anything else that does not fit prints :data:`USAGE` and one
+    ``spectra: error:`` line to stderr, and exits 2."""
+    given, extras = {}, []
+    tokens = iter(argv)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            sys.stdout.write(HELP)
+            raise SystemExit(0)
+        flag, eq, value = token.partition("=")
+        if flag in _FLAGS:
+            value = value if eq else next(tokens, None)
+            if value is None:
+                _usage_error("argument %s: expected one argument" % flag)
+            try:
+                given[flag[2:]] = _FLAGS[flag](value)
+            except ValueError:
+                _usage_error("argument %s: invalid %s value: %r"
+                             % (flag, _FLAGS[flag].__name__, value))
+        elif token.startswith("-") or "command" in given:
+            extras.append(token)
+        elif token in COMMANDS:
+            given["command"] = token
+        else:
+            _usage_error("argument command: invalid choice: %r (choose from %s)"
+                         % (token, ", ".join(map(repr, COMMANDS))))
+    missing = [name for name in ("command", "--config") if name.lstrip("-") not in given]
+    if missing:
+        _usage_error("the following arguments are required: " + ", ".join(missing))
+    if extras:
+        _usage_error("unrecognized arguments: " + " ".join(extras))
+    return Args(**given)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         # inf would pass every level, and NaN or a negative bound none
         _require(math.isfinite(args.tol) and args.tol >= 0,

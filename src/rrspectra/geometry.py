@@ -289,8 +289,9 @@ def decay_x_max(spec: PotentialSpec, level: float) -> float:
 def _descending(solution: ClosedForm, k: int) -> list:
     """Float coefficients of R^(k) for the polynomial R of ``solution``, highest
     degree first, as :func:`_horner` takes them, from the exact coefficients."""
-    cs = list(enumerate(solution.poly.coeffs))[::-1]
-    return [float(math.perm(j, k) * c) for j, c in cs if j >= k] or [0.0]
+    cs = list(enumerate(solution.poly.num))[::-1]
+    den = solution.poly.den
+    return [math.perm(j, k) * c / den for j, c in cs if j >= k] or [0.0]
 
 
 def _horner(coeffs: list, eta):

@@ -8,14 +8,17 @@ recurrence (:func:`routh_polynomial`).  It equals
 
 with the complex-index Jacobi polynomial normalized so that index (1, 1)
 reproduces the Legendre polynomials, and its coefficients are real for
-*every* complex ``alpha``.  Construction is exact, so degree degeneracy and
+*every* complex ``alpha``.  Everything here is in Python integers: an index
+is three integers (p, q, d), alpha = (p + iq)/d, a polynomial is integer
+numerators over one positive denominator, and a root bracket's ends are
+integer pairs (num, den).  Construction is exact, so degree degeneracy and
 ODE residuals are decided by identity.  Weighted integrals of these
 polynomials are exact rational multiples of one rounded Cauchy beta
-integral.  Real roots are isolated by integer Sturm chains and correctly
-rounded by an exact search started from a float estimate.  Nothing here
-imports numpy: closed forms are evaluated on grids by :mod:`geometry`.
-Each command builds a polynomial once and passes the record on, and nothing
-here is memoized.
+integral, summed in Gaussian integers.  Real roots are isolated by integer
+Sturm chains and correctly rounded by an exact search started from a float
+estimate.  Nothing here imports numpy: closed forms are evaluated on grids by
+:mod:`geometry`.  Each command builds a polynomial once and passes the
+record on, and nothing here is memoized.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from __future__ import annotations
 import cmath
 import math
 import struct
-import sys
-from fractions import Fraction
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -37,38 +38,44 @@ from .errors import ImaginaryResidue, RootOverflow, ZeroPolynomial
 # ---------------------------------------------------------------------------
 
 class ComplexIndex(NamedTuple):
-    """A complex polynomial index stored as exact rationals."""
+    """A complex polynomial index alpha = (p + i q) / d in integers, with
+    d > 0 and gcd(p, q, d) = 1, so that equal indices are equal tuples."""
 
-    re: Fraction
-    im: Fraction = Fraction(0)
+    p: int
+    q: int = 0
+    d: int = 1
 
     @classmethod
     def of(cls, value) -> "ComplexIndex":
+        """The index equal to an int, a finite float or a finite complex."""
         if isinstance(value, ComplexIndex):
             return value
-        if isinstance(value, complex):
-            return cls(ex.to_fraction(value.real), ex.to_fraction(value.imag))
-        return cls(ex.to_fraction(value), Fraction(0))
+        if isinstance(value, int):
+            return cls(value)
+        value = complex(value)
+        (p, a), (q, b) = ex.ratio(value.real), ex.ratio(value.imag)
+        d = max(a, b)  # both are powers of two
+        return cls(p * (d // a), q * (d // b), d)
 
     def conjugate(self) -> "ComplexIndex":
-        return ComplexIndex(self.re, -self.im)
+        return self._replace(q=-self.q)
 
-    def shifted(self, k) -> "ComplexIndex":
-        return ComplexIndex(self.re + Fraction(k), self.im)
-
-    def __repr__(self):
-        return "ComplexIndex(%s, %s)" % (self.re, self.im)
+    def shifted(self, k: int) -> "ComplexIndex":
+        return self._replace(p=self.p + k * self.d)
 
 
 class RouthPolynomial(NamedTuple):
-    """A Routh polynomial of order ``order`` and complex index ``index``, with
-    its exact real coefficients ``coeffs``: Fractions in ascending degree,
-    trailing zeros dropped, so the tuple is empty only for the zero
-    polynomial."""
+    """A Routh polynomial of order ``order`` and complex index ``index``:
+    its real coefficients are ``num[j] / den``, with ``num`` the integer
+    numerators in ascending degree, trailing zeros dropped (empty only for
+    the zero polynomial), and ``den`` > 0.  :func:`routh_polynomial` gives
+    every record of order m and index (p + iq)/d the one denominator
+    (2d)^m m!."""
 
     order: int
     index: ComplexIndex
-    coeffs: tuple
+    num: tuple
+    den: int
 
 
 # ---------------------------------------------------------------------------
@@ -88,15 +95,23 @@ def routh_polynomial(m: int, alpha) -> RouthPolynomial:
 
         (j+2)(j+1) c_(j+2) - 2aI (j+1) c_(j+1) = (m-j)(m+j+2aR-1) c_j,
 
-    which gives c_(m-1), ..., c_0 from the top down.  With d the common
-    denominator of aR = p/d and aI = q/d, and e_j = (m-j)(d(m+j-1) + 2p),
-    c_j = t_j / D_j in integers, where D_m = (2d)^m m!, D_j = D_(j+1) e_j and
+    which gives c_(m-1), ..., c_0 from the top down.  With alpha =
+    (p + iq)/d, every c_j is an integer n_j over D = (2d)^m m!, and with
+    e_j = (m-j)(d(m+j-1) + 2p) the equation reads in integers
 
-        t_j = (j+2)(j+1) d e_(j+1) t_(j+2) - 2q (j+1) t_(j+1).
+        e_j n_j = (j+2)(j+1) d n_(j+2) - 2q (j+1) n_(j+1),
 
-    Fractions are canonical, so these are the rationals the explicit Jacobi
-    double sum gives (``tests/test_construction.py`` keeps it as the
-    reference).
+    from n_m = prod_(i<m) (d(m-1+i) + 2p) and n_(m+1) = 0, so each step is
+    one exact division by the small integer e_j.  The n_j are integers: in
+    the explicit Jacobi double sum
+
+        P_m^(beta, alpha)(y) = 2^-m sum_k (beta+k)_(m-k) (alpha+m-k)_k
+                               / (k! (m-k)!) (y-1)^k (y+1)^(m-k),
+
+    each term is a Gaussian integer over d^m 2^m k! (m-k)!, which divides
+    (2d)^m m! since k! (m-k)! divides m!, and (-i)^m P_m(i eta) keeps the
+    denominator.  These are the rationals that sum gives
+    (``tests/test_construction.py`` keeps it as the reference).
 
     The factor e_j vanishes for some j < m exactly at a degenerate index,
     2aR = 1 - m - j0 with 0 <= j0 < m.  There R_m = s R_(j0), with k = m - j0
@@ -114,31 +129,28 @@ def routh_polynomial(m: int, alpha) -> RouthPolynomial:
     R_n(eta) = (-i)^n P_n(i eta), s = (-i)^(2k) (j0!/m!)
     prod_(j<k) (aI + i(j - (k-1)/2)); reversing j gives the form above.
     The order-j0 polynomial is not degenerate: that would need 2aR =
-    1 - j0 - j1 with j1 < j0, so j1 = m.
+    1 - j0 - j1 with j1 < j0, so j1 = m.  Over (2d)^m m!, s R_(j0) has the
+    numerators (-1)^k 2^(k mod 2) q^(k mod 2)
+    prod_(j<k//2) (4q^2 + (k-1-2j)^2 d^2) times those of R_(j0).
     """
     if m < 0:
         raise ValueError("order must be nonnegative")
     alpha = ComplexIndex.of(alpha)
-    j0 = 1 - m - 2 * alpha.re
-    if j0.denominator == 1 and 0 <= j0 < m:
-        j0 = int(j0)
+    p, q, d = alpha
+    den = (2 * d) ** m * factorial(m)
+    if 2 * p % d == 0 and 0 <= 1 - m - 2 * p // d < m:
+        j0 = 1 - m - 2 * p // d
         k = m - j0
-        s = Fraction((-1) ** k * factorial(j0), factorial(m)) * (alpha.im if k % 2 else 1)
-        for j in range(k // 2):
-            s *= alpha.im ** 2 + Fraction(k - 1 - 2 * j, 2) ** 2
-        low = routh_polynomial(j0, alpha).coeffs
-        return RouthPolynomial(order=m, index=alpha, coeffs=ex.rp_trim([s * c for c in low]))
-    d = math.lcm(alpha.re.denominator, alpha.im.denominator)
-    p, q = int(alpha.re * d), int(alpha.im * d)
-    e = [(m - j) * (d * (m + j - 1) + 2 * p) for j in range(m + 1)]
-    t = [0] * (m + 2)
-    t[m] = math.prod(d * (m - 1 + i) + 2 * p for i in range(m))
-    den = [0] * m + [(2 * d) ** m * factorial(m)]
+        s = (-1) ** k * (2 * q if k % 2 else 1)
+        s *= math.prod(4 * q * q + (k - 1 - 2 * j) ** 2 * d * d for j in range(k // 2))
+        low = routh_polynomial(j0, alpha).num
+        return RouthPolynomial(m, alpha, ex.rp_trim([s * c for c in low]), den)
+    n = [0] * (m + 2)
+    n[m] = math.prod(d * (m - 1 + i) + 2 * p for i in range(m))
     for j in range(m - 1, -1, -1):
-        t[j] = (j + 2) * (j + 1) * d * e[j + 1] * t[j + 2] - 2 * q * (j + 1) * t[j + 1]
-        den[j] = den[j + 1] * e[j]
-    coeffs = [Fraction(n, dj) for n, dj in zip(t, den)]
-    return RouthPolynomial(order=m, index=alpha, coeffs=ex.rp_trim(coeffs))
+        e = (m - j) * (d * (m + j - 1) + 2 * p)
+        n[j] = ((j + 2) * (j + 1) * d * n[j + 2] - 2 * q * (j + 1) * n[j + 1]) // e
+    return RouthPolynomial(m, alpha, ex.rp_trim(n[:m + 1]), den)
 
 
 # ---------------------------------------------------------------------------
@@ -153,16 +165,16 @@ def ode_residual(p: RouthPolynomial) -> tuple:
 
         (1+eta^2) R'' + 2(aR*eta - aI) R' - m(m + 2aR - 1) R = 0.
 
-    Returns the residual polynomial's coefficients, exactly, trailing zeros
-    dropped: the tuple is empty exactly when the equation holds.
+    Returns the coefficients of d * den times the residual, with alpha =
+    (p + iq)/d and R = num/den: integers, trailing zeros dropped, so the
+    tuple is empty exactly when the equation holds.
     """
-    a, m = p.index, p.order
-    r = p.coeffs
+    a, m, r = p.index, p.order, p.num
     d1 = ex.rp_diff(r)
-    res = ex.rp_mul(ex.rp_diff(d1), [1, 0, 1])
-    res = ex.rp_add(res, ex.rp_mul([-2 * a.im, 2 * a.re], d1))
-    res = ex.rp_add(res, ex.rp_scale(r, -m * (m + 2 * a.re - 1)))
-    return ex.rp_trim(res)
+    res = ex.rp_mul(ex.rp_diff(d1), [a.d, 0, a.d])
+    res = ex.rp_add(res, ex.rp_mul([-2 * a.q, 2 * a.p], d1))
+    lam = m * (a.d * (m - 1) + 2 * a.p)
+    return ex.rp_trim(ex.rp_add(res, [-lam * c for c in r]))
 
 
 # ---------------------------------------------------------------------------
@@ -184,46 +196,34 @@ def _log_abs_gamma(z: complex) -> float:
     return ((z - 0.5) * cmath.log(z) - z + series).real + 0.5 * math.log(2.0 * math.pi) - shift
 
 
-def log_cauchy_beta(nu, q) -> float:
+def log_cauchy_beta(nu: float, q: float) -> float:
     """log B(nu, q) for nu > 1/2, with Cauchy's beta integral
 
         B(nu, q) = integral (1+eta^2)^-nu exp(2q atan eta) deta
                  = sqrt(pi) Gamma(nu-1/2) Gamma(nu) / |Gamma(nu+iq)|^2.
     """
-    nu_f, q_f = float(nu), float(q)
     return (
-        0.5 * math.log(math.pi) + math.lgamma(nu_f - 0.5) + math.lgamma(nu_f)
-        - 2.0 * _log_abs_gamma(complex(nu_f, q_f))
+        0.5 * math.log(math.pi) + math.lgamma(nu - 0.5) + math.lgamma(nu)
+        - 2.0 * _log_abs_gamma(complex(nu, q))
     )
 
 
-def integer_product(a, b) -> tuple:
-    """(p, den) with a(eta) b(eta) = p(eta) / den^2, for Fraction coefficient
-    sequences ``a`` and ``b`` (ascending): ``p`` is a list of integers and
-    ``den`` the least common denominator of both."""
-    den = math.lcm(*(c.denominator for c in (*a, *b)))
-    ia = [c.numerator * (den // c.denominator) for c in a]
-    ib = [c.numerator * (den // c.denominator) for c in b]
-    out = [0] * (len(ia) + len(ib) - 1)
-    for i, x in enumerate(ia):
-        for k, y in enumerate(ib):
-            out[i + k] += x * y
-    return out, den
-
-
-def cauchy_beta_ratios(p: list, q: Fraction, nus) -> list:
+def cauchy_beta_ratios(p: list, q: tuple, nus) -> list:
     """integral p(eta) (1+eta^2)^-nu exp(2q atan eta) deta / B(nu, q), exactly,
-    for the integer polynomial ``p`` (ascending) and each rational nu in ``nus``.
+    for the integer polynomial ``p`` (ascending), the rational q = (num, den)
+    and each rational nu = (num, den) in ``nus``: one (num, den) pair each.
 
     The weight is (1+i eta)^-alpha (1-i eta)^-beta with alpha, beta = nu +- iq.
     Written in w = 1 + i eta (once, for every nu), p needs only the moments of
     w^j, and w^j multiplies Cauchy's integral B(nu, q) by
-    prod_{i=1..j} 2(alpha-i)/(2nu-1-i).  The sum runs in exact Gaussian
-    rationals, since in floats it cancels badly (relative error 1.5e-10 at
-    order 4 and 1e-4 at order 13 for the normalization of
-    Gendenshtein(16.2, 0.7)); its imaginary part must vanish, or
-    :class:`ImaginaryResidue` is raised.  Each integral converges when
-    2 nu > deg p + 1.
+    prod_{i=1..j} 2(alpha-i)/(2nu-1-i).  With nu = A/L and q = C/L over one
+    L, each factor is the Gaussian integer 2(A - iL + iC) over the integer
+    2A - (1+i)L, and the sum, nested from its top term down, keeps Gaussian
+    integer numerators over one denominator.  The sum is exact since in
+    floats it cancels badly (relative error 1.5e-10 at order 4 and 1e-4 at
+    order 13 for the normalization of Gendenshtein(16.2, 0.7)); its imaginary
+    part must vanish, or :class:`ImaginaryResidue` is raised.  Each integral
+    converges when 2 nu > deg p + 1, and then every denominator is positive.
     """
     # p in w, with eta^k = i^k (1 - w)^k: Gaussian integers (re, im)
     in_w = []
@@ -231,17 +231,22 @@ def cauchy_beta_ratios(p: list, q: Fraction, nus) -> list:
         parts = [0, 0]
         for k in range(j, len(p)):
             parts[k % 2] += (-1) ** (j + k // 2) * comb(k, j) * p[k]
-        in_w.append(tuple(parts))
+        in_w.append(parts)
     out = []
-    for nu in nus:
-        total, ratio = ex.C_ZERO, ex.C_ONE
-        for j, d in enumerate(in_w):
-            if j:
-                ratio = ex.c_scale(ex.c_mul(ratio, (nu - j, q)), Fraction(2) / (2 * nu - 1 - j))
-            total = ex.c_add(total, ex.c_mul(d, ratio))
-        if total[1] != 0:
+    for nu_num, nu_den in nus:
+        big_l = math.lcm(nu_den, q[1])
+        a, c = nu_num * (big_l // nu_den), q[0] * (big_l // q[1])
+        # S_j = in_w[j] + factor_(j+1) S_(j+1), as (re, im) over den
+        re, im = in_w[-1] if in_w else (0, 0)
+        den = 1
+        for j in range(len(in_w) - 1, 0, -1):
+            g_re, g_im, h = 2 * (a - j * big_l), 2 * c, 2 * a - (1 + j) * big_l
+            den *= h
+            d_re, d_im = in_w[j - 1]
+            re, im = d_re * den + g_re * re - g_im * im, d_im * den + g_re * im + g_im * re
+        if im != 0:
             raise ImaginaryResidue("beta-moment sum has a nonzero imaginary part")
-        out.append(total[0])
+        out.append((re, den))
     return out
 
 
@@ -251,18 +256,12 @@ def cauchy_beta_ratios(p: list, q: Fraction, nus) -> list:
 #
 # Polynomials are scaled once to primitive integer coefficient lists
 # (ascending).  Each square-free factor gets a Sturm chain built by primitive
-# pseudo-remainders; sign variations are taken at rationals num/den by
-# homogeneous Horner, so every sign is exact.
+# pseudo-remainders; sign variations are taken at rationals num/den, den > 0,
+# by homogeneous Horner, so every sign is exact.
 
 def _primitive(p: list) -> list:
     g = math.gcd(*p)
     return p if g == 1 else [c // g for c in p]
-
-
-def _integer_poly(coeffs) -> list:
-    """Primitive integer coefficients, a positive multiple of the rational ``coeffs``."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return _primitive([c.numerator * (den // c.denominator) for c in coeffs])
 
 
 def _prem(a: list, b: list) -> list:
@@ -292,13 +291,16 @@ def _sturm_chain(f: list) -> list:
 
 
 def _exact_quotient(a: list, b: list) -> list:
-    """a / b over the rationals, for b dividing a."""
-    a = [Fraction(c) for c in a]
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
+    """a / b times a positive integer, for b dividing a over the rationals:
+    |lead b|^(deg a - deg b + 1) a / b, whose long division by b is exact
+    in integers at every step."""
+    lb = b[-1]
+    r = [c * abs(lb) ** (len(a) - len(b) + 1) for c in a]
+    q = [0] * (len(a) - len(b) + 1)
     for k in range(len(q) - 1, -1, -1):
-        q[k] = a[k + len(b) - 1] / b[-1]
+        q[k] = r[k + len(b) - 1] // lb
         for j, c in enumerate(b):
-            a[k + j] -= q[k] * c
+            r[k + j] -= q[k] * c
     return q
 
 
@@ -313,7 +315,7 @@ def _square_free_chains(f: list) -> list:
     g = chain[-1]  # gcd(f, f') up to a constant
     if len(g) == 1:
         return [chain]
-    return [_sturm_chain(_integer_poly(_exact_quotient(f, g)))] + _square_free_chains(g)
+    return [_sturm_chain(_primitive(_exact_quotient(f, g)))] + _square_free_chains(g)
 
 
 def _hom(p: list, num: int, den: int) -> int:
@@ -337,8 +339,8 @@ def _variations(signs) -> int:
     return v
 
 
-def _variations_at(chain: list, x: Fraction) -> int:
-    return _variations(_hom(q, x.numerator, x.denominator) for q in chain)
+def _variations_at(chain: list, num: int, den: int) -> int:
+    return _variations(_hom(q, num, den) for q in chain)
 
 
 def _variations_at_infinity(chain: list, side: int) -> int:
@@ -363,13 +365,13 @@ def _key_float(k: int) -> float:
     return x if k >= 0 else -x
 
 
-def _root_guess(f: list, lo: Fraction, hi: Fraction, s_hi: bool) -> float:
+def _root_guess(f: list, lo: tuple, hi: tuple, s_hi: bool) -> float:
     """Float estimate of the root of ``f`` in (lo, hi], above which f has sign
     ``s_hi``: Newton steps on f / |lead| that bisect the float-sign bracket
     when they would leave it.  NaN when the data do not fit in doubles."""
     try:
         c = [x / abs(f[-1]) for x in reversed(f)]
-        a, b = float(lo), float(hi)
+        a, b = lo[0] / lo[1], hi[0] / hi[1]
     except OverflowError:
         return math.nan
     x = 0.5 * a + 0.5 * b
@@ -390,8 +392,9 @@ def _root_guess(f: list, lo: Fraction, hi: Fraction, s_hi: bool) -> float:
     return x
 
 
-def _rounded_root(f: list, lo: Fraction, hi: Fraction) -> float:
-    """The double nearest the single root of square-free ``f`` in (lo, hi].
+def _rounded_root(f: list, lo: tuple, hi: tuple) -> float:
+    """The double nearest the single root of square-free ``f`` in (lo, hi],
+    both ends (num, den) pairs with den > 0.
 
     Searches the doubles between round(lo) and round(hi) for the least d
     whose upper rounding boundary, the exact midpoint of d and its successor,
@@ -401,15 +404,15 @@ def _rounded_root(f: list, lo: Fraction, hi: Fraction) -> float:
     it tests, never the result.  It starts from :func:`_root_guess`; a guess
     outside [round(lo), round(hi)) leaves plain bisection.
     """
-    s_hi = _hom(f, hi.numerator, hi.denominator)
+    s_hi = _hom(f, *hi)
     if s_hi == 0:
-        return float(hi)
+        return hi[0] / hi[1]
     s_hi = s_hi > 0
-    lo_n, lo_d = lo.numerator, lo.denominator
+    lo_n, lo_d = lo
     # Every probe k lies in [k_lo, k_hi), and the answer stays in [k_lo, k_hi].
     # Probes gallop out from the guess with doubling steps; once one would
     # leave the interval, the root is bracketed and the search bisects.
-    k_lo, k_hi = _float_key(float(lo)), _float_key(float(hi))
+    k_lo, k_hi = _float_key(lo_n / lo_d), _float_key(hi[0] / hi[1])
     guess = _root_guess(f, lo, hi, s_hi)
     k = _float_key(guess) if math.isfinite(guess) else k_hi
     step = 1
@@ -436,36 +439,35 @@ def _rounded_root(f: list, lo: Fraction, hi: Fraction) -> float:
     return _key_float(k_lo)
 
 
-_DOUBLE_MAX = Fraction(sys.float_info.max)
-
-
-def _roots_beyond(chain: list, x: Fraction) -> int:
-    """Number of roots r of ``chain[0]`` with |r| > x, for x > 0."""
-    at_minus_x = _hom(chain[0], -x.numerator, x.denominator) == 0  # counted in (-inf, -x]
-    return (_variations_at_infinity(chain, -1) - _variations_at(chain, -x) - at_minus_x
-            + _variations_at(chain, x) - _variations_at_infinity(chain, 1))
+def _roots_beyond(chain: list, x: int) -> int:
+    """Number of roots r of ``chain[0]`` with |r| > x, for an integer x > 0."""
+    at_minus_x = _hom(chain[0], -x, 1) == 0  # counted in (-inf, -x]
+    return (_variations_at_infinity(chain, -1) - _variations_at(chain, -x, 1) - at_minus_x
+            + _variations_at(chain, x, 1) - _variations_at_infinity(chain, 1))
 
 
 def _isolated_roots(chain: list, lo, hi) -> list:
-    """Correctly rounded roots of the square-free ``chain[0]`` in (lo, hi].
+    """Correctly rounded roots of the square-free ``chain[0]`` in (lo, hi],
+    each end a (num, den) pair with den > 0, or None.
 
     Bisects (-2^k, 2^k], a power-of-two Cauchy bound, cut to (lo, hi], with
     the Sturm count V(a) - V(b) of roots in (a, b], until each interval holds
-    one root or none.  When 2^k exceeds the largest double, a root beyond it
-    raises :class:`RootOverflow` with its binary magnitude, and otherwise the
-    bisection starts from (-max - 1, max] instead.
+    one root or none.  Both ends of an interval share one denominator, which
+    doubles at each bisection.  When 2^k exceeds the largest double, a root
+    beyond it raises :class:`RootOverflow` with its binary magnitude, and
+    otherwise the bisection starts from (-max - 1, max] instead.
     """
     f = chain[0]
     # |root| < 1 + max|c_i| / |c_n| <= 1 + ceil(...) <= 2^k
     k = (-(-max(abs(c) for c in f[:-1]) // abs(f[-1]))).bit_length()
-    lo_k, hi_k = -Fraction(1 << k), Fraction(1 << k)
-    if hi_k > _DOUBLE_MAX:
-        if _roots_beyond(chain, _DOUBLE_MAX):
+    lo_k, hi_k = -(1 << k), 1 << k
+    if hi_k > ex.DOUBLE_MAX:
+        if _roots_beyond(chain, ex.DOUBLE_MAX):
             # least e with every |root| <= 2^e; 2^1023 < max < 2^1024
             e_lo, e_hi = 1023, k
             while e_hi - e_lo > 1:
                 mid = (e_lo + e_hi) // 2
-                if _roots_beyond(chain, Fraction(1 << mid)):
+                if _roots_beyond(chain, 1 << mid):
                     e_lo = mid
                 else:
                     e_hi = mid
@@ -473,21 +475,23 @@ def _isolated_roots(chain: list, lo, hi) -> list:
                 "a real root with 2^%d < |root| <= 2^%d (about 1e%d) is beyond the double range"
                 % (e_hi - 1, e_hi, round(e_hi * math.log10(2.0)))
             )
-        lo_k, hi_k = -_DOUBLE_MAX - 1, _DOUBLE_MAX  # -max itself may be a root
-    lo = lo_k if lo is None else max(lo, lo_k)
-    hi = hi_k if hi is None else min(hi, hi_k)
+        lo_k, hi_k = -ex.DOUBLE_MAX - 1, ex.DOUBLE_MAX  # -max itself may be a root
+    lo_n, lo_d = (lo_k, 1) if lo is None or lo[0] < lo_k * lo[1] else lo
+    hi_n, hi_d = (hi_k, 1) if hi is None or hi[0] > hi_k * hi[1] else hi
+    den = math.lcm(lo_d, hi_d)
+    lo_n, hi_n = lo_n * (den // lo_d), hi_n * (den // hi_d)
     out = []
-    stack = [(lo, hi, _variations_at(chain, lo), _variations_at(chain, hi))]
+    stack = [(lo_n, hi_n, den, _variations_at(chain, lo_n, den), _variations_at(chain, hi_n, den))]
     while stack:
-        lo, hi, v_lo, v_hi = stack.pop()
+        lo_n, hi_n, den, v_lo, v_hi = stack.pop()
         count = v_lo - v_hi
         if count == 1:
-            out.append(_rounded_root(f, lo, hi))
+            out.append(_rounded_root(f, (lo_n, den), (hi_n, den)))
         elif count > 1:
-            mid = (lo + hi) / 2
-            v_mid = _variations_at(chain, mid)
-            stack.append((lo, mid, v_lo, v_mid))
-            stack.append((mid, hi, v_mid, v_hi))
+            mid = lo_n + hi_n
+            v_mid = _variations_at(chain, mid, 2 * den)
+            stack.append((2 * lo_n, mid, 2 * den, v_lo, v_mid))
+            stack.append((mid, 2 * hi_n, 2 * den, v_mid, v_hi))
     return out
 
 
@@ -495,13 +499,13 @@ def _root_chains(coeffs) -> list:
     coeffs = ex.rp_trim(coeffs)
     if not coeffs:
         raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
-    return _square_free_chains(_integer_poly(coeffs)) if len(coeffs) > 1 else []
+    return _square_free_chains(_primitive(list(coeffs))) if len(coeffs) > 1 else []
 
 
 def real_roots(coeffs, *, lo=None, hi=None) -> list[float]:
-    """The real roots in (lo, hi], rationals or None for unbounded, with
-    multiplicity, ascending, of the polynomial with ascending int or Fraction
-    ``coeffs``.
+    """The real roots in (lo, hi], with multiplicity, ascending, of the
+    polynomial with ascending integer ``coeffs``; each end is a rational
+    (num, den) with den > 0, or None for unbounded.
 
     Roots are isolated exactly (Sturm chains on integer coefficients); only
     those in (lo, hi] are located, each at the correctly rounded double.
@@ -511,7 +515,7 @@ def real_roots(coeffs, *, lo=None, hi=None) -> list[float]:
 
 def real_root_count(coeffs) -> int:
     """Number of real roots, with multiplicity, of the polynomial with
-    ascending int or Fraction ``coeffs``, decided exactly.
+    ascending integer ``coeffs``, decided exactly.
 
     Sturm sign variations at -inf and +inf, read from leading coefficients;
     no root is located.
@@ -556,17 +560,19 @@ def theorem_root_count(m: int, alpha) -> int | None:
     """
     if m < 0:
         raise ValueError("order must be nonnegative")
-    re = ComplexIndex.of(alpha).re
-    if m < 1 - re:
+    p, _, d = ComplexIndex.of(alpha)
+    if m * d < d - p:  # m < 1 - aR
         return m
-    return m % 2 if m + 2 * re - 1 > 0 else None
+    return m % 2 if (m - 1) * d + 2 * p > 0 else None
 
 
-def discriminant_order2(coeffs) -> Fraction:
-    """Discriminant c1^2 - 4 c2 c0, exactly, of the order-2 canonical Routh
-    polynomial with ascending ``coeffs``.  In closed form it equals
-    -(1/4)(2aR+1)[(aR+1)^2 + aI^2] at the index alpha = aR + i aI, so its
-    sign is that of -(2aR+1) and does not depend on aI.
+def discriminant_order2(coeffs) -> int:
+    """Discriminant c1^2 - 4 c2 c0 of the quadratic with ascending integer
+    ``coeffs``.  For the numerators of the order-2 canonical Routh
+    polynomial over den, it is den^2 times the polynomial's own
+    discriminant, -(1/4)(2aR+1)[(aR+1)^2 + aI^2] at the index
+    alpha = aR + i aI, so its sign is that of -(2aR+1) and does not depend
+    on aI.
     """
     c0, c1, c2 = (*coeffs, 0, 0, 0)[:3]
     return c1 * c1 - 4 * c2 * c0

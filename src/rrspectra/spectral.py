@@ -46,8 +46,10 @@ theorem.  A command enumerates its :class:`Spectrum` once and reads its
 levels from it (:func:`bound_state`); nothing here is cached.  Only
 ``spectrum`` samples bound states, so only it normalizes them
 (:func:`normalized`), each once.  This module imports no numpy: roots,
-counts and identities are decided in rationals, and :mod:`geometry` samples
-the closed forms on grids.
+counts and identities are decided in rationals held as Python integers
+(:mod:`rrspectra._exact`), the float data entering through
+``float.as_integer_ratio``, and :mod:`geometry` samples the closed forms on
+grids.
 """
 
 from __future__ import annotations
@@ -55,19 +57,15 @@ from __future__ import annotations
 import cmath
 import math
 import os
-import sys
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import _exact as ex
-from ._exact import to_fraction
 from .errors import BranchUndefined, ConfigError, NoSuchRoot
 from .routh import (
     ComplexIndex,
     RouthPolynomial,
     cauchy_beta_ratios,
     discriminant_order2,
-    integer_product,
     log_cauchy_beta,
     real_root_count,
     real_roots,
@@ -216,26 +214,31 @@ def lambda_of_energy(spec: PotentialSpec, epsilon: float) -> complex:
     return cmath.sqrt(arg)
 
 
-def _quartic_coeffs(spec: PotentialSpec, m: int) -> list:
-    """Exact ascending coefficients of the order-m quartic in lambda_R."""
-    kap = to_fraction(spec.tp.kappa_plus)
-    b = 1 - kap
-    a_coef = to_fraction(spec.h0.real) + 1
-    c_const = to_fraction(spec.h0.imag) ** 2 / 4
-    half = Fraction(2 * m + 1, 2)
+def _quartic_coeffs(spec: PotentialSpec, m: int) -> tuple:
+    """The order-m quartic in lambda_R, exactly: its ascending integer
+    numerators over one positive denominator, ``(num, den)``.  With
+    kappa = k/kd, H = h0_R + 1 = (h + hd)/hd and Im(h0) = c/cd, the
+    coefficients are -c^2/(4cd^2), 0, -(H + (1-kappa)(m+1/2)^2),
+    (1-kappa)(2m+1) and kappa."""
+    k, kd = ex.ratio(spec.tp.kappa_plus)
+    h, hd = ex.ratio(spec.h0.real)
+    c, cd = ex.ratio(spec.h0.imag)
+    den = math.lcm(4 * cd * cd, hd, 4 * kd)
+    odd = 2 * m + 1
     return [
-        -c_const,
-        Fraction(0),
-        -(a_coef + b * half ** 2),
-        b * (2 * m + 1),
-        kap,
-    ]
+        -c * c * (den // (4 * cd * cd)),
+        0,
+        -((h + hd) * (den // hd) + (kd - k) * odd * odd * (den // (4 * kd))),
+        (kd - k) * odd * (den // kd),
+        k * (den // kd),
+    ], den
 
 
 def quartic_residual_scale(spec: PotentialSpec, m: int, lam_r: float) -> float:
+    num, den = _quartic_coeffs(spec, m)
     val = 0.0
-    for c in reversed(_quartic_coeffs(spec, m)):  # Horner, as np.polyval evaluates
-        val = val * lam_r + float(c)
+    for c in reversed(num):  # Horner, as np.polyval evaluates
+        val = val * lam_r + c / den
     return abs(val) / max(1.0, abs(lam_r) ** 4)
 
 
@@ -249,9 +252,10 @@ def quartic_lambda_roots(spec: PotentialSpec, m: int, kind: str) -> list:
     (mu, inf) (module docstring), so Q has a root there when Q(mu) < 0, and
     only then.
     """
+    num, _ = _quartic_coeffs(spec, m)
     if kind == "c":
-        return real_roots(_quartic_coeffs(spec, m), lo=Fraction(2 * m + 1, 2))
-    return real_roots(_quartic_coeffs(spec, m), hi=Fraction(-1e-12))
+        return real_roots(num, lo=(2 * m + 1, 2))
+    return real_roots(num, hi=ex.ratio(-1e-12))
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +289,23 @@ def normalized(spec: PotentialSpec, solution: ClosedForm) -> ClosedForm:
     (:func:`routh.cauchy_beta_ratios`), while
     B(nu+1, q) = B(nu, q) nu(2nu-1)/(2(nu^2+q^2)).  Only B(nu, q) is
     rounded.  Every integral converges for an admissible level of order n,
-    since nu > n + 1/2.
+    since nu > n + 1/2.  In integers, nu = N/L and q = Q/L over one L, and
+    the factor of B(nu+1, q) is N(2N - L)/(2(N^2 + Q^2)).
     """
-    p, q = to_fraction(solution.power), to_fraction(solution.atan_coeff)
-    nu = 1 - 2 * p
-    coeffs = solution.poly.coeffs
-    sq, den = integer_product(coeffs, coeffs)  # R^2 = sq(eta) / den^2
-    m0, m1 = cauchy_beta_ratios(sq, q, (nu, nu + 1))
-    kap = to_fraction(spec.tp.kappa_plus)
-    bracket = m0 + (kap - 1) * nu * (2 * nu - 1) / (2 * (nu * nu + q * q)) * m1
+    (p, pd), (q, qd) = ex.ratio(solution.power), ex.ratio(solution.atan_coeff)
+    big_l = math.lcm(pd, qd)
+    nu, q = big_l - 2 * p * (big_l // pd), q * (big_l // qd)  # nu = 1 - 2p, over L
+    num, den = solution.poly.num, solution.poly.den
+    # R^2 = num^2 / den^2
+    (a0, b0), (a1, b1) = cauchy_beta_ratios(ex.rp_mul(num, num), (q, big_l),
+                                            ((nu, big_l), (nu + big_l, big_l)))
+    k, kd = ex.ratio(spec.tp.kappa_plus)
+    # bracket = m0 + (kappa - 1) nu (2nu - 1) / (2 (nu^2 + q^2)) m1 = top / bottom
+    f_num, f_den = (k - kd) * nu * (2 * nu - big_l), 2 * kd * (nu * nu + q * q)
+    top, bottom = a0 * f_den * b1 + f_num * a1 * b0, b0 * f_den * b1
     scale = solution.scale
-    norm2 = spec.tp.a * scale ** 2 * math.exp(log_cauchy_beta(nu, q)) * float(bracket / (den * den))
+    norm2 = (spec.tp.a * scale ** 2 * math.exp(log_cauchy_beta(nu / big_l, q / big_l))
+             * (top / (bottom * den * den)))
     return solution._replace(scale=scale / math.sqrt(norm2))
 
 
@@ -348,7 +358,7 @@ def enumerate_bound_spectrum(spec: PotentialSpec) -> Spectrum:
         if abs(state.energy) < THRESHOLD_ENERGY:
             notes.append("order %d: |e| < %g treated as threshold, not bound" % (n, THRESHOLD_ENERGY))
             break
-        if max(map(abs, state.poly.coeffs)) > sys.float_info.max:
+        if max(map(abs, state.poly.num)) > ex.DOUBLE_MAX * state.poly.den:
             raise OverflowError("order %d: a Routh coefficient is beyond the double range" % n)
         states.append(state)
         n += 1
@@ -430,33 +440,49 @@ def stevenson_identity_check(state: ClosedForm) -> float:
 
     compares two polynomials in eta, since the left side is one of degree n
     in 1/xi = (1 + i*eta)/2.  Their coefficients are compared exactly, in
-    Gaussian rationals, so the result is 0.0 exactly when the identity
-    holds; a nonzero difference too small for a double reports the least
-    positive double.  No Pochhammer (2 lambda_R - 2n)_j vanishes: an
-    admissible root has 2(lambda_R - n) > 1.
+    Gaussian integers over one denominator, so the result is 0.0 exactly
+    when the identity holds; a nonzero difference too small for a double
+    reports the least positive double.  No Pochhammer (2 lambda_R - 2n)_j
+    vanishes: an admissible root has 2(lambda_R - n) > 1.
+
+    In integers, with lambda = (A + iB)/L and c = 2(lambda_R - n), the
+    coefficient of xi^j in F is G_j / H_j, where G_(j+1) = G_j (j - n)
+    (A - (n - j)L - iB) and H_(j+1) = H_j (2A - (2n - j)L)(j + 1), both from
+    1, so (c)_n = H_n / (n! L^n).  Then 2^n H_n times the left side is
+    sum_j 2^j G_j (H_n / H_j) (1 + i eta)^(n-j), and 2^n H_n times the
+    right side is K (-i)^n num / den with K = 2^n (n!)^2 L^n.
     """
     n = state.n
-    lam_r, lam_i = to_fraction(state.lam.real), to_fraction(state.lam.imag)
-    c_param = 2 * (lam_r - n)
-    lhs = []  # ascending in eta
-    term = ex.C_ONE  # (-n)_j (lambda* - n)_j / ((c)_j j!), the coefficient of xi^j in F
-    for j in range(n + 1):
-        # Horner in 1/xi: lhs <- lhs * (1 + i*eta)/2 + term, with i*(re, im) = (-im, re)
-        lhs = [ex.c_scale(ex.c_add(a, (-b[1], b[0])), Fraction(1, 2))
-               for a, b in zip(lhs + [ex.C_ZERO], [ex.C_ZERO] + lhs)]
-        lhs[0] = ex.c_add(lhs[0], term)
-        term = ex.c_scale(ex.c_mul(term, (lam_r - n + j, -lam_i)),
-                          Fraction(j - n) / ((c_param + j) * (j + 1)))
-    scale = Fraction(math.factorial(n))
+    (a, ad), (b, bd) = ex.ratio(state.lam.real), ex.ratio(state.lam.imag)
+    big_l = math.lcm(ad, bd)
+    a, b = a * (big_l // ad), b * (big_l // bd)
+    g = [(1, 0)]  # G_j as (re, im)
+    h = []  # H_(j+1) / H_j
     for j in range(n):
-        scale /= c_param + j
-    unit = ((1, 0), (0, -1), (-1, 0), (0, 1))[n % 4]  # (-i)^n
-    rhs = [ex.c_scale(unit, scale * c) for c in state.poly.coeffs]
-    rhs += [ex.C_ZERO] * (len(lhs) - len(rhs))
-    diffs = [(a[0] - b[0], a[1] - b[1]) for a, b in zip(lhs, rhs)]
+        f_re, f_im = (j - n) * (a - (n - j) * big_l), (n - j) * b
+        re, im = g[-1]
+        g.append((re * f_re - im * f_im, re * f_im + im * f_re))
+        h.append((2 * a - (2 * n - j) * big_l) * (j + 1))
+    # suffix products H_n / H_j, from j = n down
+    ratios = [1] * (n + 1)
+    for j in range(n - 1, -1, -1):
+        ratios[j] = ratios[j + 1] * h[j]
+    lhs = []  # ascending in eta, Horner in (1 + i eta): P <- P (1 + i eta) + 2^j T_j
+    for j in range(n + 1):
+        lhs = [(x[0] - y[1], x[1] + y[0])
+               for x, y in zip(lhs + [(0, 0)], [(0, 0)] + lhs)]
+        t = ratios[j] << j
+        lhs[0] = (lhs[0][0] + g[j][0] * t, lhs[0][1] + g[j][1] * t)
+    big_k = math.factorial(n) ** 2 * big_l ** n << n
+    u_re, u_im = ((1, 0), (0, -1), (-1, 0), (0, 1))[n % 4]  # (-i)^n
+    num, den = state.poly.num, state.poly.den
+    num = list(num) + [0] * (len(lhs) - len(num))
+    diffs = [(x * den - big_k * u_re * c, y * den - big_k * u_im * c)
+             for (x, y), c in zip(lhs, num)]
     if not any(re or im for re, im in diffs):
         return 0.0
-    return max(math.ulp(0.0), *(math.hypot(float(re), float(im)) for re, im in diffs))
+    scale = ratios[0] * den << n  # 2^n H_n den
+    return max(math.ulp(0.0), *(math.hypot(re / scale, im / scale) for re, im in diffs))
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +509,10 @@ def _scan_cell(a_g: float, b_g: float, m: int) -> ScanCell:
         sol = aeh_solution(spec, "d", m)
     except NoSuchRoot:
         return ScanCell(a_g, b_g, None, None, None, None)
-    count = real_root_count(sol.poly.coeffs)
+    count = real_root_count(sol.poly.num)
     disc_pred = None
     if m == 2:
-        disc_pred = discriminant_order2(sol.poly.coeffs) < 0
+        disc_pred = discriminant_order2(sol.poly.num) < 0
     thresh = bool(b_g ** 2 < nodeless_threshold_b2(a_g)) if m == 2 else None
     return ScanCell(
         a=a_g, b=b_g,

@@ -17,13 +17,9 @@ import math
 
 import numpy as np
 
-from rrspectra.routh import (
-    ComplexIndex,
-    cauchy_beta_ratios,
-    integer_product,
-    log_cauchy_beta,
-    routh_polynomial,
-)
+from rational import im, pair, re
+from rrspectra import _exact as ex
+from rrspectra.routh import ComplexIndex, cauchy_beta_ratios, log_cauchy_beta, routh_polynomial
 
 
 class NonIntegrable(Exception):
@@ -34,7 +30,7 @@ def weight_eval(w, eta):
     """Generating weight (1+eta^2)^Re(a) * exp(2 Im(a) atan eta); positive."""
     a = ComplexIndex.of(w)
     eta = np.asarray(eta, dtype=float)
-    out = (1.0 + eta ** 2) ** float(a.re) * np.exp(2.0 * float(a.im) * np.arctan(eta))
+    out = (1.0 + eta ** 2) ** float(re(a)) * np.exp(2.0 * float(im(a)) * np.arctan(eta))
     return float(out) if out.ndim == 0 else out
 
 
@@ -57,13 +53,12 @@ def inner_product(n: int, m: int, w) -> float:
     orthogonal pair gives exactly 0.0 and only B is rounded.
     """
     w = ComplexIndex.of(w)
-    if 2 * max(n, m) + 2 * w.re >= -1:
+    if 2 * max(n, m) + 2 * re(w) >= -1:
         raise NonIntegrable(
             "orders (%d, %d) do not decay under weight index %s" % (n, m, w)
         )
     fam = family_index_for_weight(w)
-    prod, den = integer_product(routh_polynomial(n, fam).coeffs,
-                                routh_polynomial(m, fam).coeffs)
-    nu, q = -w.re, w.im
-    (ratio,) = cauchy_beta_ratios(prod, q, (nu,))
-    return math.exp(log_cauchy_beta(nu, q)) * float(ratio / (den * den))
+    r_n, r_m = routh_polynomial(n, fam), routh_polynomial(m, fam)
+    nu, q = -re(w), im(w)
+    ((top, bottom),) = cauchy_beta_ratios(ex.rp_mul(r_n.num, r_m.num), pair(q), (pair(nu),))
+    return math.exp(log_cauchy_beta(float(nu), float(q))) * (top / (bottom * r_n.den * r_m.den))

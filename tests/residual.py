@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from rational import coeffs, im, re, routh_record
 from rrspectra import _exact as ex
 from rrspectra.geometry import _inverse
 from rrspectra.routh import ComplexIndex, RouthPolynomial
@@ -54,7 +55,7 @@ def gauge(solution: ClosedForm, eta: float) -> float:
 
 def phi_value(solution: ClosedForm, eta: float) -> float:
     """Phi(eta) = scale * gauge * R(eta) at a float ``eta``."""
-    return solution.scale * gauge(solution, eta) * float(poly_eval(solution.poly.coeffs, eta))
+    return solution.scale * gauge(solution, eta) * float(poly_eval(coeffs(solution.poly), eta))
 
 
 def phi_second_derivative(solution: ClosedForm, eta):
@@ -65,7 +66,7 @@ def phi_second_derivative(solution: ClosedForm, eta):
     w = 1.0 + eta ** 2
     u = (2.0 * p * eta + q) / w
     du = (2.0 * p - 2.0 * p * eta ** 2 - 2.0 * q * eta) / (w * w)
-    r0 = solution.poly.coeffs
+    r0 = coeffs(solution.poly)
     r1 = ex.rp_diff(r0)
     r2 = ex.rp_diff(r1)
     r0, r1, r2 = (poly_eval(r, eta) for r in (r0, r1, r2))
@@ -116,8 +117,8 @@ def routh_rodrigues(m: int, alpha) -> RouthPolynomial:
     if m < 0:
         raise ValueError("order must be nonnegative")
     a = ComplexIndex.of(alpha)
-    two_ar = 2 * a.re
-    two_ai = 2 * a.im
+    two_ar = 2 * re(a)
+    two_ai = 2 * im(a)
     # Invariant: current expression is P(eta) * (1+eta^2)^k * w(eta).
     p = [Fraction(1)]
     for k in range(m, 0, -1):
@@ -125,4 +126,4 @@ def routh_rodrigues(m: int, alpha) -> RouthPolynomial:
         term = ex.rp_mul(dp, [Fraction(1), Fraction(0), Fraction(1)])
         lin = [two_ai, two_ar + 2 * k]
         p = ex.rp_add(term, ex.rp_mul(lin, p))
-    return RouthPolynomial(order=m, index=a.conjugate().shifted(1), coeffs=ex.rp_trim(p))
+    return routh_record(m, a.conjugate().shifted(1), p)

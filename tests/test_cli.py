@@ -14,6 +14,7 @@ import rrspectra
 from rrspectra import cli, darboux, geometry, spectral, verify
 from rrspectra.cli import main
 
+from rational import coeffs, routh_record
 from residual import eta_of_x, poly_mul
 
 
@@ -528,8 +529,8 @@ class TestIdentitiesCommand:
             spectrum = real(spec)
             states = list(spectrum.states)
             st = states[5]
-            states[5] = st._replace(poly=st.poly._replace(
-                coeffs=poly_mul(st.poly.coeffs, [1, Fraction(0.01)])))
+            states[5] = st._replace(poly=routh_record(
+                st.n, st.poly.index, poly_mul(coeffs(st.poly), [1, Fraction(0.01)])))
             return spectrum._replace(states=tuple(states))
 
         cfg = write_config(tmp_path, {"potential": {"gendenshtein": {"a": 6.5, "b": 0.5}}})
@@ -554,8 +555,8 @@ class TestIdentitiesCommand:
             spectrum = real(spec)
             states = list(spectrum.states)
             st = states[1]
-            states[1] = st._replace(poly=st.poly._replace(
-                coeffs=tuple(c * (1 + Fraction(1, 2 ** 50)) for c in st.poly.coeffs)))
+            states[1] = st._replace(poly=routh_record(
+                st.n, st.poly.index, [c * (1 + Fraction(1, 2 ** 50)) for c in coeffs(st.poly)]))
             return spectrum._replace(states=tuple(states))
 
         monkeypatch.setattr(spectral, "enumerate_bound_spectrum", doctored)
@@ -862,7 +863,10 @@ def test_startup_does_not_import_scipy(tmp_path):
     # package loads scipy; records are NamedTuples and polynomials are
     # evaluated by Horner's rule, so no command loads dataclasses or
     # numpy.polynomial either; the config digest is the interpreter's
-    # built-in SHA-256, so no command loads OpenSSL (_hashlib)
+    # built-in SHA-256, so no command loads OpenSSL (_hashlib); exact
+    # rationals are Python integers, so no command loads fractions (or the
+    # decimal it pulls in); and the command line is read by cli.parse_args,
+    # so no command loads argparse (or gettext)
     gen = write_config(tmp_path, GEN, "gen.json")
     mil = write_config(tmp_path, MILSON, "mil.json")
     partners = [
@@ -883,11 +887,12 @@ def test_startup_does_not_import_scipy(tmp_path):
         "assert 'dataclasses' not in sys.modules\n"
         "assert 'numpy.polynomial' not in sys.modules\n"
         "assert '_hashlib' not in sys.modules\n"
+        "for name in ('fractions', 'decimal', 'argparse', 'gettext'):\n"
+        "    assert name not in sys.modules, name\n"
         "import importlib, pkgutil, rrspectra\n"
         "for mod in pkgutil.iter_modules(rrspectra.__path__): importlib.import_module('rrspectra.' + mod.name)\n"
-        "from fractions import Fraction\n"
         "from rrspectra.routh import cauchy_beta_ratios, ode_residual, routh_polynomial\n"
-        "cauchy_beta_ratios([1, 0, 1], Fraction(1, 2), [Fraction(5, 2)])\n"
+        "cauchy_beta_ratios([1, 0, 1], (1, 2), [(5, 2)])\n"
         "ode_residual(routh_polynomial(3, complex(-4, 1.5)))\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         % (calls,)

@@ -21,7 +21,8 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from rrspectra._exact import rp_add, rp_diff, rp_mul, rp_scale, rp_trim  # noqa: E402
+import rational  # noqa: E402
+from rrspectra._exact import rp_add, rp_diff, rp_mul, rp_trim  # noqa: E402
 from rrspectra.geometry import PotentialSpec, TangentPolySpec  # noqa: E402
 from rrspectra.routh import ComplexIndex, routh_polynomial  # noqa: E402
 from rrspectra.spectral import (  # noqa: E402
@@ -37,7 +38,7 @@ RECORDS = [{"sign": s, "conjugate": c, "shift": k}
 
 def record_index(record, lam_r, lam_i) -> ComplexIndex:
     """-lambda, conjugated if the record says so, plus its shift."""
-    return ComplexIndex(-lam_r, lam_i if record["conjugate"] else -lam_i).shifted(record["shift"])
+    return rational.index(-lam_r, lam_i if record["conjugate"] else -lam_i).shifted(record["shift"])
 
 
 def reduced_residual(m, kappa, a, lam_r, im_h0, record, off_quartic=Fraction(0)) -> tuple:
@@ -54,12 +55,12 @@ def reduced_residual(m, kappa, a, lam_r, im_h0, record, off_quartic=Fraction(0))
     inv = [(2 * h_re + o0) / 4, -im_h0, (o0 - 2 * h_re) / 4]  # (1+eta^2)^2 I
     p = (1 - lam_r) / 2
     q = record["sign"] * lam_i
-    r = list(routh_polynomial(m, record_index(record, lam_r, lam_i)).coeffs)
+    r = list(rational.coeffs(routh_polynomial(m, record_index(record, lam_r, lam_i))))
     d1 = rp_diff(r)
     one = [1, 0, 1]  # 1 + eta^2
     u = [q, 2 * p]  # 2p*eta + q
     bracket = rp_add(rp_add(rp_mul(u, u), [2 * p, -2 * q, -2 * p]), inv)
-    out = rp_add(rp_mul(rp_mul(one, one), rp_diff(d1)), rp_scale(rp_mul(rp_mul(u, one), d1), 2))
+    out = rp_add(rp_mul(rp_mul(one, one), rp_diff(d1)), [2 * c for c in rp_mul(rp_mul(u, one), d1)])
     return rp_trim(rp_add(out, rp_mul(bracket, r)))
 
 

@@ -203,5 +203,5 @@ class TestSymmetricIrregular:
                     continue
                 found += 1
                 assert sol.energy < ground
-                assert sol.nodes == real_root_count(sol.poly.coeffs) == 0
+                assert sol.nodes == real_root_count(sol.poly.num) == 0
         assert found >= 4

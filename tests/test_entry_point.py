@@ -133,6 +133,41 @@ def test_bad_command_line_exits_two(tmp_path, argv, error):
     assert not out.exists()
 
 
+def test_missing_config_exits_two(tmp_path):
+    out = tmp_path / "out"
+    proc = spectra(["spectrum", "--out", str(out)], out)
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert lines[0].startswith("usage: spectra ")
+    assert lines[-1] == "spectra: error: the following arguments are required: --config"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_exits_zero_with_usage_on_stdout(tmp_path, flag):
+    out = tmp_path / "out"
+    proc = spectra(["spectrum", flag, "--config", "missing.json", "--out", str(out)], out)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: spectra [-h] --config CONFIG ")
+    assert "{%s}" % ",".join(cli.COMMANDS) in proc.stdout
+    assert not out.exists()
+
+
+def test_flag_equals_value_and_flags_before_the_command(tmp_path):
+    cfg = write_config(tmp_path, GEN)
+    args = cli.parse_args(["--tol=1e-4", "--workers", "2", "--config=" + cfg, "verify"])
+    assert args == cli.Args(command="verify", config=cfg, out=".", tol=1e-4, workers=2)
+    assert cli.parse_args(["identities", "--config", cfg, "--tol", "1", "--tol=0"]).tol == 0.0
+    outs = {}
+    for name, argv in (("spaced", ["identities", "--config", cfg, "--tol", "1e-4"]),
+                       ("joined", ["identities", "--config=" + cfg, "--tol=1e-4"]),
+                       ("first", ["--tol=1e-4", "--config", cfg, "identities"])):
+        out = tmp_path / name
+        assert main(argv + ["--out=" + str(out)]) == 0
+        outs[name] = (out / "identities.json").read_bytes()
+    assert outs["spaced"] == outs["joined"] == outs["first"]
+
+
 def test_numeric_failure_exits_three_with_streams_flushed(tmp_path):
     out = tmp_path / "out"
     proc = spectra(["spectrum", "--config", write_config(tmp_path, GEN), "--out", str(out)], out,

@@ -23,6 +23,7 @@ from rrspectra.routh import (
 
 from orthogonality import NonIntegrable, inner_product, pinned_weight_index, weight_eval
 from quadrature import adaptive_quadrature
+from rational import coeffs, im, index, integers, pair, re
 from residual import poly_eval, poly_mul, routh_rodrigues
 
 
@@ -30,9 +31,9 @@ def random_indices(rng, count):
     """Random rational complex indices with modest denominators."""
     out = []
     for _ in range(count):
-        re = Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 9)))
-        im = Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 9)))
-        out.append(ComplexIndex(re, im))
+        real = Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 9)))
+        imag = Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 9)))
+        out.append(index(real, imag))
     return out
 
 
@@ -43,42 +44,43 @@ def random_indices(rng, count):
 class TestRouthCanonical:
     def test_order_zero(self):
         p = routh_polynomial(0, complex(1.3, -0.4))
-        assert p.coeffs == (Fraction(1),)
+        assert coeffs(p) == (Fraction(1),)
 
     def test_order_one_closed_form(self, rng):
         for a in random_indices(rng, 8):
             p = routh_polynomial(1, a)
-            assert p.coeffs == ex.rp_trim([-a.im, a.re])
+            assert coeffs(p) == ex.rp_trim([-im(a), re(a)])
 
     def test_order_two_at_minus_three(self):
         p = routh_polynomial(2, -3)
-        assert p.coeffs == (Fraction(-1, 2), Fraction(0), Fraction(5, 2))
-        assert_allclose(real_roots(p.coeffs), [-1 / math.sqrt(5), 1 / math.sqrt(5)], rtol=1e-12)
+        assert coeffs(p) == (Fraction(-1, 2), Fraction(0), Fraction(5, 2))
+        assert_allclose(real_roots(p.num), [-1 / math.sqrt(5), 1 / math.sqrt(5)], rtol=1e-12)
 
     def test_realness_is_exact_for_random_indices(self, rng):
         # the recurrence runs in integers, so every coefficient is an exact rational
         for a in random_indices(rng, 50):
             for m in range(9):
                 p = routh_polynomial(m, a)
-                assert all(isinstance(c, Fraction) for c in p.coeffs)
+                assert all(type(c) is int for c in p.num)
+                assert type(p.den) is int and p.den > 0
 
     def test_degree_equals_order_generically(self, rng):
         for a in random_indices(rng, 20):
             # exclude the leading-coefficient zero set (m + 2aR - 1)_m = 0
             for m in range(1, 7):
                 lead_zero = any(
-                    Fraction(m + j) + 2 * a.re - 1 == 0 for j in range(m)
+                    Fraction(m + j) + 2 * re(a) - 1 == 0 for j in range(m)
                 )
                 p = routh_polynomial(m, a)
                 if lead_zero:
-                    assert len(p.coeffs) - 1 < p.order
+                    assert len(p.num) - 1 < p.order
                 else:
-                    assert len(p.coeffs) - 1 == p.order == m
+                    assert len(p.num) - 1 == p.order == m
 
     def test_degeneracy_reported_not_silent(self):
         # m=2 leading coefficient (2aR+1)(aR+1)/4 vanishes at aR = -1/2
-        p = routh_polynomial(2, ComplexIndex(Fraction(-1, 2), Fraction(1)))
-        assert len(p.coeffs) - 1 < p.order == 2
+        p = routh_polynomial(2, index(Fraction(-1, 2), 1))
+        assert len(p.num) - 1 < p.order == 2
 
 
 
@@ -88,12 +90,12 @@ class TestRouthCanonical:
 
 class TestRodrigues:
     def test_order_zero(self):
-        assert routh_rodrigues(0, complex(0.3, 1.0)).coeffs == (Fraction(1),)
+        assert coeffs(routh_rodrigues(0, complex(0.3, 1.0))) == (Fraction(1),)
 
     def test_order_one_closed_form(self, rng):
         for a in random_indices(rng, 8):
             p = routh_rodrigues(1, a)
-            assert p.coeffs == (2 * a.im, 2 * (a.re + 1))
+            assert coeffs(p) == (2 * im(a), 2 * (re(a) + 1))
 
     def test_proportional_to_canonical_at_shifted_conjugate(self, rng):
         # Rodrigues(m, a) == 2^m m! * canonical(m, conj(a) + 1), exactly
@@ -102,7 +104,7 @@ class TestRodrigues:
                 rod = routh_rodrigues(m, a)
                 can = routh_polynomial(m, a.conjugate().shifted(1))
                 scale = Fraction(2 ** m * math.factorial(m))
-                assert rod.coeffs == tuple(scale * c for c in can.coeffs)
+                assert coeffs(rod) == tuple(scale * c for c in coeffs(can))
                 assert rod.index == a.conjugate().shifted(1)
 
 
@@ -111,6 +113,19 @@ class TestRodrigues:
 # ---------------------------------------------------------------------------
 
 _I_POWERS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+_C_ZERO, _C_ONE = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+
+
+def _c_add(a, b):
+    return (a[0] + b[0], a[1] + b[1])
+
+
+def _c_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def _c_scale(a, s):
+    return (a[0] * s, a[1] * s)
 
 
 def truncated_2f1(m: int, a: ComplexIndex) -> list:
@@ -123,17 +138,17 @@ def truncated_2f1(m: int, a: ComplexIndex) -> list:
     (alpha)_m / (alpha)_j = (alpha + j)_(m-j), so no Pochhammer is divided by
     and integer indices in [1 - m, 0] need no special case.
     """
-    out = [ex.C_ZERO] * (m + 1)
+    out = [_C_ZERO] * (m + 1)
     for j in range(m + 1):
-        term = ex.C_ONE
+        term = _C_ONE
         for k in range(j):
-            term = ex.c_scale(term, Fraction(k - m) * (m + 2 * a.re - 1 + k) / (k + 1))
+            term = _c_scale(term, Fraction(k - m) * (m + 2 * re(a) - 1 + k) / (k + 1))
         for k in range(j, m):
-            term = ex.c_mul(term, (a.re + k, a.im))
+            term = _c_mul(term, (re(a) + k, im(a)))
         # times i^m / m! and ((1 + i eta)/2)^j = 2^-j sum_k C(j, k) i^k eta^k
-        term = ex.c_scale(ex.c_mul(term, _I_POWERS[m % 4]), Fraction(1, math.factorial(m) * 2 ** j))
+        term = _c_scale(_c_mul(term, _I_POWERS[m % 4]), Fraction(1, math.factorial(m) * 2 ** j))
         for k in range(j + 1):
-            out[k] = ex.c_add(out[k], ex.c_scale(ex.c_mul(term, _I_POWERS[k % 4]), math.comb(j, k)))
+            out[k] = _c_add(out[k], _c_scale(_c_mul(term, _I_POWERS[k % 4]), math.comb(j, k)))
     return out
 
 
@@ -141,16 +156,16 @@ class TestHypergeometric:
     # the truncated 2F1 form and the canonical construction, compared exactly
 
     def _assert_matches(self, m, a):
-        coeffs = routh_polynomial(m, a).coeffs
-        coeffs += (Fraction(0),) * (m + 1 - len(coeffs))
-        assert truncated_2f1(m, a) == [(c, Fraction(0)) for c in coeffs]
+        cs = coeffs(routh_polynomial(m, a))
+        cs += (Fraction(0),) * (m + 1 - len(cs))
+        assert truncated_2f1(m, a) == [(c, Fraction(0)) for c in cs]
 
     def test_order_zero_constant(self):
-        assert truncated_2f1(0, ComplexIndex.of(complex(0.2, 0.8))) == [ex.C_ONE]
+        assert truncated_2f1(0, ComplexIndex.of(complex(0.2, 0.8))) == [_C_ONE]
 
     def test_matches_linear_case(self):
         # R_1^(-3)(eta) = -3 eta
-        assert truncated_2f1(1, ComplexIndex.of(-3)) == [ex.C_ZERO, (Fraction(-3), Fraction(0))]
+        assert truncated_2f1(1, ComplexIndex.of(-3)) == [_C_ZERO, (Fraction(-3), Fraction(0))]
 
     def test_matches_canonical_for_random_inputs(self, rng):
         for a in random_indices(rng, 12):
@@ -231,7 +246,7 @@ class TestInnerProduct:
         for fam in (ComplexIndex.of(-4), ComplexIndex.of(complex(-4, 1.5))):
             w = ComplexIndex.of(pinned_weight_index(fam))
             for n in range(5):
-                rn = routh_polynomial(n, fam).coeffs
+                rn = coeffs(routh_polynomial(n, fam))
                 ref = adaptive_quadrature(lambda e: poly_eval(rn, e) ** 2 * weight_eval(w, e),
                                           -np.inf, np.inf, tol=1e-10)
                 assert ref > 0
@@ -250,7 +265,7 @@ class TestRealRoots:
         assert_allclose(real_roots([-1, 0, 1]), [-1.0, 1.0], rtol=1e-14)
 
     def test_routh_order_two(self):
-        r = real_roots(routh_polynomial(2, -3).coeffs)
+        r = real_roots(routh_polynomial(2, -3).num)
         assert_allclose(r, [-1 / math.sqrt(5), 1 / math.sqrt(5)], rtol=1e-12)
 
     def test_no_real_roots(self):
@@ -267,12 +282,12 @@ class TestRealRoots:
 
 
 def _poly_from_roots(roots, lead=1):
-    """Ascending coefficients of lead * prod(x - r)."""
+    """Ascending integer coefficients of a positive multiple of lead * prod(x - r)."""
     p = [Fraction(lead)]
     for r in roots:
         r = Fraction(r)
         p = [(p[i - 1] if i else 0) - r * (p[i] if i < len(p) else 0) for i in range(len(p) + 1)]
-    return p
+    return integers(p)
 
 
 def _root_corpus():
@@ -285,17 +300,17 @@ def _root_corpus():
     for a in (1.2, 2.0, 2.7, 3.9, 4.5):
         for b in (0.0, 0.6, 1.7):
             spec = gendenshtein_params(a, b)
-            out.extend(_quartic_coeffs(spec, m) for m in range(6))
+            out.extend(_quartic_coeffs(spec, m)[0] for m in range(6))
     for _ in range(6):
         h0 = complex(rng.uniform(3, 10), rng.uniform(0, 4))
         spec = PotentialSpec(h0=h0, tp=TangentPolySpec(a=1.0, kappa_plus=float(rng.uniform(0.5, 3))))
-        out.extend(_quartic_coeffs(spec, m) for m in range(6))
+        out.extend(_quartic_coeffs(spec, m)[0] for m in range(6))
     # type-d Routh factors on a sub-grid of the 16x16 acceptance scan domain
     avals, bvals = np.linspace(2, 4, 16), np.linspace(0, 4, 16)
     for m in (2, 4):
         for a in avals[::5]:
             for b in bvals[::5]:
-                out.append(aeh_solution(gendenshtein_params(float(a), float(b)), "d", m).poly.coeffs)
+                out.append(aeh_solution(gendenshtein_params(float(a), float(b)), "d", m).poly.num)
     for _ in range(80):
         deg = int(rng.integers(1, 9))
         cs = [Fraction(int(rng.integers(-50, 51)), int(rng.integers(1, 20))) for _ in range(deg + 1)]
@@ -313,7 +328,7 @@ def _root_corpus():
             q = [int(rng.integers(-5, 0)), int(rng.integers(-3, 4)), 1]
             p = list(poly_mul(poly_mul(p, q), q))
         out.append(p)
-    return [ex.rp_trim([ex.to_fraction(c) for c in cs]) for cs in out]
+    return [ex.rp_trim(integers(cs)) for cs in out]
 
 
 # exact rational roots on and around rounding ties, and on split points
@@ -357,7 +372,7 @@ class TestExactIsolation:
                 for hi in ends:
                     expected = [r for r in every
                                 if (lo is None or r > lo) and (hi is None or r <= hi)]
-                    assert real_roots(p, lo=lo, hi=hi) == expected, (p, lo, hi)
+                    assert real_roots(p, lo=pair(lo), hi=pair(hi)) == expected, (p, lo, hi)
         assert on_roots > 20
 
     @pytest.mark.parametrize("roots", _ROUNDING_CASES)
@@ -381,12 +396,12 @@ class TestExactIsolation:
             real_root_count([])
         with pytest.raises(ZeroPolynomial):
             real_roots([0, 0])
-        assert real_roots([Fraction(-7, 3)]) == []
+        assert real_roots([-7]) == []
         assert real_root_count([5]) == 0
 
     def test_root_beyond_double_range_is_typed(self):
         # roots +-10^350: counted exactly, but no double holds them
-        p = [-1, 0, Fraction(1, 10 ** 700)]
+        p = [-10 ** 700, 0, 1]
         assert real_root_count(p) == 2
         with pytest.raises(RootOverflow, match=r"2\^1162 < \|root\| <= 2\^1163 \(about 1e350\)"):
             real_roots(p)
@@ -396,7 +411,7 @@ class TestExactIsolation:
         # range, but its one real root is not
         p = poly_mul([-1, 1], [10 ** 700, 0, 1])
         assert real_roots(p) == [1.0]
-        top = Fraction(sys.float_info.max)
+        top = int(sys.float_info.max)
         assert real_roots([top, 1]) == [-sys.float_info.max]
         assert real_roots([-top, 1]) == [sys.float_info.max]
         for c in (top + 1, -top - 1):
@@ -410,9 +425,9 @@ class TestExactIsolation:
         # an exact zero is +0.0; +-half the least subnormal ties to a zero of its sign
         half = Fraction(5e-324) / 2
         for p, sign in (([0, 1, 0, 1], 1), ([half, 1], -1), ([-half, 1], 1)):
-            (r,) = real_roots(p)
+            (r,) = real_roots(integers(p))
             assert r == 0.0 and math.copysign(1, r) == sign, p
-        assert real_roots([3 * half, 1]) == [-1e-323]  # a tie to the even mantissa
+        assert real_roots(integers([3 * half, 1])) == [-1e-323]  # a tie to the even mantissa
 
     def test_counts_match_locations(self, rng):
         for _ in range(40):
@@ -442,8 +457,8 @@ def _guess_modes():
         "far_left": lambda f, lo, hi, s_hi: -1e300,
         "far_right": lambda f, lo, hi, s_hi: 1e300,
         "nan": lambda f, lo, hi, s_hi: math.nan,
-        "lo": lambda f, lo, hi, s_hi: float(lo),
-        "hi": lambda f, lo, hi, s_hi: float(hi),
+        "lo": lambda f, lo, hi, s_hi: lo[0] / lo[1],
+        "hi": lambda f, lo, hi, s_hi: hi[0] / hi[1],
         "5_below": off_by(-5),
         "1000_above": off_by(1000),
     }
@@ -474,15 +489,15 @@ class TestRootGuess:
         for a in (1.2, 2.7, 4.5):
             for b in (0.0, 1.7):
                 spec = gendenshtein_params(a, b)
-                polys += [_quartic_coeffs(spec, m) for m in range(4)]
-                polys += [aeh_solution(spec, "d", m).poly.coeffs for m in (1, 3)]
+                polys += [_quartic_coeffs(spec, m)[0] for m in range(4)]
+                polys += [aeh_solution(spec, "d", m).poly.num for m in (1, 3)]
         minus = [-1]
         polys += [poly_mul(minus, p) for p in polys]  # either sign of leading coefficient
         rounded, gaps = routh._rounded_root, []
 
         def recording(f, lo, hi):
             out = rounded(f, lo, hi)
-            s_hi = routh._hom(f, hi.numerator, hi.denominator)
+            s_hi = routh._hom(f, *hi)
             if s_hi:
                 guess = routh._root_guess(f, lo, hi, s_hi > 0)
                 gaps.append(abs(routh._float_key(guess) - routh._float_key(out)))
@@ -507,7 +522,7 @@ def _region_draw(draw, region):
         re = 1 - m + draw(st.fractions(0, 1, max_denominator=12)) * (m - 1) / 2
     else:  # m + 2 aR - 1 > 0
         re = Fraction(1 - m, 2) + draw(_POSITIVE) / 5
-    return m, ComplexIndex(re, draw(st.fractions(-15, 15, max_denominator=8)))
+    return m, index(re, draw(st.fractions(-15, 15, max_denominator=8)))
 
 
 class TestTheoremRootCount:
@@ -521,13 +536,13 @@ class TestTheoremRootCount:
             assert claim is None
         else:
             expected = m if region == "m" else m % 2
-            assert claim == expected == real_root_count(routh_polynomial(m, a).coeffs)
+            assert claim == expected == real_root_count(routh_polynomial(m, a).num)
 
     def test_counts_bound_state_roots_and_abstains_on_the_boundary(self):
         # a bound-state index: m roots, where m mod 2 would be wrong
-        assert theorem_root_count(2, -3) == real_root_count(routh_polynomial(2, -3).coeffs) == 2
+        assert theorem_root_count(2, -3) == real_root_count(routh_polynomial(2, -3).num) == 2
         for m in range(1, 9):  # on the boundary itself the degree drops
-            assert theorem_root_count(m, ComplexIndex(Fraction(1 - m, 2), Fraction(1))) is None
+            assert theorem_root_count(m, index(Fraction(1 - m, 2), 1)) is None
 
     def test_type_d_seeds_are_decided(self):
         from rrspectra.geometry import PotentialSpec, TangentPolySpec
@@ -539,11 +554,12 @@ class TestTheoremRootCount:
         for spec in specs:
             for m in range(1, 6):
                 sol = aeh_solution(spec, "d", m)
-                assert sol.nodes == real_root_count(sol.poly.coeffs) == m % 2
+                assert sol.nodes == real_root_count(sol.poly.num) == m % 2
 
 
 def order2_discriminant(alpha) -> float:
-    return float(discriminant_order2(routh_polynomial(2, alpha).coeffs))
+    p = routh_polynomial(2, alpha)
+    return discriminant_order2(p.num) / p.den ** 2
 
 
 class TestDiscriminant:
@@ -555,10 +571,10 @@ class TestDiscriminant:
 
     def test_sign_depends_only_on_real_part(self, rng):
         for a in random_indices(rng, 20):
-            if 2 * a.re + 1 == 0:
+            if 2 * re(a) + 1 == 0:
                 continue
             d = order2_discriminant(a)
-            assert math.copysign(1, d) == math.copysign(1, -float(2 * a.re + 1))
+            assert math.copysign(1, d) == math.copysign(1, -float(2 * re(a) + 1))
 
     def test_tabulated_form_disagrees_on_asymmetry(self):
         # the closed form quoted alongside the order-2 coefficient table in

@@ -30,6 +30,7 @@ from rrspectra.spectral import (
 
 from quadrature import NotConverged, adaptive_quadrature
 from quartic import closed_form_lambda_kappa1
+from rational import coeffs, routh_record
 from residual import phi_value, poly_mul, rcsle_residual
 
 
@@ -91,10 +92,10 @@ class TestQuartic:
         # each kind takes the roots of the whole line that lie in its interval
         for spec in (milson_spec, self.THREE_POSITIVE):
             for m in range(5):
-                every = real_roots(_quartic_coeffs(spec, m))
+                every = real_roots(_quartic_coeffs(spec, m)[0])
                 assert quartic_lambda_roots(spec, m, "c") == [r for r in every if r > m + 0.5]
                 assert quartic_lambda_roots(spec, m, "d") == [r for r in every if r < -1e-12]
-        assert [sum(r > 0 for r in real_roots(_quartic_coeffs(self.THREE_POSITIVE, m)))
+        assert [sum(r > 0 for r in real_roots(_quartic_coeffs(self.THREE_POSITIVE, m)[0]))
                 for m in (1, 2, 3)] == [3, 3, 3]
 
     def test_one_admissible_root_exactly_when_q_at_mu_is_negative(self, rng):
@@ -110,7 +111,8 @@ class TestQuartic:
                 return lam ** 4 - (1 - kap) * lam ** 2 * (lam - mu) ** 2 - big_h * lam ** 2 - c
 
             lam = Fraction(int(rng.integers(-99, 100)), int(rng.integers(1, 9)))
-            assert sum(k * lam ** i for i, k in enumerate(_quartic_coeffs(spec, m))) == q(lam)
+            num, den = _quartic_coeffs(spec, m)
+            assert den > 0 and sum(Fraction(k, den) * lam ** i for i, k in enumerate(num)) == q(lam)
             roots = quartic_lambda_roots(spec, m, "c")
             assert len(roots) == (q(mu) < 0), (spec, m)
             found.add(len(roots))
@@ -215,7 +217,7 @@ class TestEigenfunctions:
         for n in range(3):
             st = bound_state(gspectrum, n)
             assert st.nodes == n
-            assert len(real_roots(st.poly.coeffs)) == n
+            assert len(real_roots(st.poly.num)) == n
 
     def test_orthonormality(self, gspec):
         states = [normalized(gspec, st) for st in enumerate_bound_spectrum(gspec).states]
@@ -285,21 +287,21 @@ class TestResidualOracle:
     def test_perturbation_detected(self, gspec):
         s = enumerate_bound_spectrum(gspec)
         st = s.states[0]
-        bad = st._replace(poly=st.poly._replace(
-            coeffs=poly_mul(st.poly.coeffs, [1, Fraction(0.01)])))
+        bad = st._replace(poly=routh_record(
+            st.n, st.poly.index, poly_mul(coeffs(st.poly), [1, Fraction(0.01)])))
         res = rcsle_residual(gspec, st.energy, bad, np.linspace(-8, 8, 41))
         assert res > 1e-4
 
     def test_zero_function_degenerate(self, gspec):
         st = enumerate_bound_spectrum(gspec).states[0]
-        zero = st._replace(poly=st.poly._replace(coeffs=()))
+        zero = st._replace(poly=st.poly._replace(num=()))
         assert rcsle_residual(gspec, -1.0, zero, [0.0, 1.0]) == 0.0
 
 
 class TestAehSolutions:
     def test_basic_seed_is_nodeless(self, gspec):
         sol = aeh_solution(gspec, "d", 0)
-        assert sol.nodes == 0 and len(sol.poly.coeffs) - 1 == 0
+        assert sol.nodes == 0 and len(sol.poly.num) - 1 == 0
 
     def test_gendenshtein_type_d_energies(self):
         for a_g, b_g in ((2.5, 0.5), (1.3, 0.9), (3.1, 0.0)):
@@ -316,7 +318,7 @@ class TestAehSolutions:
 
     def test_order_two_small_asymmetry_nodeless(self):
         sol = aeh_solution(gendenshtein_params(2.5, 0.3), "d", 2)
-        assert sol.nodes == real_root_count(sol.poly.coeffs) == 0
+        assert sol.nodes == real_root_count(sol.poly.num) == 0
 
     def test_no_such_root(self, gspec):
         with pytest.raises(NoSuchRoot):
