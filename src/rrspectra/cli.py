@@ -11,7 +11,8 @@ with exactly one potential block, either
 
 plus optional "grid": {"x_max": .., "n": ..} and per-command blocks
 ("scan": {"a_range": [..], "b_range": [..], "na": .., "nb": .., "m": ..},
- "partner": {"kind": "d", "m": 0}).
+ "partner": {"kind": "d", "m": 0}).  A block takes only the keys that
+``BLOCK_KEYS`` lists for it; any other key is a config error.
 
 Each command (the ``COMMANDS`` table) computes everything first and returns
 its files and whether its checks passed; :func:`main` alone writes them, each
@@ -50,7 +51,7 @@ from typing import NamedTuple
 
 from . import spectral
 from .errors import ConfigError, InsufficientDecay, NonFiniteSamples, SpectraError, StepFailure
-from .spectral import PotentialSpec, TangentPolySpec
+from .spectral import PotentialSpec
 
 # The built-in SHA-256 (_sha2 from Python 3.12, _sha256 before), not hashlib's,
 # which loads OpenSSL; hashlib is the fallback for builds without it.
@@ -67,9 +68,29 @@ except ImportError:
 # configuration
 # ---------------------------------------------------------------------------
 
+# The keys each config block accepts, checked when the block is read.
+BLOCK_KEYS = {
+    "gendenshtein": ("a", "b", "O00"),
+    "milson": ("h0_re", "h0_im", "kappa_plus", "O00"),
+    "grid": ("x_max", "n"),
+    "scan": ("a_range", "b_range", "na", "nb", "m"),
+    "partner": ("kind", "m"),
+}
+
+
 def _require(cond, msg):
     if not cond:
         raise ConfigError(msg)
+
+
+def _block(block, name: str, what: str) -> dict:
+    """``block``, which must be a JSON object (else the config error ``what``)
+    holding only the keys :data:`BLOCK_KEYS` lists for ``name``."""
+    _require(isinstance(block, dict), what)
+    unknown = sorted(set(block).difference(BLOCK_KEYS[name]))
+    _require(not unknown, "unknown %s key %s (accepted: %s)" % (
+        name, ", ".join(map(repr, unknown)), ", ".join(BLOCK_KEYS[name])))
+    return block
 
 
 def _number(value, what: str, integral: bool = False):
@@ -97,7 +118,7 @@ class RunConfig:
         _require(len(pot) == 1, "exactly one potential block is required")
         kind, params = next(iter(pot.items()))
         _require(kind in ("gendenshtein", "milson"), "unknown potential kind %r" % kind)
-        _require(isinstance(params, dict), "potential parameters must be an object")
+        _block(params, kind, "potential parameters must be an object")
 
         def field(key, default=None):
             value = params[key] if default is None else params.get(key, default)
@@ -111,8 +132,7 @@ class RunConfig:
                 self.spec = spectral.gendenshtein_params(a, b)
             else:
                 h0 = complex(field("h0_re"), field("h0_im", 0.0))
-                tp = TangentPolySpec(a=field("a", 1.0), kappa_plus=field("kappa_plus"))
-                self.spec = PotentialSpec(h0=h0, tp=tp)
+                self.spec = PotentialSpec(h0=h0, kappa_plus=field("kappa_plus"))
         except KeyError as exc:
             raise ConfigError("missing potential field %s" % exc) from exc
         except (TypeError, ValueError) as exc:
@@ -124,8 +144,7 @@ class RunConfig:
                     "declared O00=%g violates the decay constraint 2*h0_re + 1 = %g"
                     % (declared, self.spec.o00)
                 )
-        grid = raw.get("grid", {})
-        _require(isinstance(grid, dict), "'grid' must be an object")
+        grid = _block(raw.get("grid", {}), "grid", "'grid' must be an object")
         self.x_max = _number(grid["x_max"], "grid 'x_max'") if "x_max" in grid else None
         self.n = _number(grid["n"], "grid 'n'", integral=True) if "n" in grid else None
         if self.x_max is not None:
@@ -136,8 +155,7 @@ class RunConfig:
                      "grid n must be at most %d" % spectral.MAX_COUNT)
 
     def scan_params(self):
-        scan = self.raw.get("scan")
-        _require(isinstance(scan, dict), "scan command needs a 'scan' block")
+        scan = _block(self.raw.get("scan"), "scan", "scan command needs a 'scan' block")
         try:
             a_range = [_number(v, "scan 'a_range'") for v in scan["a_range"]]
             b_range = [_number(v, "scan 'b_range'") for v in scan["b_range"]]
@@ -163,8 +181,7 @@ class RunConfig:
         return a_range, b_range, m, na, nb
 
     def partner_params(self):
-        part = self.raw.get("partner")
-        _require(isinstance(part, dict), "partner command needs a 'partner' block")
+        part = _block(self.raw.get("partner"), "partner", "partner command needs a 'partner' block")
         kind = part.get("kind", "d")
         _require(kind in ("c", "d"), "partner kind must be 'c' or 'd'")
         m = _number(part.get("m", 0), "partner 'm'", integral=True)
@@ -249,7 +266,7 @@ def _default_map(config: RunConfig):
     from . import geometry
 
     x_max = config.x_max or geometry.decay_x_max(config.spec, 1e-3) + 1.0
-    return geometry.VariableMap(config.spec.tp, x_max, config.n or 4096)
+    return geometry.VariableMap(config.spec.kappa_plus, x_max, config.n or 4096)
 
 
 def cmd_spectrum(config: RunConfig, args) -> tuple:

@@ -56,6 +56,6 @@ def partner_potential(spec: PotentialSpec, seed: ClosedForm, etas) -> tuple:
     if seed.nodes:
         raise NodeDetected(_NODED)
     v_parent = geometry.on_grid(geometry.potential(spec), etas)
-    w = geometry.on_grid(geometry.log_derivative(spec.tp, seed), etas)
+    w = geometry.on_grid(geometry.log_derivative(spec.kappa_plus, seed), etas)
     e_s = seed.energy
     return v_parent, [2.0 * e_s + 2.0 * wi * wi - vi for wi, vi in zip(w, v_parent)]

@@ -1,5 +1,5 @@
-"""Tangent polynomials, the Liouville change of variable, and the float
-evaluation of closed forms on grids.
+"""The Liouville change of variable and the float evaluation of closed forms
+on grids.
 
 The potentials handled here live on the whole real line and come from a
 rational canonical Sturm-Liouville form Phi'' + I(eta; e) Phi = 0 with two
@@ -8,11 +8,12 @@ T(eta) with no real zeros fixes the monotone change of variable x <-> eta via
 eta' = (1+eta^2)/sqrt(T), and the Liouville transformation then produces a
 Schroedinger potential V(x) (units hbar = 2m = 1 throughout).
 
-The symmetric tangent polynomial a*(eta^2 + kappa) generates the Milson
-family; kappa = 1 with a = 1 is the Gendenshtein (Scarf II) limit where
-eta(x) = sinh x.
+The symmetric tangent polynomial eta^2 + kappa generates the Milson family
+(a leading coefficient other than 1 would only rescale length); kappa = 1 is
+the Gendenshtein (Scarf II) limit where eta(x) = sinh x.  The functions here
+take kappa as a float, ``spec.kappa_plus``.
 
-The spec records and the closed-form record :class:`~spectral.ClosedForm`
+The spec record and the closed-form record :class:`~spectral.ClosedForm`
 come from :mod:`spectral`, which is exact; this module is where they meet
 floats, in plain floats with :mod:`math` and without numpy.  A
 :class:`VariableMap` holds the one uniform x grid (and its spacing ``dx``)
@@ -25,10 +26,9 @@ and coefficient lists taken once, and :func:`on_grid` samples such a
 function on the eta table for :mod:`verify` and :mod:`darboux`, which feed
 the oracle.  :func:`decay_x_max` is the one scan for where |V| has decayed,
 which cuts every box: the ``spectrum`` grid and the oracle's.  The closed
-forms built from arithmetic alone (:func:`tangent_eval`, :func:`eta_prime`,
-:func:`schwarzian_eval` and the functions that :func:`potential` and
-:func:`log_derivative` return) also take a numpy array through the same
-code, which the tests use.
+forms built from arithmetic alone (:func:`eta_prime`, :func:`schwarzian_eval`
+and the functions that :func:`potential` and :func:`log_derivative` return)
+also take a numpy array through the same code, which the tests use.
 """
 
 from __future__ import annotations
@@ -38,55 +38,45 @@ import operator
 import sys
 
 from .errors import NonFiniteSamples, StepFailure
-from .spectral import ClosedForm, PotentialSpec, TangentPolySpec, linspace
-
-
-# ---------------------------------------------------------------------------
-# the tangent polynomial
-# ---------------------------------------------------------------------------
-
-def tangent_eval(tp: TangentPolySpec, eta):
-    """Evaluate the tangent polynomial; strictly positive on the real line."""
-    return tp.a * (eta * eta + tp.kappa_plus)
+from .spectral import ClosedForm, PotentialSpec, linspace
 
 
 # ---------------------------------------------------------------------------
 # the Liouville map
 # ---------------------------------------------------------------------------
 
-def liouville(tp: TangentPolySpec):
+def liouville(kappa: float):
     """Closed-form x(eta) = integral_0^eta sqrt(T(u))/(1+u^2) du, symmetric T,
     as a function of a float, its constants taken once.
 
-    With T = a(u^2 + kappa), r = sqrt(eta^2 + kappa) and s = sqrt|kappa - 1|,
+    With T = u^2 + kappa, r = sqrt(eta^2 + kappa) and s = sqrt|kappa - 1|,
 
-        x = sqrt(a) [asinh(eta/sqrt(kappa)) + s atan(s eta/r)]     (kappa >= 1)
+        x = asinh(eta/sqrt(kappa)) + s atan(s eta/r)     (kappa >= 1)
 
     For kappa < 1 the second term is -s atanh(s eta/r), which cancels most
     of the first when kappa is small.  The same value is summed instead from
     three terms of one sign (eta >= 0; the map is odd):
 
-        x = sqrt(a) [log1p((1-s) eta/(r + s eta)) + (1-s) log((r + s eta)/sqrt(kappa))
-                     + (s/2) log1p(eta^2)]
+        x = log1p((1-s) eta/(r + s eta)) + (1-s) log((r + s eta)/sqrt(kappa))
+            + (s/2) log1p(eta^2)
 
     ``r`` comes from ``hypot``, so huge |eta| does not overflow.
     """
-    kap = tp.kappa_plus
-    ra, rk = math.sqrt(tp.a), math.sqrt(kap)
-    s = math.sqrt(abs(kap - 1.0))
+    rk = math.sqrt(kappa)
+    s = math.sqrt(abs(kappa - 1.0))
     asinh, atan, copysign, hypot, log1p = math.asinh, math.atan, math.copysign, math.hypot, math.log1p
-    if kap >= 1.0:
+    if kappa >= 1.0:
         def x_of(eta):
             # eta / r <= 1 first: s * eta overflows for eta near the double range
-            return ra * (asinh(eta / rk) + s * atan(s * (eta / hypot(eta, rk))))
+            return asinh(eta / rk) + s * atan(s * (eta / hypot(eta, rk)))
     else:
-        one_minus_s = kap / (1.0 + s)
+        one_minus_s = kappa / (1.0 + s)
 
         def x_of(eta):
             e = abs(eta)
             r = hypot(e, rk)
             # each log1p argument is rewritten to avoid cancellation and overflow
-            return ra * copysign(
+            return copysign(
                 log1p(one_minus_s * e / (r + s * e))
                 + one_minus_s * log1p(e * (e / (r + rk) + s) / rk)  # log((r + s e)/sqrt(kappa))
                 + s * log1p(e * (e / (1.0 + hypot(1.0, e)))),  # log1p(e^2)/2
@@ -95,9 +85,10 @@ def liouville(tp: TangentPolySpec):
     return x_of
 
 
-def eta_prime(tp: TangentPolySpec, eta):
+def eta_prime(kappa: float, eta):
     """Closed-form eta'(eta) = (1+eta^2)/sqrt(T(eta)), the slope of the map."""
-    return (1.0 + eta * eta) / tangent_eval(tp, eta) ** 0.5
+    e2 = eta * eta
+    return (1.0 + e2) / (e2 + kappa) ** 0.5
 
 
 class VariableMap:
@@ -115,15 +106,15 @@ class VariableMap:
     an independent ODE solve and quadrature.
     """
 
-    def __init__(self, tp: TangentPolySpec, x_max: float, n_points: int, coarse=None):
+    def __init__(self, kappa: float, x_max: float, n_points: int, coarse=None):
         if x_max <= 0:
             raise ValueError("x_max must be positive")
         if n_points < 64:
             raise ValueError("need at least 64 grid points")
-        if coarse is not None and (coarse.tp, coarse.x_max, 2 * coarse.n_points - 1) != (
-                tp, float(x_max), n_points):
+        if coarse is not None and (coarse.kappa, coarse.x_max, 2 * coarse.n_points - 1) != (
+                kappa, float(x_max), n_points):
             raise ValueError("a refined map halves the spacing of its coarse map")
-        self.tp = tp
+        self.kappa = kappa
         self.x_max = float(x_max)
         self.n_points = int(n_points)
         self.dx = (self.x_max + self.x_max) / (self.n_points - 1)
@@ -147,7 +138,7 @@ class VariableMap:
         Only the odd points are solved, by the same inverse and mirror step.
         """
         xs, n = self.x_grid, self.n_points
-        ra, rk = math.sqrt(self.tp.a), math.sqrt(self.tp.kappa_plus)
+        rk = math.sqrt(self.kappa)
         hypot = math.hypot
         mid = n // 2
         etas = [None] * n  # None: eta overflows
@@ -156,28 +147,28 @@ class VariableMap:
         else:
             etas[::2] = coarse.eta_grid
             start, stride, lower = mid | 1, 2, range(1, mid, 2)
-        upper = _inverse(self.tp, xs[start::stride])
+        upper = _inverse(self.kappa, xs[start::stride])
         etas[start:start + stride * len(upper):stride] = upper
         for i in lower:
             j = n - 1 - i
             eta = etas[j]
             if eta is not None:
-                c = hypot(eta, 1.0)  # eta' = c^2 / (sqrt(a) hypot(eta, sqrt(kappa))) < inf
-                etas[i] = (xs[i] + xs[j]) * (c * (c / (ra * hypot(eta, rk)))) - eta
+                c = hypot(eta, 1.0)  # eta' = c^2 / hypot(eta, sqrt(kappa)) < inf
+                etas[i] = (xs[i] + xs[j]) * (c * (c / hypot(eta, rk))) - eta
         bad = etas.count(None)
         if bad:
             raise NonFiniteSamples("%d of %d eta samples overflow the double range" % (bad, n))
         return etas
 
 
-def _inverse(tp: TangentPolySpec, xs) -> list:
+def _inverse(kappa: float, xs) -> list:
     """eta at the increasing points ``xs`` by Newton's method in s = asinh eta,
     up to the first point whose eta is past the double range (|s| > 710.47).
 
-    The slope dx/ds = sqrt(a (eta^2+kappa)/(eta^2+1)) runs monotonically
-    from sqrt(a kappa) at s = 0 to sqrt(a) at infinity, so x(s) is concave
-    on s > 0 for kappa > 1 and convex for kappa < 1.  The first solve starts
-    from s = x / sqrt(a max(1, kappa)), which never overshoots the root, and
+    The slope dx/ds = sqrt((eta^2+kappa)/(eta^2+1)) runs monotonically
+    from sqrt(kappa) at s = 0 to 1 at infinity, so x(s) is concave on s > 0
+    for kappa > 1 and convex for kappa < 1.  The first solve starts from
+    s = x / sqrt(max(1, kappa)), which never overshoots the root, and
     the iterates approach it monotonically (for kappa < 1 after the first
     step).  Each later solve starts from the cubic extrapolation of the roots
     before it (from the last root while there are fewer than four).  A solve
@@ -190,8 +181,8 @@ def _inverse(tp: TangentPolySpec, xs) -> list:
     overflowed on the way; it and the points after it, where eta is larger
     still, are left out.
     """
-    x_of = liouville(tp)
-    ra, rk = math.sqrt(tp.a), math.sqrt(tp.kappa_plus)
+    x_of = liouville(kappa)
+    rk = math.sqrt(kappa)
     sinh, hypot, isfinite = math.sinh, math.hypot, math.isfinite
     four_ulps = 4.0 * sys.float_info.epsilon
     etas = []
@@ -202,13 +193,13 @@ def _inverse(tp: TangentPolySpec, xs) -> list:
         elif k:
             s = s1
         else:
-            s = x / math.sqrt(tp.a * max(1.0, tp.kappa_plus))
+            s = x / math.sqrt(max(1.0, kappa))
         done = False
         try:
             for _ in range(60):
                 eta = sinh(s)
                 miss = x_of(eta) - x
-                step = miss * hypot(eta, 1.0) / (ra * hypot(eta, rk))
+                step = miss * hypot(eta, 1.0) / hypot(eta, rk)
                 s -= step
                 if done:
                     break
@@ -229,18 +220,17 @@ def _inverse(tp: TangentPolySpec, xs) -> list:
 # Schwarzian and the potential
 # ---------------------------------------------------------------------------
 
-def schwarzian_eval(tp: TangentPolySpec, eta):
+def schwarzian_eval(kappa: float, eta):
     """Schwarzian derivative {eta, x} of the symmetric map, in closed form.
 
-    a * {eta, x} -> -1/2 as |eta| -> infinity.  The closed form is cheap and
+    {eta, x} -> -1/2 as |eta| -> infinity.  The closed form is cheap and
     exact; the generic definition applied to the numeric map is kept for
     cross-checking in tests.
     """
-    kap = tp.kappa_plus
     e2 = eta * eta
-    ratio = (1.0 + e2) / (e2 + kap)
-    bracket = -0.5 - (kap + 1.0) / (1.0 + e2) + 2.5 * kap / (e2 + kap)
-    return ((1.0 - e2) / (e2 + kap) - ratio * ratio * bracket) / tp.a
+    ratio = (1.0 + e2) / (e2 + kappa)
+    bracket = -0.5 - (kappa + 1.0) / (1.0 + e2) + 2.5 * kappa / (e2 + kappa)
+    return (1.0 - e2) / (e2 + kappa) - ratio * ratio * bracket
 
 
 def potential(spec: PotentialSpec):
@@ -250,13 +240,13 @@ def potential(spec: PotentialSpec):
         V = -(4 h0_re - 4 h0_im eta + eta^2 + 1) / (4T) - {eta, x}/2.
     """
     c_re, c_im = 4.0 * spec.h0.real, 4.0 * spec.h0.imag
-    tp, kap, a4 = spec.tp, spec.tp.kappa_plus, 4.0 * spec.tp.a
+    kap = spec.kappa_plus
 
     def v_of(eta):
         e2 = eta * eta
         num = c_re - c_im * eta + e2 + 1.0
-        # num / (4T), divided by eta^2 + kappa first: 4T overflows before eta^2 does
-        return -num / (e2 + kap) / a4 - 0.5 * schwarzian_eval(tp, eta)
+        # num / (4T), divided by T first: 4T overflows before T does
+        return -num / (e2 + kap) / 4.0 - 0.5 * schwarzian_eval(kap, eta)
     return v_of
 
 
@@ -279,7 +269,7 @@ def decay_x_max(spec: PotentialSpec, level: float) -> float:
     while hi - lo > 1e-4 * hi:
         mid = 0.5 * (lo + hi)
         lo, hi = (lo, mid) if decayed(mid) else (mid, hi)
-    return float(math.ceil(liouville(spec.tp)(hi) * 4.0) / 4.0)
+    return float(math.ceil(liouville(spec.kappa_plus)(hi) * 4.0) / 4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +292,7 @@ def _horner(coeffs: list, eta):
     return out
 
 
-def log_derivative(tp: TangentPolySpec, solution: ClosedForm):
+def log_derivative(kappa: float, solution: ClosedForm):
     """w = psi'/psi for psi = (eta')^(-1/2) Phi(eta(x)) as a function of eta,
     a float or an array, the coefficient lists of R and R' taken once:
 
@@ -313,13 +303,13 @@ def log_derivative(tp: TangentPolySpec, solution: ClosedForm):
     from the exact coefficients, never from finite differences.
     """
     r0, r1 = _descending(solution, 0), _descending(solution, 1)
-    two_p, q, kap = 2.0 * solution.power, solution.atan_coeff, tp.kappa_plus
+    two_p, q = 2.0 * solution.power, solution.atan_coeff
 
     def w_of(eta):
         e2 = eta * eta
         u = (two_p * eta + q) / (1.0 + e2)
-        dlog_slope = 2.0 * eta / (1.0 + e2) - eta / (e2 + kap)
-        return eta_prime(tp, eta) * (u + _horner(r1, eta) / _horner(r0, eta) - 0.5 * dlog_slope)
+        dlog_slope = 2.0 * eta / (1.0 + e2) - eta / (e2 + kappa)
+        return eta_prime(kappa, eta) * (u + _horner(r1, eta) / _horner(r0, eta) - 0.5 * dlog_slope)
     return w_of
 
 
@@ -347,11 +337,11 @@ def sampled(solutions, vmap: VariableMap) -> list:
     divides by zero is NaN, as it would be in IEEE arithmetic, for
     :func:`require_finite` to count.
     """
-    tp, etas = vmap.tp, vmap.eta_grid
+    kappa, etas = vmap.kappa, vmap.eta_grid
     exp, sqrt, nan = math.exp, math.sqrt, math.nan
     logs = [math.log1p(e * e) for e in etas]
     atans = list(map(math.atan, etas))
-    roots = [sqrt(eta_prime(tp, e)) for e in etas]
+    roots = [sqrt(eta_prime(kappa, e)) for e in etas]
     out = []
     for solution in solutions:
         coeffs = _descending(solution, 0)

@@ -1,8 +1,10 @@
 """Quantization of the symmetric-tangent-polynomial potential family.
 
-The discrete spectrum is governed by the real part of the branch
-lambda(e) = sqrt(h0 + 1 - c*e) (branch Re > 0, c = a*(1-kappa)): level n sits
-where lambda_R(e_n) = n + 1/2 + sqrt(-a*e_n).  Eliminating the imaginary part
+A potential is :class:`PotentialSpec` (h0, kappa): the singular-point
+strength h0 and the tangent polynomial T(eta) = eta^2 + kappa.  The discrete
+spectrum is governed by the real part of the branch
+lambda(e) = sqrt(h0 + 1 - c*e) (branch Re > 0, c = 1 - kappa): level n sits
+where lambda_R(e_n) = n + 1/2 + sqrt(-e_n).  Eliminating the imaginary part
 through 2*lambda_R*lambda_I = Im(h0) turns the condition into a quartic in
 lambda_R,
 
@@ -80,34 +82,16 @@ THRESHOLD_ENERGY = 1e-10
 # domain types
 # ---------------------------------------------------------------------------
 
-class _TangentPolyFields(NamedTuple):
-    a: float
+class _PotentialFields(NamedTuple):
+    h0: complex
     kappa_plus: float
 
 
-class TangentPolySpec(_TangentPolyFields):
-    """Symmetric second-order tangent polynomial T(eta) = a*(eta^2 + kappa_plus).
-
-    It has no real zeros (negative discriminant) exactly when kappa_plus > 0.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, a: float = 1.0, kappa_plus: float = 1.0):
-        if not (a > 0):
-            raise ValueError("leading coefficient a must be positive")
-        if not (kappa_plus > 0):
-            raise ValueError("kappa_plus must be positive")
-        return super().__new__(cls, a, kappa_plus)
-
-
-class _PotentialFields(NamedTuple):
-    h0: complex
-    tp: TangentPolySpec
-
-
 class PotentialSpec(_PotentialFields):
-    """One potential of the family: singular-point strength h0 plus tangent data.
+    """One potential of the family: singular-point strength h0 and the tangent
+    polynomial T(eta) = eta^2 + kappa_plus, which has no real zeros exactly
+    when kappa_plus > 0.  A leading coefficient a of T would only scale x by
+    sqrt(a) and e by 1/a, so T has none.
 
     The constant term of the invariant is not free: vanishing of the potential
     at both infinities forces O00 = 2*Re(h0) + 1, which is enforced here.  The
@@ -117,14 +101,16 @@ class PotentialSpec(_PotentialFields):
 
     __slots__ = ()
 
-    def __new__(cls, h0: complex, tp: TangentPolySpec):
+    def __new__(cls, h0: complex, kappa_plus: float):
+        if not (kappa_plus > 0):
+            raise ValueError("kappa_plus must be positive")
         h0 = complex(h0)
         if not (math.isfinite(h0.real) and math.isfinite(h0.imag)):
             raise ValueError("h0 must be finite")
         lam = cmath.sqrt(h0 + 1.0)
         if not (lam.real > 0):
             raise ValueError("Re sqrt(h0+1) must be positive")
-        return super().__new__(cls, h0, tp)
+        return super().__new__(cls, h0, kappa_plus)
 
     @property
     def o00(self) -> float:
@@ -136,8 +122,8 @@ class PotentialSpec(_PotentialFields):
 
     @property
     def energy_coupling(self) -> float:
-        """Coefficient c of the energy in h(e) = h0 - c*e, i.e. a*(1 - kappa)."""
-        return self.tp.a * (1.0 - self.tp.kappa_plus)
+        """Coefficient c of the energy in h(e) = h0 - c*e, i.e. 1 - kappa."""
+        return 1.0 - self.kappa_plus
 
 
 class ClosedForm(NamedTuple):
@@ -220,7 +206,7 @@ def _quartic_coeffs(spec: PotentialSpec, m: int) -> tuple:
     kappa = k/kd, H = h0_R + 1 = (h + hd)/hd and Im(h0) = c/cd, the
     coefficients are -c^2/(4cd^2), 0, -(H + (1-kappa)(m+1/2)^2),
     (1-kappa)(2m+1) and kappa."""
-    k, kd = ex.ratio(spec.tp.kappa_plus)
+    k, kd = ex.ratio(spec.kappa_plus)
     h, hd = ex.ratio(spec.h0.real)
     c, cd = ex.ratio(spec.h0.imag)
     den = math.lcm(4 * cd * cd, hd, 4 * kd)
@@ -282,7 +268,7 @@ def normalized(spec: PotentialSpec, solution: ClosedForm) -> ClosedForm:
     """``solution`` scaled so that integral Phi^2 * density deta = 1 (hence psi is L2-normal).
 
     Closed form, with Phi = (1+eta^2)^p exp(q atan eta) R(eta).  The density
-    splits as T/(1+eta^2)^2 = a/(1+eta^2) + a(kappa-1)/(1+eta^2)^2, so each
+    splits as T/(1+eta^2)^2 = 1/(1+eta^2) + (kappa-1)/(1+eta^2)^2, so each
     part of Phi^2 times it is R^2 (1+eta^2)^-nu exp(2q atan eta) with
     nu = 1 - 2p in the first part and nu + 1 in the second: Cauchy beta
     integrals, each an exact rational multiple of B(nu, q)
@@ -299,12 +285,12 @@ def normalized(spec: PotentialSpec, solution: ClosedForm) -> ClosedForm:
     # R^2 = num^2 / den^2
     (a0, b0), (a1, b1) = cauchy_beta_ratios(ex.rp_mul(num, num), (q, big_l),
                                             ((nu, big_l), (nu + big_l, big_l)))
-    k, kd = ex.ratio(spec.tp.kappa_plus)
+    k, kd = ex.ratio(spec.kappa_plus)
     # bracket = m0 + (kappa - 1) nu (2nu - 1) / (2 (nu^2 + q^2)) m1 = top / bottom
     f_num, f_den = (k - kd) * nu * (2 * nu - big_l), 2 * kd * (nu * nu + q * q)
     top, bottom = a0 * f_den * b1 + f_num * a1 * b0, b0 * f_den * b1
     scale = solution.scale
-    norm2 = (spec.tp.a * scale ** 2 * math.exp(log_cauchy_beta(nu / big_l, q / big_l))
+    norm2 = (scale ** 2 * math.exp(log_cauchy_beta(nu / big_l, q / big_l))
              * (top / (bottom * den * den)))
     return solution._replace(scale=scale / math.sqrt(norm2))
 
@@ -312,7 +298,7 @@ def normalized(spec: PotentialSpec, solution: ClosedForm) -> ClosedForm:
 def _solution(spec: PotentialSpec, kind: str, m: int) -> ClosedForm:
     """The unnormalized order-m solution of ``kind``: type c on the one
     admissible root, type d on the most negative one, both at
-    e = -(m + 1/2 - lambda_R)^2 / a.  There is one admissible root exactly
+    e = -(m + 1/2 - lambda_R)^2.  There is one admissible root exactly
     when Q(m + 1/2) < 0, never two.
 
     The polynomial is R_m^(1 - conj lambda) of the pinned convention.  Its
@@ -329,7 +315,7 @@ def _solution(spec: PotentialSpec, kind: str, m: int) -> ClosedForm:
     lam_r = roots[0]
     lam = complex(lam_r, spec.h0.imag / (2.0 * lam_r) if spec.h0.imag != 0.0 else 0.0)
     rp = routh_polynomial(m, ComplexIndex.of(-lam.conjugate()).shifted(1))
-    return ClosedForm(kind=kind, energy=-((m + 0.5 - lam_r) ** 2) / spec.tp.a, lam=lam, poly=rp)
+    return ClosedForm(kind=kind, energy=-((m + 0.5 - lam_r) ** 2), lam=lam, poly=rp)
 
 
 def enumerate_bound_spectrum(spec: PotentialSpec) -> Spectrum:
@@ -403,7 +389,7 @@ def gendenshtein_params(a_g: float, b_g: float) -> PotentialSpec:
     if not a_g > 0:
         raise ValueError("a must be positive")
     lam0 = complex(a_g + 0.5, b_g)
-    return PotentialSpec(h0=lam0 * lam0 - 1.0, tp=TangentPolySpec(a=1.0, kappa_plus=1.0))
+    return PotentialSpec(h0=lam0 * lam0 - 1.0, kappa_plus=1.0)
 
 
 class SigmaRhoReport(NamedTuple):

@@ -105,17 +105,17 @@ def oracle_map(spec: PotentialSpec, sample, x_max=None, n=None):
     if x_max is None:
         x_max = geometry.decay_x_max(spec, _DECAY)
     if n is not None:
-        vmap = VariableMap(spec.tp, x_max, n)
+        vmap = VariableMap(spec.kappa_plus, x_max, n)
         yield vmap, _sampled(sample, vmap.eta_grid)
         return
     intervals = _first_rung(_cap_intervals(x_max, ()))  # at 4 x 0.012
-    vmap = VariableMap(spec.tp, x_max, intervals + 1)
+    vmap = VariableMap(spec.kappa_plus, x_max, intervals + 1)
     columns = _sampled(sample, vmap.eta_grid)
     cap = _cap_intervals(x_max, columns)
     if _first_rung(cap) > intervals:  # a deep well
         intervals = _first_rung(cap)
         _refuse_above_cap(intervals, cap)
-        vmap = VariableMap(spec.tp, x_max, intervals + 1)
+        vmap = VariableMap(spec.kappa_plus, x_max, intervals + 1)
         columns = _sampled(sample, vmap.eta_grid)
     while True:
         yield vmap, columns
@@ -124,7 +124,7 @@ def oracle_map(spec: PotentialSpec, sample, x_max=None, n=None):
             return
         _refuse_above_cap(intervals, cap)
         intervals *= 2
-        vmap = VariableMap(spec.tp, x_max, intervals + 1, vmap)
+        vmap = VariableMap(spec.kappa_plus, x_max, intervals + 1, vmap)
         odd = _sampled(sample, vmap.eta_grid[1::2])
         columns = [_interleave(c, o) for c, o in zip(columns, odd)]
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rrspectra.geometry import PotentialSpec, TangentPolySpec, VariableMap
+from rrspectra.geometry import PotentialSpec, VariableMap
 from rrspectra.spectral import enumerate_bound_spectrum, gendenshtein_params
 
 
@@ -14,7 +14,7 @@ def gspec():
 @pytest.fixture(scope="session")
 def milson_spec():
     """kappa=2 member with lambda0 = 3 + 0.5i (h0 = 7.75 + 3i)."""
-    return PotentialSpec(h0=complex(7.75, 3.0), tp=TangentPolySpec(a=1.0, kappa_plus=2.0))
+    return PotentialSpec(h0=complex(7.75, 3.0), kappa_plus=2.0)
 
 
 @pytest.fixture(scope="session")
@@ -30,7 +30,7 @@ def milson_spectrum(milson_spec):
 
 @pytest.fixture(scope="session")
 def gmap(gspec):
-    return VariableMap(gspec.tp, 20.0, 2048)
+    return VariableMap(gspec.kappa_plus, 20.0, 2048)
 
 
 @pytest.fixture()

@@ -22,12 +22,12 @@ from rational import coeffs, im, re, routh_record
 from rrspectra import _exact as ex
 from rrspectra.geometry import _inverse
 from rrspectra.routh import ComplexIndex, RouthPolynomial
-from rrspectra.spectral import ClosedForm, PotentialSpec, TangentPolySpec
+from rrspectra.spectral import ClosedForm, PotentialSpec
 
 
-def energy_slope(tp: TangentPolySpec) -> float:
-    """Coefficient d of the energy in O0(e) = O00 + d*e, i.e. 2a(1 + kappa)."""
-    return 2.0 * tp.a * (1.0 + tp.kappa_plus)
+def energy_slope(kappa: float) -> float:
+    """Coefficient d of the energy in O0(e) = O00 + d*e, i.e. 2(1 + kappa)."""
+    return 2.0 * (1.0 + kappa)
 
 
 def poly_mul(p, q) -> tuple:
@@ -41,10 +41,10 @@ def poly_eval(p, x):
     return np.polyval([float(c) for c in reversed(p)] or [0.0], x)
 
 
-def eta_of_x(tp: TangentPolySpec, x: float) -> float:
+def eta_of_x(kappa: float, x: float) -> float:
     """eta at one point ``x`` by the package's Newton inverse, started from
-    s = x / sqrt(a max(1, kappa)), which never overshoots the root."""
-    (eta,) = _inverse(tp, [x])
+    s = x / sqrt(max(1, kappa)), which never overshoots the root."""
+    (eta,) = _inverse(kappa, [x])
     return eta
 
 
@@ -85,7 +85,7 @@ def bose_invariant_eval(spec: PotentialSpec, epsilon: float, eta):
     """
     eta = np.asarray(eta, dtype=float)
     h = spec.h0 - spec.energy_coupling * epsilon
-    o0 = spec.o00 + energy_slope(spec.tp) * epsilon
+    o0 = spec.o00 + energy_slope(spec.kappa_plus) * epsilon
     denom = (1.0 + eta ** 2)
     # h/(eta+i)^2 + conj(h)/(eta-i)^2 = 2*Re[h*(eta-i)^2] / (1+eta^2)^2
     re_part = h.real * (eta ** 2 - 1.0) + 2.0 * h.imag * eta

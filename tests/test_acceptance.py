@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from rrspectra.darboux import partner_potential
-from rrspectra.geometry import PotentialSpec, TangentPolySpec, VariableMap, sampled
+from rrspectra.geometry import PotentialSpec, VariableMap, sampled
 from rrspectra.routh import ComplexIndex, ode_residual, routh_polynomial
 from rrspectra.spectral import (
     aeh_solution,
@@ -52,7 +52,7 @@ def gendenshtein_report():
 
 def milson_report():
     if "milson" not in _cache:
-        spec = PotentialSpec(h0=complex(7.75, 3.0), tp=TangentPolySpec(1.0, 2.0))
+        spec = PotentialSpec(h0=complex(7.75, 3.0), kappa_plus=2.0)
         _cache["milson"] = verify_spectrum(spec, tol=1e-3)
     return _cache["milson"]
 
@@ -91,7 +91,7 @@ def test_criterion_3_kappa_limit():
     lam_c, lam_d = closed_form_lambda_kappa1(spec1)
     worst = 0.0
     for kap in (1.0 - 1e-8, 1.0 + 1e-8):
-        spec = PotentialSpec(h0=spec1.h0, tp=TangentPolySpec(1.0, kap))
+        spec = PotentialSpec(h0=spec1.h0, kappa_plus=kap)
         for m in range(3):
             (c,) = quartic_lambda_roots(spec, m, "c")
             worst = max(worst, abs(c - lam_c))
@@ -163,7 +163,7 @@ def test_criterion_6_node_counts():
 def test_criterion_7_darboux_insertion():
     t0 = time.monotonic()
     spec = gendenshtein_params(2.5, 0.5)
-    vmap = VariableMap(spec.tp, 46.0, 8192)
+    vmap = VariableMap(spec.kappa_plus, 46.0, 8192)
     seed = aeh_solution(spec, "d", 0)
     _, v_partner = partner_potential(spec, seed, vmap.eta_grid)
     expected = [-12.25, -6.25, -2.25, -0.25]
@@ -195,12 +195,12 @@ def test_criterion_9_symmetric_positivity():
     worst_min = math.inf
     worst_even = 0.0
     cases = (
-        PotentialSpec(h0=8.0, tp=TangentPolySpec(1.0, 2.0)),
-        PotentialSpec(h0=5.0, tp=TangentPolySpec(1.0, 1.5)),
-        PotentialSpec(h0=11.0, tp=TangentPolySpec(1.0, 3.0)),
+        PotentialSpec(h0=8.0, kappa_plus=2.0),
+        PotentialSpec(h0=5.0, kappa_plus=1.5),
+        PotentialSpec(h0=11.0, kappa_plus=3.0),
     )
     for spec in cases:
-        vmap = VariableMap(spec.tp, 16.0, 4096)
+        vmap = VariableMap(spec.kappa_plus, 16.0, 4096)
         ground = enumerate_bound_spectrum(spec).energies[0]
         psi = symmetric_irregular_solution(spec, ground - 1.0, vmap)
         worst_min = min(worst_min, float(psi.min()))
@@ -209,10 +209,10 @@ def test_criterion_9_symmetric_positivity():
     # phi/sqrt(eta'), so its error must fall at the order of the scheme
     worst_ratio = math.inf
     for h0, kap, m in ((8.0, 2.0, 0), (8.0, 2.0, 2), (5.0, 1.5, 2), (8.0, 1.0, 2)):
-        spec = PotentialSpec(h0=h0, tp=TangentPolySpec(1.0, kap))
+        spec = PotentialSpec(h0=h0, kappa_plus=kap)
         errs = []
         for n_points in (1025, 2049, 4097):
-            vmap = VariableMap(spec.tp, 16.0, n_points)
+            vmap = VariableMap(spec.kappa_plus, 16.0, n_points)
             seed = aeh_solution(spec, "d", m)
             closed = np.array(sampled([seed], vmap)[0])
             psi = symmetric_irregular_solution(spec, seed.energy, vmap)

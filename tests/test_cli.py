@@ -91,7 +91,7 @@ class TestSpectrumCommand:
         x_max = geometry.decay_x_max(spec, 1e-3) + 1.0
         v = geometry.potential(spec)
         for x in (x_max - 1.0, 1.0 - x_max):
-            assert abs(v(eta_of_x(spec.tp, x))) < 1e-3
+            assert abs(v(eta_of_x(spec.kappa_plus, x))) < 1e-3
         for grid, half_width in (({}, x_max), ({"grid": {"x_max": 12.0}}, 12.0)):
             cfg = write_config(tmp_path, {**payload, **grid})
             out = tmp_path / str(half_width)
@@ -611,8 +611,6 @@ class TestConfigErrors:
         ("verify", '{"potential": {"gendenshtein": {"a": 2.5}}, "grid": {"x_max": 1e400}}'),
         ("spectrum", '{"potential": {"gendenshtein": {"a": 1e400}}}'),
         ("verify", '{"potential": {"milson": {"h0_re": 7.75, "kappa_plus": 1e400}}}'),
-        ("spectrum", '{"potential": {"milson": {"h0_re": 7.75, "kappa_plus": 2, "a": Infinity}}}'),
-        ("verify", '{"potential": {"milson": {"h0_re": 7.75, "kappa_plus": 2, "a": Infinity}}}'),
         ("spectrum", '{"potential": {"gendenshtein": {"a": 2.5}}, "grid": {"n": 1e400}}'),
         ("verify", '{"potential": {"gendenshtein": {"a": 2.5}}, "grid": {"n": "abc"}}'),
         ("spectrum", '{"potential": {"gendenshtein": {"a": 2.5}}, "grid": {"x_max": "abc"}}'),
@@ -646,6 +644,11 @@ class TestConfigErrors:
                           '{"a_range": [2, 3], "b_range": [0, 1], "m": %d}}' % (spectral.MAX_ORDER + 2)),
         ("partner", '{"potential": {"gendenshtein": {"a": 2.5}}, "partner": '
                     '{"kind": "d", "m": %d}}' % (spectral.MAX_ORDER + 2)),
+        # T(eta) = eta^2 + kappa has no leading coefficient: a milson "a" is an
+        # unknown key, whatever its value
+        ("spectrum", '{"potential": {"milson": {"h0_re": 7.75, "kappa_plus": 2, "a": Infinity}}}'),
+        ("verify", '{"potential": {"milson": {"h0_re": 7.75, "kappa_plus": 2, "a": Infinity}}}'),
+        ("spectrum", '{"potential": {"milson": {"h0_re": 7.75, "kappa_plus": 2, "a": 2.0}}}'),
     ])
     def test_malformed_number(self, tmp_path, capsys, command, text):
         path = tmp_path / "cfg.json"
@@ -794,7 +797,7 @@ class TestOutputContract:
                                                        command):
         # the same grid, chosen by the oracle's rule and not by the config
         def narrow(spec, sample, x_max=None, n=None):
-            vmap = geometry.VariableMap(spec.tp, 3.0, 1024)
+            vmap = geometry.VariableMap(spec.kappa_plus, 3.0, 1024)
             yield vmap, sample(vmap.eta_grid)
 
         monkeypatch.setattr(verify, "oracle_map", narrow)

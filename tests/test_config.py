@@ -22,7 +22,7 @@ BLOCKS = {
 }
 POTENTIALS = {
     "gendenshtein": {"a": 2.5, "b": 0.5},
-    "milson": {"h0_re": 7.75, "h0_im": 3.0, "kappa_plus": 2.0, "a": 1.0},
+    "milson": {"h0_re": 7.75, "h0_im": 3.0, "kappa_plus": 2.0},
 }
 SHARED_PATHS = [(), ("potential",), ("grid",), ("scan",), ("partner",)]
 SHARED_PATHS += [(b, k) for b in BLOCKS for k in BLOCKS[b]]
@@ -66,7 +66,7 @@ def _check(raw):
     except ConfigError:
         return
     spec = config.spec
-    assert _finite(spec.h0.real, spec.h0.imag, spec.tp.a, spec.tp.kappa_plus)
+    assert _finite(spec.h0.real, spec.h0.imag, spec.kappa_plus)
     assert config.x_max is None or _finite(config.x_max)
     assert config.n is None or type(config.n) is int
     try:
@@ -108,4 +108,29 @@ def test_only_json_numbers_are_numbers(path, value):
     config.scan_params(), config.partner_params()  # the base config is valid
     with pytest.raises(ConfigError, match="must be a finite number|malformed"):
         config = RunConfig(_with(base, path, value))
+        config.scan_params(), config.partner_params()
+
+
+def test_both_base_configs_parse():
+    # a refused base config would pass every fuzz case without reading its value
+    for kind, params in POTENTIALS.items():
+        config = RunConfig({"potential": {kind: params}, **BLOCKS})
+        config.scan_params(), config.partner_params()
+    # keys outside the blocks are free
+    RunConfig({"potential": {"gendenshtein": POTENTIALS["gendenshtein"]}, "note": "free"})
+
+
+@pytest.mark.parametrize("path", [
+    ("potential", "gendenshtein", "kappa_plus"),
+    ("potential", "milson", "a"),
+    ("potential", "milson", "h0_imag"),
+    ("grid", "xmax"),
+    ("scan", "n"),
+    ("partner", "order"),
+])
+def test_unknown_block_key_is_a_config_error(path):
+    kind = path[1] if path[0] == "potential" else "gendenshtein"
+    base = {"potential": {kind: POTENTIALS[kind]}, **BLOCKS}
+    with pytest.raises(ConfigError, match="unknown %s key '%s' " % path[-2:]):
+        config = RunConfig(_with(base, path, 1.0))
         config.scan_params(), config.partner_params()

@@ -23,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import rational  # noqa: E402
 from rrspectra._exact import rp_add, rp_diff, rp_mul, rp_trim  # noqa: E402
-from rrspectra.geometry import PotentialSpec, TangentPolySpec  # noqa: E402
+from rrspectra.geometry import PotentialSpec  # noqa: E402
 from rrspectra.routh import ComplexIndex, routh_polynomial  # noqa: E402
 from rrspectra.spectral import (  # noqa: E402
     aeh_solution,
@@ -101,7 +101,7 @@ def test_pinned_record_solves_the_equation(probe):
 
 @pytest.mark.parametrize("spec", [
     gendenshtein_params(2.5, 0.5),
-    PotentialSpec(h0=complex(7.75, 3.0), tp=TangentPolySpec(a=1.0, kappa_plus=2.0)),
+    PotentialSpec(h0=complex(7.75, 3.0), kappa_plus=2.0),
 ], ids=["gendenshtein", "milson"])
 def test_closed_form_follows_the_record(spec):
     # the index is formed exactly from the float lambda: for a type-d root,

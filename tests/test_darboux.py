@@ -9,7 +9,7 @@ from rrspectra import geometry
 from rrspectra.darboux import partner_levels, partner_potential
 from rrspectra.errors import NodeDetected
 from rrspectra.routh import real_root_count
-from rrspectra.geometry import PotentialSpec, TangentPolySpec, VariableMap
+from rrspectra.geometry import PotentialSpec, VariableMap
 from rrspectra.spectral import (
     aeh_solution,
     bound_state,
@@ -63,7 +63,7 @@ class TestPartnerPotential:
         # only its exact node count may refuse it
         spec = gendenshtein_params(16.2, 0.7)
         spectrum = enumerate_bound_spectrum(spec)
-        vmap = VariableMap(spec.tp, 60.0, 10001)
+        vmap = VariableMap(spec.kappa_plus, 60.0, 10001)
         seed = normalized(spec, bound_state(spectrum, 0))
         assert seed.nodes == 0 and any(phi_value(seed, e) == 0.0 for e in vmap.eta_grid)
         _, v_partner = partner_potential(spec, seed, vmap.eta_grid)
@@ -77,15 +77,15 @@ class TestPartnerPotential:
         h = 1e-3
 
         def ln_ff(x):
-            eta = eta_of_x(vmap.tp, x)
-            slope = geometry.eta_prime(spec.tp, eta)
+            eta = eta_of_x(vmap.kappa, x)
+            slope = geometry.eta_prime(spec.kappa_plus, eta)
             return -0.5 * np.log(slope) + np.log(phi_value(seed, eta))
 
         xs = np.linspace(-6, 6, 25)
-        etas = np.array([eta_of_x(vmap.tp, x) for x in xs])
+        etas = np.array([eta_of_x(vmap.kappa, x) for x in xs])
         fd1 = np.array([(ln_ff(x + h) - ln_ff(x - h)) / (2 * h) for x in xs])
         fd2 = np.array([(ln_ff(x + h) - 2 * ln_ff(x) + ln_ff(x - h)) / h ** 2 for x in xs])
-        w = geometry.log_derivative(spec.tp, seed)(etas)
+        w = geometry.log_derivative(spec.kappa_plus, seed)(etas)
         assert np.max(np.abs(fd1 - w)) < 1e-6
         riccati = geometry.potential(spec)(etas) - seed.energy - w * w
         assert np.max(np.abs(fd2 - riccati)) < 1e-6
@@ -100,7 +100,7 @@ class TestPartnerPotential:
         # eta' ~ |eta| and the bracket of w ~ 1/|eta| must both stay finite
         # far out, so that V_hat = 2 e_s + 2 w^2 - V cancels to 0 at both ends
         spec = gendenshtein_params(1.7193, 2.1470)
-        vmap = VariableMap(spec.tp, 200.0, 4097)
+        vmap = VariableMap(spec.kappa_plus, 200.0, 4097)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow anywhere in the partner
             _, v_partner = partner_potential(spec, aeh_solution(spec, "d", 0), vmap.eta_grid)
@@ -134,8 +134,8 @@ class TestPartnerLevels:
 
 @pytest.fixture(scope="module")
 def sym_setup():
-    spec = PotentialSpec(h0=8.0, tp=TangentPolySpec(1.0, 2.0))
-    vmap = VariableMap(spec.tp, 16.0, 4096)
+    spec = PotentialSpec(h0=8.0, kappa_plus=2.0)
+    vmap = VariableMap(spec.kappa_plus, 16.0, 4096)
     ground = enumerate_bound_spectrum(spec).energies[0]
     return spec, vmap, ground
 
@@ -182,7 +182,7 @@ class TestSymmetricIrregular:
 
     def test_rejects_asymmetric_potential(self, gspec, sym_setup):
         _spec, vmap, _ground = sym_setup
-        vmap_g = VariableMap(gspec.tp, 16.0, 4096)
+        vmap_g = VariableMap(gspec.kappa_plus, 16.0, 4096)
         with pytest.raises(PreconditionViolated):
             symmetric_irregular_solution(gspec, -20.0, vmap_g)
 
@@ -194,7 +194,7 @@ class TestSymmetricIrregular:
 
         found = 0
         for kappa, h0 in ((1.0, 8.0), (2.0, 8.0), (1.5, 5.0)):
-            spec = PotentialSpec(h0=h0, tp=TangentPolySpec(1.0, kappa))
+            spec = PotentialSpec(h0=h0, kappa_plus=kappa)
             ground = enumerate_bound_spectrum(spec).energies[0]
             for m in (2, 4):
                 try:

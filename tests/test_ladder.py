@@ -7,7 +7,7 @@ import pytest
 
 from rrspectra import cli, darboux, geometry, oracle, spectral, verify
 from rrspectra.errors import GridTooLarge
-from rrspectra.geometry import PotentialSpec, TangentPolySpec
+from rrspectra.geometry import PotentialSpec
 from rrspectra.spectral import gendenshtein_params
 
 
@@ -22,7 +22,7 @@ def partner_columns(spec):
 
 
 GEN = gendenshtein_params(2.5, 0.5)
-MILSON = PotentialSpec(h0=complex(7.75, 3.0), tp=TangentPolySpec(a=1.0, kappa_plus=2.0))
+MILSON = PotentialSpec(h0=complex(7.75, 3.0), kappa_plus=2.0)
 
 
 def spacing_rule(columns):
@@ -58,7 +58,7 @@ def test_rungs_nest_bit_for_bit(spec, sample):
         assert fine.x_grid[::2] == coarse.x_grid and fine.eta_grid[::2] == coarse.eta_grid
         assert [c[::2] for c in f_cols] == list(c_cols)
         # the odd points as a map built from scratch has them, to rounding
-        fresh = geometry.VariableMap(spec.tp, fine.x_max, fine.n_points)
+        fresh = geometry.VariableMap(spec.kappa_plus, fine.x_max, fine.n_points)
         assert fine.x_grid == fresh.x_grid
         assert all(abs(a - b) <= 1e-14 * max(1.0, abs(b))
                    for a, b in zip(fine.eta_grid, fresh.eta_grid))
@@ -177,9 +177,9 @@ def test_point_cap_refuses_before_the_map_is_built(monkeypatch):
     built = []
     new_map = geometry.VariableMap
 
-    def recording(tp, x_max, n_points, coarse=None):
+    def recording(kappa, x_max, n_points, coarse=None):
         built.append(n_points)
-        return new_map(tp, x_max, n_points, coarse)
+        return new_map(kappa, x_max, n_points, coarse)
 
     monkeypatch.setattr(verify, "VariableMap", recording)
     with pytest.raises(GridTooLarge, match="the cap is 1048576"):

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from rrspectra import darboux, geometry, oracle, spectral, verify
 from rrspectra.errors import InsufficientDecay, NonFiniteSamples
-from rrspectra.geometry import PotentialSpec, TangentPolySpec
+from rrspectra.geometry import PotentialSpec
 from rrspectra.oracle import lowest_levels
 from rrspectra.spectral import Spectrum, gendenshtein_params
 from rrspectra.verify import oracle_map, verify_spectrum
@@ -125,7 +125,7 @@ def frozen_level(ham, e, k):
 
 
 def milson(h0, kappa):
-    return PotentialSpec(h0=h0, tp=TangentPolySpec(a=1.0, kappa_plus=kappa))
+    return PotentialSpec(h0=h0, kappa_plus=kappa)
 
 
 def oracle_samples(spec):

@@ -1,17 +1,23 @@
-"""The README's Example block runs and prints what its comments say."""
+"""The README's Example block runs and prints what its comments say, and its
+Command line section documents every config key the CLI accepts."""
 
 import contextlib
 import io
 import os
 import re
 
+from rrspectra import cli
+
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
 
-def example_block() -> str:
+def section(title: str) -> str:
     with open(README, encoding="utf-8") as fh:
-        section = fh.read().split("\n## Example\n", 1)[1]
-    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+        return fh.read().split("\n## %s\n" % title, 1)[1].split("\n## ", 1)[0]
+
+
+def example_block() -> str:
+    return re.search(r"```python\n(.*?)```", section("Example"), re.S).group(1)
 
 
 def test_example_prints_what_it_documents():
@@ -22,3 +28,10 @@ def test_example_prints_what_it_documents():
     documented = [c.strip() for c in re.findall(r"#(.*)$", code, re.M)]
     assert len(documented) == 4
     assert out.getvalue().splitlines() == documented
+
+
+def test_config_keys_are_documented():
+    # one table row per block, "| `block` | `key`, `key`, ... | ... |"
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \|", section("Command line"), re.M)
+    documented = {block: set(re.findall(r"`(\w+)`", keys)) for block, keys in rows}
+    assert documented == {block: set(keys) for block, keys in cli.BLOCK_KEYS.items()}

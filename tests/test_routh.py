@@ -292,7 +292,7 @@ def _poly_from_roots(roots, lead=1):
 
 def _root_corpus():
     """Seeded polynomials of every kind the package isolates roots of."""
-    from rrspectra.geometry import PotentialSpec, TangentPolySpec
+    from rrspectra.geometry import PotentialSpec
     from rrspectra.spectral import _quartic_coeffs, aeh_solution, gendenshtein_params
 
     rng = np.random.default_rng(31)
@@ -303,7 +303,7 @@ def _root_corpus():
             out.extend(_quartic_coeffs(spec, m)[0] for m in range(6))
     for _ in range(6):
         h0 = complex(rng.uniform(3, 10), rng.uniform(0, 4))
-        spec = PotentialSpec(h0=h0, tp=TangentPolySpec(a=1.0, kappa_plus=float(rng.uniform(0.5, 3))))
+        spec = PotentialSpec(h0=h0, kappa_plus=float(rng.uniform(0.5, 3)))
         out.extend(_quartic_coeffs(spec, m)[0] for m in range(6))
     # type-d Routh factors on a sub-grid of the 16x16 acceptance scan domain
     avals, bvals = np.linspace(2, 4, 16), np.linspace(0, 4, 16)
@@ -545,11 +545,11 @@ class TestTheoremRootCount:
             assert theorem_root_count(m, index(Fraction(1 - m, 2), 1)) is None
 
     def test_type_d_seeds_are_decided(self):
-        from rrspectra.geometry import PotentialSpec, TangentPolySpec
+        from rrspectra.geometry import PotentialSpec
         from rrspectra.spectral import aeh_solution, gendenshtein_params
 
         specs = [gendenshtein_params(a, b) for a in (1.2, 2.5, 4.1) for b in (0.0, 0.5, 3.0)]
-        specs += [PotentialSpec(h0=complex(7.75, 3.0), tp=TangentPolySpec(a=1.0, kappa_plus=k))
+        specs += [PotentialSpec(h0=complex(7.75, 3.0), kappa_plus=k)
                   for k in (0.5, 2.0)]
         for spec in specs:
             for m in range(1, 6):

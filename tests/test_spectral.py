@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from rrspectra.cli import _spectrum_record
 from rrspectra.errors import BranchUndefined, NoSuchRoot
-from rrspectra.geometry import PotentialSpec, TangentPolySpec, sampled
+from rrspectra.geometry import PotentialSpec, sampled
 from rrspectra.routh import ComplexIndex, real_root_count, real_roots, routh_polynomial
 from rrspectra.spectral import (
     _quartic_coeffs,
@@ -51,7 +51,7 @@ class TestLambdaBranch:
             assert_allclose(2 * lam.real * lam.imag, milson_spec.h0.imag, rtol=1e-12)
 
     def test_branch_point_rejected(self):
-        spec = PotentialSpec(h0=3.0, tp=TangentPolySpec(1.0, 2.0))
+        spec = PotentialSpec(h0=3.0, kappa_plus=2.0)
         with pytest.raises(BranchUndefined):
             lambda_of_energy(spec, -4.0)  # h0 + 1 - c*e = 4 + e
 
@@ -66,7 +66,7 @@ class TestQuartic:
 
     def test_symmetric_degenerate_case(self):
         # L^4 - 9 L^2: the double root at the branch point L = 0 is neither kind
-        spec = PotentialSpec(h0=8.0, tp=TangentPolySpec(1.0, 1.0))
+        spec = PotentialSpec(h0=8.0, kappa_plus=1.0)
         assert quartic_lambda_roots(spec, 0, "c") == [3.0]
         assert quartic_lambda_roots(spec, 0, "d") == [-3.0]
 
@@ -79,14 +79,14 @@ class TestQuartic:
     def test_kappa_to_one_continuity(self, gspec):
         lam_c, lam_d = closed_form_lambda_kappa1(gspec)
         for kap in (1.0 - 1e-8, 1.0 + 1e-8):
-            spec = PotentialSpec(h0=gspec.h0, tp=TangentPolySpec(1.0, kap))
+            spec = PotentialSpec(h0=gspec.h0, kappa_plus=kap)
             (c,) = quartic_lambda_roots(spec, 0, "c")
             assert abs(c - lam_c) < 1e-6
             assert abs(quartic_lambda_roots(spec, 0, "d")[0] - lam_d) < 1e-6
 
     # h0 and kappa where orders 1-3 have two positive quartic roots below m + 1/2
     THREE_POSITIVE = PotentialSpec(h0=complex(12.084706575734842, 0.0013390748054407224),
-                                   tp=TangentPolySpec(1.0, 47.9484157411458))
+                                   kappa_plus=47.9484157411458)
 
     def test_classification(self, milson_spec):
         # each kind takes the roots of the whole line that lie in its interval
@@ -103,8 +103,8 @@ class TestQuartic:
         for _ in range(400):
             m = int(rng.integers(0, 9))
             spec = PotentialSpec(h0=complex(rng.uniform(-0.9, 40), rng.uniform(-10, 10)),
-                                 tp=TangentPolySpec(1.0, float(np.exp(rng.uniform(-3.5, 5.7)))))
-            mu, kap = Fraction(2 * m + 1, 2), Fraction(spec.tp.kappa_plus)
+                                 kappa_plus=float(np.exp(rng.uniform(-3.5, 5.7))))
+            mu, kap = Fraction(2 * m + 1, 2), Fraction(spec.kappa_plus)
             big_h, c = Fraction(spec.h0.real) + 1, Fraction(spec.h0.imag) ** 2 / 4
 
             def q(lam):  # the quartic as the proof writes it
@@ -161,7 +161,7 @@ class TestEnumeration:
     def test_empty_below_half(self):
         # lambda0_R = 0.4 < 1/2 supports nothing
         lam0 = 0.4
-        spec = PotentialSpec(h0=lam0 ** 2 - 1, tp=TangentPolySpec(1.0, 1.0))
+        spec = PotentialSpec(h0=lam0 ** 2 - 1, kappa_plus=1.0)
         s = enumerate_bound_spectrum(spec)
         assert s.n_max_constructive == 0 and not s.states
 
@@ -221,13 +221,13 @@ class TestEigenfunctions:
 
     def test_orthonormality(self, gspec):
         states = [normalized(gspec, st) for st in enumerate_bound_spectrum(gspec).states]
-        tp = gspec.tp
+        kappa = gspec.kappa_plus
 
         def overlap(i, j):
             fi, fj = states[i], states[j]
             return adaptive_quadrature(
                 lambda e: (phi_value(fi, e) * phi_value(fj, e)
-                           * (tp.a * (e * e + tp.kappa_plus)) / (1 + e * e) ** 2),
+                           * (e * e + kappa) / (1 + e * e) ** 2),
                 -np.inf, np.inf, tol=1e-10,
             )
 
@@ -254,20 +254,20 @@ class TestNormalization:
         gendenshtein_params(3.3, 1.2),
         gendenshtein_params(9.7, 3.0),
         gendenshtein_params(12.3, 0.0),
-        PotentialSpec(h0=complex(7.75, 3.0), tp=TangentPolySpec(a=1.0, kappa_plus=0.52)),
-        PotentialSpec(h0=complex(7.75, 3.0), tp=TangentPolySpec(a=1.0, kappa_plus=2.9)),
+        PotentialSpec(h0=complex(7.75, 3.0), kappa_plus=0.52),
+        PotentialSpec(h0=complex(7.75, 3.0), kappa_plus=2.9),
     ]
 
     @pytest.mark.parametrize("spec", CORPUS, ids=lambda s: "h0=%g%+gi,kappa=%g" % (
-        s.h0.real, s.h0.imag, s.tp.kappa_plus))
+        s.h0.real, s.h0.imag, s.kappa_plus))
     def test_matches_quadrature(self, spec):
-        tp = spec.tp
+        kappa = spec.kappa_plus
         checked = 0
         for st in enumerate_bound_spectrum(spec).states:
             st = normalized(spec, st)
             try:
                 norm2 = adaptive_quadrature(
-                    lambda e: phi_value(st, e) ** 2 * tp.a * (e * e + tp.kappa_plus) / (1 + e * e) ** 2,
+                    lambda e: phi_value(st, e) ** 2 * (e * e + kappa) / (1 + e * e) ** 2,
                     -np.inf, np.inf, tol=1e-10,
                 )
             except NotConverged:
