@@ -19,8 +19,9 @@ class RootOverflow(SpectraError):
 
 class StepFailure(SpectraError):
     """The variable map could not be built or inverted (its Newton inverse did
-    not converge), or :func:`geometry.decay_x_max` found no decayed
-    potential."""
+    not converge), :func:`geometry.decay_x_max` found no decayed potential,
+    or an oracle grid is too coarse for Numerov's scheme,
+    h^2 (V_max - V_min)/12 >= 1/2."""
 
 
 class BranchUndefined(SpectraError):

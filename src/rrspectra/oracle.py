@@ -1,6 +1,6 @@
-"""Brute-force verification tool: a finite-difference bound-state
-eigensolver in plain Python.  It finds roots of the determinant of the
-tridiagonal Hamiltonian with one end condition, transparent ends, and one
+"""Brute-force verification tool: a bound-state eigensolver in plain Python
+on Numerov's fourth-order scheme.  It finds roots of the determinant of the
+tridiagonal Numerov matrix with one end condition, transparent ends, and one
 iteration, Laguerre steps, and certifies each level by Sturm counts.
 
 Nothing in this module knows about the analytic machinery it is used to
@@ -16,17 +16,17 @@ import sys
 from itertools import islice
 from typing import NamedTuple
 
-from .errors import InsufficientDecay, NonFiniteSamples
+from .errors import InsufficientDecay, NonFiniteSamples, StepFailure
 
 
 class EigenEstimate(NamedTuple):
     """One oracle level.  ``error`` is the gap between the one-step and two-step
     Richardson values, which estimates truncation, plus the propagated solver
-    certificate (64 d_h + 20 d_2h + d_4h) / 45.  It does not see the roundoff
-    of order 1e-16 / h^2 that dominates on very fine grids.  ``ratio`` is the
-    observed-order ratio (E_2h - E_4h) / (E_h - E_2h), which tends to 4 where
-    the h^2 expansion holds (Roache, J. Fluids Eng. 116, 1994); it is infinite
-    where E_h = E_2h."""
+    certificate (1024 d_h + 80 d_2h + d_4h) / 945.  It does not see the
+    roundoff of order 1e-16 / h^2 that dominates on very fine grids.
+    ``ratio`` is the observed-order ratio (E_2h - E_4h) / (E_h - E_2h), which
+    tends to 16 where the h^4 expansion holds (Roache, J. Fluids Eng. 116,
+    1994); it is infinite where E_h = E_2h."""
 
     energy: float
     error: float
@@ -43,36 +43,43 @@ class Grid(NamedTuple):
 
 
 _CERT_REL = 1e-11  # certified half-width relative to the level ...
-_CERT_NORM = 4.0  # ... or in units of eps * ||H||, whichever is wider
+_CERT_NORM = 4.0  # ... or in units of eps * ||T||, whichever is wider
 _LAGUERRE_STEPS = 40  # Laguerre passes a level may take before it only bisects
 _COARSEST = 512  # fewest interior samples of a grid that only supplies starting values
 _CEILING = -1e-14  # highest level solved with transparent ends: rho is not real at e >= 0
+_GUARD = 0.5  # largest h^2 (V_max - V_min) / 12 of a grid, so that w_j > 1/2
 
 
-# The 3-point Hamiltonian on N interior samples is the tridiagonal matrix H
-# with diagonal d_i = V_i + 2/h^2 and off-diagonal -1/h^2 (off2 = 1/h^4 is
-# its square).  One pass of the pivot recurrence q_i = d_i - sigma - off2/q_(i-1)
-# of the LDL^T factorization of H - sigma gives the Sturm count, the number
-# of negative pivots, which is the number of levels below sigma (Kahan 1966).
-# Tiny pivots are replaced by -pivmin as in LAPACK stebz.  The same pass
-# differentiates the recurrence in sigma (Li & Zeng, SIAM J. Sci. Comput. 15,
-# 1994): with p_i = off2/q_(i-1), u_i = q_i'/q_i = (p_i u_(i-1) - 1)/q_i and
-# r_i = q_i''/q_i = p_i (r_(i-1) - 2 u_(i-1)^2)/q_i, and since
-# det(H - sigma) = prod q_i,
-#     s = -(ln det)' = -sum u_i,   which is sum_j 1/(lambda_j - sigma),
-#     t = -(ln det)'' = sum (u_i^2 - r_i),   which is sum_j 1/(lambda_j - sigma)^2.
+# Numerov's scheme (Numerov, MNRAS 84, 1924, 592) for -psi'' + (V - e) psi = 0
+# on N interior samples, written in y_j = w_j psi_j with
+# w_j = 1 - h^2 (V_j - sigma)/12, is the symmetric tridiagonal matrix T(sigma)
+# with diagonal 2/h^2 + g_j(sigma), g_j = (V_j - sigma)/w_j, and off-diagonal
+# -1/h^2 (off2 = 1/h^4 is its square); a level is a sigma with T(sigma)
+# singular.  One pass of the pivot recurrence q_i = 2/h^2 + g_i - off2/q_(i-1)
+# of the LDL^T factorization of T(sigma) gives the Sturm count, the number of
+# negative pivots (Kahan 1966).  Tiny pivots are replaced by -pivmin as in
+# LAPACK stebz.  g_j' = -1/w_j^2 < 0, so T(sigma) decreases in the Loewner
+# order and the count, the number of levels below sigma, is monotone.  While
+# every w_j > 0 for sigma >= V_min, T(V_min) is positive definite and counts
+# 0 there; the grid guard h^2 (V_max - V_min)/12 < 1/2 keeps w_j > 1/2.
+# The same pass differentiates the recurrence in sigma (Li & Zeng, SIAM J.
+# Sci. Comput. 15, 1994): with p_i = off2/q_(i-1),
+# u_i = q_i'/q_i = (p_i u_(i-1) + g_i')/q_i and
+# r_i = q_i''/q_i = (p_i (r_(i-1) - 2 u_(i-1)^2) + g_i'')/q_i, where
+# g' = -1/w^2 and g'' = (h^2/6)/w^3, and since det T(sigma) = prod q_i,
+#     s = -(ln det)' = -sum u_i,   t = -(ln det)'' = sum (u_i^2 - r_i).
 #
 # Transparent ends (Arnold, VLSI Design 6, 1998; Ehrhardt & Arnold, Riv. Mat.
 # Univ. Parma, 2001) take the ghost value outside each end from the exact
-# discrete solution where V = 0, psi_(j-1) = rho psi_j with
+# discrete solution where V = 0.  There w is constant, so psi and y decay
+# alike, g = -e with e = sigma/(1 + h^2 sigma/12), and y_(j-1) = rho y_j with
 # rho + 1/rho = 2 - h^2 e and 0 < rho < 1, so the first and last diagonal
-# entries gain end(e) = -rho(e)/h^2.  A level is then a root of
-# det(H(sigma) - sigma).  The end entries decrease with sigma, so
-# H(sigma) - sigma decreases in the Loewner order, its Sturm count is
-# monotone, and the certificate below holds as it is.  Each pass carries the
-# first end in its starting state, as a ghost step before step 0 with pivot
-# q = -off2/end, u = -end'/end and r = 2 (end'/end)^2 - end''/end, which
-# gives step 0 the entry d_0 + end and its derivatives; it peels the last
+# entries gain end(sigma) = -rho(e)/h^2.  e increases with sigma and the end
+# entries decrease with it, so T(sigma) still decreases in the Loewner order
+# and the certificate below holds as it is.  Each pass carries the first end
+# in its starting state, as a ghost step before step 0 with pivot
+# q = -off2/end, u = -end'/end and r = 2 (end'/end)^2 - end''/end, which gives
+# step 0 the entry 2/h^2 + g_0 + end and its derivatives; it peels the last
 # step to add the second.  s and t then differentiate the determinant of the
 # actual problem, which is not a polynomial in sigma.
 
@@ -80,79 +87,107 @@ _CEILING = -1e-14  # highest level solved with transparent ends: rho is not real
 def _ends(h2: float, sigma: float) -> tuple:
     """(end, end', end''): the term -rho/h^2 that a transparent end adds to its
     diagonal entry at ``sigma`` < 0, and its sigma-derivatives.  With
-    s = -h^2 sigma/2 and D = sqrt(s (2+s)), rho = 1/(1 + s + D), in which
-    nothing cancels as sigma -> 0-, and rho' = h^2 rho/(2D), rho'' = h^4/(4 D^3)."""
-    s = -0.5 * h2 * sigma
+    e = sigma/(1 + h^2 sigma/12), s = -h^2 e/2 and D = sqrt(s (2+s)),
+    rho = 1/(1 + s + D), in which nothing cancels as e -> 0-, and in e
+    rho' = h^2 rho/(2D) and rho'' = h^4/(4 D^3); the chain rule takes
+    e' = z^2 and e'' = -(h^2/6) z^3 with z = 1/(1 + h^2 sigma/12)."""
+    z = 1.0 / (1.0 + h2 * sigma / 12.0)
+    s = -0.5 * h2 * sigma * z
     root = math.sqrt(s * (2.0 + s))
     rho = 1.0 / (1.0 + s + root)
-    return -rho / h2, -0.5 * rho / root, -0.25 * h2 / (root * root * root)
+    d1, d2 = -0.5 * rho / root, -0.25 * h2 / (root * root * root)
+    z2 = z * z
+    return -rho / h2, d1 * z2, (d2 * z2 - d1 * h2 * z / 6.0) * z2
 
 
 class _Hamiltonian:
-    """The 3-point Hamiltonian on the interior of the samples ``v`` (the end
-    samples are ghosts): its diagonal d_i = V_i + 2/h^2, off2 = 1/h^4,
-    h2 = h^2 and the certificate's floor 4 eps ||H||.  ``bottom`` and ``top``
-    are the (sigma, count) pairs that bracket every level: none lies below
-    V_min, as the kinetic part is positive definite, and ``top`` is the
-    Sturm count at the ceiling."""
+    """Numerov's matrix on the interior of the samples ``v`` (the end samples
+    are ghosts): the interior samples ``v``, two = 2/h^2, c = h^2/12,
+    off2 = 1/h^4, h2 = h^2 and the certificate's floor 4 eps ||T||, with
+    ||T|| at most 4/h^2 + (V_max - V_min)/(1 - h^2 (V_max - V_min)/12) for
+    sigma in [V_min, 0].  ``bottom`` and ``top`` are the (sigma, count) pairs
+    that bracket every level: none lies below V_min, where every g_j >= 0,
+    and ``top`` is the Sturm count at the ceiling.  A grid that breaks the
+    guard h^2 (max(V_max, 0) - V_min)/12 < 1/2 raises :class:`StepFailure`
+    before any count."""
 
     def __init__(self, v, dx: float):
-        inv_h2 = 1.0 / (dx * dx)
+        h2 = dx * dx
         interior = v[1:-1]
-        self.diag = [x + 2.0 * inv_h2 for x in interior]
-        self.off2 = inv_h2 * inv_h2
-        self.h2 = dx * dx
-        self.floor = _CERT_NORM * sys.float_info.epsilon * (4.0 * inv_h2 + max(map(abs, interior)))
-        self.bottom = (min(interior), 0)
+        low = min(interior)
+        stiff = h2 * (max(0.0, max(interior)) - low) / 12.0
+        if not stiff < _GUARD:
+            raise StepFailure("a Numerov grid of spacing %.6g has h^2 (V_max - V_min)/12 = %.3g;"
+                              " it must be below %g" % (dx, stiff, _GUARD))
+        self.v = interior
+        self.two = 2.0 / h2
+        self.c = h2 / 12.0
+        self.off2 = 1.0 / (h2 * h2)
+        self.h2 = h2
+        self.floor = _CERT_NORM * sys.float_info.epsilon * (4.0 + 12.0 * stiff / (1.0 - stiff)) / h2
+        self.bottom = (low, 0)
         self.top = (_CEILING, _count(self, _CEILING))
 
 
 def _count(ham: _Hamiltonian, sigma: float) -> int:
     """The Sturm count of ``sigma``: the levels below it."""
     end = _ends(ham.h2, sigma)[0]
-    diag, off2 = ham.diag, ham.off2
+    v, two, c, off2 = ham.v, ham.two, ham.c, ham.off2
+    cs1 = 1.0 + c * sigma  # w_j = cs1 - c V_j
     pivmin = off2 * sys.float_info.min
     count = 0
     q = -off2 / end
-    for d in islice(diag, len(diag) - 1):
-        q = d - sigma - off2 / q
+    for x in islice(v, len(v) - 1):
+        q = two + (x - sigma) / (cs1 - c * x) - off2 / q
         if q < pivmin:
             count += 1
             if q > -pivmin:
                 q = -pivmin
-    return count + (diag[-1] + end - sigma - off2 / q < pivmin)
+    x = v[-1]
+    return count + (two + (x - sigma) / (cs1 - c * x) + end - off2 / q < pivmin)
 
 
 def _laguerre_pass(ham: _Hamiltonian, sigma: float) -> tuple:
-    """(count, s, t): the Sturm count of ``sigma``, s = -(ln det(H - sigma))'
-    and t = -(ln det(H - sigma))''."""
+    """(count, s, t): the Sturm count of ``sigma``, s = -(ln det T(sigma))'
+    and t = -(ln det T(sigma))''."""
     end, end1, end2 = _ends(ham.h2, sigma)
-    diag, off2 = ham.diag, ham.off2
+    v, two, c, off2 = ham.v, ham.two, ham.c, ham.off2
+    cs1, c2 = 1.0 + c * sigma, 2.0 * c
     pivmin = off2 * sys.float_info.min
     count = 0
-    q, u = -off2 / end, -end1 / end
-    r = 2.0 * u * u - end2 / end
+    # iq = 1/q, and a = r - u^2, so that s sums -u and t sums -a
+    iq, u = -end / off2, -end1 / end
+    uu = u * u
+    a = uu - end2 / end
     s = t = 0.0
-    for d in islice(diag, len(diag) - 1):
-        p = off2 / q
-        q = d - sigma - p
+    for x in islice(v, len(v) - 1):
+        iw = 1.0 / (cs1 - c * x)
+        p = off2 * iq
+        q = two + (x - sigma) * iw - p
         if q < pivmin:
             count += 1
             if q > -pivmin:
                 q = -pivmin
-        r = p * (r - 2.0 * u * u) / q
-        u = (p * u - 1.0) / q
-        s -= u
-        t += u * u - r
-    p = off2 / q
-    q = diag[-1] + end - sigma - p
+        iq = 1.0 / q
+        g1 = iw * iw  # -g'; g'' = 2c/w^3
+        a = (p * (a - uu) + c2 * iw * g1) * iq
+        u = (p * u - g1) * iq
+        uu = u * u
+        a -= uu
+        s += u
+        t += a
+    x = v[-1]
+    iw = 1.0 / (cs1 - c * x)
+    p = off2 * iq
+    q = two + (x - sigma) * iw + end - p
     if q < pivmin:
         count += 1
         if q > -pivmin:
             q = -pivmin
-    r = (p * (r - 2.0 * u * u) + end2) / q
-    u = (p * u + end1 - 1.0) / q
-    return count, s - u, t + u * u - r
+    g1 = iw * iw
+    r = (p * (a - uu) + c2 * iw * g1 + end2) / q
+    u = (p * u - g1 + end1) / q
+    return count, -s - u, u * u - r - t
 
 
 def _bracket(seen: list, k: int) -> tuple:
@@ -163,7 +198,7 @@ def _bracket(seen: list, k: int) -> tuple:
 
 def _certified(ham, k, x, seen):
     """(x, w) if Sturm counts show level k within w = max(1e-11 |x|,
-    4 eps ||H||) of ``x``, else None.  A side of [x - w, x + w] that the
+    4 eps ||T||) of ``x``, else None.  A side of [x - w, x + w] that the
     bracket in ``seen`` already reaches is settled by it; the other takes a
     count at x - w or x + w, which joins ``seen``."""
     w = max(_CERT_REL * abs(x), ham.floor)
@@ -189,16 +224,18 @@ def _isolate(ham, k, seen, start, gap):
     nearest level on the side the step takes: from ``start`` at once, else,
     or once an iterate leaves the bracket or passes a neighbouring level,
     from the bracket's midpoint after Sturm bisection has isolated level k.
+    A certificate that fails moves an end of the bracket just past the
+    iterate, and the next step starts from that end.
     After :data:`_LAGUERRE_STEPS` passes bisection alone finishes the level.
     ``gap``, the distance from ``start`` to the nearest other level or
     threshold, scales the error left by the first step."""
-    n = len(ham.diag)
+    n = len(ham.v)
     x, last, passes, bisect = start, 0.0, 0, False
     while True:
         (lo, c_lo), (hi, c_hi) = _bracket(seen, k)
         if hi - lo <= 2.0 * ham.floor:
             return 0.5 * (lo + hi), 0.5 * (hi - lo)
-        if x is None or not lo < x < hi:
+        if x is None or not lo <= x <= hi:
             x, last, gap = 0.5 * (lo + hi), 0.0, 0.0
             bisect = c_lo < k or c_hi > k + 1
         if bisect or passes == _LAGUERRE_STEPS:
@@ -213,7 +250,9 @@ def _isolate(ham, k, seen, start, gap):
             continue
         # Laguerre's step for a polynomial of degree n with real roots moves
         # monotonically to the nearest root on the chosen side: right from
-        # below level k, left from above it
+        # below level k, left from above it.  det T(sigma) is a rational
+        # function whose poles, at w_j = 0, the guard keeps far below V_min,
+        # and the bracket catches a step that goes astray
         root = math.sqrt(max(0.0, (n - 1) * (n * t - s * s)))
         denom = s + root if count == k else s - root
         step = n / denom if denom else math.nan
@@ -226,6 +265,11 @@ def _isolate(ham, k, seen, start, gap):
             level = _certified(ham, k, x, seen)
             if level:
                 return level
+            (lo, _), (hi, _) = _bracket(seen, k)
+            if lo - w <= x <= hi + w:
+                # a count of the failed certificate moved an end of the bracket
+                # just past x: step on from that end, next to the level
+                x = min(max(x, lo), hi)
         last = step
 
 
@@ -236,8 +280,8 @@ def _levels(ham: _Hamiltonian, count: int, starts=()) -> tuple:
     The levels are found in order, each by :func:`_isolate`, from its
     starting value ``starts[k]`` (the prediction from coarser grids) where
     there is one.  Its certificate is count(a) <= k < count(b) for some a, b
-    within w = max(1e-11 |x|, 4 eps ||H||) of x, or, where bisection
-    finishes it, a bracket at the resolution of the count, 4 eps ||H||.
+    within w = max(1e-11 |x|, 4 eps ||T||) of x, or, where bisection
+    finishes it, a bracket at the resolution of the count, 4 eps ||T||.
     Every count taken on the grid brackets the later levels, starting from
     the Hamiltonian's ``bottom`` and ``top``.
 
@@ -260,12 +304,12 @@ def _levels(ham: _Hamiltonian, count: int, starts=()) -> tuple:
 def _predicted(solved: list) -> list:
     """Starting values for the next finer grid from the levels ``solved`` on
     the grids below it, coarsest first: the levels of the one grid below,
-    E_2h + (E_2h - E_4h)/4 from two, and (84 E_2h - 21 E_4h + E_8h)/64,
-    which cancels the h^2 and h^4 terms, from three or more."""
+    E_2h + (E_2h - E_4h)/16 from two, and (1104 E_2h - 81 E_4h + E_8h)/1024,
+    which also cancels the h^6 term, from three or more."""
     if len(solved) >= 3:
-        return [(84.0 * a - 21.0 * b + c) / 64.0 for a, b, c in zip(*solved[:-4:-1])]
+        return [(1104.0 * a - 81.0 * b + c) / 1024.0 for a, b, c in zip(*solved[:-4:-1])]
     if len(solved) == 2:
-        return [a + (a - b) / 4.0 for a, b in zip(solved[1], solved[0])]
+        return [a + (a - b) / 16.0 for a, b in zip(solved[1], solved[0])]
     return list(solved[0]) if solved else []
 
 
@@ -280,18 +324,21 @@ def lowest_levels(values, dx: float, count: int, *, coarser: tuple = ()) -> tupl
     and only levels below -1e-14 are returned.  Samples that are NaN or
     infinite raise :class:`NonFiniteSamples`.
 
-    The 3-point finite-difference Hamiltonian is solved on the grid and on
-    its 2:1 and 4:1 subsamples, each level by Laguerre steps certified by
-    Sturm counts (see :func:`_levels`), and two Richardson steps cancel the
-    h^2 and h^4 error terms: (64 E_h - 20 E_2h + E_4h) / 45.  Every sample
-    is solved; where n - 1 is not a multiple of 4 the subsamples end short of
-    the last sample.  A level is returned only where all three grids have it
-    below the ceiling, so one within O(h^2) of threshold on the finest grid
-    alone is left out.  Coarser 2:1 subsamples, while they keep 512
-    interior samples and twice as many as there are levels, are solved first
-    for starting values alone; the grids are solved coarse to
-    fine, each level from :func:`_predicted`, and each grid for as many of
-    the ``count`` levels as it has below the ceiling.
+    Numerov's matrix is solved on the grid and on its 2:1 and 4:1
+    subsamples, each level by Laguerre steps certified by Sturm counts (see
+    :func:`_levels`), and two Richardson steps cancel the h^4 and h^6 error
+    terms: (1024 E_h - 80 E_2h + E_4h) / 945.  Each of these three grids must
+    keep h^2 (V_max - V_min)/12 below 1/2, so that Numerov's denominators
+    w_j stay above 1/2; one that does not raises :class:`StepFailure`.  Every
+    sample is solved; where n - 1 is not a multiple of 4 the subsamples end
+    short of the last sample.  A level is returned only where all three
+    grids have it below the ceiling, so one within the scheme's error of
+    threshold on the finest grid alone is left out.  Coarser 2:1 subsamples,
+    while they keep 512 interior samples, twice as many as there are
+    levels, and the same guard, are solved first for starting values alone;
+    the grids are solved coarse to fine, each level from :func:`_predicted`,
+    and each grid for as many of the ``count`` levels as it has below the
+    ceiling.
 
     ``coarser``, the grids returned for the samples ``values[::2]`` at
     spacing 2 dx (n - 1 must then be a multiple of 4, so that they are the
@@ -320,8 +367,12 @@ def lowest_levels(values, dx: float, count: int, *, coarser: tuple = ()) -> tupl
     if kept == 0:
         return [], ()
     while not coarser and len(samples[-1]) // 2 - 1 >= max(_COARSEST, 2 * kept):
-        samples.append(samples[-1][::2])
-        grids.append(_Hamiltonian(samples[-1], dx * 2 ** len(grids)))
+        coarse = samples[-1][::2]
+        try:
+            grids.append(_Hamiltonian(coarse, dx * 2 ** len(grids)))
+        except StepFailure:  # too coarse for the guard, and so for useful starts
+            break
+        samples.append(coarse)
     solved = list(coarser)
     for ham in reversed(grids):
         starts = _predicted([g.levels for g in solved])
@@ -329,9 +380,9 @@ def lowest_levels(values, dx: float, count: int, *, coarser: tuple = ()) -> tupl
     (e_4h, d_4h, _), (e_2h, d_2h, _), (e_h, d_h, _) = solved[-3:]
     estimates = []
     for e1, e2, e4, c1, c2, c4 in zip(e_h, e_2h, e_4h, d_h, d_2h, d_4h):
-        two_step = (64.0 * e1 - 20.0 * e2 + e4) / 45.0
-        one_step = (4.0 * e1 - e2) / 3.0
-        cert = (64.0 * c1 + 20.0 * c2 + c4) / 45.0
+        two_step = (1024.0 * e1 - 80.0 * e2 + e4) / 945.0
+        one_step = (16.0 * e1 - e2) / 15.0
+        cert = (1024.0 * c1 + 80.0 * c2 + c4) / 945.0
         ratio = (e2 - e4) / (e1 - e2) if e1 != e2 else math.inf
         estimates.append(EigenEstimate(energy=two_step, error=abs(two_step - one_step) + cert,
                                        ratio=ratio))

@@ -1,7 +1,8 @@
-"""Positive even irregular solutions of symmetric members, on the oracle's
-3-point scheme: O(h^2) accurate, and refused just under the analytic ground
-level, above the discrete one.  The tests compare them with the closed-form
-type-d seeds at the seeds' energies.
+"""Positive even irregular solutions of symmetric members, on a 3-point
+finite-difference scheme of the tests' own (the oracle solves Numerov's):
+O(h^2) accurate, and refused just under the analytic ground level, above
+the discrete one.  The tests compare them with the closed-form type-d seeds
+at the seeds' energies.
 
 It lives with the tests because no command builds an irregular solution; a
 Darboux partner is always seeded by a closed form.
@@ -25,7 +26,7 @@ class PreconditionViolated(Exception):
 def symmetric_irregular_solution(spec: PotentialSpec, epsilon: float, vmap: VariableMap) -> np.ndarray:
     """Positive even solution irregular at both ends, for a symmetric member.
 
-    Runs the oracle's 3-point scheme from the left (psi_0 = 0, psi_1 = 1):
+    Runs the 3-point scheme from the left (psi_0 = 0, psi_1 = 1):
     the ratios r_i = psi_(i+1)/psi_i = h^2 (V_i - epsilon) + 2 - 1/r_(i-1)
     are h^2 times the LDL^T pivots of the 3-point Hamiltonian with psi = 0 at
     both end samples, so psi_a stays positive exactly when no level of that

@@ -388,17 +388,20 @@ class TestPartnerCommand:
         monkeypatch.setattr(cli, "_default_map", no_map)
         self.test_erasure(tmp_path)
 
-    def test_nan_residual_seed_is_numeric_failure(self, tmp_path):
+    def test_grid_too_coarse_for_deep_partner_is_config_error(self, tmp_path, capsys):
         # the order-8 type-d seed is a valid closed form (e about -1.1e5), but
-        # its partner's well is too deep for a grid of 8,193 points, so the
-        # command must report a failed check rather than pass
+        # its partner's well is too deep for a grid of 8,193 points: the 4:1
+        # subsample has h^2 (V_max - V_min)/12 = 0.99, past Numerov's guard
         cfg = write_config(tmp_path, {
             "potential": {"milson": {"h0_re": 0.5, "h0_im": 7.5, "kappa_plus": 0.05}},
             "partner": {"kind": "d", "m": 8}, "grid": {"n": 8193},
         })
         out = tmp_path / "o"
-        assert main(["partner", "--config", cfg, "--out", str(out)]) == 1
-        assert json.loads((out / "partner_verify.json").read_text())["passed"] is False
+        assert main(["partner", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: grid x_max=None, n=8193: a Numerov grid of spacing ")
+        assert err.endswith("; it must be below 0.5\n") and err.count("\n") == 1
+        assert os.listdir(out) == []
 
     def test_unrepresentable_user_grid_is_config_error(self, tmp_path, capsys):
         # the partner potential overflows to NaN past |x| ~ 355; it used to be
@@ -956,7 +959,8 @@ def test_oracle_outputs_keep_their_keys(tmp_path):
         assert set(record["grid"]) == {"x_max", "n", "dx"}
         assert record["grid"]["dx"] == 2 * record["grid"]["x_max"] / (record["grid"]["n"] - 1)
         # resolved levels: within their budget, at most tol |E| / 10
-        assert all(lv["error"] <= 1e-4 * abs(lv["numeric"]) and 3.5 <= lv["ratio"] <= 4.8
+        assert all(lv["error"] <= 1e-4 * abs(lv["numeric"])
+                   and verify._BAND[0] <= lv["ratio"] <= verify._BAND[1]
                    for lv in record["levels"])
 
 

@@ -152,8 +152,9 @@ class TestSymmetricIrregular:
         assert np.max(np.abs(psi - psi[::-1])) < 1e-9
 
     def test_positive_exactly_when_no_discrete_level_below(self, sym_setup):
-        # the ratios psi_(i+1)/psi_i are h^2 times the LDL^T pivots of the
-        # 3-point Hamiltonian with psi = 0 at both end samples, so a solution
+        # the ratios psi_(i+1)/psi_i are h^2 times the LDL^T pivots of
+        # irregular.py's own 3-point Hamiltonian (not the oracle's Numerov
+        # matrix) with psi = 0 at both end samples, so a solution
         # exists exactly when it has no level below epsilon, counted here by
         # LAPACK; the discrete ground level lies O(h^2) below the analytic one
         eigvalsh_tridiagonal = pytest.importorskip("scipy.linalg").eigvalsh_tridiagonal

@@ -10,7 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rrspectra import darboux, geometry, oracle, spectral, verify
-from rrspectra.errors import InsufficientDecay, NonFiniteSamples
+from rrspectra.errors import InsufficientDecay, NonFiniteSamples, StepFailure
 from rrspectra.geometry import PotentialSpec
 from rrspectra.oracle import lowest_levels
 from rrspectra.spectral import Spectrum, gendenshtein_params
@@ -52,11 +52,11 @@ class TestNumerov:
     @pytest.mark.parametrize("n", [4097, 4096, 4095])
     def test_error_bounds_true_error(self, n):
         # n = 4097 keeps every sample, 4096 drops one and 4095 (3 mod 4) two;
-        # one Richardson step would miss the 1e-9 bound by about 80x
+        # the finest grid alone would miss the 1e-11 bound by about 1000x
         est, _ = lowest_levels(*pt_grid(n), 4)
-        assert_allclose([e.energy for e in est], PT_LEVELS, atol=1e-9, rtol=0)
+        assert_allclose([e.energy for e in est], PT_LEVELS, atol=1e-11, rtol=0)
         for e, exact in zip(est, PT_LEVELS):
-            assert abs(e.energy - exact) <= e.error < 1e-7
+            assert abs(e.energy - exact) <= e.error < 1e-9
 
     def test_gendenshtein_cross_check(self, gspec):
         grid = oracle_grid(gspec)
@@ -87,6 +87,32 @@ class TestNumerov:
         for e, x in zip(est, exact):
             assert abs(e.energy - x) <= e.error
 
+    def test_deep_well_keeps_guarded_start_grids(self, monkeypatch):
+        # a Poschl-Teller well of depth 6,480 on 16,385 points: the start-only
+        # 8h grid, h^2 (V_max - V_min)/12 = 0.21, is solved; the 16h grid, at
+        # 0.82, is not, though it keeps 1,023 interior samples
+        nu = 80.0
+        x = np.linspace(-20.0, 20.0, 16385)
+        sizes = []
+        solve = oracle._levels
+
+        def recorded(ham, count, starts=()):
+            sizes.append(len(ham.v))
+            return solve(ham, count, starts)
+
+        monkeypatch.setattr(oracle, "_levels", recorded)
+        est, _ = lowest_levels(-nu * (nu + 1) / np.cosh(x) ** 2, 40.0 / 16384, 4)
+        assert sizes == [2047, 4095, 8191, 16383]
+        assert_allclose([e.energy for e in est], [-(nu - n) ** 2 for n in range(4)], atol=1e-9, rtol=0)
+
+    def test_coarse_grid_breaks_the_guard(self):
+        # the same well on 1,025 points has h^2 (V_max - V_min)/12 = 0.82 on
+        # the grid itself, so Numerov's w_j could reach 0 above V_min
+        nu = 80.0
+        x = np.linspace(-20.0, 20.0, 1025)
+        with pytest.raises(StepFailure, match="must be below 0.5"):
+            lowest_levels(-nu * (nu + 1) / np.cosh(x) ** 2, 40.0 / 1024, 4)
+
     def test_insufficient_decay_rejected(self):
         # |V| is about 1 at x = +-2
         with pytest.raises(InsufficientDecay):
@@ -100,28 +126,39 @@ class TestNumerov:
         assert abs(est[0].energy + 0.64) < 1e-4
 
 
-def lapack_levels(diag, off2, count, end=0.0, first=0):
+def lapack_levels(diag, off2, count, first=0):
     """The independent reference: levels ``first`` to ``count - 1`` by LAPACK
-    Sturm bisection on the oracle's matrix, with ``end`` added to its first
-    and last diagonal entries."""
+    Sturm bisection on the tridiagonal matrix with diagonal ``diag`` and
+    off-diagonal -sqrt(off2)."""
     eigh_tridiagonal = pytest.importorskip("scipy.linalg").eigh_tridiagonal
-    diag = np.array(diag)
-    diag[[0, -1]] += end
     off = np.full(len(diag) - 1, -math.sqrt(off2))
-    return eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+    return eigh_tridiagonal(np.asarray(diag), off, eigvals_only=True, select="i",
                             select_range=(first, count - 1))
 
 
-def transparent_end(h2, e):
-    """-r/h^2 for the decaying exterior solution psi_(j-1) = r psi_j of the
-    3-point scheme at energy e < 0: r + 1/r = 2 - h^2 e, 0 < r < 1."""
-    s = -0.5 * h2 * e
+def transparent_end(h2, sigma):
+    """-r/h^2 for the decaying exterior solution y_(j-1) = r y_j of Numerov's
+    scheme where V = 0: there g = -e with e = sigma/(1 + h^2 sigma/12), and
+    r + 1/r = 2 - h^2 e, 0 < r < 1."""
+    s = -0.5 * h2 * sigma / (1.0 + h2 * sigma / 12.0)
     return -1.0 / (h2 * (1.0 + s + math.sqrt(s * (2.0 + s))))
 
 
-def frozen_level(ham, e, k):
-    """lambda_k(H(e)): level k of the Hamiltonian with its ends frozen at e."""
-    return lapack_levels(ham.diag, ham.off2, k + 1, transparent_end(ham.h2, e), first=k)[0]
+def numerov_diagonal(ham, sigma):
+    """The diagonal of Numerov's matrix T(sigma) of ``ham``,
+    2/h^2 + (V_j - sigma)/(1 - h^2 (V_j - sigma)/12), with the transparent
+    end term added to its first and last entries; its off-diagonal is
+    -sqrt(ham.off2)."""
+    f = np.array(ham.v) - sigma
+    diag = 2.0 / ham.h2 + f / (1.0 - ham.h2 * f / 12.0)
+    diag[[0, -1]] += transparent_end(ham.h2, sigma)
+    return diag
+
+
+def matrix_level(ham, sigma, k):
+    """lambda_k(T(sigma)): level k of Numerov's matrix at sigma.  It decreases
+    in sigma, and the oracle's level k is the sigma where it is 0."""
+    return lapack_levels(numerov_diagonal(ham, sigma), ham.off2, k + 1, first=k)[0]
 
 
 def milson(h0, kappa):
@@ -224,8 +261,10 @@ class PassCounter:
 
 
 def h_norm(ham):
-    """Gershgorin's bound on ||H||."""
-    return max(map(abs, ham.diag)) + 2.0 * math.sqrt(ham.off2)
+    """Gershgorin's bound on ||T(sigma)|| for sigma in [V_min, 0): each g_j is
+    largest at V_min and smallest at the ceiling."""
+    diag = np.concatenate([numerov_diagonal(ham, ham.bottom[0]), numerov_diagonal(ham, oracle._CEILING)])
+    return np.max(np.abs(diag)) + 2.0 * math.sqrt(ham.off2)
 
 
 def agreement_tol(ham, ref):
@@ -233,17 +272,17 @@ def agreement_tol(ham, ref):
 
 
 def assert_certified(ham, count, levels, bounds):
-    """The levels of ``ham`` against LAPACK on the same matrix: with its ends
-    frozen at a returned e, level k of H(e) is e; and
-    f(sigma) = lambda_k(H(sigma)) - sigma, which decreases, changes sign
-    within the certificate of e."""
+    """The levels of ``ham`` against LAPACK on the same matrix: Numerov's
+    matrix at a returned e has level k within roundoff of 0, and
+    f(sigma) = lambda_k(T(sigma)), which decreases, changes sign within the
+    certificate of e."""
     assert len(levels) == count
     roundoff = 2.0 * sys.float_info.epsilon * h_norm(ham)  # the reference's own
     for k, (e, w) in enumerate(zip(levels, bounds)):
-        assert abs(frozen_level(ham, e, k) - e) <= agreement_tol(ham, e)
+        assert abs(matrix_level(ham, e, k)) <= agreement_tol(ham, e)
         lo, hi = e - w - roundoff, min(e + w + roundoff, oracle._CEILING)
-        assert frozen_level(ham, lo, k) - lo >= -roundoff
-        assert frozen_level(ham, hi, k) - hi <= roundoff
+        assert matrix_level(ham, lo, k) >= -roundoff
+        assert matrix_level(ham, hi, k) <= roundoff
 
 
 class TestSineRitz:
@@ -299,24 +338,39 @@ class TestSineRitz:
         for cost in costs:
             assert 1 <= cost["_laguerre_pass"] <= 3 and cost["_count"] <= 2
 
+    @pytest.mark.parametrize("offset", [0.3, -0.3, 0.05])
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_failed_certificate_steps_on(self, monkeypatch, k, offset):
+        # a gap far too wide stops the iteration after its first step, before
+        # the level is within its certificate, so the certificate fails; the
+        # next step starts from the count that failed it, next to the level,
+        # not from a bisected midpoint (5 to 7 passes)
+        v, dx, _ = ritz_case("poschl-teller-4097")
+        ham = oracle._Hamiltonian(v.tolist(), dx)
+        levels, bounds = oracle._levels(ham, k + 1)
+        passes = PassCounter(monkeypatch)
+        x, w = oracle._isolate(ham, k, [ham.bottom, ham.top], levels[k] + offset, 1e12)
+        assert abs(x - levels[k]) <= w + bounds[k]
+        assert passes.calls["_laguerre_pass"] <= 4 and passes.calls["_count"] <= 4
+
     def test_error_adds_propagated_certificate(self):
         est, solved = chain_case("poschl-teller-4097")
         (e1, d1), (e2, d2), (e4, d4) = (
             (np.asarray(solved[s][3]), np.asarray(solved[s][4])) for s in (1, 2, 4)
         )
-        truncation = np.abs((64 * e1 - 20 * e2 + e4) / 45 - (4 * e1 - e2) / 3)
-        cert = (64 * d1 + 20 * d2 + d4) / 45
+        truncation = np.abs((1024 * e1 - 80 * e2 + e4) / 945 - (16 * e1 - e2) / 15)
+        cert = (1024 * d1 + 80 * d2 + d4) / 945
         assert_allclose([e.error for e in est], truncation + cert, rtol=1e-12)
         assert np.all(cert > 0)
 
     def test_sturm_count(self):
         # the count steps from k to k + 1 across level k, the e with
-        # lambda_k(H(e)) = e, found here by Brent's method on LAPACK's levels
+        # lambda_k(T(e)) = 0, found here by Brent's method on LAPACK's levels
         brentq = pytest.importorskip("scipy.optimize").brentq
         v, dx, count = ritz_case("poschl-teller-4097")
         ham = oracle._Hamiltonian(v.tolist(), dx)
         for k in range(count):
-            e = brentq(lambda x: frozen_level(ham, x, k) - x, ham.bottom[0], oracle._CEILING,
+            e = brentq(lambda x: matrix_level(ham, x, k), ham.bottom[0], oracle._CEILING,
                        xtol=1e-12)
             assert oracle._count(ham, e - 1e-6) == k
             assert oracle._count(ham, e + 1e-6) == k + 1
@@ -324,18 +378,15 @@ class TestSineRitz:
     @pytest.mark.parametrize("sigma", [-3.0, -0.3, -1e-2, -1e-4])
     def test_pass_derivatives(self, sigma):
         # s and t, ends included, against central differences of
-        # ln |det(H(sigma) - sigma)|, summed over the pivots of H(sigma) - sigma
-        # with both end entries in the matrix
+        # ln |det T(sigma)|, summed over the pivots of Numerov's matrix with
+        # both end entries in it
         v, dx, _ = ritz_case("gendenshtein-2.05-0")
         ham = oracle._Hamiltonian(v[::4].tolist(), 4 * dx)
 
         def ln_det(x):
-            diag = list(ham.diag)
-            diag[0] += transparent_end(ham.h2, x)
-            diag[-1] += transparent_end(ham.h2, x)
             q, total = math.inf, 0.0
-            for d in diag:
-                q = d - x - ham.off2 / q
+            for d in numerov_diagonal(ham, x).tolist():
+                q = d - ham.off2 / q
                 total += math.log(abs(q))
             return total
 
@@ -351,12 +402,12 @@ class TestSineRitz:
 
     @pytest.mark.parametrize("name", ["gendenshtein-2.05-0", "partner-7104"])
     def test_transparent_count(self, name):
-        # the count at sigma is the number of levels of H(sigma) below sigma
+        # the count at sigma is the number of negative levels of T(sigma)
         v, dx, _ = ritz_case(name)
         ham = oracle._Hamiltonian(v.tolist(), dx)
         for sigma in np.linspace(ham.bottom[0], -1e-3, 41).tolist() + [-1e-9, oracle._CEILING]:
-            below = lapack_levels(ham.diag, ham.off2, ham.top[1] + 1, transparent_end(ham.h2, sigma))
-            assert oracle._count(ham, sigma) == np.sum(below < sigma)
+            levels = lapack_levels(numerov_diagonal(ham, sigma), ham.off2, ham.top[1] + 1)
+            assert oracle._count(ham, sigma) == np.sum(levels < 0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_samples_rejected(self, bad):
@@ -396,7 +447,7 @@ class TestLevelReport:
         found, nodes, passed = LEVEL_CASES[case]
         # resolved levels, so the ladder stops at its first rung
         monkeypatch.setattr(verify.oracle, "lowest_levels", lambda values, dx, count, coarser: ([
-            oracle.EigenEstimate(energy=e, error=0.0, ratio=4.0) for e in found[:count]], ()))
+            oracle.EigenEstimate(energy=e, error=0.0, ratio=16.0) for e in found[:count]], ()))
         spec = gendenshtein_params(2.5, 0.5)
         if check == "spectrum":
             states = tuple(SimpleNamespace(energy=e, nodes=m) for e, m in zip(ANALYTIC, nodes))
