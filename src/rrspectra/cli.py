@@ -247,7 +247,7 @@ def _check_record(report, analytic_key: str, **extra) -> dict:
         if lv.nodes_analytic is not None:
             row.update(nodes_analytic=lv.nodes_analytic, nodes_numeric=lv.nodes_numeric)
         rows.append(row)
-    grid = report.grid and dict(zip(("x_max", "n", "dx"), report.grid))
+    grid = report.grid and {k: getattr(report.grid, k) for k in ("x_max", "t_max", "n", "dt")}
     return {"tol": report.tol, "passed": report.passed, "grid": grid, "levels": rows, **extra}
 
 
@@ -261,12 +261,14 @@ def _check_record(report, analytic_key: str, **extra) -> dict:
 # darboux and oracle).
 
 def _default_map(config: RunConfig):
-    """The eigenfunction map of ``spectrum``: the config's grid, or 4,096
-    points out to 1 past the smallest quarter where |V| < 1e-3 at both ends."""
+    """The eigenfunction grid of ``spectrum``, uniform in t = asinh eta: the
+    config's grid, or 4,096 points, out to x_max, 1 past the smallest
+    quarter where |V| < 1e-3 at both ends."""
     from . import geometry
 
     x_max = config.x_max or geometry.decay_x_max(config.spec, 1e-3) + 1.0
-    return geometry.VariableMap(config.spec.kappa_plus, x_max, config.n or 4096)
+    t_max = geometry.t_of_x(config.spec.kappa_plus, x_max)
+    return geometry.t_grid(x_max, t_max, config.n or 4096)
 
 
 def cmd_spectrum(config: RunConfig, args) -> tuple:
@@ -277,11 +279,13 @@ def cmd_spectrum(config: RunConfig, args) -> tuple:
     files = {"spectrum.json": _json(_spectrum_record(spectrum))}
     states = spectrum.states
     if states:
-        vmap = _default_map(config)
-        psis = geometry.sampled([spectral.normalized(spec, s) for s in states], vmap)
+        grid = _default_map(config)
+        solutions = [spectral.normalized(spec, s) for s in states]
+        psis = geometry.sampled(spec.kappa_plus, solutions, grid.etas)
         geometry.require_finite("eigenfunction", psis)
         header = "x," + ",".join("psi_%d" % s.n for s in states)
-        files["eigenfunctions.csv"] = _csv(header, [vmap.x_grid] + psis)
+        xs = map(geometry.liouville(spec.kappa_plus), grid.etas)  # non-uniform unless kappa = 1
+        files["eigenfunctions.csv"] = _csv(header, [xs] + psis)
     return files, True
 
 
@@ -337,7 +341,7 @@ def cmd_scan_nodeless(config: RunConfig, args) -> tuple:
 
 
 def cmd_partner(config: RunConfig, args) -> tuple:
-    from . import darboux, verify
+    from . import darboux, geometry, verify
 
     kind, m = config.partner_params()
     spectrum = spectral.enumerate_bound_spectrum(config.spec)
@@ -349,8 +353,9 @@ def cmd_partner(config: RunConfig, args) -> tuple:
     rungs = verify.oracle_map(
         config.spec, lambda etas: darboux.partner_potential(config.spec, seed, etas),
         config.x_max, config.n)
-    report, vmap, (v_parent, v_partner) = verify.verify_partner_levels(rungs, expected, args.tol)
-    files = {"partner.csv": _csv("x,V_parent,V_partner", [vmap.x_grid, v_parent, v_partner])}
+    report, rung = verify.verify_partner_levels(rungs, expected, args.tol)
+    xs = map(geometry.liouville(config.spec.kappa_plus), rung.grid.etas)
+    files = {"partner.csv": _csv("x,V_parent,V_partner", [xs, *rung.potentials])}
     if not expected:
         return files, True
     files["partner_verify.json"] = _json(_check_record(report, "expected"))
@@ -502,9 +507,9 @@ def main(argv=None) -> int:
         files, passed = COMMANDS[args.command](config, args)
     except (SpectraError, OverflowError) as exc:
         # an exact quantity beyond the double range (OverflowError) is a numeric
-        # failure; samples that are not finite, a map that cannot be built, or
-        # a potential that has not decayed, on a grid the config chose are that
-        # grid's fault
+        # failure; samples that are not finite, a t grid that is not strictly
+        # increasing or too coarse, or a potential that has not decayed, on a
+        # grid the config chose are that grid's fault
         if (isinstance(exc, (NonFiniteSamples, StepFailure, InsufficientDecay))
                 and (config.x_max, config.n) != (None, None)):
             exc = ConfigError("grid x_max=%s, n=%s: %s" % (config.x_max, config.n, exc))

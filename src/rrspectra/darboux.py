@@ -21,9 +21,9 @@ approximation: a closed form solves the canonical equation by construction,
 and the Liouville transformation in the derived convention turns that into
 -ff'' + V ff = e_f ff with the same V that :func:`geometry.potential`
 samples.  Finite differences appear only in tests.  The partner comes back
-as two lists of floats at the given eta points, ready for the oracle: V and
-w are sampled point by point, each closed form's coefficients taken once,
-so an oracle grid refined by halving samples its new points alone.
+as two lists of floats at the given eta points, each closed form's
+coefficients taken once; :func:`verify.oracle_map` turns them into the
+coupling Q + W (V_hat - V) that the oracle solves in t = asinh eta.
 """
 
 from __future__ import annotations

@@ -18,10 +18,10 @@ class RootOverflow(SpectraError):
 
 
 class StepFailure(SpectraError):
-    """The variable map could not be built or inverted (its Newton inverse did
-    not converge), :func:`geometry.decay_x_max` found no decayed potential,
-    or an oracle grid is too coarse for Numerov's scheme,
-    h^2 (V_max - V_min)/12 >= 1/2."""
+    """A t grid is not strictly increasing (its half-width is too small for
+    its point count in doubles), :func:`geometry.decay_x_max` found no
+    decayed potential, or an oracle grid is too coarse for Numerov's scheme,
+    h^2 max(Q - bottom W)/12 >= 1/2."""
 
 
 class BranchUndefined(SpectraError):
@@ -42,7 +42,8 @@ class InsufficientDecay(SpectraError):
 
 
 class NonFiniteSamples(SpectraError):
-    """Sampled values (a potential, or eta on the variable map) are NaN or infinite."""
+    """Sampled values (a potential, a weight or an eigenfunction) are NaN or
+    infinite, or eta = sinh t on a grid is past the double range."""
 
 
 class GridTooLarge(SpectraError):

@@ -15,27 +15,28 @@ take kappa as a float, ``spec.kappa_plus``.
 
 The spec record and the closed-form record :class:`~spectral.ClosedForm`
 come from :mod:`spectral`, which is exact; this module is where they meet
-floats, in plain floats with :mod:`math` and without numpy.  A
-:class:`VariableMap` holds the one uniform x grid (and its spacing ``dx``)
-that every sampled list lives on, and the eta table on it, as lists of
-floats.  The map's Newton inverse (:func:`_inverse`) and :func:`sampled`,
-which samples eigenfunctions, work on floats.  :func:`liouville`,
-:func:`potential` and :func:`log_derivative` return x, the potential and the
-log-derivative of a closed form as functions of eta, with their constants
-and coefficient lists taken once, and :func:`on_grid` samples such a
-function on the eta table for :mod:`verify` and :mod:`darboux`, which feed
-the oracle.  :func:`decay_x_max` is the one scan for where |V| has decayed,
-which cuts every box: the ``spectrum`` grid and the oracle's.  The closed
-forms built from arithmetic alone (:func:`eta_prime`, :func:`schwarzian_eval`
-and the functions that :func:`potential` and :func:`log_derivative` return)
-also take a numpy array through the same code, which the tests use.
+floats, in plain floats with :mod:`math` and without numpy.  Every grid is
+a :class:`TGrid`, uniform in t = asinh eta, where eta = sinh t and
+x = X(t) (:func:`liouville`) are explicit, so no map is inverted.  In t the
+Schroedinger equation is Scarf II with a weight, and
+:func:`weighted_scarf` gives its coefficients for the oracle.
+:func:`sampled` samples eigenfunctions at the eta points.
+:func:`liouville`, :func:`potential` and :func:`log_derivative` return x,
+the potential and the log-derivative of a closed form as functions of eta,
+with their constants and coefficient lists taken once, and :func:`on_grid`
+samples such a function for :mod:`darboux`.  :func:`decay_x_max` is the
+one scan for where |V| has decayed, which cuts every box: the ``spectrum``
+grid and the oracle's.  The closed forms built from arithmetic alone
+(:func:`eta_prime`, :func:`schwarzian_eval` and the functions that
+:func:`potential` and :func:`log_derivative` return) also take a numpy
+array through the same code, which the tests use.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import sys
+from typing import NamedTuple
 
 from .errors import NonFiniteSamples, StepFailure
 from .spectral import ClosedForm, PotentialSpec, linspace
@@ -91,129 +92,79 @@ def eta_prime(kappa: float, eta):
     return (1.0 + e2) / (e2 + kappa) ** 0.5
 
 
-class VariableMap:
-    """The monotone bijection x <-> eta generated by eta' = (1+eta^2)/sqrt(T).
+class TGrid(NamedTuple):
+    """``n`` points t_j = ``linspace(-t_max, t_max, n)`` of t = asinh eta
+    (:func:`spectral.linspace`), their spacing ``dt`` and eta_j = sinh t_j,
+    as lists of floats; t_max is :func:`t_of_x` of ``x_max``."""
 
-    Anchored at eta(0) = 0.  x(eta) is the closed form :func:`liouville`
-    and eta(x) its Newton inverse (:func:`_inverse`), defined on the whole
-    line.  ``x_grid`` is the uniform grid of spacing ``dx`` from -x_max to
-    x_max, :func:`spectral.linspace`, which is ``numpy.linspace`` bit for bit;
-    ``eta_grid`` is the table of eta on it and must come out strictly
-    increasing.  Both are lists of floats.  The tangent polynomial is
-    symmetric, so the map is odd.  A map built from a ``coarse`` one, with
-    2n - 1 points for its n on the same x_max, keeps its table as the even
-    points (see :meth:`_eta_table`).  The tests check both directions against
-    an independent ODE solve and quadrature.
-    """
-
-    def __init__(self, kappa: float, x_max: float, n_points: int, coarse=None):
-        if x_max <= 0:
-            raise ValueError("x_max must be positive")
-        if n_points < 64:
-            raise ValueError("need at least 64 grid points")
-        if coarse is not None and (coarse.kappa, coarse.x_max, 2 * coarse.n_points - 1) != (
-                kappa, float(x_max), n_points):
-            raise ValueError("a refined map halves the spacing of its coarse map")
-        self.kappa = kappa
-        self.x_max = float(x_max)
-        self.n_points = int(n_points)
-        self.dx = (self.x_max + self.x_max) / (self.n_points - 1)
-        self.x_grid = linspace(-self.x_max, self.x_max, self.n_points)
-        self.eta_grid = self._eta_table(coarse)
-        if not all(map(operator.lt, self.eta_grid, self.eta_grid[1:])):
-            raise StepFailure("variable map table is not strictly increasing")
-
-    def _eta_table(self, coarse) -> list:
-        """eta on ``x_grid``: :func:`_inverse` on the upper half, from the
-        middle point outward.  The map is odd, so a lower point is its negated
-        upper mirror, moved by eta' times the rounding difference between its
-        x and the mirror's negated x (zero for most points): the error of that
-        first-order step is of the order of the square of an ulp.  Samples
-        past the double range raise :class:`NonFiniteSamples` with their
-        count.
-
-        A map refined from a ``coarse`` one, at half its spacing, keeps its
-        table as the even points: ``linspace(-X, X, 2n - 1)[::2]`` is
-        ``linspace(-X, X, n)`` bit for bit, since the halved step is exact.
-        Only the odd points are solved, by the same inverse and mirror step.
-        """
-        xs, n = self.x_grid, self.n_points
-        rk = math.sqrt(self.kappa)
-        hypot = math.hypot
-        mid = n // 2
-        etas = [None] * n  # None: eta overflows
-        if coarse is None:
-            start, stride, lower = mid, 1, range(mid)
-        else:
-            etas[::2] = coarse.eta_grid
-            start, stride, lower = mid | 1, 2, range(1, mid, 2)
-        upper = _inverse(self.kappa, xs[start::stride])
-        etas[start:start + stride * len(upper):stride] = upper
-        for i in lower:
-            j = n - 1 - i
-            eta = etas[j]
-            if eta is not None:
-                c = hypot(eta, 1.0)  # eta' = c^2 / hypot(eta, sqrt(kappa)) < inf
-                etas[i] = (xs[i] + xs[j]) * (c * (c / hypot(eta, rk))) - eta
-        bad = etas.count(None)
-        if bad:
-            raise NonFiniteSamples("%d of %d eta samples overflow the double range" % (bad, n))
-        return etas
+    x_max: float
+    t_max: float
+    n: int
+    dt: float
+    ts: list
+    etas: list
 
 
-def _inverse(kappa: float, xs) -> list:
-    """eta at the increasing points ``xs`` by Newton's method in s = asinh eta,
-    up to the first point whose eta is past the double range (|s| > 710.47).
-
-    The slope dx/ds = sqrt((eta^2+kappa)/(eta^2+1)) runs monotonically
-    from sqrt(kappa) at s = 0 to 1 at infinity, so x(s) is concave on s > 0
-    for kappa > 1 and convex for kappa < 1.  The first solve starts from
-    s = x / sqrt(max(1, kappa)), which never overshoots the root, and
-    the iterates approach it monotonically (for kappa < 1 after the first
-    step).  Each later solve starts from the cubic extrapolation of the roots
-    before it (from the last root while there are fewer than four).  A solve
-    stops once a step is below 1e-14 relative to s, or once x(eta) is within
-    four ulps of x (where |x| >> |s|, at kappa far above 1, a step below
-    1e-14 s is below the rounding of x(eta) - x, and the steps would cycle),
-    after one polishing step, and raises :class:`StepFailure` if neither
-    happens.  An eta past the double range shows as ``OverflowError`` from
-    ``math.sinh``, or as an s made infinite or NaN by an iterate that
-    overflowed on the way; it and the points after it, where eta is larger
-    still, are left out.
-    """
+def t_of_x(kappa: float, x: float) -> float:
+    """The t > 0 with X(sinh t) = ``x`` > 0, by bisection on the explicit
+    :func:`liouville` to adjacent doubles (the upper one).  An ``x`` past X
+    at every t where sinh t and X are finite raises :class:`NonFiniteSamples`."""
     x_of = liouville(kappa)
-    rk = math.sqrt(kappa)
-    sinh, hypot, isfinite = math.sinh, math.hypot, math.isfinite
-    four_ulps = 4.0 * sys.float_info.epsilon
-    etas = []
-    s1 = s2 = s3 = s4 = 0.0  # s1 is the last root, s4 the fourth last
-    for k, x in enumerate(xs):
-        if k >= 4:
-            s = 4.0 * (s1 + s3) - 6.0 * s2 - s4
-        elif k:
-            s = s1
-        else:
-            s = x / math.sqrt(max(1.0, kappa))
-        done = False
+
+    def x_at(t):
         try:
-            for _ in range(60):
-                eta = sinh(s)
-                miss = x_of(eta) - x
-                step = miss * hypot(eta, 1.0) / hypot(eta, rk)
-                s -= step
-                if done:
-                    break
-                done = abs(step) <= 1e-14 * abs(s) or abs(miss) <= four_ulps * abs(x)
-            else:
-                if isfinite(s):
-                    raise StepFailure("variable-map inversion did not converge")
-            if not isfinite(s):
-                break  # an inf or NaN on the way
-            etas.append(sinh(s))
-        except OverflowError:
-            break
-        s4, s3, s2, s1 = s3, s2, s1, s
-    return etas
+            return x_of(math.sinh(t))
+        except OverflowError:  # eta past the double range
+            return math.inf
+
+    lo, hi = 0.0, 1.0
+    while x_at(hi) < x:
+        lo, hi = hi, 2.0 * hi
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        lo, hi = (lo, mid) if x_at(mid) >= x else (mid, hi)
+        mid = 0.5 * (lo + hi)
+    if x_at(hi) == math.inf:
+        raise NonFiniteSamples("eta samples overflow the double range before x = %g" % x)
+    return hi
+
+
+def t_grid(x_max: float, t_max: float, n: int) -> TGrid:
+    """The :class:`TGrid` of ``n`` points on [-t_max, t_max].  One that is not
+    strictly increasing (t_max too small for ``n`` doubles) raises
+    :class:`StepFailure`, and eta past the double range
+    :class:`NonFiniteSamples`."""
+    ts = linspace(-t_max, t_max, n)
+    if not all(map(operator.lt, ts, ts[1:])):
+        raise StepFailure("a t grid of %d points on [-%g, %g] is not strictly increasing"
+                          % (n, t_max, t_max))
+    try:
+        etas = list(map(math.sinh, ts))
+    except OverflowError:
+        raise NonFiniteSamples("eta samples overflow the double range on [-%g, %g]"
+                               % (t_max, t_max)) from None
+    return TGrid(float(x_max), t_max, n, (t_max + t_max) / (n - 1), ts, etas)
+
+
+def weighted_scarf(spec: PotentialSpec):
+    """(Q, W) as a function of a float t: with x = X(t) and
+    phi = X'^(-1/2) psi, -psi_xx + V psi = e psi reads -phi_tt + Q phi = e W phi,
+
+        Q = W V - {X, t}/2 = -(Re h0 + 3/4 - Im h0 sinh t) sech^2 t,
+        W = X'^2 = 1 + (kappa - 1) sech^2 t.
+
+    So Q is the Gendenshtein (Scarf II) potential for every kappa, which
+    enters through the weight alone; at kappa = 1, t = x and Q = V.  Both
+    come from sech t and tanh t and never overflow while cosh t is finite.
+    """
+    c0, c1 = spec.h0.real + 0.75, spec.h0.imag
+    k1 = spec.kappa_plus - 1.0
+    cosh, tanh = math.cosh, math.tanh
+
+    def q_w(t):
+        s = 1.0 / cosh(t)
+        return (c1 * tanh(t) - c0 * s) * s, 1.0 + k1 * s * s
+    return q_w
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +277,9 @@ def on_grid(f, etas) -> list:
     return out
 
 
-def sampled(solutions, vmap: VariableMap) -> list:
-    """psi = (eta')^(-1/2) Phi(eta(x)) of each closed form in ``solutions`` on
-    the map grid, one list of floats per solution.
+def sampled(kappa: float, solutions, etas) -> list:
+    """psi = (eta')^(-1/2) Phi(eta) of each closed form in ``solutions`` at
+    the floats ``etas``, one list of floats per solution.
 
     Phi = scale * exp(p log(1+eta^2) + q atan eta) * R(eta), the gauge
     (1+eta^2)^p exp(q atan eta) taken as one exponential.  The logarithm, the
@@ -337,7 +288,6 @@ def sampled(solutions, vmap: VariableMap) -> list:
     divides by zero is NaN, as it would be in IEEE arithmetic, for
     :func:`require_finite` to count.
     """
-    kappa, etas = vmap.kappa, vmap.eta_grid
     exp, sqrt, nan = math.exp, math.sqrt, math.nan
     logs = [math.log1p(e * e) for e in etas]
     atans = list(map(math.atan, etas))

@@ -4,14 +4,16 @@ tridiagonal Numerov matrix with one end condition, transparent ends, and one
 iteration, Laguerre steps, and certifies each level by Sturm counts.
 
 Nothing in this module knows about the analytic machinery it is used to
-check; it sees only a potential sampled on a uniform grid, as a sequence of
-floats, and its spacing.  Units are hbar = 2m = 1 so the eigenproblem reads
--psi'' + V psi = e psi.
+check; it sees only the samples of a potential Q and a positive weight W on
+a uniform grid, as sequences of floats, and its spacing.  Units are
+hbar = 2m = 1 so the eigenproblem reads -phi'' + Q phi = e W phi; with
+W = 1 it is -psi'' + V psi = e psi.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from itertools import islice
 from typing import NamedTuple
@@ -47,31 +49,32 @@ _CERT_NORM = 4.0  # ... or in units of eps * ||T||, whichever is wider
 _LAGUERRE_STEPS = 40  # Laguerre passes a level may take before it only bisects
 _COARSEST = 512  # fewest interior samples of a grid that only supplies starting values
 _CEILING = -1e-14  # highest level solved with transparent ends: rho is not real at e >= 0
-_GUARD = 0.5  # largest h^2 (V_max - V_min) / 12 of a grid, so that w_j > 1/2
+_GUARD = 0.5  # largest h^2 max_j(Q_j - bottom W_j) / 12 of a grid, so that w_j > 1/2
 
 
-# Numerov's scheme (Numerov, MNRAS 84, 1924, 592) for -psi'' + (V - e) psi = 0
-# on N interior samples, written in y_j = w_j psi_j with
-# w_j = 1 - h^2 (V_j - sigma)/12, is the symmetric tridiagonal matrix T(sigma)
-# with diagonal 2/h^2 + g_j(sigma), g_j = (V_j - sigma)/w_j, and off-diagonal
-# -1/h^2 (off2 = 1/h^4 is its square); a level is a sigma with T(sigma)
-# singular.  One pass of the pivot recurrence q_i = 2/h^2 + g_i - off2/q_(i-1)
-# of the LDL^T factorization of T(sigma) gives the Sturm count, the number of
+# Numerov's scheme (Numerov, MNRAS 84, 1924, 592) for -phi'' + (Q - e W) phi = 0
+# on N interior samples, written in y_j = w_j phi_j with a_j = Q_j - sigma W_j
+# and w_j = 1 - h^2 a_j/12, is the symmetric tridiagonal matrix T(sigma) with
+# diagonal 2/h^2 + g_j(sigma), g_j = a_j/w_j, and off-diagonal -1/h^2
+# (off2 = 1/h^4 is its square); a level is a sigma with T(sigma) singular.
+# One pass of the pivot recurrence q_i = 2/h^2 + g_i - off2/q_(i-1) of the
+# LDL^T factorization of T(sigma) gives the Sturm count, the number of
 # negative pivots (Kahan 1966).  Tiny pivots are replaced by -pivmin as in
-# LAPACK stebz.  g_j' = -1/w_j^2 < 0, so T(sigma) decreases in the Loewner
-# order and the count, the number of levels below sigma, is monotone.  While
-# every w_j > 0 for sigma >= V_min, T(V_min) is positive definite and counts
-# 0 there; the grid guard h^2 (V_max - V_min)/12 < 1/2 keeps w_j > 1/2.
+# LAPACK stebz.  g_j' = -W_j/w_j^2 < 0, so T(sigma) decreases in the Loewner
+# order and the count, the number of levels below sigma, is monotone.  At
+# the bottom, min(0, min_j Q_j/W_j), every a_j >= 0, so T is positive
+# definite and counts 0 there; the grid guard h^2 max_j(Q_j - bottom W_j)/12
+# < 1/2 keeps w_j > 1/2 for every sigma from the bottom to 0.
 # The same pass differentiates the recurrence in sigma (Li & Zeng, SIAM J.
 # Sci. Comput. 15, 1994): with p_i = off2/q_(i-1),
 # u_i = q_i'/q_i = (p_i u_(i-1) + g_i')/q_i and
 # r_i = q_i''/q_i = (p_i (r_(i-1) - 2 u_(i-1)^2) + g_i'')/q_i, where
-# g' = -1/w^2 and g'' = (h^2/6)/w^3, and since det T(sigma) = prod q_i,
+# g' = -W/w^2 and g'' = (h^2/6) W^2/w^3, and since det T(sigma) = prod q_i,
 #     s = -(ln det)' = -sum u_i,   t = -(ln det)'' = sum (u_i^2 - r_i).
 #
 # Transparent ends (Arnold, VLSI Design 6, 1998; Ehrhardt & Arnold, Riv. Mat.
 # Univ. Parma, 2001) take the ghost value outside each end from the exact
-# discrete solution where V = 0.  There w is constant, so psi and y decay
+# discrete solution where Q = 0 and W = 1.  There w is constant, so phi and y decay
 # alike, g = -e with e = sigma/(1 + h^2 sigma/12), and y_(j-1) = rho y_j with
 # rho + 1/rho = 2 - h^2 e and 0 < rho < 1, so the first and last diagonal
 # entries gain end(sigma) = -rho(e)/h^2.  e increases with sigma and the end
@@ -101,30 +104,36 @@ def _ends(h2: float, sigma: float) -> tuple:
 
 
 class _Hamiltonian:
-    """Numerov's matrix on the interior of the samples ``v`` (the end samples
-    are ghosts): the interior samples ``v``, two = 2/h^2, c = h^2/12,
-    off2 = 1/h^4, h2 = h^2 and the certificate's floor 4 eps ||T||, with
-    ||T|| at most 4/h^2 + (V_max - V_min)/(1 - h^2 (V_max - V_min)/12) for
-    sigma in [V_min, 0].  ``bottom`` and ``top`` are the (sigma, count) pairs
-    that bracket every level: none lies below V_min, where every g_j >= 0,
-    and ``top`` is the Sturm count at the ceiling.  A grid that breaks the
-    guard h^2 (max(V_max, 0) - V_min)/12 < 1/2 raises :class:`StepFailure`
-    before any count."""
+    """Numerov's matrix on the interior samples ``q`` and ``w`` of Q and W
+    (the end samples are ghosts), held for the passes as r_j = Q_j/W_j,
+    d_j = (1 - c Q_j)/W_j and 1/W_j: g_j = (r_j - sigma)/(d_j + c sigma) and
+    W_j/w_j = 1/(d_j + c sigma).  two = 2/h^2, c = h^2/12, off2 = 1/h^4,
+    h2 = h^2, and the certificate's floor 4 eps ||T||, ||T|| at most
+    4/h^2 + max |g_j| for sigma from the bottom to 0.  ``bottom`` and ``top``
+    are the (sigma, count) pairs that bracket every level: none lies below
+    min(0, min_j r_j), where every g_j >= 0, and ``top`` is the Sturm count
+    at the ceiling.  A grid that breaks the guard (:data:`_GUARD`) raises
+    :class:`StepFailure` before any count."""
 
-    def __init__(self, v, dx: float):
+    def __init__(self, q, w, dx: float):
         h2 = dx * dx
-        interior = v[1:-1]
-        low = min(interior)
-        stiff = h2 * (max(0.0, max(interior)) - low) / 12.0
+        c = h2 / 12.0
+        self.q, self.w = q, w = q[1:-1], w[1:-1]
+        self.r = list(map(operator.truediv, q, w))
+        low = min(0.0, min(self.r))
+        span = max(x - low * y for x, y in zip(q, w))  # largest a_j from the bottom to 0
+        stiff = c * span
         if not stiff < _GUARD:
-            raise StepFailure("a Numerov grid of spacing %.6g has h^2 (V_max - V_min)/12 = %.3g;"
+            raise StepFailure("a Numerov grid of spacing %.6g has h^2 max(Q - bottom W)/12 = %.3g;"
                               " it must be below %g" % (dx, stiff, _GUARD))
-        self.v = interior
+        self.d = [(1.0 - c * x) / y for x, y in zip(q, w)]
+        self.iw = [1.0 / y for y in w]
         self.two = 2.0 / h2
-        self.c = h2 / 12.0
+        self.c = c
         self.off2 = 1.0 / (h2 * h2)
         self.h2 = h2
-        self.floor = _CERT_NORM * sys.float_info.epsilon * (4.0 + 12.0 * stiff / (1.0 - stiff)) / h2
+        g_max = max(span / (1.0 - stiff), -min(0.0, min(q)))  # and |a_j| <= -min Q where a_j < 0
+        self.floor = _CERT_NORM * sys.float_info.epsilon * (4.0 / h2 + g_max)
         self.bottom = (low, 0)
         self.top = (_CEILING, _count(self, _CEILING))
 
@@ -132,27 +141,26 @@ class _Hamiltonian:
 def _count(ham: _Hamiltonian, sigma: float) -> int:
     """The Sturm count of ``sigma``: the levels below it."""
     end = _ends(ham.h2, sigma)[0]
-    v, two, c, off2 = ham.v, ham.two, ham.c, ham.off2
-    cs1 = 1.0 + c * sigma  # w_j = cs1 - c V_j
+    rs, ds, two, off2 = ham.r, ham.d, ham.two, ham.off2
+    cs = ham.c * sigma
     pivmin = off2 * sys.float_info.min
     count = 0
     q = -off2 / end
-    for x in islice(v, len(v) - 1):
-        q = two + (x - sigma) / (cs1 - c * x) - off2 / q
+    for x, y in zip(islice(rs, len(rs) - 1), ds):
+        q = two + (x - sigma) / (y + cs) - off2 / q
         if q < pivmin:
             count += 1
             if q > -pivmin:
                 q = -pivmin
-    x = v[-1]
-    return count + (two + (x - sigma) / (cs1 - c * x) + end - off2 / q < pivmin)
+    return count + (two + (rs[-1] - sigma) / (ds[-1] + cs) + end - off2 / q < pivmin)
 
 
 def _laguerre_pass(ham: _Hamiltonian, sigma: float) -> tuple:
     """(count, s, t): the Sturm count of ``sigma``, s = -(ln det T(sigma))'
     and t = -(ln det T(sigma))''."""
     end, end1, end2 = _ends(ham.h2, sigma)
-    v, two, c, off2 = ham.v, ham.two, ham.c, ham.off2
-    cs1, c2 = 1.0 + c * sigma, 2.0 * c
+    rs, ds, iws, two, off2 = ham.r, ham.d, ham.iw, ham.two, ham.off2
+    cs, c2 = ham.c * sigma, 2.0 * ham.c
     pivmin = off2 * sys.float_info.min
     count = 0
     # iq = 1/q, and a = r - u^2, so that s sums -u and t sums -a
@@ -160,8 +168,8 @@ def _laguerre_pass(ham: _Hamiltonian, sigma: float) -> tuple:
     uu = u * u
     a = uu - end2 / end
     s = t = 0.0
-    for x in islice(v, len(v) - 1):
-        iw = 1.0 / (cs1 - c * x)
+    for x, y, iy in zip(islice(rs, len(rs) - 1), ds, iws):
+        iw = 1.0 / (y + cs)  # W/w
         p = off2 * iq
         q = two + (x - sigma) * iw - p
         if q < pivmin:
@@ -169,22 +177,21 @@ def _laguerre_pass(ham: _Hamiltonian, sigma: float) -> tuple:
             if q > -pivmin:
                 q = -pivmin
         iq = 1.0 / q
-        g1 = iw * iw  # -g'; g'' = 2c/w^3
+        g1 = iy * iw * iw  # -g' = W/w^2; g'' = 2c W^2/w^3
         a = (p * (a - uu) + c2 * iw * g1) * iq
         u = (p * u - g1) * iq
         uu = u * u
         a -= uu
         s += u
         t += a
-    x = v[-1]
-    iw = 1.0 / (cs1 - c * x)
+    iw = 1.0 / (ds[-1] + cs)
     p = off2 * iq
-    q = two + (x - sigma) * iw + end - p
+    q = two + (rs[-1] - sigma) * iw + end - p
     if q < pivmin:
         count += 1
         if q > -pivmin:
             q = -pivmin
-    g1 = iw * iw
+    g1 = iws[-1] * iw * iw
     r = (p * (a - uu) + c2 * iw * g1 + end2) / q
     u = (p * u - g1 + end1) / q
     return count, -s - u, u * u - r - t
@@ -229,7 +236,7 @@ def _isolate(ham, k, seen, start, gap):
     After :data:`_LAGUERRE_STEPS` passes bisection alone finishes the level.
     ``gap``, the distance from ``start`` to the nearest other level or
     threshold, scales the error left by the first step."""
-    n = len(ham.v)
+    n = len(ham.r)
     x, last, passes, bisect = start, 0.0, 0, False
     while True:
         (lo, c_lo), (hi, c_hi) = _bracket(seen, k)
@@ -313,22 +320,23 @@ def _predicted(solved: list) -> list:
     return list(solved[0]) if solved else []
 
 
-def lowest_levels(values, dx: float, count: int, *, coarser: tuple = ()) -> tuple:
+def lowest_levels(values, weights, dx: float, count: int, *, coarser: tuple = ()) -> tuple:
     """(estimates, grids): the lowest ``count`` eigenvalues of
-    -psi'' + V psi = e psi for the samples ``values`` of V on a uniform grid
-    of spacing ``dx``, as :class:`EigenEstimate` records, and every grid
-    solved for them, coarsest first, as :class:`Grid` records.
+    -phi'' + Q phi = e W phi for the samples ``values`` of Q and ``weights``
+    of W > 0 (1 for -psi'' + V psi = e psi) on a uniform grid of spacing
+    ``dx``, as :class:`EigenEstimate` records, and every grid solved for
+    them, coarsest first, as :class:`Grid` records.
 
-    The ends are transparent, exact where V = 0 outside the grid, so the
-    potential must decay at both (|V| < 1e-2, else :class:`InsufficientDecay`)
-    and only levels below -1e-14 are returned.  Samples that are NaN or
-    infinite raise :class:`NonFiniteSamples`.
+    The ends are transparent, exact where Q = 0 and W = 1 outside the grid,
+    so the problem must decay at both (|Q| and |W - 1| below 1e-2, else
+    :class:`InsufficientDecay`) and only levels below -1e-14 are returned.
+    Samples that are NaN or infinite raise :class:`NonFiniteSamples`.
 
     Numerov's matrix is solved on the grid and on its 2:1 and 4:1
     subsamples, each level by Laguerre steps certified by Sturm counts (see
     :func:`_levels`), and two Richardson steps cancel the h^4 and h^6 error
     terms: (1024 E_h - 80 E_2h + E_4h) / 945.  Each of these three grids must
-    keep h^2 (V_max - V_min)/12 below 1/2, so that Numerov's denominators
+    keep the guard of :class:`_Hamiltonian`, so that Numerov's denominators
     w_j stay above 1/2; one that does not raises :class:`StepFailure`.  Every
     sample is solved; where n - 1 is not a multiple of 4 the subsamples end
     short of the last sample.  A level is returned only where all three
@@ -340,36 +348,38 @@ def lowest_levels(values, dx: float, count: int, *, coarser: tuple = ()) -> tupl
     and each grid for as many of the ``count`` levels as it has below the
     ceiling.
 
-    ``coarser``, the grids returned for the samples ``values[::2]`` at
-    spacing 2 dx (n - 1 must then be a multiple of 4, so that they are the
-    2:1 and 4:1 subsamples), are taken as solved: only the grid itself is
-    solved, from their prediction, and the grids returned are theirs plus it.
+    ``coarser``, the grids returned for the samples ``[::2]`` at spacing
+    2 dx (n - 1 must then be a multiple of 4, so that they are the 2:1 and
+    4:1 subsamples), are taken as solved: only the grid itself is solved,
+    from their prediction, and the grids returned are theirs plus it.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    v = list(map(float, values))
-    bad = len(v) - sum(map(math.isfinite, v))
+    v, w = list(map(float, values)), list(map(float, weights))
+    bad = 2 * len(v) - sum(map(math.isfinite, v + w))
     if bad:
-        raise NonFiniteSamples("%d of %d potential samples are NaN or infinite" % (bad, len(v)))
-    if abs(v[0]) >= 1e-2 or abs(v[-1]) >= 1e-2:
+        raise NonFiniteSamples("%d of %d samples of Q and W are NaN or infinite"
+                               % (bad, 2 * len(v)))
+    if max(abs(v[0]), abs(v[-1]), abs(w[0] - 1.0), abs(w[-1] - 1.0)) >= 1e-2:
         raise InsufficientDecay(
-            "potential ends at (%.3g, %.3g); need |V| < 1e-2" % (v[0], v[-1])
+            "potential ends at (%.3g, %.3g) and weight at (%.3g, %.3g); need |Q| and |W - 1| < 1e-2"
+            % (v[0], v[-1], w[0], w[-1])
         )
     if coarser and (len(v) - 1) % 4:
         raise ValueError("a refined grid needs n - 1 a multiple of 4")
     count = min(count, (len(v) - 1) // 4 - 1)  # interior size of the 4h grid
     if count < 1:
         return [], ()
-    samples = [v] if coarser else [v, v[::2], v[::4]]
-    grids = [_Hamiltonian(g, dx * 2 ** i) for i, g in enumerate(samples)]
+    samples = [(v, w)] if coarser else [(v, w), (v[::2], w[::2]), (v[::4], w[::4])]
+    grids = [_Hamiltonian(*g, dx * 2 ** i) for i, g in enumerate(samples)]
     # so no level above the ceiling is solved
     kept = min(count, *(ham.top[1] for ham in grids), *(g.top for g in coarser[-2:]))
     if kept == 0:
         return [], ()
-    while not coarser and len(samples[-1]) // 2 - 1 >= max(_COARSEST, 2 * kept):
-        coarse = samples[-1][::2]
+    while not coarser and len(samples[-1][0]) // 2 - 1 >= max(_COARSEST, 2 * kept):
+        coarse = samples[-1][0][::2], samples[-1][1][::2]
         try:
-            grids.append(_Hamiltonian(coarse, dx * 2 ** len(grids)))
+            grids.append(_Hamiltonian(*coarse, dx * 2 ** len(grids)))
         except StepFailure:  # too coarse for the guard, and so for useful starts
             break
         samples.append(coarse)

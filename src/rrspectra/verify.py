@@ -3,57 +3,69 @@
 Shared by the command-line front end and the acceptance suite.  The bound
 spectrum and Darboux partners share one grid rule, :func:`oracle_map`, one
 oracle, :func:`oracle.lowest_levels`, and one comparison, which gives a
-:class:`LevelCheck` per level and one pass rule.  The oracle sees the sampled
-potential, a list of floats, and the map's spacing alone (no analytic
-seeding), so the comparison stays independent of the result it checks.
-Nothing here loads numpy.
+:class:`LevelCheck` per level and one pass rule.  The oracle sees Q and W of
+:func:`geometry.weighted_scarf`, lists of floats, and the spacing of the t
+grid alone (no analytic seeding), so the comparison stays independent of
+the result it checks.  Nothing here loads numpy.
 
 The oracle solves on a ladder of nested grids, coarse to fine, and stops at
 the first rung on which every level is resolved: found, with an error
-budget (its error estimate plus |V| at the box ends) at most tol |E| / 10,
+budget (its error estimate plus |Q| at the box ends) at most tol |E| / 10,
 and an observed-order ratio (E_2h - E_4h) / (E_h - E_2h) in [14, 19.2],
 around the 16 of Numerov's fourth-order scheme.
 Rung 0 has 4 times the spacing of the cap, and each rung halves the spacing
 of the one before, so the grids a rung solved are the next rung's 2:1 and
 4:1 subsamples and each refinement solves one new grid.  The cap is the
-spacing rule min(0.012, 0.1/sqrt|V_min|) on the rung's own samples; a rung
-above 2^20 points is refused.  A given point count is the one rung; one too
-coarse for Numerov's scheme raises StepFailure (see oracle.lowest_levels).
+spacing rule min(0.012, 0.1/sqrt|V_min|) on the rung's own samples, with
+|V_min| read as -min(0, min Q/W) max W; a rung above 2^20 points is refused.
+A given point count is the one rung; one too coarse for Numerov's scheme
+raises StepFailure (see oracle.lowest_levels).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 from . import geometry, oracle
 from .errors import GridTooLarge
-from .geometry import VariableMap
 from .spectral import MAX_COUNT, PotentialSpec, enumerate_bound_spectrum
 
 
 _DECAY = 1e-12  # |V| at the ends of an oracle box, where its ends are transparent
 _SPACING = 0.012  # widest oracle spacing ...
-_DEPTH_SPACING = 0.1  # ... or h sqrt|V_min| at most, for deeper wells
-# Observed-order ratios, 16 (1 - 1/8) to 16 (1 + 1/5): on rung 0 of the 48
-# seeded oracle_verify configs of seeds 1001, 4242, 5077, 7, 99 and 31337 they
-# are 16.04-16.96 but for one near-threshold partner level (23.0), on the
-# deciding rungs of Gendenshtein (16.2, 0.7), (30.3, 0.7), 2.0001 and 2.00001
-# 16.01-16.58, and 18.85 for the m = 8 Milson kappa 0.05 partner's ground
-# state; the Milson kappa 0.05 ground state (1015, -38 and -46 at the cap)
-# lies far outside.
+_DEPTH_SPACING = 0.1  # ... or h sqrt(depth) at most, for deeper wells
+# Observed-order ratios, 16 (1 - 1/8) to 16 (1 + 1/5): on the deciding rungs
+# of the 800 seeded oracle_verify commands of seeds 1-100 they are
+# 16.01-18.20, of Gendenshtein (16.2, 0.7), (30.3, 0.7), 2.0001 and 2.00001
+# 16.01-16.58, and of Milson 7.75+3i, kappa 0.05 and its m = 8 partner
+# 16.09-16.21, at --tol 1e-4.
 _BAND = (14.0, 19.2)
 
 
-def _cap_intervals(x_max: float, columns) -> int:
-    """The intervals on [-x_max, x_max] at spacing
-    h = min(0.012, 0.1/sqrt|V_min|), V_min the deepest sample of the
-    finite ``columns``."""
-    depth = -min(map(min, columns), default=0.0)
+class Rung(NamedTuple):
+    """One rung of the oracle's ladder: its :class:`geometry.TGrid`, W on it,
+    the couplings (Q, then Q_hat for a partner), the last of which the
+    oracle solves, and a partner's (V, V_hat), or ()."""
+    grid: geometry.TGrid
+    weights: list
+    couplings: list
+    potentials: tuple
+
+
+def _cap_intervals(t_max: float, rung=None) -> int:
+    """The intervals on [-t_max, t_max] at spacing
+    h = min(0.012, 0.1/sqrt(depth)), depth = -min(0, min Q/W) max W over the
+    couplings of ``rung`` (0 for none)."""
+    depth = 0.0
+    if rung is not None:
+        w = rung.weights
+        depth = -min(0.0, *(min(map(operator.truediv, q, w)) for q in rung.couplings)) * max(w)
     h = _SPACING
     if depth * _SPACING ** 2 > _DEPTH_SPACING ** 2:
         h = _DEPTH_SPACING / math.sqrt(depth)
-    return math.ceil(2.0 * x_max / h * (1.0 - 1e-12))
+    return math.ceil(2.0 * t_max / h * (1.0 - 1e-12))
 
 
 def _first_rung(cap: int) -> int:
@@ -72,66 +84,61 @@ def _refuse_above_cap(intervals: int, cap: int) -> None:
                            % (intervals + 1, MAX_COUNT))
 
 
-def _sampled(sample, etas) -> list:
-    columns = sample(etas)
-    geometry.require_finite("potential", columns)
-    return columns
-
-
-def _interleave(even: list, odd: list) -> list:
-    """The samples of a refined rung: ``even`` at its even points, ``odd`` between."""
-    out = even + odd
-    out[::2], out[1::2] = even, odd
-    return out
-
-
-def oracle_map(spec: PotentialSpec, sample, x_max=None, n=None):
-    """The rungs (vmap, columns) of the oracle's ladder, coarsest first: each
-    variable map, and ``sample(etas)``, the potentials at the floats ``etas``
-    as lists of floats, on it.  ``sample`` must work point by point, since a
-    refinement samples its new points alone.  A given x_max is kept, and a
-    given n is the one rung.  Samples that are NaN or infinite raise
+def oracle_map(spec: PotentialSpec, partner=None, x_max=None, n=None):
+    """The :class:`Rung` records of the oracle's ladder, coarsest first.
+    ``partner`` maps floats eta to the lists (V, V_hat) of a Darboux partner
+    (:func:`darboux.partner_potential`), whose coupling
+    Q_hat = Q + W (V_hat - V) the oracle then solves.  A given x_max is kept,
+    and a given n is the one rung.  Samples that are NaN or infinite raise
     :class:`NonFiniteSamples`.
 
-    The oracle's ends are transparent, exact where V = 0, so the half-width
-    is the potential's own decay scale: the smallest quarter with |V| < 1e-12
-    at both ends (:func:`geometry.decay_x_max`).  The cap, the last rung, is
-    the first with a spacing of at most h = min(0.012, 0.1/sqrt|V_min|),
-    V_min the deepest sample of the rung's own columns (for a partner, the
-    deeper of V and V_hat).  Rung 0 has about 4 h, a quarter of the cap's
-    intervals rounded up to a multiple of 16 (so 4 divides the intervals of
-    every rung) and at least 64.  It is sampled at 4 x 0.012 first, and once
-    more on the finer map where the well is deeper than 0.1^2/0.012^2.  Each
-    later rung has 2n - 1 points at half the spacing: it keeps the map and
-    the samples of the rung before as its even points and samples its odd
-    points alone.  Where the samples of a rung ask for a cap above 2^20
-    points, :class:`GridTooLarge` is raised before a finer map is built.
+    The oracle's ends are transparent, exact where Q = 0 and W = 1, so the
+    half-width is the potential's own decay scale: the smallest quarter with
+    |V| < 1e-12 at both ends (:func:`geometry.decay_x_max`), and t_max its
+    :func:`geometry.t_of_x`.  The cap, the last rung, is the first with a
+    spacing of at most h = min(0.012, 0.1/sqrt(depth)), depth =
+    -min(0, min Q/W) max W over the rung's own couplings.  Rung 0 has about
+    4 h, a quarter of the cap's intervals rounded up to a multiple of 16 (so
+    4 divides the intervals of every rung) and at least 64.  It is sampled at
+    4 x 0.012 first, and once more on a finer grid where the well is deeper
+    than 0.1^2/0.012^2.  Each later rung has 2n - 1 points at half the
+    spacing, the points of the rung before as its even points, and samples
+    all of them.  Where the samples of a rung ask for a cap above 2^20
+    points, :class:`GridTooLarge` is raised before a finer grid is sampled.
     """
     if x_max is None:
         x_max = geometry.decay_x_max(spec, _DECAY)
+    t_max = geometry.t_of_x(spec.kappa_plus, x_max)
+    q_w = geometry.weighted_scarf(spec)
+
+    def rung(points):
+        grid = geometry.t_grid(x_max, t_max, points)
+        q, w = map(list, zip(*map(q_w, grid.ts)))
+        couplings, potentials = [q], ()
+        if partner is not None:
+            potentials = v, v_hat = partner(grid.etas)
+            couplings.append([a + b * (c - d) for a, b, c, d in zip(q, w, v_hat, v)])
+        geometry.require_finite("potential", couplings)
+        return Rung(grid, w, couplings, potentials)
+
     if n is not None:
-        vmap = VariableMap(spec.kappa_plus, x_max, n)
-        yield vmap, _sampled(sample, vmap.eta_grid)
+        yield rung(n)
         return
-    intervals = _first_rung(_cap_intervals(x_max, ()))  # at 4 x 0.012
-    vmap = VariableMap(spec.kappa_plus, x_max, intervals + 1)
-    columns = _sampled(sample, vmap.eta_grid)
-    cap = _cap_intervals(x_max, columns)
+    intervals = _first_rung(_cap_intervals(t_max))  # at 4 x 0.012
+    current = rung(intervals + 1)
+    cap = _cap_intervals(t_max, current)
     if _first_rung(cap) > intervals:  # a deep well
         intervals = _first_rung(cap)
         _refuse_above_cap(intervals, cap)
-        vmap = VariableMap(spec.kappa_plus, x_max, intervals + 1)
-        columns = _sampled(sample, vmap.eta_grid)
+        current = rung(intervals + 1)
     while True:
-        yield vmap, columns
-        cap = _cap_intervals(x_max, columns)
+        yield current
+        cap = _cap_intervals(t_max, current)
         if intervals >= cap:
             return
         _refuse_above_cap(intervals, cap)
         intervals *= 2
-        vmap = VariableMap(spec.kappa_plus, x_max, intervals + 1, vmap)
-        odd = _sampled(sample, vmap.eta_grid[1::2])
-        columns = [_interleave(c, o) for c, o in zip(columns, odd)]
+        current = rung(intervals + 1)
 
 
 class LevelCheck(NamedTuple):
@@ -153,12 +160,12 @@ class LevelCheck(NamedTuple):
 class LevelReport(NamedTuple):
     """One check passes when it found all ``n_expected`` levels, each within
     ``tol`` and with the node count its closed form claims.  ``grid`` is the
-    (x_max, n, dx) of the grid the levels were solved on, or None where
-    there are none."""
+    :class:`geometry.TGrid` the levels were solved on, or None where there
+    are none."""
     levels: tuple
     n_expected: int
     tol: float
-    grid: tuple | None
+    grid: geometry.TGrid | None
 
     @property
     def passed(self) -> bool:
@@ -178,15 +185,16 @@ class LevelReport(NamedTuple):
 
 
 def _compare(rungs, energies, nodes, tol) -> tuple:
-    """(report, vmap, columns): the oracle levels of the last column of each
-    rung (vmap, columns) of ``rungs`` against the analytic ``energies`` and
+    """(report, rung): the oracle levels of the last coupling of each
+    :class:`Rung` of ``rungs`` against the analytic ``energies`` and
     ``nodes``, on the first rung where they are resolved, else the last;
     ``rel_delta`` is relative to the oracle value.  Each rung after the first
     hands the oracle the grids of the one before."""
     coarser = ()
-    for vmap, columns in rungs:
-        values = columns[-1]
-        estimates, coarser = (oracle.lowest_levels(values, vmap.dx, len(energies), coarser=coarser)
+    for rung in rungs:
+        values = rung.couplings[-1]
+        estimates, coarser = (oracle.lowest_levels(values, rung.weights, rung.grid.dt,
+                                                   len(energies), coarser=coarser)
                               if energies else ((), ()))
         end = max(abs(values[0]), abs(values[-1]))
         levels = tuple(
@@ -195,29 +203,26 @@ def _compare(rungs, energies, nodes, tol) -> tuple:
                        nodes_analytic=m, nodes_numeric=k, error=est.error + end, ratio=est.ratio)
             for k, (e, m, est) in enumerate(zip(energies, nodes, estimates))
         )
-        report = LevelReport(levels=levels, n_expected=len(energies), tol=tol,
-                             grid=(vmap.x_max, vmap.n_points, vmap.dx))
+        report = LevelReport(levels=levels, n_expected=len(energies), tol=tol, grid=rung.grid)
         if report.resolved:
             break
-    return report, vmap, columns
+    return report, rung
 
 
 def verify_spectrum(spec: PotentialSpec, tol: float = 1e-3, x_max=None, n=None) -> tuple:
     """(report, spectrum): the enumerated bound spectrum, and its levels and
-    node counts against the finite-difference oracle.  A potential that
-    cannot be sampled on the grid raises :class:`NonFiniteSamples`."""
+    node counts against the finite-difference oracle.  A grid on which eta
+    overflows raises :class:`NonFiniteSamples`."""
     spectrum = enumerate_bound_spectrum(spec)
     if not spectrum.states:
         return LevelReport(levels=(), n_expected=0, tol=tol, grid=None), spectrum
-    v_of = geometry.potential(spec)
-    rungs = oracle_map(spec, lambda etas: [geometry.on_grid(v_of, etas)], x_max, n)
-    report, _, _ = _compare(rungs, spectrum.energies, [s.nodes for s in spectrum.states], tol)
+    rungs = oracle_map(spec, None, x_max, n)
+    report, _ = _compare(rungs, spectrum.energies, [s.nodes for s in spectrum.states], tol)
     return report, spectrum
 
 
 def verify_partner_levels(rungs, expected, tol: float = 1e-3) -> tuple:
-    """(report, vmap, columns): the oracle spectrum of the partner potential,
-    the last column of each rung (vmap, columns) of ``rungs``, against an
-    expected level list, and the rung it was decided on; the partner's node
-    counts are not claimed."""
+    """(report, rung): the oracle spectrum of the partner, the last coupling
+    of each :class:`Rung` of ``rungs``, against an expected level list, and
+    the rung it was decided on; the partner's node counts are not claimed."""
     return _compare(rungs, expected, [None] * len(expected), tol)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rrspectra.geometry import PotentialSpec, VariableMap
+from rrspectra.geometry import PotentialSpec, t_grid, t_of_x
 from rrspectra.spectral import enumerate_bound_spectrum, gendenshtein_params
 
 
@@ -30,7 +30,8 @@ def milson_spectrum(milson_spec):
 
 @pytest.fixture(scope="session")
 def gmap(gspec):
-    return VariableMap(gspec.kappa_plus, 20.0, 2048)
+    """2,048 points of t = asinh eta on [-20, 20]: at kappa = 1, t = x."""
+    return t_grid(20.0, t_of_x(gspec.kappa_plus, 20.0), 2048)
 
 
 @pytest.fixture()

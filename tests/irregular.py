@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from rrspectra import geometry
-from rrspectra.geometry import PotentialSpec, VariableMap
+from rrspectra.geometry import PotentialSpec, TGrid
 from rrspectra.spectral import enumerate_bound_spectrum
 
 
@@ -23,18 +23,21 @@ class PreconditionViolated(Exception):
     """The requested irregular solution does not exist for these inputs."""
 
 
-def symmetric_irregular_solution(spec: PotentialSpec, epsilon: float, vmap: VariableMap) -> np.ndarray:
-    """Positive even solution irregular at both ends, for a symmetric member.
+def symmetric_irregular_solution(spec: PotentialSpec, epsilon: float, grid: TGrid) -> np.ndarray:
+    """Positive even solution irregular at both ends, for a symmetric member,
+    at the eta points of ``grid``.
 
-    Runs the 3-point scheme from the left (psi_0 = 0, psi_1 = 1):
-    the ratios r_i = psi_(i+1)/psi_i = h^2 (V_i - epsilon) + 2 - 1/r_(i-1)
-    are h^2 times the LDL^T pivots of the 3-point Hamiltonian with psi = 0 at
-    both end samples, so psi_a stays positive exactly when no level of that
-    Hamiltonian lies below epsilon, and
-    log psi_a sums log r_i.  Returns psi_a(x) + psi_a(-x), max-normalized on
-    the map grid, accurate to O(h^2).  Requires Im(h0) = 0 and 0 > epsilon
-    below the analytic ground level; an epsilon above the discrete ground
-    level, which lies O(h^2) lower, raises :class:`PreconditionViolated`.
+    Solves -phi'' + (Q - epsilon W) phi = 0 in t, the Schroedinger equation
+    with phi = W^(-1/4) psi (``geometry.weighted_scarf``), by the 3-point
+    scheme from the left (phi_0 = 0, phi_1 = 1):
+    the ratios r_i = phi_(i+1)/phi_i = h^2 (Q_i - epsilon W_i) + 2 - 1/r_(i-1)
+    are h^2 times the LDL^T pivots of the 3-point matrix with phi = 0 at
+    both end samples, so phi_a stays positive exactly when no level of that
+    matrix lies below epsilon, and log phi_a sums log r_i.  Returns
+    W^(1/4) (phi_a(t) + phi_a(-t)), max-normalized on the grid, accurate to
+    O(h^2).  Requires Im(h0) = 0 and 0 > epsilon below the analytic ground
+    level; an epsilon above the discrete ground level, which lies O(h^2)
+    lower, raises :class:`PreconditionViolated`.
     """
     if spec.h0.imag != 0.0:
         raise PreconditionViolated("construction requires a symmetric potential")
@@ -46,11 +49,11 @@ def symmetric_irregular_solution(spec: PotentialSpec, epsilon: float, vmap: Vari
         )
     if epsilon >= 0.0:
         raise PreconditionViolated("factorization energy must be negative")
-    v = geometry.potential(spec)(np.array(vmap.eta_grid))
-    h = vmap.dx
+    q, w = np.array([geometry.weighted_scarf(spec)(t) for t in grid.ts]).T
+    h = grid.dt
     ratios = []
     r = math.inf
-    for i, d in enumerate((h * h * (v[1:-1] - epsilon) + 2.0).tolist(), start=1):
+    for i, d in enumerate((h * h * (q[1:-1] - epsilon * w[1:-1]) + 2.0).tolist(), start=1):
         r = d - 1.0 / r
         if r <= 0.0:
             raise PreconditionViolated(
@@ -58,5 +61,5 @@ def symmetric_irregular_solution(spec: PotentialSpec, epsilon: float, vmap: Vari
             )
         ratios.append(r)
     log_a = np.concatenate(([-math.inf, 0.0], np.cumsum(np.log(ratios))))
-    log_d = np.logaddexp(log_a, log_a[::-1])
+    log_d = np.logaddexp(log_a, log_a[::-1]) + 0.25 * np.log(w)
     return np.exp(log_d - np.max(log_d))

@@ -20,7 +20,7 @@ import numpy as np
 
 from rational import coeffs, im, re, routh_record
 from rrspectra import _exact as ex
-from rrspectra.geometry import _inverse
+from rrspectra.geometry import t_of_x
 from rrspectra.routh import ComplexIndex, RouthPolynomial
 from rrspectra.spectral import ClosedForm, PotentialSpec
 
@@ -42,10 +42,11 @@ def poly_eval(p, x):
 
 
 def eta_of_x(kappa: float, x: float) -> float:
-    """eta at one point ``x`` by the package's Newton inverse, started from
-    s = x / sqrt(max(1, kappa)), which never overshoots the root."""
-    (eta,) = _inverse(kappa, [x])
-    return eta
+    """eta at one point ``x``: sinh t for the t that the package's bisection
+    on the explicit map gives (``geometry.t_of_x``), odd in x."""
+    if x == 0.0:
+        return 0.0
+    return math.copysign(math.sinh(t_of_x(kappa, abs(x))), x)
 
 
 def gauge(solution: ClosedForm, eta: float) -> float:

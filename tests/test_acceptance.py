@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from rrspectra.darboux import partner_potential
-from rrspectra.geometry import PotentialSpec, VariableMap, sampled
+from rrspectra.geometry import PotentialSpec, sampled, t_grid, t_of_x
 from rrspectra.routh import ComplexIndex, ode_residual, routh_polynomial
 from rrspectra.spectral import (
     aeh_solution,
@@ -22,7 +22,7 @@ from rrspectra.spectral import (
     quartic_lambda_roots,
     stevenson_identity_check,
 )
-from rrspectra.verify import verify_partner_levels, verify_spectrum
+from rrspectra.verify import oracle_map, verify_partner_levels, verify_spectrum
 
 from irregular import symmetric_irregular_solution
 from orthogonality import inner_product, pinned_weight_index
@@ -163,11 +163,10 @@ def test_criterion_6_node_counts():
 def test_criterion_7_darboux_insertion():
     t0 = time.monotonic()
     spec = gendenshtein_params(2.5, 0.5)
-    vmap = VariableMap(spec.kappa_plus, 46.0, 8192)
     seed = aeh_solution(spec, "d", 0)
-    _, v_partner = partner_potential(spec, seed, vmap.eta_grid)
+    rungs = oracle_map(spec, lambda etas: partner_potential(spec, seed, etas), 46.0, 8192)
     expected = [-12.25, -6.25, -2.25, -0.25]
-    rep = verify_partner_levels([(vmap, [v_partner])], expected, tol=1e-3)[0]
+    rep = verify_partner_levels(rungs, expected, tol=1e-3)[0]
     elapsed = time.monotonic() - t0
     report(
         7,
@@ -200,9 +199,9 @@ def test_criterion_9_symmetric_positivity():
         PotentialSpec(h0=11.0, kappa_plus=3.0),
     )
     for spec in cases:
-        vmap = VariableMap(spec.kappa_plus, 16.0, 4096)
+        grid = t_grid(16.0, t_of_x(spec.kappa_plus, 16.0), 4096)
         ground = enumerate_bound_spectrum(spec).energies[0]
-        psi = symmetric_irregular_solution(spec, ground - 1.0, vmap)
+        psi = symmetric_irregular_solution(spec, ground - 1.0, grid)
         worst_min = min(worst_min, float(psi.min()))
         worst_even = max(worst_even, float(np.max(np.abs(psi - psi[::-1]))))
     # at a type-d energy the even irregular solution is the closed-form seed
@@ -212,10 +211,10 @@ def test_criterion_9_symmetric_positivity():
         spec = PotentialSpec(h0=h0, kappa_plus=kap)
         errs = []
         for n_points in (1025, 2049, 4097):
-            vmap = VariableMap(spec.kappa_plus, 16.0, n_points)
+            grid = t_grid(16.0, t_of_x(spec.kappa_plus, 16.0), n_points)
             seed = aeh_solution(spec, "d", m)
-            closed = np.array(sampled([seed], vmap)[0])
-            psi = symmetric_irregular_solution(spec, seed.energy, vmap)
+            closed = np.array(sampled(spec.kappa_plus, [seed], grid.etas)[0])
+            psi = symmetric_irregular_solution(spec, seed.energy, grid)
             errs.append(float(np.max(np.abs(psi - closed / np.max(closed)))))
         worst_ratio = min(worst_ratio, errs[0] / errs[1], errs[1] / errs[2])
     report(

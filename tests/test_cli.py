@@ -99,6 +99,11 @@ class TestSpectrumCommand:
             xs = [float(row.partition(",")[0])
                   for row in (out / "eigenfunctions.csv").read_text().splitlines()[1:]]
             assert len(xs) == 4096 and (xs[0], xs[-1]) == (-half_width, half_width)
+            # x = X(sinh t) on a uniform t grid: X' = sqrt(W) runs from
+            # sqrt(kappa) at the well to 1 in the tails, so steps are uniform
+            # only at kappa = 1 (to the %.12g rounding of x)
+            steps = np.diff(xs)
+            assert steps.max() / steps.min() == pytest.approx(spec.kappa_plus ** 0.5, rel=1e-3)
 
     def test_unrepresentable_user_grid_is_config_error(self, tmp_path, capsys):
         # past |x| ~ 355 eta = sinh x overflows and psi samples turn NaN;
@@ -112,8 +117,8 @@ class TestSpectrumCommand:
     def test_non_finite_default_grid_is_numeric_failure(self, tmp_path, monkeypatch, capsys):
         real = geometry.sampled
 
-        def overflowing(states, vmap):
-            psis = real(states, vmap)
+        def overflowing(kappa, states, etas):
+            psis = real(kappa, states, etas)
             psis[-1][-1] = np.nan
             return psis
 
@@ -185,12 +190,15 @@ class TestVerifyCommand:
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
         assert json.loads((out / "verify.json").read_text())["passed"] is True
 
-    def test_unrepresentable_user_grid_is_config_error(self, tmp_path, capsys):
-        # past |x| ~ 355 the sampled potential overflows to NaN; the oracle
-        # rejects the samples before any solve
+    def test_wide_user_grid_passes(self, tmp_path):
+        # past |x| ~ 355 V at eta = sinh x overflows to NaN, but the oracle
+        # samples Q and W in t, from sech t and tanh t, which stay finite
         cfg = write_config(tmp_path, {**GEN, "grid": {"x_max": 400.0}})
-        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-        assert_one_config_error(capsys.readouterr().err, "potential")
+        out = tmp_path / "o"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        record = json.loads((out / "verify.json").read_text())
+        assert record["passed"] and record["grid"]["t_max"] == 400.0
+        assert max(lv["rel_delta"] for lv in record["levels"]) < 1e-8
 
 
 class TestScanCommand:
@@ -355,11 +363,15 @@ class TestPartnerCommand:
         spec = spectral.gendenshtein_params(1.5, 0.4)
         seed = spectral.aeh_solution(spec, "d", 0)
         rungs = verify.oracle_map(spec, lambda etas: darboux.partner_potential(spec, seed, etas))
-        _, vmap, _ = verify.verify_partner_levels(rungs, [-6.25, -2.25, -0.25], 1e-3)
+        _, rung = verify.verify_partner_levels(rungs, [-6.25, -2.25, -0.25], 1e-3)
         grid = json.loads((out / "partner_verify.json").read_text())["grid"]
-        assert grid == {"x_max": vmap.x_max, "n": vmap.n_points, "dx": vmap.dx}
-        assert len(rows) == vmap.n_points and all(len(r.split(",")) == 3 for r in rows)
-        assert float(rows[0].split(",")[0]) == -vmap.x_max
+        assert grid == {"x_max": rung.grid.x_max, "t_max": rung.grid.t_max, "n": rung.grid.n,
+                        "dt": rung.grid.dt}
+        assert len(rows) == rung.grid.n and all(len(r.split(",")) == 3 for r in rows)
+        # x = X(sinh t) at the grid's t, which is x itself at kappa = 1
+        xs = [float(r.split(",")[0]) for r in rows]
+        assert xs == [float("%.12g" % t) for t in rung.grid.ts]
+        assert xs[0] == -rung.grid.x_max
 
     def test_erasure(self, tmp_path):
         cfg = write_config(
@@ -449,8 +461,8 @@ class TestPartnerCommand:
         def no_map(*args):
             raise AssertionError("a noded seed is rejected before any grid is built")
 
-        # the partner grid is the oracle map that verify sizes and builds
-        monkeypatch.setattr(verify, "VariableMap", no_map)
+        # the partner grid is the oracle grid that verify sizes and builds
+        monkeypatch.setattr(geometry, "t_grid", no_map)
         self.test_noded_seed_fails_cleanly(tmp_path)
         err = capsys.readouterr().err
         assert "NodeDetected: factorization polynomial has real zeros" in err
@@ -784,8 +796,8 @@ class TestOutputContract:
 
     @pytest.mark.parametrize("command", ["spectrum", "verify", "partner"])
     def test_user_grid_too_narrow_for_doubles_is_config_error(self, tmp_path, capsys, command):
-        # 257 points on [-5e-324, 5e-324] round to three doubles, so the
-        # variable map table cannot be strictly increasing
+        # 257 points on [-5e-324, 5e-324] round to three doubles, so the t
+        # grid cannot be strictly increasing
         cfg = write_config(tmp_path, {**GEN, "grid": {"x_max": 5e-324, "n": 257},
                                       "partner": {"kind": "d", "m": 0}})
         out = tmp_path / "o"
@@ -799,9 +811,10 @@ class TestOutputContract:
     def test_undecayed_default_grid_is_numeric_failure(self, tmp_path, monkeypatch, capsys,
                                                        command):
         # the same grid, chosen by the oracle's rule and not by the config
-        def narrow(spec, sample, x_max=None, n=None):
-            vmap = geometry.VariableMap(spec.kappa_plus, 3.0, 1024)
-            yield vmap, sample(vmap.eta_grid)
+        oracle_map = verify.oracle_map
+
+        def narrow(spec, partner=None, x_max=None, n=None):
+            return oracle_map(spec, partner, 3.0, 1024)
 
         monkeypatch.setattr(verify, "oracle_map", narrow)
         cfg = write_config(tmp_path, {key: NARROW[key] for key in ("potential", "partner")})
@@ -956,8 +969,10 @@ def test_oracle_outputs_keep_their_keys(tmp_path):
                                               "ratio"}
                                   for lv in part["levels"])
     for record in (ver, part):
-        assert set(record["grid"]) == {"x_max", "n", "dx"}
-        assert record["grid"]["dx"] == 2 * record["grid"]["x_max"] / (record["grid"]["n"] - 1)
+        grid = record["grid"]
+        assert set(grid) == {"x_max", "t_max", "n", "dt"}
+        assert grid["dt"] == 2 * grid["t_max"] / (grid["n"] - 1)
+        assert grid["t_max"] == geometry.t_of_x(1.0, grid["x_max"])
         # resolved levels: within their budget, at most tol |E| / 10
         assert all(lv["error"] <= 1e-4 * abs(lv["numeric"])
                    and verify._BAND[0] <= lv["ratio"] <= verify._BAND[1]

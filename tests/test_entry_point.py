@@ -29,8 +29,8 @@ UNREPRESENTABLE = {**GEN, "grid": {"x_max": 400.0}}
 NAN_PATCH = (
     "from rrspectra import cli, geometry\n"
     "real = geometry.sampled\n"
-    "def sampled(states, vmap):\n"
-    "    psis = real(states, vmap)\n"
+    "def sampled(kappa, states, etas):\n"
+    "    psis = real(kappa, states, etas)\n"
     "    psis[-1][-1] = float('nan')\n"
     "    return psis\n"
     "geometry.sampled = sampled\n"

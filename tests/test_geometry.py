@@ -8,15 +8,16 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rrspectra import geometry
-from rrspectra.errors import NonFiniteSamples
+from rrspectra.errors import NonFiniteSamples, StepFailure
 from rrspectra.geometry import (
     PotentialSpec,
-    VariableMap,
     eta_prime,
     log_derivative,
     potential,
     sampled,
     schwarzian_eval,
+    t_grid,
+    t_of_x,
 )
 from rrspectra.spectral import aeh_solution
 
@@ -81,47 +82,44 @@ class TestBoseInvariant:
         assert np.all(np.isfinite(vals))
 
 
-class TestVariableMap:
+class TestTGrid:
     def test_kappa_one_is_sinh(self):
-        vm = VariableMap(1.0, 6.0, 512)
         xs = np.linspace(-6, 6, 121)
-        assert np.max(np.abs([eta_of_x(vm.kappa, x) for x in xs] - np.sinh(xs))) < 1e-9
+        assert np.max(np.abs([eta_of_x(1.0, x) for x in xs] - np.sinh(xs))) < 1e-9
 
-    def test_anchor_and_oddness(self):
-        vm = VariableMap(2.0, 8.0, 256)
-        assert eta_of_x(vm.kappa, 0.0) == 0.0
-        xs = np.linspace(0.1, 8.0, 40)
-        assert max(abs(eta_of_x(vm.kappa, -x) + eta_of_x(vm.kappa, x)) for x in xs) < 1e-10
+    @pytest.mark.parametrize("kappa", [0.01, 0.55, 1.0, 3.0, 1e5, 1e7])
+    def test_round_trip_inversion(self, kappa):
+        # the bisection ends at adjacent doubles of t, where X(sinh t) brackets x
+        x_of = geometry.liouville(kappa)
+        for x in np.linspace(0.01, 40.0, 41).tolist() + [1e-300, 700.0]:
+            t = t_of_x(kappa, x)
+            assert x_of(math.sinh(np.nextafter(t, 0.0))) < x <= x_of(math.sinh(t))
+            assert abs(x_of(math.sinh(t)) - x) <= 8 * sys.float_info.epsilon * x * max(1.0, t)
 
-    def test_round_trip_inversion(self):
-        vm = VariableMap(3.0, 10.0, 256)
-        sub = vm.x_grid[::16]
-        back = np.array([geometry.liouville(vm.kappa)(eta_of_x(vm.kappa, x)) for x in sub])
-        assert np.max(np.abs(back - sub)) < 1e-10
-
-    def test_monotone_table(self):
-        vm = VariableMap(2.0, 12.0, 512)
-        assert np.all(np.diff(vm.eta_grid) > 0)
+    def test_monotone_grid(self):
+        grid = t_grid(12.0, t_of_x(2.0, 12.0), 512)
+        assert np.all(np.diff(grid.ts) > 0) and np.all(np.diff(grid.etas) > 0)
+        assert grid.etas == [math.sinh(t) for t in grid.ts]
 
     def test_spacing(self):
-        # the oracle's grid step: the width over n - 1, as the map's x grid has it
-        vm = VariableMap(2.0, 12.3, 1001)
-        assert vm.dx == (vm.x_max - -vm.x_max) / (vm.n_points - 1)
-        assert_allclose(np.diff(vm.x_grid), vm.dx, rtol=1e-12)
+        # the oracle's grid step: the width over n - 1, as the t grid has it
+        grid = t_grid(12.3, t_of_x(2.0, 12.3), 1001)
+        assert grid.dt == (grid.t_max - -grid.t_max) / (grid.n - 1)
+        assert_allclose(np.diff(grid.ts), grid.dt, rtol=1e-12)
 
     @pytest.mark.parametrize("kappa", [0.01, 0.55, 1.0, 2.7, 30.0])
     def test_matches_independent_solve(self, kappa):
         # eta(x) from a DOP853 solve of eta' = (1+eta^2)/sqrt(T), x(eta) by quadrature
         from scipy.integrate import quad, solve_ivp
 
-        vm = VariableMap(kappa, 12.0, 1025)
         sol = solve_ivp(
             lambda _x, y: [(1.0 + y[0] ** 2) / math.sqrt(y[0] ** 2 + kappa)],
             (0.0, 12.0), [0.0], method="DOP853", rtol=1e-13, atol=1e-14, dense_output=True,
         )
-        half = vm.x_grid[512:]
+        half = np.linspace(0.0, 12.0, 513)
         ref = sol.sol(half)[0]
-        assert np.max(np.abs(vm.eta_grid[512:] - ref) / np.maximum(1.0, ref)) < 1e-11
+        etas = np.array([eta_of_x(kappa, x) for x in half])
+        assert np.max(np.abs(etas - ref) / np.maximum(1.0, ref)) < 1e-11
         x_of = geometry.liouville(kappa)
         for eta in (0.3, 1.0, 4.0, 50.0, 3e3):
             val, _err = quad(lambda u: math.sqrt(u * u + kappa) / (1.0 + u * u), 0.0, eta,
@@ -137,52 +135,62 @@ class TestVariableMap:
 
     @pytest.mark.parametrize("kappa", [0.55, 1.0, 2.7])
     def test_eta_past_the_double_range_is_non_finite(self, kappa):
-        # eta = sinh s overflows past |s| = 710.47, where s = x for kappa = 1
-        with pytest.raises(NonFiniteSamples, match="overflow"):
-            VariableMap(kappa, 780.19, 4641)
-        vm = VariableMap(1.0, 710.0, 257)
-        assert np.all(np.isfinite(vm.eta_grid)) and vm.eta_grid[-1] > 1e308
+        # eta = sinh t overflows past |t| = 710.47, where t = x for kappa = 1
+        with pytest.raises(NonFiniteSamples, match="eta samples overflow"):
+            t_of_x(kappa, 780.19)
+        with pytest.raises(NonFiniteSamples, match="eta samples overflow"):
+            t_grid(780.19, 711.0, 4641)
+        grid = t_grid(710.0, t_of_x(1.0, 710.0), 257)
+        assert np.all(np.isfinite(grid.etas)) and grid.etas[-1] > 1e308
 
-    @pytest.mark.parametrize("n", [1025, 4097, 16385])
-    @pytest.mark.parametrize("kappa", [1e5, 1e6, 1e7])
-    def test_large_kappa_inverse_converges(self, kappa, n):
-        # on the oracle's box |x| >> |s|, so a step of 1e-14 s is below the
-        # rounding of x(eta) - x; the solve stops within a few ulps of x
-        spec = PotentialSpec(complex(5.0, 2.0), kappa)
-        vm = VariableMap(kappa, geometry.decay_x_max(spec, 1e-12), n)
-        x_of = geometry.liouville(kappa)
-        eps = sys.float_info.epsilon
-        for x, eta in zip(vm.x_grid, vm.eta_grid):
-            assert abs(x_of(eta) - x) <= 4 * eps * abs(x), x
+    def test_grid_too_narrow_for_doubles(self):
+        # 257 points on [-5e-324, 5e-324] round to three doubles
+        with pytest.raises(StepFailure, match="not strictly increasing"):
+            t_grid(5e-324, t_of_x(1.0, 5e-324), 257)
 
     @pytest.mark.parametrize("x_max, n", [(12.0, 8192), (23.25, 8192), (60.0, 10001),
                                           (31.7, 5283), (7.25, 4096), (400.0, 4096)])
     def test_grid_is_linspace_bit_for_bit(self, x_max, n):
-        vm = VariableMap(1.0, x_max, n)
-        assert vm.x_grid == np.linspace(-x_max, x_max, n).tolist()
+        grid = t_grid(x_max, t_of_x(1.0, x_max), n)
+        assert grid.ts == np.linspace(-grid.t_max, grid.t_max, n).tolist()
+        # a refined grid keeps this one's points as its even points
+        assert t_grid(x_max, grid.t_max, 2 * n - 1).ts[::2] == grid.ts
 
-    @pytest.mark.parametrize("kappa", [0.05, 0.55, 1.0, 2.7, 20.0])
-    def test_table_matches_pointwise_inverse(self, kappa):
-        # the table starts each solve from its neighbours and takes the lower
-        # half from its upper mirror; a single point starts from its own guess.
-        # They agree within 8 roundings of s = asinh eta (at most 3.4 seen);
-        # without the correction for the rounding of a lower x, 12 to 94
-        vm = VariableMap(kappa, 60.0, 10001)
-        assert isinstance(vm.eta_grid, list) and isinstance(vm.x_grid, list)
-        eps = sys.float_info.epsilon
-        for x, eta in zip(vm.x_grid, vm.eta_grid):
-            s = math.asinh(eta_of_x(vm.kappa, x))
-            assert abs(math.asinh(eta) - s) <= 8 * eps * max(1.0, abs(s)), x
-        for i in range(vm.n_points // 2):
-            j = vm.n_points - 1 - i
-            if vm.x_grid[i] == -vm.x_grid[j]:
-                assert vm.eta_grid[i] == -vm.eta_grid[j]
 
-    def test_preconditions(self):
-        with pytest.raises(ValueError):
-            VariableMap(1.0, 5.0, 32)
-        with pytest.raises(ValueError):
-            VariableMap(1.0, -1.0, 128)
+class TestWeightedScarf:
+    """-psi_xx + V psi = e psi in t = asinh eta is -phi_tt + Q phi = e W phi."""
+
+    @pytest.mark.parametrize("h0", [complex(7.75, 3.0), complex(0.5, 7.5), complex(-0.84, 0.0)])
+    @pytest.mark.parametrize("kappa", [0.05, 0.3, 1.0, 2.0, 20.0])
+    def test_liouville_identity(self, kappa, h0):
+        # Q = W V - {X, t}/2, with the chain rule for the Schwarzian of
+        # sinh t = eta(X(t)): {X, t} = -W {eta, x} + 1 - (3/2) tanh^2 t; this
+        # keeps the closed-form V, which the oracle no longer samples, under test
+        spec = PotentialSpec(h0=h0, kappa_plus=kappa)
+        ts = np.linspace(-40.0, 40.0, 4001)
+        etas = np.sinh(ts)
+        q, w = np.array([geometry.weighted_scarf(spec)(t) for t in ts.tolist()]).T
+        wv = w * potential(spec)(etas)
+        schwarzian_t = -w * schwarzian_eval(kappa, etas) + 1.0 - 1.5 * np.tanh(ts) ** 2
+        assert_allclose(w, (etas * etas + kappa) / (etas * etas + 1.0), rtol=1e-14)
+        scale = np.abs(wv) + np.abs(schwarzian_t) + 1.0
+        assert np.max(np.abs(wv - 0.5 * schwarzian_t - q) / scale) < 1e-14
+
+    def test_kappa_one_is_the_potential(self, gspec):
+        # at kappa = 1, t = x, W = 1 and Q is the Gendenshtein closed form
+        a_g, b_g = 2.5, 0.5
+        for t in np.linspace(-30.0, 30.0, 61).tolist():
+            q, w = geometry.weighted_scarf(gspec)(t)
+            expected = ((b_g ** 2 - a_g * (a_g + 1)) + (2 * a_g + 1) * b_g * math.sinh(t)) / math.cosh(t) ** 2
+            assert w == 1.0 and q == pytest.approx(expected, rel=1e-13, abs=1e-300)
+
+    @pytest.mark.parametrize("kappa", [0.05, 1.0, 20.0])
+    def test_bounded_to_the_double_range(self, kappa):
+        # sech t and tanh t alone: nothing overflows while cosh t is finite
+        q_w = geometry.weighted_scarf(PotentialSpec(h0=complex(7.75, 3.0), kappa_plus=kappa))
+        for t in (-710.0, -400.0, 400.0, 710.0):
+            q, w = q_w(t)
+            assert abs(q) < 1e-150 and w == 1.0
 
 
 class TestSchwarzian:
@@ -194,39 +202,35 @@ class TestSchwarzian:
 
     def test_against_finite_difference_definition(self):
         # {eta,x} = (eta''/eta')' - (eta''/eta')^2/2, via the numeric map
-        vm = VariableMap(2.0, 8.0, 1024)
         h = 1e-3
 
         def schwarzian_fd(x):
-            e = [eta_of_x(vm.kappa, t) for t in (x - 2 * h, x - h, x, x + h, x + 2 * h)]
+            e = [eta_of_x(2.0, t) for t in (x - 2 * h, x - h, x, x + h, x + 2 * h)]
             d1 = (e[3] - e[1]) / (2 * h)
             d2 = (e[3] - 2 * e[2] + e[1]) / h ** 2
             d3 = (e[4] - 2 * e[3] + 2 * e[1] - e[0]) / (2 * h ** 3)
             return d3 / d1 - 1.5 * (d2 / d1) ** 2
 
-        xs = [geometry.liouville(vm.kappa)(e) for e in (-5.0, -2.0, -0.5, 0.0, 1.0, 3.0, 5.0)]
-        worst = max(
-            abs(schwarzian_fd(x) - schwarzian_eval(2.0, eta_of_x(vm.kappa, x))) for x in xs
-        )
+        xs = [geometry.liouville(2.0)(e) for e in (-5.0, -2.0, -0.5, 0.0, 1.0, 3.0, 5.0)]
+        worst = max(abs(schwarzian_fd(x) - schwarzian_eval(2.0, eta_of_x(2.0, x))) for x in xs)
         assert worst < 1e-6
 
 
 class TestPotential:
-    def test_gendenshtein_closed_form(self, gspec, gmap):
+    def test_gendenshtein_closed_form(self, gspec):
         a_g, b_g = 2.5, 0.5
         xs = np.linspace(-6, 6, 61)
         expected = (b_g ** 2 - a_g * (a_g + 1)) / np.cosh(xs) ** 2 + (
             2 * a_g + 1
         ) * b_g * np.sinh(xs) / np.cosh(xs) ** 2
-        v = potential(gspec)(np.array([eta_of_x(gmap.kappa, x) for x in xs]))
+        v = potential(gspec)(np.array([eta_of_x(gspec.kappa_plus, x) for x in xs]))
         assert np.max(np.abs(v - expected)) < 1e-9
 
     def test_symmetric_is_even(self):
         spec = PotentialSpec(h0=8.0, kappa_plus=2.0)
-        vm = VariableMap(spec.kappa_plus, 10.0, 512)
         xs = np.linspace(0.0, 10.0, 64)
-        v_pos = potential(spec)(np.array([eta_of_x(vm.kappa, x) for x in xs]))
-        v_neg = potential(spec)(np.array([eta_of_x(vm.kappa, -x) for x in xs]))
+        v_pos = potential(spec)(np.array([eta_of_x(spec.kappa_plus, x) for x in xs]))
+        v_neg = potential(spec)(np.array([eta_of_x(spec.kappa_plus, -x) for x in xs]))
         assert np.max(np.abs(v_pos - v_neg)) < 1e-10
 
     @pytest.mark.parametrize("kappa", [1.0, 2.0])
@@ -259,10 +263,10 @@ class TestFloatsAndArrays:
         # in plain floats exp and ** raise OverflowError where numpy gave inf;
         # past |x| ~ 355 eta^2 is inf and psi is inf/inf: every such sample
         # is NaN for require_finite to count, never an exception
-        vm = VariableMap(gspec.kappa_plus, 400.0, 801)
+        grid = t_grid(400.0, t_of_x(gspec.kappa_plus, 400.0), 801)
         seed = aeh_solution(gspec, "d", 0)  # p > 0: the gauge itself overflows far out
-        (psi,) = sampled([seed], vm)
-        bad = [x for x, v in zip(vm.x_grid, psi) if not math.isfinite(v)]
+        (psi,) = sampled(gspec.kappa_plus, [seed], grid.etas)
+        bad = [x for x, v in zip(grid.ts, psi) if not math.isfinite(v)]  # x = t at kappa = 1
         assert bad and all(math.isnan(v) for v in psi if not math.isfinite(v))
         assert min(abs(x) for x in bad) > 100.0
         with pytest.raises(NonFiniteSamples, match="of 801 psi samples are NaN or infinite"):

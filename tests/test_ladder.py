@@ -3,17 +3,13 @@ stop rule, the cap and the point cap."""
 
 import json
 
+import numpy as np
 import pytest
 
 from rrspectra import cli, darboux, geometry, oracle, spectral, verify
 from rrspectra.errors import GridTooLarge
 from rrspectra.geometry import PotentialSpec
 from rrspectra.spectral import gendenshtein_params
-
-
-def potential_columns(spec, scale=1.0):
-    v_of = geometry.potential(spec)
-    return lambda etas: [[scale * v for v in geometry.on_grid(v_of, etas)]]
 
 
 def partner_columns(spec):
@@ -25,9 +21,11 @@ GEN = gendenshtein_params(2.5, 0.5)
 MILSON = PotentialSpec(h0=complex(7.75, 3.0), kappa_plus=2.0)
 
 
-def spacing_rule(columns):
-    """Spacing h = min(0.012, 0.1/sqrt|V_min|) of the samples ``columns``."""
-    depth = -min(min(c) for c in columns)
+def spacing_rule(rung):
+    """Spacing h = min(0.012, 0.1/sqrt(depth)) of the samples of ``rung``,
+    depth = -min(0, min Q/W) max W over its couplings."""
+    w = np.array(rung.weights)
+    depth = -min(0.0, min(np.min(np.array(q) / w) for q in rung.couplings)) * np.max(w)
     return min(0.012, 0.1 / depth ** 0.5) if depth > 0 else 0.012
 
 
@@ -39,47 +37,56 @@ class LevelsCounter:
         solve = oracle._levels
 
         def counted(ham, count, starts=()):
-            self.sizes.append(len(ham.v))
+            self.sizes.append(len(ham.q))
             return solve(ham, count, starts)
 
         monkeypatch.setattr(oracle, "_levels", counted)
 
 
-@pytest.mark.parametrize("spec, sample", [
-    (GEN, potential_columns(GEN)),
+@pytest.mark.parametrize("spec, partner", [
+    (GEN, None),
     (MILSON, partner_columns(MILSON)),
-    (gendenshtein_params(16.2, 0.7), potential_columns(gendenshtein_params(16.2, 0.7))),
+    (gendenshtein_params(16.2, 0.7), None),
 ])
-def test_rungs_nest_bit_for_bit(spec, sample):
-    rungs = list(verify.oracle_map(spec, sample))
+def test_rungs_nest_bit_for_bit(spec, partner):
+    rungs = list(verify.oracle_map(spec, partner))
     assert len(rungs) == 3  # rung 0 has 4 times the cap's spacing
-    for (coarse, c_cols), (fine, f_cols) in zip(rungs, rungs[1:]):
-        assert fine.n_points == 2 * coarse.n_points - 1 and fine.x_max == coarse.x_max
-        assert fine.x_grid[::2] == coarse.x_grid and fine.eta_grid[::2] == coarse.eta_grid
-        assert [c[::2] for c in f_cols] == list(c_cols)
-        # the odd points as a map built from scratch has them, to rounding
-        fresh = geometry.VariableMap(spec.kappa_plus, fine.x_max, fine.n_points)
-        assert fine.x_grid == fresh.x_grid
-        assert all(abs(a - b) <= 1e-14 * max(1.0, abs(b))
-                   for a, b in zip(fine.eta_grid, fresh.eta_grid))
-    for vmap, columns in rungs:
-        assert (vmap.n_points - 1) % 4 == 0 and all(len(c) == vmap.n_points for c in columns)
+    for coarse, fine in zip(rungs, rungs[1:]):
+        assert fine.grid.n == 2 * coarse.grid.n - 1
+        assert (fine.grid.x_max, fine.grid.t_max) == (coarse.grid.x_max, coarse.grid.t_max)
+        # each rung samples all its points; the even ones are the rung before's
+        assert fine.grid.ts[::2] == coarse.grid.ts and fine.grid.etas[::2] == coarse.grid.etas
+        assert fine.weights[::2] == coarse.weights
+        assert [c[::2] for c in fine.couplings] == coarse.couplings
+        assert [c[::2] for c in fine.potentials] == list(coarse.potentials)
+    for rung in rungs:
+        assert (rung.grid.n - 1) % 4 == 0
+        assert all(len(c) == rung.grid.n for c in [rung.weights, *rung.couplings, *rung.potentials])
+        assert len(rung.couplings) == (1 if partner is None else 2)
     # the cap is the first rung at the spacing rule of its own samples
-    for vmap, columns in rungs[:-1]:
-        assert vmap.dx > spacing_rule(columns)
-    vmap, columns = rungs[-1]
-    assert vmap.dx <= spacing_rule(columns)
+    for rung in rungs[:-1]:
+        assert rung.grid.dt > spacing_rule(rung)
+    assert rungs[-1].grid.dt <= spacing_rule(rungs[-1])
+
+
+def test_partner_coupling_is_shifted_by_the_weight():
+    # Q_hat = Q + W (V_hat - V): the partner's V_hat in t, for the oracle
+    *_, rung = verify.oracle_map(MILSON, partner_columns(MILSON))
+    (q, q_hat), w, (v, v_hat) = rung.couplings, rung.weights, rung.potentials
+    assert q_hat == [a + b * (c - d) for a, b, c, d in zip(q, w, v_hat, v)]
+    assert q == [geometry.weighted_scarf(MILSON)(t)[0] for t in rung.grid.ts]
 
 
 def test_refinement_solves_one_new_grid(monkeypatch):
-    (map0, (v0,)), (map1, (v1,)), _ = verify.oracle_map(GEN, potential_columns(GEN))
-    est0, grids = oracle.lowest_levels(v0, map0.dx, 3)
+    rung0, rung1, _ = verify.oracle_map(GEN)
+    (q0,), (q1,) = rung0.couplings, rung1.couplings
+    est0, grids = oracle.lowest_levels(q0, rung0.weights, rung0.grid.dt, 3)
     solved = LevelsCounter(monkeypatch)
-    est1, grids1 = oracle.lowest_levels(v1, map1.dx, 3, coarser=grids)
-    assert solved.sizes == [map1.n_points - 2]
+    est1, grids1 = oracle.lowest_levels(q1, rung1.weights, rung1.grid.dt, 3, coarser=grids)
+    assert solved.sizes == [rung1.grid.n - 2]
     assert grids1[:-1] == grids and len(grids1) == len(grids) + 1
     # the same levels as a solve from scratch, within the estimates
-    scratch, _ = oracle.lowest_levels(v1, map1.dx, 3)
+    scratch, _ = oracle.lowest_levels(q1, rung1.weights, rung1.grid.dt, 3)
     for a, b in zip(est1, scratch):
         assert abs(a.energy - b.energy) <= a.error and a.ratio == pytest.approx(b.ratio, rel=1e-6)
     # the observed order of the finer rung is still near 16
@@ -87,10 +94,11 @@ def test_refinement_solves_one_new_grid(monkeypatch):
 
 
 def test_refinement_needs_nested_counts():
-    vmap, (v,) = next(verify.oracle_map(GEN, potential_columns(GEN)))
-    _, grids = oracle.lowest_levels(v, vmap.dx, 3)
+    rung = next(verify.oracle_map(GEN))
+    (q,), w = rung.couplings, rung.weights
+    _, grids = oracle.lowest_levels(q, w, rung.grid.dt, 3)
     with pytest.raises(ValueError, match="multiple of 4"):
-        oracle.lowest_levels(v[:-1], vmap.dx, 3, coarser=grids)
+        oracle.lowest_levels(q[:-1], w[:-1], rung.grid.dt, 3, coarser=grids)
 
 
 def doctored(monkeypatch, change):
@@ -98,21 +106,21 @@ def doctored(monkeypatch, change):
     the one solved without coarser grids, through ``change``."""
     solve = oracle.lowest_levels
 
-    def wrapper(values, dx, count, coarser=()):
-        estimates, grids = solve(values, dx, count, coarser=coarser)
+    def wrapper(values, weights, dx, count, coarser=()):
+        estimates, grids = solve(values, weights, dx, count, coarser=coarser)
         return (estimates if coarser else change(estimates)), grids
 
     monkeypatch.setattr(verify.oracle, "lowest_levels", wrapper)
 
 
-def rung_points(spec, sample):
-    return [vmap.n_points for vmap, _ in verify.oracle_map(spec, sample)]
+def rung_points(spec, partner=None):
+    return [rung.grid.n for rung in verify.oracle_map(spec, partner)]
 
 
 def test_resolved_levels_stop_at_rung_0():
     report, spectrum = verify.verify_spectrum(GEN, tol=1e-3)
     assert report.passed and report.resolved
-    assert report.grid[1] == rung_points(GEN, potential_columns(GEN))[0]
+    assert report.grid.n == rung_points(GEN)[0]
     for lv in report.levels:
         assert lv.error <= 1e-4 * abs(lv.numeric) and verify._BAND[0] <= lv.ratio <= verify._BAND[1]
 
@@ -127,21 +135,21 @@ def test_unresolved_level_refines(monkeypatch, change):
     doctored(monkeypatch, change)
     report, _ = verify.verify_spectrum(GEN, tol=1e-3)
     assert report.passed and report.resolved
-    assert report.grid[1] == rung_points(GEN, potential_columns(GEN))[1]
+    assert report.grid.n == rung_points(GEN)[1]
 
 
 def test_unresolved_at_the_cap_keeps_the_pass_rule(monkeypatch):
     # a level unresolved on every rung is decided on the cap by rel_delta
     solve = oracle.lowest_levels
 
-    def wrapper(values, dx, count, coarser=()):
-        estimates, grids = solve(values, dx, count, coarser=coarser)
+    def wrapper(values, weights, dx, count, coarser=()):
+        estimates, grids = solve(values, weights, dx, count, coarser=coarser)
         return [e._replace(ratio=25.0) for e in estimates], grids
 
     monkeypatch.setattr(verify.oracle, "lowest_levels", wrapper)
     report, _ = verify.verify_spectrum(GEN, tol=1e-3)
     assert report.passed and not report.resolved
-    assert report.grid[1] == rung_points(GEN, potential_columns(GEN))[-1]
+    assert report.grid.n == rung_points(GEN)[-1]
 
 
 def test_zero_tolerance_climbs_to_the_cap(monkeypatch):
@@ -149,15 +157,15 @@ def test_zero_tolerance_climbs_to_the_cap(monkeypatch):
     calls = []
     solve = oracle.lowest_levels
 
-    def wrapper(values, dx, count, coarser=()):
+    def wrapper(values, weights, dx, count, coarser=()):
         calls.append(len(values))
-        return solve(values, dx, count, coarser=coarser)
+        return solve(values, weights, dx, count, coarser=coarser)
 
     monkeypatch.setattr(verify.oracle, "lowest_levels", wrapper)
     report, _ = verify.verify_spectrum(GEN, tol=0.0)
-    points = rung_points(GEN, potential_columns(GEN))
+    points = rung_points(GEN)
     assert calls == points and len(points) == 3
-    assert report.grid[1] == points[-1] and not report.passed
+    assert report.grid.n == points[-1] and not report.passed
 
 
 @pytest.mark.parametrize("n, interiors", [
@@ -168,29 +176,43 @@ def test_zero_tolerance_climbs_to_the_cap(monkeypatch):
 def test_given_count_is_the_one_rung(monkeypatch, n, interiors):
     solved = LevelsCounter(monkeypatch)
     report, _ = verify.verify_spectrum(GEN, tol=1e-3, n=n)
-    assert report.passed and report.grid[1] == n
+    assert report.passed and report.grid.n == n
     assert solved.sizes == interiors  # the interiors of the 4h, 2h and h grids
 
 
-def test_point_cap_refuses_before_the_map_is_built(monkeypatch):
-    # V scaled a billion times asks for a spacing of 3e-6, past 2^20 points
+def scaled_scarf(monkeypatch, scale):
+    """Install Q scaled ``scale`` times in place of the closed form."""
+    weighted_scarf = geometry.weighted_scarf
+
+    def scaled(spec):
+        q_w = weighted_scarf(spec)
+
+        def q_w_scaled(t):
+            q, w = q_w(t)
+            return scale * q, w
+        return q_w_scaled
+
+    monkeypatch.setattr(geometry, "weighted_scarf", scaled)
+
+
+def test_point_cap_refuses_before_the_grid_is_sampled(monkeypatch):
+    # Q scaled a billion times asks for a spacing of 3e-6, past 2^20 points
     built = []
-    new_map = geometry.VariableMap
+    new_grid = geometry.t_grid
 
-    def recording(kappa, x_max, n_points, coarse=None):
-        built.append(n_points)
-        return new_map(kappa, x_max, n_points, coarse)
+    def recording(x_max, t_max, n):
+        built.append(n)
+        return new_grid(x_max, t_max, n)
 
-    monkeypatch.setattr(verify, "VariableMap", recording)
+    monkeypatch.setattr(geometry, "t_grid", recording)
+    scaled_scarf(monkeypatch, 1e9)
     with pytest.raises(GridTooLarge, match="the cap is 1048576"):
-        list(verify.oracle_map(GEN, potential_columns(GEN, scale=1e9)))
+        list(verify.oracle_map(GEN))
     assert len(built) == 1 and built[0] < 2000  # rung 0's first sampling alone
 
 
 def test_point_cap_is_a_numeric_failure(tmp_path, monkeypatch, capsys):
-    potential = geometry.potential
-    monkeypatch.setattr(geometry, "potential",
-                        lambda spec: lambda eta: 1e9 * potential(spec)(eta))
+    scaled_scarf(monkeypatch, 1e9)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"potential": {"gendenshtein": {"a": 2.5, "b": 0.5}}}))
     out = tmp_path / "o"
@@ -207,24 +229,44 @@ def spec_of(potential):
     return PotentialSpec(h0=complex(p["h0_re"], p["h0_im"]), kappa_plus=p["kappa_plus"])
 
 
-@pytest.mark.parametrize("potential, below_cap", [
-    ({"gendenshtein": {"a": 16.2, "b": 0.7}}, True),
-    ({"gendenshtein": {"a": 30.3, "b": 0.7}}, True),
-    ({"milson": {"h0_re": 5.3528, "h0_im": 0.6011, "kappa_plus": 1.6258}}, True),
+@pytest.mark.parametrize("command, config, decided", [
+    ("verify", {"potential": {"gendenshtein": {"a": 16.2, "b": 0.7}}}, "below cap"),
+    ("verify", {"potential": {"gendenshtein": {"a": 30.3, "b": 0.7}}}, "below cap"),
+    ("verify", {"potential": {"milson": {"h0_re": 5.3528, "h0_im": 0.6011, "kappa_plus": 1.6258}}},
+     "below cap"),
     # the levels -1e-8 and -1e-10: no budget reaches tol |E| / 10 = 1e-13 and
     # 1e-15, so the cap decides them on rel_delta
-    ({"gendenshtein": {"a": 2.0001, "b": 0.0}}, False),
-    ({"gendenshtein": {"a": 2.00001, "b": 0.0}}, False),
-])
-def test_hard_cases_pass_at_tight_tolerance(tmp_path, potential, below_cap):
+    ("verify", {"potential": {"gendenshtein": {"a": 2.0001, "b": 0.0}}}, "cap"),
+    ("verify", {"potential": {"gendenshtein": {"a": 2.00001, "b": 0.0}}}, "cap"),
+    # a well about 0.1 wide in x is about 0.3 wide in t: resolved on rung 0,
+    # where the x grid's cap of 6,081 points left ratios of 1015, -38 and -46
+    ("verify", {"potential": {"milson": {"h0_re": 7.75, "h0_im": 3.0, "kappa_plus": 0.05}}},
+     "rung 0"),
+    # the type-d m = 8 partner inserts a level at -1.1e5
+    ("partner", {"potential": {"milson": {"h0_re": 0.5, "h0_im": 7.5, "kappa_plus": 0.05}},
+                 "partner": {"kind": "d", "m": 8}}, "rung 0"),
+], ids=["gendenshtein-16.2", "gendenshtein-30.3", "milson-near-threshold", "gendenshtein-2.0001",
+        "gendenshtein-2.00001", "milson-kappa-0.05", "milson-kappa-0.05-partner-m8"])
+def test_hard_cases_pass_at_tight_tolerance(tmp_path, command, config, decided):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"potential": potential}))
+    path.write_text(json.dumps(config))
     out = tmp_path / "o"
-    assert cli.main(["verify", "--config", str(path), "--out", str(out), "--tol", "1e-4"]) == 0
-    record = json.loads((out / "verify.json").read_text())
-    spec = spec_of(potential)
-    cap = rung_points(spec, potential_columns(spec))[-1]
-    assert record["passed"] and (record["grid"]["n"] < cap) is below_cap
+    assert cli.main([command, "--config", str(path), "--out", str(out), "--tol", "1e-4"]) == 0
+    record = json.loads((out / ("verify.json" if command == "verify" else "partner_verify.json"))
+                        .read_text())
+    spec = spec_of(config["potential"])
+    partner = None
+    if command == "partner":
+        seed = spectral.aeh_solution(spec, "d", config["partner"]["m"])
+        partner = lambda etas: darboux.partner_potential(spec, seed, etas)  # noqa: E731
+    assert record["passed"]
+    rungs = verify.oracle_map(spec, partner)
+    if decided == "rung 0":
+        assert record["grid"]["n"] == next(rungs).grid.n
+    else:
+        assert (record["grid"]["n"] == [rung.grid.n for rung in rungs][-1]) is (decided == "cap")
+    if decided != "cap":
+        assert all(verify._BAND[0] <= lv["ratio"] <= verify._BAND[1] for lv in record["levels"])
 
 
 @pytest.mark.parametrize("command, a, b, points, levels", [
@@ -245,6 +287,6 @@ def test_shallow_and_partner_levels_stop_at_rung_0(tmp_path, command, a, b, poin
     record = json.loads((out / ("verify.json" if command == "verify" else "partner_verify.json"))
                         .read_text())
     spec = gendenshtein_params(a, b)
-    sample = potential_columns(spec) if command == "verify" else partner_columns(spec)
+    partner = None if command == "verify" else partner_columns(spec)
     assert record["passed"] and len(record["levels"]) == levels
-    assert record["grid"]["n"] == points == rung_points(spec, sample)[0]
+    assert record["grid"]["n"] == points == rung_points(spec, partner)[0]

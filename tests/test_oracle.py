@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from rrspectra import darboux, geometry, oracle, spectral, verify
+from rrspectra import darboux, oracle, spectral, verify
 from rrspectra.errors import InsufficientDecay, NonFiniteSamples, StepFailure
 from rrspectra.geometry import PotentialSpec
 from rrspectra.oracle import lowest_levels
@@ -24,21 +24,18 @@ PT_LEVELS = [-(NU - n) ** 2 for n in range(4)]
 
 
 def pt_grid(n=8192, x_max=20.0):
-    """(V, dx) for the Poschl-Teller well V = -NU (NU + 1) sech^2 x (Poschl &
-    Teller, Z. Phys. 83, 1933) on n points over [-x_max, x_max]."""
-    return -NU * (NU + 1) / np.cosh(np.linspace(-x_max, x_max, n)) ** 2, 2.0 * x_max / (n - 1)
-
-
-def potential_columns(spec):
-    """The column sampler ``verify`` hands to ``oracle_map``: V of ``spec``."""
-    return lambda etas: [geometry.on_grid(geometry.potential(spec), etas)]
+    """(V, W, dx) for the Poschl-Teller well V = -NU (NU + 1) sech^2 x (Poschl
+    & Teller, Z. Phys. 83, 1933) on n points over [-x_max, x_max], W = 1."""
+    return (-NU * (NU + 1) / np.cosh(np.linspace(-x_max, x_max, n)) ** 2, np.ones(n),
+            2.0 * x_max / (n - 1))
 
 
 def oracle_grid(spec, n=None):
-    """(V, dx): the potential of ``spec`` sampled on the cap of the ladder
-    that ``verify`` sizes for it, or on ``n`` points."""
-    *_, (vmap, (v,)) = oracle_map(spec, potential_columns(spec), n=n)
-    return np.asarray(v), vmap.dx
+    """(Q, W, dt): the coupling and weight of ``spec`` in t = asinh eta,
+    sampled on the cap of the ladder that ``verify`` sizes for it, or on
+    ``n`` points."""
+    *_, rung = oracle_map(spec, n=n)
+    return np.asarray(rung.couplings[-1]), np.asarray(rung.weights), rung.grid.dt
 
 
 class TestNumerov:
@@ -68,8 +65,8 @@ class TestNumerov:
         g1 = oracle_grid(gspec, n=4096)
         g2 = oracle_grid(gspec, n=8192)
         # a user's point count is kept as given, however small
-        [(vmap, _)] = oracle_map(gspec, potential_columns(gspec), n=300)
-        assert vmap.n_points == 300
+        [rung] = oracle_map(gspec, n=300)
+        assert rung.grid.n == 300
         e1, _ = lowest_levels(*g1, 3)
         e2, _ = lowest_levels(*g2, 3)
         for a, b in zip(e1, e2):
@@ -97,11 +94,11 @@ class TestNumerov:
         solve = oracle._levels
 
         def recorded(ham, count, starts=()):
-            sizes.append(len(ham.v))
+            sizes.append(len(ham.q))
             return solve(ham, count, starts)
 
         monkeypatch.setattr(oracle, "_levels", recorded)
-        est, _ = lowest_levels(-nu * (nu + 1) / np.cosh(x) ** 2, 40.0 / 16384, 4)
+        est, _ = lowest_levels(-nu * (nu + 1) / np.cosh(x) ** 2, np.ones(len(x)), 40.0 / 16384, 4)
         assert sizes == [2047, 4095, 8191, 16383]
         assert_allclose([e.energy for e in est], [-(nu - n) ** 2 for n in range(4)], atol=1e-9, rtol=0)
 
@@ -111,7 +108,19 @@ class TestNumerov:
         nu = 80.0
         x = np.linspace(-20.0, 20.0, 1025)
         with pytest.raises(StepFailure, match="must be below 0.5"):
-            lowest_levels(-nu * (nu + 1) / np.cosh(x) ** 2, 40.0 / 1024, 4)
+            lowest_levels(-nu * (nu + 1) / np.cosh(x) ** 2, np.ones(1025), 40.0 / 1024, 4)
+
+    def test_weight_breaks_the_guard(self):
+        # a well of depth 30 at t = 5, where W is about 1, and W = 20 at t = 0,
+        # where Q is about 0: at spacing 0.2, h^2 (-min Q)/12 = 0.1, but
+        # a_j = Q_j - sigma W_j reaches about 600 at t = 0 for sigma at the
+        # bottom, so h^2 max_j(Q_j - bottom W_j)/12 = 1.99
+        t = np.linspace(-20.0, 20.0, 201)
+        q, w = -30.0 / np.cosh(t - 5.0) ** 2, 1.0 + 19.0 / np.cosh(t) ** 2
+        ham = oracle._Hamiltonian(q.tolist(), np.ones(201).tolist(), 0.2)
+        assert ham.bottom[0] == min(q[1:-1])
+        with pytest.raises(StepFailure, match="= 1.99; it must be below 0.5"):
+            oracle._Hamiltonian(q.tolist(), w.tolist(), 0.2)
 
     def test_insufficient_decay_rejected(self):
         # |V| is about 1 at x = +-2
@@ -146,10 +155,10 @@ def transparent_end(h2, sigma):
 
 def numerov_diagonal(ham, sigma):
     """The diagonal of Numerov's matrix T(sigma) of ``ham``,
-    2/h^2 + (V_j - sigma)/(1 - h^2 (V_j - sigma)/12), with the transparent
-    end term added to its first and last entries; its off-diagonal is
-    -sqrt(ham.off2)."""
-    f = np.array(ham.v) - sigma
+    2/h^2 + a_j/(1 - h^2 a_j/12) with a_j = Q_j - sigma W_j, with the
+    transparent end term added to its first and last entries; its
+    off-diagonal is -sqrt(ham.off2)."""
+    f = np.array(ham.q) - sigma * np.array(ham.w)
     diag = 2.0 / ham.h2 + f / (1.0 - ham.h2 * f / 12.0)
     diag[[0, -1]] += transparent_end(ham.h2, sigma)
     return diag
@@ -174,9 +183,8 @@ def partner_samples(spec):
     """The type-d m=0 partner of ``spec`` on its oracle grid, as ``partner`` builds it."""
     seed = spectral.aeh_solution(spec, "d", 0)
     expected = darboux.partner_levels(spectral.enumerate_bound_spectrum(spec).energies, seed)
-    *_, (vmap, (_, v_partner)) = oracle_map(
-        spec, lambda etas: darboux.partner_potential(spec, seed, etas))
-    return np.asarray(v_partner), vmap.dx, len(expected)
+    *_, rung = oracle_map(spec, lambda etas: darboux.partner_potential(spec, seed, etas))
+    return np.asarray(rung.couplings[-1]), np.asarray(rung.weights), rung.grid.dt, len(expected)
 
 
 def pt_samples(n):
@@ -192,8 +200,7 @@ RITZ_CASES = {
     # deep wells: 17 and 31 levels
     "gendenshtein-16.2-0.7": lambda: oracle_samples(gendenshtein_params(16.2, 0.7)),
     "gendenshtein-30.3-0.7": lambda: oracle_samples(gendenshtein_params(30.3, 0.7)),
-    # kappa = 0.05 gives a well about 0.1 wide that the coarse grids do not
-    # resolve, so their levels are poor starting values for the finer grids
+    # weights far from 1: W = 1 + (kappa - 1) sech^2 t runs from kappa to 1
     "milson-kappa-0.05": lambda: oracle_samples(milson(complex(7.75, 3.0), 0.05)),
     "milson-kappa-20": lambda: oracle_samples(milson(complex(7.75, 3.0), 20.0)),
     "partner-7104": lambda: partner_samples(milson(complex(6.8592, 2.3552), 0.6319)),
@@ -227,7 +234,7 @@ def chain_case(name):
     """(estimates, {step: (ham, count, starts, levels, bounds)}): each grid
     that ``lowest_levels`` solves for the case ``name``, by its spacing in
     units of the case's own."""
-    v, dx, count = ritz_case(name)
+    q, w, dx, count = ritz_case(name)
     solved = {}
     solve = oracle._levels
 
@@ -239,7 +246,7 @@ def chain_case(name):
 
     oracle._levels = record
     try:
-        estimates, _ = lowest_levels(v, dx, count)
+        estimates, _ = lowest_levels(q, w, dx, count)
     finally:
         oracle._levels = solve
     return estimates, solved
@@ -300,8 +307,8 @@ class TestSineRitz:
     @pytest.mark.parametrize("name", sorted(RITZ_CASES))
     def test_fallback_alone_matches_lapack(self, name, step):
         # no starting values: every level by bisection and Laguerre steps
-        v, dx, count = ritz_case(name)
-        ham = oracle._Hamiltonian(v[::step].tolist(), step * dx)
+        q, w, dx, count = ritz_case(name)
+        ham = oracle._Hamiltonian(q[::step].tolist(), w[::step].tolist(), step * dx)
         count = min(count, ham.top[1])
         levels, bounds = oracle._levels(ham, count)
         assert_certified(ham, count, levels, bounds)
@@ -345,8 +352,8 @@ class TestSineRitz:
         # the level is within its certificate, so the certificate fails; the
         # next step starts from the count that failed it, next to the level,
         # not from a bisected midpoint (5 to 7 passes)
-        v, dx, _ = ritz_case("poschl-teller-4097")
-        ham = oracle._Hamiltonian(v.tolist(), dx)
+        q, w, dx, _ = ritz_case("poschl-teller-4097")
+        ham = oracle._Hamiltonian(q.tolist(), w.tolist(), dx)
         levels, bounds = oracle._levels(ham, k + 1)
         passes = PassCounter(monkeypatch)
         x, w = oracle._isolate(ham, k, [ham.bottom, ham.top], levels[k] + offset, 1e12)
@@ -363,25 +370,32 @@ class TestSineRitz:
         assert_allclose([e.error for e in est], truncation + cert, rtol=1e-12)
         assert np.all(cert > 0)
 
-    def test_sturm_count(self):
+    @pytest.mark.parametrize("name", ["poschl-teller-4097", "milson-kappa-0.05",
+                                      "milson-kappa-20"])
+    def test_sturm_count(self, name):
         # the count steps from k to k + 1 across level k, the e with
         # lambda_k(T(e)) = 0, found here by Brent's method on LAPACK's levels
         brentq = pytest.importorskip("scipy.optimize").brentq
-        v, dx, count = ritz_case("poschl-teller-4097")
-        ham = oracle._Hamiltonian(v.tolist(), dx)
-        for k in range(count):
+        q, w, dx, count = ritz_case(name)
+        ham = oracle._Hamiltonian(q.tolist(), w.tolist(), dx)
+        for k in range(min(count, ham.top[1])):
             e = brentq(lambda x: matrix_level(ham, x, k), ham.bottom[0], oracle._CEILING,
                        xtol=1e-12)
             assert oracle._count(ham, e - 1e-6) == k
             assert oracle._count(ham, e + 1e-6) == k + 1
 
-    @pytest.mark.parametrize("sigma", [-3.0, -0.3, -1e-2, -1e-4])
-    def test_pass_derivatives(self, sigma):
+    @pytest.mark.parametrize("name, sigma", [
+        *(("gendenshtein-2.05-0", sigma) for sigma in (-3.0, -0.3, -1e-2, -1e-4)),
+        # levels -41.7, -4.61 and -0.298, and -0.471, -0.274 and -0.0724
+        *(("milson-kappa-0.05", sigma) for sigma in (-20.0, -2.0, -1e-2, -1e-4)),
+        *(("milson-kappa-20", sigma) for sigma in (-3.0, -0.2, -1e-2, -1e-4)),
+    ])
+    def test_pass_derivatives(self, name, sigma):
         # s and t, ends included, against central differences of
         # ln |det T(sigma)|, summed over the pivots of Numerov's matrix with
         # both end entries in it
-        v, dx, _ = ritz_case("gendenshtein-2.05-0")
-        ham = oracle._Hamiltonian(v[::4].tolist(), 4 * dx)
+        q, w, dx, _ = ritz_case(name)
+        ham = oracle._Hamiltonian(q[::4].tolist(), w[::4].tolist(), 4 * dx)
 
         def ln_det(x):
             q, total = math.inf, 0.0
@@ -390,7 +404,7 @@ class TestSineRitz:
                 total += math.log(abs(q))
             return total
 
-        d = 1e-3 * abs(sigma)  # the nearest root or threshold is at least |sigma| away
+        d = 1e-3 * abs(sigma)  # the nearest root or threshold is at least 40 d away
         plus, mid, minus = ln_det(sigma + d), ln_det(sigma), ln_det(sigma - d)
         _, s, t = oracle._laguerre_pass(ham, sigma)
         assert s == pytest.approx(-(plus - minus) / (2 * d), rel=1e-5)
@@ -400,21 +414,26 @@ class TestSineRitz:
         plus, minus = ln_det(sigma + d), ln_det(sigma - d)
         assert t == pytest.approx(-(plus - 2 * mid + minus) / (d * d), rel=1e-3)
 
-    @pytest.mark.parametrize("name", ["gendenshtein-2.05-0", "partner-7104"])
+    @pytest.mark.parametrize("name", ["gendenshtein-2.05-0", "partner-7104", "milson-kappa-0.05",
+                                      "milson-kappa-20"])
     def test_transparent_count(self, name):
         # the count at sigma is the number of negative levels of T(sigma)
-        v, dx, _ = ritz_case(name)
-        ham = oracle._Hamiltonian(v.tolist(), dx)
+        q, w, dx, _ = ritz_case(name)
+        ham = oracle._Hamiltonian(q.tolist(), w.tolist(), dx)
         for sigma in np.linspace(ham.bottom[0], -1e-3, 41).tolist() + [-1e-9, oracle._CEILING]:
             levels = lapack_levels(numerov_diagonal(ham, sigma), ham.off2, ham.top[1] + 1)
             assert oracle._count(ham, sigma) == np.sum(levels < 0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_samples_rejected(self, bad):
-        values, dx = pt_grid(1025)
+        values, weights, dx = pt_grid(1025)
         values[700] = bad
-        with pytest.raises(NonFiniteSamples):
-            lowest_levels(values, dx, 2)
+        with pytest.raises(NonFiniteSamples, match="^1 of 2050 samples of Q and W"):
+            lowest_levels(values, weights, dx, 2)
+        values[700] = 0.0
+        weights[300] = bad
+        with pytest.raises(NonFiniteSamples, match="^1 of 2050 samples of Q and W"):
+            lowest_levels(values, weights, dx, 2)
 
 
 # name: (levels the oracle finds, analytic node counts, passed); the
@@ -446,7 +465,8 @@ class TestLevelReport:
     def test_one_pass_rule(self, monkeypatch, check, case):
         found, nodes, passed = LEVEL_CASES[case]
         # resolved levels, so the ladder stops at its first rung
-        monkeypatch.setattr(verify.oracle, "lowest_levels", lambda values, dx, count, coarser: ([
+        monkeypatch.setattr(verify.oracle, "lowest_levels", lambda values, weights, dx, count,
+                            coarser: ([
             oracle.EigenEstimate(energy=e, error=0.0, ratio=16.0) for e in found[:count]], ()))
         spec = gendenshtein_params(2.5, 0.5)
         if check == "spectrum":
@@ -455,9 +475,7 @@ class TestLevelReport:
                                 lambda spec: Spectrum(states=states, n_max_formula=1))
             rep, _ = verify_spectrum(spec, tol=1e-3)
         else:
-            vmap, _ = next(oracle_map(spec, potential_columns(spec)))
-            rep, _, _ = verify.verify_partner_levels([(vmap, [np.zeros(vmap.n_points)])],
-                                                     ANALYTIC, tol=1e-3)
+            rep, _ = verify.verify_partner_levels([next(oracle_map(spec))], ANALYTIC, tol=1e-3)
         assert rep.passed is passed
         assert (rep.n_expected, rep.tol) == (2, 1e-3)
         assert [lv.n for lv in rep.levels] == [lv.nodes_numeric for lv in rep.levels] == \

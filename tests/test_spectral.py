@@ -207,8 +207,8 @@ class TestConventionPinning:
 class TestEigenfunctions:
     def test_ground_state_closed_form(self, gspectrum, gmap):
         # psi_0 proportional to cosh(x)^-a * exp(-b*atan(sinh x))
-        xs = gmap.x_grid[::128]
-        psi = sampled([bound_state(gspectrum, 0)], gmap)[0][::128]
+        xs = np.array(gmap.ts[::128])  # t = x at kappa = 1
+        psi = sampled(1.0, [bound_state(gspectrum, 0)], gmap.etas)[0][::128]
         ref = np.cosh(xs) ** -2.5 * np.exp(-0.5 * np.arctan(np.sinh(xs)))
         ratio = psi / ref
         assert np.max(np.abs(ratio / ratio[len(ratio) // 2] - 1.0)) < 1e-9
