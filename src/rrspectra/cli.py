@@ -245,7 +245,7 @@ def _check_record(report, analytic_key: str, **extra) -> dict:
                "rel_delta": lv.rel_delta, "error": lv.error,
                "ratio": lv.ratio if math.isfinite(lv.ratio) else None}
         if lv.nodes_analytic is not None:
-            row.update(nodes_analytic=lv.nodes_analytic, nodes_numeric=lv.nodes_numeric)
+            row.update(nodes_analytic=lv.nodes_analytic, nodes_numeric=lv.n)
         rows.append(row)
     grid = report.grid and {k: getattr(report.grid, k) for k in ("x_max", "t_max", "n", "dt")}
     return {"tol": report.tol, "passed": report.passed, "grid": grid, "levels": rows, **extra}

@@ -47,7 +47,6 @@ class Grid(NamedTuple):
 _CERT_REL = 1e-11  # certified half-width relative to the level ...
 _CERT_NORM = 4.0  # ... or in units of eps * ||T||, whichever is wider
 _LAGUERRE_STEPS = 40  # Laguerre passes a level may take before it only bisects
-_COARSEST = 512  # fewest interior samples of a grid that only supplies starting values
 _CEILING = -1e-14  # highest level solved with transparent ends: rho is not real at e >= 0
 _GUARD = 0.5  # largest h^2 max_j(Q_j - bottom W_j) / 12 of a grid, so that w_j > 1/2
 
@@ -341,12 +340,10 @@ def lowest_levels(values, weights, dx: float, count: int, *, coarser: tuple = ()
     sample is solved; where n - 1 is not a multiple of 4 the subsamples end
     short of the last sample.  A level is returned only where all three
     grids have it below the ceiling, so one within the scheme's error of
-    threshold on the finest grid alone is left out.  Coarser 2:1 subsamples,
-    while they keep 512 interior samples, twice as many as there are
-    levels, and the same guard, are solved first for starting values alone;
-    the grids are solved coarse to fine, each level from :func:`_predicted`,
-    and each grid for as many of the ``count`` levels as it has below the
-    ceiling.
+    threshold on the finest grid alone is left out.  These three grids are
+    the only ones solved, coarse to fine, each level from
+    :func:`_predicted`, and each grid for as many of the ``count`` levels as
+    it has below the ceiling.
 
     ``coarser``, the grids returned for the samples ``[::2]`` at spacing
     2 dx (n - 1 must then be a multiple of 4, so that they are the 2:1 and
@@ -372,17 +369,8 @@ def lowest_levels(values, weights, dx: float, count: int, *, coarser: tuple = ()
         return [], ()
     samples = [(v, w)] if coarser else [(v, w), (v[::2], w[::2]), (v[::4], w[::4])]
     grids = [_Hamiltonian(*g, dx * 2 ** i) for i, g in enumerate(samples)]
-    # so no level above the ceiling is solved
-    kept = min(count, *(ham.top[1] for ham in grids), *(g.top for g in coarser[-2:]))
-    if kept == 0:
+    if 0 in [ham.top[1] for ham in grids] + [g.top for g in coarser[-2:]]:
         return [], ()
-    while not coarser and len(samples[-1][0]) // 2 - 1 >= max(_COARSEST, 2 * kept):
-        coarse = samples[-1][0][::2], samples[-1][1][::2]
-        try:
-            grids.append(_Hamiltonian(*coarse, dx * 2 ** len(grids)))
-        except StepFailure:  # too coarse for the guard, and so for useful starts
-            break
-        samples.append(coarse)
     solved = list(coarser)
     for ham in reversed(grids):
         starts = _predicted([g.levels for g in solved])

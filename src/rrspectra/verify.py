@@ -16,8 +16,9 @@ around the 16 of Numerov's fourth-order scheme.
 Rung 0 has 4 times the spacing of the cap, and each rung halves the spacing
 of the one before, so the grids a rung solved are the next rung's 2:1 and
 4:1 subsamples and each refinement solves one new grid.  The cap is the
-spacing rule min(0.012, 0.1/sqrt|V_min|) on the rung's own samples, with
-|V_min| read as -min(0, min Q/W) max W; a rung above 2^20 points is refused.
+spacing rule min(0.012, 0.1/sqrt|V_min|), read once, on the samples of
+rung 0, with |V_min| read as -min(0, min Q/W) max W of the coupling the
+oracle solves; a rung above 2^20 points is refused.
 A given point count is the one rung; one too coarse for Numerov's scheme
 raises StepFailure (see oracle.lowest_levels).
 """
@@ -46,22 +47,22 @@ _BAND = (14.0, 19.2)
 
 class Rung(NamedTuple):
     """One rung of the oracle's ladder: its :class:`geometry.TGrid`, W on it,
-    the couplings (Q, then Q_hat for a partner), the last of which the
-    oracle solves, and a partner's (V, V_hat), or ()."""
+    the coupling the oracle solves (Q, or Q_hat for a partner), and a
+    partner's (V, V_hat), or ()."""
     grid: geometry.TGrid
     weights: list
-    couplings: list
+    coupling: list
     potentials: tuple
 
 
 def _cap_intervals(t_max: float, rung=None) -> int:
     """The intervals on [-t_max, t_max] at spacing
-    h = min(0.012, 0.1/sqrt(depth)), depth = -min(0, min Q/W) max W over the
-    couplings of ``rung`` (0 for none)."""
+    h = min(0.012, 0.1/sqrt(depth)), depth = -min(0, min Q/W) max W of the
+    coupling of ``rung`` (0 for none)."""
     depth = 0.0
     if rung is not None:
         w = rung.weights
-        depth = -min(0.0, *(min(map(operator.truediv, q, w)) for q in rung.couplings)) * max(w)
+        depth = -min(0.0, min(map(operator.truediv, rung.coupling, w))) * max(w)
     h = _SPACING
     if depth * _SPACING ** 2 > _DEPTH_SPACING ** 2:
         h = _DEPTH_SPACING / math.sqrt(depth)
@@ -97,14 +98,15 @@ def oracle_map(spec: PotentialSpec, partner=None, x_max=None, n=None):
     |V| < 1e-12 at both ends (:func:`geometry.decay_x_max`), and t_max its
     :func:`geometry.t_of_x`.  The cap, the last rung, is the first with a
     spacing of at most h = min(0.012, 0.1/sqrt(depth)), depth =
-    -min(0, min Q/W) max W over the rung's own couplings.  Rung 0 has about
+    -min(0, min Q/W) max W of the coupling on rung 0.  Rung 0 has about
     4 h, a quarter of the cap's intervals rounded up to a multiple of 16 (so
     4 divides the intervals of every rung) and at least 64.  It is sampled at
-    4 x 0.012 first, and once more on a finer grid where the well is deeper
-    than 0.1^2/0.012^2.  Each later rung has 2n - 1 points at half the
-    spacing, the points of the rung before as its even points, and samples
-    all of them.  Where the samples of a rung ask for a cap above 2^20
-    points, :class:`GridTooLarge` is raised before a finer grid is sampled.
+    4 x 0.012 first and, where that well is deeper than 0.1^2/0.012^2, once
+    more on a finer grid; the cap is read on rung 0 as the oracle solves it,
+    and not again.  Each later rung has 2n - 1 points at half the spacing,
+    the points of the rung before as its even points, and samples all of
+    them.  Where the cap is above 2^20 points, :class:`GridTooLarge` is
+    raised before a finer grid is sampled.
     """
     if x_max is None:
         x_max = geometry.decay_x_max(spec, _DECAY)
@@ -114,12 +116,12 @@ def oracle_map(spec: PotentialSpec, partner=None, x_max=None, n=None):
     def rung(points):
         grid = geometry.t_grid(x_max, t_max, points)
         q, w = map(list, zip(*map(q_w, grid.ts)))
-        couplings, potentials = [q], ()
+        potentials = ()
         if partner is not None:
             potentials = v, v_hat = partner(grid.etas)
-            couplings.append([a + b * (c - d) for a, b, c, d in zip(q, w, v_hat, v)])
-        geometry.require_finite("potential", couplings)
-        return Rung(grid, w, couplings, potentials)
+            q = [a + b * (c - d) for a, b, c, d in zip(q, w, v_hat, v)]
+        geometry.require_finite("potential", [q])
+        return Rung(grid, w, q, potentials)
 
     if n is not None:
         yield rung(n)
@@ -131,9 +133,9 @@ def oracle_map(spec: PotentialSpec, partner=None, x_max=None, n=None):
         intervals = _first_rung(cap)
         _refuse_above_cap(intervals, cap)
         current = rung(intervals + 1)
+        cap = _cap_intervals(t_max, current)
     while True:
         yield current
-        cap = _cap_intervals(t_max, current)
         if intervals >= cap:
             return
         _refuse_above_cap(intervals, cap)
@@ -142,17 +144,16 @@ def oracle_map(spec: PotentialSpec, partner=None, x_max=None, n=None):
 
 
 class LevelCheck(NamedTuple):
-    """One level of an oracle check.  Level k of the oracle is the k-th
-    lowest, so ``nodes_numeric`` is k; ``nodes_analytic`` is the closed
-    form's node count, a theorem, or None where it makes no claim.  ``error`` is
-    the level's budget, the oracle's error estimate plus |V| at the box ends,
+    """One level of an oracle check.  The oracle's level ``n``, counted from 0
+    at the lowest, has n nodes; ``nodes_analytic`` is the closed form's node
+    count, a theorem, or None where it makes no claim.  ``error`` is the
+    level's budget, the oracle's error estimate plus |V| at the box ends,
     and ``ratio`` its observed-order ratio."""
     n: int
     analytic: float
     numeric: float
     rel_delta: float
     nodes_analytic: int | None
-    nodes_numeric: int
     error: float
     ratio: float
 
@@ -170,7 +171,7 @@ class LevelReport(NamedTuple):
     @property
     def passed(self) -> bool:
         return len(self.levels) == self.n_expected and all(
-            lv.rel_delta <= self.tol and lv.nodes_analytic in (None, lv.nodes_numeric)
+            lv.rel_delta <= self.tol and lv.nodes_analytic in (None, lv.n)
             for lv in self.levels
         )
 
@@ -185,14 +186,14 @@ class LevelReport(NamedTuple):
 
 
 def _compare(rungs, energies, nodes, tol) -> tuple:
-    """(report, rung): the oracle levels of the last coupling of each
+    """(report, rung): the oracle levels of the coupling of each
     :class:`Rung` of ``rungs`` against the analytic ``energies`` and
     ``nodes``, on the first rung where they are resolved, else the last;
     ``rel_delta`` is relative to the oracle value.  Each rung after the first
     hands the oracle the grids of the one before."""
     coarser = ()
     for rung in rungs:
-        values = rung.couplings[-1]
+        values = rung.coupling
         estimates, coarser = (oracle.lowest_levels(values, rung.weights, rung.grid.dt,
                                                    len(energies), coarser=coarser)
                               if energies else ((), ()))
@@ -200,7 +201,7 @@ def _compare(rungs, energies, nodes, tol) -> tuple:
         levels = tuple(
             LevelCheck(n=k, analytic=e, numeric=est.energy,
                        rel_delta=abs(e - est.energy) / abs(est.energy),
-                       nodes_analytic=m, nodes_numeric=k, error=est.error + end, ratio=est.ratio)
+                       nodes_analytic=m, error=est.error + end, ratio=est.ratio)
             for k, (e, m, est) in enumerate(zip(energies, nodes, estimates))
         )
         report = LevelReport(levels=levels, n_expected=len(energies), tol=tol, grid=rung.grid)
@@ -222,7 +223,7 @@ def verify_spectrum(spec: PotentialSpec, tol: float = 1e-3, x_max=None, n=None) 
 
 
 def verify_partner_levels(rungs, expected, tol: float = 1e-3) -> tuple:
-    """(report, rung): the oracle spectrum of the partner, the last coupling
-    of each :class:`Rung` of ``rungs``, against an expected level list, and
+    """(report, rung): the oracle spectrum of the partner, the coupling of
+    each :class:`Rung` of ``rungs``, against an expected level list, and
     the rung it was decided on; the partner's node counts are not claimed."""
     return _compare(rungs, expected, [None] * len(expected), tol)

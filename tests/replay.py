@@ -33,9 +33,10 @@ there, on Q and W in t), a user grid too narrow for
 the potential to decay (a config error that leaves no file), a user x_max
 without n (the config box of ``spectrum``), a user n with n - 1 not a
 multiple of 4, ``--tol 0`` (the ladder climbs to the cap), Milson kappa far
-from 1, a type-c (ground-state erasure) partner, a deep well (Gendenshtein
-16.2, 0.7), a real h0, whose quartic has a double root at lambda = 0 (the
-repeated-root path of root isolation), a Milson potential whose quartic has
+from 1 (at kappa 0.05 also ``verify --tol 0``), a type-c (ground-state
+erasure) partner, a deep well (Gendenshtein 16.2, 0.7), a real h0, whose
+quartic has a double root at lambda = 0 (the repeated-root path of root
+isolation), a Milson potential whose quartic has
 two positive roots below m + 1/2 at orders 1-3, a Milson potential whose
 branch point is the energy e = -1, a user grid too narrow for
 doubles (a config error that leaves no file), and an order-4 scan on two
@@ -106,6 +107,8 @@ for kappa in (0.05, 20.0):
          "partner": {"kind": "d", "m": 0}},
         ("spectrum", "verify", "partner", "identities"),
     )
+# the ladder's top on kappa 0.05, whose finer rungs sample a slightly deeper well
+EXTRA["milson-kappa-0.05-zero-tol"] = (EXTRA["milson-kappa-0.05"][0], ("verify --tol 0",))
 
 
 def commands():

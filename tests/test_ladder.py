@@ -23,9 +23,9 @@ MILSON = PotentialSpec(h0=complex(7.75, 3.0), kappa_plus=2.0)
 
 def spacing_rule(rung):
     """Spacing h = min(0.012, 0.1/sqrt(depth)) of the samples of ``rung``,
-    depth = -min(0, min Q/W) max W over its couplings."""
+    depth = -min(0, min Q/W) max W of the coupling the oracle solves."""
     w = np.array(rung.weights)
-    depth = -min(0.0, min(np.min(np.array(q) / w) for q in rung.couplings)) * np.max(w)
+    depth = -min(0.0, np.min(np.array(rung.coupling) / w)) * np.max(w)
     return min(0.012, 0.1 / depth ** 0.5) if depth > 0 else 0.012
 
 
@@ -57,29 +57,30 @@ def test_rungs_nest_bit_for_bit(spec, partner):
         # each rung samples all its points; the even ones are the rung before's
         assert fine.grid.ts[::2] == coarse.grid.ts and fine.grid.etas[::2] == coarse.grid.etas
         assert fine.weights[::2] == coarse.weights
-        assert [c[::2] for c in fine.couplings] == coarse.couplings
+        assert fine.coupling[::2] == coarse.coupling
         assert [c[::2] for c in fine.potentials] == list(coarse.potentials)
     for rung in rungs:
         assert (rung.grid.n - 1) % 4 == 0
-        assert all(len(c) == rung.grid.n for c in [rung.weights, *rung.couplings, *rung.potentials])
-        assert len(rung.couplings) == (1 if partner is None else 2)
-    # the cap is the first rung at the spacing rule of its own samples
+        assert all(len(c) == rung.grid.n for c in [rung.weights, rung.coupling, *rung.potentials])
+        assert len(rung.potentials) == (0 if partner is None else 2)
+    # the cap is the first rung at the spacing rule of rung 0's samples
     for rung in rungs[:-1]:
-        assert rung.grid.dt > spacing_rule(rung)
-    assert rungs[-1].grid.dt <= spacing_rule(rungs[-1])
+        assert rung.grid.dt > spacing_rule(rungs[0])
+    assert rungs[-1].grid.dt <= spacing_rule(rungs[0])
 
 
 def test_partner_coupling_is_shifted_by_the_weight():
     # Q_hat = Q + W (V_hat - V): the partner's V_hat in t, for the oracle
     *_, rung = verify.oracle_map(MILSON, partner_columns(MILSON))
-    (q, q_hat), w, (v, v_hat) = rung.couplings, rung.weights, rung.potentials
+    q_hat, w, (v, v_hat) = rung.coupling, rung.weights, rung.potentials
+    q, w_parent = map(list, zip(*map(geometry.weighted_scarf(MILSON), rung.grid.ts)))
+    assert w == w_parent
     assert q_hat == [a + b * (c - d) for a, b, c, d in zip(q, w, v_hat, v)]
-    assert q == [geometry.weighted_scarf(MILSON)(t)[0] for t in rung.grid.ts]
 
 
 def test_refinement_solves_one_new_grid(monkeypatch):
     rung0, rung1, _ = verify.oracle_map(GEN)
-    (q0,), (q1,) = rung0.couplings, rung1.couplings
+    q0, q1 = rung0.coupling, rung1.coupling
     est0, grids = oracle.lowest_levels(q0, rung0.weights, rung0.grid.dt, 3)
     solved = LevelsCounter(monkeypatch)
     est1, grids1 = oracle.lowest_levels(q1, rung1.weights, rung1.grid.dt, 3, coarser=grids)
@@ -95,7 +96,7 @@ def test_refinement_solves_one_new_grid(monkeypatch):
 
 def test_refinement_needs_nested_counts():
     rung = next(verify.oracle_map(GEN))
-    (q,), w = rung.couplings, rung.weights
+    q, w = rung.coupling, rung.weights
     _, grids = oracle.lowest_levels(q, w, rung.grid.dt, 3)
     with pytest.raises(ValueError, match="multiple of 4"):
         oracle.lowest_levels(q[:-1], w[:-1], rung.grid.dt, 3, coarser=grids)
@@ -152,7 +153,13 @@ def test_unresolved_at_the_cap_keeps_the_pass_rule(monkeypatch):
     assert report.grid.n == rung_points(GEN)[-1]
 
 
-def test_zero_tolerance_climbs_to_the_cap(monkeypatch):
+@pytest.mark.parametrize("spec, cap_points", [
+    (GEN, 4929),
+    # finer rungs sample this well a little deeper (caps of 7,726 to 7,732
+    # intervals), so the cap is read on rung 0 alone
+    (PotentialSpec(h0=complex(7.75, 3.0), kappa_plus=0.05), 7729),
+], ids=["gendenshtein-2.5", "milson-kappa-0.05"])
+def test_zero_tolerance_climbs_to_the_cap(monkeypatch, spec, cap_points):
     # no level is resolved at tol 0, so every rung is solved and the cap decides
     calls = []
     solve = oracle.lowest_levels
@@ -162,10 +169,10 @@ def test_zero_tolerance_climbs_to_the_cap(monkeypatch):
         return solve(values, weights, dx, count, coarser=coarser)
 
     monkeypatch.setattr(verify.oracle, "lowest_levels", wrapper)
-    report, _ = verify.verify_spectrum(GEN, tol=0.0)
-    points = rung_points(GEN)
+    report, _ = verify.verify_spectrum(spec, tol=0.0)
+    points = rung_points(spec)
     assert calls == points and len(points) == 3
-    assert report.grid.n == points[-1] and not report.passed
+    assert report.grid.n == points[-1] == cap_points and not report.passed
 
 
 @pytest.mark.parametrize("n, interiors", [
@@ -267,6 +274,28 @@ def test_hard_cases_pass_at_tight_tolerance(tmp_path, command, config, decided):
         assert (record["grid"]["n"] == [rung.grid.n for rung in rungs][-1]) is (decided == "cap")
     if decided != "cap":
         assert all(verify._BAND[0] <= lv["ratio"] <= verify._BAND[1] for lv in record["levels"])
+
+
+def test_erasure_partner_cap_reads_the_partner_coupling(tmp_path):
+    # the type-c partner of Gendenshtein (16.2, 0.7) erases the ground level
+    # at -262.44: its coupling Q_hat is shallower than the parent's Q, and rung 0
+    # and the cap come from Q_hat alone
+    spec = gendenshtein_params(16.2, 0.7)
+    seed = spectral.bound_state(spectral.enumerate_bound_spectrum(spec), 0)
+    rungs = list(verify.oracle_map(spec, lambda etas: darboux.partner_potential(spec, seed, etas)))
+    rung0 = rungs[0]
+    cap = verify._cap_intervals(rung0.grid.t_max, rung0)
+    parent_cap = verify._cap_intervals(rung0.grid.t_max, next(verify.oracle_map(spec)))
+    assert cap < parent_cap
+    assert rung0.grid.n == verify._first_rung(cap) + 1 == 2473
+    assert rungs[-1].grid.n == 9889
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"potential": {"gendenshtein": {"a": 16.2, "b": 0.7}},
+                                "partner": {"kind": "c", "m": 0}}))
+    out = tmp_path / "o"
+    assert cli.main(["partner", "--config", str(path), "--out", str(out)]) == 0
+    record = json.loads((out / "partner_verify.json").read_text())
+    assert record["passed"] and record["grid"]["n"] == rungs[1].grid.n == 4945
 
 
 @pytest.mark.parametrize("command, a, b, points, levels", [

@@ -35,7 +35,7 @@ def oracle_grid(spec, n=None):
     sampled on the cap of the ladder that ``verify`` sizes for it, or on
     ``n`` points."""
     *_, rung = oracle_map(spec, n=n)
-    return np.asarray(rung.couplings[-1]), np.asarray(rung.weights), rung.grid.dt
+    return np.asarray(rung.coupling), np.asarray(rung.weights), rung.grid.dt
 
 
 class TestNumerov:
@@ -84,10 +84,9 @@ class TestNumerov:
         for e, x in zip(est, exact):
             assert abs(e.energy - x) <= e.error
 
-    def test_deep_well_keeps_guarded_start_grids(self, monkeypatch):
-        # a Poschl-Teller well of depth 6,480 on 16,385 points: the start-only
-        # 8h grid, h^2 (V_max - V_min)/12 = 0.21, is solved; the 16h grid, at
-        # 0.82, is not, though it keeps 1,023 interior samples
+    def test_deep_well_solves_the_three_grids_alone(self, monkeypatch):
+        # a Poschl-Teller well of depth 6,480 on 16,385 points: a fresh call
+        # solves the 4h, 2h and h grids and no coarser one
         nu = 80.0
         x = np.linspace(-20.0, 20.0, 16385)
         sizes = []
@@ -99,7 +98,7 @@ class TestNumerov:
 
         monkeypatch.setattr(oracle, "_levels", recorded)
         est, _ = lowest_levels(-nu * (nu + 1) / np.cosh(x) ** 2, np.ones(len(x)), 40.0 / 16384, 4)
-        assert sizes == [2047, 4095, 8191, 16383]
+        assert sizes == [4095, 8191, 16383]
         assert_allclose([e.energy for e in est], [-(nu - n) ** 2 for n in range(4)], atol=1e-9, rtol=0)
 
     def test_coarse_grid_breaks_the_guard(self):
@@ -184,7 +183,7 @@ def partner_samples(spec):
     seed = spectral.aeh_solution(spec, "d", 0)
     expected = darboux.partner_levels(spectral.enumerate_bound_spectrum(spec).energies, seed)
     *_, rung = oracle_map(spec, lambda etas: darboux.partner_potential(spec, seed, etas))
-    return np.asarray(rung.couplings[-1]), np.asarray(rung.weights), rung.grid.dt, len(expected)
+    return np.asarray(rung.coupling), np.asarray(rung.weights), rung.grid.dt, len(expected)
 
 
 def pt_samples(n):
@@ -478,8 +477,7 @@ class TestLevelReport:
             rep, _ = verify.verify_partner_levels([next(oracle_map(spec))], ANALYTIC, tol=1e-3)
         assert rep.passed is passed
         assert (rep.n_expected, rep.tol) == (2, 1e-3)
-        assert [lv.n for lv in rep.levels] == [lv.nodes_numeric for lv in rep.levels] == \
-            list(range(len(found)))
+        assert [lv.n for lv in rep.levels] == list(range(len(found)))
         claims = nodes if check == "spectrum" else [None, None]
         for lv, e, v, m in zip(rep.levels, ANALYTIC, found, claims):
             assert (lv.analytic, lv.numeric, lv.nodes_analytic) == (e, v, m)
