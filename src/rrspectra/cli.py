@@ -50,7 +50,8 @@ import sys
 from typing import NamedTuple
 
 from . import spectral
-from .errors import ConfigError, InsufficientDecay, NonFiniteSamples, SpectraError, StepFailure
+from .errors import (ConfigError, InsufficientDecay, NonFiniteSamples, NoSuchRoot, SpectraError,
+                     StepFailure)
 from .spectral import PotentialSpec
 
 # The built-in SHA-256 (_sha2 from Python 3.12, _sha256 before), not hashlib's,
@@ -70,8 +71,8 @@ except ImportError:
 
 # The keys each config block accepts, checked when the block is read.
 BLOCK_KEYS = {
-    "gendenshtein": ("a", "b", "O00"),
-    "milson": ("h0_re", "h0_im", "kappa_plus", "O00"),
+    "gendenshtein": ("a", "b"),
+    "milson": ("h0_re", "h0_im", "kappa_plus"),
     "grid": ("x_max", "n"),
     "scan": ("a_range", "b_range", "na", "nb", "m"),
     "partner": ("kind", "m"),
@@ -137,13 +138,6 @@ class RunConfig:
             raise ConfigError("missing potential field %s" % exc) from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError("invalid potential parameters: %s" % exc) from exc
-        if "O00" in params:
-            declared = field("O00")
-            if abs(declared - self.spec.o00) > 1e-9 * max(1.0, abs(declared)):
-                raise ConfigError(
-                    "declared O00=%g violates the decay constraint 2*h0_re + 1 = %g"
-                    % (declared, self.spec.o00)
-                )
         grid = _block(raw.get("grid", {}), "grid", "'grid' must be an object")
         self.x_max = _number(grid["x_max"], "grid 'x_max'") if "x_max" in grid else None
         self.n = _number(grid["n"], "grid 'n'", integral=True) if "n" in grid else None
@@ -347,8 +341,10 @@ def cmd_partner(config: RunConfig, args) -> tuple:
     spectrum = spectral.enumerate_bound_spectrum(config.spec)
     if kind == "d":
         seed = spectral.aeh_solution(config.spec, "d", m)
+    elif spectrum.states:
+        seed = spectrum.states[0]
     else:
-        seed = spectral.bound_state(spectrum, 0)
+        raise NoSuchRoot("no bound state with index 0")
     expected = darboux.partner_levels(spectrum.energies, seed)
     rungs = verify.oracle_map(
         config.spec, lambda etas: darboux.partner_potential(config.spec, seed, etas),

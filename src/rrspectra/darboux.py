@@ -33,16 +33,13 @@ from .errors import NodeDetected
 from .spectral import ClosedForm, PotentialSpec
 
 
-_NODED = "factorization polynomial has real zeros"
-
-
 def partner_levels(parent, seed) -> list:
     """The levels of the partner built on ``seed`` from the ``parent`` levels:
     a type-d seed inserts its energy, a bound-state (type-c) seed erases the
     ground level.  A seed whose polynomial has real zeros (by its node count)
     raises :class:`NodeDetected`, before any grid is built for it."""
     if seed.nodes:
-        raise NodeDetected(_NODED)
+        raise NodeDetected("factorization polynomial has real zeros")
     return sorted([*parent, seed.energy]) if seed.kind == "d" else list(parent[1:])
 
 
@@ -50,11 +47,10 @@ def partner_potential(spec: PotentialSpec, seed: ClosedForm, etas) -> tuple:
     """(V, V_hat) at the floats ``etas``, with V_hat = 2 e_s + 2 w^2 - V, w
     the log-derivative of the closed-form ``seed`` and e_s its energy.
 
-    A seed with real polynomial zeros (its ``nodes``) raises
-    :class:`NodeDetected`.  Only the log-derivative of the seed is evaluated,
-    never its values, which underflow to 0.0 in the tails of deep wells."""
-    if seed.nodes:
-        raise NodeDetected(_NODED)
+    The seed is nodeless: :func:`partner_levels` refuses one with nodes
+    before any grid is sampled.  Only the log-derivative of the seed is
+    evaluated, never its values, which underflow to 0.0 in the tails of deep
+    wells."""
     v_parent = geometry.on_grid(geometry.potential(spec), etas)
     w = geometry.on_grid(geometry.log_derivative(spec.kappa_plus, seed), etas)
     e_s = seed.energy

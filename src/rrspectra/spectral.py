@@ -45,7 +45,7 @@ node count of R follows from its order and index by theorem
 (:func:`routh.theorem_root_count`), so no solution counts its roots.  The
 nodelessness scan alone counts them, exactly, as the cross-check of that
 theorem.  A command enumerates its :class:`Spectrum` once and reads its
-levels from it (:func:`bound_state`); nothing here is cached.  Only
+levels from ``states``; nothing here is cached.  Only
 ``spectrum`` samples bound states, so only it normalizes them
 (:func:`normalized`), each once.  This module imports no numpy: roots,
 counts and identities are decided in rationals held as Python integers
@@ -93,8 +93,9 @@ class PotentialSpec(_PotentialFields):
     when kappa_plus > 0.  A leading coefficient a of T would only scale x by
     sqrt(a) and e by 1/a, so T has none.
 
-    The constant term of the invariant is not free: vanishing of the potential
-    at both infinities forces O00 = 2*Re(h0) + 1, which is enforced here.  The
+    The constant term of the invariant is not a parameter: with singular
+    points at +-i, vanishing of the potential at both infinities forces
+    O00 = 2*Re(h0) + 1, so h0 and kappa_plus fix the potential.  The
     zero-energy exponent parameter lambda0 = sqrt(h0 + 1) must have a positive
     real part.
     """
@@ -113,10 +114,6 @@ class PotentialSpec(_PotentialFields):
         return super().__new__(cls, h0, kappa_plus)
 
     @property
-    def o00(self) -> float:
-        return 2.0 * self.h0.real + 1.0
-
-    @property
     def lambda0(self) -> complex:
         return cmath.sqrt(self.h0 + 1.0)
 
@@ -127,7 +124,7 @@ class PotentialSpec(_PotentialFields):
 
 
 class ClosedForm(NamedTuple):
-    """An order-n solution from :func:`_solution`, a bound state (kind "c") or
+    """An order-n solution from :func:`aeh_solution`, a bound state (kind "c") or
     a type-d companion: scale * (1+eta^2)^p * exp(q*atan eta) * R(eta), with
     the gauge power p and atan coefficient q read off ``lam`` and R the exact
     ``poly``.  ``scale`` is 1.0 until :func:`normalized` sets it.
@@ -295,17 +292,21 @@ def normalized(spec: PotentialSpec, solution: ClosedForm) -> ClosedForm:
     return solution._replace(scale=scale / math.sqrt(norm2))
 
 
-def _solution(spec: PotentialSpec, kind: str, m: int) -> ClosedForm:
-    """The unnormalized order-m solution of ``kind``: type c on the one
-    admissible root, type d on the most negative one, both at
-    e = -(m + 1/2 - lambda_R)^2.  There is one admissible root exactly
-    when Q(m + 1/2) < 0, never two.
+def aeh_solution(spec: PotentialSpec, kind: str, m: int) -> ClosedForm:
+    """The unnormalized order-m solution of ``kind``: type c, the
+    normalizable branch (a bound state), on the one admissible root, and
+    type d, a companion below the ground level and a Darboux seed when its
+    polynomial factor is nodeless, on the most negative root; both at
+    e = -(m + 1/2 - lambda_R)^2.  There is one admissible root exactly when
+    Q(m + 1/2) < 0, never two.
 
     The polynomial is R_m^(1 - conj lambda) of the pinned convention.  Its
     index is -conj(lambda) shifted by one exactly: 1 - L_R is never rounded,
     so the Routh coefficients are those of the float lambda.  A solution of
     order above :data:`MAX_ORDER` is a :class:`ConfigError`, and its
     polynomial is never built."""
+    if kind not in ("c", "d"):
+        raise ValueError("kind must be 'c' or 'd'")
     roots = quartic_lambda_roots(spec, m, kind)
     if not roots:
         raise NoSuchRoot("no type-%s root at order %d" % (kind, m))
@@ -322,7 +323,8 @@ def enumerate_bound_spectrum(spec: PotentialSpec) -> Spectrum:
     """Constructive bound-state enumeration: walk n upward until no root fits.
 
     State n is the unnormalized type-c solution of order n
-    (:func:`_solution`): its root exceeds n + 1/2, and |e| <
+    (:func:`aeh_solution`): its root exceeds n + 1/2, so its polynomial has
+    n real roots by theorem (:attr:`ClosedForm.nodes`), and |e| <
     ``THRESHOLD_ENERGY`` ends the walk.  The closed-form level-count (floor
     of Re lambda0, read as a maximal index) is recorded alongside for
     comparison but never drives the loop.
@@ -331,14 +333,14 @@ def enumerate_bound_spectrum(spec: PotentialSpec) -> Spectrum:
     unbounded in practice for a huge h0.  So a level whose polynomial has a
     coefficient beyond the double range raises ``OverflowError``, since no
     float can sample it, and a level of order above :data:`MAX_ORDER` raises
-    :class:`ConfigError` (:func:`_solution`).
+    :class:`ConfigError` (:func:`aeh_solution`).
     """
     notes = []
     states = []
     n = 0
     while True:
         try:
-            state = _solution(spec, "c", n)
+            state = aeh_solution(spec, "c", n)
         except NoSuchRoot:
             break
         if abs(state.energy) < THRESHOLD_ENERGY:
@@ -353,27 +355,6 @@ def enumerate_bound_spectrum(spec: PotentialSpec) -> Spectrum:
         n_max_formula=math.floor(spec.lambda0.real),
         notes=tuple(notes),
     )
-
-
-def bound_state(spectrum: Spectrum, n: int) -> ClosedForm:
-    """The n-th bound state of ``spectrum``.  Its polynomial has n real roots
-    by theorem, since :func:`enumerate_bound_spectrum` chose an admissible
-    root, lambda_R > n + 1/2 (:attr:`ClosedForm.nodes`)."""
-    if n >= len(spectrum.states):
-        raise NoSuchRoot("no bound state with index %d" % n)
-    return spectrum.states[n]
-
-
-def aeh_solution(spec: PotentialSpec, kind: str, m: int) -> ClosedForm:
-    """Unnormalized solution of the requested kind and order.
-
-    Type c are the normalizable branch (the bound states); type d carry the
-    negative quartic root, lie below the ground level, and are the Darboux
-    seeds when their polynomial factor is nodeless.
-    """
-    if kind not in ("c", "d"):
-        raise ValueError("kind must be 'c' or 'd'")
-    return _solution(spec, kind, m)
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +517,7 @@ def linspace(start, stop, num: int) -> list:
     return out
 
 
-def nodeless_scan(a_range, b_range, m: int, na: int = 16, nb: int = 16, workers: int = 1):
+def nodeless_scan(a_range, b_range, m: int, na: int, nb: int, workers: int = 1):
     """Three-way nodelessness map over a (a, b) parameter grid at fixed order.
 
     Per cell: the exact Sturm root count of the type-d polynomial factor

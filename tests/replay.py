@@ -111,18 +111,28 @@ for kappa in (0.05, 20.0):
 EXTRA["milson-kappa-0.05-zero-tol"] = (EXTRA["milson-kappa-0.05"][0], ("verify --tol 0",))
 
 
-def commands():
+def commands() -> list:
     """(config id, command line, config dict) for every replayed command; the
-    command line is the subcommand and the arguments after ``--out``."""
+    command line is the subcommand and the arguments after ``--out``.  The id
+    names the command's output directory and digest keys, so two command
+    lines with one id (an EXTRA config listing "verify" and "verify --tol 0")
+    raise ``ValueError`` before anything runs; give the second line an EXTRA
+    config of its own."""
+    out = []
     for workload in sorted(workloads.CYCLES):
         count = workloads.cycles_for(workload, RUN_SECONDS) * len(workloads.CYCLES[workload])
         for index in range(count):
             command, cfg = workloads.make_config(workload, SEED, index)
-            yield "%s-%d-%02d-%s" % (workload, SEED, index, command), [command], cfg
+            out.append(("%s-%d-%02d-%s" % (workload, SEED, index, command), [command], cfg))
     for name, (cfg, lines) in sorted(EXTRA.items()):
         for line in lines:
             argv = line.split()
-            yield "%s-%s" % (name, argv[0]), argv, cfg
+            out.append(("%s-%s" % (name, argv[0]), argv, cfg))
+    ids = [cid for cid, _argv, _cfg in out]
+    shared = sorted({cid for cid in ids if ids.count(cid) > 1})
+    if shared:
+        raise ValueError("replayed commands share an id: %s" % ", ".join(shared))
+    return out
 
 
 def replay(root: str) -> dict:

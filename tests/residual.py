@@ -25,6 +25,12 @@ from rrspectra.routh import ComplexIndex, RouthPolynomial
 from rrspectra.spectral import ClosedForm, PotentialSpec
 
 
+def constant_term(spec: PotentialSpec) -> float:
+    """O00 = 2 Re(h0) + 1, the constant term of the invariant at e = 0: the
+    one value for which the potential vanishes at both infinities."""
+    return 2.0 * spec.h0.real + 1.0
+
+
 def energy_slope(kappa: float) -> float:
     """Coefficient d of the energy in O0(e) = O00 + d*e, i.e. 2(1 + kappa)."""
     return 2.0 * (1.0 + kappa)
@@ -86,7 +92,7 @@ def bose_invariant_eval(spec: PotentialSpec, epsilon: float, eta):
     """
     eta = np.asarray(eta, dtype=float)
     h = spec.h0 - spec.energy_coupling * epsilon
-    o0 = spec.o00 + energy_slope(spec.kappa_plus) * epsilon
+    o0 = constant_term(spec) + energy_slope(spec.kappa_plus) * epsilon
     denom = (1.0 + eta ** 2)
     # h/(eta+i)^2 + conj(h)/(eta-i)^2 = 2*Re[h*(eta-i)^2] / (1+eta^2)^2
     re_part = h.real * (eta ** 2 - 1.0) + 2.0 * h.imag * eta

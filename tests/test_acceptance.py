@@ -15,7 +15,6 @@ from rrspectra.geometry import PotentialSpec, sampled, t_grid, t_of_x
 from rrspectra.routh import ComplexIndex, ode_residual, routh_polynomial
 from rrspectra.spectral import (
     aeh_solution,
-    bound_state,
     enumerate_bound_spectrum,
     gendenshtein_params,
     nodeless_scan,
@@ -125,7 +124,7 @@ def test_criterion_4_polynomial_identity_suite():
         b_g = float(rng.normal())
         spectrum = enumerate_bound_spectrum(gendenshtein_params(a_g, b_g))
         for n in range(7):
-            dev = stevenson_identity_check(bound_state(spectrum, n))
+            dev = stevenson_identity_check(spectrum.states[n])
             stev_worst = max(stev_worst, dev)
     if stev_worst != 0.0:
         failures.append("stevenson %.2e" % stev_worst)

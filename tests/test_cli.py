@@ -157,11 +157,18 @@ class TestVerifyCommand:
         out = tmp_path / "out"
         assert main(["verify", "--config", cfg, "--out", str(out), "--tol", "1e-3"]) == 0
 
-    def test_corrupted_constant_term(self, tmp_path):
-        cfg = write_config(
-            tmp_path, {"potential": {"gendenshtein": {"a": 2.5, "b": 0.5, "O00": 3.0}}}
-        )
-        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    def test_corrupted_constant_term(self, tmp_path, capsys):
+        # O00 = 2 Re h0 + 1 is derived, not configured: even its one right
+        # value (16.5 here) is an unknown key
+        for o00 in (3.0, 16.5):
+            cfg = write_config(
+                tmp_path, {"potential": {"gendenshtein": {"a": 2.5, "b": 0.5, "O00": o00}}}
+            )
+            out = tmp_path / "o"
+            assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+            assert capsys.readouterr().err == (
+                "config error: unknown gendenshtein key 'O00' (accepted: a, b)\n")
+            assert not out.exists()
 
     def test_failure_exit_code_on_impossible_tolerance(self, tmp_path):
         cfg = write_config(tmp_path, GEN)
@@ -443,6 +450,17 @@ class TestPartnerCommand:
         )
         out = tmp_path / "o"
         assert main(["partner", "--config", cfg, "--out", str(out)]) == 3
+        assert os.listdir(out) == []
+
+    def test_erasure_without_a_bound_state_fails_cleanly(self, tmp_path, capsys):
+        # Re sqrt(h0 + 1) = 0.32 < 1/2: no bound state, so no ground level to erase
+        cfg = write_config(tmp_path, {
+            "potential": {"milson": {"h0_re": -0.9, "h0_im": 0.0, "kappa_plus": 2.0}},
+            "partner": {"kind": "c", "m": 0}})
+        out = tmp_path / "o"
+        assert main(["partner", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: NoSuchRoot: no bound state with index 0\n")
         assert os.listdir(out) == []
 
     def test_excited_erasure_is_refused_before_the_spectrum(self, tmp_path, monkeypatch, capsys):

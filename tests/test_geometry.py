@@ -21,7 +21,7 @@ from rrspectra.geometry import (
 )
 from rrspectra.spectral import aeh_solution
 
-from residual import bose_invariant_eval, energy_slope, eta_of_x
+from residual import bose_invariant_eval, constant_term, energy_slope, eta_of_x
 
 
 class TestTangentPoly:
@@ -47,8 +47,14 @@ class TestTangentPoly:
 
 
 class TestPotentialSpec:
-    def test_decay_constraint_baked_in(self, gspec):
-        assert_allclose(gspec.o00, 2 * gspec.h0.real + 1)
+    def test_decay_constraint_baked_in(self, gspec, milson_spec):
+        # O00 = 2 Re h0 + 1 is the one constant term for which eta^2 I(eta; 0)
+        # tends to the 1/4 that the Schwarzian term of V cancels, so the
+        # potential, which takes no O00, decays at both ends
+        for spec in (gspec, milson_spec):
+            for eta in (-1e6, 1e6):
+                assert_allclose(eta * eta * bose_invariant_eval(spec, 0.0, eta), 0.25, rtol=1e-4)
+                assert abs(potential(spec)(eta)) < 1e-5  # V ~ Im(h0)/eta far out
 
     def test_branch_invariant(self):
         with pytest.raises(ValueError):
@@ -60,7 +66,7 @@ class TestBoseInvariant:
         # at eta=0 the fractions collapse: I(0) = (2 Re h(e) + O0(e))/4
         for eps in (0.0, -1.0, -6.25):
             h = gspec.h0 - gspec.energy_coupling * eps
-            o0 = gspec.o00 + energy_slope(gspec.kappa_plus) * eps
+            o0 = constant_term(gspec) + energy_slope(gspec.kappa_plus) * eps
             assert_allclose(bose_invariant_eval(gspec, eps, 0.0), (2 * h.real + o0) / 4.0, rtol=1e-14)
 
     def test_matches_complex_fraction_form(self, milson_spec, rng):
@@ -70,7 +76,7 @@ class TestBoseInvariant:
             eta = float(rng.normal() * 3)
             eps = float(-rng.uniform(0, 5))
             h = milson_spec.h0 - c * eps
-            o0 = milson_spec.o00 + energy_slope(milson_spec.kappa_plus) * eps
+            o0 = constant_term(milson_spec) + energy_slope(milson_spec.kappa_plus) * eps
             direct = -0.25 * (
                 h / (eta + 1j) ** 2 + h.conjugate() / (eta - 1j) ** 2 - o0 / (eta ** 2 + 1)
             )

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import replay
 from rrspectra import cli, darboux, geometry, oracle, spectral, verify
 from rrspectra.errors import GridTooLarge
 from rrspectra.geometry import PotentialSpec
@@ -41,6 +42,20 @@ class LevelsCounter:
             return solve(ham, count, starts)
 
         monkeypatch.setattr(oracle, "_levels", counted)
+
+
+class SweepCounter:
+    """Records the interior size of each grid the oracle sweeps while
+    installed, per kind of sweep: a Laguerre pass or a Sturm count."""
+
+    def __init__(self, monkeypatch):
+        self.sizes = {"_laguerre_pass": [], "_count": []}
+        for name, sizes in self.sizes.items():
+            def counted(ham, sigma, sweep=getattr(oracle, name), sizes=sizes):
+                sizes.append(len(ham.q))
+                return sweep(ham, sigma)
+
+            monkeypatch.setattr(oracle, name, counted)
 
 
 @pytest.mark.parametrize("spec, partner", [
@@ -281,7 +296,7 @@ def test_erasure_partner_cap_reads_the_partner_coupling(tmp_path):
     # at -262.44: its coupling Q_hat is shallower than the parent's Q, and rung 0
     # and the cap come from Q_hat alone
     spec = gendenshtein_params(16.2, 0.7)
-    seed = spectral.bound_state(spectral.enumerate_bound_spectrum(spec), 0)
+    seed = spectral.enumerate_bound_spectrum(spec).states[0]
     rungs = list(verify.oracle_map(spec, lambda etas: darboux.partner_potential(spec, seed, etas)))
     rung0 = rungs[0]
     cap = verify._cap_intervals(rung0.grid.t_max, rung0)
@@ -319,3 +334,25 @@ def test_shallow_and_partner_levels_stop_at_rung_0(tmp_path, command, a, b, poin
     partner = None if command == "verify" else partner_columns(spec)
     assert record["passed"] and len(record["levels"]) == levels
     assert record["grid"]["n"] == points == rung_points(spec, partner)[0]
+
+
+# (sweeps, interior points swept) of the eight seed-1001 oracle_verify
+# benchmark commands.  A change that raises them on purpose updates them here
+# and says why.
+ORACLE_WORK = {"_laguerre_pass": (191, 98017), "_count": (214, 143684)}
+
+
+def test_benchmark_oracle_work_stays_at_its_ceiling(tmp_path, monkeypatch):
+    # interpreter start takes most of a benchmark command, so the oracle's
+    # work is guarded by counts, on the commands tests/replay.py runs
+    commands = [c for c in replay.commands() if c[0].startswith("oracle_verify-")]
+    assert len(commands) == 8
+    swept = SweepCounter(monkeypatch)
+    for cid, argv, cfg in commands:
+        path = tmp_path / (cid + ".json")
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / cid
+        assert cli.main([argv[0], "--config", str(path), "--out", str(out), *argv[1:]]) == 0
+    work = {name: (len(sizes), sum(sizes)) for name, sizes in swept.sizes.items()}
+    for name, (sweeps, points) in ORACLE_WORK.items():
+        assert work[name][0] <= sweeps and work[name][1] <= points, work

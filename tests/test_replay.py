@@ -14,7 +14,19 @@ instead, never more loosely.
 import json
 import os
 
+import pytest
+
 import replay
+
+
+def test_every_command_has_its_own_id(monkeypatch):
+    ids = [cid for cid, _argv, _cfg in replay.commands()]
+    assert len(ids) == len(set(ids))
+    # a config listing one subcommand twice would overwrite its own outputs
+    monkeypatch.setitem(replay.EXTRA, "twice",
+                        ({"potential": replay.GEN}, ("verify", "verify --tol 0")))
+    with pytest.raises(ValueError, match="share an id: twice-verify$"):
+        replay.commands()
 
 
 def test_outputs_match_committed_digests(tmp_path):

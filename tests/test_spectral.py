@@ -14,7 +14,6 @@ from rrspectra.routh import ComplexIndex, real_root_count, real_roots, routh_pol
 from rrspectra.spectral import (
     _quartic_coeffs,
     aeh_solution,
-    bound_state,
     enumerate_bound_spectrum,
     gendenshtein_params,
     lambda_of_energy,
@@ -208,14 +207,14 @@ class TestEigenfunctions:
     def test_ground_state_closed_form(self, gspectrum, gmap):
         # psi_0 proportional to cosh(x)^-a * exp(-b*atan(sinh x))
         xs = np.array(gmap.ts[::128])  # t = x at kappa = 1
-        psi = sampled(1.0, [bound_state(gspectrum, 0)], gmap.etas)[0][::128]
+        psi = sampled(1.0, [gspectrum.states[0]], gmap.etas)[0][::128]
         ref = np.cosh(xs) ** -2.5 * np.exp(-0.5 * np.arctan(np.sinh(xs)))
         ratio = psi / ref
         assert np.max(np.abs(ratio / ratio[len(ratio) // 2] - 1.0)) < 1e-9
 
     def test_node_counts(self, gspectrum):
         for n in range(3):
-            st = bound_state(gspectrum, n)
+            st = gspectrum.states[n]
             assert st.nodes == n
             assert len(real_roots(st.poly.num)) == n
 
@@ -238,12 +237,14 @@ class TestEigenfunctions:
 
     def test_admissibility_invariant(self, gspectrum):
         for n in range(3):
-            st = bound_state(gspectrum, n)
+            st = gspectrum.states[n]
             assert st.lam.real > n + 0.5
 
-    def test_missing_level(self, gspectrum):
+    def test_missing_level(self, gspec, gspectrum):
+        # Re lambda0 = 3: three levels, and no admissible root at order 3
+        assert len(gspectrum.states) == 3
         with pytest.raises(NoSuchRoot):
-            bound_state(gspectrum, 7)
+            aeh_solution(gspec, "c", 3)
 
 
 class TestNormalization:
@@ -374,27 +375,27 @@ class TestSigmaRho:
 
 class TestStevensonIdentity:
     def test_order_zero_trivial(self, gspectrum):
-        assert stevenson_identity_check(bound_state(gspectrum, 0)) == 0.0
+        assert stevenson_identity_check(gspectrum.states[0]) == 0.0
 
     def test_order_one_reference_case(self, gspectrum):
         # lambda = 3 + 0.5i at every level for this member
-        assert stevenson_identity_check(bound_state(gspectrum, 1)) == 0.0
+        assert stevenson_identity_check(gspectrum.states[1]) == 0.0
 
     def test_order_two_random_members(self, rng):
         for _ in range(5):
             a_g = float(rng.uniform(2.2, 4.0))
             b_g = float(rng.normal() * 0.8)
             spectrum = enumerate_bound_spectrum(gendenshtein_params(a_g, b_g))
-            assert stevenson_identity_check(bound_state(spectrum, 2)) == 0.0
+            assert stevenson_identity_check(spectrum.states[2]) == 0.0
 
     def test_milson_levels(self, milson_spectrum):
         for n in range(3):
-            assert stevenson_identity_check(bound_state(milson_spectrum, n)) == 0.0
+            assert stevenson_identity_check(milson_spectrum.states[n]) == 0.0
 
     def test_wrong_index_is_detected(self, gspectrum):
         # R_n at the unshifted index -conj(lambda) breaks the identity
         for n in (1, 2):
-            st = bound_state(gspectrum, n)
+            st = gspectrum.states[n]
             unshifted = routh_polynomial(n, ComplexIndex.of(-st.lam.conjugate()))
             assert stevenson_identity_check(st._replace(poly=unshifted)) > 1e-3
 
@@ -449,4 +450,4 @@ class TestStevensonDegenerate:
         # it can vanish; an inadmissible request surfaces as NoSuchRoot
         spec = gendenshtein_params(0.3, 0.0)
         with pytest.raises(NoSuchRoot):
-            stevenson_identity_check(bound_state(enumerate_bound_spectrum(spec), 3))
+            stevenson_identity_check(aeh_solution(spec, "c", 3))
