@@ -24,10 +24,6 @@ class StepFailure(SpectraError):
     h^2 max(Q - bottom W)/12 >= 1/2."""
 
 
-class BranchUndefined(SpectraError):
-    """The square-root branch is evaluated exactly at its branch point."""
-
-
 class NoSuchRoot(SpectraError):
     """The quartic has no root of the requested kind at the requested order."""
 

@@ -102,6 +102,20 @@ def _ends(h2: float, sigma: float) -> tuple:
     return -rho / h2, d1 * z2, (d2 * z2 - d1 * h2 * z / 6.0) * z2
 
 
+def _span(q, w) -> tuple:
+    """(r_j = Q_j/W_j, bottom = min(0, min_j r_j), max_j(Q_j - bottom W_j))."""
+    r = list(map(operator.truediv, q, w))
+    low = min(0.0, min(r))
+    return r, low, max(x - low * y for x, y in zip(q, w))
+
+
+def keeps_guard(values, weights, dx: float) -> bool:
+    """Whether the samples ``values`` of Q and ``weights`` of W at spacing
+    ``dx`` keep the guard (:data:`_GUARD`), which :func:`lowest_levels` asks of
+    each grid it solves."""
+    return dx * dx / 12.0 * _span(values[1:-1], weights[1:-1])[2] < _GUARD
+
+
 class _Hamiltonian:
     """Numerov's matrix on the interior samples ``q`` and ``w`` of Q and W
     (the end samples are ghosts), held for the passes as r_j = Q_j/W_j,
@@ -118,9 +132,7 @@ class _Hamiltonian:
         h2 = dx * dx
         c = h2 / 12.0
         self.q, self.w = q, w = q[1:-1], w[1:-1]
-        self.r = list(map(operator.truediv, q, w))
-        low = min(0.0, min(self.r))
-        span = max(x - low * y for x, y in zip(q, w))  # largest a_j from the bottom to 0
+        self.r, low, span = _span(q, w)
         stiff = c * span
         if not stiff < _GUARD:
             raise StepFailure("a Numerov grid of spacing %.6g has h^2 max(Q - bottom W)/12 = %.3g;"

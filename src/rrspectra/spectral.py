@@ -62,7 +62,7 @@ import os
 from typing import NamedTuple
 
 from . import _exact as ex
-from .errors import BranchUndefined, ConfigError, NoSuchRoot
+from .errors import ConfigError, NoSuchRoot
 from .routh import (
     ComplexIndex,
     RouthPolynomial,
@@ -116,11 +116,6 @@ class PotentialSpec(_PotentialFields):
     @property
     def lambda0(self) -> complex:
         return cmath.sqrt(self.h0 + 1.0)
-
-    @property
-    def energy_coupling(self) -> float:
-        """Coefficient c of the energy in h(e) = h0 - c*e, i.e. 1 - kappa."""
-        return 1.0 - self.kappa_plus
 
 
 class ClosedForm(NamedTuple):
@@ -186,16 +181,8 @@ class Spectrum(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# branch and quartic
+# quartic
 # ---------------------------------------------------------------------------
-
-def lambda_of_energy(spec: PotentialSpec, epsilon: float) -> complex:
-    """lambda(e) = sqrt(h0 + 1 - c*e), the principal root: Re(lambda) >= 0."""
-    arg = spec.h0 + 1.0 - spec.energy_coupling * epsilon
-    if arg == 0:
-        raise BranchUndefined("h0 + 1 - c*e vanishes; branch point")
-    return cmath.sqrt(arg)
-
 
 def _quartic_coeffs(spec: PotentialSpec, m: int) -> tuple:
     """The order-m quartic in lambda_R, exactly: its ascending integer
@@ -371,29 +358,6 @@ def gendenshtein_params(a_g: float, b_g: float) -> PotentialSpec:
         raise ValueError("a must be positive")
     lam0 = complex(a_g + 0.5, b_g)
     return PotentialSpec(h0=lam0 * lam0 - 1.0, kappa_plus=1.0)
-
-
-class SigmaRhoReport(NamedTuple):
-    sigma: float
-    rho: complex
-    sum_identity_dev: float     # (sigma-1/2)^2 + (rho-1/2)^2 vs h_R(e) + 1
-    product_identity_dev: float  # 2 lambda_R lambda_I vs Im(h0)
-
-
-def milson_sigma_rho(spec: PotentialSpec, epsilon: float) -> SigmaRhoReport:
-    """Exponent-difference parameters sigma = 1/2 - lambda_R, rho = 1/2 - i*lambda_I,
-
-    with both defining identities evaluated and reported as deviations."""
-    lam = lambda_of_energy(spec, epsilon)
-    sigma = 0.5 - lam.real
-    rho = 0.5 - 1j * lam.imag
-    lhs = (sigma - 0.5) ** 2 + (rho - 0.5) ** 2
-    rhs = spec.h0.real + 1.0 - spec.energy_coupling * epsilon
-    dev_sum = abs(lhs - rhs)
-    dev_prod = abs(2.0 * lam.real * lam.imag - spec.h0.imag)
-    return SigmaRhoReport(sigma=sigma, rho=rho,
-                          sum_identity_dev=float(dev_sum),
-                          product_identity_dev=float(dev_prod))
 
 
 def stevenson_identity_check(state: ClosedForm) -> float:

@@ -13,14 +13,11 @@ the first rung on which every level is resolved: found, with an error
 budget (its error estimate plus |Q| at the box ends) at most tol |E| / 10,
 and an observed-order ratio (E_2h - E_4h) / (E_h - E_2h) in [14, 19.2],
 around the 16 of Numerov's fourth-order scheme.
-Rung 0 has 4 times the spacing of the cap, and each rung halves the spacing
-of the one before, so the grids a rung solved are the next rung's 2:1 and
-4:1 subsamples and each refinement solves one new grid.  The cap is the
-spacing rule min(0.012, 0.1/sqrt|V_min|), read once, on the samples of
-rung 0, with |V_min| read as -min(0, min Q/W) max W of the coupling the
-oracle solves; a rung above 2^20 points is refused.
-A given point count is the one rung; one too coarse for Numerov's scheme
-raises StepFailure (see oracle.lowest_levels).
+Rung 0 has at least 4 times the spacing of the cap (:func:`oracle_map`),
+and each rung halves the spacing of the one before, so the grids a rung
+solved are the next rung's 2:1 and 4:1 subsamples and each refinement
+solves one new grid.  A given point count is the one rung; one too coarse
+for Numerov's scheme raises StepFailure (see oracle.lowest_levels).
 """
 
 from __future__ import annotations
@@ -102,8 +99,11 @@ def oracle_map(spec: PotentialSpec, partner=None, x_max=None, n=None):
     4 h, a quarter of the cap's intervals rounded up to a multiple of 16 (so
     4 divides the intervals of every rung) and at least 64.  It is sampled at
     4 x 0.012 first and, where that well is deeper than 0.1^2/0.012^2, once
-    more on a finer grid; the cap is read on rung 0 as the oracle solves it,
-    and not again.  Each later rung has 2n - 1 points at half the spacing,
+    more on a finer grid.  Where a barrier, which the depth does not see,
+    breaks Numerov's guard on its 4:1 subsample (:func:`oracle.keeps_guard`),
+    rung 0 doubles until the guard holds there, and the cap is then at least
+    4 times rung 0.  The cap is read on rung 0 as the oracle solves it, and
+    not again.  Each later rung has 2n - 1 points at half the spacing,
     the points of the rung before as its even points, and samples all of
     them.  Where the cap is above 2^20 points, :class:`GridTooLarge` is
     raised before a finer grid is sampled.
@@ -134,6 +134,12 @@ def oracle_map(spec: PotentialSpec, partner=None, x_max=None, n=None):
         _refuse_above_cap(intervals, cap)
         current = rung(intervals + 1)
         cap = _cap_intervals(t_max, current)
+    while not oracle.keeps_guard(current.coupling[::4], current.weights[::4],
+                                 4 * current.grid.dt):  # a barrier
+        intervals *= 2
+        _refuse_above_cap(intervals, 4 * intervals)
+        current = rung(intervals + 1)
+        cap = max(4 * intervals, _cap_intervals(t_max, current))
     while True:
         yield current
         if intervals >= cap:

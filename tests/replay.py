@@ -34,7 +34,9 @@ the potential to decay (a config error that leaves no file), a user x_max
 without n (the config box of ``spectrum``), a user n with n - 1 not a
 multiple of 4, ``--tol 0`` (the ladder climbs to the cap), Milson kappa far
 from 1 (at kappa 0.05 also ``verify --tol 0``), a type-c (ground-state
-erasure) partner, a deep well (Gendenshtein 16.2, 0.7), a real h0, whose
+erasure) partner, a deep well (Gendenshtein 16.2, 0.7), a barrier too steep
+for Numerov's scheme on rung 0 at 4 times the cap's spacing (Gendenshtein
+2.5, 20), a real h0, whose
 quartic has a double root at lambda = 0 (the repeated-root path of root
 isolation), a Milson potential whose quartic has
 two positive roots below m + 1/2 at orders 1-3, a Milson potential whose
@@ -79,6 +81,8 @@ EXTRA = {
     "type-c-partner-deep": ({"potential": {"gendenshtein": {"a": 16.2, "b": 0.7}},
                              "partner": {"kind": "c", "m": 0}},
                             ("partner", "spectrum", "identities")),
+    "barrier": ({"potential": {"gendenshtein": {"a": 2.5, "b": 20.0}},
+                 "partner": {"kind": "d", "m": 0}}, ("verify", "partner")),
     "user-grid": ({"potential": GEN, "grid": {"x_max": 12.0}}, ("spectrum",)),
     "user-n": ({"potential": GEN, "grid": {"n": 4096}, "partner": {"kind": "d", "m": 0}},
                ("verify", "partner")),

@@ -91,7 +91,7 @@ def bose_invariant_eval(spec: PotentialSpec, epsilon: float, eta):
     real on the real line.
     """
     eta = np.asarray(eta, dtype=float)
-    h = spec.h0 - spec.energy_coupling * epsilon
+    h = spec.h0 - (1.0 - spec.kappa_plus) * epsilon
     o0 = constant_term(spec) + energy_slope(spec.kappa_plus) * epsilon
     denom = (1.0 + eta ** 2)
     # h/(eta+i)^2 + conj(h)/(eta-i)^2 = 2*Re[h*(eta-i)^2] / (1+eta^2)^2

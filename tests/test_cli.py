@@ -495,6 +495,23 @@ class TestIdentitiesCommand:
         assert payload["passed"]
         assert all(v == 0.0 for v in payload["stevenson_max_dev"].values())
 
+    @pytest.mark.parametrize("potential, states", [
+        (GEN["potential"], 3),
+        ({"milson": {"h0_re": 7.75, "h0_im": 3.0, "kappa_plus": 0.05}}, 3),
+        ({"milson": {"h0_re": -0.9, "h0_im": 0.0, "kappa_plus": 1.0}}, 0),  # Re lambda0 < 1/2
+    ])
+    def test_payload_keys(self, tmp_path, potential, states):
+        # the key set changes only on purpose: the benchmark's checks read
+        # quartic_residuals, polynomial_ode_residuals_zero and passed
+        cfg = write_config(tmp_path, {"potential": potential})
+        out = tmp_path / "out"
+        assert main(["identities", "--config", cfg, "--out", str(out)]) == 0
+        payload = json.loads((out / "identities.json").read_text())
+        assert set(payload) == {"stevenson_max_dev", "quartic_residuals",
+                                "polynomial_ode_residuals_zero", "passed"}
+        assert set(payload["stevenson_max_dev"]) == {"n=%d" % n for n in range(states)}
+        assert set(payload["quartic_residuals"]) == {"m=%d" % n for n in range(states)}
+
     def test_milson_with_quartic_worst_residual(self, tmp_path):
         # the worst residual here is a quartic one; its pass flag must serialize
         cfg = write_config(tmp_path, {"potential": {"milson": {
@@ -610,8 +627,8 @@ class TestIdentitiesCommand:
         assert len(payload["quartic_residuals"]) == 17
 
     def test_branch_point_at_minus_one(self, tmp_path):
-        # h0 + 1 - c e vanishes at e = -1 here; sigma and rho are taken at the
-        # one level's energy instead, where lambda_R > 1/2
+        # h0 + 1 - c e vanishes at e = -1 here; the one level lies above it,
+        # where lambda_R > 1/2
         cfg = write_config(tmp_path, {"potential": {"milson": {
             "h0_re": 0.0, "h0_im": 0.0, "kappa_plus": 2.0}}})
         out = tmp_path / "out"

@@ -39,7 +39,7 @@ class TestTangentPoly:
         # general form [c(eta-i)^2 + c(eta+i)^2 + d(eta^2+1)]/4, with c the
         # (real) energy coupling: it is T = eta^2 + kappa, leading coefficient 1
         spec = PotentialSpec(h0=7.75, kappa_plus=2.0)
-        c, d = spec.energy_coupling, energy_slope(spec.kappa_plus)
+        c, d = 1.0 - spec.kappa_plus, energy_slope(spec.kappa_plus)
         assert_allclose((2 * c + d) / 4.0, 1.0, rtol=1e-14)
         for eta in (-2.0, 0.0, 0.7):
             direct = (2 * c * (eta ** 2 - 1) + d * (eta ** 2 + 1)) / 4
@@ -65,13 +65,13 @@ class TestBoseInvariant:
     def test_value_at_origin(self, gspec):
         # at eta=0 the fractions collapse: I(0) = (2 Re h(e) + O0(e))/4
         for eps in (0.0, -1.0, -6.25):
-            h = gspec.h0 - gspec.energy_coupling * eps
+            h = gspec.h0 - (1.0 - gspec.kappa_plus) * eps
             o0 = constant_term(gspec) + energy_slope(gspec.kappa_plus) * eps
             assert_allclose(bose_invariant_eval(gspec, eps, 0.0), (2 * h.real + o0) / 4.0, rtol=1e-14)
 
     def test_matches_complex_fraction_form(self, milson_spec, rng):
         # independent evaluation straight from the +-i pole expansion
-        c = milson_spec.energy_coupling
+        c = 1.0 - milson_spec.kappa_plus
         for _ in range(20):
             eta = float(rng.normal() * 3)
             eps = float(-rng.uniform(0, 5))

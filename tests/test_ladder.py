@@ -313,6 +313,34 @@ def test_erasure_partner_cap_reads_the_partner_coupling(tmp_path):
     assert record["passed"] and record["grid"]["n"] == rungs[1].grid.n == 4945
 
 
+@pytest.mark.parametrize("command, b, points", [
+    ("verify", 13, 2737), ("verify", 20, 2777), ("verify", 50, 5713), ("partner", 20, 2777),
+])
+def test_barrier_refines_rung_0_to_the_guard(tmp_path, command, b, points):
+    # the depth the cap reads does not see the b^2 sech^2 t barrier, which
+    # breaks Numerov's guard on the 4:1 subsample of a rung 0 at 4 times the
+    # cap's spacing; rung 0 is doubled until the guard holds there, and stays
+    # a quarter of the cap
+    config = {"potential": {"gendenshtein": {"a": 2.5, "b": b}}}
+    if command == "partner":
+        config["partner"] = {"kind": "d", "m": 0}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "o"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 0
+    record = json.loads((out / ("verify.json" if command == "verify" else "partner_verify.json"))
+                        .read_text())
+    assert record["passed"] and record["grid"]["n"] == points
+    assert all(verify._BAND[0] <= lv["ratio"] <= verify._BAND[1] for lv in record["levels"])
+    spec = gendenshtein_params(2.5, b)
+    rung0, *_, cap = verify.oracle_map(spec, None if command == "verify" else partner_columns(spec))
+    q, w, dt = rung0.coupling, rung0.weights, rung0.grid.dt
+    assert rung0.grid.n == points and cap.grid.n - 1 == 4 * (points - 1)
+    assert rung0.grid.n > verify._first_rung(verify._cap_intervals(rung0.grid.t_max, rung0)) + 1
+    assert oracle.keeps_guard(q[::4], w[::4], 4 * dt)
+    assert not oracle.keeps_guard(q[::8], w[::8], 8 * dt)  # half rung 0's intervals
+
+
 @pytest.mark.parametrize("command, a, b, points, levels", [
     ("partner", 3.423291803814652, 1.774752457668995, 1293, 5),
     ("partner", 2.1628039666893044, 0.6031795824151853, 1233, 4),

@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from rrspectra.cli import _spectrum_record
-from rrspectra.errors import BranchUndefined, NoSuchRoot
+from rrspectra.errors import NoSuchRoot
 from rrspectra.geometry import PotentialSpec, sampled
 from rrspectra.routh import ComplexIndex, real_root_count, real_roots, routh_polynomial
 from rrspectra.spectral import (
@@ -16,9 +16,7 @@ from rrspectra.spectral import (
     aeh_solution,
     enumerate_bound_spectrum,
     gendenshtein_params,
-    lambda_of_energy,
     linspace,
-    milson_sigma_rho,
     nodeless_scan,
     normalized,
     pinned_convention,
@@ -31,28 +29,6 @@ from quadrature import NotConverged, adaptive_quadrature
 from quartic import closed_form_lambda_kappa1
 from rational import coeffs, routh_record
 from residual import phi_value, poly_mul, rcsle_residual
-
-
-class TestLambdaBranch:
-    def test_zero_energy_is_lambda0(self, milson_spec):
-        lam = lambda_of_energy(milson_spec, 0.0)
-        assert_allclose([lam.real, lam.imag], [3.0, 0.5], rtol=1e-14)
-
-    def test_gendenshtein_energy_independent(self, gspec):
-        vals = [lambda_of_energy(gspec, e) for e in (0.0, -3.0, -12.0)]
-        assert all(v == vals[0] for v in vals)
-        assert_allclose(vals[0].real, 2.5 + 0.5, rtol=1e-14)
-
-    def test_product_identity(self, milson_spec, rng):
-        for _ in range(20):
-            e = float(-rng.uniform(0, 8))
-            lam = lambda_of_energy(milson_spec, e)
-            assert_allclose(2 * lam.real * lam.imag, milson_spec.h0.imag, rtol=1e-12)
-
-    def test_branch_point_rejected(self):
-        spec = PotentialSpec(h0=3.0, kappa_plus=2.0)
-        with pytest.raises(BranchUndefined):
-            lambda_of_energy(spec, -4.0)  # h0 + 1 - c*e = 4 + e
 
 
 class TestQuartic:
@@ -358,19 +334,6 @@ class TestNamedPotentials:
             spec = gendenshtein_params(a_g, b_g)
             lam_c, _ = closed_form_lambda_kappa1(spec)
             assert_allclose(lam_c, a_g + 0.5, rtol=1e-12)
-
-
-class TestSigmaRho:
-    def test_zero_energy_values(self):
-        spec = gendenshtein_params(2.5, 0.0)  # lambda0 = 3
-        rep = milson_sigma_rho(spec, 0.0)
-        assert_allclose(rep.sigma, -2.5, rtol=1e-14)
-
-    def test_identities(self, milson_spec, rng):
-        for _ in range(10):
-            rep = milson_sigma_rho(milson_spec, float(-rng.uniform(0, 6)))
-            assert rep.sum_identity_dev < 1e-12
-            assert rep.product_identity_dev < 1e-12
 
 
 class TestStevensonIdentity:
