@@ -228,18 +228,18 @@ def _spectrum_record(spectrum) -> dict:
     }
 
 
-def _check_record(report, analytic_key: str, **extra) -> dict:
+def _check_record(report, analytic_key: str, nodes=(), **extra) -> dict:
     """A level check as JSON: the grid it was solved on, and one row per level
-    with the analytic energy under ``analytic_key``, the budget and the
-    observed-order ratio (null where it is not finite), and the node counts
-    where the closed form claims one."""
+    with the analytic energy under ``analytic_key``, the budget, the
+    observed-order ratio (null where it is not finite) and, given the closed
+    forms' node counts ``nodes`` (theorems), level n's and n, the oracle's."""
     rows = []
     for lv in report.levels:
         row = {"n": lv.n, analytic_key: lv.analytic, "numeric": lv.numeric,
                "rel_delta": lv.rel_delta, "error": lv.error,
                "ratio": lv.ratio if math.isfinite(lv.ratio) else None}
-        if lv.nodes_analytic is not None:
-            row.update(nodes_analytic=lv.nodes_analytic, nodes_numeric=lv.n)
+        if nodes:
+            row.update(nodes_analytic=nodes[lv.n], nodes_numeric=lv.n)
         rows.append(row)
     grid = report.grid and {k: getattr(report.grid, k) for k in ("x_max", "t_max", "n", "dt")}
     return {"tol": report.tol, "passed": report.passed, "grid": grid, "levels": rows, **extra}
@@ -288,7 +288,8 @@ def cmd_verify(config: RunConfig, args) -> tuple:
 
     report, spectrum = verify.verify_spectrum(config.spec, tol=args.tol, x_max=config.x_max,
                                               n=config.n)
-    record = _check_record(report, "analytic", n_max_formula=spectrum.n_max_formula,
+    record = _check_record(report, "analytic", [s.nodes for s in spectrum.states],
+                           n_max_formula=spectrum.n_max_formula,
                            n_max_constructive=spectrum.n_max_constructive,
                            formula_consistent=spectrum.formula_consistent)
     return {"verify.json": _json(record)}, report.passed
@@ -349,7 +350,7 @@ def cmd_partner(config: RunConfig, args) -> tuple:
     rungs = verify.oracle_map(
         config.spec, lambda etas: darboux.partner_potential(config.spec, seed, etas),
         config.x_max, config.n)
-    report, rung = verify.verify_partner_levels(rungs, expected, args.tol)
+    report, rung = verify.compare_levels(rungs, expected, args.tol)
     xs = map(geometry.liouville(config.spec.kappa_plus), rung.grid.etas)
     files = {"partner.csv": _csv("x,V_parent,V_partner", [xs, *rung.potentials])}
     if not expected:

@@ -39,7 +39,8 @@ class InsufficientDecay(SpectraError):
 
 class NonFiniteSamples(SpectraError):
     """Sampled values (a potential, a weight or an eigenfunction) are NaN or
-    infinite, or eta = sinh t on a grid is past the double range."""
+    infinite, a weight sample is not positive, so that Q/W is infinite
+    there, or eta = sinh t on a grid is past the double range."""
 
 
 class GridTooLarge(SpectraError):

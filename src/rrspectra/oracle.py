@@ -131,7 +131,7 @@ class _Hamiltonian:
     def __init__(self, q, w, dx: float):
         h2 = dx * dx
         c = h2 / 12.0
-        self.q, self.w = q, w = q[1:-1], w[1:-1]
+        q, w = q[1:-1], w[1:-1]
         self.r, low, span = _span(q, w)
         stiff = c * span
         if not stiff < _GUARD:

@@ -205,11 +205,14 @@ def _quartic_coeffs(spec: PotentialSpec, m: int) -> tuple:
 
 
 def quartic_residual_scale(spec: PotentialSpec, m: int, lam_r: float) -> float:
+    """|Q(lam_r)| of the order-m quartic Q by Horner's rule, relative to the
+    scale of the terms it adds, sum_j |c_j| |lam_r|^j."""
     num, den = _quartic_coeffs(spec, m)
-    val = 0.0
+    val = scale = 0.0
     for c in reversed(num):  # Horner, as np.polyval evaluates
         val = val * lam_r + c / den
-    return abs(val) / max(1.0, abs(lam_r) ** 4)
+        scale = scale * abs(lam_r) + abs(c) / den
+    return abs(val) / scale
 
 
 def quartic_lambda_roots(spec: PotentialSpec, m: int, kind: str) -> list:

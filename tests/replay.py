@@ -33,7 +33,9 @@ there, on Q and W in t), a user grid too narrow for
 the potential to decay (a config error that leaves no file), a user x_max
 without n (the config box of ``spectrum``), a user n with n - 1 not a
 multiple of 4, ``--tol 0`` (the ladder climbs to the cap), Milson kappa far
-from 1 (at kappa 0.05 also ``verify --tol 0``), a type-c (ground-state
+from 1 (at kappa 0.05 also ``verify --tol 0``; at kappa 1e-17, where the
+weight is 0.0 at t = 0, ``verify`` and ``partner``, which exit 3; at
+kappa 1e8 ``identities --tol 0``), a type-c (ground-state
 erasure) partner, a deep well (Gendenshtein 16.2, 0.7), a barrier too steep
 for Numerov's scheme on rung 0 at 4 times the cap's spacing (Gendenshtein
 2.5, 20), a real h0, whose
@@ -105,11 +107,16 @@ EXTRA = {
 # must digest as that serial command's does
 EXTRA["pooled-scan"] = (workloads.make_config("scan_grid", SEED, 1)[1],
                         ("scan-nodeless --workers 2",))
-for kappa in (0.05, 20.0):
+for kappa, lines in ((0.05, ("spectrum", "verify", "partner", "identities")),
+                     (20.0, ("spectrum", "verify", "partner", "identities")),
+                     # kappa - 1 rounds to -1, so W = 1 + (kappa - 1) sech^2 t is 0.0 at t = 0
+                     (1e-17, ("verify", "partner")),
+                     # the quartic's terms grow like kappa |lambda|^4
+                     (1e8, ("identities --tol 0",))):
     EXTRA["milson-kappa-%g" % kappa] = (
         {"potential": {"milson": {"h0_re": 7.75, "h0_im": 3.0, "kappa_plus": kappa}},
          "partner": {"kind": "d", "m": 0}},
-        ("spectrum", "verify", "partner", "identities"),
+        lines,
     )
 # the ladder's top on kappa 0.05, whose finer rungs sample a slightly deeper well
 EXTRA["milson-kappa-0.05-zero-tol"] = (EXTRA["milson-kappa-0.05"][0], ("verify --tol 0",))

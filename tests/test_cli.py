@@ -370,7 +370,7 @@ class TestPartnerCommand:
         spec = spectral.gendenshtein_params(1.5, 0.4)
         seed = spectral.aeh_solution(spec, "d", 0)
         rungs = verify.oracle_map(spec, lambda etas: darboux.partner_potential(spec, seed, etas))
-        _, rung = verify.verify_partner_levels(rungs, [-6.25, -2.25, -0.25], 1e-3)
+        _, rung = verify.compare_levels(rungs, [-6.25, -2.25, -0.25], 1e-3)
         grid = json.loads((out / "partner_verify.json").read_text())["grid"]
         assert grid == {"x_max": rung.grid.x_max, "t_max": rung.grid.t_max, "n": rung.grid.n,
                         "dt": rung.grid.dt}
@@ -521,6 +521,17 @@ class TestIdentitiesCommand:
         assert main(["identities", "--config", cfg, "--out", str(out)]) == 0
         payload = json.loads((out / "identities.json").read_text())
         assert payload["passed"] is True
+
+    @pytest.mark.parametrize("kappa", [1e8, 1e10])
+    def test_large_kappa_roots_pass_at_zero_tol(self, tmp_path, kappa):
+        # the quartic's terms grow like kappa |lambda|^4, so only a residual
+        # relative to them leaves a correctly rounded root a few ulps here
+        cfg = write_config(tmp_path, {"potential": {"milson": {
+            "h0_re": 7.75, "h0_im": 3.0, "kappa_plus": kappa}}})
+        out = tmp_path / "out"
+        assert main(["identities", "--tol", "0", "--config", cfg, "--out", str(out)]) == 0
+        residuals = json.loads((out / "identities.json").read_text())["quartic_residuals"]
+        assert len(residuals) == 3 and max(residuals.values()) < 1e-15
 
     def test_builds_sturm_chains_for_quartics_alone(self, tmp_path, monkeypatch):
         # node counts are theorems, so only the quartic roots of the levels
@@ -857,6 +868,28 @@ class TestOutputContract:
         assert main([command, "--config", cfg, "--out", str(out)]) == 3
         assert capsys.readouterr().err.startswith("numeric failure: InsufficientDecay: ")
         assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("grid, code, prefix", [
+        pytest.param({}, 3, "numeric failure: NonFiniteSamples: ", id="oracle-grid"),
+        pytest.param({"grid": {"n": 4097}}, 2, "config error: grid x_max=None, n=4097: ",
+                     id="config-grid"),
+    ])
+    @pytest.mark.parametrize("kappa", [1e-17, 1e-30])
+    @pytest.mark.parametrize("command", ["verify", "partner"])
+    def test_vanishing_weight_is_refused(self, tmp_path, capsys, command, kappa, grid, code,
+                                         prefix):
+        # below kappa ~1.1e-16, kappa - 1 rounds to -1, so the weight
+        # W = 1 + (kappa - 1) sech^2 t is 0.0 at t = 0, where Q/W, which the
+        # cap's depth reads, is infinite
+        cfg = write_config(tmp_path, {"potential": {"milson": {
+            "h0_re": 7.75, "h0_im": 3.0, "kappa_plus": kappa}},
+            "partner": {"kind": "d", "m": 0}, **grid})
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix), err
+        assert err.endswith(": a weight sample is 0; Q/W is infinite there\n"), err
+        assert err.count("\n") == 1 and os.listdir(out) == []
 
     SCAN_AND_PARTNER = {**GEN, "partner": {"kind": "d", "m": 0}, "scan": {
         "a_range": [2.0, 3.0], "b_range": [0.0, 1.0], "na": 2, "nb": 2, "m": 2}}

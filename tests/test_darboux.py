@@ -18,7 +18,7 @@ from rrspectra.spectral import (
     gendenshtein_params,
     normalized,
 )
-from rrspectra.verify import oracle_map, verify_partner_levels
+from rrspectra.verify import compare_levels, oracle_map
 
 from irregular import PreconditionViolated, symmetric_irregular_solution
 from residual import eta_of_x, phi_value
@@ -50,7 +50,7 @@ class TestPartnerPotential:
         seed = aeh_solution(spec, "d", 0)
         # parent levels -(1.5-n)^2 for n=0,1 plus the inserted -(1.5+1)^2
         rung = partner_rung(spec, seed, grid)
-        rep = verify_partner_levels([rung], [-6.25, -2.25, -0.25], tol=1e-3)[0]
+        rep = compare_levels([rung], [-6.25, -2.25, -0.25], tol=1e-3)[0]
         assert rep.passed, rep.levels
 
     def test_ground_state_erasure(self, insertion_setup):
@@ -58,7 +58,7 @@ class TestPartnerPotential:
         # the normalized bound state, and the same type-c seed unnormalized
         for psi0 in (normalized(spec, enumerate_bound_spectrum(spec).states[0]),
                      aeh_solution(spec, "c", 0)):
-            rep = verify_partner_levels([partner_rung(spec, psi0, grid)], [-0.25], tol=1e-3)[0]
+            rep = compare_levels([partner_rung(spec, psi0, grid)], [-0.25], tol=1e-3)[0]
             assert rep.passed, rep.levels
 
     def test_ground_state_erasure_on_a_deep_well(self):

@@ -38,7 +38,7 @@ class LevelsCounter:
         solve = oracle._levels
 
         def counted(ham, count, starts=()):
-            self.sizes.append(len(ham.q))
+            self.sizes.append(len(ham.r))
             return solve(ham, count, starts)
 
         monkeypatch.setattr(oracle, "_levels", counted)
@@ -52,7 +52,7 @@ class SweepCounter:
         self.sizes = {"_laguerre_pass": [], "_count": []}
         for name, sizes in self.sizes.items():
             def counted(ham, sigma, sweep=getattr(oracle, name), sizes=sizes):
-                sizes.append(len(ham.q))
+                sizes.append(len(ham.r))
                 return sweep(ham, sigma)
 
             monkeypatch.setattr(oracle, name, counted)
