@@ -14,11 +14,11 @@ numerators over one positive denominator, and a root bracket's ends are
 integer pairs (num, den).  Construction is exact, so degree degeneracy and
 ODE residuals are decided by identity.  Weighted integrals of these
 polynomials are exact rational multiples of one rounded Cauchy beta
-integral, summed in Gaussian integers.  Real roots are isolated by integer
-Sturm chains and correctly rounded by an exact search started from a float
-estimate.  Nothing here imports numpy: closed forms are evaluated on grids by
-:mod:`geometry`.  Each command builds a polynomial once and passes the
-record on, and nothing here is memoized.
+integral, summed in Gaussian integers.  Real roots are counted and isolated
+by Descartes' rule of signs with integer bisection, and correctly rounded by
+an exact search started from a float estimate.  Nothing here imports numpy:
+closed forms are evaluated on grids by :mod:`geometry`.  Each command builds
+a polynomial once and passes the record on, and nothing here is memoized.
 """
 
 from __future__ import annotations
@@ -26,6 +26,8 @@ from __future__ import annotations
 import cmath
 import math
 import struct
+from bisect import bisect_left
+from itertools import accumulate
 from math import comb, factorial
 from typing import NamedTuple
 
@@ -254,68 +256,69 @@ def cauchy_beta_ratios(p: list, q: tuple, nus) -> list:
 # exact real roots
 # ---------------------------------------------------------------------------
 #
-# Polynomials are scaled once to primitive integer coefficient lists
-# (ascending).  Each square-free factor gets a Sturm chain built by primitive
-# pseudo-remainders; sign variations are taken at rationals num/den, den > 0,
-# by homogeneous Horner, so every sign is exact.
+# Integer coefficient lists (ascending) are made primitive once and split into
+# square-free factors.  Every step of root isolation is an integer Taylor
+# shift or scaling, and every sign at a rational num/den, den > 0, is taken
+# by homogeneous Horner, so every count and every sign is exact.
+
+_PRIME = (1 << 61) - 1  # for the square-free test of _square_free_factors
+
 
 def _primitive(p: list) -> list:
     g = math.gcd(*p)
     return p if g == 1 else [c // g for c in p]
 
 
-def _prem(a: list, b: list) -> list:
-    """Remainder of ``a`` modulo ``b``, times a positive constant."""
-    r = list(a)
-    db = len(b) - 1
-    lb, sb = abs(b[-1]), (1 if b[-1] > 0 else -1)
-    while len(r) > db:
-        q = sb * r[-1]
-        shift = len(r) - 1 - db
-        r = [lb * c for c in r]
-        for i, c in enumerate(b):
-            r[i + shift] -= q * c
-        while r and r[-1] == 0:
-            r.pop()
-    return r
+def _pdiv(a: list, b: list) -> tuple:
+    """(q, r) with (lead b)^(deg a - deg b + 1) a = q b + r and deg r < deg b."""
+    r, q = list(a), []
+    for k in range(len(a) - len(b), -1, -1):
+        t = r[-1]
+        r = [b[-1] * x for x in r[:k]] + [b[-1] * x - t * c for x, c in zip(r[k:-1], b)]
+        q = [t] + [b[-1] * x for x in q]
+    return q, ex.rp_trim(r)
 
 
-def _sturm_chain(f: list) -> list:
-    """f, f', then negated remainders, each scaled by a positive constant."""
-    chain = [f, _primitive(ex.rp_diff(f))]
-    while True:
-        r = _prem(chain[-2], chain[-1])
-        if not r:
-            return chain
-        chain.append(_primitive([-c for c in r]))
+def _gcd(a: list, b: list, p: int = 0) -> list:
+    """gcd(a, b) up to a constant, by pseudo-remainders made primitive or,
+    for a prime p that divides neither lead, reduced modulo p."""
+    norm = (lambda r: ex.rp_trim([c % p for c in r])) if p else _primitive
+    a, b = norm(a), norm(b)
+    while b:
+        a, b = b, norm(_pdiv(a, b)[1])
+    return a
 
 
-def _exact_quotient(a: list, b: list) -> list:
-    """a / b times a positive integer, for b dividing a over the rationals:
-    |lead b|^(deg a - deg b + 1) a / b, whose long division by b is exact
-    in integers at every step."""
-    lb = b[-1]
-    r = [c * abs(lb) ** (len(a) - len(b) + 1) for c in a]
-    q = [0] * (len(a) - len(b) + 1)
-    for k in range(len(q) - 1, -1, -1):
-        q[k] = r[k + len(b) - 1] // lb
-        for j, c in enumerate(b):
-            r[k + j] -= q[k] * c
-    return q
+def _square_free_factors(coeffs) -> list:
+    """Primitive square-free factors whose roots, pooled, are the roots of
+    the polynomial with ascending integer ``coeffs``, with multiplicity.
 
-
-def _square_free_chains(f: list) -> list:
-    """Sturm chains of square-free factors whose roots, pooled, are the roots
-    of ``f`` with multiplicity.
-
-    With g = gcd(f, f'), the distinct roots of f are the roots of f/g, and g
-    holds every repeated root once fewer times; recurse on g.
+    With g = gcd(f, f'), f/g has the distinct roots of f and g the repeated
+    ones once fewer times; repeat on g.  The exact gcd runs only when the
+    prime divides lead f or gcd(f, f') modulo it is not constant: by Gauss's
+    lemma a repeated factor of f divides f and f' in integers, with a lead
+    that divides lead f, so it keeps its degree modulo the prime.
     """
-    chain = _sturm_chain(f)
-    g = chain[-1]  # gcd(f, f') up to a constant
-    if len(g) == 1:
-        return [chain]
-    return [_sturm_chain(_primitive(_exact_quotient(f, g)))] + _square_free_chains(g)
+    f = ex.rp_trim(coeffs)
+    if not f:
+        raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
+    f, out = _primitive(f), []
+    while len(f) > 2 and (f[-1] % _PRIME == 0 or len(_gcd(f, ex.rp_diff(f), _PRIME)) > 1):
+        g = _gcd(f, ex.rp_diff(f))
+        if len(g) == 1:
+            break
+        out.append(_primitive(_pdiv(f, g)[0]))
+        f = g
+    return out + [f]
+
+
+def _taylor(q: list, a: int = 1) -> list:
+    """Descending coefficients of p(x + a), from the descending ``q`` of p:
+    each pass is one Horner sweep, a prefix sum when a = 1."""
+    q = list(q)
+    for end in range(len(q), 1, -1):
+        q[:end] = accumulate(q[:end], None if a == 1 else lambda acc, c: acc * a + c)
+    return q
 
 
 def _hom(p: list, num: int, den: int) -> int:
@@ -339,12 +342,55 @@ def _variations(signs) -> int:
     return v
 
 
-def _variations_at(chain: list, num: int, den: int) -> int:
-    return _variations(_hom(q, num, den) for q in chain)
+def _root_bound(f: list) -> int:
+    """The least k >= 0 with |f_(n-i) / f_n| < 2^((k-1) i) for every i, by
+    bit lengths: every |root| < 2^k, by Fujiwara's bound |root| <= 2 max_i
+    |f_(n-i) / f_n|^(1/i) (the i = n term halved)."""
+    top = abs(f[-1]).bit_length()
+    return max([0] + [1 - (top - 1 - abs(c).bit_length()) // i
+                      for i, c in enumerate(reversed(f[:-1]), 1) if c])
 
 
-def _variations_at_infinity(chain: list, side: int) -> int:
-    return _variations(q[-1] * side ** (len(q) - 1) for q in chain)
+def _beyond(f: list, x: int, k: int) -> list:
+    """Brackets (:func:`_isolate`) of the roots r of the square-free ``f``
+    with x < |r| < 2^k, those of f(-x) for r < 0."""
+    mirrored = [-c if i % 2 else c for i, c in enumerate(f)]
+    return [br for g in (f, mirrored) for br in _isolate(g, (x, 1), (1 << k, 1))]
+
+
+def _isolate(f: list, lo: tuple, hi: tuple) -> list:
+    """Brackets (lo_i, hi_i) of (num, den) pairs, one per root of the
+    square-free ``f`` in (lo, hi], both ends finite with den > 0: the root
+    is lo_i = hi_i, or the one root in (lo_i, hi_i), and hi_i is no root.
+
+    With x = (a + w t) / den, g(t) = den^n f(x) has integer coefficients.
+    A node is an interval (c, c+1) / 2^e of t whose roots are those of its
+    own h in (0, 1).  The sign variations of (t+1)^n h(1 / (t+1)) bound
+    them and are exact at 0 or 1; otherwise the node is halved into
+    2^n h(t/2) and its shift by 1, and a root at the midpoint is exact.
+    Small enough nodes of a square-free h are decided (Vincent's theorem).
+    A node that also ends on a root is halved until no bracket does.
+    """
+    den = math.lcm(lo[1], hi[1])
+    a, b = lo[0] * (den // lo[1]), hi[0] * (den // hi[1])
+    if a >= b:
+        return []
+    w, n = b - a, len(f) - 1
+    g = [c * den ** i for i, c in enumerate(reversed(f))]  # descending
+    g = [c * w ** (n - i) for i, c in enumerate(_taylor(g, a) if a else g)]
+    out, stack = ([((b, den), (b, den))] if sum(g) == 0 else []), [(g, 0, 0)]
+    while stack:
+        h, c, e = stack.pop()
+        v = _variations(_taylor(h[::-1]))
+        x, d = (a << e) + w * c, den << e
+        if v == 1 and sum(h):
+            out.append(((x, d), (x + w, d)))
+        elif v:
+            left = [y << i for i, y in enumerate(h)]
+            if sum(left) == 0:
+                out.append(((2 * x + w, 2 * d),) * 2)
+            stack += [(_taylor(left), 2 * c + 1, e + 1), (left, 2 * c, e + 1)]
+    return out
 
 
 def _float_key(x: float) -> int:
@@ -439,89 +485,42 @@ def _rounded_root(f: list, lo: tuple, hi: tuple) -> float:
     return _key_float(k_lo)
 
 
-def _roots_beyond(chain: list, x: int) -> int:
-    """Number of roots r of ``chain[0]`` with |r| > x, for an integer x > 0."""
-    at_minus_x = _hom(chain[0], -x, 1) == 0  # counted in (-inf, -x]
-    return (_variations_at_infinity(chain, -1) - _variations_at(chain, -x, 1) - at_minus_x
-            + _variations_at(chain, x, 1) - _variations_at_infinity(chain, 1))
-
-
-def _isolated_roots(chain: list, lo, hi) -> list:
-    """Correctly rounded roots of the square-free ``chain[0]`` in (lo, hi],
-    each end a (num, den) pair with den > 0, or None.
-
-    Bisects (-2^k, 2^k], a power-of-two Cauchy bound, cut to (lo, hi], with
-    the Sturm count V(a) - V(b) of roots in (a, b], until each interval holds
-    one root or none.  Both ends of an interval share one denominator, which
-    doubles at each bisection.  When 2^k exceeds the largest double, a root
-    beyond it raises :class:`RootOverflow` with its binary magnitude, and
-    otherwise the bisection starts from (-max - 1, max] instead.
-    """
-    f = chain[0]
-    # |root| < 1 + max|c_i| / |c_n| <= 1 + ceil(...) <= 2^k
-    k = (-(-max(abs(c) for c in f[:-1]) // abs(f[-1]))).bit_length()
-    lo_k, hi_k = -(1 << k), 1 << k
-    if hi_k > ex.DOUBLE_MAX:
-        if _roots_beyond(chain, ex.DOUBLE_MAX):
-            # least e with every |root| <= 2^e; 2^1023 < max < 2^1024
-            e_lo, e_hi = 1023, k
-            while e_hi - e_lo > 1:
-                mid = (e_lo + e_hi) // 2
-                if _roots_beyond(chain, 1 << mid):
-                    e_lo = mid
-                else:
-                    e_hi = mid
-            raise RootOverflow(
-                "a real root with 2^%d < |root| <= 2^%d (about 1e%d) is beyond the double range"
-                % (e_hi - 1, e_hi, round(e_hi * math.log10(2.0)))
-            )
-        lo_k, hi_k = -ex.DOUBLE_MAX - 1, ex.DOUBLE_MAX  # -max itself may be a root
-    lo_n, lo_d = (lo_k, 1) if lo is None or lo[0] < lo_k * lo[1] else lo
-    hi_n, hi_d = (hi_k, 1) if hi is None or hi[0] > hi_k * hi[1] else hi
-    den = math.lcm(lo_d, hi_d)
-    lo_n, hi_n = lo_n * (den // lo_d), hi_n * (den // hi_d)
-    out = []
-    stack = [(lo_n, hi_n, den, _variations_at(chain, lo_n, den), _variations_at(chain, hi_n, den))]
-    while stack:
-        lo_n, hi_n, den, v_lo, v_hi = stack.pop()
-        count = v_lo - v_hi
-        if count == 1:
-            out.append(_rounded_root(f, (lo_n, den), (hi_n, den)))
-        elif count > 1:
-            mid = lo_n + hi_n
-            v_mid = _variations_at(chain, mid, 2 * den)
-            stack.append((2 * lo_n, mid, 2 * den, v_lo, v_mid))
-            stack.append((mid, 2 * hi_n, 2 * den, v_mid, v_hi))
-    return out
-
-
-def _root_chains(coeffs) -> list:
-    coeffs = ex.rp_trim(coeffs)
-    if not coeffs:
-        raise ZeroPolynomial("cannot isolate roots of the zero polynomial")
-    return _square_free_chains(_primitive(list(coeffs))) if len(coeffs) > 1 else []
-
-
 def real_roots(coeffs, *, lo=None, hi=None) -> list[float]:
     """The real roots in (lo, hi], with multiplicity, ascending, of the
     polynomial with ascending integer ``coeffs``; each end is a rational
     (num, den) with den > 0, or None for unbounded.
 
-    Roots are isolated exactly (Sturm chains on integer coefficients); only
-    those in (lo, hi] are located, each at the correctly rounded double.
+    Each square-free factor's roots in (lo, hi], cut to (-2^k - 1, 2^k] by
+    its root bound, are isolated (:func:`_isolate`) and correctly rounded.
+    When 2^k exceeds the largest double, a root beyond it raises
+    :class:`RootOverflow`, and otherwise the cut is (-max - 1, max].
     """
-    return sorted(r for chain in _root_chains(coeffs) for r in _isolated_roots(chain, lo, hi))
+    out = []
+    for f in _square_free_factors(coeffs):
+        k = _root_bound(f)
+        if 1 << k > ex.DOUBLE_MAX and _beyond(f, ex.DOUBLE_MAX, k):
+            # least e with every |root| <= 2^e; 2^1023 < max < 2^1024
+            e = 1024 + bisect_left(range(1024, k), True, key=lambda e: not _beyond(f, 1 << e, k))
+            raise RootOverflow(
+                "a real root with 2^%d < |root| <= 2^%d (about 1e%d) is beyond the double range"
+                % (e - 1, e, round(e * math.log10(2.0)))
+            )
+        top = min(1 << k, ex.DOUBLE_MAX)  # every root is in (-top - 1, top]; -max may be one
+        lo_f = (-top - 1, 1) if lo is None or lo[0] < (-top - 1) * lo[1] else lo
+        hi_f = (top, 1) if hi is None or hi[0] > top * hi[1] else hi
+        out += [_rounded_root(f, *bracket) for bracket in _isolate(f, lo_f, hi_f)]
+    return sorted(out)
 
 
 def real_root_count(coeffs) -> int:
     """Number of real roots, with multiplicity, of the polynomial with
     ascending integer ``coeffs``, decided exactly.
 
-    Sturm sign variations at -inf and +inf, read from leading coefficients;
-    no root is located.
+    A square-free factor f has a root at 0 when f(0) = 0, and its other
+    roots are isolated (:func:`_beyond`), not located.
     """
-    return sum(_variations_at_infinity(chain, -1) - _variations_at_infinity(chain, 1)
-               for chain in _root_chains(coeffs))
+    return sum((f[0] == 0) + len(_beyond(f, 0, _root_bound(f)))
+               for f in _square_free_factors(coeffs))
 
 
 def theorem_root_count(m: int, alpha) -> int | None:

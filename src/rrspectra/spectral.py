@@ -487,7 +487,7 @@ def linspace(start, stop, num: int) -> list:
 def nodeless_scan(a_range, b_range, m: int, na: int, nb: int, workers: int = 1):
     """Three-way nodelessness map over a (a, b) parameter grid at fixed order.
 
-    Per cell: the exact Sturm root count of the type-d polynomial factor
+    Per cell: the exact real-root count of the type-d polynomial factor
     (the gauge factor is positive, so no root means a nodeless solution),
     checked against :func:`routh.theorem_root_count`, which decides every
     type-d count; the quoted asymmetry threshold; and the canonical

@@ -43,10 +43,11 @@ quartic has a double root at lambda = 0 (the repeated-root path of root
 isolation), a Milson potential whose quartic has
 two positive roots below m + 1/2 at orders 1-3, a Milson potential whose
 branch point is the energy e = -1, a user grid too narrow for
-doubles (a config error that leaves no file), and an order-4 scan on two
+doubles (a config error that leaves no file), an order-4 scan on two
 worker processes (the pooled path, whose ``scan.csv`` must digest as the
-serial one's).  An ``EXTRA`` command is the subcommand, optionally followed by
-further arguments ("verify --tol 0").
+serial one's), and a 2 x 2 order-128 scan on a window off the dyadic grid
+(exact root counts at the largest order).  An ``EXTRA`` command is the
+subcommand, optionally followed by further arguments ("verify --tol 0").
 pytest does not collect this file.
 """
 
@@ -107,6 +108,10 @@ EXTRA = {
 # must digest as that serial command's does
 EXTRA["pooled-scan"] = (workloads.make_config("scan_grid", SEED, 1)[1],
                         ("scan-nodeless --workers 2",))
+EXTRA["scan-order-128"] = ({"potential": {"gendenshtein": {"a": 2.3, "b": 0.3}},
+                            "scan": {"a_range": [2.3, 3.7], "b_range": [0.3, 1.9],
+                                     "na": 2, "nb": 2, "m": 128}},
+                           ("scan-nodeless",))
 for kappa, lines in ((0.05, ("spectrum", "verify", "partner", "identities")),
                      (20.0, ("spectrum", "verify", "partner", "identities")),
                      # kappa - 1 rounds to -1, so W = 1 + (kappa - 1) sech^2 t is 0.0 at t = 0

@@ -149,7 +149,7 @@ def test_criterion_5_orthogonality():
 
 
 def test_criterion_6_node_counts():
-    # each state's real zeros by exact Sturm count, against its index and
+    # each state's real zeros by exact count, against its index and
     # the theorem count the outputs report
     details = []
     for _, spectrum in (gendenshtein_report(), milson_report()):

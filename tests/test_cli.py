@@ -533,20 +533,20 @@ class TestIdentitiesCommand:
         residuals = json.loads((out / "identities.json").read_text())["quartic_residuals"]
         assert len(residuals) == 3 and max(residuals.values()) < 1e-15
 
-    def test_builds_sturm_chains_for_quartics_alone(self, tmp_path, monkeypatch):
+    def test_isolates_roots_of_quartics_alone(self, tmp_path, monkeypatch):
         # node counts are theorems, so only the quartic roots of the levels
-        # (orders 0..4) and of the type-d seed build chains; the Stevenson
+        # (orders 0..4) and of the type-d seed are isolated; the Stevenson
         # check reads the enumerated states and solves no level again
         from rrspectra import routh
 
-        real = routh._root_chains
+        real = routh._square_free_factors
         calls = []
 
         def counting(p):
             calls.append(p)
             return real(p)
 
-        monkeypatch.setattr(routh, "_root_chains", counting)
+        monkeypatch.setattr(routh, "_square_free_factors", counting)
         cfg = write_config(tmp_path, {"potential": {"gendenshtein": {"a": 3.3, "b": 0.7}},
                                       "partner": {"kind": "d", "m": 0}})
         counts = {}

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from rrspectra import _exact as ex
+from rrspectra import _exact as ex, routh
 from rrspectra.errors import RootOverflow, ZeroPolynomial
 from rrspectra.routh import (
     ComplexIndex,
@@ -346,15 +346,73 @@ _ROUNDING_CASES = [
 ]
 
 
+def _assert_matches_sympy(p):
+    """Roots and count of the integer ``p`` equal sympy's, bit for bit."""
+    sympy = pytest.importorskip("sympy")
+    poly = sympy.Poly([sympy.Rational(c) for c in reversed(p)], sympy.Symbol("x"))
+    expected = [float(r.evalf(25)) for r in poly.real_roots(multiple=True)]
+    assert real_roots(p) == expected, p
+    assert real_root_count(p) == len(expected)
+
+
+@pytest.fixture()
+def exact_gcds(monkeypatch):
+    """The inputs of each exact gcd (the primitive remainder sequence, not
+    the modular test) that root isolation runs while installed."""
+    calls, gcd = [], routh._gcd
+
+    def counted(a, b, p=0):
+        if not p:
+            calls.append(a)
+        return gcd(a, b, p)
+
+    monkeypatch.setattr(routh, "_gcd", counted)
+    return calls
+
+
 class TestExactIsolation:
     def test_matches_sympy_bit_for_bit(self):
-        sympy = pytest.importorskip("sympy")
-        x = sympy.Symbol("x")
         for p in _root_corpus():
-            poly = sympy.Poly([sympy.Rational(c) for c in reversed(p)], x)
-            expected = [float(r.evalf(25)) for r in poly.real_roots(multiple=True)]
-            assert real_roots(p) == expected, p
-            assert real_root_count(p) == len(expected)
+            _assert_matches_sympy(p)
+
+    @pytest.mark.parametrize("a, b", [(2.3, 0.3), (3.7, 1.9), (2.5, 0.75)])
+    def test_order_128_type_d_seeds_are_nodeless(self, a, b):
+        from rrspectra.spectral import aeh_solution, gendenshtein_params
+
+        sympy = pytest.importorskip("sympy")
+        poly = aeh_solution(gendenshtein_params(a, b), "d", 128).poly
+        # sympy's own isolation; its real_roots factors over the integers
+        # first, which takes minutes at this degree
+        intervals = sympy.Poly(list(reversed(poly.num)), sympy.Symbol("x")).intervals()
+        assert sum(k for _, k in intervals) == 0
+        assert real_root_count(poly.num) == theorem_root_count(128, poly.index) == 0
+        assert real_roots(poly.num) == []
+
+    def test_repeated_roots_at_high_degree(self, exact_gcds):
+        # degree 25: a triple and a double rational root, two double
+        # irrational ones and 16 simple roots, some a thirtieth apart
+        simple = [Fraction(j, 7) for j in range(-8, 8)]
+        p = _poly_from_roots([Fraction(3, 2)] * 3 + [Fraction(-1, 3)] * 2 + simple, lead=5)
+        p = poly_mul(poly_mul(p, [-2, 0, 1]), [-2, 0, 1])
+        assert len(p) == 26
+        _assert_matches_sympy(p)
+        assert exact_gcds
+
+    def test_leading_coefficient_a_multiple_of_the_prime(self, exact_gcds):
+        # the modular test proves nothing here, so the exact gcd decides
+        big = routh._PRIME
+        for p in (poly_mul([-1, big], [3, 1]), poly_mul(poly_mul([-1, big], [-1, big]), [3, 1]),
+                  poly_mul([-1, 3 * big], [5, 0, 1])):
+            del exact_gcds[:]
+            _assert_matches_sympy(p)
+            assert exact_gcds, p
+
+    def test_double_root_modulo_the_prime_alone(self, exact_gcds):
+        # (x - 1)(x - 1 - P) is square-free, but (x - 1)^2 modulo P
+        big = routh._PRIME
+        p = poly_mul([-1, 1], [-1 - big, 1])
+        _assert_matches_sympy(p)
+        assert real_roots(p) == [1.0, float(1 + big)] and exact_gcds
 
     def test_interval_is_all_roots_restricted(self):
         # ends on exact integer roots, between roots, and unbounded: (lo, hi]
@@ -407,7 +465,7 @@ class TestExactIsolation:
             real_roots(p)
 
     def test_huge_cauchy_bound_with_double_roots(self):
-        # the Cauchy bound of (x - 1)(x^2 + 10^700) is far beyond the double
+        # the root bound of (x - 1)(x^2 + 10^700) is far beyond the double
         # range, but its one real root is not
         p = poly_mul([-1, 1], [10 ** 700, 0, 1])
         assert real_roots(p) == [1.0]
@@ -555,6 +613,38 @@ class TestTheoremRootCount:
             for m in range(1, 6):
                 sol = aeh_solution(spec, "d", m)
                 assert sol.nodes == real_root_count(sol.poly.num) == m % 2
+
+
+def _measured_law(m: int, a_re: Fraction) -> tuple:
+    """(branch, count): the real-root count that every exact count so far of
+    a degree-m Routh polynomial at an index with real part ``a_re`` has
+    followed.  It is m while m < 3/2 - a_re, m mod 2 once m + 2 a_re - 1 > 0,
+    and 2m* - m between, with m* = ceil(3/2 - a_re) - 1 the last order of the
+    first branch.  :func:`theorem_root_count` proves the last branch, and the
+    first for m < 1 - a_re; the middle one is measured only."""
+    if m < Fraction(3, 2) - a_re:
+        return "m", m
+    if m + 2 * a_re - 1 > 0:
+        return "m mod 2", m % 2
+    return "2m* - m", 2 * (math.ceil(Fraction(3, 2) - a_re) - 1) - m
+
+
+def test_real_root_count_follows_the_measured_law():
+    # fixed draws, never redrawn: m <= 64, Re alpha in [-40, 4], |Im alpha| <= 15.
+    # At a degenerate index R_m = s R_(j0) (routh_polynomial), so the law is
+    # read at the degree; s = 0 leaves the zero polynomial, which has no count.
+    rng = np.random.default_rng(1)
+    branches = {"m": 0, "2m* - m": 0, "m mod 2": 0}
+    for _ in range(300):
+        m, d = int(rng.integers(0, 65)), int(rng.integers(1, 9))
+        a_re = Fraction(int(rng.integers(-40 * d, 4 * d + 1)), d)
+        a = index(a_re, Fraction(int(rng.integers(-15 * d, 15 * d + 1)), d))
+        num = routh_polynomial(m, a).num
+        if num:
+            branch, count = _measured_law(len(num) - 1, a_re)
+            assert real_root_count(num) == count, (m, a)
+            branches[branch] += 1
+    assert min(branches.values()) > 20, branches
 
 
 def order2_discriminant(alpha) -> float:
