@@ -5,10 +5,6 @@ class SpectraError(Exception):
     """Base class for all rrspectra errors."""
 
 
-class ImaginaryResidue(SpectraError):
-    """A coefficient that must be exactly real has a nonzero imaginary part."""
-
-
 class ZeroPolynomial(SpectraError):
     """Root isolation was asked for the identically-zero polynomial."""
 

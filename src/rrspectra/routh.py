@@ -14,11 +14,12 @@ numerators over one positive denominator, and a root bracket's ends are
 integer pairs (num, den).  Construction is exact, so degree degeneracy and
 ODE residuals are decided by identity.  Weighted integrals of these
 polynomials are exact rational multiples of one rounded Cauchy beta
-integral, summed in Gaussian integers.  Real roots are counted and isolated
-by Descartes' rule of signs with integer bisection, and correctly rounded by
-an exact search started from a float estimate.  Nothing here imports numpy:
-closed forms are evaluated on grids by :mod:`geometry`.  Each command builds
-a polynomial once and passes the record on, and nothing here is memoized.
+integral, summed in integers by the moments' recurrence.  Real roots are
+counted and isolated by Descartes' rule of signs with integer bisection, and
+correctly rounded by an exact search started from a float estimate.  Nothing
+here imports numpy: closed forms are evaluated on grids by :mod:`geometry`.
+Each command builds a polynomial once and passes the record on, and nothing
+here is memoized.
 """
 
 from __future__ import annotations
@@ -28,11 +29,11 @@ import math
 import struct
 from bisect import bisect_left
 from itertools import accumulate
-from math import comb, factorial
+from math import factorial
 from typing import NamedTuple
 
 from . import _exact as ex
-from .errors import ImaginaryResidue, RootOverflow, ZeroPolynomial
+from .errors import RootOverflow, ZeroPolynomial
 
 
 # ---------------------------------------------------------------------------
@@ -210,46 +211,35 @@ def log_cauchy_beta(nu: float, q: float) -> float:
     )
 
 
-def cauchy_beta_ratios(p: list, q: tuple, nus) -> list:
+def cauchy_beta_ratio(p: list, q: tuple, nu: tuple) -> tuple:
     """integral p(eta) (1+eta^2)^-nu exp(2q atan eta) deta / B(nu, q), exactly,
-    for the integer polynomial ``p`` (ascending), the rational q = (num, den)
-    and each rational nu = (num, den) in ``nus``: one (num, den) pair each.
+    for the integer polynomial ``p`` (ascending) and the rationals
+    q = (num, den) and nu = (num, den): one (num, den) pair.
 
-    The weight is (1+i eta)^-alpha (1-i eta)^-beta with alpha, beta = nu +- iq.
-    Written in w = 1 + i eta (once, for every nu), p needs only the moments of
-    w^j, and w^j multiplies Cauchy's integral B(nu, q) by
-    prod_{i=1..j} 2(alpha-i)/(2nu-1-i).  With nu = A/L and q = C/L over one
-    L, each factor is the Gaussian integer 2(A - iL + iC) over the integer
-    2A - (1+i)L, and the sum, nested from its top term down, keeps Gaussian
-    integer numerators over one denominator.  The sum is exact since in
-    floats it cancels badly (relative error 1.5e-10 at order 4 and 1e-4 at
-    order 13 for the normalization of Gendenshtein(16.2, 0.7)); its imaginary
-    part must vanish, or :class:`ImaginaryResidue` is raised.  Each integral
-    converges when 2 nu > deg p + 1, and then every denominator is positive.
+    The derivative of (1+eta^2)^(1-nu) exp(2q atan eta) eta^j integrates to
+    zero, so the moments M_j of eta^j over B(nu, q) obey Pearson's recurrence
+
+        (2nu - 2 - j) M_(j+1) = 2q M_j + j M_(j-1),    M_0 = 1.
+
+    With nu = N/L and q = Q/L over one L, M_j = m_j / D_j with integers
+    m_(j+1) = 2Q m_j + jL h_(j-1) m_(j-1) and D_(j+1) = h_j D_j, where
+    h_j = 2N - (2+j)L, and the sum keeps one numerator over D_j as it goes.
+    The sum is exact since in floats it cancels badly (relative error 1.5e-10
+    at order 4 and 1e-4 at order 13 for the normalization of
+    Gendenshtein(16.2, 0.7)).  It converges when 2 nu > deg p + 1, and then
+    every h_j is positive.
     """
-    # p in w, with eta^k = i^k (1 - w)^k: Gaussian integers (re, im)
-    in_w = []
-    for j in range(len(p)):
-        parts = [0, 0]
-        for k in range(j, len(p)):
-            parts[k % 2] += (-1) ** (j + k // 2) * comb(k, j) * p[k]
-        in_w.append(parts)
-    out = []
-    for nu_num, nu_den in nus:
-        big_l = math.lcm(nu_den, q[1])
-        a, c = nu_num * (big_l // nu_den), q[0] * (big_l // q[1])
-        # S_j = in_w[j] + factor_(j+1) S_(j+1), as (re, im) over den
-        re, im = in_w[-1] if in_w else (0, 0)
-        den = 1
-        for j in range(len(in_w) - 1, 0, -1):
-            g_re, g_im, h = 2 * (a - j * big_l), 2 * c, 2 * a - (1 + j) * big_l
-            den *= h
-            d_re, d_im = in_w[j - 1]
-            re, im = d_re * den + g_re * re - g_im * im, d_im * den + g_re * im + g_im * re
-        if im != 0:
-            raise ImaginaryResidue("beta-moment sum has a nonzero imaginary part")
-        out.append((re, den))
-    return out
+    if not p:
+        return 0, 1
+    big_l = math.lcm(nu[1], q[1])
+    two_n, two_q = 2 * nu[0] * (big_l // nu[1]), 2 * q[0] * (big_l // q[1])
+    # (m_(j-1) h_(j-1), m_j) and the sum over D_j, from j = 0
+    prev, m, total, den = 0, 1, p[0], 1
+    for j in range(1, len(p)):
+        h = two_n - (1 + j) * big_l
+        prev, m = m * h, two_q * m + (j - 1) * big_l * prev
+        total, den = total * h + p[j] * m, den * h
+    return total, den
 
 
 # ---------------------------------------------------------------------------

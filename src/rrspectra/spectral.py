@@ -66,7 +66,7 @@ from .errors import ConfigError, NoSuchRoot
 from .routh import (
     ComplexIndex,
     RouthPolynomial,
-    cauchy_beta_ratios,
+    cauchy_beta_ratio,
     discriminant_order2,
     log_cauchy_beta,
     real_root_count,
@@ -254,14 +254,13 @@ def pinned_convention() -> dict:
 def normalized(spec: PotentialSpec, solution: ClosedForm) -> ClosedForm:
     """``solution`` scaled so that integral Phi^2 * density deta = 1 (hence psi is L2-normal).
 
-    Closed form, with Phi = (1+eta^2)^p exp(q atan eta) R(eta).  The density
-    splits as T/(1+eta^2)^2 = 1/(1+eta^2) + (kappa-1)/(1+eta^2)^2, so each
-    part of Phi^2 times it is R^2 (1+eta^2)^-nu exp(2q atan eta) with
-    nu = 1 - 2p in the first part and nu + 1 in the second: Cauchy beta
-    integrals, each an exact rational multiple of B(nu, q)
-    (:func:`routh.cauchy_beta_ratios`), while
+    Closed form, with Phi = (1+eta^2)^p exp(q atan eta) R(eta).  With the
+    density T/(1+eta^2)^2, T = eta^2 + kappa, Phi^2 times it is
+    R^2 T (1+eta^2)^-(nu+1) exp(2q atan eta), nu = 1 - 2p: a Cauchy beta
+    integral, an exact rational multiple of B(nu+1, q)
+    (:func:`routh.cauchy_beta_ratio`), while
     B(nu+1, q) = B(nu, q) nu(2nu-1)/(2(nu^2+q^2)).  Only B(nu, q) is
-    rounded.  Every integral converges for an admissible level of order n,
+    rounded.  The integral converges for an admissible level of order n,
     since nu > n + 1/2.  In integers, nu = N/L and q = Q/L over one L, and
     the factor of B(nu+1, q) is N(2N - L)/(2(N^2 + Q^2)).
     """
@@ -269,13 +268,11 @@ def normalized(spec: PotentialSpec, solution: ClosedForm) -> ClosedForm:
     big_l = math.lcm(pd, qd)
     nu, q = big_l - 2 * p * (big_l // pd), q * (big_l // qd)  # nu = 1 - 2p, over L
     num, den = solution.poly.num, solution.poly.den
-    # R^2 = num^2 / den^2
-    (a0, b0), (a1, b1) = cauchy_beta_ratios(ex.rp_mul(num, num), (q, big_l),
-                                            ((nu, big_l), (nu + big_l, big_l)))
     k, kd = ex.ratio(spec.kappa_plus)
-    # bracket = m0 + (kappa - 1) nu (2nu - 1) / (2 (nu^2 + q^2)) m1 = top / bottom
-    f_num, f_den = (k - kd) * nu * (2 * nu - big_l), 2 * kd * (nu * nu + q * q)
-    top, bottom = a0 * f_den * b1 + f_num * a1 * b0, b0 * f_den * b1
+    # R^2 T = num^2 (kd eta^2 + k) / (den^2 kd)
+    a, b = cauchy_beta_ratio(ex.rp_mul(ex.rp_mul(num, num), [k, 0, kd]), (q, big_l),
+                             (nu + big_l, big_l))
+    top, bottom = nu * (2 * nu - big_l) * a, 2 * (nu * nu + q * q) * b * kd
     scale = solution.scale
     norm2 = (scale ** 2 * math.exp(log_cauchy_beta(nu / big_l, q / big_l))
              * (top / (bottom * den * den)))

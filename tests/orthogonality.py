@@ -3,7 +3,7 @@ pinned weight index and the exact weighted inner product, which the tests
 check against brute-force quadrature.
 
 It lives with the tests because no command computes an inner product; the
-package uses the same Cauchy-beta moment sum (``routh.cauchy_beta_ratios``)
+package uses the same Cauchy-beta moment sum (``routh.cauchy_beta_ratio``)
 only to normalize bound states.
 
 The orthogonality weight for the family at index alpha is the generating
@@ -19,7 +19,7 @@ import numpy as np
 
 from rational import im, pair, re
 from rrspectra import _exact as ex
-from rrspectra.routh import ComplexIndex, cauchy_beta_ratios, log_cauchy_beta, routh_polynomial
+from rrspectra.routh import ComplexIndex, cauchy_beta_ratio, log_cauchy_beta, routh_polynomial
 
 
 class NonIntegrable(Exception):
@@ -49,7 +49,7 @@ def inner_product(n: int, m: int, w) -> float:
 
     Integrates R_n R_m w over the real line for the family pinned to the
     weight ``w`` (family index = conj(weight index) + 1).  The integral is
-    B(-Re w, Im w) times the exact ratio ``cauchy_beta_ratios``, so an
+    B(-Re w, Im w) times the exact ratio ``cauchy_beta_ratio``, so an
     orthogonal pair gives exactly 0.0 and only B is rounded.
     """
     w = ComplexIndex.of(w)
@@ -60,5 +60,5 @@ def inner_product(n: int, m: int, w) -> float:
     fam = family_index_for_weight(w)
     r_n, r_m = routh_polynomial(n, fam), routh_polynomial(m, fam)
     nu, q = -re(w), im(w)
-    ((top, bottom),) = cauchy_beta_ratios(ex.rp_mul(r_n.num, r_m.num), pair(q), (pair(nu),))
+    top, bottom = cauchy_beta_ratio(ex.rp_mul(r_n.num, r_m.num), pair(q), pair(nu))
     return math.exp(log_cauchy_beta(float(nu), float(q))) * (top / (bottom * r_n.den * r_m.den))

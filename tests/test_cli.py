@@ -978,8 +978,8 @@ def test_startup_does_not_import_scipy(tmp_path):
         "    assert name not in sys.modules, name\n"
         "import importlib, pkgutil, rrspectra\n"
         "for mod in pkgutil.iter_modules(rrspectra.__path__): importlib.import_module('rrspectra.' + mod.name)\n"
-        "from rrspectra.routh import cauchy_beta_ratios, ode_residual, routh_polynomial\n"
-        "cauchy_beta_ratios([1, 0, 1], (1, 2), [(5, 2)])\n"
+        "from rrspectra.routh import cauchy_beta_ratio, ode_residual, routh_polynomial\n"
+        "cauchy_beta_ratio([1, 0, 1], (1, 2), (5, 2))\n"
         "ode_residual(routh_polynomial(3, complex(-4, 1.5)))\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if m.startswith('scipy'))\n"
         % (calls,)

@@ -38,8 +38,8 @@ def oracle_grid(spec, n=None):
     return np.asarray(rung.coupling), np.asarray(rung.weights), rung.grid.dt
 
 
-class TestNumerov:
-    """``lowest_levels``; the class keeps the name of the shooting oracle it replaced."""
+class TestLowestLevels:
+    """``lowest_levels``: known levels within their error estimates, and its guards."""
 
     def test_poschl_teller_calibration(self):
         # six asked for, and the well has four
@@ -291,9 +291,8 @@ def assert_certified(ham, count, levels, bounds):
         assert matrix_level(ham, hi, k) <= roundoff
 
 
-class TestSineRitz:
-    """``_levels`` against LAPACK on the h, 2h and 4h grids; the class keeps
-    the name of the sine-basis Ritz solve it replaced."""
+class TestLevelsAgainstLapack:
+    """``_levels`` against LAPACK on the h, 2h and 4h grids."""
 
     @pytest.mark.parametrize("step", [1, 2, 4])
     @pytest.mark.parametrize("name", sorted(RITZ_CASES))

@@ -1,7 +1,9 @@
-"""The README's Example block runs and prints what its comments say, and its
-Command line section documents every config key the CLI accepts."""
+"""The README's Example block runs and prints what its comments say, its
+Command line section documents every config key the CLI accepts, and every
+package attribute it names exists."""
 
 import contextlib
+import importlib
 import io
 import os
 import re
@@ -35,3 +37,19 @@ def test_config_keys_are_documented():
     rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \|", section("Command line"), re.M)
     documented = {block: set(re.findall(r"`(\w+)`", keys)) for block, keys in rows}
     assert documented == {block: set(keys) for block, keys in cli.BLOCK_KEYS.items()}
+
+
+def test_named_package_attributes_exist():
+    # every backticked `module.name` of a package module, outside code blocks,
+    # names something the module has, so a renamed or deleted one fails here;
+    # output files such as `verify.json` are not attributes
+    with open(README, encoding="utf-8") as fh:
+        text = re.sub(r"```.*?```", "", fh.read(), flags=re.S)
+    modules = "routh|spectral|geometry|oracle|verify|darboux|cli|errors|_exact"
+    pattern = r"(?<![\w/.])(%s)\.(?!(?:json|csv|py)\b)(\w+)" % modules
+    named = {m.groups() for span in re.findall(r"`([^`]+)`", text)
+             for m in re.finditer(pattern, span)}
+    assert ("routh", "real_roots") in named
+    missing = sorted("%s.%s" % (module, name) for module, name in named
+                     if not hasattr(importlib.import_module("rrspectra." + module), name))
+    assert not missing
