@@ -28,8 +28,14 @@ sampled, too wide or too narrow for doubles, or on which the potential has not
 decayed) or output error (an ``--out`` that cannot be made or written), 3
 numeric failure.  Identical configs produce byte-identical outputs.
 
-Every command is a fresh process, so its imports are part of its cost.
-``identities`` and ``scan-nodeless`` run on the exact layer alone, and
+The command line is declared once, in ``_FLAGS`` and the defaults of
+``Args``.  :func:`parse_args` reads a well-formed one itself; anything else,
+``-h`` included, goes to argparse, which renders the help, the usage and
+every error (exit 2) from that table.
+
+Every command is a fresh process, so its imports are part of its cost, and
+a well-formed command line loads no argparse.  ``identities`` and
+``scan-nodeless`` run on the exact layer alone, and
 ``spectrum`` adds :mod:`geometry`, which samples in plain floats, and
 ``verify`` and ``partner`` add the oracle, in plain Python too: no command
 loads numpy.  The config digest in ``report.json`` comes from the
@@ -215,15 +221,19 @@ def _csv(header: str, columns):
     return itertools.chain([header + "\n"], (fmt % row for row in zip(*columns)))
 
 
+def _level_counts(spectrum) -> dict:
+    return {"n_max_constructive": spectrum.n_max_constructive,
+            "n_max_formula": spectrum.n_max_formula,
+            "formula_consistent": spectrum.formula_consistent}
+
+
 def _spectrum_record(spectrum) -> dict:
     return {
         "states": [
             {"n": s.n, "energy": s.energy, "lambda": [s.lam.real, s.lam.imag], "nodes": s.nodes}
             for s in spectrum.states
         ],
-        "n_max_constructive": spectrum.n_max_constructive,
-        "n_max_formula": spectrum.n_max_formula,
-        "formula_consistent": spectrum.formula_consistent,
+        **_level_counts(spectrum),
         "notes": list(spectrum.notes),
     }
 
@@ -289,48 +299,29 @@ def cmd_verify(config: RunConfig, args) -> tuple:
     report, spectrum = verify.verify_spectrum(config.spec, tol=args.tol, x_max=config.x_max,
                                               n=config.n)
     record = _check_record(report, "analytic", [s.nodes for s in spectrum.states],
-                           n_max_formula=spectrum.n_max_formula,
-                           n_max_constructive=spectrum.n_max_constructive,
-                           formula_consistent=spectrum.formula_consistent)
+                           **_level_counts(spectrum))
     return {"verify.json": _json(record)}, report.passed
 
 
-_SCAN_HEADER = "a,b,empirical_nodeless,threshold_prediction,discriminant_prediction,consistent\n"
-
-
 def _cell_csv(cell) -> str:
-    def fmt(v):
-        return "" if v is None else str(bool(v)).lower()
-
-    return "%.12g,%.12g,%s,%s,%s,%s\n" % (
-        cell.a, cell.b,
-        fmt(cell.empirical_nodeless),
-        fmt(cell.threshold_prediction),
-        fmt(cell.discriminant_prediction),
-        fmt(cell.consistent),
-    )
+    claims = ("" if v is None else str(bool(v)).lower() for v in cell[2:])
+    return ",".join(["%.12g" % cell.a, "%.12g" % cell.b, *claims]) + "\n"
 
 
 def cmd_scan_nodeless(config: RunConfig, args) -> tuple:
     a_range, b_range, m, na, nb = config.scan_params()
     cells = spectral.nodeless_scan(a_range, b_range, m, na=na, nb=nb, workers=args.workers)
-    agree_thresh = sum(
-        1 for c in cells
-        if c.empirical_nodeless is not None and c.threshold_prediction == c.empirical_nodeless
-    )
-    agree_disc = sum(
-        1 for c in cells
-        if c.empirical_nodeless is not None and c.discriminant_prediction == c.empirical_nodeless
-    )
-    filled = sum(1 for c in cells if c.empirical_nodeless is not None)
+    filled = [c for c in cells if c.empirical_nodeless is not None]
     summary = {
         "cells": len(cells),
-        "filled": filled,
-        "threshold_agreement": agree_thresh,
-        "discriminant_agreement": agree_disc,
+        "filled": len(filled),
+        "threshold_agreement": sum(c.threshold_prediction == c.empirical_nodeless for c in filled),
+        "discriminant_agreement": sum(c.discriminant_prediction == c.empirical_nodeless
+                                      for c in filled),
         "internally_consistent": all(c.consistent for c in cells if c.consistent is not None),
     }
-    files = {"scan.csv": [_SCAN_HEADER] + [_cell_csv(c) for c in cells],
+    files = {"scan.csv": [",".join(spectral.ScanCell._fields) + "\n"]
+                         + [_cell_csv(c) for c in cells],
              "scan_summary.json": _json(summary)}
     return files, summary["internally_consistent"]
 
@@ -409,24 +400,14 @@ def _output_error(exc: OSError) -> int:
     return 2
 
 
-USAGE = ("usage: spectra [-h] --config CONFIG [--out OUT] [--tol TOL]\n"
-         "               [--workers WORKERS]\n"
-         "               {%s}\n" % ",".join(COMMANDS))
-HELP = USAGE + """
-Closed-form spectra of Milson/Gendenshtein potentials, verified against a
-finite-difference oracle (units: hbar = 2m = 1).
-
-positional arguments:
-  {%s}
-
-options:
-  -h, --help            show this help message and exit
-  --config CONFIG       JSON run configuration
-  --out OUT             output directory
-  --tol TOL             verification tolerance
-  --workers WORKERS     scan worker count
-""" % ",".join(COMMANDS)
-_FLAGS = {"--config": str, "--out": str, "--tol": float, "--workers": int}
+# The command line: each flag's type and help line; ``Args`` holds the
+# defaults, and a flag without one is required.
+_FLAGS = {
+    "--config": (str, "JSON run configuration"),
+    "--out": (str, "output directory"),
+    "--tol": (float, "verification tolerance"),
+    "--workers": (int, "scan worker count"),
+}
 
 
 class Args(NamedTuple):
@@ -437,46 +418,49 @@ class Args(NamedTuple):
     workers: int = 1
 
 
-def _usage_error(message: str):
-    _complain(USAGE + "spectra: error: " + message)
-    raise SystemExit(2)
+def _argparse(argv) -> Args:
+    """``argv`` read by argparse from :data:`_FLAGS`: it prints the help for
+    ``-h`` or ``--help`` and exits 0, and prints the usage and one
+    ``spectra: error:`` line to stderr and exits 2 on a bad command line."""
+    import argparse
+
+    if sys.stderr is None:  # closed at start: argparse would print the usage to stdout
+        sys.stderr = open(os.devnull, "w")
+    parser = argparse.ArgumentParser(
+        prog="spectra", allow_abbrev=False,
+        description="Closed-form spectra of Milson/Gendenshtein potentials, "
+        "verified against a finite-difference oracle (units: hbar = 2m = 1).")
+    parser.add_argument("command", choices=COMMANDS)
+    for flag, (kind, text) in _FLAGS.items():
+        name = flag[2:]
+        parser.add_argument(flag, type=kind, help=text, required=name not in Args._field_defaults,
+                            default=Args._field_defaults.get(name))
+    return Args(**vars(parser.parse_args(argv)))
 
 
 def parse_args(argv) -> Args:
-    """The command line of the module docstring: one command from
-    ``COMMANDS``, and each flag as ``--flag value`` or ``--flag=value``, the
-    last one given counting.  ``-h`` or ``--help`` prints :data:`HELP` and
-    exits 0; anything else that does not fit prints :data:`USAGE` and one
-    ``spectra: error:`` line to stderr, and exits 2."""
-    given, extras = {}, []
-    tokens = iter(argv)
-    for token in tokens:
-        if token in ("-h", "--help"):
-            sys.stdout.write(HELP)
-            raise SystemExit(0)
-        flag, eq, value = token.partition("=")
-        if flag in _FLAGS:
-            value = value if eq else next(tokens, None)
-            if value is None:
-                _usage_error("argument %s: expected one argument" % flag)
-            try:
-                given[flag[2:]] = _FLAGS[flag](value)
-            except ValueError:
-                _usage_error("argument %s: invalid %s value: %r"
-                             % (flag, _FLAGS[flag].__name__, value))
-        elif token.startswith("-") or "command" in given:
-            extras.append(token)
-        elif token in COMMANDS:
-            given["command"] = token
-        else:
-            _usage_error("argument command: invalid choice: %r (choose from %s)"
-                         % (token, ", ".join(map(repr, COMMANDS))))
-    missing = [name for name in ("command", "--config") if name.lstrip("-") not in given]
-    if missing:
-        _usage_error("the following arguments are required: " + ", ".join(missing))
-    if extras:
-        _usage_error("unrecognized arguments: " + " ".join(extras))
-    return Args(**given)
+    """The command line of the module docstring.  One command from
+    ``COMMANDS`` and flags from :data:`_FLAGS`, each ``--flag value`` or
+    ``--flag=value`` with a value that converts and does not start with
+    ``-``, are read here, the last one given counting; anything else, help
+    included, goes to :func:`_argparse`, so a well-formed command line never
+    loads argparse."""
+    given, tokens = {}, iter(argv)
+    try:
+        for token in tokens:
+            flag, eq, value = token.partition("=")
+            if flag in _FLAGS:
+                value = value if eq else next(tokens, "-")  # "-": no value follows
+                if value.startswith("-"):
+                    raise ValueError(value)
+                given[flag[2:]] = _FLAGS[flag][0](value)
+            elif token in COMMANDS and "command" not in given:
+                given["command"] = token
+            else:
+                raise ValueError(token)
+        return Args(**given)  # TypeError without the command or a required flag
+    except (ValueError, TypeError):
+        return _argparse(argv)
 
 
 def main(argv=None) -> int:

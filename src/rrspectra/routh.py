@@ -475,6 +475,23 @@ def _rounded_root(f: list, lo: tuple, hi: tuple) -> float:
     return _key_float(k_lo)
 
 
+def _cut(lo, hi, bottom: int, top: int) -> tuple:
+    """(lo, hi] cut to (bottom, top]: each end a (num, den) pair, with den > 0,
+    or None for unbounded."""
+    return ((bottom, 1) if lo is None or lo[0] < bottom * lo[1] else lo,
+            (top, 1) if hi is None or hi[0] > top * hi[1] else hi)
+
+
+def _beyond_in(f: list, x: int, k: int, lo, hi) -> bool:
+    """Whether the square-free ``f``, whose roots all lie in (-2^k, 2^k), has
+    a root r in (lo, hi] (:func:`_cut`) with |r| > x."""
+    top = 1 << k
+    if _isolate(f, *_cut(lo, hi, x, top)):
+        return True
+    # the negative side (-2^k, -x], less a root at -x itself
+    return any(end[0] != -x * end[1] for end, _ in _isolate(f, *_cut(lo, hi, -top, -x)))
+
+
 def real_roots(coeffs, *, lo=None, hi=None) -> list[float]:
     """The real roots in (lo, hi], with multiplicity, ascending, of the
     polynomial with ascending integer ``coeffs``; each end is a rational
@@ -482,23 +499,23 @@ def real_roots(coeffs, *, lo=None, hi=None) -> list[float]:
 
     Each square-free factor's roots in (lo, hi], cut to (-2^k - 1, 2^k] by
     its root bound, are isolated (:func:`_isolate`) and correctly rounded.
-    When 2^k exceeds the largest double, a root beyond it raises
-    :class:`RootOverflow`, and otherwise the cut is (-max - 1, max].
+    When 2^k exceeds the largest double, a root in (lo, hi] beyond it raises
+    :class:`RootOverflow`, and otherwise the cut is (-max - 1, max]; a root
+    beyond it outside (lo, hi] is no error.
     """
     out = []
     for f in _square_free_factors(coeffs):
         k = _root_bound(f)
-        if 1 << k > ex.DOUBLE_MAX and _beyond(f, ex.DOUBLE_MAX, k):
-            # least e with every |root| <= 2^e; 2^1023 < max < 2^1024
-            e = 1024 + bisect_left(range(1024, k), True, key=lambda e: not _beyond(f, 1 << e, k))
+        if 1 << k > ex.DOUBLE_MAX and _beyond_in(f, ex.DOUBLE_MAX, k, lo, hi):
+            # least e with every |root| in (lo, hi] <= 2^e; 2^1023 < max < 2^1024
+            e = 1024 + bisect_left(range(1024, k), True,
+                                   key=lambda e: not _beyond_in(f, 1 << e, k, lo, hi))
             raise RootOverflow(
                 "a real root with 2^%d < |root| <= 2^%d (about 1e%d) is beyond the double range"
                 % (e - 1, e, round(e * math.log10(2.0)))
             )
         top = min(1 << k, ex.DOUBLE_MAX)  # every root is in (-top - 1, top]; -max may be one
-        lo_f = (-top - 1, 1) if lo is None or lo[0] < (-top - 1) * lo[1] else lo
-        hi_f = (top, 1) if hi is None or hi[0] > top * hi[1] else hi
-        out += [_rounded_root(f, *bracket) for bracket in _isolate(f, lo_f, hi_f)]
+        out += [_rounded_root(f, *bracket) for bracket in _isolate(f, *_cut(lo, hi, -top - 1, top))]
     return sorted(out)
 
 

@@ -891,7 +891,31 @@ class TestOutputContract:
         assert err.endswith(": a weight sample is 0; Q/W is infinite there\n"), err
         assert err.count("\n") == 1 and os.listdir(out) == []
 
-    SCAN_AND_PARTNER = {**GEN, "partner": {"kind": "d", "m": 0}, "scan": {
+    @pytest.mark.parametrize("command, code, prefix", [
+        ("spectrum", 0, ""), ("identities", 0, ""),
+        ("partner", 3, "numeric failure: RootOverflow: a real root with 2^1029 < |root| <= "
+                       "2^1030 (about 1e310) is beyond the double range\n"),
+        ("verify", 3, "numeric failure: NonFiniteSamples: "),
+    ])
+    def test_type_d_root_beyond_doubles_spares_the_bound_states(self, tmp_path, capsys, command,
+                                                                code, prefix):
+        # at kappa = 1e-310 the order-0 quartic has a type-d root near -1e310,
+        # outside the bound states' interval (1/2, inf): only the type-d
+        # partner needs it, and verify meets the vanishing weight first
+        cfg = write_config(tmp_path, {"potential": {"milson": {
+            "h0_re": 5.0, "h0_im": 2.0, "kappa_plus": 1e-310}}, "partner": {"kind": "d", "m": 0}})
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == (code != 0), err
+        if command == "spectrum":
+            assert len(json.loads((out / "spectrum.json").read_text())["states"]) == 2
+        elif command == "identities":
+            assert json.loads((out / "identities.json").read_text())["passed"] is True
+        else:
+            assert os.listdir(out) == []
+
+    SCAN_AND_PARTNER ={**GEN, "partner": {"kind": "d", "m": 0}, "scan": {
         "a_range": [2.0, 3.0], "b_range": [0.0, 1.0], "na": 2, "nb": 2, "m": 2}}
 
     @pytest.mark.parametrize("under", [False, True])

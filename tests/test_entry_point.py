@@ -124,7 +124,10 @@ def test_config_error_exits_two_and_writes_nothing(tmp_path):
     (["bogus"], "argument command: invalid choice: 'bogus'"),
     (["spectrum", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
     (["spectrum", "--workers", "two"], "argument --workers: invalid int value: 'two'"),
-], ids=["command", "flag", "value"])
+    # a value that starts with "-" and is no number is read as a flag
+    (["spectrum", "--out", "-x"], "argument --out: expected one argument"),
+    (["spectrum", "--tol", "-inf"], "argument --tol: expected one argument"),
+], ids=["command", "flag", "value", "dash-value", "dash-tol"])
 def test_bad_command_line_exits_two(tmp_path, argv, error):
     out = tmp_path / "out"
     proc = spectra(argv + ["--config", write_config(tmp_path, GEN), "--out", str(out)], out)
@@ -180,13 +183,16 @@ def test_numeric_failure_exits_three_with_streams_flushed(tmp_path):
 
 
 @pytest.mark.parametrize("stderr", ["closed", "read-only"])
-@pytest.mark.parametrize("config, code, exit_code", [
-    (UNREPRESENTABLE, None, 2), (GEN, NAN_PATCH + "cli.run()\n", 3),
-], ids=["config-error", "numeric-failure"])
-def test_unwritable_stderr_keeps_the_exit_code(tmp_path, stderr, config, code, exit_code):
+@pytest.mark.parametrize("command, config, code, exit_code", [
+    ("spectrum", UNREPRESENTABLE, None, 2), ("spectrum", GEN, NAN_PATCH + "cli.run()\n", 3),
+    ("bogus", GEN, None, 2),
+], ids=["config-error", "numeric-failure", "command-line"])
+def test_unwritable_stderr_keeps_the_exit_code(tmp_path, stderr, command, config, code,
+                                               exit_code):
     # fd 2 closed at start leaves sys.stderr None; a shell wrapper run with
     # 2>&- can leave it open on a file it cannot write instead.  Either way
-    # the message is lost, never sent to stdout, and the exit code stands.
+    # the message, argparse's usage included, is lost, never sent to stdout,
+    # and the exit code stands.
     def unwritable():
         os.close(2)
         if stderr == "read-only":
@@ -194,12 +200,15 @@ def test_unwritable_stderr_keeps_the_exit_code(tmp_path, stderr, config, code, e
 
     out = tmp_path / "out"
     head = ["-m", "rrspectra.cli"] if code is None else ["-c", code]
-    proc = subprocess.run([sys.executable, *head, "spectrum", "--config",
+    proc = subprocess.run([sys.executable, *head, command, "--config",
                            write_config(tmp_path, config), "--out", str(out)],
                           env=child_env(), stdout=subprocess.PIPE, text=True, timeout=120,
                           preexec_fn=unwritable)
     assert (proc.returncode, proc.stdout) == (exit_code, "")
-    assert os.listdir(out) == []
+    if command == "bogus":
+        assert not out.exists()
+    else:
+        assert os.listdir(out) == []
 
 
 def test_pooled_scan_matches_serial(tmp_path):

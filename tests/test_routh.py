@@ -464,6 +464,23 @@ class TestExactIsolation:
         with pytest.raises(RootOverflow, match=r"2\^1162 < \|root\| <= 2\^1163 \(about 1e350\)"):
             real_roots(p)
 
+    def test_root_beyond_double_range_outside_the_interval_is_no_error(self):
+        # roots 2 and -10^350, and their mirror images -2 and 10^350: only the
+        # root beyond the double range in (lo, hi] raises, and an end is open
+        # below and closed above
+        big = 10 ** 350
+        p, q = poly_mul([-2, 1], [big, 1]), poly_mul([2, 1], [-big, 1])
+        for lo in ((1, 2), (-big // 10, 1), (-big, 1)):
+            assert real_roots(p, lo=lo) == [2.0]
+        for hi in ((0, 1), (big // 10, 1), (big - 1, 1)):
+            assert real_roots(q, hi=hi) == [-2.0]
+        assert real_roots(p, hi=(-big - 1, 1)) == real_roots(q, lo=(big, 1)) == []
+        for poly, ends in ((p, {}), (p, {"hi": (0, 1)}), (p, {"lo": (-big - 1, 1)}),
+                           (p, {"hi": (-big, 1)}), (q, {}), (q, {"lo": (0, 1)}),
+                           (q, {"hi": (big, 1)})):
+            with pytest.raises(RootOverflow, match=r"2\^1162 < \|root\| <= 2\^1163"):
+                real_roots(poly, **ends)
+
     def test_huge_cauchy_bound_with_double_roots(self):
         # the root bound of (x - 1)(x^2 + 10^700) is far beyond the double
         # range, but its one real root is not
