@@ -261,8 +261,8 @@ def _check_record(report, analytic_key: str, nodes=(), **extra) -> dict:
 #
 # identities and scan-nodeless are exact and run on spectral and routh alone;
 # the commands that sample import the float layer when they run: spectrum
-# needs geometry alone, and verify and partner add the oracle (verify,
-# darboux and oracle).
+# needs geometry alone, and verify and partner add the oracle (verify and
+# oracle).
 
 def _default_map(config: RunConfig):
     """The eigenfunction grid of ``spectrum``, uniform in t = asinh eta: the
@@ -327,7 +327,7 @@ def cmd_scan_nodeless(config: RunConfig, args) -> tuple:
 
 
 def cmd_partner(config: RunConfig, args) -> tuple:
-    from . import darboux, geometry, verify
+    from . import geometry, verify
 
     kind, m = config.partner_params()
     spectrum = spectral.enumerate_bound_spectrum(config.spec)
@@ -337,10 +337,8 @@ def cmd_partner(config: RunConfig, args) -> tuple:
         seed = spectrum.states[0]
     else:
         raise NoSuchRoot("no bound state with index 0")
-    expected = darboux.partner_levels(spectrum.energies, seed)
-    rungs = verify.oracle_map(
-        config.spec, lambda etas: darboux.partner_potential(config.spec, seed, etas),
-        config.x_max, config.n)
+    expected = spectral.partner_levels(spectrum.energies, seed)
+    rungs = verify.oracle_map(config.spec, seed, config.x_max, config.n)
     report, rung = verify.compare_levels(rungs, expected, args.tol)
     xs = map(geometry.liouville(config.spec.kappa_plus), rung.grid.etas)
     files = {"partner.csv": _csv("x,V_parent,V_partner", [xs, *rung.potentials])}

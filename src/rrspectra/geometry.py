@@ -24,12 +24,13 @@ Schroedinger equation is Scarf II with a weight, and
 :func:`liouville`, :func:`potential` and :func:`log_derivative` return x,
 the potential and the log-derivative of a closed form as functions of eta,
 with their constants and coefficient lists taken once, and :func:`on_grid`
-samples such a function for :mod:`darboux`.  :func:`decay_x_max` is the
-one scan for where |V| has decayed, which cuts every box: the ``spectrum``
-grid and the oracle's.  The closed forms built from arithmetic alone
-(:func:`eta_prime`, :func:`schwarzian_eval` and the functions that
-:func:`potential` and :func:`log_derivative` return) also take a numpy
-array through the same code, which the tests use.
+samples such a function, as :func:`partner_potential` does for a Darboux
+partner.  :func:`decay_x_max` is the one scan for where |V| has decayed,
+which cuts every box: the ``spectrum`` grid and the oracle's.  The closed
+forms built from arithmetic alone (:func:`eta_prime`,
+:func:`schwarzian_eval` and the functions that :func:`potential` and
+:func:`log_derivative` return) also take a numpy array through the same
+code, which the tests use.
 """
 
 from __future__ import annotations
@@ -275,6 +276,31 @@ def on_grid(f, etas) -> list:
         except ArithmeticError:
             out.append(math.nan)
     return out
+
+
+def partner_potential(spec: PotentialSpec, seed: ClosedForm, etas) -> tuple:
+    """(V, V_hat) at the floats ``etas``: V and its Darboux partner built on
+    the nodeless closed-form ``seed`` at its energy e_s, as two lists.
+
+    A strictly positive solution ff at e_s turns V into the partner
+    V - 2 (ln ff)'', taken here in Riccati form.  With w = ff'/ff, the
+    equation -ff'' + V ff = e_s ff reads w' = V - e_s - w^2, so
+
+        V_hat = V - 2 w' = 2 e_s + 2 w^2 - V,
+
+    and only the first log-derivative w is evaluated, in closed form through
+    eta (:func:`log_derivative`), never the seed's values, which underflow to
+    0.0 in the tails of deep wells.  The identity is exact here, not an
+    approximation: a closed form solves the canonical equation by
+    construction, and the Liouville transformation in the derived convention
+    turns that into -ff'' + V ff = e_s ff with the same V that
+    :func:`potential` samples.  Finite differences appear only in tests.
+    The seed is nodeless: :func:`spectral.partner_levels` refuses one with
+    nodes before any grid is sampled."""
+    v_parent = on_grid(potential(spec), etas)
+    w = on_grid(log_derivative(spec.kappa_plus, seed), etas)
+    e_s = seed.energy
+    return v_parent, [2.0 * e_s + 2.0 * wi * wi - vi for wi, vi in zip(w, v_parent)]
 
 
 def sampled(kappa: float, solutions, etas) -> list:

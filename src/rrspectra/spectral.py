@@ -44,8 +44,11 @@ exact Routh polynomial R and a scale; p and q are read off lambda, and the
 node count of R follows from its order and index by theorem
 (:func:`routh.theorem_root_count`), so no solution counts its roots.  The
 nodelessness scan alone counts them, exactly, as the cross-check of that
-theorem.  A command enumerates its :class:`Spectrum` once and reads its
-levels from ``states``; nothing here is cached.  Only
+theorem.  A Darboux partner's levels are exact as well:
+:func:`partner_levels` reads them off the parent levels and the seed's
+energy, and refuses a seed with nodes by its node count.  A command
+enumerates its :class:`Spectrum` once and reads its levels from
+``states``; nothing here is cached.  Only
 ``spectrum`` samples bound states, so only it normalizes them
 (:func:`normalized`), each once.  This module imports no numpy: roots,
 counts and identities are decided in rationals held as Python integers
@@ -62,7 +65,7 @@ import os
 from typing import NamedTuple
 
 from . import _exact as ex
-from .errors import ConfigError, NoSuchRoot
+from .errors import ConfigError, NodeDetected, NoSuchRoot
 from .routh import (
     ComplexIndex,
     RouthPolynomial,
@@ -342,6 +345,17 @@ def enumerate_bound_spectrum(spec: PotentialSpec) -> Spectrum:
         n_max_formula=math.floor(spec.lambda0.real),
         notes=tuple(notes),
     )
+
+
+def partner_levels(parent, seed: ClosedForm) -> list:
+    """The levels of the Darboux partner built on ``seed`` from the
+    ``parent`` levels: a type-d seed inserts its energy, a bound-state
+    (type-c) seed erases the ground level.  A seed whose polynomial has real
+    zeros (by its node count) raises :class:`NodeDetected`, before any grid
+    is built for it."""
+    if seed.nodes:
+        raise NodeDetected("factorization polynomial has real zeros")
+    return sorted([*parent, seed.energy]) if seed.kind == "d" else list(parent[1:])
 
 
 # ---------------------------------------------------------------------------

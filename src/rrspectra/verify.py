@@ -4,10 +4,11 @@ Shared by the command-line front end and the acceptance suite.  The bound
 spectrum and Darboux partners share one grid rule, :func:`oracle_map`, one
 oracle, :func:`oracle.lowest_levels`, and one comparison,
 :func:`compare_levels`, which gives a :class:`LevelCheck` per level and one
-pass rule.  The oracle sees Q and W of :func:`geometry.weighted_scarf`,
-lists of floats, and the spacing of the t grid alone (no analytic seeding),
-so the comparison stays independent of the result it checks.  Nothing here
-loads numpy.
+pass rule.  A partner is given by its seed, the nodeless closed form it is
+built on, and :func:`oracle_map` samples it on each rung.  The oracle sees
+Q and W of :func:`geometry.weighted_scarf`, lists of floats, and the
+spacing of the t grid alone (no analytic seeding), so the comparison stays
+independent of the result it checks.  Nothing here loads numpy.
 
 The oracle solves on a ladder of nested grids, coarse to fine, and stops at
 the first rung on which every level is resolved: found, with an error
@@ -83,13 +84,14 @@ def _refuse_above_cap(intervals: int, cap: int) -> None:
                            % (intervals + 1, MAX_COUNT))
 
 
-def oracle_map(spec: PotentialSpec, partner=None, x_max=None, n=None):
+def oracle_map(spec: PotentialSpec, seed=None, x_max=None, n=None):
     """The :class:`Rung` records of the oracle's ladder, coarsest first.
-    ``partner`` maps floats eta to the lists (V, V_hat) of a Darboux partner
-    (:func:`darboux.partner_potential`), whose coupling
-    Q_hat = Q + W (V_hat - V) the oracle then solves.  A given x_max is kept,
-    and a given n is the one rung.  Samples that are NaN or infinite, and
-    weights that are not positive, raise :class:`NonFiniteSamples`.
+    A nodeless closed-form ``seed`` (:class:`~spectral.ClosedForm`) makes
+    the ladder that of its Darboux partner: each rung samples (V, V_hat)
+    (:func:`geometry.partner_potential`), and the oracle solves the coupling
+    Q_hat = Q + W (V_hat - V).  A given x_max is kept, and a given n is the
+    one rung.  Samples that are NaN or infinite, and weights that are not
+    positive, raise :class:`NonFiniteSamples`.
 
     The oracle's ends are transparent, exact where Q = 0 and W = 1, so the
     half-width is the potential's own decay scale: the smallest quarter with
@@ -118,8 +120,8 @@ def oracle_map(spec: PotentialSpec, partner=None, x_max=None, n=None):
         grid = geometry.t_grid(x_max, t_max, points)
         q, w = map(list, zip(*map(q_w, grid.ts)))
         potentials = ()
-        if partner is not None:
-            potentials = v, v_hat = partner(grid.etas)
+        if seed is not None:
+            potentials = v, v_hat = geometry.partner_potential(spec, seed, grid.etas)
             q = [a + b * (c - d) for a, b, c, d in zip(q, w, v_hat, v)]
         geometry.require_finite("potential", [q])
         if min(w) <= 0.0:  # kappa - 1 rounds to -1 for kappa below ~1.1e-16
@@ -189,7 +191,7 @@ class LevelReport(NamedTuple):
         )
 
 
-def compare_levels(rungs, expected, tol: float = 1e-3) -> tuple:
+def compare_levels(rungs, expected, tol: float) -> tuple:
     """(report, rung): the oracle levels of the coupling of each
     :class:`Rung` of ``rungs`` against the ``expected`` energies, on the
     first rung where they are resolved, else the last, and that rung;
@@ -214,7 +216,7 @@ def compare_levels(rungs, expected, tol: float = 1e-3) -> tuple:
     return report, rung
 
 
-def verify_spectrum(spec: PotentialSpec, tol: float = 1e-3, x_max=None, n=None) -> tuple:
+def verify_spectrum(spec: PotentialSpec, tol: float, x_max=None, n=None) -> tuple:
     """(report, spectrum): the enumerated bound spectrum, and its levels
     against the finite-difference oracle.  A grid on which eta overflows
     raises :class:`NonFiniteSamples`."""

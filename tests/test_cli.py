@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import rrspectra
-from rrspectra import cli, darboux, geometry, spectral, verify
+from rrspectra import cli, geometry, spectral, verify
 from rrspectra.cli import main
 
 from rational import coeffs, routh_record
@@ -369,7 +369,7 @@ class TestPartnerCommand:
         # were decided on, the grid that partner_verify.json records
         spec = spectral.gendenshtein_params(1.5, 0.4)
         seed = spectral.aeh_solution(spec, "d", 0)
-        rungs = verify.oracle_map(spec, lambda etas: darboux.partner_potential(spec, seed, etas))
+        rungs = verify.oracle_map(spec, seed)
         _, rung = verify.compare_levels(rungs, [-6.25, -2.25, -0.25], 1e-3)
         grid = json.loads((out / "partner_verify.json").read_text())["grid"]
         assert grid == {"x_max": rung.grid.x_max, "t_max": rung.grid.t_max, "n": rung.grid.n,
@@ -859,8 +859,8 @@ class TestOutputContract:
         # the same grid, chosen by the oracle's rule and not by the config
         oracle_map = verify.oracle_map
 
-        def narrow(spec, partner=None, x_max=None, n=None):
-            return oracle_map(spec, partner, 3.0, 1024)
+        def narrow(spec, seed=None, x_max=None, n=None):
+            return oracle_map(spec, seed, 3.0, 1024)
 
         monkeypatch.setattr(verify, "oracle_map", narrow)
         cfg = write_config(tmp_path, {key: NARROW[key] for key in ("potential", "partner")})

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from rrspectra import cli  # noqa: E402
 from rrspectra.cli import main  # noqa: E402
@@ -54,14 +54,27 @@ def configs(draw):
     return config
 
 
-@settings(max_examples=12, deadline=None, derandomize=True)
-@given(configs())
-def test_every_run_ends_typed_and_finite(config):
+# the wide domain of the exact commands: a up to 30 and within 1e-7 of an
+# integer, h0 out to 100 + 50i, kappa log-uniform over forty decades
+wide_near_integer = st.integers(1, 30).flatmap(
+    lambda k: st.floats(k - 1e-7, min(k + 1e-7, 30.0)))
+wide_gendenshtein = st.fixed_dictionaries({
+    "a": st.one_of(st.floats(0.05, 30.0, exclude_min=True), wide_near_integer),
+    "b": st.floats(0.0, 10.0),
+}).map(lambda p: {"gendenshtein": p})
+wide_milson = st.fixed_dictionaries({
+    "h0_re": st.floats(-0.9, 100.0),
+    "h0_im": st.floats(-50.0, 50.0),
+    "kappa_plus": st.floats(-30.0, 10.0).map(lambda e: 10.0 ** e),
+}).map(lambda p: {"milson": p})
+
+
+def assert_runs_end_typed_and_finite(config, commands):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "cfg.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(config, fh)
-        for command in ("spectrum", "verify", "partner", "identities"):
+        for command in commands:
             out = os.path.join(tmp, command)
             with np.errstate(all="ignore"):
                 code = main([command, "--config", path, "--out", out])
@@ -73,6 +86,22 @@ def test_every_run_ends_typed_and_finite(config):
             for name in names:
                 with open(os.path.join(out, name), encoding="utf-8") as fh:
                     assert not NON_FINITE.search(fh.read()), (command, name)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(configs())
+def test_every_run_ends_typed_and_finite(config):
+    assert_runs_end_typed_and_finite(config, ("spectrum", "verify", "partner", "identities"))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(wide_gendenshtein, wide_milson).map(lambda p: {"potential": p}))
+@example({"potential": {"gendenshtein": {"a": 30.0, "b": 10.0}}})
+@example({"potential": {"gendenshtein": {"a": 3.0000001, "b": 0.0}}})
+@example({"potential": {"milson": {"h0_re": 100.0, "h0_im": 50.0, "kappa_plus": 1e-30}}})
+@example({"potential": {"milson": {"h0_re": 100.0, "h0_im": -50.0, "kappa_plus": 1e10}}})
+def test_exact_commands_end_typed_and_finite_on_the_wide_domain(config):
+    assert_runs_end_typed_and_finite(config, ("spectrum", "identities"))
 
 
 VALUES = ["2", "1.5", "-1", "-inf", "-x", "two", ""]

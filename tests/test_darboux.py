@@ -8,15 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rrspectra import geometry
-from rrspectra.darboux import partner_levels, partner_potential
 from rrspectra.errors import NodeDetected
 from rrspectra.routh import real_root_count
-from rrspectra.geometry import PotentialSpec, t_grid, t_of_x
+from rrspectra.geometry import PotentialSpec, partner_potential, t_grid, t_of_x
 from rrspectra.spectral import (
     aeh_solution,
     enumerate_bound_spectrum,
     gendenshtein_params,
     normalized,
+    partner_levels,
 )
 from rrspectra.verify import compare_levels, oracle_map
 
@@ -31,8 +31,7 @@ def grid_of(kappa, x_max, n):
 
 def partner_rung(spec, seed, grid):
     """The one oracle rung on ``grid`` of the partner built on ``seed``."""
-    return next(oracle_map(spec, lambda etas: partner_potential(spec, seed, etas),
-                           grid.x_max, grid.n))
+    return next(oracle_map(spec, seed, grid.x_max, grid.n))
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +39,7 @@ def insertion_setup():
     # the cap of the ladder the partner command samples the type-d m=0 partner on
     spec = gendenshtein_params(1.5, 0.4)
     seed = aeh_solution(spec, "d", 0)
-    *_, rung = oracle_map(spec, lambda etas: partner_potential(spec, seed, etas))
+    *_, rung = oracle_map(spec, seed)
     return spec, rung.grid
 
 

@@ -7,15 +7,14 @@ import numpy as np
 import pytest
 
 import replay
-from rrspectra import cli, darboux, geometry, oracle, spectral, verify
+from rrspectra import cli, geometry, oracle, spectral, verify
 from rrspectra.errors import GridTooLarge
 from rrspectra.geometry import PotentialSpec
 from rrspectra.spectral import gendenshtein_params
 
 
-def partner_columns(spec):
-    seed = spectral.aeh_solution(spec, "d", 0)
-    return lambda etas: darboux.partner_potential(spec, seed, etas)
+def type_d_seed(spec):
+    return spectral.aeh_solution(spec, "d", 0)
 
 
 GEN = gendenshtein_params(2.5, 0.5)
@@ -58,13 +57,13 @@ class SweepCounter:
             monkeypatch.setattr(oracle, name, counted)
 
 
-@pytest.mark.parametrize("spec, partner", [
+@pytest.mark.parametrize("spec, seed", [
     (GEN, None),
-    (MILSON, partner_columns(MILSON)),
+    (MILSON, type_d_seed(MILSON)),
     (gendenshtein_params(16.2, 0.7), None),
 ])
-def test_rungs_nest_bit_for_bit(spec, partner):
-    rungs = list(verify.oracle_map(spec, partner))
+def test_rungs_nest_bit_for_bit(spec, seed):
+    rungs = list(verify.oracle_map(spec, seed))
     assert len(rungs) == 3  # rung 0 has 4 times the cap's spacing
     for coarse, fine in zip(rungs, rungs[1:]):
         assert fine.grid.n == 2 * coarse.grid.n - 1
@@ -77,7 +76,7 @@ def test_rungs_nest_bit_for_bit(spec, partner):
     for rung in rungs:
         assert (rung.grid.n - 1) % 4 == 0
         assert all(len(c) == rung.grid.n for c in [rung.weights, rung.coupling, *rung.potentials])
-        assert len(rung.potentials) == (0 if partner is None else 2)
+        assert len(rung.potentials) == (0 if seed is None else 2)
     # the cap is the first rung at the spacing rule of rung 0's samples
     for rung in rungs[:-1]:
         assert rung.grid.dt > spacing_rule(rungs[0])
@@ -86,7 +85,7 @@ def test_rungs_nest_bit_for_bit(spec, partner):
 
 def test_partner_coupling_is_shifted_by_the_weight():
     # Q_hat = Q + W (V_hat - V): the partner's V_hat in t, for the oracle
-    *_, rung = verify.oracle_map(MILSON, partner_columns(MILSON))
+    *_, rung = verify.oracle_map(MILSON, type_d_seed(MILSON))
     q_hat, w, (v, v_hat) = rung.coupling, rung.weights, rung.potentials
     q, w_parent = map(list, zip(*map(geometry.weighted_scarf(MILSON), rung.grid.ts)))
     assert w == w_parent
@@ -129,8 +128,8 @@ def doctored(monkeypatch, change):
     monkeypatch.setattr(verify.oracle, "lowest_levels", wrapper)
 
 
-def rung_points(spec, partner=None):
-    return [rung.grid.n for rung in verify.oracle_map(spec, partner)]
+def rung_points(spec, seed=None):
+    return [rung.grid.n for rung in verify.oracle_map(spec, seed)]
 
 
 def test_resolved_levels_stop_at_rung_0():
@@ -277,12 +276,11 @@ def test_hard_cases_pass_at_tight_tolerance(tmp_path, command, config, decided):
     record = json.loads((out / ("verify.json" if command == "verify" else "partner_verify.json"))
                         .read_text())
     spec = spec_of(config["potential"])
-    partner = None
+    seed = None
     if command == "partner":
         seed = spectral.aeh_solution(spec, "d", config["partner"]["m"])
-        partner = lambda etas: darboux.partner_potential(spec, seed, etas)  # noqa: E731
     assert record["passed"]
-    rungs = verify.oracle_map(spec, partner)
+    rungs = verify.oracle_map(spec, seed)
     if decided == "rung 0":
         assert record["grid"]["n"] == next(rungs).grid.n
     else:
@@ -297,7 +295,7 @@ def test_erasure_partner_cap_reads_the_partner_coupling(tmp_path):
     # and the cap come from Q_hat alone
     spec = gendenshtein_params(16.2, 0.7)
     seed = spectral.enumerate_bound_spectrum(spec).states[0]
-    rungs = list(verify.oracle_map(spec, lambda etas: darboux.partner_potential(spec, seed, etas)))
+    rungs = list(verify.oracle_map(spec, seed))
     rung0 = rungs[0]
     cap = verify._cap_intervals(rung0.grid.t_max, rung0)
     parent_cap = verify._cap_intervals(rung0.grid.t_max, next(verify.oracle_map(spec)))
@@ -333,7 +331,7 @@ def test_barrier_refines_rung_0_to_the_guard(tmp_path, command, b, points):
     assert record["passed"] and record["grid"]["n"] == points
     assert all(verify._BAND[0] <= lv["ratio"] <= verify._BAND[1] for lv in record["levels"])
     spec = gendenshtein_params(2.5, b)
-    rung0, *_, cap = verify.oracle_map(spec, None if command == "verify" else partner_columns(spec))
+    rung0, *_, cap = verify.oracle_map(spec, None if command == "verify" else type_d_seed(spec))
     q, w, dt = rung0.coupling, rung0.weights, rung0.grid.dt
     assert rung0.grid.n == points and cap.grid.n - 1 == 4 * (points - 1)
     assert rung0.grid.n > verify._first_rung(verify._cap_intervals(rung0.grid.t_max, rung0)) + 1
@@ -359,9 +357,9 @@ def test_shallow_and_partner_levels_stop_at_rung_0(tmp_path, command, a, b, poin
     record = json.loads((out / ("verify.json" if command == "verify" else "partner_verify.json"))
                         .read_text())
     spec = gendenshtein_params(a, b)
-    partner = None if command == "verify" else partner_columns(spec)
+    seed = None if command == "verify" else type_d_seed(spec)
     assert record["passed"] and len(record["levels"]) == levels
-    assert record["grid"]["n"] == points == rung_points(spec, partner)[0]
+    assert record["grid"]["n"] == points == rung_points(spec, seed)[0]
 
 
 # (sweeps, interior points swept) of the eight seed-1001 oracle_verify

@@ -45,7 +45,7 @@ def test_named_package_attributes_exist():
     # output files such as `verify.json` are not attributes
     with open(README, encoding="utf-8") as fh:
         text = re.sub(r"```.*?```", "", fh.read(), flags=re.S)
-    modules = "routh|spectral|geometry|oracle|verify|darboux|cli|errors|_exact"
+    modules = "routh|spectral|geometry|oracle|verify|cli|errors|_exact"
     pattern = r"(?<![\w/.])(%s)\.(?!(?:json|csv|py)\b)(\w+)" % modules
     named = {m.groups() for span in re.findall(r"`([^`]+)`", text)
              for m in re.finditer(pattern, span)}
