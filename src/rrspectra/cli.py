@@ -11,8 +11,9 @@ with exactly one potential block, either
 
 plus optional "grid": {"x_max": .., "n": ..} and per-command blocks
 ("scan": {"a_range": [..], "b_range": [..], "na": .., "nb": .., "m": ..},
- "partner": {"kind": "d", "m": 0}).  A block takes only the keys that
-``BLOCK_KEYS`` lists for it; any other key is a config error.
+ "partner": {"kind": "d", "m": 0}).  ``BLOCK_KEYS`` declares each block's
+keys once, with the reader of each value and each default; any other key,
+or a missing key without a default, is a config error.
 
 Each command (the ``COMMANDS`` table) computes everything first and returns
 its files and whether its checks passed; :func:`main` alone writes them, each
@@ -75,45 +76,69 @@ except ImportError:
 # configuration
 # ---------------------------------------------------------------------------
 
-# The keys each config block accepts, checked when the block is read.
-BLOCK_KEYS = {
-    "gendenshtein": ("a", "b"),
-    "milson": ("h0_re", "h0_im", "kappa_plus"),
-    "grid": ("x_max", "n"),
-    "scan": ("a_range", "b_range", "na", "nb", "m"),
-    "partner": ("kind", "m"),
-}
-
-
 def _require(cond, msg):
     if not cond:
         raise ConfigError(msg)
 
 
-def _block(block, name: str, what: str) -> dict:
-    """``block``, which must be a JSON object (else the config error ``what``)
-    holding only the keys :data:`BLOCK_KEYS` lists for ``name``."""
-    _require(isinstance(block, dict), what)
-    unknown = sorted(set(block).difference(BLOCK_KEYS[name]))
-    _require(not unknown, "unknown %s key %s (accepted: %s)" % (
-        name, ", ".join(map(repr, unknown)), ", ".join(BLOCK_KEYS[name])))
-    return block
-
-
-def _number(value, what: str, integral: bool = False):
-    """``value``, a JSON number, as a finite float, or as an int when
-    ``integral``; anything else (inf, NaN, a fraction for an integer, a
-    string, a boolean, a list or an object) is a config error."""
+def _number(value, what: str) -> float:
+    """``value``, a JSON number, as a finite float; anything else (inf, NaN,
+    a string, a boolean, a list or an object) is a config error."""
     try:
         number = isinstance(value, (int, float)) and not isinstance(value, bool)
         x = float(value) if number else math.nan
     except OverflowError:
         x = math.nan
     _require(math.isfinite(x), "%s must be a finite number, got %r" % (what, value))
-    if not integral:
-        return x
+    return x
+
+
+def _integer(value, what: str) -> int:
+    """``value``, a JSON number, as an int; a fraction is a config error too."""
+    x = _number(value, what)
     _require(x.is_integer(), "%s must be an integer, got %r" % (what, value))
     return int(value) if isinstance(value, int) else int(x)
+
+
+def _range(value, what: str) -> list:
+    """``value``, a JSON list of numbers, as floats; :meth:`RunConfig.scan_params`
+    checks that it is an ``[lo, hi]`` pair."""
+    _require(isinstance(value, list), "malformed %s" % what)
+    return [_number(v, what) for v in value]
+
+
+def _partner_kind(value, what: str) -> str:
+    _require(value in ("c", "d"), "partner kind must be 'c' or 'd'")
+    return value
+
+
+# Each config block's keys, each with the reader of its value and, unless the
+# key is required, its default.
+BLOCK_KEYS = {
+    "gendenshtein": {"a": (_number,), "b": (_number, 0.0)},
+    "milson": {"h0_re": (_number,), "h0_im": (_number, 0.0), "kappa_plus": (_number,)},
+    "grid": {"x_max": (_number, None), "n": (_integer, None)},
+    "scan": {"a_range": (_range,), "b_range": (_range,), "na": (_integer, 16),
+             "nb": (_integer, 16), "m": (_integer, 2)},
+    "partner": {"kind": (_partner_kind, "d"), "m": (_integer, 0)},
+}
+
+
+def _read(block, name: str, what: str) -> dict:
+    """The values of ``block``, which must be a JSON object (else the config
+    error ``what``) holding only keys that :data:`BLOCK_KEYS` lists for
+    ``name``: each key's value through its reader, or its default where the
+    key is missing.  A missing key without a default is a config error."""
+    _require(isinstance(block, dict), what)
+    keys = BLOCK_KEYS[name]
+    unknown = sorted(set(block).difference(keys))
+    _require(not unknown, "unknown %s key %s (accepted: %s)" % (
+        name, ", ".join(map(repr, unknown)), ", ".join(keys)))
+    values = {}
+    for key, (reader, *default) in keys.items():
+        _require(key in block or default, "missing %s '%s'" % (name, key))
+        values[key] = reader(block[key], "%s '%s'" % (name, key)) if key in block else default[0]
+    return values
 
 
 class RunConfig:
@@ -125,42 +150,23 @@ class RunConfig:
         _require(len(pot) == 1, "exactly one potential block is required")
         kind, params = next(iter(pot.items()))
         _require(kind in ("gendenshtein", "milson"), "unknown potential kind %r" % kind)
-        _block(params, kind, "potential parameters must be an object")
-
-        def field(key, default=None):
-            value = params[key] if default is None else params.get(key, default)
-            return _number(value, "%s '%s'" % (kind, key))
-
+        p = _read(params, kind, "potential parameters must be an object")
         try:
-            if kind == "gendenshtein":
-                a = field("a")
-                b = field("b", 0.0)
-                _require(a > 0, "gendenshtein 'a' must be positive")
-                self.spec = spectral.gendenshtein_params(a, b)
-            else:
-                h0 = complex(field("h0_re"), field("h0_im", 0.0))
-                self.spec = PotentialSpec(h0=h0, kappa_plus=field("kappa_plus"))
-        except KeyError as exc:
-            raise ConfigError("missing potential field %s" % exc) from exc
-        except (TypeError, ValueError) as exc:
+            self.spec = (spectral.gendenshtein_params(p["a"], p["b"]) if kind == "gendenshtein"
+                         else PotentialSpec(complex(p["h0_re"], p["h0_im"]), p["kappa_plus"]))
+        except ValueError as exc:
             raise ConfigError("invalid potential parameters: %s" % exc) from exc
-        grid = _block(raw.get("grid", {}), "grid", "'grid' must be an object")
-        self.x_max = _number(grid["x_max"], "grid 'x_max'") if "x_max" in grid else None
-        self.n = _number(grid["n"], "grid 'n'", integral=True) if "n" in grid else None
-        if self.x_max is not None:
-            _require(self.x_max > 0, "grid x_max must be positive")
+        grid = _read(raw.get("grid", {}), "grid", "'grid' must be an object")
+        self.x_max, self.n = grid["x_max"], grid["n"]
+        _require(self.x_max is None or self.x_max > 0, "grid x_max must be positive")
         if self.n is not None:
             _require(self.n >= 256, "grid n must be at least 256")
             _require(self.n <= spectral.MAX_COUNT,
                      "grid n must be at most %d" % spectral.MAX_COUNT)
 
     def scan_params(self):
-        scan = _block(self.raw.get("scan"), "scan", "scan command needs a 'scan' block")
-        try:
-            a_range = [_number(v, "scan 'a_range'") for v in scan["a_range"]]
-            b_range = [_number(v, "scan 'b_range'") for v in scan["b_range"]]
-        except (KeyError, TypeError) as exc:
-            raise ConfigError("malformed scan block: %s" % exc) from exc
+        scan = _read(self.raw.get("scan"), "scan", "scan command needs a 'scan' block")
+        a_range, b_range, m, na, nb = (scan[k] for k in ("a_range", "b_range", "m", "na", "nb"))
         _require(len(a_range) == 2 and a_range[0] < a_range[1], "malformed a_range")
         _require(len(b_range) == 2 and b_range[0] <= b_range[1], "malformed b_range")
         # a non-positive a fails at the low corner, and |h0| is largest at a corner
@@ -170,9 +176,6 @@ class RunConfig:
                     spectral.gendenshtein_params(a, b)
                 except ValueError as exc:
                     raise ConfigError("invalid scan corner a=%g, b=%g: %s" % (a, b, exc)) from exc
-        m = _number(scan.get("m", 2), "scan 'm'", integral=True)
-        na = _number(scan.get("na", 16), "scan 'na'", integral=True)
-        nb = _number(scan.get("nb", 16), "scan 'nb'", integral=True)
         _require(m >= 2 and m % 2 == 0, "scan order m must be even and >= 2")
         _require(m <= spectral.MAX_ORDER, "scan order m must be at most %d" % spectral.MAX_ORDER)
         _require(na >= 2 and nb >= 2, "scan resolutions must be >= 2")
@@ -181,10 +184,8 @@ class RunConfig:
         return a_range, b_range, m, na, nb
 
     def partner_params(self):
-        part = _block(self.raw.get("partner"), "partner", "partner command needs a 'partner' block")
-        kind = part.get("kind", "d")
-        _require(kind in ("c", "d"), "partner kind must be 'c' or 'd'")
-        m = _number(part.get("m", 0), "partner 'm'", integral=True)
+        part = _read(self.raw.get("partner"), "partner", "partner command needs a 'partner' block")
+        kind, m = part["kind"], part["m"]
         _require(0 <= m <= spectral.MAX_ORDER,
                  "partner order must be from 0 to %d" % spectral.MAX_ORDER)
         _require(kind == "d" or m == 0, "type-c partner supports only m=0 (ground-state erasure)")
@@ -222,9 +223,12 @@ def _csv(header: str, columns):
 
 
 def _level_counts(spectrum) -> dict:
+    """The level counts of ``spectrum`` and its notes, such as a level that
+    the threshold cut dropped, for ``spectrum.json`` and ``verify.json``."""
     return {"n_max_constructive": spectrum.n_max_constructive,
             "n_max_formula": spectrum.n_max_formula,
-            "formula_consistent": spectrum.formula_consistent}
+            "formula_consistent": spectrum.formula_consistent,
+            "notes": list(spectrum.notes)}
 
 
 def _spectrum_record(spectrum) -> dict:
@@ -234,7 +238,6 @@ def _spectrum_record(spectrum) -> dict:
             for s in spectrum.states
         ],
         **_level_counts(spectrum),
-        "notes": list(spectrum.notes),
     }
 
 
@@ -344,7 +347,8 @@ def cmd_partner(config: RunConfig, args) -> tuple:
     files = {"partner.csv": _csv("x,V_parent,V_partner", [xs, *rung.potentials])}
     if not expected:
         return files, True
-    files["partner_verify.json"] = _json(_check_record(report, "expected"))
+    files["partner_verify.json"] = _json(_check_record(report, "expected",
+                                                       notes=list(spectrum.notes)))
     return files, report.passed
 
 

@@ -189,6 +189,26 @@ class TestVerifyCommand:
         payload = json.loads((out / "verify.json").read_text())
         assert not payload["passed"] and len(payload["levels"]) == 2
 
+    @pytest.mark.parametrize("potential, order, levels", [
+        # both levels, -9.7e-11 and -4.2e-11, are above the cut: none is checked
+        ({"milson": {"h0_re": 5.0, "h0_im": 2.0, "kappa_plus": 1e11}}, 0, 0),
+        # the order-2 level at -1e-12 is cut, and levels 0 and 1 are checked
+        ({"gendenshtein": {"a": 2.000001, "b": 0.0}}, 2, 2),
+    ], ids=["milson-kappa-1e11", "gendenshtein-2.000001"])
+    def test_threshold_cut_is_noted(self, tmp_path, potential, order, levels):
+        # a level dropped by the threshold cut passes unchecked, so the
+        # files that pass say which order was cut
+        note = ["order %d: |e| < 1e-10 treated as threshold, not bound" % order]
+        cfg = write_config(tmp_path, {"potential": potential, "partner": {"kind": "d", "m": 0}})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+        record = json.loads((out / "verify.json").read_text())
+        assert record["notes"] == note and len(record["levels"]) == levels
+        if "gendenshtein" in potential:
+            assert main(["partner", "--config", cfg, "--out", str(out)]) == 0
+            record = json.loads((out / "partner_verify.json").read_text())
+            assert record["notes"] == note and len(record["levels"]) == levels + 1
+
     def test_grid_where_four_t_overflows_passes(self, tmp_path):
         # near |x| = 355, 4(eta^2 + 1) overflows while eta^2 does not; the
         # potential must still decay there instead of ending at 1/4
@@ -1052,11 +1072,11 @@ def test_oracle_outputs_keep_their_keys(tmp_path):
     ver = json.loads((tmp_path / "v" / "verify.json").read_text())
     part = json.loads((tmp_path / "p" / "partner_verify.json").read_text())
     assert set(ver) == {"tol", "passed", "grid", "levels", "n_max_constructive",
-                        "n_max_formula", "formula_consistent"}
+                        "n_max_formula", "formula_consistent", "notes"}
     assert ver["levels"] and all(set(lv) == {"n", "analytic", "numeric", "rel_delta", "error",
                                              "ratio", "nodes_analytic", "nodes_numeric"}
                                  for lv in ver["levels"])
-    assert set(part) == {"tol", "passed", "grid", "levels"}
+    assert set(part) == {"tol", "passed", "grid", "levels", "notes"}
     assert part["levels"] and all(set(lv) == {"n", "expected", "numeric", "rel_delta", "error",
                                               "ratio"}
                                   for lv in part["levels"])

@@ -127,7 +127,7 @@ def test_degenerate_indices_stay_degenerate(mj, imag):
 @pytest.mark.parametrize("m", [16, 31, 60])
 @pytest.mark.parametrize("kind", ["c", "d"])
 def test_high_orders_match_reference(m, kind):
-    # the index 1 - conj(lambda) of a float lambda, as spectral._solution
+    # the index 1 - conj(lambda) of a float lambda, as spectral.aeh_solution
     # takes it: a bound state has lambda_R > m + 1/2, so 2 aR < 1 - 2m, and a
     # type-d seed lambda_R < 0, so aR > 1
     if kind == "c":
