@@ -108,7 +108,7 @@ def _range(value, what: str) -> list:
 
 
 def _partner_kind(value, what: str) -> str:
-    _require(value in ("c", "d"), "partner kind must be 'c' or 'd'")
+    _require(value in ("c", "d"), "%s must be 'c' or 'd'" % what)
     return value
 
 
@@ -167,8 +167,8 @@ class RunConfig:
     def scan_params(self):
         scan = _read(self.raw.get("scan"), "scan", "scan command needs a 'scan' block")
         a_range, b_range, m, na, nb = (scan[k] for k in ("a_range", "b_range", "m", "na", "nb"))
-        _require(len(a_range) == 2 and a_range[0] < a_range[1], "malformed a_range")
-        _require(len(b_range) == 2 and b_range[0] <= b_range[1], "malformed b_range")
+        _require(len(a_range) == 2 and a_range[0] < a_range[1], "malformed scan 'a_range'")
+        _require(len(b_range) == 2 and b_range[0] <= b_range[1], "malformed scan 'b_range'")
         # a non-positive a fails at the low corner, and |h0| is largest at a corner
         for a in a_range:
             for b in b_range:
@@ -288,7 +288,7 @@ def cmd_spectrum(config: RunConfig, args) -> tuple:
     if states:
         grid = _default_map(config)
         solutions = [spectral.normalized(spec, s) for s in states]
-        psis = geometry.sampled(spec.kappa_plus, solutions, grid.etas)
+        psis = geometry.sampled(spec.kappa_plus, solutions, grid.ts)
         geometry.require_finite("eigenfunction", psis)
         header = "x," + ",".join("psi_%d" % s.n for s in states)
         xs = map(geometry.liouville(spec.kappa_plus), grid.etas)  # non-uniform unless kappa = 1

@@ -36,7 +36,9 @@ class InsufficientDecay(SpectraError):
 class NonFiniteSamples(SpectraError):
     """Sampled values (a potential, a weight or an eigenfunction) are NaN or
     infinite, a weight sample is not positive, so that Q/W is infinite
-    there, or eta = sinh t on a grid is past the double range."""
+    there, or eta = sinh t on a grid is past the double range.  Every
+    sample is read from sech t and tanh t, so only a factor cosh^k t with
+    k > 0, the gauge of a type-d seed, can overflow while eta is finite."""
 
 
 class GridTooLarge(SpectraError):

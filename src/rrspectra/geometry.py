@@ -17,20 +17,18 @@ The spec record and the closed-form record :class:`~spectral.ClosedForm`
 come from :mod:`spectral`, which is exact; this module is where they meet
 floats, in plain floats with :mod:`math` and without numpy.  Every grid is
 a :class:`TGrid`, uniform in t = asinh eta, where eta = sinh t and
-x = X(t) (:func:`liouville`) are explicit, so no map is inverted.  In t the
-Schroedinger equation is Scarf II with a weight, and
-:func:`weighted_scarf` gives its coefficients for the oracle.
-:func:`sampled` samples eigenfunctions at the eta points.
-:func:`liouville`, :func:`potential` and :func:`log_derivative` return x,
-the potential and the log-derivative of a closed form as functions of eta,
-with their constants and coefficient lists taken once, and :func:`on_grid`
-samples such a function, as :func:`partner_potential` does for a Darboux
-partner.  :func:`decay_x_max` is the one scan for where |V| has decayed,
-which cuts every box: the ``spectrum`` grid and the oracle's.  The closed
-forms built from arithmetic alone (:func:`eta_prime`,
-:func:`schwarzian_eval` and the functions that :func:`potential` and
-:func:`log_derivative` return) also take a numpy array through the same
-code, which the tests use.
+x = X(t) (:func:`liouville`) are explicit, so no map is inverted.  Every
+sampled column is read from t alone, through s = sech t and tau = tanh t,
+which never overflow: 1 + eta^2 = cosh^2 t, atan eta = gd t, and the
+weight W = X'^2 = 1 + (kappa - 1) s^2.  In t the Schroedinger equation is
+Scarf II with that weight, and :func:`weighted_scarf` gives its
+coefficients (Q, W) for the oracle; :func:`liouville_terms` gives the
+potential V with W and W', :func:`sampled` the eigenfunctions and
+:func:`partner_potential` a Darboux partner's (V, V_hat).  Only the x
+column and :func:`t_of_x` evaluate :func:`liouville` at eta = sinh t, and
+:func:`decay_x_max`, the one scan for where |V| has decayed, which cuts
+every box (the ``spectrum`` grid and the oracle's), evaluates it once at
+the t it finds.
 """
 
 from __future__ import annotations
@@ -87,12 +85,6 @@ def liouville(kappa: float):
     return x_of
 
 
-def eta_prime(kappa: float, eta):
-    """Closed-form eta'(eta) = (1+eta^2)/sqrt(T(eta)), the slope of the map."""
-    e2 = eta * eta
-    return (1.0 + e2) / (e2 + kappa) ** 0.5
-
-
 class TGrid(NamedTuple):
     """``n`` points t_j = ``linspace(-t_max, t_max, n)`` of t = asinh eta
     (:func:`spectral.linspace`), their spacing ``dt`` and eta_j = sinh t_j,
@@ -104,6 +96,20 @@ class TGrid(NamedTuple):
     dt: float
     ts: list
     etas: list
+
+
+def _bisect(holds) -> float:
+    """The least double t > 0 from which ``holds``, false at 0, is true: t
+    doubles from 1 until it holds, then bisection narrows to adjacent doubles
+    and keeps the upper one."""
+    lo, hi = 0.0, 1.0
+    while not holds(hi):
+        lo, hi = hi, 2.0 * hi
+    mid = 0.5 * (lo + hi)
+    while lo < mid < hi:
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+        mid = 0.5 * (lo + hi)
+    return hi
 
 
 def t_of_x(kappa: float, x: float) -> float:
@@ -118,16 +124,10 @@ def t_of_x(kappa: float, x: float) -> float:
         except OverflowError:  # eta past the double range
             return math.inf
 
-    lo, hi = 0.0, 1.0
-    while x_at(hi) < x:
-        lo, hi = hi, 2.0 * hi
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        lo, hi = (lo, mid) if x_at(mid) >= x else (mid, hi)
-        mid = 0.5 * (lo + hi)
-    if x_at(hi) == math.inf:
+    t = _bisect(lambda t: x_at(t) >= x)
+    if x_at(t) == math.inf:
         raise NonFiniteSamples("eta samples overflow the double range before x = %g" % x)
-    return hi
+    return t
 
 
 def t_grid(x_max: float, t_max: float, n: int) -> TGrid:
@@ -168,164 +168,142 @@ def weighted_scarf(spec: PotentialSpec):
     return q_w
 
 
-# ---------------------------------------------------------------------------
-# Schwarzian and the potential
-# ---------------------------------------------------------------------------
+def liouville_terms(spec: PotentialSpec):
+    """(s, tau, W, W', V) as a function of a float t, with s = sech t and
+    tau = tanh t, the constants taken once: the weight W = X'^2 of
+    :func:`weighted_scarf`, summed as tau^2 + kappa s^2, which keeps its
+    precision and its sign where kappa is small, its t-derivative
+    W' = -2 (kappa - 1) s^2 tau, and the potential, the Liouville identity
+    Q = W V - {X, t}/2 solved for V,
 
-def schwarzian_eval(kappa: float, eta):
-    """Schwarzian derivative {eta, x} of the symmetric map, in closed form.
+        V = (Q + {X, t}/2)/W,   {X, t} = W''/(2W) - 5 W'^2/(8 W^2),
 
-    {eta, x} -> -1/2 as |eta| -> infinity.  The closed form is cheap and
-    exact; the generic definition applied to the numeric map is kept for
-    cross-checking in tests.
-    """
-    e2 = eta * eta
-    ratio = (1.0 + e2) / (e2 + kappa)
-    bracket = -0.5 - (kappa + 1.0) / (1.0 + e2) + 2.5 * kappa / (e2 + kappa)
-    return (1.0 - e2) / (e2 + kappa) - ratio * ratio * bracket
-
-
-def potential(spec: PotentialSpec):
-    """The Liouville potential (symmetric family) as a function of eta, a
-    float or an array, its constants taken once:
-
-        V = -(4 h0_re - 4 h0_im eta + eta^2 + 1) / (4T) - {eta, x}/2.
-    """
-    c_re, c_im = 4.0 * spec.h0.real, 4.0 * spec.h0.imag
+    with W'' = 2 (kappa - 1) s^2 (2 tau^2 - s^2).  Every term is a sech and
+    tanh term, so nothing overflows while cosh t is finite."""
+    c0, c1 = spec.h0.real + 0.75, spec.h0.imag
     kap = spec.kappa_plus
+    k1 = kap - 1.0
+    cosh, tanh = math.cosh, math.tanh
 
-    def v_of(eta):
-        e2 = eta * eta
-        num = c_re - c_im * eta + e2 + 1.0
-        # num / (4T), divided by T first: 4T overflows before T does
-        return -num / (e2 + kap) / 4.0 - 0.5 * schwarzian_eval(kap, eta)
-    return v_of
+    def terms(t):
+        s, tau = 1.0 / cosh(t), tanh(t)
+        s2 = s * s
+        w, dw = tau * tau + kap * s2, -2.0 * k1 * s2 * tau
+        g = dw / w  # w > 0, and w * w may underflow to 0.0 for kappa below 1e-161
+        schwarzian = k1 * s2 * (2.0 * tau * tau - s2) / w - 0.625 * g * g
+        return s, tau, w, dw, ((c1 * tau - c0 * s) * s + 0.5 * schwarzian) / w
+    return terms
 
 
 def decay_x_max(spec: PotentialSpec, level: float) -> float:
-    """The smallest quarter x with |V| below ``level`` at both ends: eta doubles
-    from 1 until |V(+-eta)| < ``level``, then bisection finds where that
-    starts to within 1e-4 of eta, and x(eta) is rounded up to a quarter."""
-    v = potential(spec)
+    """The smallest quarter x with |V| below ``level`` at both ends: t doubles
+    from 1 until |V(+-t)| < ``level``, bisection narrows where that starts
+    to adjacent doubles of t, and X(t) is rounded up to a quarter.  A
+    potential that has not decayed where cosh t is finite raises
+    :class:`StepFailure`."""
+    terms = liouville_terms(spec)
 
-    def decayed(eta):
-        return abs(v(eta)) < level and abs(v(-eta)) < level
+    def decayed(t):
+        try:
+            return abs(terms(t)[4]) < level and abs(terms(-t)[4]) < level
+        except OverflowError:  # cosh t past the double range
+            raise StepFailure("potential does not decay below %g" % level) from None
 
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        if decayed(hi):
-            break
-        lo, hi = hi, 2.0 * hi
-    else:
-        raise StepFailure("potential does not decay below %g" % level)
-    while hi - lo > 1e-4 * hi:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if decayed(mid) else (mid, hi)
-    return float(math.ceil(liouville(spec.kappa_plus)(hi) * 4.0) / 4.0)
+    x = liouville(spec.kappa_plus)(math.sinh(_bisect(decayed)))
+    return float(math.ceil(x * 4.0) / 4.0)
 
 
 # ---------------------------------------------------------------------------
 # closed forms on grids
 # ---------------------------------------------------------------------------
 
-def _descending(solution: ClosedForm, k: int) -> list:
-    """Float coefficients of R^(k) for the polynomial R of ``solution``, highest
-    degree first, as :func:`_horner` takes them, from the exact coefficients."""
-    cs = list(enumerate(solution.poly.num))[::-1]
-    den = solution.poly.den
-    return [math.perm(j, k) * c / den for j, c in cs if j >= k] or [0.0]
+def _descending(solution: ClosedForm) -> list:
+    """Float coefficients c_m, ..., c_0 of the polynomial R of ``solution``,
+    highest degree first, from the exact coefficients.  Horner's rule in
+    tau = tanh t with the powers of s = sech t folded in sums the homogeneous
+    form R_hom(tau, s) = sum_j c_j tau^j s^(m-j) = R(sinh t)/cosh^m t, which
+    is bounded by the sum of the |c_j|, and its tau-derivative is R'_hom =
+    cosh^(1-m) t R'(sinh t)."""
+    return [c / solution.poly.den for c in reversed(solution.poly.num)] or [0.0]
 
 
-def _horner(coeffs: list, eta):
-    """The polynomial with descending float ``coeffs`` at a float or an array."""
-    out = coeffs[0]
-    for c in coeffs[1:]:
-        out = out * eta + c
-    return out
-
-
-def log_derivative(kappa: float, solution: ClosedForm):
-    """w = psi'/psi for psi = (eta')^(-1/2) Phi(eta(x)) as a function of eta,
-    a float or an array, the coefficient lists of R and R' taken once:
-
-        w = eta' [u + R'/R - (ln eta')'/2],
-
-    with u = (2p*eta + q)/(1+eta^2) the log-derivative of the gauge and
-    (ln eta')' = 2eta/(1+eta^2) - eta/(eta^2+kappa), both d/deta.  R' comes
-    from the exact coefficients, never from finite differences.
-    """
-    r0, r1 = _descending(solution, 0), _descending(solution, 1)
-    two_p, q = 2.0 * solution.power, solution.atan_coeff
-
-    def w_of(eta):
-        e2 = eta * eta
-        u = (two_p * eta + q) / (1.0 + e2)
-        dlog_slope = 2.0 * eta / (1.0 + e2) - eta / (e2 + kappa)
-        return eta_prime(kappa, eta) * (u + _horner(r1, eta) / _horner(r0, eta) - 0.5 * dlog_slope)
-    return w_of
-
-
-def on_grid(f, etas) -> list:
-    """``f`` at each float of ``etas``, as a list.  A sample whose float
-    arithmetic overflows or divides by zero is NaN, as it would be in IEEE
-    arithmetic, for the oracle or :func:`require_finite` to count."""
-    out = []
-    for eta in etas:
-        try:
-            out.append(f(eta))
-        except ArithmeticError:
-            out.append(math.nan)
-    return out
-
-
-def partner_potential(spec: PotentialSpec, seed: ClosedForm, etas) -> tuple:
-    """(V, V_hat) at the floats ``etas``: V and its Darboux partner built on
-    the nodeless closed-form ``seed`` at its energy e_s, as two lists.
+def partner_potential(spec: PotentialSpec, seed: ClosedForm, ts) -> tuple:
+    """(V, V_hat) at the floats ``ts`` of t: V and its Darboux partner built
+    on the nodeless closed-form ``seed`` at its energy e_s, as two lists.
 
     A strictly positive solution ff at e_s turns V into the partner
-    V - 2 (ln ff)'', taken here in Riccati form.  With w = ff'/ff, the
+    V - 2 (ln ff)'', taken here in Riccati form.  With w = ff_x/ff, the
     equation -ff'' + V ff = e_s ff reads w' = V - e_s - w^2, so
 
         V_hat = V - 2 w' = 2 e_s + 2 w^2 - V,
 
-    and only the first log-derivative w is evaluated, in closed form through
-    eta (:func:`log_derivative`), never the seed's values, which underflow to
-    0.0 in the tails of deep wells.  The identity is exact here, not an
-    approximation: a closed form solves the canonical equation by
-    construction, and the Liouville transformation in the derived convention
-    turns that into -ff'' + V ff = e_s ff with the same V that
-    :func:`potential` samples.  Finite differences appear only in tests.
+    and only the first log-derivative w is evaluated, in closed form, never
+    the seed's values, which underflow to 0.0 in the tails of deep wells.
+    With ff = psi of :func:`sampled`, w = (d/dt ln ff)/sqrt(W) and
+
+        d/dt ln ff = (2p - 1/2) tau + q s + W'/(4W) + R'_hom/R_hom,
+
+    every term bounded on the whole line (:func:`_descending`).  The
+    identity is exact here, not an approximation: a closed form solves the
+    canonical equation by construction, and the Liouville transformation in
+    the derived convention turns that into -ff'' + V ff = e_s ff with the V
+    of :func:`liouville_terms`.  Finite differences appear only in tests.
     The seed is nodeless: :func:`spectral.partner_levels` refuses one with
     nodes before any grid is sampled."""
-    v_parent = on_grid(potential(spec), etas)
-    w = on_grid(log_derivative(spec.kappa_plus, seed), etas)
-    e_s = seed.energy
-    return v_parent, [2.0 * e_s + 2.0 * wi * wi - vi for wi, vi in zip(w, v_parent)]
+    terms = liouville_terms(spec)
+    top, *rest = _descending(seed)
+    b, q, two_e = 2.0 * seed.power - 0.5, seed.atan_coeff, 2.0 * seed.energy
+    v_parent, v_partner = [], []
+    for t in ts:
+        s, tau, w, dw, v = terms(t)
+        r, dr, power = top, 0.0, 1.0
+        for c in rest:
+            power *= s
+            dr = dr * tau + r
+            r = r * tau + c * power
+        dlog = b * tau + q * s + 0.25 * dw / w + dr / r
+        v_parent.append(v)
+        v_partner.append(two_e + 2.0 * dlog * dlog / w - v)
+    return v_parent, v_partner
 
 
-def sampled(kappa: float, solutions, etas) -> list:
+def sampled(kappa: float, solutions, ts) -> list:
     """psi = (eta')^(-1/2) Phi(eta) of each closed form in ``solutions`` at
-    the floats ``etas``, one list of floats per solution.
+    the floats ``ts`` of t = asinh eta, one list of floats per solution.
 
-    Phi = scale * exp(p log(1+eta^2) + q atan eta) * R(eta), the gauge
-    (1+eta^2)^p exp(q atan eta) taken as one exponential.  The logarithm, the
-    arctangent and sqrt(eta') depend on eta alone, so they are taken once per
-    point for all the solutions.  A sample whose float arithmetic overflows or
-    divides by zero is NaN, as it would be in IEEE arithmetic, for
-    :func:`require_finite` to count.
+    Phi = scale (1+eta^2)^p exp(q atan eta) R(eta), with 1 + eta^2 =
+    cosh^2 t, atan eta = gd t, eta' = cosh t / sqrt(W) and, for R of degree
+    m, R(sinh t) = cosh^m t R_hom(tau, s) (:func:`_descending`), so
+
+        psi = scale exp((2p + m - 1/2) ln cosh t + q gd t) W^(1/4) R_hom,
+
+    with s = sech t, tau = tanh t and W = tau^2 + kappa s^2.  R_hom is
+    bounded, so only the exponential can overflow, and it does not for a
+    bound state.  ln cosh t, gd t, s, tau and W^(1/4) depend on t alone, so
+    they are taken once per point for all the solutions.  A sample whose
+    float arithmetic overflows or divides by zero is NaN, as it would be in
+    IEEE arithmetic, for :func:`require_finite` to count.
     """
-    exp, sqrt, nan = math.exp, math.sqrt, math.nan
-    logs = [math.log1p(e * e) for e in etas]
-    atans = list(map(math.atan, etas))
-    roots = [sqrt(eta_prime(kappa, e)) for e in etas]
+    cosh, tanh, log, atan2, sqrt = math.cosh, math.tanh, math.log, math.atan2, math.sqrt
+    points = []
+    for t in ts:
+        c, tau = cosh(t), tanh(t)
+        s = 1.0 / c
+        points.append((log(c), atan2(tau, s), sqrt(sqrt(tau * tau + kappa * s * s)), tau, s))
+    exp, nan = math.exp, math.nan
     out = []
     for solution in solutions:
-        coeffs = _descending(solution, 0)
-        p, q, scale = solution.power, solution.atan_coeff, solution.scale
+        top, *rest = _descending(solution)
+        a = 2.0 * solution.power + len(rest) - 0.5  # 2p + m - 1/2
+        q, scale = solution.atan_coeff, solution.scale
         psi = []
-        for eta, lg, at, root in zip(etas, logs, atans, roots):
+        for lc, gd, w4, tau, s in points:
+            r, power = top, 1.0
+            for c in rest:  # R_hom by Horner, inline: a call per sample costs a quarter more
+                power *= s
+                r = r * tau + c * power
             try:
-                psi.append(scale * exp(p * lg + q * at) * _horner(coeffs, eta) / root)
+                psi.append(scale * exp(a * lc + q * gd) * w4 * r)
             except ArithmeticError:
                 psi.append(nan)
         out.append(psi)

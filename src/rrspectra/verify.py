@@ -86,9 +86,11 @@ def _refuse_above_cap(intervals: int, cap: int) -> None:
 
 def oracle_map(spec: PotentialSpec, seed=None, x_max=None, n=None):
     """The :class:`Rung` records of the oracle's ladder, coarsest first.
-    A nodeless closed-form ``seed`` (:class:`~spectral.ClosedForm`) makes
-    the ladder that of its Darboux partner: each rung samples (V, V_hat)
-    (:func:`geometry.partner_potential`), and the oracle solves the coupling
+    Every rung samples Q and W (:func:`geometry.weighted_scarf`) at its
+    t points.  A nodeless closed-form ``seed`` (:class:`~spectral.ClosedForm`)
+    makes the ladder that of its Darboux partner: each rung also samples
+    (V, V_hat) at its t points (:func:`geometry.partner_potential`), all
+    from sech t and tanh t, and the oracle solves the coupling
     Q_hat = Q + W (V_hat - V).  A given x_max is kept, and a given n is the
     one rung.  Samples that are NaN or infinite, and weights that are not
     positive, raise :class:`NonFiniteSamples`.
@@ -121,7 +123,7 @@ def oracle_map(spec: PotentialSpec, seed=None, x_max=None, n=None):
         q, w = map(list, zip(*map(q_w, grid.ts)))
         potentials = ()
         if seed is not None:
-            potentials = v, v_hat = geometry.partner_potential(spec, seed, grid.etas)
+            potentials = v, v_hat = geometry.partner_potential(spec, seed, grid.ts)
             q = [a + b * (c - d) for a, b, c, d in zip(q, w, v_hat, v)]
         geometry.require_finite("potential", [q])
         if min(w) <= 0.0:  # kappa - 1 rounds to -1 for kappa below ~1.1e-16

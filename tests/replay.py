@@ -28,8 +28,9 @@ but keys is reported with where it first differs.
 
 The configs are the seed-1001 commands of the three benchmark workloads
 (``perfbench/workloads.py``, imported read-only), plus cases the benchmark
-does not draw: a user grid too wide for doubles in eta (``verify`` runs
-there, on Q and W in t), a user grid too narrow for
+does not draw: a user grid past |x| ~ 355, where eta^2 overflows
+(``spectrum``, ``verify`` and a type-d ``partner`` sample in t from sech t
+and tanh t, and all three pass there), a user grid too narrow for
 the potential to decay (a config error that leaves no file), a user x_max
 without n (the config box of ``spectrum``), a user n with n - 1 not a
 multiple of 4, ``--tol 0`` (the ladder climbs to the cap), Milson kappa far

@@ -2,9 +2,12 @@
 closed forms, which solve the equation by construction, are checked against,
 with the rational invariant I(eta; e) it needs, and the float and polynomial
 arithmetic on package records that only the tests use: eta at a single point
-of the map, and the gauge and Phi at a single eta.  Also the Rodrigues-type
-generator of the Routh family, the independent construction that
-``routh.routh_polynomial`` is compared with.
+of the map, and the gauge and Phi at a single eta.  Also the closed forms in
+eta of the map's slope eta', its Schwarzian {eta, x} and the potential V,
+the references that the package's forms in t (``geometry.liouville_terms``)
+are checked against, and the Rodrigues-type generator of the Routh family,
+the independent construction that ``routh.routh_polynomial`` is compared
+with.
 
 It lives with the tests because the package decides the convention by
 derivation (see ``rrspectra.spectral``), samples no residual at run time and
@@ -20,7 +23,7 @@ import numpy as np
 
 from rational import coeffs, im, re, routh_record
 from rrspectra import _exact as ex
-from rrspectra.geometry import t_of_x
+from rrspectra.geometry import liouville_terms, t_of_x
 from rrspectra.routh import ComplexIndex, RouthPolynomial
 from rrspectra.spectral import ClosedForm, PotentialSpec
 
@@ -53,6 +56,39 @@ def eta_of_x(kappa: float, x: float) -> float:
     if x == 0.0:
         return 0.0
     return math.copysign(math.sinh(t_of_x(kappa, abs(x))), x)
+
+
+def eta_prime(kappa: float, eta):
+    """eta'(eta) = (1+eta^2)/sqrt(T(eta)), the slope of the map, for a float
+    or an array."""
+    e2 = eta * eta
+    return (1.0 + e2) / (e2 + kappa) ** 0.5
+
+
+def schwarzian_eta(kappa: float, eta):
+    """The Schwarzian derivative {eta, x} of the symmetric map in closed form,
+    for a float or an array; it tends to -1/2 as |eta| -> infinity."""
+    e2 = eta * eta
+    ratio = (1.0 + e2) / (e2 + kappa)
+    bracket = -0.5 - (kappa + 1.0) / (1.0 + e2) + 2.5 * kappa / (e2 + kappa)
+    return (1.0 - e2) / (e2 + kappa) - ratio * ratio * bracket
+
+
+def potential_eta(spec: PotentialSpec, eta):
+    """The Liouville potential at eta, a float or an array:
+
+        V = -(4 h0_re - 4 h0_im eta + eta^2 + 1) / (4T) - {eta, x}/2.
+
+    eta^2 overflows past |x| ~ 355, where V in t does not."""
+    e2 = eta * eta
+    num = 4.0 * spec.h0.real - 4.0 * spec.h0.imag * eta + e2 + 1.0
+    return -num / (e2 + spec.kappa_plus) / 4.0 - 0.5 * schwarzian_eta(spec.kappa_plus, eta)
+
+
+def potential_t(spec: PotentialSpec, ts) -> np.ndarray:
+    """V at each float of ``ts`` from the package's form in t."""
+    terms = liouville_terms(spec)
+    return np.array([terms(t)[4] for t in np.asarray(ts, dtype=float).tolist()])
 
 
 def gauge(solution: ClosedForm, eta: float) -> float:

@@ -212,7 +212,7 @@ def test_criterion_9_symmetric_positivity():
         for n_points in (1025, 2049, 4097):
             grid = t_grid(16.0, t_of_x(spec.kappa_plus, 16.0), n_points)
             seed = aeh_solution(spec, "d", m)
-            closed = np.array(sampled(spec.kappa_plus, [seed], grid.etas)[0])
+            closed = np.array(sampled(spec.kappa_plus, [seed], grid.ts)[0])
             psi = symmetric_irregular_solution(spec, seed.energy, grid)
             errs.append(float(np.max(np.abs(psi - closed / np.max(closed)))))
         worst_ratio = min(worst_ratio, errs[0] / errs[1], errs[1] / errs[2])

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from rrspectra import cli, geometry, spectral, verify
 from rrspectra.cli import main
 
 from rational import coeffs, routh_record
-from residual import eta_of_x, poly_mul
+from residual import potential_t, poly_mul
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -24,13 +25,23 @@ def write_config(tmp_path, payload, name="cfg.json"):
     return str(path)
 
 
-def assert_one_config_error(err, what):
-    """``err`` is exactly one line, the config error for non-finite ``what``
-    samples: no warning is printed before it."""
+def assert_one_config_error(err):
+    """``err`` is exactly one line, the config error for a user x_max of 800,
+    past X at every t where sinh t is finite: no warning is printed before
+    it."""
     lines = err.splitlines()
     assert len(lines) == 1 and err.endswith("\n"), err
-    assert lines[0].startswith("config error: grid x_max=400.0, n=None: "), err
-    assert lines[0].endswith(" %s samples are NaN or infinite" % what), err
+    assert lines[0] == ("config error: grid x_max=800.0, n=None: "
+                        "eta samples overflow the double range before x = 800"), err
+
+
+def assert_finite_csv(path, columns):
+    """The CSV at ``path`` has a header of ``columns`` columns and only finite
+    numbers below it."""
+    header, *rows = path.read_text().splitlines()
+    assert len(header.split(",")) == columns and rows
+    values = [float(v) for row in rows for v in row.split(",")]
+    assert all(map(math.isfinite, values)) and len(values) == columns * len(rows)
 
 
 GEN = {"potential": {"gendenshtein": {"a": 2.5, "b": 0.5}}}
@@ -89,9 +100,8 @@ class TestSpectrumCommand:
         # quarter where |V| < 1e-3 at both ends; a config x_max is kept as given
         spec = cli.RunConfig(payload).spec
         x_max = geometry.decay_x_max(spec, 1e-3) + 1.0
-        v = geometry.potential(spec)
-        for x in (x_max - 1.0, 1.0 - x_max):
-            assert abs(v(eta_of_x(spec.kappa_plus, x))) < 1e-3
+        t_end = geometry.t_of_x(spec.kappa_plus, x_max - 1.0)
+        assert max(map(abs, potential_t(spec, [-t_end, t_end]))) < 1e-3
         for grid, half_width in (({}, x_max), ({"grid": {"x_max": 12.0}}, 12.0)):
             cfg = write_config(tmp_path, {**payload, **grid})
             out = tmp_path / str(half_width)
@@ -105,20 +115,28 @@ class TestSpectrumCommand:
             steps = np.diff(xs)
             assert steps.max() / steps.min() == pytest.approx(spec.kappa_plus ** 0.5, rel=1e-3)
 
-    def test_unrepresentable_user_grid_is_config_error(self, tmp_path, capsys):
-        # past |x| ~ 355 eta = sinh x overflows and psi samples turn NaN;
-        # nothing may be written, spectrum.json included
+    def test_wide_user_grid_passes(self, tmp_path):
+        # past |x| ~ 355 eta^2 overflows, but psi is sampled from sech t and
+        # tanh t, and underflows towards 0.0 there
         cfg = write_config(tmp_path, {**GEN, "grid": {"x_max": 400.0}})
         out = tmp_path / "o"
+        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+        assert_finite_csv(out / "eigenfunctions.csv", 4)
+
+    def test_unrepresentable_user_grid_is_config_error(self, tmp_path, capsys):
+        # past |x| ~ 710 eta = sinh t overflows; nothing may be written,
+        # spectrum.json included
+        cfg = write_config(tmp_path, {**GEN, "grid": {"x_max": 800.0}})
+        out = tmp_path / "o"
         assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 2
-        assert_one_config_error(capsys.readouterr().err, "eigenfunction")
+        assert_one_config_error(capsys.readouterr().err)
         assert os.listdir(out) == []
 
     def test_non_finite_default_grid_is_numeric_failure(self, tmp_path, monkeypatch, capsys):
         real = geometry.sampled
 
-        def overflowing(kappa, states, etas):
-            psis = real(kappa, states, etas)
+        def overflowing(kappa, states, ts):
+            psis = real(kappa, states, ts)
             psis[-1][-1] = np.nan
             return psis
 
@@ -218,8 +236,8 @@ class TestVerifyCommand:
         assert json.loads((out / "verify.json").read_text())["passed"] is True
 
     def test_wide_user_grid_passes(self, tmp_path):
-        # past |x| ~ 355 V at eta = sinh x overflows to NaN, but the oracle
-        # samples Q and W in t, from sech t and tanh t, which stay finite
+        # past |x| ~ 355 eta^2 overflows, but the oracle samples Q and W in
+        # t, from sech t and tanh t, which stay finite
         cfg = write_config(tmp_path, {**GEN, "grid": {"x_max": 400.0}})
         out = tmp_path / "o"
         assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
@@ -330,15 +348,20 @@ class TestScanCommand:
         assert json.loads((out / "scan_summary.json").read_text())["internally_consistent"] is False
         assert json.loads((out / "report.json").read_text())["passed"] is False
 
-    def test_malformed_range(self, tmp_path):
-        cfg = write_config(
-            tmp_path,
-            {
-                "potential": {"gendenshtein": {"a": 2.5, "b": 0.5}},
-                "scan": {"a_range": [3.0, 2.0], "b_range": [0.0, 1.0], "m": 2},
-            },
-        )
-        assert main(["scan-nodeless", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    @pytest.mark.parametrize("key, value", [
+        ("a_range", [3.0, 2.0]), ("a_range", [2.0, 2.0]), ("a_range", [2.0]),
+        ("b_range", [1.0, 0.0]), ("b_range", [0.0, 1.0, 2.0]), ("b_range", "01"),
+    ])
+    def test_malformed_range(self, tmp_path, capsys, key, value):
+        # out of order, the wrong length or not a list: one message, naming
+        # the block and the key as every other config message does
+        scan = {"a_range": [2.0, 3.0], "b_range": [0.0, 1.0], "m": 2, key: value}
+        cfg = write_config(tmp_path, {"potential": {"gendenshtein": {"a": 2.5, "b": 0.5}},
+                                      "scan": scan})
+        out = tmp_path / "o"
+        assert main(["scan-nodeless", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: malformed scan '%s'\n" % key
+        assert os.listdir(out) == []
 
     def test_odd_order_rejected(self, tmp_path):
         cfg = write_config(
@@ -443,14 +466,33 @@ class TestPartnerCommand:
         assert os.listdir(out) == []
 
     def test_unrepresentable_user_grid_is_config_error(self, tmp_path, capsys):
-        # the partner potential overflows to NaN past |x| ~ 355; it used to be
-        # written to partner.csv before the oracle exited 3
-        cfg = write_config(tmp_path, {**GEN, "grid": {"x_max": 400.0},
+        # past |x| ~ 710 eta = sinh t overflows before any potential is
+        # sampled; nothing may be written
+        cfg = write_config(tmp_path, {**GEN, "grid": {"x_max": 800.0},
                                       "partner": {"kind": "d", "m": 0}})
         out = tmp_path / "o"
         assert main(["partner", "--config", cfg, "--out", str(out)]) == 2
-        assert_one_config_error(capsys.readouterr().err, "potential")
+        assert_one_config_error(capsys.readouterr().err)
         assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("kind", ["x", "C", 0, None, ["d"]])
+    def test_unknown_kind_is_config_error(self, tmp_path, capsys, kind):
+        cfg = write_config(tmp_path, {**GEN, "partner": {"kind": kind, "m": 0}})
+        out = tmp_path / "o"
+        assert main(["partner", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: partner 'kind' must be 'c' or 'd'\n"
+        assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("kind", ["c", "d"])
+    def test_user_grid_past_eta_squared_passes(self, tmp_path, kind):
+        # past |x| ~ 355 eta^2 overflows, but V and V_hat are sampled from
+        # sech t and tanh t and decay to 0.0 there
+        cfg = write_config(tmp_path, {**GEN, "grid": {"x_max": 400.0},
+                                      "partner": {"kind": kind, "m": 0}})
+        out = tmp_path / "o"
+        assert main(["partner", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "partner_verify.json").read_text())["passed"] is True
+        assert_finite_csv(out / "partner.csv", 3)
 
     @pytest.mark.parametrize("x_max", [240.0, 300.0])
     def test_wide_user_grid_passes(self, tmp_path, x_max):
@@ -909,6 +951,20 @@ class TestOutputContract:
         err = capsys.readouterr().err
         assert err.startswith(prefix), err
         assert err.endswith(": a weight sample is 0; Q/W is infinite there\n"), err
+        assert err.count("\n") == 1 and os.listdir(out) == []
+
+    @pytest.mark.parametrize("kappa", [1e-200, 5e-324])
+    def test_subnormal_weight_squared_is_refused_typed(self, tmp_path, capsys, kappa):
+        # W^2 underflows to 0.0 at t = 0 below kappa ~ 1e-161; V in t divides
+        # by W alone, so the erasure partner's samples turn infinite there,
+        # a typed refusal, never a ZeroDivisionError
+        cfg = write_config(tmp_path, {"potential": {"milson": {
+            "h0_re": 7.75, "h0_im": 3.0, "kappa_plus": kappa}},
+            "partner": {"kind": "c", "m": 0}})
+        out = tmp_path / "o"
+        assert main(["partner", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric failure: NonFiniteSamples: "), err
         assert err.count("\n") == 1 and os.listdir(out) == []
 
     @pytest.mark.parametrize("command, code, prefix", [

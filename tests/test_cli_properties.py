@@ -67,6 +67,15 @@ wide_milson = st.fixed_dictionaries({
     "h0_im": st.floats(-50.0, 50.0),
     "kappa_plus": st.floats(-30.0, 10.0).map(lambda e: 10.0 ** e),
 }).map(lambda p: {"milson": p})
+# a third of the wide draws carry a user x_max out to 400, half of them past
+# |x| ~ 355, where eta^2 overflows; the samples are read from sech t and tanh t
+wide_configs = st.builds(
+    lambda potential, grid: {"potential": potential, **grid},
+    st.one_of(wide_gendenshtein, wide_milson),
+    st.one_of(st.just({}), st.just({}),
+              st.one_of(st.floats(1.0, 400.0), st.floats(355.0, 400.0)).map(
+                  lambda x_max: {"grid": {"x_max": x_max}})),
+)
 
 
 def assert_runs_end_typed_and_finite(config, commands):
@@ -95,11 +104,14 @@ def test_every_run_ends_typed_and_finite(config):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(st.one_of(wide_gendenshtein, wide_milson).map(lambda p: {"potential": p}))
+@given(wide_configs)
 @example({"potential": {"gendenshtein": {"a": 30.0, "b": 10.0}}})
 @example({"potential": {"gendenshtein": {"a": 3.0000001, "b": 0.0}}})
 @example({"potential": {"milson": {"h0_re": 100.0, "h0_im": 50.0, "kappa_plus": 1e-30}}})
 @example({"potential": {"milson": {"h0_re": 100.0, "h0_im": -50.0, "kappa_plus": 1e10}}})
+@example({"potential": {"gendenshtein": {"a": 30.0, "b": 10.0}}, "grid": {"x_max": 400.0}})
+@example({"potential": {"milson": {"h0_re": 100.0, "h0_im": 50.0, "kappa_plus": 1e-30}},
+          "grid": {"x_max": 400.0}})
 def test_exact_commands_end_typed_and_finite_on_the_wide_domain(config):
     assert_runs_end_typed_and_finite(config, ("spectrum", "identities"))
 

@@ -23,14 +23,14 @@ SCAN = {**GEN, "scan": {"a_range": [2.0, 3.0], "b_range": [0.0, 1.0], "na": 2, "
 # the x_max = 4.5 box cuts off the well's tails, so the level at -1e-6 is missed
 MISSING_LEVEL = {"potential": {"gendenshtein": {"a": 2.001, "b": 0.0}},
                  "grid": {"x_max": 4.5, "n": 2049}}
-# past |x| ~ 355 eta = sinh x overflows and the psi samples turn NaN
-UNREPRESENTABLE = {**GEN, "grid": {"x_max": 400.0}}
+# past |x| ~ 710 eta = sinh t overflows, and no grid reaches that x
+UNREPRESENTABLE = {**GEN, "grid": {"x_max": 800.0}}
 # -c scripts get their command line in sys.argv[1:], as the script would
 NAN_PATCH = (
     "from rrspectra import cli, geometry\n"
     "real = geometry.sampled\n"
-    "def sampled(kappa, states, etas):\n"
-    "    psis = real(kappa, states, etas)\n"
+    "def sampled(kappa, states, ts):\n"
+    "    psis = real(kappa, states, ts)\n"
     "    psis[-1][-1] = float('nan')\n"
     "    return psis\n"
     "geometry.sampled = sampled\n"
@@ -116,7 +116,7 @@ def test_config_error_exits_two_and_writes_nothing(tmp_path):
                     "--out", str(out)], out)
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("config error: grid x_max=400.0"), proc.stderr
+    assert len(lines) == 1 and lines[0].startswith("config error: grid x_max=800.0"), proc.stderr
     assert os.listdir(out) == []
 
 

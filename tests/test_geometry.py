@@ -1,4 +1,5 @@
-"""Geometry tests: the tangent polynomial, Bose invariant, the map, Schwarzian, potential."""
+"""Geometry tests: the tangent polynomial, Bose invariant, the map, Schwarzian,
+potential, and the forms in t against their references in eta."""
 
 import math
 import sys
@@ -9,19 +10,20 @@ from numpy.testing import assert_allclose
 
 from rrspectra import geometry
 from rrspectra.errors import NonFiniteSamples, StepFailure
-from rrspectra.geometry import (
-    PotentialSpec,
-    eta_prime,
-    log_derivative,
-    potential,
-    sampled,
-    schwarzian_eval,
-    t_grid,
-    t_of_x,
-)
-from rrspectra.spectral import aeh_solution
+from rrspectra.geometry import PotentialSpec, partner_potential, sampled, t_grid, t_of_x
+from rrspectra.spectral import aeh_solution, enumerate_bound_spectrum, normalized
 
-from residual import bose_invariant_eval, constant_term, energy_slope, eta_of_x
+from residual import (
+    bose_invariant_eval,
+    constant_term,
+    energy_slope,
+    eta_of_x,
+    eta_prime,
+    phi_value,
+    potential_eta,
+    potential_t,
+    schwarzian_eta,
+)
 
 
 class TestTangentPoly:
@@ -54,7 +56,7 @@ class TestPotentialSpec:
         for spec in (gspec, milson_spec):
             for eta in (-1e6, 1e6):
                 assert_allclose(eta * eta * bose_invariant_eval(spec, 0.0, eta), 0.25, rtol=1e-4)
-                assert abs(potential(spec)(eta)) < 1e-5  # V ~ Im(h0)/eta far out
+                assert abs(potential_t(spec, [math.asinh(eta)])[0]) < 1e-5  # V ~ Im(h0)/eta
 
     def test_branch_invariant(self):
         with pytest.raises(ValueError):
@@ -170,14 +172,14 @@ class TestWeightedScarf:
     @pytest.mark.parametrize("kappa", [0.05, 0.3, 1.0, 2.0, 20.0])
     def test_liouville_identity(self, kappa, h0):
         # Q = W V - {X, t}/2, with the chain rule for the Schwarzian of
-        # sinh t = eta(X(t)): {X, t} = -W {eta, x} + 1 - (3/2) tanh^2 t; this
-        # keeps the closed-form V, which the oracle no longer samples, under test
+        # sinh t = eta(X(t)): {X, t} = -W {eta, x} + 1 - (3/2) tanh^2 t, and V
+        # and {eta, x} from their references in eta
         spec = PotentialSpec(h0=h0, kappa_plus=kappa)
         ts = np.linspace(-40.0, 40.0, 4001)
         etas = np.sinh(ts)
         q, w = np.array([geometry.weighted_scarf(spec)(t) for t in ts.tolist()]).T
-        wv = w * potential(spec)(etas)
-        schwarzian_t = -w * schwarzian_eval(kappa, etas) + 1.0 - 1.5 * np.tanh(ts) ** 2
+        wv = w * potential_eta(spec, etas)
+        schwarzian_t = -w * schwarzian_eta(kappa, etas) + 1.0 - 1.5 * np.tanh(ts) ** 2
         assert_allclose(w, (etas * etas + kappa) / (etas * etas + 1.0), rtol=1e-14)
         scale = np.abs(wv) + np.abs(schwarzian_t) + 1.0
         assert np.max(np.abs(wv - 0.5 * schwarzian_t - q) / scale) < 1e-14
@@ -201,10 +203,10 @@ class TestWeightedScarf:
 
 class TestSchwarzian:
     def test_kappa_one_origin(self):
-        assert_allclose(schwarzian_eval(1.0, 0.0), 1.0, rtol=1e-14)
+        assert_allclose(schwarzian_eta(1.0, 0.0), 1.0, rtol=1e-14)
 
     def test_asymptotic_limit(self):
-        assert_allclose(schwarzian_eval(1.7, 1e6), -0.5, atol=1e-9)
+        assert_allclose(schwarzian_eta(1.7, 1e6), -0.5, atol=1e-9)
 
     def test_against_finite_difference_definition(self):
         # {eta,x} = (eta''/eta')' - (eta''/eta')^2/2, via the numeric map
@@ -218,62 +220,89 @@ class TestSchwarzian:
             return d3 / d1 - 1.5 * (d2 / d1) ** 2
 
         xs = [geometry.liouville(2.0)(e) for e in (-5.0, -2.0, -0.5, 0.0, 1.0, 3.0, 5.0)]
-        worst = max(abs(schwarzian_fd(x) - schwarzian_eval(2.0, eta_of_x(2.0, x))) for x in xs)
+        worst = max(abs(schwarzian_fd(x) - schwarzian_eta(2.0, eta_of_x(2.0, x))) for x in xs)
         assert worst < 1e-6
 
 
 class TestPotential:
+    """V in t (``geometry.liouville_terms``)."""
+
     def test_gendenshtein_closed_form(self, gspec):
         a_g, b_g = 2.5, 0.5
-        xs = np.linspace(-6, 6, 61)
+        xs = np.linspace(-6, 6, 61)  # t = x at kappa = 1
         expected = (b_g ** 2 - a_g * (a_g + 1)) / np.cosh(xs) ** 2 + (
             2 * a_g + 1
         ) * b_g * np.sinh(xs) / np.cosh(xs) ** 2
-        v = potential(gspec)(np.array([eta_of_x(gspec.kappa_plus, x) for x in xs]))
-        assert np.max(np.abs(v - expected)) < 1e-9
+        assert np.max(np.abs(potential_t(gspec, xs) - expected)) < 1e-13
 
     def test_symmetric_is_even(self):
         spec = PotentialSpec(h0=8.0, kappa_plus=2.0)
-        xs = np.linspace(0.0, 10.0, 64)
-        v_pos = potential(spec)(np.array([eta_of_x(spec.kappa_plus, x) for x in xs]))
-        v_neg = potential(spec)(np.array([eta_of_x(spec.kappa_plus, -x) for x in xs]))
-        assert np.max(np.abs(v_pos - v_neg)) < 1e-10
+        ts = np.linspace(0.0, 10.0, 64)
+        assert potential_t(spec, ts).tolist() == potential_t(spec, -ts).tolist()
 
-    @pytest.mark.parametrize("kappa", [1.0, 2.0])
-    def test_decays_where_four_t_overflows(self, kappa):
-        # 4(eta^2 + kappa) overflows once eta^2 > ~4.5e307, while eta^2
-        # itself does not; V must still be ~Im(h0)/eta, not 1/4
+    @pytest.mark.parametrize("h0", [complex(7.75, 3.0), complex(0.5, 7.5), complex(-0.84, 0.0)])
+    @pytest.mark.parametrize("kappa", [1e-12, 0.05, 1.0, 2.0, 20.0, 1e8])
+    def test_matches_the_eta_reference(self, kappa, h0):
+        # the form in eta at 80 digits: in doubles its terms cancel, to about
+        # 1/4 each in the tails and to 1/kappa^2 near t = 0 for small kappa;
+        # V in t carries the roundoff of terms of size sech^2 t, 2.4e-14 of
+        # them at kappa 1e8
+        mpmath = pytest.importorskip("mpmath")
+        spec = PotentialSpec(h0=h0, kappa_plus=kappa)
+        ts = np.linspace(-40.0, 40.0, 161)
+        with mpmath.workdps(80):
+            ref = np.array([float(potential_eta(spec, mpmath.sinh(t))) for t in ts.tolist()])
+        scale = np.abs(ref) + np.cosh(ts) ** -2
+        assert np.max(np.abs(potential_t(spec, ts) - ref) / scale) < 1e-13
+
+    @pytest.mark.parametrize("kappa", [1e-30, 1.0, 2.0, 1e10])
+    def test_decays_where_eta_squared_overflows(self, kappa):
+        # eta^2 overflows past t ~ 355, and 4T before it; V in t is
+        # ~ 2 Im(h0) e^-|t| out to where cosh t overflows
         spec = PotentialSpec(h0=complex(7.75, 3.0), kappa_plus=kappa)
-        for eta in (5e153, 5.4e153, 1e154):
-            assert abs(potential(spec)(eta)) < 1e-12
-            assert abs(potential(spec)(-eta)) < 1e-12
+        ts = [354.0, 355.0, 400.0, 700.0, 710.0]
+        for v in potential_t(spec, ts + [-t for t in ts]):
+            assert math.isfinite(v) and abs(v) < 1e-150
 
 
+class TestSamplesInT:
+    """psi in t against its reference in eta, psi = Phi(eta)/sqrt(eta'), and
+    the samples in t where eta^2 or the gauge overflows (the partner's
+    (V, V_hat) against differences of ln psi: tests/test_partner.py)."""
 
-class TestFloatsAndArrays:
-    ETAS = [-3e100, -2e5, -2.5, -0.3, 0.0, 0.7, 4.0, 1e6, 1e100]
+    @pytest.mark.parametrize("h0, kappa", [(complex(7.75, 3.0), 0.05), (complex(7.75, 3.0), 2.0),
+                                           (complex(10.84, 2.0), 1.0)])
+    def test_psi_matches_phi_over_the_root_slope(self, h0, kappa):
+        spec = PotentialSpec(h0=h0, kappa_plus=kappa)
+        states = [normalized(spec, s) for s in enumerate_bound_spectrum(spec).states]
+        ts = np.linspace(-12.0, 12.0, 97).tolist()
+        for state, psi in zip(states, sampled(kappa, states, ts)):
+            ref = [phi_value(state, e) / math.sqrt(eta_prime(kappa, e)) for e in np.sinh(ts)]
+            assert np.max(np.abs(np.array(psi) - ref)) < 1e-13 * np.max(np.abs(ref)), state.n
 
-    def test_closed_forms_take_a_float_or_an_array(self, gspec, milson_spec):
-        # the arithmetic closed forms run the same code on both; only sqrt
-        # (numpy's sqrt against the float power 0.5) may round differently
-        for spec in (gspec, milson_spec):
-            etas = np.array(self.ETAS)
-            assert potential(spec)(etas).tolist() == [potential(spec)(e) for e in self.ETAS]
-            kappa = spec.kappa_plus
-            assert schwarzian_eval(kappa, etas).tolist() == [schwarzian_eval(kappa, e) for e in self.ETAS]
-            seed = aeh_solution(spec, "d", 2)
-            assert_allclose(log_derivative(kappa, seed)(etas),
-                            [log_derivative(kappa, seed)(e) for e in self.ETAS], rtol=1e-15)
+    def test_partner_finite_where_eta_overflows(self, gspec):
+        ts = [-700.0, -400.0, 0.0, 400.0, 700.0]
+        v, v_hat = partner_potential(gspec, aeh_solution(gspec, "d", 0), ts)
+        assert all(math.isfinite(x) for x in v + v_hat)
+        assert abs(v_hat[0]) < 1e-150 and abs(v_hat[-1]) < 1e-150
 
     def test_float_overflow_samples_nan(self, gspec):
-        # in plain floats exp and ** raise OverflowError where numpy gave inf;
-        # past |x| ~ 355 eta^2 is inf and psi is inf/inf: every such sample
-        # is NaN for require_finite to count, never an exception
+        # in plain floats exp raises OverflowError where numpy gave inf; for
+        # p > 0 the gauge cosh^(2p - 1/2) t overflows past |t| ~ 204, and every
+        # such sample is NaN for require_finite to count, never an exception
         grid = t_grid(400.0, t_of_x(gspec.kappa_plus, 400.0), 801)
-        seed = aeh_solution(gspec, "d", 0)  # p > 0: the gauge itself overflows far out
-        (psi,) = sampled(gspec.kappa_plus, [seed], grid.etas)
+        seed = aeh_solution(gspec, "d", 0)  # p = 2
+        (psi,) = sampled(gspec.kappa_plus, [seed], grid.ts)
         bad = [x for x, v in zip(grid.ts, psi) if not math.isfinite(v)]  # x = t at kappa = 1
         assert bad and all(math.isnan(v) for v in psi if not math.isfinite(v))
-        assert min(abs(x) for x in bad) > 100.0
+        assert min(abs(x) for x in bad) > 200.0
         with pytest.raises(NonFiniteSamples, match="of 801 psi samples are NaN or infinite"):
             geometry.require_finite("psi", [psi])
+
+    def test_bound_states_finite_to_the_double_range(self, gspec, gspectrum):
+        # psi decays like cosh^(2p + m - 1/2) t with 2p + m - 1/2 < 0, -1/2
+        # for the top state: it stays finite out to where sinh t overflows
+        grid = t_grid(700.0, t_of_x(gspec.kappa_plus, 700.0), 1001)
+        psis = sampled(1.0, [normalized(gspec, s) for s in gspectrum.states], grid.ts)
+        geometry.require_finite("psi", psis)
+        assert all(abs(psi[0]) < 1e-150 and abs(psi[-1]) < 1e-150 for psi in psis)

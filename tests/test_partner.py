@@ -21,7 +21,7 @@ from rrspectra.spectral import (
 from rrspectra.verify import compare_levels, oracle_map
 
 from irregular import PreconditionViolated, symmetric_irregular_solution
-from residual import eta_of_x, phi_value
+from residual import eta_of_x, eta_prime, phi_value, potential_t
 
 
 def grid_of(kappa, x_max, n):
@@ -68,44 +68,48 @@ class TestPartnerPotential:
         grid = grid_of(spec.kappa_plus, 60.0, 10001)
         seed = normalized(spec, spectrum.states[0])
         assert seed.nodes == 0 and any(phi_value(seed, e) == 0.0 for e in grid.etas)
-        _, v_partner = partner_potential(spec, seed, grid.etas)
+        _, v_partner = partner_potential(spec, seed, grid.ts)
         assert np.all(np.isfinite(v_partner))
 
-    def test_log_derivative_matches_finite_differences(self, insertion_setup):
-        # w against a centred difference of ln ff, and the difference (ln ff)''
-        # against V - e_s - w^2: the Riccati identity the partner is built on
-        spec, _ = insertion_setup
-        seed = aeh_solution(spec, "d", 0)
-        h = 1e-3
+    @pytest.mark.parametrize("h0, kappa, m", [
+        (gendenshtein_params(1.5, 0.4).h0, 1.0, 0),  # the insertion above
+        (complex(7.75, 3.0), 0.3, 0), (complex(7.75, 3.0), 2.0, 0), (complex(7.75, 3.0), 2.0, 2),
+    ])
+    def test_log_derivative_matches_finite_differences(self, h0, kappa, m):
+        # centred differences of ln ff in x = X(sinh t), from Phi and eta' in
+        # eta: w^2 against (V + V_hat)/2 - e_s, and (ln ff)'' = w' against
+        # (V - V_hat)/2, the Riccati identity the partner is built on
+        spec = PotentialSpec(h0=h0, kappa_plus=kappa)
+        seed = aeh_solution(spec, "d", m)
+        h = 3e-4
 
         def ln_ff(x):
-            eta = eta_of_x(spec.kappa_plus, x)
-            slope = geometry.eta_prime(spec.kappa_plus, eta)
-            return -0.5 * np.log(slope) + np.log(phi_value(seed, eta))
+            eta = eta_of_x(kappa, x)
+            return -0.5 * np.log(eta_prime(kappa, eta)) + np.log(phi_value(seed, eta))
 
-        xs = np.linspace(-6, 6, 25)
-        etas = np.array([eta_of_x(spec.kappa_plus, x) for x in xs])
+        ts = np.linspace(-5.0, 5.0, 21)
+        xs = [geometry.liouville(kappa)(e) for e in np.sinh(ts)]
         fd1 = np.array([(ln_ff(x + h) - ln_ff(x - h)) / (2 * h) for x in xs])
         fd2 = np.array([(ln_ff(x + h) - 2 * ln_ff(x) + ln_ff(x - h)) / h ** 2 for x in xs])
-        w = geometry.log_derivative(spec.kappa_plus, seed)(etas)
-        assert np.max(np.abs(fd1 - w)) < 1e-6
-        riccati = geometry.potential(spec)(etas) - seed.energy - w * w
-        assert np.max(np.abs(fd2 - riccati)) < 1e-6
+        v, v_hat = map(np.array, partner_potential(spec, seed, ts.tolist()))
+        w2, riccati = 0.5 * (v + v_hat) - seed.energy, 0.5 * (v - v_hat)
+        assert np.max(np.abs(fd1 * fd1 - w2)) < 1e-6 * np.max(w2)
+        assert np.max(np.abs(fd2 - riccati)) < 1e-6 * np.max(np.abs(riccati))
 
     def test_partner_decays_like_parent(self, insertion_setup):
         spec, grid = insertion_setup
         seed = aeh_solution(spec, "d", 0)
-        _, v_partner = partner_potential(spec, seed, grid.etas)
+        _, v_partner = partner_potential(spec, seed, grid.ts)
         assert abs(v_partner[0]) < 1e-2 and abs(v_partner[-1]) < 1e-2
 
     def test_far_field_decays(self):
-        # eta' ~ |eta| and the bracket of w ~ 1/|eta| must both stay finite
-        # far out, so that V_hat = 2 e_s + 2 w^2 - V cancels to 0 at both ends
+        # d/dt ln ff tends to +-(2p - 1/2) far out, so that
+        # V_hat = 2 e_s + 2 w^2 - V cancels to 0 at both ends
         spec = gendenshtein_params(1.7193, 2.1470)
         grid = grid_of(spec.kappa_plus, 200.0, 4097)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no overflow anywhere in the partner
-            _, v_partner = partner_potential(spec, aeh_solution(spec, "d", 0), grid.etas)
+            _, v_partner = partner_potential(spec, aeh_solution(spec, "d", 0), grid.ts)
         assert np.all(np.isfinite(v_partner))
         assert abs(v_partner[0]) < 1e-12 and abs(v_partner[-1]) < 1e-12
 
@@ -214,16 +218,16 @@ class TestShapeInvariance:
     """At kappa = 1 both single-step partners stay in the Gendenshtein (Scarf
     II) family, a shifted by one; at kappa != 1 they leave it."""
 
-    ETAS = np.linspace(-50.0, 50.0, 271).tolist()
+    TS = np.arcsinh(np.linspace(-50.0, 50.0, 271)).tolist()
 
     @staticmethod
     def shifted(a, b, seed, shift):
         spec = gendenshtein_params(a, b)
         spectrum = enumerate_bound_spectrum(spec)
         seed = spectrum.states[0] if seed == "ground" else aeh_solution(spec, "d", 0)
-        _, v_hat = partner_potential(spec, seed, TestShapeInvariance.ETAS)
+        _, v_hat = partner_potential(spec, seed, TestShapeInvariance.TS)
         target = gendenshtein_params(a + shift, b)
-        v_target = geometry.on_grid(geometry.potential(target), TestShapeInvariance.ETAS)
+        v_target = potential_t(target, TestShapeInvariance.TS)
         scale = max(1.0, max(map(abs, v_target)))
         assert max(abs(x - y) for x, y in zip(v_hat, v_target)) <= 1e-14 * scale
         # and the partner's levels are the shifted potential's
@@ -250,7 +254,7 @@ class TestShapeInvariance:
         spec = PotentialSpec(h0=gendenshtein_params(2.5, 0.5).h0, kappa_plus=kappa)
         ts = np.linspace(-10.0, 10.0, 201)
         seed = aeh_solution(spec, "d", 0)
-        v, v_hat = partner_potential(spec, seed, np.sinh(ts).tolist())
+        v, v_hat = partner_potential(spec, seed, ts.tolist())
         q, w = np.array([geometry.weighted_scarf(spec)(t) for t in ts.tolist()]).T
         y = (q + w * (np.array(v_hat) - np.array(v))) * np.cosh(ts) ** 2
         basis = np.stack([np.ones_like(ts), np.sinh(ts)], axis=1)
