@@ -291,7 +291,7 @@ def cmd_spectrum(config: RunConfig, args) -> tuple:
         psis = geometry.sampled(spec.kappa_plus, solutions, grid.ts)
         geometry.require_finite("eigenfunction", psis)
         header = "x," + ",".join("psi_%d" % s.n for s in states)
-        xs = map(geometry.liouville(spec.kappa_plus), grid.etas)  # non-uniform unless kappa = 1
+        xs = map(geometry.liouville(spec.kappa_plus), grid.ts)  # non-uniform unless kappa = 1
         files["eigenfunctions.csv"] = _csv(header, [xs] + psis)
     return files, True
 
@@ -343,7 +343,7 @@ def cmd_partner(config: RunConfig, args) -> tuple:
     expected = spectral.partner_levels(spectrum.energies, seed)
     rungs = verify.oracle_map(config.spec, seed, config.x_max, config.n)
     report, rung = verify.compare_levels(rungs, expected, args.tol)
-    xs = map(geometry.liouville(config.spec.kappa_plus), rung.grid.etas)
+    xs = map(geometry.liouville(config.spec.kappa_plus), rung.grid.ts)
     files = {"partner.csv": _csv("x,V_parent,V_partner", [xs, *rung.potentials])}
     if not expected:
         return files, True

@@ -16,19 +16,19 @@ take kappa as a float, ``spec.kappa_plus``.
 The spec record and the closed-form record :class:`~spectral.ClosedForm`
 come from :mod:`spectral`, which is exact; this module is where they meet
 floats, in plain floats with :mod:`math` and without numpy.  Every grid is
-a :class:`TGrid`, uniform in t = asinh eta, where eta = sinh t and
-x = X(t) (:func:`liouville`) are explicit, so no map is inverted.  Every
+a :class:`TGrid`, uniform in t = asinh eta, where x = X(t)
+(:func:`liouville`) is explicit, so no map is inverted.  Every
 sampled column is read from t alone, through s = sech t and tau = tanh t,
 which never overflow: 1 + eta^2 = cosh^2 t, atan eta = gd t, and the
 weight W = X'^2 = 1 + (kappa - 1) s^2.  In t the Schroedinger equation is
 Scarf II with that weight, and :func:`weighted_scarf` gives its
 coefficients (Q, W) for the oracle; :func:`liouville_terms` gives the
 potential V with W and W', :func:`sampled` the eigenfunctions and
-:func:`partner_potential` a Darboux partner's (V, V_hat).  Only the x
-column and :func:`t_of_x` evaluate :func:`liouville` at eta = sinh t, and
-:func:`decay_x_max`, the one scan for where |V| has decayed, which cuts
-every box (the ``spectrum`` grid and the oracle's), evaluates it once at
-the t it finds.
+:func:`partner_potential` a Darboux partner's (V, V_hat).  :func:`liouville`
+is the one place that forms eta = sinh t.  Only the x column and
+:func:`t_of_x` evaluate it, and :func:`decay_x_max`, the one scan for where
+|V| has decayed, which cuts every box (the ``spectrum`` grid and the
+oracle's), evaluates it once at the t it finds.
 """
 
 from __future__ import annotations
@@ -46,8 +46,10 @@ from .spectral import ClosedForm, PotentialSpec, linspace
 # ---------------------------------------------------------------------------
 
 def liouville(kappa: float):
-    """Closed-form x(eta) = integral_0^eta sqrt(T(u))/(1+u^2) du, symmetric T,
-    as a function of a float, its constants taken once.
+    """X(t) = x(sinh t) as a function of a float t, its constants taken once,
+    from the closed-form x(eta) = integral_0^eta sqrt(T(u))/(1+u^2) du,
+    symmetric T.  This is the one place that forms eta = sinh t; a t whose
+    sinh is past the double range raises ``OverflowError``.
 
     With T = u^2 + kappa, r = sqrt(eta^2 + kappa) and s = sqrt|kappa - 1|,
 
@@ -65,37 +67,38 @@ def liouville(kappa: float):
     rk = math.sqrt(kappa)
     s = math.sqrt(abs(kappa - 1.0))
     asinh, atan, copysign, hypot, log1p = math.asinh, math.atan, math.copysign, math.hypot, math.log1p
+    sinh = math.sinh
     if kappa >= 1.0:
-        def x_of(eta):
+        def x_of(t):
+            eta = sinh(t)
             # eta / r <= 1 first: s * eta overflows for eta near the double range
             return asinh(eta / rk) + s * atan(s * (eta / hypot(eta, rk)))
     else:
         one_minus_s = kappa / (1.0 + s)
 
-        def x_of(eta):
-            e = abs(eta)
+        def x_of(t):
+            e = abs(sinh(t))
             r = hypot(e, rk)
             # each log1p argument is rewritten to avoid cancellation and overflow
             return copysign(
                 log1p(one_minus_s * e / (r + s * e))
                 + one_minus_s * log1p(e * (e / (r + rk) + s) / rk)  # log((r + s e)/sqrt(kappa))
                 + s * log1p(e * (e / (1.0 + hypot(1.0, e)))),  # log1p(e^2)/2
-                eta,
+                t,  # the sign of eta
             )
     return x_of
 
 
 class TGrid(NamedTuple):
     """``n`` points t_j = ``linspace(-t_max, t_max, n)`` of t = asinh eta
-    (:func:`spectral.linspace`), their spacing ``dt`` and eta_j = sinh t_j,
-    as lists of floats; t_max is :func:`t_of_x` of ``x_max``."""
+    (:func:`spectral.linspace`), as a list of floats, and their spacing
+    ``dt``; t_max is :func:`t_of_x` of ``x_max``."""
 
     x_max: float
     t_max: float
     n: int
     dt: float
     ts: list
-    etas: list
 
 
 def _bisect(holds) -> float:
@@ -113,14 +116,15 @@ def _bisect(holds) -> float:
 
 
 def t_of_x(kappa: float, x: float) -> float:
-    """The t > 0 with X(sinh t) = ``x`` > 0, by bisection on the explicit
+    """The t > 0 with X(t) = ``x`` > 0, by bisection on the explicit
     :func:`liouville` to adjacent doubles (the upper one).  An ``x`` past X
-    at every t where sinh t and X are finite raises :class:`NonFiniteSamples`."""
+    at every t where sinh t and X are finite raises :class:`NonFiniteSamples`,
+    so every t_max it returns has sinh t_max finite."""
     x_of = liouville(kappa)
 
     def x_at(t):
         try:
-            return x_of(math.sinh(t))
+            return x_of(t)
         except OverflowError:  # eta past the double range
             return math.inf
 
@@ -133,18 +137,12 @@ def t_of_x(kappa: float, x: float) -> float:
 def t_grid(x_max: float, t_max: float, n: int) -> TGrid:
     """The :class:`TGrid` of ``n`` points on [-t_max, t_max].  One that is not
     strictly increasing (t_max too small for ``n`` doubles) raises
-    :class:`StepFailure`, and eta past the double range
-    :class:`NonFiniteSamples`."""
+    :class:`StepFailure`."""
     ts = linspace(-t_max, t_max, n)
     if not all(map(operator.lt, ts, ts[1:])):
         raise StepFailure("a t grid of %d points on [-%g, %g] is not strictly increasing"
                           % (n, t_max, t_max))
-    try:
-        etas = list(map(math.sinh, ts))
-    except OverflowError:
-        raise NonFiniteSamples("eta samples overflow the double range on [-%g, %g]"
-                               % (t_max, t_max)) from None
-    return TGrid(float(x_max), t_max, n, (t_max + t_max) / (n - 1), ts, etas)
+    return TGrid(float(x_max), t_max, n, (t_max + t_max) / (n - 1), ts)
 
 
 def weighted_scarf(spec: PotentialSpec):
@@ -209,8 +207,7 @@ def decay_x_max(spec: PotentialSpec, level: float) -> float:
         except OverflowError:  # cosh t past the double range
             raise StepFailure("potential does not decay below %g" % level) from None
 
-    x = liouville(spec.kappa_plus)(math.sinh(_bisect(decayed)))
-    return float(math.ceil(x * 4.0) / 4.0)
+    return math.ceil(liouville(spec.kappa_plus)(_bisect(decayed)) * 4.0) / 4.0
 
 
 # ---------------------------------------------------------------------------

@@ -294,7 +294,8 @@ def aeh_solution(spec: PotentialSpec, kind: str, m: int) -> ClosedForm:
     index is -conj(lambda) shifted by one exactly: 1 - L_R is never rounded,
     so the Routh coefficients are those of the float lambda.  A solution of
     order above :data:`MAX_ORDER` is a :class:`ConfigError`, and its
-    polynomial is never built."""
+    polynomial is never built.  An energy beyond the double range raises
+    ``OverflowError`` naming the kind, the order and m + 1/2 - lambda_R."""
     if kind not in ("c", "d"):
         raise ValueError("kind must be 'c' or 'd'")
     roots = quartic_lambda_roots(spec, m, kind)
@@ -306,7 +307,11 @@ def aeh_solution(spec: PotentialSpec, kind: str, m: int) -> ClosedForm:
     lam_r = roots[0]
     lam = complex(lam_r, spec.h0.imag / (2.0 * lam_r) if spec.h0.imag != 0.0 else 0.0)
     rp = routh_polynomial(m, ComplexIndex.of(-lam.conjugate()).shifted(1))
-    return ClosedForm(kind=kind, energy=-((m + 0.5 - lam_r) ** 2), lam=lam, poly=rp)
+    try:
+        return ClosedForm(kind=kind, energy=-((m + 0.5 - lam_r) ** 2), lam=lam, poly=rp)
+    except OverflowError:
+        raise OverflowError("type-%s order %d: the energy -(%.6g)^2 is beyond the double range"
+                            % (kind, m, m + 0.5 - lam_r)) from None
 
 
 def enumerate_bound_spectrum(spec: PotentialSpec) -> Spectrum:

@@ -220,8 +220,9 @@ def compare_levels(rungs, expected, tol: float) -> tuple:
 
 def verify_spectrum(spec: PotentialSpec, tol: float, x_max=None, n=None) -> tuple:
     """(report, spectrum): the enumerated bound spectrum, and its levels
-    against the finite-difference oracle.  A grid on which eta overflows
-    raises :class:`NonFiniteSamples`."""
+    against the finite-difference oracle.  An ``x_max`` that no t with a
+    finite eta = sinh t reaches raises :class:`NonFiniteSamples`
+    (:func:`geometry.t_of_x`)."""
     spectrum = enumerate_bound_spectrum(spec)
     if not spectrum.states:
         return LevelReport(levels=(), n_expected=0, tol=tol, grid=None), spectrum

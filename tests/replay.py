@@ -30,7 +30,9 @@ The configs are the seed-1001 commands of the three benchmark workloads
 (``perfbench/workloads.py``, imported read-only), plus cases the benchmark
 does not draw: a user grid past |x| ~ 355, where eta^2 overflows
 (``spectrum``, ``verify`` and a type-d ``partner`` sample in t from sech t
-and tanh t, and all three pass there), a user grid too narrow for
+and tanh t, and all three pass there), the same commands on a user grid
+at x_max 705, whose x column reads eta = sinh t up to about 7.5e305, near
+the end of the double range, a user grid too narrow for
 the potential to decay (a config error that leaves no file), a user x_max
 without n (the config box of ``spectrum``), a user n with n - 1 not a
 multiple of 4, ``--tol 0`` (the ladder climbs to the cap), Milson kappa far
@@ -76,6 +78,9 @@ RUN_SECONDS = 30
 GEN = {"gendenshtein": {"a": 2.5, "b": 0.5}}
 EXTRA = {
     "wide-grid": ({"potential": GEN, "grid": {"x_max": 400.0},
+                   "partner": {"kind": "d", "m": 0}},
+                  ("spectrum", "verify", "partner")),
+    "edge-grid": ({"potential": GEN, "grid": {"x_max": 705.0},
                    "partner": {"kind": "d", "m": 0}},
                   ("spectrum", "verify", "partner")),
     "narrow-grid": ({"potential": {"gendenshtein": {"a": 3.3, "b": 0.7}},

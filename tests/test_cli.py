@@ -109,7 +109,7 @@ class TestSpectrumCommand:
             xs = [float(row.partition(",")[0])
                   for row in (out / "eigenfunctions.csv").read_text().splitlines()[1:]]
             assert len(xs) == 4096 and (xs[0], xs[-1]) == (-half_width, half_width)
-            # x = X(sinh t) on a uniform t grid: X' = sqrt(W) runs from
+            # x = X(t) on a uniform t grid: X' = sqrt(W) runs from
             # sqrt(kappa) at the well to 1 in the tails, so steps are uniform
             # only at kappa = 1 (to the %.12g rounding of x)
             steps = np.diff(xs)
@@ -418,7 +418,7 @@ class TestPartnerCommand:
         assert grid == {"x_max": rung.grid.x_max, "t_max": rung.grid.t_max, "n": rung.grid.n,
                         "dt": rung.grid.dt}
         assert len(rows) == rung.grid.n and all(len(r.split(",")) == 3 for r in rows)
-        # x = X(sinh t) at the grid's t, which is x itself at kappa = 1
+        # x = X(t) at the grid's t, which is x itself at kappa = 1
         xs = [float(r.split(",")[0]) for r in rows]
         assert xs == [float("%.12g" % t) for t in rung.grid.ts]
         assert xs[0] == -rung.grid.x_max
@@ -990,6 +990,19 @@ class TestOutputContract:
             assert json.loads((out / "identities.json").read_text())["passed"] is True
         else:
             assert os.listdir(out) == []
+
+    @pytest.mark.parametrize("kappa, root", [(1e-170, "1e+170"), (1e-200, "1e+200")])
+    def test_type_d_energy_beyond_doubles_is_named(self, tmp_path, capsys, kappa, root):
+        # the type-d root near -1/kappa is a double, but its energy
+        # -(m + 1/2 - lambda_R)^2 is not; the message names kind, order and energy
+        cfg = write_config(tmp_path, {"potential": {"milson": {
+            "h0_re": 7.75, "h0_im": 3.0, "kappa_plus": kappa}}, "partner": {"kind": "d", "m": 0}})
+        out = tmp_path / "o"
+        assert main(["partner", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "numeric failure: OverflowError: type-d order 0: the energy -(%s)^2 is beyond "
+            "the double range\n" % root)
+        assert os.listdir(out) == []
 
     SCAN_AND_PARTNER ={**GEN, "partner": {"kind": "d", "m": 0}, "scan": {
         "a_range": [2.0, 3.0], "b_range": [0.0, 1.0], "na": 2, "nb": 2, "m": 2}}

@@ -1,7 +1,10 @@
 """Geometry tests: the tangent polynomial, Bose invariant, the map, Schwarzian,
 potential, and the forms in t against their references in eta."""
 
+import ast
+import glob
 import math
+import os
 import sys
 
 import numpy as np
@@ -97,17 +100,18 @@ class TestTGrid:
 
     @pytest.mark.parametrize("kappa", [0.01, 0.55, 1.0, 3.0, 1e5, 1e7])
     def test_round_trip_inversion(self, kappa):
-        # the bisection ends at adjacent doubles of t, where X(sinh t) brackets x
+        # the bisection ends at adjacent doubles of t, where X(t) brackets x
         x_of = geometry.liouville(kappa)
         for x in np.linspace(0.01, 40.0, 41).tolist() + [1e-300, 700.0]:
             t = t_of_x(kappa, x)
-            assert x_of(math.sinh(np.nextafter(t, 0.0))) < x <= x_of(math.sinh(t))
-            assert abs(x_of(math.sinh(t)) - x) <= 8 * sys.float_info.epsilon * x * max(1.0, t)
+            assert x_of(np.nextafter(t, 0.0)) < x <= x_of(t)
+            assert abs(x_of(t) - x) <= 8 * sys.float_info.epsilon * x * max(1.0, t)
 
     def test_monotone_grid(self):
         grid = t_grid(12.0, t_of_x(2.0, 12.0), 512)
-        assert np.all(np.diff(grid.ts) > 0) and np.all(np.diff(grid.etas) > 0)
-        assert grid.etas == [math.sinh(t) for t in grid.ts]
+        xs = list(map(geometry.liouville(2.0), grid.ts))
+        assert np.all(np.diff(grid.ts) > 0) and np.all(np.diff(xs) > 0)
+        assert xs[0] == -xs[-1] and xs[-2] < 12.0 <= xs[-1]
 
     def test_spacing(self):
         # the oracle's grid step: the width over n - 1, as the t grid has it
@@ -132,24 +136,26 @@ class TestTGrid:
         for eta in (0.3, 1.0, 4.0, 50.0, 3e3):
             val, _err = quad(lambda u: math.sqrt(u * u + kappa) / (1.0 + u * u), 0.0, eta,
                              epsabs=1e-13, epsrel=1e-13, limit=200)
-            assert abs(x_of(eta) - val) < 1e-11 * max(1.0, val)
-            assert x_of(-eta) == -x_of(eta)
+            t = math.asinh(eta)
+            assert abs(x_of(t) - val) < 1e-11 * max(1.0, val)
+            assert x_of(-t) == -x_of(t)
 
     @pytest.mark.parametrize("kappa", [0.55, 1.0, 2.7])
     def test_huge_eta_stays_finite(self, kappa):
         x_of = geometry.liouville(kappa)
-        x = x_of(1e200)
-        assert math.isfinite(x) and x > x_of(1e100) > 0
+        x = x_of(math.asinh(1e200))
+        assert math.isfinite(x) and x > x_of(math.asinh(1e100)) > 0
 
     @pytest.mark.parametrize("kappa", [0.55, 1.0, 2.7])
     def test_eta_past_the_double_range_is_non_finite(self, kappa):
         # eta = sinh t overflows past |t| = 710.47, where t = x for kappa = 1
         with pytest.raises(NonFiniteSamples, match="eta samples overflow"):
             t_of_x(kappa, 780.19)
-        with pytest.raises(NonFiniteSamples, match="eta samples overflow"):
-            t_grid(780.19, 711.0, 4641)
+        with pytest.raises(OverflowError):
+            geometry.liouville(kappa)(711.0)
         grid = t_grid(710.0, t_of_x(1.0, 710.0), 257)
-        assert np.all(np.isfinite(grid.etas)) and grid.etas[-1] > 1e308
+        xs = list(map(geometry.liouville(1.0), grid.ts))
+        assert np.all(np.isfinite(xs)) and math.sinh(grid.t_max) > 1e308
 
     def test_grid_too_narrow_for_doubles(self):
         # 257 points on [-5e-324, 5e-324] round to three doubles
@@ -163,6 +169,23 @@ class TestTGrid:
         assert grid.ts == np.linspace(-grid.t_max, grid.t_max, n).tolist()
         # a refined grid keeps this one's points as its even points
         assert t_grid(x_max, grid.t_max, 2 * n - 1).ts[::2] == grid.ts
+
+
+def test_sinh_is_named_in_liouville_alone():
+    # eta = sinh t is formed in one place, the x column's map; every sampled
+    # column is read from sech t and tanh t, which do not overflow
+    where = []
+    for path in sorted(glob.glob(os.path.join(os.path.dirname(geometry.__file__), "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for top in tree.body:
+            for node in ast.walk(top):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else
+                        node.name if isinstance(node, ast.alias) else None)
+                if name == "sinh":
+                    where.append((os.path.basename(path), getattr(top, "name", None)))
+    assert where and set(where) == {("geometry.py", "liouville")}, where
 
 
 class TestWeightedScarf:
@@ -219,7 +242,8 @@ class TestSchwarzian:
             d3 = (e[4] - 2 * e[3] + 2 * e[1] - e[0]) / (2 * h ** 3)
             return d3 / d1 - 1.5 * (d2 / d1) ** 2
 
-        xs = [geometry.liouville(2.0)(e) for e in (-5.0, -2.0, -0.5, 0.0, 1.0, 3.0, 5.0)]
+        x_of = geometry.liouville(2.0)
+        xs = [x_of(math.asinh(e)) for e in (-5.0, -2.0, -0.5, 0.0, 1.0, 3.0, 5.0)]
         worst = max(abs(schwarzian_fd(x) - schwarzian_eta(2.0, eta_of_x(2.0, x))) for x in xs)
         assert worst < 1e-6
 

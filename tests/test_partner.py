@@ -1,6 +1,7 @@
 """Darboux-partner tests: insertion, erasure, seed validation, symmetric seeds,
 shape invariance."""
 
+import math
 import warnings
 
 import numpy as np
@@ -67,7 +68,7 @@ class TestPartnerPotential:
         spectrum = enumerate_bound_spectrum(spec)
         grid = grid_of(spec.kappa_plus, 60.0, 10001)
         seed = normalized(spec, spectrum.states[0])
-        assert seed.nodes == 0 and any(phi_value(seed, e) == 0.0 for e in grid.etas)
+        assert seed.nodes == 0 and any(phi_value(seed, math.sinh(t)) == 0.0 for t in grid.ts)
         _, v_partner = partner_potential(spec, seed, grid.ts)
         assert np.all(np.isfinite(v_partner))
 
@@ -76,7 +77,7 @@ class TestPartnerPotential:
         (complex(7.75, 3.0), 0.3, 0), (complex(7.75, 3.0), 2.0, 0), (complex(7.75, 3.0), 2.0, 2),
     ])
     def test_log_derivative_matches_finite_differences(self, h0, kappa, m):
-        # centred differences of ln ff in x = X(sinh t), from Phi and eta' in
+        # centred differences of ln ff in x = X(t), from Phi and eta' in
         # eta: w^2 against (V + V_hat)/2 - e_s, and (ln ff)'' = w' against
         # (V - V_hat)/2, the Riccati identity the partner is built on
         spec = PotentialSpec(h0=h0, kappa_plus=kappa)
@@ -88,7 +89,7 @@ class TestPartnerPotential:
             return -0.5 * np.log(eta_prime(kappa, eta)) + np.log(phi_value(seed, eta))
 
         ts = np.linspace(-5.0, 5.0, 21)
-        xs = [geometry.liouville(kappa)(e) for e in np.sinh(ts)]
+        xs = list(map(geometry.liouville(kappa), ts.tolist()))
         fd1 = np.array([(ln_ff(x + h) - ln_ff(x - h)) / (2 * h) for x in xs])
         fd2 = np.array([(ln_ff(x + h) - 2 * ln_ff(x) + ln_ff(x - h)) / h ** 2 for x in xs])
         v, v_hat = map(np.array, partner_potential(spec, seed, ts.tolist()))

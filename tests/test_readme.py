@@ -1,6 +1,7 @@
 """The README's Example block runs and prints what its comments say, its
-Command line section documents every config key the CLI accepts, and every
-package attribute it names exists."""
+Command line section documents every config key the CLI accepts, its
+coverage table is the doctored matrix of ``tests/test_doctored.py``, and
+every package attribute it names exists."""
 
 import contextlib
 import importlib
@@ -9,6 +10,8 @@ import os
 import re
 
 from rrspectra import cli
+
+import test_doctored
 
 README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
 
@@ -37,6 +40,30 @@ def test_config_keys_are_documented():
     rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \|", section("Command line"), re.M)
     documented = {block: set(re.findall(r"`(\w+)`", keys)) for block, keys in rows}
     assert documented == {block: set(keys) for block, keys in cli.BLOCK_KEYS.items()}
+
+
+def test_coverage_table_is_the_doctored_matrix():
+    # each cell is the exit code, the item named, or "none"; a cell on which
+    # the two configs differ reads "gendenshtein / milson"
+    def cell(value):
+        if not isinstance(value, str):
+            return str(value)
+        item = re.search(r"item \d+", value)
+        return item.group() if item else "none"
+
+    matrices = [matrix for _config, matrix in test_doctored.CONFIGS.values()]
+    expected = []
+    for name in matrices[0]:
+        cells = []
+        for column in range(len(test_doctored.COMMANDS)):
+            values = [cell(matrix[name][column]) for matrix in matrices]
+            cells.append(" / ".join(values) if len(set(values)) > 1 else values[0])
+        expected.append(["(none)" if name == "none" else name, *cells])
+    table = section("Tests and the acceptance suite").split("| doctor | ", 1)[1]
+    assert table.splitlines()[0] == " | ".join(test_doctored.COMMANDS) + " |"
+    rows = [line.strip("|").split(" | ") for line in table.splitlines()[2:]
+            if line.startswith("| ")]
+    assert [[c.strip() for c in row] for row in rows] == expected
 
 
 def test_named_package_attributes_exist():
